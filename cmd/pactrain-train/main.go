@@ -78,7 +78,7 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	kernelParallel := flag.Int("kernel-parallel", runtime.GOMAXPROCS(0),
-		"worker budget for the model-compute and compression kernels (results are bit-identical at any value)")
+		"cores the model-compute and compression kernels may occupy, shared by the run's ranks (results are bit-identical at any value)")
 	flag.Parse()
 
 	par.SetBudget(*kernelParallel)

@@ -191,9 +191,13 @@ func (c *Cluster) rendezvous(rank int, input any, localTime float64,
 		c.cond.Broadcast()
 		return res, c.outTime
 	}
+	// A waiting rank issues no kernels: its share of the kernel budget goes
+	// to the ranks still computing, and to compute above when it runs.
+	par.Leave(1)
 	for c.gen == gen {
 		c.cond.Wait()
 	}
+	par.Enter(1)
 	return c.result, c.outTime
 }
 

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"pactrain/internal/netsim"
 	"pactrain/internal/par"
 )
 
@@ -71,5 +74,42 @@ func TestTrainingBitExactAcrossKernelBudgets(t *testing.T) {
 					name, tc.scheme, i, p, parallel.Curve.Points[i])
 			}
 		}
+	}
+}
+
+// TestRanksCountAgainstKernelBudget pins par's budget rule where the trainer
+// applies it: at budget 2 the kernels of a World=8 run never go to the pool
+// (each rank's share of the budget is below one extra core), while a World=1
+// run fans out. Every rank issues one kernel-sized dispatch through the test
+// hook and reports how many chunks it was given; no rank leaves the hook
+// before all have dispatched, because a rank that has moved on to wait at a
+// collective hands its share back.
+func TestRanksCountAgainstKernelBudget(t *testing.T) {
+	defer par.SetBudget(par.Budget())
+	defer func() { rankStartHook = nil }()
+	par.SetBudget(2)
+	for _, tc := range []struct{ world, wantChunks int }{{8, 1}, {1, 2}} {
+		var wrong atomic.Int64
+		var all sync.WaitGroup
+		all.Add(tc.world)
+		rankStartHook = func() {
+			if par.ForChunks(par.MinWork*8, func(_, _, _ int) {}) != tc.wantChunks {
+				wrong.Add(1)
+			}
+			all.Done()
+			all.Wait()
+		}
+		cfg := tinyConfig("all-reduce")
+		cfg.World, cfg.Epochs = tc.world, 1
+		cfg.Topology = netsim.FlatTopology(tc.world, netsim.Gbps, 1e-5)
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if wrong.Load() != 0 {
+			t.Fatalf("world %d at budget 2: %d ranks were not given %d chunk(s)", tc.world, wrong.Load(), tc.wantChunks)
+		}
+	}
+	if got := par.PlanChunks(par.MinWork*8, par.MinWork*8); got != 2 {
+		t.Fatalf("after the runs a lone caller plans %d chunks at budget 2, want 2: Run left ranks registered", got)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"pactrain/internal/metrics"
 	"pactrain/internal/netsim"
 	"pactrain/internal/nn"
+	"pactrain/internal/par"
 	"pactrain/internal/prune"
 	"pactrain/internal/simclock"
 	"pactrain/internal/tensor"
@@ -105,6 +106,10 @@ func Run(cfg Config) (*Result, error) {
 		res.CommLog = log
 	}
 
+	// The ranks share the kernel budget (see package par): 8 ranks on 2
+	// cores run every kernel inline, a 16-core host still fans out.
+	par.Enter(cfg.World)
+	defer par.Leave(cfg.World)
 	errs := make([]error, cfg.World)
 	var wg sync.WaitGroup
 	for rank := 0; rank < cfg.World; rank++ {
@@ -129,10 +134,17 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// rankStartHook, when a test sets it, runs on every rank goroutine before the
+// rank builds its model.
+var rankStartHook func()
+
 // runWorker is the per-rank training loop (Algorithm 1).
 func runWorker(cfg *Config, rank int, cluster *collective.Cluster,
 	trainSet, testSet *data.Dataset, log *CommLog, res *Result) error {
 
+	if rankStartHook != nil {
+		rankStartHook()
+	}
 	model, err := nn.NewLiteByName(cfg.ModelName, cfg.Lite)
 	if err != nil {
 		return err

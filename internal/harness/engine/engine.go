@@ -8,7 +8,9 @@
 //     in the process train exactly once and share the Result (training is
 //     deterministic for a fingerprint, so sharing is exact);
 //   - bounded parallelism: at most Parallelism trainings run concurrently,
-//     independent grid cells overlapping on the wall clock;
+//     independent grid cells overlapping on the wall clock; the running
+//     trainings share the kernel budget through the ranks core.Run registers
+//     (the rule is package par's);
 //   - an optional on-disk JSON result cache, so repeated CLI invocations
 //     re-cost recorded runs instead of re-training them.
 //
@@ -20,11 +22,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sync"
 
 	"pactrain/internal/core"
-	"pactrain/internal/par"
 )
 
 // Job is one declarative unit of training work: a fully specified run
@@ -216,12 +216,6 @@ func New(opt Options) *Engine {
 	if opt.Log == nil {
 		opt.Log = io.Discard
 	}
-	// Size the kernel worker budget against the job-level parallelism so the
-	// two do not multiply: with P concurrent trainings on a G-core machine,
-	// each training's compression kernels may fan out over at most G/P
-	// goroutines. Kernel chunking never changes results (internal/par), so
-	// this is purely a scheduling decision.
-	par.SetBudget(runtime.GOMAXPROCS(0) / opt.Parallelism)
 	cache := opt.Cache
 	if cache == nil && opt.CacheDir != "" {
 		cache = NewCache(opt.CacheDir)

@@ -1,11 +1,16 @@
 // Package par is the process-wide data-parallel worker budget shared by the
-// simulator's hot kernels (internal/compress, internal/collective) and, since
-// the model-compute work, the tensor/nn training kernels. It exists so
-// goroutine-level parallelism inside a kernel composes with the job-level
-// parallelism of the experiment engine and the trainer's per-rank goroutines
-// instead of multiplying against them: the engine sizes the budget to
-// GOMAXPROCS divided by its concurrent-job count, and every kernel chunks
-// against that single number.
+// simulator's hot kernels (internal/compress, internal/collective) and the
+// tensor/nn training kernels. It exists so goroutine-level parallelism inside
+// a kernel composes with the job-level parallelism of the experiment engine
+// and the trainer's per-rank goroutines instead of multiplying against them.
+//
+// The budget rule, stated here and nowhere else: one dispatch fans out into
+// at most Budget() ÷ (goroutines registered through Enter as issuing kernels
+// at that moment) chunks and never fewer than one, where the budget is
+// GOMAXPROCS unless SetBudget says otherwise and every core.Run enters its
+// World ranks, less those waiting at a collective rendezvous, for as long as
+// it runs — so concurrent engine jobs and each job's ranks are counted by
+// one sum, ranks first.
 //
 // Chunk boundaries are never allowed to influence results — callers may only
 // parallelize loops whose iterations are independent (elementwise maps,
@@ -16,14 +21,14 @@
 //
 // Nested-dispatch policy: a chunk function may itself call For/ForChunks
 // (an attention layer parallelized over samples calls matmul kernels that
-// chunk over rows). A dispatch issued from a pool worker runs entirely
-// inline on that worker — the partition is identical, only the placement
-// changes — so workers never block feeding or waiting on the queue and the
-// pool cannot deadlock or oversubscribe regardless of how rank goroutines ×
-// engine jobs × kernels stack. Dispatches from non-worker goroutines that
-// find the queue full likewise fall back to running the chunk inline, which
-// keeps every caller wait-free except for joining chunks that workers are
-// guaranteed to drain.
+// chunk over rows). The partition of a dispatch depends only on the rule
+// above; its placement depends on pool slots. A chunk goes to the pool only
+// while fewer chunks than pool workers minus one (and than the budget minus
+// one) are queued or running, and runs on the dispatching goroutine
+// otherwise. Every queued chunk therefore has an idle worker to run it, no
+// matter how many workers are themselves waiting to join a nested dispatch,
+// so the pool cannot deadlock or oversubscribe however rank goroutines ×
+// engine jobs × kernels stack, and no goroutine needs an identity.
 package par
 
 import (
@@ -37,14 +42,17 @@ import (
 // than it saves in compute; smaller loops run inline.
 const MinWork = 8192
 
-var budget atomic.Int64
+var (
+	budget atomic.Int64
+	// callers counts the goroutines Enter has registered.
+	callers atomic.Int64
+)
 
 func init() { budget.Store(int64(runtime.GOMAXPROCS(0))) }
 
-// SetBudget sets the maximum number of chunks a single For call fans out
-// into. The experiment engine calls this with GOMAXPROCS/parallel-jobs so
-// kernel parallelism does not oversubscribe the machine; values below 1
-// clamp to 1 (fully inline execution).
+// SetBudget sets the number of cores kernels may occupy (see the package
+// comment for how a dispatch divides it); values below 1 clamp to 1 (fully
+// inline execution).
 func SetBudget(n int) {
 	if n < 1 {
 		n = 1
@@ -52,8 +60,19 @@ func SetBudget(n int) {
 	budget.Store(int64(n))
 }
 
-// Budget returns the current chunk budget.
+// Budget returns the current budget.
 func Budget() int { return int(budget.Load()) }
+
+// Enter registers n goroutines as issuing kernels from now on and Leave takes
+// n back out. core.Run enters its World ranks for the length of the run; a
+// rank leaves for as long as it waits at a collective rendezvous, where it
+// issues nothing and the ranks still computing can use its share.
+func Enter(n int) { callers.Add(int64(n)) }
+
+// Leave undoes Enter. A goroutine nobody entered may leave and re-enter too
+// (a Cluster driven outside core.Run): the count dips below what is really
+// running for the wait, which can only make a dispatch fan out more.
+func Leave(n int) { callers.Add(int64(-n)) }
 
 // pool is a fixed set of worker goroutines sized once to GOMAXPROCS; For
 // feeds it chunks. A persistent pool keeps steady-state iterations free of
@@ -61,9 +80,9 @@ func Budget() int { return int(budget.Load()) }
 var (
 	poolOnce sync.Once
 	poolCh   chan poolTask
-	// workerIDs holds the goroutine ids of the pool workers, so a dispatch
-	// can detect that it is nested inside a chunk function and run inline.
-	workerIDs sync.Map // uint64 → struct{}
+	// inflight counts the chunks queued on or running in the pool. It never
+	// exceeds the worker count minus one, so a send on poolCh never blocks.
+	inflight atomic.Int64
 )
 
 type poolTask struct {
@@ -77,12 +96,12 @@ type poolTask struct {
 func ensurePool() {
 	poolOnce.Do(func() {
 		workers := runtime.GOMAXPROCS(0)
-		poolCh = make(chan poolTask, 4*workers)
+		poolCh = make(chan poolTask, workers)
 		for i := 0; i < workers; i++ {
 			go func() {
-				workerIDs.Store(goid(), struct{}{})
 				for t := range poolCh {
 					t.fn(t.chunk, t.lo, t.hi)
+					inflight.Add(-1)
 					t.wg.Done()
 				}
 			}()
@@ -90,32 +109,15 @@ func ensurePool() {
 	})
 }
 
-// goid parses the current goroutine's id from its stack header
-// ("goroutine N [...]"). It costs well under a microsecond with a tiny
-// truncated stack buffer, paid once per chunked dispatch — negligible next
-// to the ≥MinWork of compute a dispatch covers.
-func goid() uint64 {
-	var buf [40]byte
-	n := runtime.Stack(buf[:], false)
-	const header = len("goroutine ")
-	var id uint64
-	for _, c := range buf[header:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
-}
-
 // chunksFor returns how many contiguous ranges a dispatch splits n items of
-// the given total scalar work into under the current budget: at most
-// Budget(), never so many that chunks drop below MinWork/2 work, and never
-// more than n. It is a pure function of (n, work, Budget()), which is what
-// keeps chunk partitions — and therefore any per-chunk partial folds —
-// deterministic at a fixed budget.
+// the given total scalar work into: at most the budget's share per registered
+// caller, never so many that chunks drop below MinWork/2 work, and never more
+// than n.
 func chunksFor(n, work int) int {
 	w := Budget()
+	if c := int(callers.Load()); c > 1 {
+		w /= c
+	}
 	if w <= 1 || work < MinWork || n <= 1 {
 		return 1
 	}
@@ -163,6 +165,15 @@ func ForChunksWork(n, work int, fn func(chunk, lo, hi int)) int {
 	return dispatch(n, chunksFor(n, work), fn)
 }
 
+// acquire takes one of the pool's slots if fewer than slots are taken.
+func acquire(slots int64) bool {
+	if inflight.Add(1) <= slots {
+		return true
+	}
+	inflight.Add(-1)
+	return false
+}
+
 func dispatch(n, c int, fn func(chunk, lo, hi int)) int {
 	if c == 1 {
 		if n > 0 {
@@ -171,46 +182,24 @@ func dispatch(n, c int, fn func(chunk, lo, hi int)) int {
 		return 1
 	}
 	ensurePool()
+	slots := int64(min(Budget(), cap(poolCh)) - 1)
 	size := (n + c - 1) / c
-	if _, nested := workerIDs.Load(goid()); nested {
-		// Nested dispatch (a chunk function called a kernel): same
-		// partition, executed inline on this worker. See the package comment.
-		for i := 0; i < c; i++ {
-			lo := i * size
-			hi := lo + size
-			if hi > n {
-				hi = n
-			}
-			fn(i, lo, hi)
-		}
-		return c
-	}
 	var wg sync.WaitGroup
-	for i := 0; i < c-1; i++ {
-		lo := i * size
-		hi := lo + size
-		if hi > n {
-			hi = n
+	for i := 0; i < c; i++ {
+		lo := min(i*size, n)
+		hi := min(lo+size, n)
+		// The caller's goroutine does the final chunk instead of idling at
+		// the WaitGroup, and any chunk the pool has no slot for (a nested
+		// dispatch, or many ranks dispatching at once).
+		if i == c-1 || !acquire(slots) {
+			fn(i, lo, hi)
+			continue
 		}
 		// Add before the send: a worker may run the task and Done it before
 		// a post-send Add would execute.
 		wg.Add(1)
-		select {
-		case poolCh <- poolTask{fn: fn, chunk: i, lo: lo, hi: hi, wg: &wg}:
-		default:
-			// Queue full (many rank goroutines dispatching at once): run the
-			// chunk here rather than block the caller on the pool.
-			fn(i, lo, hi)
-			wg.Done()
-		}
+		poolCh <- poolTask{fn: fn, chunk: i, lo: lo, hi: hi, wg: &wg}
 	}
-	// The caller's goroutine does the final chunk instead of idling at the
-	// WaitGroup.
-	lo := (c - 1) * size
-	if lo > n {
-		lo = n
-	}
-	fn(c-1, lo, n)
 	wg.Wait()
 	return c
 }

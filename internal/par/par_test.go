@@ -2,6 +2,7 @@ package par
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -99,8 +100,9 @@ func TestNestedDispatchRunsInlineAndCoversRange(t *testing.T) {
 	inner := MinWork * 2
 	hits := make([]int32, inner)
 	var nestedChunks int32
-	// Outer dispatch lands on pool workers; the nested dispatch inside each
-	// chunk must use the identical partition and complete without deadlock.
+	// Outer chunks land on pool workers or the caller; the nested dispatch
+	// inside each must use the identical partition, wherever its chunks run,
+	// and complete without deadlock.
 	For(outer, func(lo, hi int) {
 		c := ForChunks(inner, func(chunk, lo2, hi2 int) {
 			for i := lo2; i < hi2; i++ {
@@ -125,7 +127,7 @@ func TestNestedDispatchRunsInlineAndCoversRange(t *testing.T) {
 func TestConcurrentDispatchesDrainWithoutDeadlock(t *testing.T) {
 	defer SetBudget(Budget())
 	SetBudget(8)
-	// More concurrent dispatchers than pool workers forces the queue-full
+	// More concurrent dispatchers than pool workers forces the no-slot
 	// inline fallback on a small machine and exercises the pool under
 	// contention everywhere else.
 	const dispatchers = 16
@@ -149,4 +151,86 @@ func TestConcurrentDispatchesDrainWithoutDeadlock(t *testing.T) {
 	if got, want := total.Load(), int64(dispatchers*MinWork*4); got != want {
 		t.Fatalf("covered %d iterations, want %d", got, want)
 	}
+}
+
+// TestContendedNestedDispatchFinishes is the trainer's shape on a small host:
+// 8 rank goroutines, each issuing kernels that nest, at budget 2. No goroutine
+// has an identity, so nothing but the slot rule keeps workers from all
+// waiting on chunks nobody is left to run; a hang fails on the test timeout,
+// a lost or doubled chunk on the count.
+func TestContendedNestedDispatchFinishes(t *testing.T) {
+	defer SetBudget(Budget())
+	SetBudget(2)
+	const callers, reps, n = 8, 50, MinWork * 2
+	outerChunks := PlanChunks(n, n)
+	var total atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < reps; rep++ {
+				For(n, func(_, _ int) {
+					For(n, func(lo, hi int) { total.Add(int64(hi - lo)) })
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := total.Load(), int64(callers*reps*outerChunks*n); got != want {
+		t.Fatalf("covered %d iterations, want %d", got, want)
+	}
+}
+
+func TestEnterSharesTheBudgetAmongCallers(t *testing.T) {
+	defer SetBudget(Budget())
+	SetBudget(8)
+	const n = MinWork * 16
+	plan := func() int { return PlanChunks(n, n) }
+	if got := plan(); got != 8 {
+		t.Fatalf("no callers entered: %d chunks, want 8", got)
+	}
+	Enter(4)
+	if got := plan(); got != 2 {
+		t.Fatalf("4 callers at budget 8: %d chunks, want 2", got)
+	}
+	Enter(8) // a second job: 12 callers, fewer cores than callers
+	if got := plan(); got != 1 {
+		t.Fatalf("12 callers at budget 8: %d chunks, want 1", got)
+	}
+	Leave(4)
+	if got := plan(); got != 1 {
+		t.Fatalf("8 callers at budget 8: %d chunks, want 1", got)
+	}
+	Leave(7) // all but one of them wait at a rendezvous
+	if got := plan(); got != 8 {
+		t.Fatalf("1 caller at budget 8: %d chunks, want 8", got)
+	}
+	Leave(1)
+	if got := plan(); got != 8 {
+		t.Fatalf("every caller left: %d chunks, want 8", got)
+	}
+}
+
+// BenchmarkDispatchContended is 8 callers dispatching at once, the trainer's
+// ranks before they were counted against the budget. A dispatch that takes a
+// process-wide lock (goroutine ids once came from runtime.Stack, under the
+// runtime's print lock) shows here as time per dispatch growing with callers.
+func BenchmarkDispatchContended(b *testing.B) {
+	defer SetBudget(Budget())
+	SetBudget(runtime.GOMAXPROCS(0))
+	const callers, n = 8, MinWork * 2
+	var sink atomic.Int64
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < b.N; i += callers {
+				For(n, func(lo, hi int) { sink.Add(int64(hi - lo)) })
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -48,21 +48,36 @@ func Im2ColInto(dst, x *Tensor, kh, kw, stride, pad int) {
 	})
 }
 
-// im2colRows fills column-matrix rows [lo,hi), zeroing each row first so
-// padding positions read zero even when the buffer is reused.
+// im2colRows fills column-matrix rows [lo,hi). An interior receptive field —
+// one that touches no padding — is kh contiguous kw-runs per channel, copied
+// with no zero fill and no per-element tests; a field that touches padding
+// zeroes its row first so padding positions read zero even when the buffer is
+// reused.
 func im2colRows(cd, xd []float32, c, h, w, outH, outW, kh, kw, stride, pad, lo, hi int) {
 	rowLen := c * kh * kw
 	for r := lo; r < hi; r++ {
 		row := r * rowLen
-		for i := row; i < row+rowLen; i++ {
-			cd[i] = 0
-		}
 		ox := r % outW
 		oy := (r / outW) % outH
 		img := r / (outW * outH)
 		base := img * c * h * w
 		iy0 := oy*stride - pad
 		ix0 := ox*stride - pad
+		if iy0 >= 0 && ix0 >= 0 && iy0+kh <= h && ix0+kw <= w {
+			d := cd[row : row+rowLen]
+			for ch := 0; ch < c; ch++ {
+				src := base + ch*h*w + iy0*w + ix0
+				for ky := 0; ky < kh; ky++ {
+					for kx, v := range xd[src : src+kw] {
+						d[kx] = v
+					}
+					d = d[kw:]
+					src += w
+				}
+			}
+			continue
+		}
+		clear(cd[row : row+rowLen])
 		for ch := 0; ch < c; ch++ {
 			chBase := base + ch*h*w
 			colBase := row + ch*kh*kw
@@ -96,13 +111,13 @@ func Col2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
 }
 
 // Col2ImInto is Col2Im writing into a caller-owned (N, C, H, W) tensor,
-// which is zeroed before accumulation.
+// which is fully overwritten.
 //
-// The scatter chunks over (image, channel) planes: every destination pixel
-// lives in exactly one plane, and within a plane its overlapping
-// contributions still arrive in ascending (oy, ox, ky, kx) order — the same
-// float addition sequence as the scalar kernel — so results are
-// bit-identical at any par budget.
+// The kernel chunks over (image, channel) planes: every destination pixel
+// lives in exactly one plane, and its overlapping contributions are added in
+// ascending (oy, ox, ky, kx) order from +0 — the float addition sequence of a
+// scalar scatter into a zeroed plane — so results are bit-identical at any
+// par budget.
 func Col2ImInto(dst, cols *Tensor, kh, kw, stride, pad int) {
 	n, c, h, w := dst.shape[0], dst.shape[1], dst.shape[2], dst.shape[3]
 	outH := (h+2*pad-kh)/stride + 1
@@ -124,40 +139,38 @@ func Col2ImInto(dst, cols *Tensor, kh, kw, stride, pad int) {
 	})
 }
 
-// col2imPlanes accumulates column-matrix contributions into (image, channel)
-// planes [lo,hi) of the output, zeroing each plane first.
+// col2imPlanes sums column-matrix contributions into (image, channel) planes
+// [lo,hi) of the output. It gathers: every pixel adds its own terms from +0
+// in ascending (oy, ox) order — which fixes (ky, kx) — so the additions are
+// the scatter's, with no plane zeroing, no padding tests and no
+// read-modify-write chain through memory. Channels are the inner loop so a
+// column row is read whole while it is in cache.
 func col2imPlanes(xd, cd []float32, c, h, w, outH, outW, kh, kw, stride, pad, lo, hi int) {
 	rowLen := c * kh * kw
-	for plane := lo; plane < hi; plane++ {
-		im := plane / c
-		ch := plane % c
-		chBase := (im*c + ch) * h * w
-		for i := chBase; i < chBase+h*w; i++ {
-			xd[i] = 0
-		}
-		for oy := 0; oy < outH; oy++ {
-			for ox := 0; ox < outW; ox++ {
-				row := ((im*outH+oy)*outW + ox) * rowLen
-				iy0 := oy*stride - pad
-				ix0 := ox*stride - pad
-				colBase := row + ch*kh*kw
-				for ky := 0; ky < kh; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					dstRow := chBase + iy*w
-					srcRow := colBase + ky*kw
-					for kx := 0; kx < kw; kx++ {
-						ix := ix0 + kx
-						if ix < 0 || ix >= w {
-							continue
+	for plane := lo; plane < hi; {
+		im, chLo := plane/c, plane%c
+		chHi := min(c, chLo+hi-plane)
+		for iy := 0; iy < h; iy++ {
+			// Output rows whose window covers input row iy: 0 <= iy+pad-oy·stride < kh.
+			oyLo := max(0, (iy+pad-kh+stride)/stride)
+			oyHi := min(outH-1, (iy+pad)/stride)
+			for ix := 0; ix < w; ix++ {
+				oxLo := max(0, (ix+pad-kw+stride)/stride)
+				oxHi := min(outW-1, (ix+pad)/stride)
+				for ch := chLo; ch < chHi; ch++ {
+					var s float32
+					for oy := oyLo; oy <= oyHi; oy++ {
+						ky := iy + pad - oy*stride
+						col := (im*outH+oy)*outW*rowLen + (ch*kh+ky)*kw + ix + pad
+						for ox := oxLo; ox <= oxHi; ox++ {
+							s += cd[col+ox*(rowLen-stride)] // kx = ix+pad-ox·stride
 						}
-						xd[dstRow+ix] += cd[srcRow+kx]
 					}
+					xd[((im*c+ch)*h+iy)*w+ix] = s
 				}
 			}
 		}
+		plane += chHi - chLo
 	}
 }
 

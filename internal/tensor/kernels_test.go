@@ -121,6 +121,65 @@ func TestIm2ColIntoBitExactAndDirtySafe(t *testing.T) {
 	}
 }
 
+// TestConvLoweringMatchesNaive compares both lowering kernels, bit for bit,
+// with the definition: im2col tests every element against the padding, col2im
+// scatters into a zeroed image in ascending (oy, ox, ky, kx) order. Kernels
+// larger than the image, strides that skip pixels and chunk ranges that split
+// an image's channels are all in the sweep.
+func TestConvLoweringMatchesNaive(t *testing.T) {
+	rng := NewRNG(11)
+	const n, c = 2, 3
+	for _, k := range []int{1, 2, 3, 5} {
+		for _, stride := range []int{1, 2, 3} {
+			for _, pad := range []int{0, 1, 2} {
+				for _, hw := range [][2]int{{1, 1}, {2, 5}, {5, 4}, {7, 7}, {9, 6}} {
+					h, w := hw[0], hw[1]
+					if h+2*pad < k || w+2*pad < k {
+						continue
+					}
+					outH, outW := ConvOutSize(h, k, stride, pad), ConvOutSize(w, k, stride, pad)
+					rows, rowLen := n*outH*outW, c*k*k
+					x := FromSlice(fill(rng, n*c*h*w), n, c, h, w)
+					wantCols := New(rows, rowLen)
+					wantImg := New(n, c, h, w)
+					cols := FromSlice(fill(rng, rows*rowLen), rows, rowLen)
+					for r := 0; r < rows; r++ {
+						im, oy, ox := r/(outH*outW), r/outW%outH, r%outW
+						for ch := 0; ch < c; ch++ {
+							for ky := 0; ky < k; ky++ {
+								for kx := 0; kx < k; kx++ {
+									iy, ix := oy*stride-pad+ky, ox*stride-pad+kx
+									if iy < 0 || iy >= h || ix < 0 || ix >= w {
+										continue
+									}
+									col := r*rowLen + (ch*k+ky)*k + kx
+									pix := ((im*c+ch)*h+iy)*w + ix
+									wantCols.data[col] = x.data[pix]
+									wantImg.data[pix] += cols.data[col]
+								}
+							}
+						}
+					}
+					name := fmt.Sprintf("k%d s%d p%d %dx%d", k, stride, pad, h, w)
+					gotCols := Full(float32(math.NaN()), rows, rowLen)
+					Im2ColInto(gotCols, x, k, k, stride, pad)
+					sameBits(t, name+" im2col", gotCols.data, wantCols.data)
+					gotImg := Full(float32(math.NaN()), n, c, h, w)
+					Col2ImInto(gotImg, cols, k, k, stride, pad)
+					sameBits(t, name+" col2im", gotImg.data, wantImg.data)
+					// Planes [1,4): the tail of image 0 and the head of image 1.
+					part := Full(float32(math.NaN()), n, c, h, w)
+					col2imPlanes(part.data, cols.data, c, h, w, outH, outW, k, k, stride, pad, 1, 4)
+					sameBits(t, name+" col2im planes 1..3", part.data[h*w:4*h*w], wantImg.data[h*w:4*h*w])
+					if v := part.data[0]; v == v {
+						t.Fatalf("%s: col2imPlanes(1,4) wrote plane 0", name)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestMatMulIntoShapePanicsIncludeShapes pins the satellite requirement that
 // the Into matmul panics name the offending shapes.
 func TestMatMulIntoShapePanicsIncludeShapes(t *testing.T) {

@@ -450,10 +450,7 @@ func matMulRows(cd, ad, bd []float32, k, n, lo, hi int) {
 			if av == 0 {
 				continue
 			}
-			bp := bd[p*n : (p+1)*n]
-			for j, bv := range bp {
-				ci[j] += av * bv
-			}
+			axpy(av, bd[p*n:(p+1)*n], ci)
 		}
 	}
 }
@@ -465,7 +462,10 @@ func matMulRows(cd, ad, bd []float32, k, n, lo, hi int) {
 // and ascending inside each chunk, so every dst element accumulates its
 // a[p,i]·b[p,j] terms in exactly the scalar order. Splitting the p-loop into
 // per-chunk partial sums instead would change float association and break
-// the byte-identity contract.
+// the byte-identity contract. Every pass of the p-loop rewrites all of a
+// chunk's rows, so a chunk accumulates in scratch of its own and copies out
+// once: chunks updating neighbouring rows of one small dst in place spend
+// their time passing cache lines back and forth.
 func MatMulTransAInto(dst, a, b *Tensor) {
 	k, m := a.shape[0], a.shape[1]
 	n := b.shape[1]
@@ -476,19 +476,18 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 	}
 	ad, bd, cd := a.data, b.data, dst.data
 	par.ForChunksWork(m, m*k*n, func(_, lo, hi int) {
-		matMulTransARows(cd, ad, bd, k, m, n, lo, hi)
+		rows := getScratch((hi - lo) * n)
+		matMulTransARows(rows, ad, bd, k, m, n, lo, hi)
+		copy(cd[lo*n:hi*n], rows)
+		putScratch(rows)
 	})
 }
 
-// matMulTransARows computes output rows [lo,hi) of C = Aᵀ × B, zeroing them
-// first. lo=0, hi=m is exactly the scalar kernel.
+// matMulTransARows computes output rows [lo,hi) of C = Aᵀ × B into cd, which
+// holds just those rows, zeroing them first. lo=0, hi=m is exactly the scalar
+// kernel.
 func matMulTransARows(cd, ad, bd []float32, k, m, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ci := cd[i*n : (i+1)*n]
-		for j := range ci {
-			ci[j] = 0
-		}
-	}
+	clear(cd[:(hi-lo)*n])
 	for p := 0; p < k; p++ {
 		ap := ad[p*m : (p+1)*m]
 		bp := bd[p*n : (p+1)*n]
@@ -497,10 +496,7 @@ func matMulTransARows(cd, ad, bd []float32, k, m, n, lo, hi int) {
 			if av == 0 {
 				continue
 			}
-			ci := cd[i*n : (i+1)*n]
-			for j, bv := range bp {
-				ci[j] += av * bv
-			}
+			axpy(av, bp, cd[(i-lo)*n:(i-lo+1)*n])
 		}
 	}
 }
@@ -508,20 +504,28 @@ func matMulTransARows(cd, ad, bd []float32, k, m, n, lo, hi int) {
 // MatMulTransBInto computes dst = A × Bᵀ for A of shape (m,k) and B of shape
 // (n,k); dst must be (m,n). Used by Linear backward for input gradients.
 //
-// The inner kernel register-blocks four B rows (output columns) per pass:
+// The scalar kernel register-blocks four B rows (output columns) per pass:
 // each of the four accumulators is still a plain ascending-p dot product, so
-// the blocking does not change any element's float evaluation order.
+// the blocking does not change any element's float evaluation order. With
+// AVX2 the same dot products run eight columns to a register over a padded
+// transpose of B (simd.go), unless the inner dimension is empty and there is
+// nothing to transpose.
 func MatMulTransBInto(dst, a, b *Tensor) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[0]
 	checkMatMulShapes("MatMulTransBInto", dst, a, b, m, k, b.shape[1], n)
+	rows, ad, bd, cd := matMulTransBRows, a.data, b.data, dst.data
+	if useAVX2 && k > 0 {
+		bd = transposePadded(bd, n, k)
+		defer putScratch(bd)
+		rows = matMulTransBRowsAVX2
+	}
 	if par.PlanChunks(m, m*k*n) == 1 {
-		matMulTransBRows(dst.data, a.data, b.data, k, n, 0, m)
+		rows(cd, ad, bd, k, n, 0, m)
 		return
 	}
-	ad, bd, cd := a.data, b.data, dst.data
 	par.ForChunksWork(m, m*k*n, func(_, lo, hi int) {
-		matMulTransBRows(cd, ad, bd, k, n, lo, hi)
+		rows(cd, ad, bd, k, n, lo, hi)
 	})
 }
 
