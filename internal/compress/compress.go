@@ -18,10 +18,11 @@ package compress
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"pactrain/internal/collective"
 	"pactrain/internal/par"
+	"pactrain/internal/tensor"
 )
 
 // Transport describes which collective a compressor's payloads support.
@@ -290,13 +291,15 @@ func NMSE(x, xhat []float32) float64 {
 
 // --- Registry ---------------------------------------------------------------
 
-// topKSelector owns the scratch index slice quickselect partitions. Sparse
-// compressors embed one and reuse it across calls, removing the per-bucket
-// per-iteration allocation the historical sort-based selection paid.
-// Selectors are not safe for concurrent use; each rank's compressor instance
-// is driven serially, which is the only way the trainer calls them.
+// topKSelector owns the scratch selection runs in: the index slice
+// quickselect partitions and the threshold sample. Sparse compressors embed
+// one and reuse it across calls, removing the per-bucket per-iteration
+// allocation the historical sort-based selection paid. Selectors are not safe
+// for concurrent use; each rank's compressor instance is driven serially,
+// which is the only way the trainer calls them.
 type topKSelector struct {
 	scratch []int32
+	sample  []uint32
 }
 
 // topKIndices returns the indices of the k largest |v| entries, ascending.
@@ -308,19 +311,74 @@ func (s *topKSelector) topKIndices(v []float32, k int) []int32 {
 	if cap(s.scratch) < n {
 		s.scratch = make([]int32, n)
 	}
-	idx := s.scratch[:n]
-	for i := range idx {
-		idx[i] = int32(i)
-	}
 	if k > n {
 		k = n
 	}
-	if k < n {
+	idx := s.candidates(v, k)
+	if len(idx) < k {
+		// No usable threshold: select among all n coordinates.
+		idx = s.scratch[:n]
+		for i := range idx {
+			idx[i] = int32(i)
+		}
+	}
+	if k < len(idx) {
 		quickselectTopK(v, idx, k)
 	}
 	out := append([]int32(nil), idx[:k]...)
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
+}
+
+// topKSample is the number of strided samples the selection threshold is
+// estimated from.
+const topKSample = 1024
+
+// samplePos is where the j-th threshold sample is read: a fixed offset inside
+// the j-th stride (a multiplicative hash of j — deterministic, no RNG), so that
+// no period of v (a pruned column, a dead unit's row) can line up with the
+// stride and hide from the sample.
+func samplePos(j, stride int) int { return j*stride + int(uint32(j)*2654435761>>8)%stride }
+
+// candidates narrows selection to C = {i : |v[i]| ≥ t} for a threshold t > 0
+// estimated from a strided sample, as Deep Gradient Compression does. Every
+// coordinate left out is strictly smaller than every member of C, so whenever
+// |C| ≥ k the first k coordinates under the selection order all lie in C and
+// selecting within C returns exactly the set a full selection would. The
+// caller falls back to the full selection when the result is shorter than k:
+// the sample misjudged, or no threshold is worth a pass (small n, a dense k,
+// t = 0 among the ties of a sparse v).
+func (s *topKSelector) candidates(v []float32, k int) []int32 {
+	n := len(v)
+	if n < 4*topKSample {
+		return nil
+	}
+	// A sample holds about k·m/n of the top k, give or take σ ≈ √(k·m/n):
+	// take the threshold three σ further down the sample.
+	expect := float64(k) * topKSample / float64(n)
+	rank := int(expect+3*math.Sqrt(expect)) + 2
+	if rank > topKSample/2 {
+		return nil
+	}
+	if s.sample == nil {
+		s.sample = make([]uint32, topKSample)
+	}
+	stride := n / topKSample
+	for j := range s.sample {
+		s.sample[j] = tensor.MagnitudeBits(v[samplePos(j, stride)])
+	}
+	slices.Sort(s.sample)
+	t := s.sample[topKSample-rank]
+	if t == 0 {
+		return nil
+	}
+	c := s.scratch[:0]
+	for i, x := range v {
+		if tensor.MagnitudeBits(x) >= t {
+			c = append(c, int32(i))
+		}
+	}
+	return c
 }
 
 // topKIndices is the selector without scratch reuse, for one-shot callers.
@@ -332,8 +390,10 @@ func topKIndices(v []float32, k int) []int32 {
 // topKLess is the strict total order selection runs under: larger magnitude
 // first, lower index first among equal magnitudes. The index tiebreak makes
 // every pair of distinct indices comparable, so the order has no duplicates.
+// Magnitudes compare as tensor.MagnitudeBits keys, so the order stays total
+// when a NaN is present: NaNs rank above every number and are selected first.
 func topKLess(v []float32, a, b int32) bool {
-	va, vb := abs32(v[a]), abs32(v[b])
+	va, vb := tensor.MagnitudeBits(v[a]), tensor.MagnitudeBits(v[b])
 	if va != vb {
 		return va > vb
 	}

@@ -2,7 +2,6 @@ package compress
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"pactrain/internal/collective"
@@ -33,19 +32,6 @@ func withBudget(budget int, f func()) {
 	f()
 }
 
-// referenceTopK is the historical full-sort selection: every index ordered
-// by (|v| desc, index asc), first k kept, ascending.
-func referenceTopK(v []float32, k int) []int32 {
-	idx := make([]int32, len(v))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(a, b int) bool { return topKLess(v, idx[a], idx[b]) })
-	out := append([]int32(nil), idx[:k]...)
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
 func TestQuickselectMatchesReferenceSort(t *testing.T) {
 	t.Parallel()
 	for _, n := range []int{1, 2, 17, 100, 4096} {
@@ -55,7 +41,7 @@ func TestQuickselectMatchesReferenceSort(t *testing.T) {
 				continue
 			}
 			got := topKIndices(v, k)
-			want := referenceTopK(v, k)
+			want := fullSortTopK(v, k)
 			if len(got) != len(want) {
 				t.Fatalf("n=%d k=%d: %d indices, want %d", n, k, len(got), len(want))
 			}

@@ -224,15 +224,15 @@ func (e *ErrorFeedback) Encode(grad []float32) collective.SparsePayload {
 	if len(e.residual) != n {
 		panic("compress: ErrorFeedback gradient length changed")
 	}
-	corrected := make([]float32, n)
+	// The corrected gradient grad + residual is built in the residual itself:
+	// what is left of it once the transmitted coordinates are cleared is the
+	// next residual. (Encoders read their input; none keeps or edits it.)
 	par.For(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			corrected[i] = grad[i] + e.residual[i]
+			e.residual[i] = grad[i] + e.residual[i]
 		}
 	})
-	p := e.Inner.Encode(corrected)
-	// Residual = corrected − transmitted.
-	copy(e.residual, corrected)
+	p := e.Inner.Encode(e.residual)
 	for _, j := range p.Indices {
 		e.residual[j] = 0
 	}

@@ -200,8 +200,17 @@ func (*zenHook) Name() string { return "zen" }
 
 // Sync implements ddp.Hook.
 func (h *zenHook) Sync(rank int, b *ddp.Bucket, localTime float64) float64 {
-	var vals []float32
-	var idx []int32
+	// Count first so the payload is allocated once at its exact size — a
+	// fresh pair each round, because the rendezvous lets peers read a payload
+	// after its owner moved on.
+	nnz := 0
+	for _, v := range b.Flat {
+		if v != 0 {
+			nnz++
+		}
+	}
+	vals := make([]float32, 0, nnz)
+	idx := make([]int32, 0, nnz)
 	for i, v := range b.Flat {
 		if v != 0 {
 			vals = append(vals, v)

@@ -111,12 +111,13 @@ func Run(cfg Config) (*Result, error) {
 	par.Enter(cfg.World)
 	defer par.Leave(cfg.World)
 	errs := make([]error, cfg.World)
+	var shared sharedMask
 	var wg sync.WaitGroup
 	for rank := 0; rank < cfg.World; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			errs[rank] = runWorker(&cfg, rank, cluster, trainSet, testSet, log, res)
+			errs[rank] = runWorker(&cfg, rank, cluster, &shared, trainSet, testSet, log, res)
 		}(rank)
 	}
 	wg.Wait()
@@ -138,8 +139,21 @@ func Run(cfg Config) (*Result, error) {
 // rank builds its model.
 var rankStartHook func()
 
+// maskHook, when a test sets it, runs on every rank goroutine at the pruning
+// step, before the mask touches the rank's replica.
+var maskHook func(rank int, model *nn.Model, mask *prune.Mask)
+
+// sharedMask is a run's magnitude mask: the weights it derives from are
+// replica-identical, so whichever rank reaches the pruning epoch first
+// derives it and every rank reads it — the paper's global knowledge.
+type sharedMask struct {
+	once sync.Once
+	mask *prune.Mask
+	err  error
+}
+
 // runWorker is the per-rank training loop (Algorithm 1).
-func runWorker(cfg *Config, rank int, cluster *collective.Cluster,
+func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *sharedMask,
 	trainSet, testSet *data.Dataset, log *CommLog, res *Result) error {
 
 	if rankStartHook != nil {
@@ -215,9 +229,12 @@ func runWorker(cfg *Config, rank int, cluster *collective.Cluster,
 		// communication; the Mask Tracker still pays the bitmap re-share
 		// when it sees the pattern move.
 		if cfg.IsPacTrain() && mask == nil && epoch == cfg.PretrainEpochs {
-			mask, err = buildMask(cfg, model, trainSet)
+			mask, err = buildMask(cfg, model, trainSet, shared)
 			if err != nil {
 				return err
+			}
+			if maskHook != nil {
+				maskHook(rank, model, mask)
 			}
 			mask.Apply(model)
 			gse.ZeroVelocity(opt, model, mask)
@@ -332,14 +349,20 @@ type adaptiveReporter interface {
 	FormatSwitches() int
 }
 
-// buildMask derives the pruning mask per the configured method. Magnitude
-// methods depend only on the (replica-identical) weights; GraSP uses a probe
-// batch drawn deterministically from the shared dataset so that every
-// worker computes the same mask.
-func buildMask(cfg *Config, model *nn.Model, trainSet *data.Dataset) (*prune.Mask, error) {
+// buildMask returns the pruning mask for the configured method. Magnitude
+// methods depend only on the
+// (replica-identical) weights, so the run derives that mask once and shares
+// it. GraSP stays per rank: its probe pass is a train-mode forward/backward
+// that moves layer state (BatchNorm statistics), which must move identically
+// on every replica; the probe batch is drawn deterministically from the
+// shared dataset so that every worker still computes the same mask.
+func buildMask(cfg *Config, model *nn.Model, trainSet *data.Dataset, shared *sharedMask) (*prune.Mask, error) {
 	switch cfg.PruneMethod {
 	case prune.GlobalMagnitude, prune.LayerMagnitude:
-		return prune.MagnitudePrune(model, cfg.PruneRatio, cfg.PruneMethod)
+		shared.once.Do(func() {
+			shared.mask, shared.err = prune.MagnitudePrune(model, cfg.PruneRatio, cfg.PruneMethod)
+		})
+		return shared.mask, shared.err
 	case prune.GraSP:
 		probeN := 64
 		if probeN > trainSet.Len() {

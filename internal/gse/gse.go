@@ -20,16 +20,7 @@ import (
 // mask: gradients of pruned coordinates are set to exactly zero.
 func Enforce(m *nn.Model, mask *prune.Mask) {
 	for _, p := range m.Params() {
-		keep := mask.Of(p.Name)
-		if keep == nil {
-			continue
-		}
-		g := p.Grad.Data()
-		for i := range g {
-			if !keep[i] {
-				g[i] = 0
-			}
-		}
+		mask.Zero(p.Name, p.Grad.Data())
 	}
 }
 
@@ -70,16 +61,8 @@ func EnforceFlat(grad []float32, keep []bool) {
 // applied.
 func ZeroVelocity(opt *nn.SGD, m *nn.Model, mask *prune.Mask) {
 	for _, p := range m.Params() {
-		keep := mask.Of(p.Name)
-		v := opt.Velocity(p.Name)
-		if keep == nil || v == nil {
-			continue
-		}
-		vd := v.Data()
-		for i := range vd {
-			if !keep[i] {
-				vd[i] = 0
-			}
+		if v := opt.Velocity(p.Name); v != nil {
+			mask.Zero(p.Name, v.Data())
 		}
 	}
 }

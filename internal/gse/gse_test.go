@@ -1,6 +1,8 @@
 package gse
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -109,6 +111,91 @@ func TestEnforceByWeightMatchesEnforce(t *testing.T) {
 	}
 }
 
+// TestEnforceMatchesBoolLoop pins the index-driven passes to the loops over
+// Keep they replaced: Enforce, ZeroVelocity and Mask.Apply leave every buffer
+// bit-identical, with NaN, ±Inf, −0 and denormals sitting at pruned and kept
+// coordinates alike, for every kind of mask — including one whose exported
+// Keep was edited after the pruner returned it.
+func TestEnforceMatchesBoolLoop(t *testing.T) {
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.Copysign(0, -1)), 1e-40, -3, 0, 0.25}
+	boolLoop := func(d []float32, keep []bool) []uint32 {
+		bits := make([]uint32, len(d))
+		for i, v := range d {
+			if !keep[i] {
+				v = 0
+			}
+			bits[i] = math.Float32bits(v)
+		}
+		return bits
+	}
+	magnitude := func(ratio float64, method prune.Method) func(*nn.Model) *prune.Mask {
+		return func(m *nn.Model) *prune.Mask {
+			mask, err := prune.MagnitudePrune(m, ratio, method)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mask
+		}
+	}
+	masks := map[string]func(*nn.Model) *prune.Mask{
+		"all-keep": prune.NewMask,
+		"all-pruned": func(m *nn.Model) *prune.Mask {
+			mask := prune.NewMask(m)
+			for _, keep := range mask.Keep {
+				clear(keep)
+			}
+			return mask
+		},
+		"global":    magnitude(0.5, prune.GlobalMagnitude),
+		"layerwise": magnitude(0.9, prune.LayerMagnitude),
+		"edited": func(m *nn.Model) *prune.Mask {
+			mask := magnitude(0.5, prune.GlobalMagnitude)(m)
+			for _, keep := range mask.Keep {
+				for i := range keep {
+					if i%3 == 0 {
+						keep[i] = !keep[i]
+					}
+				}
+			}
+			return mask
+		},
+	}
+	for name, build := range masks {
+		m := testModel(7)
+		mask := build(m)
+		opt := nn.NewSGD(0.05, 0.9, 0)
+		backprop(m, 8)
+		opt.Step(m.Params()) // creates the velocity buffers
+		want := map[string][]uint32{}
+		for _, p := range m.Params() {
+			keep := mask.Of(p.Name)
+			for role, d := range map[string][]float32{
+				"grad": p.Grad.Data(), "velocity": opt.Velocity(p.Name).Data(), "weight": p.W.Data()} {
+				for i := range d {
+					if (i+len(role))%2 == 0 {
+						d[i] = specials[(i/2)%len(specials)]
+					}
+				}
+				want[p.Name+"."+role] = boolLoop(d, keep)
+			}
+		}
+		Enforce(m, mask)
+		ZeroVelocity(opt, m, mask)
+		mask.Apply(m)
+		for _, p := range m.Params() {
+			for role, d := range map[string][]float32{
+				"grad": p.Grad.Data(), "velocity": opt.Velocity(p.Name).Data(), "weight": p.W.Data()} {
+				for i, w := range want[p.Name+"."+role] {
+					if got := math.Float32bits(d[i]); got != w {
+						t.Fatalf("%s mask: %s %s[%d] = %#x, the loop over Keep gives %#x", name, role, p.Name, i, got, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestEnforceFlat(t *testing.T) {
 	g := []float32{1, 2, 3, 4}
 	EnforceFlat(g, []bool{true, false, true, false})
@@ -152,5 +239,28 @@ func TestPropertyGSEIdempotent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func BenchmarkEnforce(b *testing.B) {
+	cfg := nn.DefaultLiteConfig(10, 1)
+	for _, name := range []string{"MLP", "ResNet18"} {
+		for _, ratio := range []float64{0.5, 0.9} {
+			b.Run(fmt.Sprintf("%s/%.0f%%", name, ratio*100), func(b *testing.B) {
+				m, err := nn.NewLiteByName(name, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mask, err := prune.MagnitudePrune(m, ratio, prune.GlobalMagnitude)
+				if err != nil {
+					b.Fatal(err)
+				}
+				Enforce(m, mask) // the first use derives the coordinate lists
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					Enforce(m, mask)
+				}
+			})
+		}
 	}
 }

@@ -26,6 +26,7 @@ type Tracker struct {
 	StableAfter int
 
 	union       []bool // coordinates ever observed non-zero
+	nnz         int    // number of true entries in union
 	consecutive int
 	observed    bool
 }
@@ -59,34 +60,28 @@ type Observation struct {
 // produces.
 func (t *Tracker) Observe(flat []float32) Observation {
 	if t.union == nil || len(t.union) != len(flat) {
+		t.Reset()
 		t.union = make([]bool, len(flat))
-		t.observed = false
-		t.consecutive = 0
 	}
-	grew := !t.observed
+	before := t.nnz
 	for i, v := range flat {
 		if v != 0 && !t.union[i] {
 			t.union[i] = true
-			grew = true
+			t.nnz++
 		}
 	}
+	grew := !t.observed || t.nnz > before
 	t.observed = true
 	if grew {
 		t.consecutive = 0
 	} else {
 		t.consecutive++
 	}
-	nnz := 0
-	for _, k := range t.union {
-		if k {
-			nnz++
-		}
-	}
 	return Observation{
 		Mask:    t.union,
 		Changed: grew,
 		Stable:  t.consecutive >= t.StableAfter,
-		NNZ:     nnz,
+		NNZ:     t.nnz,
 	}
 }
 
@@ -100,7 +95,7 @@ func (t *Tracker) Indices() []int32 {
 	if !t.observed {
 		return nil
 	}
-	var idx []int32
+	idx := make([]int32, 0, t.nnz)
 	for i, k := range t.union {
 		if k {
 			idx = append(idx, int32(i))
@@ -113,6 +108,7 @@ func (t *Tracker) Indices() []int32 {
 // flattening.
 func (t *Tracker) Reset() {
 	t.union = nil
+	t.nnz = 0
 	t.consecutive = 0
 	t.observed = false
 }

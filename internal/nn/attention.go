@@ -349,6 +349,7 @@ type PatchEmbed struct {
 	dW    *tensor.Tensor
 	dcols *tensor.Tensor
 	dx    *tensor.Tensor
+	noDx  bool // Backward skips dcols and col2im (see inputGradDropper)
 }
 
 // NewPatchEmbed constructs the embedding for images of (c, h, w) with square
@@ -426,6 +427,9 @@ func (l *PatchEmbed) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	l.dW = ensure2(l.dW, l.D, l.Proj.W.Dim(1))
 	tensor.MatMulTransAInto(l.dW, l.dProj, l.lastCols)
 	tensor.AxpyInto(l.Proj.Grad, 1, l.dW)
+	if l.noDx {
+		return nil
+	}
 	// dcols = dProj × W.
 	l.dcols = ensure2(l.dcols, n*l.T, l.Proj.W.Dim(1))
 	tensor.MatMulInto(l.dcols, l.dProj, l.Proj.W)
@@ -434,6 +438,8 @@ func (l *PatchEmbed) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	tensor.Col2ImInto(l.dx, l.dcols, l.PS, l.PS, l.PS, 0)
 	return l.dx
 }
+
+func (l *PatchEmbed) dropInputGrad() bool { l.noDx = true; return false }
 
 // Params implements Layer.
 func (l *PatchEmbed) Params() []*Parameter {

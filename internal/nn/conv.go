@@ -25,6 +25,7 @@ type Conv2D struct {
 	dW     *tensor.Tensor
 	dcols  *tensor.Tensor
 	dx     *tensor.Tensor
+	noDx   bool // Backward skips dcols and col2im (see inputGradDropper)
 }
 
 // NewConv2D constructs a convolution layer with Kaiming initialization.
@@ -121,6 +122,9 @@ func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	tensor.MatMulTransAInto(l.dW, l.gm, l.lastCols)
 	tensor.AxpyInto(l.Weight.Grad, 1, l.dW)
 
+	if l.noDx {
+		return nil
+	}
 	// Input gradient: dcols = gm × W → (rows, patch); then col2im.
 	l.dcols = ensure2(l.dcols, rows, patch)
 	tensor.MatMulInto(l.dcols, l.gm, l.Weight.W)
@@ -128,6 +132,8 @@ func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	tensor.Col2ImInto(l.dx, l.dcols, l.KH, l.KW, l.Stride, l.Pad)
 	return l.dx
 }
+
+func (l *Conv2D) dropInputGrad() bool { l.noDx = true; return false }
 
 // convPermuteBackward un-permutes images [lo,hi) of the gradient from
 // (N, outC, outH, outW) layout to (rows, outC).

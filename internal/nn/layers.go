@@ -17,6 +17,7 @@ type Linear struct {
 	out       *tensor.Tensor // forward output, reused across steps
 	dW        *tensor.Tensor // per-step weight-gradient scratch
 	dx        *tensor.Tensor // backward output, reused across steps
+	noDx      bool           // Backward skips dx (see inputGradDropper)
 }
 
 // NewLinear constructs a Linear layer with Kaiming-initialized weights. The
@@ -66,10 +67,15 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 
+	if l.noDx {
+		return nil
+	}
 	l.dx = ensure2(l.dx, n, in)
 	tensor.MatMulTransBInto(l.dx, grad, l.Weight.W)
 	return l.dx
 }
+
+func (l *Linear) dropInputGrad() bool { l.noDx = true; return false }
 
 // Params implements Layer.
 func (l *Linear) Params() []*Parameter { return []*Parameter{l.Weight, l.Bias} }
@@ -265,10 +271,16 @@ func (l *Flatten) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return x.Reshape(n, x.Len()/n)
 }
 
-// Backward implements Layer.
+// Backward implements Layer. A nil gradient (the successor dropped its input
+// gradient) stays nil.
 func (l *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	if grad == nil {
+		return nil
+	}
 	return grad.Reshape(l.lastShape...)
 }
+
+func (l *Flatten) dropInputGrad() bool { return true }
 
 // Params implements Layer.
 func (l *Flatten) Params() []*Parameter { return nil }

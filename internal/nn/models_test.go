@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -36,6 +37,70 @@ func TestModelZooBuilds(t *testing.T) {
 		}
 		if nonZero < len(m.Params())/2 {
 			t.Fatalf("%s: only %d/%d params received gradient", name, nonZero, len(m.Params()))
+		}
+	}
+}
+
+// computeInputGrad undoes what NewModel told the twin's first layer, giving
+// the replica that still computes the gradient with respect to the images.
+func computeInputGrad(m *Model) {
+	for _, l := range m.Root.(*Sequential).Layers {
+		switch l := l.(type) {
+		case *Flatten:
+			continue
+		case *Linear:
+			l.noDx = false
+		case *Conv2D:
+			l.noDx = false
+		case *PatchEmbed:
+			l.noDx = false
+		}
+		return
+	}
+}
+
+// TestInputGradSkipKeepsParameterGradients checks the skip removes only work
+// nobody reads: after one training step every parameter gradient and weight of
+// each twin is bit-identical with and without it, while only the twin that
+// still computes the input gradient returns one.
+func TestInputGradSkipKeepsParameterGradients(t *testing.T) {
+	cfg := DefaultLiteConfig(10, 5)
+	x := tensor.Randn(tensor.NewRNG(9), 1, 4, 3, 16, 16)
+	labels := []int{1, 7, 0, 3}
+	for _, name := range []string{"MLP", "VGG19", "ResNet18", "ViT-Base-16"} {
+		var dx [2]*tensor.Tensor
+		var models [2]*Model
+		for i := range models {
+			m, err := NewLiteByName(name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 1 {
+				computeInputGrad(m)
+			}
+			opt := NewSGD(0.05, 0.9, 5e-4)
+			for step := 0; step < 2; step++ {
+				m.ZeroGrad()
+				_, grad := SoftmaxCrossEntropy(m.Forward(x, true), labels)
+				dx[i] = m.Backward(grad)
+				opt.Step(m.Params())
+			}
+			models[i] = m
+		}
+		if dx[0] != nil {
+			t.Errorf("%s: Backward returned an input gradient of shape %v, want nil", name, dx[0].Shape())
+		}
+		if dx[1] == nil || !dx[1].SameShape(x) {
+			t.Fatalf("%s: the reference replica did not compute the input gradient", name)
+		}
+		for j, p := range models[0].Params() {
+			q := models[1].Params()[j]
+			for k := range p.Grad.Data() {
+				if math.Float32bits(p.Grad.Data()[k]) != math.Float32bits(q.Grad.Data()[k]) ||
+					math.Float32bits(p.W.Data()[k]) != math.Float32bits(q.W.Data()[k]) {
+					t.Fatalf("%s: %s[%d] differs with the input-gradient skip", name, p.Name, k)
+				}
+			}
 		}
 	}
 }

@@ -52,6 +52,12 @@ type Layer interface {
 	Params() []*Parameter
 }
 
+// inputGradDropper is implemented by layers that can leave dL/d(input) out of
+// Backward, returning nil instead, once told that nothing consumes it. The
+// result reports whether the layer merely reshapes its successor's gradient,
+// in which case the successor's input gradient is unconsumed too.
+type inputGradDropper interface{ dropInputGrad() (passThrough bool) }
+
 // Sequential chains layers, feeding each output into the next layer.
 type Sequential struct {
 	Layers []Layer
@@ -76,6 +82,17 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad
 }
 
+// dropInputGrad hands the request to the first layer, and past every layer
+// that passes it through.
+func (s *Sequential) dropInputGrad() bool {
+	for _, l := range s.Layers {
+		if d, ok := l.(inputGradDropper); !ok || !d.dropInputGrad() {
+			return false
+		}
+	}
+	return true
+}
+
 // Params implements Layer.
 func (s *Sequential) Params() []*Parameter {
 	var ps []*Parameter
@@ -96,8 +113,14 @@ type Model struct {
 }
 
 // NewModel wraps a root layer. Parameter names must already be assigned.
+// Nothing consumes the gradient with respect to the network input (the
+// images), so the root is told to drop it: the first layer that would compute
+// it skips that matmul, and Backward returns nil.
 func NewModel(name string, root Layer) *Model {
 	m := &Model{Name: name, Root: root, params: root.Params()}
+	if d, ok := root.(inputGradDropper); ok {
+		d.dropInputGrad()
+	}
 	seen := make(map[string]bool, len(m.params))
 	for _, p := range m.params {
 		if p.Name == "" {
@@ -116,7 +139,9 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return m.Root.Forward(x, train)
 }
 
-// Backward back-propagates from the loss gradient.
+// Backward back-propagates from the loss gradient, accumulating every
+// parameter gradient. The input gradient is never computed (see NewModel), so
+// the result is nil unless the root cannot drop it.
 func (m *Model) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return m.Root.Backward(grad)
 }

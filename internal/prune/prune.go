@@ -10,15 +10,23 @@ package prune
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"pactrain/internal/nn"
 	"pactrain/internal/tensor"
 )
 
-// Mask records, for every parameter, which coordinates are retained.
+// Mask records, for every parameter, which coordinates are retained. Keep may
+// be edited until the mask is first applied or enforced; the pruned-coordinate
+// lists the per-iteration passes walk are derived from it once, at that point,
+// and the mask is read-only (and safe to share between goroutines) afterwards.
 type Mask struct {
 	Keep map[string][]bool
+
+	index  sync.Once
+	pruned map[string][]int32 // ascending coordinates with Keep false
 }
 
 // NewMask allocates an all-keep mask covering the model's parameters.
@@ -37,16 +45,30 @@ func NewMask(m *nn.Model) *Mask {
 // Apply zeroes the pruned weights of the model in place.
 func (mk *Mask) Apply(m *nn.Model) {
 	for _, p := range m.Params() {
-		keep, ok := mk.Keep[p.Name]
-		if !ok {
-			continue
-		}
-		w := p.W.Data()
-		for i := range w {
-			if !keep[i] {
-				w[i] = 0
+		mk.Zero(p.Name, p.W.Data())
+	}
+}
+
+// Zero stores +0 at the named parameter's pruned coordinates of d — the
+// stores a loop over Keep would make, without visiting the kept coordinates.
+// A parameter the mask does not cover is left untouched.
+func (mk *Mask) Zero(name string, d []float32) {
+	mk.index.Do(mk.buildIndex)
+	for _, i := range mk.pruned[name] {
+		d[i] = 0
+	}
+}
+
+func (mk *Mask) buildIndex() {
+	mk.pruned = make(map[string][]int32, len(mk.Keep))
+	for name, keep := range mk.Keep {
+		var at []int32
+		for i, k := range keep {
+			if !k {
+				at = append(at, int32(i))
 			}
 		}
+		mk.pruned[name] = at
 	}
 }
 
@@ -130,72 +152,54 @@ func MagnitudePrune(m *nn.Model, ratio float64, method Method) (*Mask, error) {
 	if ratio == 0 {
 		return mask, nil
 	}
+	// One threshold per group of tensors: all of them together, or each alone.
+	var groups [][]*nn.Parameter
+	for _, p := range m.Params() {
+		if prunable(p) {
+			groups = append(groups, []*nn.Parameter{p})
+		}
+	}
 	switch method {
 	case GlobalMagnitude:
-		var all []float32
-		for _, p := range m.Params() {
-			if !prunable(p) {
-				continue
-			}
-			for _, v := range p.W.Data() {
-				all = append(all, abs32(v))
-			}
-		}
-		if len(all) == 0 {
-			return mask, nil
-		}
-		th := kthValue(all, int(float64(len(all))*ratio))
-		for _, p := range m.Params() {
-			if !prunable(p) {
-				continue
-			}
-			keep := mask.Keep[p.Name]
-			for i, v := range p.W.Data() {
-				keep[i] = abs32(v) > th
-			}
-		}
+		groups = [][]*nn.Parameter{slices.Concat(groups...)}
 	case LayerMagnitude:
-		for _, p := range m.Params() {
-			if !prunable(p) {
-				continue
-			}
-			w := p.W.Data()
-			mags := make([]float32, len(w))
-			for i, v := range w {
-				mags[i] = abs32(v)
-			}
-			th := kthValue(mags, int(float64(len(w))*ratio))
-			keep := mask.Keep[p.Name]
-			for i, v := range w {
-				keep[i] = abs32(v) > th
-			}
-		}
 	default:
 		return nil, fmt.Errorf("prune: MagnitudePrune does not support method %v", method)
+	}
+	keys := make([]uint32, 0, m.NumParameters())
+	for _, group := range groups {
+		keys = keys[:0]
+		for _, p := range group {
+			for _, v := range p.W.Data() {
+				keys = append(keys, tensor.MagnitudeBits(v))
+			}
+		}
+		th, ok := kthMagnitude(keys, ratio)
+		if !ok {
+			continue
+		}
+		// Strictly above: weights tied with the threshold are pruned with it.
+		for _, p := range group {
+			keep := mask.Keep[p.Name]
+			for i, v := range p.W.Data() {
+				keep[i] = tensor.MagnitudeBits(v) > th
+			}
+		}
 	}
 	return mask, nil
 }
 
-func abs32(v float32) float32 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// kthValue returns the k-th smallest value (0-based: k elements are ≤ the
-// returned threshold). Values equal to the threshold are kept by the strict
-// > comparison at the call sites, so ties err toward keeping weights.
-func kthValue(vals []float32, k int) float32 {
+// kthMagnitude sorts keys and returns the pruning threshold, the key that
+// k = ⌊len·ratio⌋ others do not exceed; ok is false when k is 0 and nothing
+// is to be pruned. Magnitudes are compared as tensor.MagnitudeBits keys, so a
+// NaN weight ranks above every number and is kept.
+func kthMagnitude(keys []uint32, ratio float64) (th uint32, ok bool) {
+	k := int(float64(len(keys)) * ratio)
 	if k <= 0 {
-		return -1 // keep everything (all magnitudes are ≥ 0 > -1)
+		return 0, false
 	}
-	if k >= len(vals) {
-		k = len(vals) - 1
-	}
-	sorted := append([]float32(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[k]
+	slices.Sort(keys)
+	return keys[min(k, len(keys)-1)], true
 }
 
 // GraSPScores computes the gradient-flow score of Eq. 4, S = −θ ⊙ (H∇l),

@@ -68,7 +68,7 @@ func TestGlobalMagnitudePrunesSmallest(t *testing.T) {
 		}
 		keep := mk.Keep[p.Name]
 		for i, v := range p.W.Data() {
-			a := abs32(v)
+			a := float32(math.Abs(float64(v)))
 			if keep[i] {
 				if a < minKept {
 					minKept = a
@@ -137,6 +137,45 @@ func TestApplyZeroesWeights(t *testing.T) {
 		}
 	}
 }
+
+// TestMagnitudePruneKeepsNaN pins what a diverged weight does to the mask: a
+// NaN ranks above every number, so it is kept and the smallest finite weights
+// are pruned in its place — and a tensor without NaN is masked exactly as the
+// float comparison masks it.
+func TestMagnitudePruneKeepsNaN(t *testing.T) {
+	nan := float32(math.NaN())
+	for _, tc := range []struct {
+		w    []float32
+		want []bool
+	}{
+		{[]float32{3, nan, -1, 0.5, -2, 4, 0.25, 8}, []bool{false, true, false, false, false, true, false, true}},
+		{[]float32{nan, -nan, 1, 2, 3, 4, 5, 6}, []bool{true, true, false, false, false, false, false, true}},
+		{[]float32{3, 7, -1, 0.5, -2, 4, 0.25, 8}, []bool{false, true, false, false, false, true, false, true}},
+		// Weights tied with the threshold (magnitude 1) go with it.
+		{[]float32{1, -1, 1, 0, 0, -1, 0, 5}, []bool{false, false, false, false, false, false, false, true}},
+	} {
+		for _, method := range []Method{GlobalMagnitude, LayerMagnitude} {
+			p := nn.NewParameter("w", tensor.FromSlice(append([]float32(nil), tc.w...), 2, 4))
+			mk, err := MagnitudePrune(nn.NewModel("one", paramLayer{p}), 0.5, method)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range tc.want {
+				if mk.Keep["w"][i] != want {
+					t.Errorf("%v of %v: keep = %v, want %v", method, tc.w, mk.Keep["w"], tc.want)
+					break
+				}
+			}
+		}
+	}
+}
+
+// paramLayer is a layer that only carries parameters.
+type paramLayer struct{ p *nn.Parameter }
+
+func (l paramLayer) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor { return x }
+func (l paramLayer) Backward(g *tensor.Tensor) *tensor.Tensor        { return g }
+func (l paramLayer) Params() []*nn.Parameter                         { return []*nn.Parameter{l.p} }
 
 func TestInvalidRatio(t *testing.T) {
 	m := testModel(7)
@@ -326,5 +365,18 @@ func TestMethodString(t *testing.T) {
 		LayerMagnitude.String() != "layer-magnitude" ||
 		GraSP.String() != "grasp" {
 		t.Fatal("Method.String broken")
+	}
+}
+
+func BenchmarkMagnitudePrune(b *testing.B) {
+	m := nn.NewMLP(nn.DefaultLiteConfig(10, 1), 64)
+	for _, method := range []Method{GlobalMagnitude, LayerMagnitude} {
+		b.Run(method.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := MagnitudePrune(m, 0.5, method); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

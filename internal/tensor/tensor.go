@@ -340,6 +340,14 @@ func (t *Tensor) AbsMax() float32 {
 	return m
 }
 
+// MagnitudeBits maps v to an unsigned key ordered like |v|: its IEEE-754 bit
+// pattern with the sign cleared. +0 and −0 share key 0, denormals, normals
+// and ±Inf keep their numeric order, and every NaN ranks above +Inf. Every
+// magnitude ranking that decides a mask or a selection (pruning thresholds,
+// top-k) compares these keys, which pins what a NaN means there — larger
+// than every number — and keeps the comparison a strict weak order.
+func MagnitudeBits(v float32) uint32 { return math.Float32bits(v) &^ (1 << 31) }
+
 // Norm2 returns the Euclidean (L2) norm of the flattened tensor.
 func (t *Tensor) Norm2() float64 {
 	var s float64

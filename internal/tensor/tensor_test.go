@@ -500,3 +500,43 @@ func TestPropertyIm2ColAdjoint(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMagnitudeBitsOrder is the table for the one helper every magnitude
+// ranking goes through: keys order like |v|, the two zeros tie, and a NaN of
+// either sign ranks above +Inf instead of making the order inconsistent.
+func TestMagnitudeBitsOrder(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	ascending := [][]float32{ // groups of equal magnitude, smallest first
+		{0, negZero},
+		{math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32},
+		{1e-40},
+		{1.17549435e-38}, // smallest normal
+		{0.5, -0.5},
+		{1, -1},
+		{math.MaxFloat32, -math.MaxFloat32},
+		{inf, -inf},
+		{nan, -nan},
+	}
+	for i, group := range ascending {
+		for _, v := range group {
+			if got, want := MagnitudeBits(v), MagnitudeBits(group[0]); got != want {
+				t.Errorf("MagnitudeBits(%v) = %#x, want the key of %v (%#x)", v, got, group[0], want)
+			}
+			if i > 0 && MagnitudeBits(v) <= MagnitudeBits(ascending[i-1][0]) {
+				t.Errorf("MagnitudeBits(%v) does not exceed that of %v", v, ascending[i-1][0])
+			}
+		}
+	}
+	// Without a NaN the keys order exactly as the float magnitudes do.
+	f := func(a, b float32) bool {
+		if a != a || b != b {
+			return true
+		}
+		fa, fb := math.Abs(float64(a)), math.Abs(float64(b))
+		return (fa < fb) == (MagnitudeBits(a) < MagnitudeBits(b)) && (fa == fb) == (MagnitudeBits(a) == MagnitudeBits(b))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
