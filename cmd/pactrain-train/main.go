@@ -155,8 +155,11 @@ func main() {
 
 	if *tracePath != "" {
 		tracer := pactrain.NewTracer()
-		pactrain.TraceRun(tracer, fmt.Sprintf("%s %s", res.Model, res.Scheme), cfg, res)
-		if err := pactrain.WriteTrace(tracer, *tracePath); err != nil {
+		err := pactrain.TraceRun(tracer, fmt.Sprintf("%s %s", res.Model, res.Scheme), cfg, res)
+		if err == nil {
+			err = pactrain.WriteTrace(tracer, *tracePath)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "pactrain-train: %v\n", err)
 			os.Exit(1)
 		}

@@ -44,7 +44,9 @@ func main() {
 	// Tracing is a pure replay of the recorded comm log — it happens after
 	// the run and cannot perturb it.
 	tracer := pactrain.NewTracer()
-	pactrain.TraceRun(tracer, "trace-demo MLP adaptive", cfg, res)
+	if err := pactrain.TraceRun(tracer, "trace-demo MLP adaptive", cfg, res); err != nil {
+		log.Fatal(err)
+	}
 
 	const out = "trace-demo.json"
 	if err := pactrain.WriteTrace(tracer, out); err != nil {

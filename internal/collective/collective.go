@@ -358,13 +358,13 @@ func (c *Cluster) Barrier(rank int, localTime float64) float64 {
 }
 
 // LaunchBarrier resolves the launch time of the next collective without
-// issuing one: every worker observes the maximum local clock — the
-// simclock.Timeline.LaunchTime barrier, realized across the live worker
-// goroutines. Unlike Barrier it leaves the statistics untouched; it is the
-// clock-only rendezvous the per-rank timeline model uses so that
-// replica-lockstep decisions (the adaptive controller) and recorded launch
-// times see the collective's true start even when rank clocks have
-// diverged. It costs no simulated time.
+// issuing one: every worker observes the maximum local clock — the bucket
+// barrier core.Replay derives from the ranks' schedules, realized across
+// the live worker goroutines. Unlike Barrier it leaves the statistics
+// untouched; it is the clock-only rendezvous the per-rank timeline model
+// uses so that replica-lockstep decisions (the adaptive controller) and
+// recorded launch times see the collective's true start even when rank
+// clocks have diverged. It costs no simulated time.
 func (c *Cluster) LaunchBarrier(rank int, localTime float64) float64 {
 	_, end := c.rendezvous(rank, nil, localTime, func(_ []any, start float64) (any, float64) {
 		return nil, start

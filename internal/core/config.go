@@ -194,13 +194,7 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: %w", err)
 	}
 	c.Collective = canon
-	if c.Topology == nil {
-		bw := c.BottleneckBps
-		if bw <= 0 {
-			bw = 1 * netsim.Gbps
-		}
-		c.Topology = netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: bw})
-	}
+	c.defaultCostPlane()
 	if len(c.Topology.Hosts()) < c.World {
 		return fmt.Errorf("core: topology has %d hosts for %d workers", len(c.Topology.Hosts()), c.World)
 	}
@@ -210,9 +204,6 @@ func (c *Config) validate() error {
 	if c.TestSamples <= 0 {
 		c.TestSamples = 256
 	}
-	if c.Compute.DeviceFLOPS == 0 {
-		c.Compute = ddp.A40ComputeModel(c.Profile.FLOPsPerSample)
-	}
 	if err := c.RankCompute.Validate(c.World); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -220,12 +211,54 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// TimelineActive reports whether the run uses the per-rank event-timeline
-// features — compute heterogeneity or per-bucket backward overlap. When
-// false, the trainer's clock arithmetic is bit-identical to the historical
-// scalar model, and so are every fingerprint and recorded result.
-func (c *Config) TimelineActive() bool {
-	return c.RankCompute.Enabled() || c.Overlap == ddp.OverlapBackward
+// defaultCostPlane fills the two simulated-clock inputs a config may leave
+// unset: Topology (the paper's Fig. 4 at BottleneckBps) and Compute (an A40
+// on the model's profile).
+func (c *Config) defaultCostPlane() {
+	if c.Topology == nil {
+		bw := c.BottleneckBps
+		if bw <= 0 {
+			bw = 1 * netsim.Gbps
+		}
+		c.Topology = netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: bw})
+	}
+	if c.Compute.DeviceFLOPS == 0 {
+		c.Compute = ddp.A40ComputeModel(c.Profile.FLOPsPerSample)
+	}
+}
+
+// NewFabric defaults the config's cost plane and builds the fabric it
+// describes, bandwidth traces applied: the fabric Run prices on, and so the
+// only one an adaptive log replays exactly on (DESIGN.md §8).
+func (c *Config) NewFabric() *netsim.Fabric {
+	c.defaultCostPlane()
+	fabric := netsim.NewFabric(c.Topology)
+	for _, tr := range c.Traces {
+		fabric.SetTrace(tr)
+	}
+	return fabric
+}
+
+// shardSamples is every rank's shard size: Run pads the dataset to a
+// multiple of World, as DistributedSampler does, so shards are equal.
+func (c *Config) shardSamples() int {
+	return (c.Data.Samples + c.World - 1) / c.World
+}
+
+// EpochBatches returns the mini-batch sizes of one epoch — full batches,
+// then the ragged remainder when the shard does not divide by BatchSize.
+// Shards are equal and shuffling permutes contents, never sizes, so the
+// sequence holds for every rank and every epoch. It is nil when the sample
+// count is unknown (synthesized logs), meaning every batch is full.
+func (c *Config) EpochBatches() []int {
+	if c.Data.Samples <= 0 || c.World < 1 || c.BatchSize < 1 {
+		return nil
+	}
+	var sizes []int
+	for rem := c.shardSamples(); rem > 0; rem -= c.BatchSize {
+		sizes = append(sizes, min(rem, c.BatchSize))
+	}
+	return sizes
 }
 
 // SchemeAdaptive names the cost-model-driven online compression scheme

@@ -37,15 +37,15 @@ type CommOp struct {
 	// produced different decisions (Config.FabricSensitive, DESIGN.md §8).
 	Decision string `json:",omitempty"`
 	// Bucket is the DDP bucket index the op synchronized. Together with the
-	// log's BucketElems it lets the timeline re-coster rebuild the op's
-	// per-rank ready times (forward + the bucket's prefix share of
-	// backward) on any fabric and under any straggler profile.
+	// log's BucketElems it lets Replay rebuild the op's per-rank ready times
+	// (forward + the bucket's prefix share of backward) on any fabric and
+	// under any straggler profile.
 	Bucket int `json:",omitempty"`
 	// LaunchAt is the synchronized launch time the op actually started at
 	// during training — the max of the participants' ready clocks. It is a
-	// recorded observation for verification and per-rank log analysis; the
-	// timeline re-coster *derives* launches from the config instead (so it
-	// can re-price under other fabrics and straggler profiles) and
+	// recorded observation for verification and per-rank log analysis;
+	// Replay *derives* launches from the config instead (so it can re-price
+	// under other fabrics and straggler profiles) and
 	// TestStragglerRecostMatchesRecordedLaunches pins that the two agree.
 	LaunchAt float64 `json:",omitempty"`
 }
@@ -95,8 +95,8 @@ func CostIter(ops []CommOp, alg collective.Algorithm, f *netsim.Fabric, hosts []
 }
 
 // CostOp prices one recorded operation starting at absolute time t — the
-// per-op unit CostIter serializes and the timeline re-coster launches at
-// reconstructed per-rank barrier times.
+// per-op unit CostIter serializes and Replay launches at reconstructed
+// per-rank barrier times.
 func CostOp(op CommOp, alg collective.Algorithm, f *netsim.Fabric, hosts []netsim.NodeID, t float64) float64 {
 	switch op.Kind {
 	case OpAllReduce:

@@ -161,7 +161,7 @@ func TestStragglerValidation(t *testing.T) {
 }
 
 // TestStragglerLogCarriesBucketGeometry checks the recorded log has what
-// the timeline re-coster needs: bucket element counts and per-op bucket
+// Replay needs: bucket element counts and per-op bucket
 // indices with launch times.
 func TestStragglerLogCarriesBucketGeometry(t *testing.T) {
 	cfg := stragglerConfig("pactrain-ternary", 2.0, 0)

@@ -10,7 +10,6 @@ import (
 	"pactrain/internal/ddp"
 	"pactrain/internal/gse"
 	"pactrain/internal/metrics"
-	"pactrain/internal/netsim"
 	"pactrain/internal/nn"
 	"pactrain/internal/par"
 	"pactrain/internal/prune"
@@ -78,13 +77,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 	// Equal shard sizes keep every worker's collective sequence in
 	// lockstep, as DistributedSampler's padding does.
-	cfg.Data.Samples = ((cfg.Data.Samples + cfg.World - 1) / cfg.World) * cfg.World
+	cfg.Data.Samples = cfg.shardSamples() * cfg.World
 
 	start := time.Now()
-	fabric := netsim.NewFabric(cfg.Topology)
-	for _, tr := range cfg.Traces {
-		fabric.SetTrace(tr)
-	}
+	fabric := cfg.NewFabric()
 	algo, err := collective.AlgorithmByName(cfg.Collective)
 	if err != nil {
 		return nil, err
@@ -175,7 +171,7 @@ func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *share
 	// runs, so lockstep decisions and the recorded log see the true
 	// synchronized start; when inactive, the arithmetic below reduces
 	// bit-exactly to the historical scalar clock.
-	timeline := cfg.TimelineActive()
+	timeline := cfg.RankCompute.Enabled() || cfg.Overlap == ddp.OverlapBackward
 	elems := make([]int, len(buckets))
 	for i, b := range buckets {
 		elems[i] = b.Elements()
@@ -267,10 +263,10 @@ func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *share
 			}
 
 			// Simulated compute, then bucket-by-bucket synchronization on
-			// this rank's timeline. The Scale/ready/Finish expressions are
-			// shared with the harness re-coster (simclock.IterSchedule,
-			// ddp.RankCompute.Scale), which is what keeps re-costing
-			// bit-exact for per-rank logs.
+			// this rank's timeline. This loop is the live realisation of the
+			// walk Replay states once for every recorded log (replay.go):
+			// the same Scale/ready/Finish expressions, with the bucket
+			// barrier resolved through the cluster rendezvous.
 			scale := cfg.RankCompute.Scale(rank, iter)
 			fwd := cfg.Compute.ForwardSeconds(len(labels)) * scale
 			bwd := cfg.Compute.BackwardSeconds(len(labels)) * scale

@@ -22,7 +22,6 @@ import (
 
 	"pactrain/internal/nn"
 	"pactrain/internal/prune"
-	"pactrain/internal/simclock"
 	"pactrain/internal/tensor"
 )
 
@@ -316,34 +315,4 @@ func MustOverlap(name string) Overlap {
 		panic(err)
 	}
 	return o
-}
-
-// IterationTime composes one iteration's simulated duration from compute
-// and a single communication total under the given overlap model.
-// OverlapBackward delegates to the per-bucket timeline composition
-// (simclock.ComposeIteration) with one bucket that is ready the moment
-// forward finishes — the ideal-overlap closed form; see
-// IdealOverlapIterationTime for why that is a bound, not the exact
-// schedule.
-func IterationTime(c ComputeModel, batch int, commSeconds float64, o Overlap) float64 {
-	switch o {
-	case OverlapNone:
-		return c.IterSeconds(batch) + commSeconds
-	case OverlapBackward:
-		return IdealOverlapIterationTime(c, batch, commSeconds)
-	}
-	panic(fmt.Sprintf("ddp: unknown overlap mode %d", o))
-}
-
-// IdealOverlapIterationTime is the pre-timeline closed form, forward +
-// max(backward, comm): communication behaves as a single bucket launched
-// the moment forward completes, with every byte free to overlap backward.
-// Real DDP buckets become ready only as backward produces them, so this is
-// an upper bound on achievable overlap — equivalently a lower bound on the
-// true iteration time. The trainer prices the exact per-bucket schedule
-// instead (simclock.IterSchedule); keep this helper for scalar-comm
-// estimates and as the documented best case.
-func IdealOverlapIterationTime(c ComputeModel, batch int, commSeconds float64) float64 {
-	s := simclock.NewIterSchedule(0, c.ForwardSeconds(batch), c.BackwardSeconds(batch), []float64{0})
-	return simclock.ComposeIteration(s, 1, func(int, float64) float64 { return commSeconds })
 }

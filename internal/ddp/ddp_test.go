@@ -168,34 +168,15 @@ func TestComputeModelPhysics(t *testing.T) {
 	}
 }
 
-func TestIterationTimeOverlap(t *testing.T) {
-	c := A40ComputeModel(1e9)
-	comm := 1.0
-	serial := IterationTime(c, 32, comm, OverlapNone)
-	if math.Abs(serial-(c.IterSeconds(32)+comm)) > 1e-12 {
-		t.Fatal("OverlapNone must serialize")
-	}
-	// Huge comm: overlapped time = fwd + comm.
-	big := IterationTime(c, 32, comm, OverlapBackward)
-	if math.Abs(big-(c.ForwardSeconds(32)+comm)) > 1e-12 {
-		t.Fatal("OverlapBackward with large comm should pay fwd+comm")
-	}
-	// Tiny comm: fully hidden.
-	small := IterationTime(c, 32, 1e-9, OverlapBackward)
-	if math.Abs(small-c.IterSeconds(32)) > 1e-10 {
-		t.Fatal("OverlapBackward with tiny comm should pay compute only")
-	}
-	if OverlapNone.String() != "none" || OverlapBackward.String() != "backward" {
-		t.Fatal("Overlap.String broken")
-	}
-}
-
 func TestOverlapParseRoundTrip(t *testing.T) {
 	for _, o := range []Overlap{OverlapNone, OverlapBackward} {
 		got, err := ParseOverlap(o.String())
 		if err != nil || got != o {
 			t.Fatalf("ParseOverlap(%q) = %v, %v; want %v", o.String(), got, err, o)
 		}
+	}
+	if OverlapNone.String() != "none" || OverlapBackward.String() != "backward" {
+		t.Fatal("Overlap.String broken")
 	}
 	if got, err := ParseOverlap(""); err != nil || got != OverlapNone {
 		t.Fatalf("empty selector = %v, %v; want OverlapNone", got, err)
@@ -211,20 +192,6 @@ func TestOverlapParseRoundTrip(t *testing.T) {
 		}
 	}()
 	MustOverlap("sideways")
-}
-
-func TestIdealOverlapIsTheClosedForm(t *testing.T) {
-	c := A40ComputeModel(1e9)
-	for _, comm := range []float64{1e-9, 1e-4, 1.0} {
-		got := IdealOverlapIterationTime(c, 32, comm)
-		want := c.ForwardSeconds(32) + math.Max(c.BackwardSeconds(32), comm)
-		if got != want {
-			t.Fatalf("comm %v: ideal overlap %v, want fwd+max(bwd,comm) = %v", comm, got, want)
-		}
-		if IterationTime(c, 32, comm, OverlapBackward) != got {
-			t.Fatal("IterationTime(OverlapBackward) must delegate to the ideal-overlap form")
-		}
-	}
 }
 
 func TestRankComputeScale(t *testing.T) {

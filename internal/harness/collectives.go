@@ -87,7 +87,7 @@ func RunCollectives(opt Options) (*CollectivesResult, error) {
 			ringTTA := 0.0
 			for _, algo := range out.Algorithms {
 				fabric := netsim.NewFabric(topo)
-				cum := recostCumWith(collective.MustAlgorithm(algo), res, &cfg, fabric)
+				cum := recostCumWith(collective.MustAlgorithm(algo), res, &cfg, fabric, false)
 				tta, reached := ttaFromCum(res, cum, w.TargetAcc)
 				if algo == collective.DefaultAlgorithm {
 					ringTTA = tta

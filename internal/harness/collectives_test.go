@@ -113,7 +113,7 @@ func TestRecostExactPerAlgorithm(t *testing.T) {
 				t.Fatal(err)
 			}
 			topo := netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: cfg.BottleneckBps})
-			cum := recostCumWith(collective.MustAlgorithm(algo), ringRun, &cfg, netsim.NewFabric(topo))
+			cum := recostCumWith(collective.MustAlgorithm(algo), ringRun, &cfg, netsim.NewFabric(topo), false)
 			if got := cum[len(cum)-1]; got != trained.SimSeconds {
 				t.Fatalf("re-costed end time %v != trained SimSeconds %v (Δ %g)",
 					got, trained.SimSeconds, got-trained.SimSeconds)

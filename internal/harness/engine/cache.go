@@ -69,9 +69,10 @@ func (c *Cache) path(fp string) string {
 
 // entryCurrent reports whether a stored Result carries everything current
 // consumers need. Recorded logs from before the per-rank timeline refactor
-// lack the bucket geometry (CommLog.BucketElems) the timeline re-coster
-// requires (DESIGN.md §9) — their fingerprints still match, but serving
-// them would panic a straggler-grid or overlap re-cost downstream. Such
+// lack the bucket geometry (CommLog.BucketElems) per-bucket overlap replay
+// requires (core.CommLog.Replayable, DESIGN.md §5) — their fingerprints
+// still match, but serving them would panic core.Replay in a
+// straggler-grid or overlap re-cost downstream. Such
 // entries are treated as misses (and swept), so they retrain once and
 // rewrite with the full schema; results recorded without a comm log stay
 // valid.

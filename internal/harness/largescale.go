@@ -178,7 +178,7 @@ func RunLargeScale(opt Options) (*LargeScaleResult, error) {
 			}
 			// Fresh fabric per cell: byte accounting is meaningless under
 			// memoized pricing and must not leak across cells.
-			cum := replayTimeline(alg, res, &cfg, netsim.NewFabric(topo), true)
+			cum := recostCumWith(alg, res, &cfg, netsim.NewFabric(topo), true)
 			// Steady state excludes the warm-up iteration (PacTrain's full
 			// sync + bitmap re-share).
 			iter := (cum[len(cum)-1] - cum[1]) / float64(largeScaleIters-1)

@@ -34,8 +34,8 @@ func TestMemoizedReplayMatchesLive(t *testing.T) {
 				Multipliers: netsim.OneSlowRack(racks, hosts, 3),
 			},
 		}
-		live := replayTimeline(alg, res, &cfg, netsim.NewFabric(topo), false)
-		memo := replayTimeline(alg, res, &cfg, netsim.NewFabric(topo), true)
+		live := recostCumWith(alg, res, &cfg, netsim.NewFabric(topo), false)
+		memo := recostCumWith(alg, res, &cfg, netsim.NewFabric(topo), true)
 		if len(live) != len(memo) {
 			t.Fatalf("%s: cum lengths differ: %d vs %d", scheme, len(live), len(memo))
 		}

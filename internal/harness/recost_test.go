@@ -52,10 +52,12 @@ func TestRecostReproducesTraining(t *testing.T) {
 	}
 }
 
-// TestRecostExactForOddSampleCounts guards the full-batch invariant: a
-// sample count that does not divide into World×BatchSize chunks is padded
-// by baseConfig, because a short final batch would be priced by its actual
-// size during training but at full-batch compute by recostCum.
+// TestRecostExactForOddSampleCounts guards baseConfig's chunk padding: a
+// sample count that does not divide into World×BatchSize chunks is rounded
+// up, so odd -samples values keep the fingerprints and reports they have
+// always had. Re-costing exactness no longer rests on it — core.Replay
+// prices a ragged final batch at its real size
+// (TestReplayMatchesTrainingEveryConsumer's ragged rows).
 func TestRecostExactForOddSampleCounts(t *testing.T) {
 	skipIfShort(t)
 	t.Parallel()

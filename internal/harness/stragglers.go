@@ -31,8 +31,8 @@ type StragglerCell struct {
 // bandwidth. It is the first experiment that exercises the per-rank event
 // timeline end to end: severities diverge the rank clocks, the overlap axis
 // prices each bucket's collective at its gradient-ready barrier, and every
-// cell is re-costed from one recording per scheme — the timeline re-coster
-// derives per-rank launches from the config, so the train-once economy
+// cell is re-costed from one recording per scheme — core.Replay derives
+// per-rank launches from the config, so the train-once economy
 // extends across straggler profiles exactly as it does across bandwidths.
 type StragglersResult struct {
 	Cells      []StragglerCell

@@ -33,8 +33,8 @@ func stragglerTrainConfig(w Workload, scheme string, opt Options) core.Config {
 // per-rank logs: a run trained with heterogeneous rank clocks (straggler
 // multipliers plus jitter) and per-bucket backward overlap must be
 // reproduced bit-for-bit — SimSeconds and every curve point — by the
-// timeline re-coster on an identical fabric, because training and re-cost
-// evaluate the same simclock expressions at the same absolute times.
+// replay on an identical fabric, because training and core.Replay evaluate
+// the same simclock expressions at the same absolute times.
 func TestStragglerRecostReproducesTraining(t *testing.T) {
 	skipIfShort(t)
 	t.Parallel()
@@ -215,7 +215,7 @@ func TestRunStragglersQuick(t *testing.T) {
 }
 
 // BenchmarkStragglersGrid regenerates the straggler experiment at reduced
-// scale, keeping the timeline re-coster on the bench-smoke radar alongside
+// scale, keeping heterogeneous replay on the bench-smoke radar alongside
 // the other experiment benchmarks (bench_test.go).
 func BenchmarkStragglersGrid(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -1,13 +1,12 @@
 package harness
 
 import (
-	"math"
+	"fmt"
 
 	"pactrain/internal/adaptive"
 	"pactrain/internal/audit"
 	"pactrain/internal/collective"
 	"pactrain/internal/core"
-	"pactrain/internal/ddp"
 	"pactrain/internal/harness/engine"
 	"pactrain/internal/netsim"
 	"pactrain/internal/obs"
@@ -15,53 +14,48 @@ import (
 )
 
 // This file converts recorded training results into obs spans. Traces are
-// *derived* — the replay below walks a Result's CommLog with exactly the
-// per-rank arithmetic of replayTimeline — rather than collected from live
-// trainer callbacks, for the same reason re-costing replays logs instead of
-// re-running training: the recorded log is the deterministic ground truth,
-// so the exported trace is byte-identical across runs, parallelism budgets,
-// and cache states, and tracing costs nothing when disabled (DESIGN.md §11).
+// *derived* — a core.Replay visitor sees the same schedules, launches and
+// costs re-costing accumulates into a clock — rather than collected from
+// live trainer callbacks, for the same reason re-costing replays logs
+// instead of re-running training: the recorded log is the deterministic
+// ground truth, so the exported trace is byte-identical across runs,
+// parallelism budgets, and cache states, and tracing costs nothing when
+// disabled (DESIGN.md §11).
 
 // TraceRun replays one recorded run into the tracer's span model on the
-// fabric the run's config describes (Topology defaulting to the Fig. 4
-// fabric at the config's bottleneck, bandwidth traces applied) — the same
+// fabric the run's config describes (core.Config.NewFabric) — the same
 // fabric the trainer priced it on, which is the only fabric an adaptive
 // log replays exactly (DESIGN.md §8). A nil tracer, a nil result, or an
-// unrecorded run (Config.RecordComm false) is a no-op.
-func TraceRun(tr *obs.Tracer, label string, cfg core.Config, res *core.Result) {
+// unrecorded run (Config.RecordComm false) is a no-op; a log that cannot be
+// replayed under the config (core.CommLog.Replayable) is an error.
+func TraceRun(tr *obs.Tracer, label string, cfg core.Config, res *core.Result) error {
 	if tr == nil || res == nil || res.CommLog == nil {
-		return
+		return nil
 	}
-	if cfg.Topology == nil {
-		bw := cfg.BottleneckBps
-		if bw <= 0 {
-			bw = 1 * netsim.Gbps
-		}
-		cfg.Topology = netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: bw})
+	if err := res.CommLog.Replayable(&cfg); err != nil {
+		return fmt.Errorf("trace %s: %w", label, err)
 	}
-	fabric := netsim.NewFabric(cfg.Topology)
-	for _, t := range cfg.Traces {
-		fabric.SetTrace(t)
-	}
+	fabric := cfg.NewFabric()
 	traceRunOn(tr, label, cfg.Fingerprint(), cfg, res, fabric)
+	return nil
 }
 
 // traceRunOn is TraceRun with the replay fabric and dedup key explicit: the
 // experiment re-cost paths trace their replays on the fabric the cell
 // prices (which the config does not name), keyed by label instead of
 // fingerprint so a cell replay never collides with the base run's trace.
+// Its results come from the engine, which serves only replayable logs.
 func traceRunOn(tr *obs.Tracer, label, dedupKey string, cfg core.Config, res *core.Result, fabric *netsim.Fabric) {
-	if tr == nil || res == nil || res.CommLog == nil {
-		return
-	}
-	if cfg.Compute.DeviceFLOPS == 0 {
-		cfg.Compute = ddp.A40ComputeModel(cfg.Profile.FLOPsPerSample)
-	}
 	run := tr.StartRun(label, dedupKey, cfg.World, res.CommLog.BucketElems)
 	if run == nil {
-		return // already traced (same fingerprint under another experiment)
+		return // tracing off, or already traced (same fingerprint under another experiment)
 	}
-	traceReplay(run, collective.MustAlgorithm(cfg.Collective), res, &cfg, fabric)
+	hosts := fabric.Topo.Hosts()[:cfg.World]
+	coster := newOpCoster(collective.MustAlgorithm(cfg.Collective), fabric, hosts, false)
+	core.Replay(&cfg, res.CommLog, coster.cost, &spanVisitor{
+		run:    run,
+		quoter: newDecisionQuoter(&cfg, fabric, hosts, res.CommLog.BucketElems),
+	})
 }
 
 // traceRuns traces every job of a completed grid, deduplicated by config
@@ -69,12 +63,11 @@ func traceRunOn(tr *obs.Tracer, label, dedupKey string, cfg core.Config, res *co
 // is traced once, under its first label — deterministic because
 // experiments run their grids in submission order.
 func (o *Options) traceRuns(jobs []engine.Job, results []*core.Result) {
-	if o.Tracer == nil {
-		return
-	}
 	for i, job := range jobs {
 		if i < len(results) {
-			TraceRun(o.Tracer, job.Label, job.Config, results[i])
+			if err := TraceRun(o.Tracer, job.Label, job.Config, results[i]); err != nil {
+				o.logf("%v", err)
+			}
 		}
 	}
 }
@@ -94,63 +87,48 @@ func (o *Options) traceRecost(experiment string, args map[string]any) {
 	o.Tracer.AddMark("recost", full)
 }
 
-// traceReplay walks a recorded log with the per-rank arithmetic of
-// replayTimeline — same schedules, same barrier, same in-order stream, same
-// coster (live pricing, no memo) — and emits spans instead of accumulating
-// a clock. For homogeneous configs this is bit-identical to the scalar fast
-// path (a max over equal floats is that float; fwd*1.0 == fwd), so span
-// edges equal the re-costed clock exactly (TestTraceMatchesRecost).
-func traceReplay(run *obs.RunTrace, alg collective.Algorithm, res *core.Result, cfg *core.Config, fabric *netsim.Fabric) {
-	log := res.CommLog
-	hosts := fabric.Topo.Hosts()[:cfg.World]
-	coster := newOpCoster(alg, fabric, hosts, false)
-	var prefix []float64
-	if cfg.Overlap == ddp.OverlapBackward && len(log.BucketElems) > 0 {
-		prefix = simclock.PrefixShares(log.BucketElems)
-	}
-	fwd := cfg.Compute.ForwardSeconds(cfg.BatchSize)
-	bwd := cfg.Compute.BackwardSeconds(cfg.BatchSize)
-	quoter := newDecisionQuoter(cfg, fabric, hosts, log.BucketElems)
+// spanSink is the part of *obs.RunTrace the span visitor emits through;
+// the replay property test substitutes a recorder to read span edges in
+// simulated seconds, before the exporter's microsecond conversion.
+type spanSink interface {
+	Compute(rank, iter int, start, fwd, bwd float64)
+	BarrierWait(rank, bucket, iter int, from, until float64)
+	Collective(rank, bucket, iter int, name string, start, end float64, args map[string]any)
+	Decision(rank, bucket, iter int, at float64, format string, args map[string]any)
+}
 
-	tl := simclock.NewTimeline(cfg.World)
-	scheds := make([]simclock.IterSchedule, cfg.World)
-	comp := simclock.NewIterComposer(scheds)
-	for k, ops := range log.Iters {
-		for r := range scheds {
-			scale := cfg.RankCompute.Scale(r, k)
-			scheds[r] = simclock.NewIterSchedule(tl.Clock(r), fwd*scale, bwd*scale, prefix)
-			run.Compute(r, k, tl.Clock(r), fwd*scale, bwd*scale)
+// spanVisitor is the core.Replay visitor that emits spans: every rank's
+// compute, its wait at each bucket barrier, the collective, and the
+// wire-format decision. Span edges are the replayed clock's own operands, so
+// they equal the re-costed clock (TestReplayMatchesTrainingEveryConsumer).
+type spanVisitor struct {
+	run    spanSink
+	quoter *decisionQuoter
+	scheds []simclock.IterSchedule
+}
+
+func (v *spanVisitor) StartIter(k int, scheds []simclock.IterSchedule) {
+	v.scheds = scheds
+	for r, s := range scheds {
+		v.run.Compute(r, k, s.Start, s.Fwd, s.Bwd)
+	}
+}
+
+func (v *spanVisitor) Op(k int, op core.CommOp, streamFree, launch, cost float64) {
+	end := launch + cost
+	name, args := opSpan(op)
+	format, quoteArgs := v.quoter.decide(op, launch)
+	for r, s := range v.scheds {
+		if from, dur := s.WaitInterval(op.Bucket, streamFree, launch); dur > 0 {
+			v.run.BarrierWait(r, op.Bucket, k, from, launch)
 		}
-		comp.Reset()
-		commEnd := math.Inf(-1)
-		for _, op := range ops {
-			launch := comp.Barrier(op.Bucket)
-			if commEnd > launch {
-				launch = commEnd
-			}
-			// The stream-free floor for wait spans is the previous op's end;
-			// the first op of an iteration sees an idle (-inf) stream.
-			streamFree := commEnd
-			end := launch + coster.cost(op, launch)
-			name, args := opSpan(op)
-			format, quoteArgs := quoter.decide(op, launch)
-			for r := range scheds {
-				from, dur := scheds[r].WaitInterval(op.Bucket, streamFree, launch)
-				if dur > 0 {
-					run.BarrierWait(r, op.Bucket, k, from, launch)
-				}
-				run.Collective(r, op.Bucket, k, name, launch, end, args)
-				if r == 0 {
-					// The candidate quotes are replica-identical; carrying
-					// them on rank 0 only keeps the trace compact.
-					run.Decision(r, op.Bucket, k, launch, format, quoteArgs)
-				} else {
-					run.Decision(r, op.Bucket, k, launch, format, nil)
-				}
-			}
-			commEnd = end
+		v.run.Collective(r, op.Bucket, k, name, launch, end, args)
+		if r != 0 {
+			// The candidate quotes are replica-identical; carrying them on
+			// rank 0 only keeps the trace compact.
+			quoteArgs = nil
 		}
-		comp.FinishInto(tl, commEnd)
+		v.run.Decision(r, op.Bucket, k, launch, format, quoteArgs)
 	}
 }
 

@@ -38,7 +38,7 @@ func decodeTrace(t *testing.T, raw []byte) decodedTrace {
 
 // TestTraceRunEndMatchesSimSeconds anchors the replayed spans to the
 // recorded clock: the latest span edge in a run's trace is the run's
-// SimSeconds (the replay is replayTimeline's arithmetic, so the only slack
+// SimSeconds (the spans come from a core.Replay visitor, so the only slack
 // is the seconds→microseconds conversion).
 func TestTraceRunEndMatchesSimSeconds(t *testing.T) {
 	skipIfShort(t)
@@ -53,7 +53,9 @@ func TestTraceRunEndMatchesSimSeconds(t *testing.T) {
 	}
 
 	tr := obs.NewTracer()
-	TraceRun(tr, job.Label, job.Config, res)
+	if err := TraceRun(tr, job.Label, job.Config, res); err != nil {
+		t.Fatal(err)
+	}
 	if tr.Runs() != 1 {
 		t.Fatalf("runs traced = %d, want 1", tr.Runs())
 	}
@@ -155,7 +157,9 @@ func TestTraceAdaptiveDecisionsCarryQuotes(t *testing.T) {
 	}
 
 	tr := obs.NewTracer()
-	TraceRun(tr, "trace-adaptive", cfg, res)
+	if err := TraceRun(tr, "trace-adaptive", cfg, res); err != nil {
+		t.Fatal(err)
+	}
 	raw, err := tr.Build().JSON()
 	if err != nil {
 		t.Fatal(err)

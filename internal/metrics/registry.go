@@ -8,15 +8,12 @@ import (
 	"sync"
 )
 
-// Registry is the typed successor of CounterSet: counters, gauges, and
-// fixed-bucket histograms behind one mutex, rendered in the Prometheus text
-// exposition format in declaration order so an endpoint's output is
-// deterministic. Instruments are declared once and then written through the
-// returned handles, which keeps hot paths map-lookup-free and makes the set
-// of exported series a compile-time property of the caller.
-//
-// CounterSet stays for callers that only need lazily named counters; serve
-// and the engine observability migrate here for gauges and histograms.
+// Registry holds counters, gauges, and fixed-bucket histograms behind one
+// mutex, rendered in the Prometheus text exposition format in declaration
+// order so an endpoint's output is deterministic. Instruments are declared
+// once and then written through the returned handles, which keeps hot paths
+// map-lookup-free and makes the set of exported series a compile-time
+// property of the caller.
 type Registry struct {
 	mu    sync.Mutex
 	order []string

@@ -99,45 +99,6 @@ func TestComposerFinishInto(t *testing.T) {
 	}
 }
 
-func TestTimelineMaxIncremental(t *testing.T) {
-	t.Parallel()
-	rescan := func(tl *Timeline) float64 {
-		m := math.Inf(-1)
-		for r := 0; r < tl.World(); r++ {
-			if c := tl.Clock(r); c > m {
-				m = c
-			}
-		}
-		return m
-	}
-	tl := NewTimeline(5)
-	if got := tl.Max(); got != 0 {
-		t.Fatalf("fresh timeline max %v", got)
-	}
-	rng := tensor.NewRNG(13)
-	for step := 0; step < 200; step++ {
-		r := int(rng.Uint64() % 5)
-		switch step % 3 {
-		case 0:
-			tl.Advance(r, rng.Float64())
-		case 1:
-			tl.Set(r, rng.Float64()*20)
-		case 2:
-			// Lower the current maximum holder — the dirty path.
-			maxRank := 0
-			for i := 1; i < 5; i++ {
-				if tl.Clock(i) > tl.Clock(maxRank) {
-					maxRank = i
-				}
-			}
-			tl.Set(maxRank, tl.Clock(maxRank)/2)
-		}
-		if got, want := tl.Max(), rescan(tl); got != want {
-			t.Fatalf("step %d: cached max %v, rescan %v", step, got, want)
-		}
-	}
-}
-
 func BenchmarkComposeIteration(b *testing.B) {
 	for _, world := range []int{64, 1024, 4096} {
 		b.Run(fmt.Sprintf("world=%d", world), func(b *testing.B) {
@@ -167,7 +128,7 @@ func BenchmarkComposeIteration(b *testing.B) {
 					}
 					comp.FinishInto(tl, commEnd)
 				}
-				benchSink = tl.Max()
+				benchSink = tl.Clock(0)
 			}
 		})
 	}

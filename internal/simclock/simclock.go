@@ -14,76 +14,33 @@
 //   - a collective's launch time is a barrier: the maximum of the
 //     participants' ready times (LaunchTime), because a straggler holds the
 //     whole ring;
-//   - ComposeIteration serializes a rank's bucket collectives against the
-//     schedule, reproducing the single in-order communication stream real
-//     DDP launches NCCL work on.
+//   - an IterComposer answers one iteration's barrier queries without
+//     rescanning the ranks per op.
 //
 // The trainer (internal/core) realizes the launch barrier through the
-// cluster rendezvous while workers run concurrently; the re-costing path
-// (internal/harness) replays the same arithmetic sequentially over a
-// recorded log. Both paths evaluate the expressions below with identical
-// operand order, which is what makes re-costing bit-exact (DESIGN.md §9).
+// cluster rendezvous while workers run concurrently; core.Replay walks the
+// same arithmetic sequentially over a recorded log. Both evaluate the
+// expressions below with identical operand order, which is what makes
+// replay bit-exact (DESIGN.md §9).
 package simclock
 
 import "math"
 
-// Timeline holds one simulated clock per rank. The zero clock is time zero;
-// clocks only ever move forward.
+// Timeline holds one simulated clock per rank, all starting at time zero.
 type Timeline struct {
 	clocks []float64
-
-	// maxv caches the running maximum so Max is O(1) on the (overwhelmingly
-	// common) forward-only update pattern; maxDirty forces an O(world)
-	// rescan after an update that may have lowered the previous maximum.
-	maxv     float64
-	maxDirty bool
 }
 
 // NewTimeline builds a timeline for world ranks, all at time zero.
 func NewTimeline(world int) *Timeline {
-	return &Timeline{clocks: make([]float64, world), maxDirty: true}
+	return &Timeline{clocks: make([]float64, world)}
 }
-
-// World returns the number of ranks.
-func (t *Timeline) World() int { return len(t.clocks) }
 
 // Clock returns rank's current simulated time.
 func (t *Timeline) Clock(rank int) float64 { return t.clocks[rank] }
 
 // Set moves rank's clock to v.
-func (t *Timeline) Set(rank int, v float64) {
-	if !t.maxDirty {
-		if v >= t.maxv {
-			t.maxv = v
-		} else if t.clocks[rank] == t.maxv {
-			// The rank being lowered may have been the sole maximum holder.
-			t.maxDirty = true
-		}
-	}
-	t.clocks[rank] = v
-}
-
-// Advance moves rank's clock forward by d and returns the new time.
-func (t *Timeline) Advance(rank int, d float64) float64 {
-	t.Set(rank, t.clocks[rank]+d)
-	return t.clocks[rank]
-}
-
-// Max returns the latest clock — the time at which a full barrier would
-// release.
-func (t *Timeline) Max() float64 {
-	if t.maxDirty {
-		m := math.Inf(-1)
-		for _, c := range t.clocks {
-			if c > m {
-				m = c
-			}
-		}
-		t.maxv = m
-		t.maxDirty = false
-	}
-	return t.maxv
-}
+func (t *Timeline) Set(rank int, v float64) { t.clocks[rank] = v }
 
 // LaunchTime returns the synchronization barrier for a collective whose
 // per-rank ready times are given by ready: the launch is the maximum ready
@@ -196,21 +153,4 @@ func (s IterSchedule) Finish(commEnd float64) float64 {
 		return done
 	}
 	return commEnd
-}
-
-// ComposeIteration serializes n bucket collectives against a single rank's
-// schedule: bucket i launches at max(previous bucket's end, ReadyAt(i)),
-// pays cost(i, launch), and the iteration ends at Finish(last end). It is
-// the one-rank closed form of the timeline model — the trainer realizes the
-// same composition across concurrent workers via the cluster rendezvous.
-func ComposeIteration(s IterSchedule, n int, cost func(bucket int, launch float64) float64) float64 {
-	end := s.Start
-	for i := 0; i < n; i++ {
-		launch := s.ReadyAt(i)
-		if end > launch {
-			launch = end
-		}
-		end = launch + cost(i, launch)
-	}
-	return s.Finish(end)
 }

@@ -309,9 +309,11 @@ func NewTracer() *Tracer { return obs.NewTracer() }
 
 // TraceRun derives the per-rank timeline of one recorded run (the config
 // must have RecordComm set, as DefaultConfig does) into the tracer.
-// Identical configs are traced once.
-func TraceRun(tr *Tracer, label string, cfg Config, res *Result) {
-	harness.TraceRun(tr, label, cfg, res)
+// Identical configs are traced once. The only error is a log that cannot
+// be replayed under the config: per-bucket overlap over a recording that
+// predates bucket geometry.
+func TraceRun(tr *Tracer, label string, cfg Config, res *Result) error {
+	return harness.TraceRun(tr, label, cfg, res)
 }
 
 // WriteTrace renders everything the tracer collected as a Chrome
