@@ -148,73 +148,76 @@ func transferOrPanic(f *netsim.Fabric, src, dst netsim.NodeID, bytes, t float64)
 	return dt
 }
 
-// xfer is one concurrent send within a collective step.
+// mustRoute resolves one pair, for the collectives that price several steps
+// over it; disconnected pairs panic for the same reason.
+func mustRoute(f *netsim.Fabric, src, dst netsim.NodeID) netsim.Route {
+	r, err := f.Route(src, dst)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// xfer is one concurrent send within a collective step, over a resolved
+// route; src orients the route's links.
 type xfer struct {
-	src, dst netsim.NodeID
-	bytes    float64
+	src   netsim.NodeID
+	route netsim.Route
+	bytes float64
+}
+
+// newXfer resolves the route of a transfer whose pair its collective uses in
+// one step only.
+func newXfer(f *netsim.Fabric, src, dst netsim.NodeID, bytes float64) xfer {
+	return xfer{src, mustRoute(f, src, dst), bytes}
 }
 
 // concurrentStep costs a set of simultaneous transfers starting at time t,
 // charging directed-link contention: a link direction carrying k of the
 // step's transfers serves each at 1/k of its bandwidth. The flat ring never
 // needs this (a unidirectional ring puts at most one same-step transfer on
-// each directed link, so ringStep's max-of-transfers is already exact), but
+// each directed link, so ringSteps' max-of-transfers is already exact), but
 // the tree pattern routinely stacks several pair exchanges onto one
 // inter-switch link, where uncontended pricing would be fiction. Bytes are
-// recorded on every traversed link, like TransferTime.
+// recorded on every traversed link, like Fabric.Send.
 func concurrentStep(f *netsim.Fabric, xfers []xfer, t float64) float64 {
-	type dlink struct {
-		li  int
-		fwd bool
-	}
-	paths := make([][]int, len(xfers))
-	load := map[dlink]int{}
-	for i, x := range xfers {
-		if x.src == x.dst || x.bytes <= 0 {
+	links := f.Topo.Links
+	// A hop is a directed link: 2·li, +1 when traversed B→A. load counts the
+	// step's transfers per hop; hops lists every priced transfer's, in order.
+	load := make([]int32, 2*len(links))
+	var hops []int
+	for _, x := range xfers {
+		if x.bytes <= 0 {
 			continue
 		}
-		path := f.Topo.Path(x.src, x.dst)
-		if path == nil {
-			panic(fmt.Sprintf("collective: no path from %d to %d", x.src, x.dst))
-		}
-		paths[i] = path
 		cur := x.src
-		for _, li := range path {
-			l := f.Topo.Links[li]
-			fwd := l.A == cur
-			load[dlink{li, fwd}]++
-			if fwd {
+		for _, li := range x.route.Links {
+			hop := 2 * li
+			if l := &links[li]; l.A == cur {
 				cur = l.B
 			} else {
-				cur = l.A
+				hop, cur = hop+1, l.A
 			}
+			load[hop]++
+			hops = append(hops, hop)
 		}
 	}
 	var step float64
-	for i, x := range xfers {
-		if paths[i] == nil {
+	for _, x := range xfers {
+		n := len(x.route.Links)
+		if x.bytes <= 0 || n == 0 {
 			continue
 		}
 		bottleneck := math.Inf(1)
-		latency := 0.0
-		cur := x.src
-		for _, li := range paths[i] {
-			l := f.Topo.Links[li]
-			fwd := l.A == cur
-			bw := f.LinkBandwidthAt(li, t) / float64(load[dlink{li, fwd}])
-			if bw < bottleneck {
+		for _, hop := range hops[:n] {
+			if bw := f.LinkBandwidthAt(hop/2, t) / float64(load[hop]); bw < bottleneck {
 				bottleneck = bw
 			}
-			latency += l.LatencySec
-			f.BytesOnLink[li] += x.bytes
-			if fwd {
-				cur = l.B
-			} else {
-				cur = l.A
-			}
+			f.BytesOnLink[hop/2] += x.bytes
 		}
+		hops = hops[n:]
 		f.TotalBytes += x.bytes
-		if dt := latency + x.bytes*8/bottleneck; dt > step {
+		if dt := x.route.LatencySec + x.bytes*8/bottleneck; dt > step {
 			step = dt
 		}
 	}
@@ -305,7 +308,7 @@ func CostTreeAllReduce(f *netsim.Fabric, hosts []netsim.NodeID, n int, wire Wire
 	if extra > 0 {
 		xs := make([]xfer, 0, extra)
 		for i := 0; i < extra; i++ {
-			xs = append(xs, xfer{hosts[pow+i], hosts[i], full})
+			xs = append(xs, newXfer(f, hosts[pow+i], hosts[i], full))
 		}
 		t += concurrentStep(f, xs, t)
 	}
@@ -322,7 +325,16 @@ func CostTreeAllReduce(f *netsim.Fabric, hosts []netsim.NodeID, n int, wire Wire
 	for span := pow / 2; span >= 1; span /= 2 {
 		halvings = append(halvings, span)
 	}
-	for _, span := range halvings {
+	// The doubling rounds mirror the halving rounds pair for pair, so each
+	// round's routes are resolved once and kept by rank.
+	routes := make([][]netsim.Route, len(halvings))
+	for s, span := range halvings {
+		routes[s] = make([]netsim.Route, pow)
+		for i := range routes[s] {
+			routes[s][i] = mustRoute(f, hosts[i], hosts[i^span])
+		}
+	}
+	for s, span := range halvings {
 		xs := make([]xfer, 0, pow)
 		nlo := make([]int, pow)
 		nhi := make([]int, pow)
@@ -339,7 +351,7 @@ func CostTreeAllReduce(f *netsim.Fabric, hosts []netsim.NodeID, n int, wire Wire
 				nlo[i], nhi[i] = mid, hi[i]
 			}
 			if send > 0 {
-				xs = append(xs, xfer{hosts[i], hosts[partner], wire.MessageBytes(send)})
+				xs = append(xs, xfer{hosts[i], routes[s][i], wire.MessageBytes(send)})
 			}
 		}
 		lo, hi = nlo, nhi
@@ -352,9 +364,8 @@ func CostTreeAllReduce(f *netsim.Fabric, hosts []netsim.NodeID, n int, wire Wire
 		span := halvings[s]
 		xs := make([]xfer, 0, pow)
 		for i := 0; i < pow; i++ {
-			partner := i ^ span
 			if send := hi[i] - lo[i]; send > 0 {
-				xs = append(xs, xfer{hosts[i], hosts[partner], wire.MessageBytes(send)})
+				xs = append(xs, xfer{hosts[i], routes[s][i], wire.MessageBytes(send)})
 			}
 		}
 		nlo := make([]int, pow)
@@ -372,7 +383,7 @@ func CostTreeAllReduce(f *netsim.Fabric, hosts []netsim.NodeID, n int, wire Wire
 	if extra > 0 {
 		xs := make([]xfer, 0, extra)
 		for i := 0; i < extra; i++ {
-			xs = append(xs, xfer{hosts[i], hosts[pow+i], full})
+			xs = append(xs, newXfer(f, hosts[i], hosts[pow+i], full))
 		}
 		t += concurrentStep(f, xs, t)
 	}
@@ -396,7 +407,7 @@ func CostTreeAllGather(f *netsim.Fabric, hosts []netsim.NodeID, sizes []int, wir
 		for i := span; i < world; i += 2 * span {
 			// Host i ships its accumulated block to i-span.
 			if acc[i] > 0 {
-				xs = append(xs, xfer{hosts[i], hosts[i-span], wire.MessageBytes(acc[i])})
+				xs = append(xs, newXfer(f, hosts[i], hosts[i-span], wire.MessageBytes(acc[i])))
 			}
 			acc[i-span] += acc[i]
 			acc[i] = 0
@@ -481,6 +492,23 @@ func leaders(hosts []netsim.NodeID, racks [][]int) []netsim.NodeID {
 	return out
 }
 
+// rackFanOut prices the closing phase of every hierarchical primitive: each
+// leader broadcasts msgBytes inside its rack, starting at t. The racks' edge
+// links are disjoint, so they proceed concurrently and the phase costs the
+// slowest rack.
+func rackFanOut(f *netsim.Fabric, hosts []netsim.NodeID, racks [][]int, msgBytes, t float64) float64 {
+	var phase float64
+	for _, rack := range racks {
+		if len(rack) <= 1 {
+			continue
+		}
+		if dt := CostBinomialBroadcast(f, rackHosts(hosts, rack), 0, msgBytes, t); dt > phase {
+			phase = dt
+		}
+	}
+	return phase
+}
+
 // CostHierarchicalAllReduce prices the two-level all-reduce of n elements:
 //
 //  1. intra-rack ring reduce-scatter, then the scattered chunks converge on
@@ -513,21 +541,13 @@ func CostHierarchicalAllReduce(f *netsim.Fabric, hosts []netsim.NodeID, n int, w
 			continue
 		}
 		rh := rackHosts(hosts, rack)
-		rt := t
-		bytes := make([]float64, m)
-		for s := 0; s < m-1; s++ {
-			for i := 0; i < m; i++ {
-				from, to := chunkRange(((i-s)%m+m)%m, n, m)
-				bytes[i] = wire.MessageBytes(to - from)
-			}
-			rt += ringStep(f, rh, bytes, rt)
-		}
+		msg := chunkBytes(n, m, wire)
+		rt := ringSteps(f, rh, msg, m-1, t)
 		// Gather the scattered rack-sum chunks to the leader; ingress shares
 		// the leader's edge link, so the transfers serialize.
 		for i := 1; i < m; i++ {
-			from, to := chunkRange(i, n, m)
-			if to > from {
-				rt += transferOrPanic(f, rh[i], rh[0], wire.MessageBytes(to-from), rt)
+			if from, to := chunkRange(i, n, m); to > from {
+				rt += transferOrPanic(f, rh[i], rh[0], msg[i], rt)
 			}
 		}
 		if rt-t > phase {
@@ -540,17 +560,7 @@ func CostHierarchicalAllReduce(f *netsim.Fabric, hosts []netsim.NodeID, n int, w
 	t += CostRingAllReduce(f, leaders(hosts, racks), n, wire, t)
 
 	// Phase 3: leaders broadcast the global sum inside their racks.
-	phase = 0
-	msg := wire.MessageBytes(n)
-	for _, rack := range racks {
-		if len(rack) <= 1 {
-			continue
-		}
-		if dt := CostBinomialBroadcast(f, rackHosts(hosts, rack), 0, msg, t); dt > phase {
-			phase = dt
-		}
-	}
-	t += phase
+	t += rackFanOut(f, hosts, racks, wire.MessageBytes(n), t)
 	return t - start
 }
 
@@ -596,17 +606,7 @@ func CostHierarchicalAllGather(f *netsim.Fabric, hosts []netsim.NodeID, sizes []
 	for _, s := range sizes {
 		grand += s
 	}
-	phase = 0
-	msg := wire.MessageBytes(grand)
-	for _, rack := range racks {
-		if len(rack) <= 1 {
-			continue
-		}
-		if dt := CostBinomialBroadcast(f, rackHosts(hosts, rack), 0, msg, t); dt > phase {
-			phase = dt
-		}
-	}
-	t += phase
+	t += rackFanOut(f, hosts, racks, wire.MessageBytes(grand), t)
 	return t - start
 }
 
@@ -636,15 +636,6 @@ func CostHierarchicalBroadcast(f *netsim.Fabric, hosts []netsim.NodeID, root int
 		t += transferOrPanic(f, hosts[root], hosts[racks[rootRack][0]], msgBytes, t)
 	}
 	t += CostBinomialBroadcast(f, leaders(hosts, racks), rootRack, msgBytes, t)
-	var phase float64
-	for _, rack := range racks {
-		if len(rack) <= 1 {
-			continue
-		}
-		if dt := CostBinomialBroadcast(f, rackHosts(hosts, rack), 0, msgBytes, t); dt > phase {
-			phase = dt
-		}
-	}
-	t += phase
+	t += rackFanOut(f, hosts, racks, msgBytes, t)
 	return t - start
 }

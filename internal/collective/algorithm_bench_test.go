@@ -71,3 +71,34 @@ func BenchmarkRackDerivation(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkHierarchicalAllReduce prices one fp32 all-reduce on the racked
+// fabric at the largescale experiment's sizes — its hot loop: 2(w−1) ring
+// steps per rack over routes resolved once per call.
+func BenchmarkHierarchicalAllReduce(b *testing.B) {
+	for _, racks := range []int{16, 64} {
+		topo := netsim.RackedTopology(netsim.RackedOptions{Racks: racks, HostsPerRack: 64})
+		hosts := topo.Hosts()
+		b.Run(fmt.Sprint(len(hosts)), func(b *testing.B) {
+			f := netsim.NewFabric(topo)
+			for i := 0; i < b.N; i++ {
+				benchSink += CostHierarchicalAllReduce(f, hosts, 1<<20, WireFP32, 0)
+			}
+		})
+	}
+}
+
+// BenchmarkRingAllReduce prices the default algorithm on the paper's
+// eight-host fabric: what every re-costed iteration of the suite pays.
+func BenchmarkRingAllReduce(b *testing.B) {
+	topo := netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: netsim.Gbps})
+	hosts := topo.Hosts()
+	b.Run(fmt.Sprint(len(hosts)), func(b *testing.B) {
+		f := netsim.NewFabric(topo)
+		for i := 0; i < b.N; i++ {
+			benchSink += CostRingAllReduce(f, hosts, 1<<20, WireFP32, 0)
+		}
+	})
+}
+
+var benchSink float64

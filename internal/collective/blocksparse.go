@@ -53,19 +53,11 @@ func CostBlockSparseAggregate(f *netsim.Fabric, hosts []netsim.NodeID, perWorker
 	}
 	start := t
 	for i := 1; i < world; i++ {
-		dt, err := f.TransferTime(hosts[i], hosts[0], blockBytes(perWorkerBlocks[i], blockSize, byteScale), t)
-		if err != nil {
-			panic(err)
-		}
-		t += dt
+		t += transferOrPanic(f, hosts[i], hosts[0], blockBytes(perWorkerBlocks[i], blockSize, byteScale), t)
 	}
 	out := blockBytes(unionBlocks, blockSize, byteScale)
 	for i := 1; i < world; i++ {
-		dt, err := f.TransferTime(hosts[0], hosts[i], out, t)
-		if err != nil {
-			panic(err)
-		}
-		t += dt
+		t += transferOrPanic(f, hosts[0], hosts[i], out, t)
 	}
 	return t - start
 }

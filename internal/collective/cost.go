@@ -8,47 +8,60 @@ import "pactrain/internal/netsim"
 // under a different bandwidth without re-training (the convergence
 // trajectory is bandwidth-independent; only the clock changes).
 
-// ringStep costs one ring step in which host i sends bytes[i] to host i+1
-// concurrently, recording bytes on the fabric.
-func ringStep(f *netsim.Fabric, hosts []netsim.NodeID, bytes []float64, t float64) float64 {
-	var step float64
-	world := len(hosts)
-	for i := 0; i < world; i++ {
-		dst := (i + 1) % world
-		dt, err := f.TransferTime(hosts[i], hosts[dst], bytes[i], t)
-		if err != nil {
-			panic(err)
-		}
-		if dt > step {
-			step = dt
-		}
+// Every cost function below resolves each (src, dst) pair it uses once per
+// call and prices its steps over the resolved routes (DESIGN.md §4): a pair
+// used in a single step goes through transferOrPanic, the pairs a ring
+// reuses on every step are held as routes across the steps.
+
+// chunkBytes returns the wire size of each of the world chunks a ring splits
+// n elements into.
+func chunkBytes(n, world int, wire WireFormat) []float64 {
+	msg := make([]float64, world)
+	for c := range msg {
+		from, to := chunkRange(c, n, world)
+		msg[c] = wire.MessageBytes(to - from)
 	}
-	return step
+	return msg
+}
+
+// ringSteps prices consecutive ring steps starting at time t and returns the
+// time the last one ends. In step s every host i sends msg[(i-s) mod world]
+// to host i+1 concurrently — a unidirectional ring puts at most one of a
+// step's transfers on each directed link, so the step costs its slowest
+// transfer. Bytes are recorded on the fabric per transfer.
+func ringSteps(f *netsim.Fabric, hosts []netsim.NodeID, msg []float64, steps int, t float64) float64 {
+	world := len(hosts)
+	routes := make([]netsim.Route, world)
+	for i := range routes {
+		routes[i] = mustRoute(f, hosts[i], hosts[(i+1)%world])
+	}
+	for s := 0; s < steps; s++ {
+		var step float64
+		c := (world - s%world) % world
+		for _, r := range routes {
+			if dt := f.Send(r, msg[c], t); dt > step {
+				step = dt
+			}
+			if c++; c == world {
+				c = 0
+			}
+		}
+		t += step
+	}
+	return t
 }
 
 // CostRingAllReduce returns the duration of a ring all-reduce of n elements
-// with the given wire format starting at time t.
+// with the given wire format starting at time t: world-1 reduce-scatter
+// steps in which host i sends chunk i-s, then world-1 all-gather steps in
+// which it sends chunk i+1-s' — with s = world-1+s' the same chunk i-s, so
+// the 2(world-1) steps are one rotation over the chunk sizes.
 func CostRingAllReduce(f *netsim.Fabric, hosts []netsim.NodeID, n int, wire WireFormat, t float64) float64 {
 	world := len(hosts)
 	if world <= 1 || n == 0 {
 		return 0
 	}
-	start := t
-	bytes := make([]float64, world)
-	for s := 0; s < 2*(world-1); s++ {
-		for i := 0; i < world; i++ {
-			var ci int
-			if s < world-1 {
-				ci = ((i-s)%world + world) % world
-			} else {
-				ci = ((i+1-(s-(world-1)))%world + world) % world
-			}
-			from, to := chunkRange(ci, n, world)
-			bytes[i] = wire.MessageBytes(to - from)
-		}
-		t += ringStep(f, hosts, bytes, t)
-	}
-	return t - start
+	return ringSteps(f, hosts, chunkBytes(n, world, wire), 2*(world-1), t) - t
 }
 
 // CostRingAllGather returns the duration of a ring all-gather in which each
@@ -58,16 +71,11 @@ func CostRingAllGather(f *netsim.Fabric, hosts []netsim.NodeID, sizes []int, wir
 	if world <= 1 {
 		return 0
 	}
-	start := t
-	bytes := make([]float64, world)
-	for s := 0; s < world-1; s++ {
-		for i := 0; i < world; i++ {
-			origin := ((i-s)%world + world) % world
-			bytes[i] = wire.MessageBytes(sizes[origin])
-		}
-		t += ringStep(f, hosts, bytes, t)
+	msg := make([]float64, world)
+	for i := range msg {
+		msg[i] = wire.MessageBytes(sizes[i])
 	}
-	return t - start
+	return ringSteps(f, hosts, msg, world-1, t) - t
 }
 
 // CostBinomialBroadcast returns the duration of a binomial-tree broadcast of
@@ -83,11 +91,7 @@ func CostBinomialBroadcast(f *netsim.Fabric, hosts []netsim.NodeID, root int, ms
 		for rel := 0; rel < span && rel+span < world; rel++ {
 			from := (root + rel) % world
 			to := (root + rel + span) % world
-			dt, err := f.TransferTime(hosts[from], hosts[to], msgBytes, t)
-			if err != nil {
-				panic(err)
-			}
-			if dt > step {
+			if dt := transferOrPanic(f, hosts[from], hosts[to], msgBytes, t); dt > step {
 				step = dt
 			}
 		}
@@ -108,18 +112,10 @@ func CostPSAggregate(f *netsim.Fabric, hosts []netsim.NodeID, n int, wire WireFo
 	start := t
 	msg := wire.MessageBytes(n)
 	for i := 1; i < world; i++ {
-		dt, err := f.TransferTime(hosts[i], hosts[0], msg, t)
-		if err != nil {
-			panic(err)
-		}
-		t += dt
+		t += transferOrPanic(f, hosts[i], hosts[0], msg, t)
 	}
 	for i := 1; i < world; i++ {
-		dt, err := f.TransferTime(hosts[0], hosts[i], msg, t)
-		if err != nil {
-			panic(err)
-		}
-		t += dt
+		t += transferOrPanic(f, hosts[0], hosts[i], msg, t)
 	}
 	return t - start
 }

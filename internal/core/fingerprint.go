@@ -4,10 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"pactrain/internal/collective"
 	"pactrain/internal/ddp"
+	"pactrain/internal/netsim"
 )
 
 // Fingerprint returns a deterministic hex digest identifying everything
@@ -49,9 +51,9 @@ func (c *Config) Fingerprint() string {
 		cp.AdaptCandidates = nil
 	}
 
-	var b strings.Builder
+	var b []byte
 	w := func(key string, v any) {
-		fmt.Fprintf(&b, "%s=%v\n", key, v)
+		b = fmt.Appendf(b, "%s=%v\n", key, v)
 	}
 	w("model", cp.ModelName)
 	w("lite", cp.Lite)
@@ -107,22 +109,49 @@ func (c *Config) Fingerprint() string {
 	w("seed", cp.Seed)
 	w("record_comm", cp.RecordComm)
 
-	if cp.Topology != nil {
-		fmt.Fprintf(&b, "topo_nodes=%d\n", len(cp.Topology.Nodes))
-		for _, n := range cp.Topology.Nodes {
-			fmt.Fprintf(&b, "node=%d,%d\n", n.ID, n.Kind)
-		}
-		for i, l := range cp.Topology.Links {
-			fmt.Fprintf(&b, "link=%d,%d,%d,%v,%v\n", i, l.A, l.B, l.BandwidthBps, l.LatencySec)
-		}
-	}
-	for _, tr := range cp.Traces {
-		fmt.Fprintf(&b, "trace=%d\n", tr.LinkIndex)
-		for _, s := range tr.Segments {
-			fmt.Fprintf(&b, "seg=%v,%v\n", s.UntilSec, s.Scale)
-		}
-	}
+	b = appendFabric(b, cp.Topology, cp.Traces)
 
-	sum := sha256.Sum256([]byte(b.String()))
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:8])
+}
+
+// appendFabric appends the structural serialization of a topology and its
+// traces. These lines are most of a fingerprint's input (a racked fabric has
+// thousands of links), so they are appended directly, every int and float
+// spelled exactly as fmt's %d and %v spell it
+// (TestFingerprintFabricMatchesFmt).
+func appendFabric(b []byte, topo *netsim.Topology, traces []*netsim.BandwidthTrace) []byte {
+	line := func(key string, ints []int, floats ...float64) {
+		b = append(b, key...)
+		first := len(b)
+		for _, v := range ints {
+			if len(b) > first {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+		for _, v := range floats {
+			if len(b) > first {
+				b = append(b, ',')
+			}
+			b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		}
+		b = append(b, '\n')
+	}
+	if topo != nil {
+		line("topo_nodes=", []int{len(topo.Nodes)})
+		for _, n := range topo.Nodes {
+			line("node=", []int{int(n.ID), int(n.Kind)})
+		}
+		for i, l := range topo.Links {
+			line("link=", []int{i, int(l.A), int(l.B)}, l.BandwidthBps, l.LatencySec)
+		}
+	}
+	for _, tr := range traces {
+		line("trace=", []int{tr.LinkIndex})
+		for _, s := range tr.Segments {
+			line("seg=", nil, s.UntilSec, s.Scale)
+		}
+	}
+	return b
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"pactrain/internal/ddp"
@@ -186,5 +189,70 @@ func TestFingerprintDistinguishesResultChangingFields(t *testing.T) {
 		if cfg.Fingerprint() == base {
 			t.Errorf("mutation %q did not change the fingerprint", name)
 		}
+	}
+}
+
+// fmtFabric is the spelling appendFabric must reproduce byte for byte: the
+// fmt verbs the fingerprint serialized its fabric with before the lines
+// were appended directly.
+func fmtFabric(topo *netsim.Topology, traces []*netsim.BandwidthTrace) string {
+	var b strings.Builder
+	if topo != nil {
+		fmt.Fprintf(&b, "topo_nodes=%d\n", len(topo.Nodes))
+		for _, n := range topo.Nodes {
+			fmt.Fprintf(&b, "node=%d,%d\n", n.ID, n.Kind)
+		}
+		for i, l := range topo.Links {
+			fmt.Fprintf(&b, "link=%d,%d,%d,%v,%v\n", i, l.A, l.B, l.BandwidthBps, l.LatencySec)
+		}
+	}
+	for _, tr := range traces {
+		fmt.Fprintf(&b, "trace=%d\n", tr.LinkIndex)
+		for _, s := range tr.Segments {
+			fmt.Fprintf(&b, "seg=%v,%v\n", s.UntilSec, s.Scale)
+		}
+	}
+	return b.String()
+}
+
+// TestFingerprintFabricMatchesFmt pins the pre-hash bytes of the topology
+// and trace lines to the fmt spelling on every float class a link or a
+// segment can hold, and one traced config's digest to the value recorded
+// before the serializer changed — a moved byte would orphan every disk
+// cache entry keyed on a custom fabric.
+func TestFingerprintFabricMatchesFmt(t *testing.T) {
+	t.Parallel()
+	edge := []float64{0, math.Copysign(0, -1), 5e-324, -2.2250738585072014e-308, math.Inf(1), math.Inf(-1),
+		math.NaN(), 1, -1, 1e20, 1e21, 123456789, 1e-5, 0.1, 100e-6, 1e9, 12345.678, math.MaxFloat64, 1 << 53}
+	racked := netsim.RackedTopology(netsim.RackedOptions{Racks: 3, HostsPerRack: 2})
+	weird := netsim.FlatTopology(len(edge), netsim.Gbps, 1e-4)
+	var segs []netsim.TraceSegment
+	for i, v := range edge {
+		weird.Links[i].BandwidthBps = v
+		weird.Links[i].LatencySec = edge[len(edge)-1-i]
+		segs = append(segs, netsim.TraceSegment{UntilSec: v, Scale: edge[(i+7)%len(edge)]})
+	}
+	traces := []*netsim.BandwidthTrace{{LinkIndex: 2, Segments: segs}, {LinkIndex: -1}, {LinkIndex: 0, Segments: segs[:1]}}
+	for name, c := range map[string]struct {
+		topo   *netsim.Topology
+		traces []*netsim.BandwidthTrace
+	}{
+		"none":   {nil, nil},
+		"racked": {racked, nil},
+		"edge":   {weird, traces},
+		"traces": {nil, traces},
+	} {
+		if got, want := string(appendFabric(nil, c.topo, c.traces)), fmtFabric(c.topo, c.traces); got != want {
+			t.Errorf("%s: appended bytes differ from the fmt spelling:\n got %q\nwant %q", name, got, want)
+		}
+	}
+
+	cfg := fpConfig()
+	cfg.World = 6
+	cfg.Topology = racked
+	cfg.Traces = []*netsim.BandwidthTrace{{LinkIndex: 0, Segments: []netsim.TraceSegment{
+		{UntilSec: 0.5, Scale: 0.25}, {UntilSec: math.Inf(1), Scale: 1}}}}
+	if got, want := cfg.Fingerprint(), "a9e209765e4fc73b"; got != want {
+		t.Errorf("traced racked config fingerprints %s, recorded %s", got, want)
 	}
 }

@@ -20,10 +20,11 @@ import (
 // experiment synthesizes each scheme's steady-state operation log directly
 // from its wire formats and replays it on per-rank event timelines with
 // memoized op pricing (opCoster). This is the one path that exercises every
-// cluster-scale mechanism at once: the racked topology's path cache, the
-// hierarchical collective over 64 racks, the timeline composer's
-// homogeneous and per-bucket barrier shortcuts, and signature memoization —
-// without them the grid takes minutes; with them, seconds.
+// cluster-scale mechanism at once: the racked topology's rooted path index,
+// the hierarchical collective over 64 racks of routes resolved once per
+// call, the timeline composer's homogeneous and per-bucket barrier
+// shortcuts, and signature memoization — without them the grid takes
+// minutes; with them, a fraction of a second.
 
 // LargeScaleCell is one (scheme, severity) cell of the grid.
 type LargeScaleCell struct {

@@ -12,7 +12,8 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sync"
+	"slices"
+	"sync/atomic"
 )
 
 // Common bandwidth constants in bits per second.
@@ -52,34 +53,42 @@ type Topology struct {
 	Nodes []Node
 	Links []Link
 
-	adj map[NodeID][]int // node → indices into Links
+	adj [][]int // node → indices into Links, in insertion order
 
-	// pathCache memoizes Path results. Every transfer of every collective
-	// step resolves a path, so at cluster scale (thousands of hosts, millions
-	// of transfers per costed op) the per-call BFS with its map allocations
-	// dominates the whole simulation; the graph is static once built, so the
-	// deterministic BFS result can be computed once per (src, dst). The map
-	// is concurrency-safe because one topology may be shared by several
-	// fabrics (PricingClone, engine jobs reusing a config's topology).
-	pathCache *sync.Map // packed (src,dst) → []int, treated as immutable
+	// tree is the rooted index Path walks when the graph is a tree (nil
+	// slice when it is not), built on first use and dropped by
+	// AddNode/AddLink. Building is idempotent, so the fabrics sharing one
+	// topology (PricingClone, engine jobs reusing a config's topology) may
+	// race to publish it.
+	tree atomic.Pointer[[]treeNode]
+}
+
+// treeNode is a node's place in a tree-shaped topology rooted at node 0.
+type treeNode struct {
+	parent int32 // -1 at the root
+	uplink int32 // index into Links of the edge to parent
+	depth  int32
 }
 
 // NewTopology builds an empty topology.
-func NewTopology() *Topology {
-	return &Topology{adj: make(map[NodeID][]int), pathCache: &sync.Map{}}
-}
+func NewTopology() *Topology { return &Topology{} }
 
 // AddNode appends a node and returns its ID.
 func (t *Topology) AddNode(name string, kind NodeKind) NodeID {
 	id := NodeID(len(t.Nodes))
 	t.Nodes = append(t.Nodes, Node{ID: id, Name: name, Kind: kind})
+	t.adj = append(t.adj, nil)
+	t.tree.Store(nil)
 	return id
 }
 
 // AddLink connects two nodes with the given bandwidth and latency. It panics
-// on unknown nodes or non-positive bandwidth.
+// on unknown nodes or non-positive bandwidth. Topologies are built
+// single-threaded, before any fabric is created over them: a Fabric sizes
+// its byte counters at NewFabric and refuses to route once the link set has
+// changed underneath it.
 func (t *Topology) AddLink(a, b NodeID, bandwidthBps, latencySec float64) int {
-	if int(a) >= len(t.Nodes) || int(b) >= len(t.Nodes) || a == b {
+	if !t.has(a) || !t.has(b) || a == b {
 		panic(fmt.Sprintf("netsim: invalid link %d-%d", a, b))
 	}
 	if bandwidthBps <= 0 {
@@ -89,11 +98,11 @@ func (t *Topology) AddLink(a, b NodeID, bandwidthBps, latencySec float64) int {
 	t.Links = append(t.Links, Link{A: a, B: b, BandwidthBps: bandwidthBps, LatencySec: latencySec})
 	t.adj[a] = append(t.adj[a], idx)
 	t.adj[b] = append(t.adj[b], idx)
-	// Construction invalidates memoized paths. Topologies are built
-	// single-threaded before any fabric prices transfers against them.
-	t.pathCache = &sync.Map{}
+	t.tree.Store(nil)
 	return idx
 }
+
+func (t *Topology) has(n NodeID) bool { return n >= 0 && int(n) < len(t.Nodes) }
 
 // Hosts returns the IDs of all host nodes in insertion order.
 func (t *Topology) Hosts() []NodeID {
@@ -106,58 +115,115 @@ func (t *Topology) Hosts() []NodeID {
 	return hs
 }
 
-// Path returns the minimum-hop link-index path from src to dst using BFS,
-// or nil if unreachable. Results are memoized per (src, dst); callers must
-// not mutate the returned slice.
-func (t *Topology) Path(src, dst NodeID) []int {
-	if src == dst {
-		return []int{}
+// other returns the endpoint of link li that is not n.
+func (t *Topology) other(li int, n NodeID) NodeID {
+	l := &t.Links[li]
+	if l.A == n {
+		return l.B
 	}
-	key := uint64(uint32(src))<<32 | uint64(uint32(dst))
-	if t.pathCache != nil {
-		if p, ok := t.pathCache.Load(key); ok {
-			return p.([]int)
+	return l.A
+}
+
+// index returns the rooted index, building it if AddNode/AddLink dropped it,
+// or nil when the graph is not a tree: a graph is one exactly when it has one
+// link fewer than nodes and every node is reachable from node 0 — which
+// every preset is.
+func (t *Topology) index() []treeNode {
+	if ix := t.tree.Load(); ix != nil {
+		return *ix
+	}
+	var nodes []treeNode
+	if n := len(t.Nodes); n > 0 && len(t.Links) == n-1 {
+		nodes = make([]treeNode, n)
+		for i := range nodes {
+			nodes[i].parent = -2 // unvisited
+		}
+		nodes[0].parent = -1
+		queue := make([]NodeID, 1, n) // the root, node 0
+		for head := 0; head < len(queue); head++ {
+			cur := queue[head]
+			for _, li := range t.adj[cur] {
+				if next := t.other(li, cur); nodes[next].parent == -2 {
+					nodes[next] = treeNode{parent: int32(cur), uplink: int32(li), depth: nodes[cur].depth + 1}
+					queue = append(queue, next)
+				}
+			}
+		}
+		if len(queue) < n {
+			nodes = nil
 		}
 	}
-	path := t.pathBFS(src, dst)
-	if t.pathCache != nil {
-		t.pathCache.Store(key, path)
+	t.tree.Store(&nodes)
+	return nodes
+}
+
+// Path returns the minimum-hop link-index path from src to dst in src→dst
+// order, or nil if unreachable (or either node is unknown). On a tree it is
+// the walk through the common ancestor; any other graph is searched
+// breadth-first, neighbors in link insertion order.
+func (t *Topology) Path(src, dst NodeID) []int {
+	path, ok := t.appendPath([]int{}, src, dst)
+	if !ok {
+		return nil
 	}
 	return path
 }
 
-// pathBFS is the uncached breadth-first search behind Path.
+// appendPath appends Path(src, dst) to buf; ok is false when there is none.
+func (t *Topology) appendPath(buf []int, src, dst NodeID) (path []int, ok bool) {
+	if !t.has(src) || !t.has(dst) {
+		return nil, false
+	}
+	if src == dst {
+		return buf, true
+	}
+	nodes := t.index()
+	if nodes == nil {
+		bfs := t.pathBFS(src, dst)
+		return append(buf, bfs...), bfs != nil
+	}
+	// Find the common ancestor, then fill the path from both ends.
+	a, b := int32(src), int32(dst)
+	for nodes[a].depth > nodes[b].depth {
+		a = nodes[a].parent
+	}
+	for nodes[b].depth > nodes[a].depth {
+		b = nodes[b].parent
+	}
+	for a != b {
+		a, b = nodes[a].parent, nodes[b].parent
+	}
+	start := len(buf)
+	end := start + int(nodes[src].depth+nodes[dst].depth-2*nodes[a].depth)
+	path = slices.Grow(buf, end-start)[:end]
+	for i, n := start, int32(src); n != a; i, n = i+1, nodes[n].parent {
+		path[i] = int(nodes[n].uplink)
+	}
+	for i, n := end-1, int32(dst); n != a; i, n = i-1, nodes[n].parent {
+		path[i] = int(nodes[n].uplink)
+	}
+	return path, true
+}
+
+// pathBFS is the breadth-first search behind Path on graphs with cycles or
+// several components, and the reference the tree walk is tested against.
 func (t *Topology) pathBFS(src, dst NodeID) []int {
-	prev := make(map[NodeID]int) // node → link index used to reach it
-	visited := map[NodeID]bool{src: true}
+	via := make([]int, len(t.Nodes)) // node → link used to reach it, +1; 0 = unvisited
 	queue := []NodeID{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
 		for _, li := range t.adj[cur] {
-			l := t.Links[li]
-			next := l.A
-			if next == cur {
-				next = l.B
-			}
-			if visited[next] {
+			next := t.other(li, cur)
+			if next == src || via[next] != 0 {
 				continue
 			}
-			visited[next] = true
-			prev[next] = li
+			via[next] = li + 1
 			if next == dst {
-				// Reconstruct.
 				var path []int
-				for n := dst; n != src; {
-					li := prev[n]
-					path = append([]int{li}, path...)
-					l := t.Links[li]
-					if l.A == n {
-						n = l.B
-					} else {
-						n = l.A
-					}
+				for n := dst; n != src; n = t.other(via[n]-1, n) {
+					path = append(path, via[n]-1)
 				}
+				slices.Reverse(path)
 				return path
 			}
 			queue = append(queue, next)
@@ -226,19 +292,69 @@ func (f *Fabric) SetTrace(tr *BandwidthTrace) {
 // layer's per-op-signature memoization (internal/harness).
 func (f *Fabric) TimeInvariant() bool { return len(f.traces) == 0 }
 
-// linkBandwidthAt returns the effective bandwidth of a link at time t.
-func (f *Fabric) linkBandwidthAt(li int, t float64) float64 {
+// LinkBandwidthAt returns the effective (trace-scaled) bandwidth of link li
+// at time t — the per-link view contention-aware collective costers need.
+func (f *Fabric) LinkBandwidthAt(li int, t float64) float64 {
 	bw := f.Topo.Links[li].BandwidthBps
-	if tr := f.traces[li]; tr != nil {
-		bw *= tr.scaleAt(t)
+	if len(f.traces) != 0 {
+		if tr := f.traces[li]; tr != nil {
+			bw *= tr.scaleAt(t)
+		}
 	}
 	return bw
 }
 
-// LinkBandwidthAt returns the effective (trace-scaled) bandwidth of link li
-// at time t — the per-link view contention-aware collective costers need.
-func (f *Fabric) LinkBandwidthAt(li int, t float64) float64 {
-	return f.linkBandwidthAt(li, t)
+// Route is a resolved src→dst path: what a collective keeps per pair so the
+// graph is walked once per call rather than once per step. The zero Route
+// (no links) is a node's route to itself.
+type Route struct {
+	// Links are the traversed link indices in src→dst order.
+	Links []int
+	// LatencySec is the links' one-way latencies summed in that order.
+	LatencySec float64
+}
+
+// Route resolves the path from src to dst. It returns an error when the
+// nodes are disconnected, or when links were added to the topology after
+// NewFabric sized this fabric's byte counters.
+func (f *Fabric) Route(src, dst NodeID) (Route, error) {
+	return f.route(nil, src, dst)
+}
+
+// route is Route with the links appended to buf, so a caller that prices one
+// transfer and drops the route can keep it on its stack.
+func (f *Fabric) route(buf []int, src, dst NodeID) (Route, error) {
+	if len(f.BytesOnLink) != len(f.Topo.Links) {
+		return Route{}, fmt.Errorf("netsim: topology changed after NewFabric (%d links, fabric counts %d)",
+			len(f.Topo.Links), len(f.BytesOnLink))
+	}
+	path, ok := f.Topo.appendPath(buf, src, dst)
+	if !ok {
+		return Route{}, fmt.Errorf("netsim: no path from %d to %d", src, dst)
+	}
+	r := Route{Links: path}
+	for _, li := range path {
+		r.LatencySec += f.Topo.Links[li].LatencySec
+	}
+	return r, nil
+}
+
+// Send returns the time to move payloadBytes along a route resolved on this
+// fabric, starting at time t, and records the bytes on every traversed link.
+// Each link's bandwidth is read at t, so traces apply per transfer.
+func (f *Fabric) Send(r Route, payloadBytes float64, t float64) float64 {
+	if len(r.Links) == 0 {
+		return 0
+	}
+	bottleneck := math.Inf(1)
+	for _, li := range r.Links {
+		if bw := f.LinkBandwidthAt(li, t); bw < bottleneck {
+			bottleneck = bw
+		}
+		f.BytesOnLink[li] += payloadBytes
+	}
+	f.TotalBytes += payloadBytes
+	return r.LatencySec + payloadBytes*8/bottleneck
 }
 
 // PathQuote describes the cost of a transfer path at a point in time.
@@ -252,20 +368,15 @@ type PathQuote struct {
 // bottleneck bandwidth and cumulative latency. It returns an error when the
 // nodes are disconnected.
 func (f *Fabric) Quote(src, dst NodeID, t float64) (PathQuote, error) {
-	if src == dst {
-		return PathQuote{BottleneckBps: math.Inf(1)}, nil
+	r, err := f.Route(src, dst)
+	if err != nil {
+		return PathQuote{}, err
 	}
-	path := f.Topo.Path(src, dst)
-	if path == nil {
-		return PathQuote{}, fmt.Errorf("netsim: no path from %d to %d", src, dst)
-	}
-	q := PathQuote{BottleneckBps: math.Inf(1), Hops: len(path)}
-	for _, li := range path {
-		bw := f.linkBandwidthAt(li, t)
-		if bw < q.BottleneckBps {
+	q := PathQuote{BottleneckBps: math.Inf(1), LatencySec: r.LatencySec, Hops: len(r.Links)}
+	for _, li := range r.Links {
+		if bw := f.LinkBandwidthAt(li, t); bw < q.BottleneckBps {
 			q.BottleneckBps = bw
 		}
-		q.LatencySec += f.Topo.Links[li].LatencySec
 	}
 	return q, nil
 }
@@ -273,25 +384,12 @@ func (f *Fabric) Quote(src, dst NodeID, t float64) (PathQuote, error) {
 // TransferTime returns the time to move payloadBytes from src to dst
 // starting at time t, and records the bytes on every traversed link.
 func (f *Fabric) TransferTime(src, dst NodeID, payloadBytes float64, t float64) (float64, error) {
-	if src == dst {
-		return 0, nil
+	var buf [8]int // longer paths spill to the heap
+	r, err := f.route(buf[:0], src, dst)
+	if err != nil {
+		return 0, err
 	}
-	path := f.Topo.Path(src, dst)
-	if path == nil {
-		return 0, fmt.Errorf("netsim: no path from %d to %d", src, dst)
-	}
-	bottleneck := math.Inf(1)
-	latency := 0.0
-	for _, li := range path {
-		bw := f.linkBandwidthAt(li, t)
-		if bw < bottleneck {
-			bottleneck = bw
-		}
-		latency += f.Topo.Links[li].LatencySec
-		f.BytesOnLink[li] += payloadBytes
-	}
-	f.TotalBytes += payloadBytes
-	return latency + payloadBytes*8/bottleneck, nil
+	return f.Send(r, payloadBytes, t), nil
 }
 
 // PricingClone returns a fabric over the same topology and traces with
@@ -324,7 +422,7 @@ func (f *Fabric) BottleneckBandwidthAt(t float64) float64 {
 	}
 	bw := math.Inf(1)
 	for _, li := range links {
-		if b := f.linkBandwidthAt(li, t); b < bw {
+		if b := f.LinkBandwidthAt(li, t); b < bw {
 			bw = b
 		}
 	}
@@ -576,13 +674,11 @@ func RackedTopology(opt RackedOptions) *Topology {
 // insertion order — the "rack" a host belongs to. ok is false for nodes
 // with no switch neighbor (e.g. hosts wired point-to-point).
 func (t *Topology) AttachedSwitch(n NodeID) (NodeID, bool) {
+	if !t.has(n) {
+		return 0, false
+	}
 	for _, li := range t.adj[n] {
-		l := t.Links[li]
-		other := l.A
-		if other == n {
-			other = l.B
-		}
-		if t.Nodes[other].Kind == Switch {
+		if other := t.other(li, n); t.Nodes[other].Kind == Switch {
 			return other, true
 		}
 	}

@@ -1,6 +1,9 @@
 package netsim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestRackedTopologyStructure(t *testing.T) {
 	t.Parallel()
@@ -62,27 +65,47 @@ func TestOneSlowRackProfile(t *testing.T) {
 	}
 }
 
+// TestPathCacheConsistency: what Path caches is the rooted index — built on
+// first use, rebuilt after the graph grows, and abandoned for breadth-first
+// search once a link closes a cycle.
 func TestPathCacheConsistency(t *testing.T) {
 	t.Parallel()
 	topo := RackedTopology(RackedOptions{Racks: 2, HostsPerRack: 2})
 	hosts := topo.Hosts()
 	first := topo.Path(hosts[0], hosts[3])
-	if first == nil {
-		t.Fatal("no path between hosts")
+	if len(first) != 4 {
+		t.Fatalf("cross-rack path %v, want 4 links", first)
 	}
-	second := topo.Path(hosts[0], hosts[3])
-	if len(first) != len(second) {
-		t.Fatalf("cached path %v differs from first %v", second, first)
+	if second := topo.Path(hosts[0], hosts[3]); !slices.Equal(first, second) {
+		t.Fatalf("repeated path %v differs from first %v", second, first)
 	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("cached path %v differs from first %v", second, first)
-		}
+	if ix := topo.index(); len(ix) != len(topo.Nodes) {
+		t.Fatalf("a racked preset is a tree, but the index holds %d of %d nodes", len(ix), len(topo.Nodes))
 	}
-	// Mutating the graph must invalidate cached paths: a direct link
-	// between the two hosts becomes the new shortest path.
+
+	// Growing the tree drops the index; the next path sees the new leaf.
+	leaf := topo.AddNode("S5", Host)
+	li := topo.AddLink(leaf, hosts[3], Gbps, 1e-6)
+	if topo.tree.Load() != nil {
+		t.Fatal("AddLink kept a stale index")
+	}
+	if got := topo.Path(hosts[0], leaf); len(got) != 5 || got[4] != li {
+		t.Fatalf("path to the new leaf %v, want 5 links ending in link %d", got, li)
+	}
+	if ix := topo.index(); len(ix) != len(topo.Nodes) {
+		t.Fatalf("rebuilt index holds %d of %d nodes", len(ix), len(topo.Nodes))
+	}
+
+	// A direct link between the two hosts closes a cycle: the graph is no
+	// longer a tree, and the search finds the new shortest path.
 	topo.AddLink(hosts[0], hosts[3], Gbps, 1e-6)
 	if short := topo.Path(hosts[0], hosts[3]); len(short) != 1 {
-		t.Fatalf("post-AddLink path has %d links, want 1 (stale cache?)", len(short))
+		t.Fatalf("post-AddLink path has %d links, want 1 (stale index?)", len(short))
+	}
+	if topo.index() != nil {
+		t.Fatal("a graph with a cycle kept a rooted index")
+	}
+	if got := topo.Path(hosts[1], leaf); len(got) != 4 {
+		t.Fatalf("path through the shortcut %v, want 4 links", got)
 	}
 }
