@@ -19,8 +19,6 @@
 //	pactrain-bench -exp fig3 -overlap backward   # hide comm under backward
 //	pactrain-bench -list-schemes          # aggregation-scheme catalog
 //	pactrain-bench -list-collectives      # collective-algorithm catalog
-//	pactrain-bench -perf                  # perf lane: write BENCH_full.json
-//	pactrain-bench -perf -quick -perf-compare BENCH_quick.json   # CI check
 //	pactrain-bench -exp all -cpuprofile cpu.pprof   # profile a run
 //	pactrain-bench -exp stragglers -quick -trace trace.json -trace-summary
 //	                                      # per-rank Perfetto timeline
@@ -31,13 +29,6 @@
 // take minutes of wall time; -quick substitutes the MLP twin and finishes
 // in seconds while exercising identical code paths.
 //
-// The perf lane (-perf) runs the pinned macro-benchmark grid from DESIGN.md
-// §10 — timeline composition at 64/1,024/4,096 ranks, the parallel
-// compression kernels, and the largescale pricing experiment — and writes
-// BENCH_<grid>.json. With -perf-compare it diffs the run against a committed
-// baseline, normalizing by the calibration entry, and exits non-zero when
-// any benchmark slowed by more than 10%.
-//
 // All experiments share one run engine: identical (model, scheme, seed)
 // trainings are deduplicated across experiments within the invocation, and
 // with -cache also across invocations. Reports are byte-identical at any
@@ -45,95 +36,45 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"pactrain"
-	"pactrain/internal/loadgen"
-	"pactrain/internal/prof"
+	"pactrain/internal/cli"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+func run() int {
 	exp := flag.String("exp", "all", "experiment id: table1|fig3|fig5|fig6|ablation-mt|ablation-tern|ablation-topo|ablation-varbw|collectives|adaptive|stragglers|largescale|all")
 	quick := flag.Bool("quick", false, "fast settings (MLP twin, smaller sweeps)")
 	world := flag.Int("world", 8, "number of distributed workers")
 	samples := flag.Int("samples", 0, "synthetic training samples (0 = preset default)")
 	seed := flag.Uint64("seed", 1, "experiment seed")
-	collectiveAlgo := flag.String("collective", "", "collective algorithm for every job: ring|tree|hierarchical (empty = ring)")
-	overlap := flag.String("overlap", "", "backward-overlap model for every job: none|backward (empty = none)")
 	quiet := flag.Bool("quiet", false, "suppress progress logging")
 	parallel := flag.Int("parallel", 1, "concurrent training jobs")
 	cacheDir := flag.String("cache", "", "directory for the on-disk run cache (empty = disabled)")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON reports instead of text")
 	listSchemes := flag.Bool("list-schemes", false, "print the aggregation-scheme catalog and exit")
 	listCollectives := flag.Bool("list-collectives", false, "print the collective-algorithm catalog and exit")
-	perf := flag.Bool("perf", false, "run the pinned perf-regression grid instead of experiments")
-	perfServe := flag.Bool("perf-serve", true, "include the serve-throughput entries (loadgen against an in-process 2-instance cache-peer pair) in the perf grid")
-	perfOut := flag.String("perf-out", "", "perf report output path (default BENCH_<grid>.json)")
-	perfCompare := flag.String("perf-compare", "", "baseline BENCH_*.json to diff the perf run against; regressions >10% exit non-zero")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of every traced run to this file (open in Perfetto)")
-	traceSummary := flag.Bool("trace-summary", false, "print the per-span aggregate of the collected trace to stderr (requires -trace)")
 	validateTrace := flag.Bool("validate-trace", false, "structurally validate the written trace file; exit non-zero on failure (requires -trace)")
-	auditPath := flag.String("audit", "", "write the counterfactual audit ledger (controller regret + cost-model calibration) as JSON to this file")
-	auditSummary := flag.Bool("audit-summary", false, "print the regret/calibration/switch tables of the collected audit to stderr (requires -audit)")
-	auditStaleness := flag.Float64("audit-staleness", 0, "age the audit's bandwidth observations by this many seconds to probe calibration drift (requires -audit)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	common := cli.Register(flag.CommandLine)
 	flag.Parse()
 
-	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
+	if _, err := common.Check(); err != nil {
+		return cli.Usage(err)
+	}
+	if *validateTrace && *common.TracePath == "" {
+		return cli.Usage(errors.New("-validate-trace requires -trace"))
+	}
+	stopProfiles, err := common.StartProfiles()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pactrain-bench: %v\n", err)
-		os.Exit(2)
+		return cli.Usage(err)
 	}
 	defer stopProfiles()
-	exit := func(code int) {
-		stopProfiles()
-		os.Exit(code)
-	}
-
-	if *perf {
-		popt := pactrain.PerfOptions{Quick: *quick}
-		if !*quiet {
-			popt.Log = os.Stderr
-		}
-		if *perfServe {
-			// The serve-* entries boot a two-instance cache-peer pair in
-			// process and measure a load run against it; the train-fraction
-			// entry keeps cross-instance dedup under the same 10% gate as
-			// the kernels.
-			popt.Extra = loadgen.PerfCases(*quick, popt.Log)
-		}
-		report := pactrain.RunPerf(popt)
-		out := *perfOut
-		if out == "" {
-			out = pactrain.BenchPath(report.Grid)
-		}
-		if err := pactrain.WriteBench(out, report); err != nil {
-			fmt.Fprintf(os.Stderr, "pactrain-bench: %v\n", err)
-			exit(1)
-		}
-		fmt.Printf("perf grid %q: %d benchmarks -> %s\n", report.Grid, len(report.Entries), out)
-		if *perfCompare != "" {
-			base, err := pactrain.LoadBench(*perfCompare)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pactrain-bench: %v\n", err)
-				exit(1)
-			}
-			if regressions := pactrain.CompareBench(base, report, pactrain.BenchTolerance); len(regressions) > 0 {
-				fmt.Fprintf(os.Stderr, "pactrain-bench: perf regressions vs %s:\n", *perfCompare)
-				for _, line := range regressions {
-					fmt.Fprintf(os.Stderr, "  %s\n", line)
-				}
-				exit(1)
-			}
-			fmt.Printf("perf: no regressions vs %s (tolerance %d%%)\n",
-				*perfCompare, int(pactrain.BenchTolerance*100))
-		}
-		return
-	}
 
 	if *listSchemes {
 		for _, s := range pactrain.SchemeCatalog() {
@@ -143,21 +84,13 @@ func main() {
 			}
 			fmt.Printf("%-18s %s%s\n", s.Name, s.Description, alias)
 		}
-		return
+		return 0
 	}
 	if *listCollectives {
 		for _, a := range pactrain.CollectiveCatalog() {
 			fmt.Printf("%-18s %s\n", a.Name, a.Description)
 		}
-		return
-	}
-	if _, err := pactrain.CanonicalCollective(*collectiveAlgo); err != nil {
-		fmt.Fprintf(os.Stderr, "pactrain-bench: %v\n", err)
-		exit(2)
-	}
-	if _, err := pactrain.ParseOverlap(*overlap); err != nil {
-		fmt.Fprintf(os.Stderr, "pactrain-bench: %v\n", err)
-		exit(2)
+		return 0
 	}
 
 	opt := pactrain.Options{
@@ -165,8 +98,8 @@ func main() {
 		World:       *world,
 		Samples:     *samples,
 		Seed:        *seed,
-		Collective:  *collectiveAlgo,
-		Overlap:     *overlap,
+		Collective:  *common.Collective,
+		Overlap:     *common.Overlap,
 		Parallelism: *parallel,
 		CacheDir:    *cacheDir,
 	}
@@ -174,21 +107,15 @@ func main() {
 		opt.Log = os.Stderr
 	}
 	var tracer *pactrain.Tracer
-	if *tracePath != "" {
+	if *common.TracePath != "" {
 		tracer = pactrain.NewTracer()
 		opt.Tracer = tracer
-	} else if *traceSummary || *validateTrace {
-		fmt.Fprintf(os.Stderr, "pactrain-bench: -trace-summary and -validate-trace require -trace\n")
-		exit(2)
 	}
 	var auditor *pactrain.Auditor
-	if *auditPath != "" {
+	if *common.AuditPath != "" {
 		auditor = pactrain.NewAuditor()
 		opt.Auditor = auditor
-		opt.AuditStaleness = *auditStaleness
-	} else if *auditSummary || *auditStaleness != 0 {
-		fmt.Fprintf(os.Stderr, "pactrain-bench: -audit-summary and -audit-staleness require -audit\n")
-		exit(2)
+		opt.AuditStaleness = *common.AuditStaleness
 	}
 	// One engine for the whole invocation: experiments share trained runs.
 	eng := pactrain.NewExperimentEngine(opt)
@@ -198,21 +125,18 @@ func main() {
 	if *exp == "all" {
 		ids = pactrain.ExperimentIDs()
 	} else if _, ok := pactrain.LookupExperiment(*exp); !ok {
-		fmt.Fprintf(os.Stderr, "pactrain-bench: unknown experiment %q; valid ids: %s, all\n",
-			*exp, strings.Join(pactrain.ExperimentIDs(), ", "))
-		exit(2)
+		return cli.Usage(fmt.Errorf("unknown experiment %q; valid ids: %s, all",
+			*exp, strings.Join(pactrain.ExperimentIDs(), ", ")))
 	}
 	for _, id := range ids {
 		report, err := pactrain.Experiment(id, opt)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pactrain-bench: %v\n", err)
-			exit(1)
+			return cli.Fail(err)
 		}
 		if *asJSON {
 			raw, err := pactrain.ExperimentJSON(id, opt, report)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "pactrain-bench: %v\n", err)
-				exit(1)
+				return cli.Fail(err)
 			}
 			fmt.Printf("%s\n", raw)
 		} else {
@@ -223,37 +147,35 @@ func main() {
 		fmt.Fprintf(os.Stderr, "engine: %s\n", eng.Stats().Summary())
 	}
 	if tracer != nil {
-		if err := pactrain.WriteTrace(tracer, *tracePath); err != nil {
-			fmt.Fprintf(os.Stderr, "pactrain-bench: %v\n", err)
-			exit(1)
+		if err := pactrain.WriteTrace(tracer, *common.TracePath); err != nil {
+			return cli.Fail(err)
 		}
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "trace: %d runs -> %s\n", tracer.Runs(), *tracePath)
+			fmt.Fprintf(os.Stderr, "trace: %d runs -> %s\n", tracer.Runs(), *common.TracePath)
 		}
-		if *traceSummary {
+		if *common.TraceSummary {
 			fmt.Fprint(os.Stderr, pactrain.TraceSummary(tracer))
 		}
 		if *validateTrace {
-			if err := pactrain.ValidateTraceFile(*tracePath); err != nil {
-				fmt.Fprintf(os.Stderr, "pactrain-bench: trace validation: %v\n", err)
-				exit(1)
+			if err := pactrain.ValidateTraceFile(*common.TracePath); err != nil {
+				return cli.Fail(fmt.Errorf("trace validation: %w", err))
 			}
 			if !*quiet {
-				fmt.Fprintf(os.Stderr, "trace: %s validates\n", *tracePath)
+				fmt.Fprintf(os.Stderr, "trace: %s validates\n", *common.TracePath)
 			}
 		}
 	}
 	if auditor != nil {
 		reports := auditor.Reports()
-		if err := pactrain.WriteAuditReports(*auditPath, reports); err != nil {
-			fmt.Fprintf(os.Stderr, "pactrain-bench: %v\n", err)
-			exit(1)
+		if err := pactrain.WriteAuditReports(*common.AuditPath, reports); err != nil {
+			return cli.Fail(err)
 		}
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "audit: %d ledgers -> %s\n", len(reports), *auditPath)
+			fmt.Fprintf(os.Stderr, "audit: %d ledgers -> %s\n", len(reports), *common.AuditPath)
 		}
-		if *auditSummary {
+		if *common.AuditSummary {
 			fmt.Fprint(os.Stderr, pactrain.AuditSummary(reports))
 		}
 	}
+	return 0
 }

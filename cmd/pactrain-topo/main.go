@@ -15,50 +15,31 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
+	"pactrain/internal/cli"
 	"pactrain/internal/collective"
 	"pactrain/internal/metrics"
 	"pactrain/internal/netsim"
 	"pactrain/internal/nn"
 )
 
-func parseBandwidth(s string) (float64, error) {
-	s = strings.ToLower(strings.TrimSpace(s))
-	switch {
-	case strings.HasSuffix(s, "gbps"):
-		var v float64
-		if _, err := fmt.Sscanf(s, "%fgbps", &v); err != nil {
-			return 0, err
-		}
-		return v * netsim.Gbps, nil
-	case strings.HasSuffix(s, "mbps"):
-		var v float64
-		if _, err := fmt.Sscanf(s, "%fmbps", &v); err != nil {
-			return 0, err
-		}
-		return v * netsim.Mbps, nil
-	}
-	return 0, fmt.Errorf("bandwidth %q must end in mbps or gbps", s)
-}
+func main() { os.Exit(run()) }
 
-func main() {
+func run() int {
 	topoName := flag.String("topology", "fig4", "fig4|flat")
 	bw := flag.String("bw", "1gbps", "bottleneck (fig4) or uniform (flat) bandwidth")
 	world := flag.Int("world", 8, "worker count")
 	batch := flag.Int("batch", 32, "per-GPU batch size for the compute estimate")
-	collectiveAlgo := flag.String("collective", "", "collective algorithm pricing the estimates: ring|tree|hierarchical (empty = ring)")
+	collectiveAlgo := cli.Collective(flag.CommandLine)
 	flag.Parse()
 
-	bandwidth, err := parseBandwidth(*bw)
+	bandwidth, err := netsim.ParseBandwidth(*bw)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pactrain-topo: %v\n", err)
-		os.Exit(1)
+		return cli.Usage(fmt.Errorf("-bw: %w", err))
 	}
 	algo, err := collective.AlgorithmByName(*collectiveAlgo)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pactrain-topo: %v\n", err)
-		os.Exit(1)
+		return cli.Usage(err)
 	}
 
 	var topo *netsim.Topology
@@ -68,13 +49,11 @@ func main() {
 	case "flat":
 		topo = netsim.FlatTopology(*world, bandwidth, 1e-4)
 	default:
-		fmt.Fprintf(os.Stderr, "pactrain-topo: unknown topology %q\n", *topoName)
-		os.Exit(1)
+		return cli.Usage(fmt.Errorf("-topology: unknown topology %q", *topoName))
 	}
 	hosts := topo.Hosts()
 	if len(hosts) < *world {
-		fmt.Fprintf(os.Stderr, "pactrain-topo: topology has %d hosts for %d workers\n", len(hosts), *world)
-		os.Exit(1)
+		return cli.Fail(fmt.Errorf("topology has %d hosts for %d workers", len(hosts), *world))
 	}
 	hosts = hosts[:*world]
 
@@ -82,7 +61,7 @@ func main() {
 	for _, l := range topo.Links {
 		fmt.Printf("  %-10s — %-10s  %8s  %.0fµs\n",
 			topo.Nodes[l.A].Name, topo.Nodes[l.B].Name,
-			fmtBw(l.BandwidthBps), l.LatencySec*1e6)
+			netsim.FormatBandwidth(l.BandwidthBps), l.LatencySec*1e6)
 	}
 
 	fabric := netsim.NewFabric(topo)
@@ -91,8 +70,7 @@ func main() {
 	for _, p := range pairs {
 		dt, err := fabric.TransferTime(hosts[p[0]], hosts[p[1]], 10<<20, 0)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pactrain-topo: %v\n", err)
-			os.Exit(1)
+			return cli.Fail(err)
 		}
 		fmt.Printf("  %s → %s: %s\n", topo.Nodes[hosts[p[0]]].Name, topo.Nodes[hosts[p[1]]].Name,
 			metrics.FormatSeconds(dt))
@@ -117,11 +95,5 @@ func main() {
 	}
 	fmt.Print(tb.String())
 	fmt.Printf("\n(compute model: A40 @ 37.4 TFLOP/s fp32, 35%% efficiency, backward = 2× forward)\n")
-}
-
-func fmtBw(bps float64) string {
-	if bps >= netsim.Gbps {
-		return fmt.Sprintf("%g Gbps", bps/netsim.Gbps)
-	}
-	return fmt.Sprintf("%g Mbps", bps/netsim.Mbps)
+	return 0
 }

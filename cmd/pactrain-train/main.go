@@ -23,35 +23,17 @@ import (
 
 	"pactrain"
 	"pactrain/internal/adaptive"
+	"pactrain/internal/cli"
 	"pactrain/internal/metrics"
+	"pactrain/internal/netsim"
 	"pactrain/internal/par"
-	"pactrain/internal/prof"
 )
 
-func parseBandwidth(s string) (float64, error) {
-	s = strings.ToLower(strings.TrimSpace(s))
-	switch {
-	case strings.HasSuffix(s, "gbps"):
-		var v float64
-		if _, err := fmt.Sscanf(s, "%fgbps", &v); err != nil {
-			return 0, err
-		}
-		return v * pactrain.Gbps, nil
-	case strings.HasSuffix(s, "mbps"):
-		var v float64
-		if _, err := fmt.Sscanf(s, "%fmbps", &v); err != nil {
-			return 0, err
-		}
-		return v * pactrain.Mbps, nil
-	}
-	return 0, fmt.Errorf("bandwidth %q must end in mbps or gbps", s)
-}
+func main() { os.Exit(run()) }
 
-func main() {
+func run() int {
 	model := flag.String("model", "ResNet18", "workload: VGG19|ResNet18|ResNet152|ViT-Base-16|MLP")
 	scheme := flag.String("scheme", "pactrain-ternary", "aggregation scheme (see pactrain.Schemes)")
-	collectiveAlgo := flag.String("collective", "", "collective algorithm: ring|tree|hierarchical (empty = ring)")
-	overlap := flag.String("overlap", "", "backward-overlap model: none|backward (empty = none)")
 	straggler := flag.Float64("straggler", 1, "one-slow-rank compute multiplier (1 = uniform cluster)")
 	jitter := flag.Float64("jitter", 0, "per-iteration compute jitter fraction in [0,1)")
 	bw := flag.String("bw", "1gbps", "Fig. 4 bottleneck bandwidth, e.g. 100mbps, 500mbps, 1gbps")
@@ -70,41 +52,30 @@ func main() {
 	adaptMargin := flag.Float64("adapt-margin", 0, "adaptive scheme: hysteresis win margin (0 = default)")
 	adaptDwell := flag.Int("adapt-dwell", 0, "adaptive scheme: challenger rounds before a format switch (0 = default)")
 	adaptCandidates := flag.String("adapt-candidates", "", "adaptive scheme: comma-separated candidate formats (empty = all)")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (open in Perfetto)")
-	traceSummary := flag.Bool("trace-summary", false, "print the per-span aggregate of the collected trace to stderr (requires -trace)")
-	auditPath := flag.String("audit", "", "write the run's counterfactual audit ledger (controller regret + cost-model calibration) as JSON to this file")
-	auditSummary := flag.Bool("audit-summary", false, "print the regret/calibration/switch tables of the audit to stderr (requires -audit)")
-	auditStaleness := flag.Float64("audit-staleness", 0, "age the audit's bandwidth observations by this many seconds to probe calibration drift (requires -audit)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	kernelParallel := flag.Int("kernel-parallel", runtime.GOMAXPROCS(0),
 		"cores the model-compute and compression kernels may occupy, shared by the run's ranks (results are bit-identical at any value)")
+	common := cli.Register(flag.CommandLine)
 	flag.Parse()
 
-	par.SetBudget(*kernelParallel)
-
-	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
+	overlapMode, err := common.Check()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pactrain-train: %v\n", err)
-		os.Exit(2)
+		return cli.Usage(err)
+	}
+	bottleneck, err := netsim.ParseBandwidth(*bw)
+	if err != nil {
+		return cli.Usage(fmt.Errorf("-bw: %w", err))
+	}
+
+	par.SetBudget(*kernelParallel)
+	stopProfiles, err := common.StartProfiles()
+	if err != nil {
+		return cli.Usage(err)
 	}
 	defer stopProfiles()
 
-	bottleneck, err := parseBandwidth(*bw)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pactrain-train: %v\n", err)
-		os.Exit(1)
-	}
-
-	overlapMode, err := pactrain.ParseOverlap(*overlap)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pactrain-train: %v\n", err)
-		os.Exit(2)
-	}
-
 	cfg := pactrain.DefaultConfig(*model, *scheme)
 	cfg.World = *world
-	cfg.Collective = *collectiveAlgo
+	cfg.Collective = *common.Collective
 	cfg.Overlap = overlapMode
 	if *straggler != 1 {
 		cfg.RankCompute.Multipliers = pactrain.OneSlowRank(*world, *straggler)
@@ -134,64 +105,50 @@ func main() {
 	case "grasp":
 		cfg.PruneMethod = pactrain.GraSP
 	default:
-		fmt.Fprintf(os.Stderr, "pactrain-train: unknown prune method %q\n", *pruneMethod)
-		os.Exit(1)
-	}
-
-	if *traceSummary && *tracePath == "" {
-		fmt.Fprintf(os.Stderr, "pactrain-train: -trace-summary requires -trace\n")
-		os.Exit(2)
-	}
-	if (*auditSummary || *auditStaleness != 0) && *auditPath == "" {
-		fmt.Fprintf(os.Stderr, "pactrain-train: -audit-summary and -audit-staleness require -audit\n")
-		os.Exit(2)
+		return cli.Usage(fmt.Errorf("-prune-method: unknown method %q", *pruneMethod))
 	}
 
 	res, err := pactrain.Train(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pactrain-train: %v\n", err)
-		os.Exit(1)
+		return cli.Fail(err)
 	}
 
-	if *tracePath != "" {
+	if *common.TracePath != "" {
 		tracer := pactrain.NewTracer()
 		err := pactrain.TraceRun(tracer, fmt.Sprintf("%s %s", res.Model, res.Scheme), cfg, res)
 		if err == nil {
-			err = pactrain.WriteTrace(tracer, *tracePath)
+			err = pactrain.WriteTrace(tracer, *common.TracePath)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pactrain-train: %v\n", err)
-			os.Exit(1)
+			return cli.Fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "trace: %s\n", *tracePath)
-		if *traceSummary {
+		fmt.Fprintf(os.Stderr, "trace: %s\n", *common.TracePath)
+		if *common.TraceSummary {
 			fmt.Fprint(os.Stderr, pactrain.TraceSummary(tracer))
 		}
 	}
 
-	if *auditPath != "" {
+	if *common.AuditPath != "" {
 		rep, err := pactrain.AuditRun(fmt.Sprintf("%s %s", res.Model, res.Scheme), cfg, res,
-			pactrain.AuditOptions{StalenessSec: *auditStaleness, IncludeRounds: true})
+			pactrain.AuditOptions{StalenessSec: *common.AuditStaleness, IncludeRounds: true})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pactrain-train: %v\n", err)
-			os.Exit(1)
+			return cli.Fail(err)
 		}
 		if rep.DecidedRounds == 0 {
 			fmt.Fprintf(os.Stderr, "audit: no controller decisions to ledger (scheme %q is static)\n", res.Scheme)
 		}
-		if err := pactrain.WriteAuditReports(*auditPath, []*pactrain.AuditReport{rep}); err != nil {
-			fmt.Fprintf(os.Stderr, "pactrain-train: %v\n", err)
-			os.Exit(1)
+		if err := pactrain.WriteAuditReports(*common.AuditPath, []*pactrain.AuditReport{rep}); err != nil {
+			return cli.Fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "audit: %s\n", *auditPath)
-		if *auditSummary {
+		fmt.Fprintf(os.Stderr, "audit: %s\n", *common.AuditPath)
+		if *common.AuditSummary {
 			fmt.Fprint(os.Stderr, rep.Render())
 		}
 	}
 
 	if *csv {
 		fmt.Print(res.Curve.CSV())
-		return
+		return 0
 	}
 
 	fmt.Printf("model        %s\n", res.Model)
@@ -223,4 +180,5 @@ func main() {
 			adaptive.SummarizeCounts(res.AdaptiveDecisions), res.AdaptiveSwitches)
 	}
 	fmt.Printf("wall time    %.1fs\n", res.WallSeconds)
+	return 0
 }

@@ -126,7 +126,7 @@ func (r *AblationTernaryResult) Render() string {
 	tb := metrics.NewTable(fmt.Sprintf("Ablation — pruning-only vs pruning+ternary (%s)", r.Model),
 		"bandwidth", "PacTrain TTA", "PacTrain+ternary TTA", "ternary gain")
 	for _, row := range r.Rows {
-		tb.AddRow(bandwidthLabel(row.BandwidthBps),
+		tb.AddRow(netsim.FormatBandwidth(row.BandwidthBps),
 			metrics.FormatSeconds(row.PlainTTA), metrics.FormatSeconds(row.TernaryTTA),
 			fmt.Sprintf("%.2f×", row.PlainTTA/row.TernaryTTA))
 	}

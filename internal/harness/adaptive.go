@@ -80,11 +80,13 @@ func adaptiveTwoRackBandwidths() []float64 {
 }
 
 // oscillatingTraces builds the alternating full/dip bandwidth traces for
-// every inter-switch link of a topology, as the varbw ablation does.
+// every inter-switch link of a topology (the varbw ablation and the adaptive
+// experiment's oscillating fabric).
 func oscillatingTraces(topo *netsim.Topology, period, dip float64) []*netsim.BandwidthTrace {
 	var traces []*netsim.BandwidthTrace
 	for _, li := range topo.InterSwitchLinks() {
 		var segs []netsim.TraceSegment
+		// Alternate full/dip windows long enough to outlast any run.
 		for k := 0; k < 4096; k++ {
 			scale := 1.0
 			if k%2 == 1 {
@@ -192,7 +194,7 @@ func RunAdaptive(opt Options) (*AdaptiveExpResult, error) {
 		cfg.Topology = p.topo
 		cfg.Traces = p.traces
 		adaptiveJobs = append(adaptiveJobs, engine.Job{
-			Label:  fmt.Sprintf("adaptive %s/%s@%s", w.Model, p.fabric, bandwidthLabel(p.bw)),
+			Label:  fmt.Sprintf("adaptive %s/%s@%s", w.Model, p.fabric, netsim.FormatBandwidth(p.bw)),
 			Config: cfg,
 		})
 	}
@@ -283,7 +285,7 @@ func (r *AdaptiveExpResult) Render() string {
 		bws := r.bandwidths(part.id)
 		headers := []string{"scheme \\ bandwidth"}
 		for _, bw := range bws {
-			headers = append(headers, bandwidthLabel(bw))
+			headers = append(headers, netsim.FormatBandwidth(bw))
 		}
 		tb := metrics.NewTable(fmt.Sprintf("Adaptive — TTA on %s (%s; %s/link latency; best static vs controller)",
 			part.title, r.Model, metrics.FormatSeconds(r.LatencySec)), headers...)
@@ -317,7 +319,7 @@ func (r *AdaptiveExpResult) Render() string {
 		for _, bw := range r.bandwidths(part.id) {
 			if c, ok := r.Cell(part.id, AdaptiveSchemeName, bw); ok {
 				fmt.Fprintf(&b, "  %-9s %-9s %s, %d switches\n",
-					part.id, bandwidthLabel(bw), c.Decisions, c.Switches)
+					part.id, netsim.FormatBandwidth(bw), c.Decisions, c.Switches)
 			}
 		}
 	}

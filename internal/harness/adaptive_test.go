@@ -35,7 +35,7 @@ func TestRunAdaptiveQuick(t *testing.T) {
 				t.Fatalf("missing adaptive cell %s/%v", part, bw)
 			}
 			if !ad.Reached {
-				t.Fatalf("adaptive did not reach target at %s/%s", part, bandwidthLabel(bw))
+				t.Fatalf("adaptive did not reach target at %s/%s", part, netsim.FormatBandwidth(bw))
 			}
 			best, ok := res.BestStaticTTA(part, bw)
 			if !ok {
@@ -43,10 +43,10 @@ func TestRunAdaptiveQuick(t *testing.T) {
 			}
 			if ad.TTASeconds > best {
 				t.Fatalf("adaptive TTA %v exceeds best static %v at %s/%s",
-					ad.TTASeconds, best, part, bandwidthLabel(bw))
+					ad.TTASeconds, best, part, netsim.FormatBandwidth(bw))
 			}
 			if ad.Decisions == "" {
-				t.Fatalf("adaptive cell %s/%s has no decision summary", part, bandwidthLabel(bw))
+				t.Fatalf("adaptive cell %s/%s has no decision summary", part, netsim.FormatBandwidth(bw))
 			}
 		}
 	}

@@ -140,7 +140,7 @@ func (r *CollectivesResult) Render() string {
 		}()...)
 		tb := metrics.NewTable(fmt.Sprintf(
 			"Collectives — TTA on two-rack fabric (%s; %s bottleneck, %s edges; vs ring)",
-			r.Model, bandwidthLabel(bw), bandwidthLabel(r.EdgeBps)), headers...)
+			r.Model, netsim.FormatBandwidth(bw), netsim.FormatBandwidth(r.EdgeBps)), headers...)
 		for _, algo := range r.Algorithms {
 			row := []string{algo}
 			for _, scheme := range r.Schemes {

@@ -118,7 +118,7 @@ func (r *Fig3Result) Render() string {
 	for _, bw := range r.Bandwidths {
 		headers := append([]string{"scheme \\ model"}, r.Models...)
 		tb := metrics.NewTable(fmt.Sprintf("Fig. 3 — Relative TTA at WAN bandwidth %s (all-reduce = 1.0, lower is better)",
-			bandwidthLabel(bw)), headers...)
+			netsim.FormatBandwidth(bw)), headers...)
 		for _, scheme := range r.Schemes {
 			row := []string{DisplayName(scheme)}
 			for _, model := range r.Models {

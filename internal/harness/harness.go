@@ -342,14 +342,6 @@ func renderRelTTA(rel float64, reached bool) string {
 	return fmt.Sprintf("%.3f", rel)
 }
 
-// bandwidthLabel pretty-prints a link speed.
-func bandwidthLabel(bps float64) string {
-	if bps >= netsim.Gbps {
-		return fmt.Sprintf("%g Gbps", bps/netsim.Gbps)
-	}
-	return fmt.Sprintf("%g Mbps", bps/netsim.Mbps)
-}
-
 // profileFor fetches the communication profile for table rendering.
 func profileFor(model string) nn.CommProfile {
 	p, err := nn.ProfileByName(model)

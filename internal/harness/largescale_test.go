@@ -108,3 +108,25 @@ func TestRunLargeScaleQuick(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkLargeScaleGrid prices the whole grid: quick is the 1,024-rank
+// fabric, full the 4,096-rank one the README quotes a wall time for.
+func BenchmarkLargeScaleGrid(b *testing.B) {
+	for _, quick := range []bool{true, false} {
+		name := "full"
+		if quick {
+			name = "quick"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := RunLargeScale(Options{Quick: quick})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Cells) == 0 {
+					b.Fatal("empty grid")
+				}
+			}
+		})
+	}
+}

@@ -96,7 +96,7 @@ func RunStragglers(opt Options) (*StragglersResult, error) {
 	}
 	opt.logf("Stragglers: %d schemes × %d overlap modes × %d severities on %s (Fig. 4 at %s)",
 		len(out.Schemes), len(out.Overlaps), len(out.Severities), w.Model,
-		bandwidthLabel(out.BandwidthBps))
+		netsim.FormatBandwidth(out.BandwidthBps))
 
 	var jobs []engine.Job
 	for _, scheme := range out.Schemes {
@@ -172,7 +172,7 @@ func (r *StragglersResult) Render() string {
 		}
 		tb := metrics.NewTable(fmt.Sprintf(
 			"Stragglers — TTA with one slow rank (%s; Fig. 4 at %s; overlap=%s; ×degradation vs uniform)",
-			r.Model, bandwidthLabel(r.BandwidthBps), overlap), headers...)
+			r.Model, netsim.FormatBandwidth(r.BandwidthBps), overlap), headers...)
 		for _, scheme := range r.Schemes {
 			row := []string{DisplayName(scheme)}
 			for _, sev := range r.Severities {

@@ -72,7 +72,7 @@ func RunTable1(opt Options) (*Table1Result, error) {
 	}
 	bw := 500 * netsim.Mbps
 	out := &Table1Result{Model: w.Model, Bandwidth: bw}
-	opt.logf("Table 1: method properties on %s @ %s", w.Model, bandwidthLabel(bw))
+	opt.logf("Table 1: method properties on %s @ %s", w.Model, netsim.FormatBandwidth(bw))
 
 	// Job 0 is the lossless baseline; the rest follow Table1Schemes order.
 	jobs := []engine.Job{trainJob("table1", w, "all-reduce", opt)}
@@ -84,7 +84,7 @@ func RunTable1(opt Options) (*Table1Result, error) {
 		return nil, fmt.Errorf("table1: %w", err)
 	}
 	opt.traceRuns(jobs, results)
-	opt.traceRecost("table1", map[string]any{"bandwidth": bandwidthLabel(bw), "runs": len(jobs)})
+	opt.traceRecost("table1", map[string]any{"bandwidth": netsim.FormatBandwidth(bw), "runs": len(jobs)})
 
 	baseRes, baseCfg := results[0], jobs[0].Config
 	baseIters, baseReached := baseRes.Curve.IterTo(w.TargetAcc)
@@ -127,7 +127,7 @@ func mark(b bool) string {
 func (r *Table1Result) Render() string {
 	var b strings.Builder
 	tb := metrics.NewTable(
-		fmt.Sprintf("Table 1 — Measured impact of acceleration methods (%s @ %s)", r.Model, bandwidthLabel(r.Bandwidth)),
+		fmt.Sprintf("Table 1 — Measured impact of acceleration methods (%s @ %s)", r.Model, netsim.FormatBandwidth(r.Bandwidth)),
 		"Method", "Conv. Speed", "Compatibility", "TTA", "iter ratio", "TTA speedup")
 	for _, row := range r.Rows {
 		iterStr := "-"

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"math"
 
 	"pactrain/internal/harness/engine"
 	"pactrain/internal/metrics"
@@ -60,24 +59,6 @@ func RunAblationVarBW(opt Options) (*VarBWResult, error) {
 	}
 	out.PeriodSec = period
 
-	mkTraces := func(topo *netsim.Topology) []*netsim.BandwidthTrace {
-		var traces []*netsim.BandwidthTrace
-		for _, li := range topo.InterSwitchLinks() {
-			var segs []netsim.TraceSegment
-			// Alternate full/dip windows long enough to outlast any run.
-			for k := 0; k < 4096; k++ {
-				scale := 1.0
-				if k%2 == 1 {
-					scale = out.DipScale
-				}
-				segs = append(segs, netsim.TraceSegment{UntilSec: float64(k+1) * period, Scale: scale})
-			}
-			segs = append(segs, netsim.TraceSegment{UntilSec: math.Inf(1), Scale: 1})
-			traces = append(traces, &netsim.BandwidthTrace{LinkIndex: li, Segments: segs})
-		}
-		return traces
-	}
-
 	schemes := []string{"all-reduce", "fp16", "pactrain-ternary"}
 	var jobs []engine.Job
 	for _, scheme := range schemes {
@@ -93,7 +74,7 @@ func RunAblationVarBW(opt Options) (*VarBWResult, error) {
 		res, cfg := results[si], jobs[si].Config
 		topo := netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: cfg.BottleneckBps})
 		fabric := netsim.NewFabric(topo)
-		for _, tr := range mkTraces(topo) {
+		for _, tr := range oscillatingTraces(topo, period, out.DipScale) {
 			fabric.SetTrace(tr)
 		}
 		cum := recostCum(res, &cfg, fabric)

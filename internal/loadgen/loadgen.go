@@ -19,9 +19,10 @@
 //   - recost: re-submission of a request observed to complete — exercises
 //     the cache paths (memo, disk, peer).
 //
-// Results are measured, not asserted: the perf lane (PerfCases) turns them
-// into BENCH_* entries under the regression gate, and the serve-load CI
-// smoke lane bounds them with explicit checks.
+// Results are measured, not asserted: pactrain-loadgen prints them, and the
+// serve-load CI smoke lane bounds them with explicit checks. The service's
+// latency under a fixed offered load is the benchmark's serve_mixed workload
+// (benchmark/README.md), which boots the same Pair.
 package loadgen
 
 import (

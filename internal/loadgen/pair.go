@@ -12,8 +12,8 @@ import (
 
 // Pair is an in-process two-instance serving cluster wired as cache peers —
 // the smallest deployment where the cross-instance paths (peer hits, peer
-// singleflight) exist at all. Tests and the perf lane use it to measure a
-// scaled-out service without containers or real networks.
+// singleflight) exist at all. Tests and the repository benchmark use it to
+// measure a scaled-out service without containers or real networks.
 type Pair struct {
 	// Servers are the two serve instances, peer ids "peer0" and "peer1".
 	Servers [2]*serve.Server

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
 )
 
@@ -21,6 +23,39 @@ const (
 	Mbps = 1e6
 	Gbps = 1e9
 )
+
+// ParseBandwidth reads a link speed written as a number and a unit, "100mbps"
+// or "1 Gbps", into bits per second. It is the one decoder of a bandwidth
+// that arrives from outside the program, so it rejects what the topology
+// constructors would either panic on or silently replace with a default:
+// anything but a finite, positive speed, and any text around the number.
+func ParseBandwidth(s string) (float64, error) {
+	unit := Gbps
+	num, ok := strings.CutSuffix(strings.ToLower(strings.TrimSpace(s)), "gbps")
+	if !ok {
+		unit = Mbps
+		num, ok = strings.CutSuffix(num, "mbps")
+	}
+	if !ok {
+		return 0, fmt.Errorf("bandwidth %q must end in mbps or gbps", s)
+	}
+	v, err := strconv.ParseFloat(strings.TrimSpace(num), 64)
+	if err != nil {
+		return 0, fmt.Errorf("bandwidth %q: %w", s, err)
+	}
+	if bps := v * unit; bps > 0 && !math.IsInf(bps, 0) {
+		return bps, nil
+	}
+	return 0, fmt.Errorf("bandwidth %q must be positive and finite", s)
+}
+
+// FormatBandwidth pretty-prints a link speed; ParseBandwidth reads it back.
+func FormatBandwidth(bps float64) string {
+	if bps >= Gbps {
+		return fmt.Sprintf("%g Gbps", bps/Gbps)
+	}
+	return fmt.Sprintf("%g Mbps", bps/Mbps)
+}
 
 // NodeID identifies a node (host or switch) in a topology.
 type NodeID int

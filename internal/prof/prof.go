@@ -1,6 +1,7 @@
-// Package prof is the CLI profiling plumbing shared by pactrain-bench and
-// pactrain-train: -cpuprofile / -memprofile flags backed by runtime/pprof,
-// the standard entry point for hunting regressions the perf lane flags.
+// Package prof is the profiling plumbing behind the -cpuprofile and
+// -memprofile flags of pactrain-bench and pactrain-train (internal/cli
+// registers them): runtime/pprof output, the place to look once
+// benchmark/run.sh -compare or a go test -bench shows a slowdown.
 package prof
 
 import (
@@ -12,8 +13,8 @@ import (
 
 // Start begins CPU profiling (when cpuPath is non-empty) and returns a stop
 // function that ends it and writes a heap profile to memPath (when
-// non-empty). The stop function is idempotent; callers must invoke it before
-// os.Exit, which skips defers.
+// non-empty). Callers defer it inside the function whose result main passes
+// to os.Exit, which skips defers.
 func Start(cpuPath, memPath string) (func(), error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
@@ -27,12 +28,7 @@ func Start(cpuPath, memPath string) (func(), error) {
 		}
 		cpuFile = f
 	}
-	stopped := false
 	return func() {
-		if stopped {
-			return
-		}
-		stopped = true
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
 			cpuFile.Close()

@@ -261,42 +261,6 @@ func Fingerprint(cfg Config) string {
 	return cfg.Fingerprint()
 }
 
-// BenchReport is a perf-lane result set: the pinned macro-benchmark grid's
-// wall times, serialized to BENCH_<grid>.json and diffed against a
-// committed baseline in CI (DESIGN.md §10).
-type BenchReport = harness.BenchReport
-
-// PerfOptions configures a perf-lane run.
-type PerfOptions = harness.PerfOptions
-
-// PerfCase is one pinned benchmark; PerfOptions.Extra lets callers append
-// their own entries (the serve load generator's serve-* measurements) to
-// the same report and regression gate.
-type PerfCase = harness.PerfCase
-
-// BenchTolerance is the calibration-normalized slowdown CI fails on.
-const BenchTolerance = harness.BenchTolerance
-
-// RunPerf executes the pinned perf grid ("quick" or "full") and returns its
-// report.
-func RunPerf(opt PerfOptions) *BenchReport { return harness.RunPerf(opt) }
-
-// BenchPath is the canonical baseline filename for a grid
-// ("BENCH_quick.json", "BENCH_full.json").
-func BenchPath(grid string) string { return harness.BenchPath(grid) }
-
-// WriteBench serializes a perf report to path.
-func WriteBench(path string, r *BenchReport) error { return harness.WriteBench(path, r) }
-
-// LoadBench reads a perf baseline.
-func LoadBench(path string) (*BenchReport, error) { return harness.LoadBench(path) }
-
-// CompareBench returns one line per benchmark whose calibration-normalized
-// wall time regressed beyond tol; empty means the lane passes.
-func CompareBench(base, cur *BenchReport, tol float64) []string {
-	return harness.CompareBench(base, cur, tol)
-}
-
 // Tracer collects per-rank simulation spans — compute, barrier waits,
 // collectives, adaptive decisions — from recorded runs, for export as
 // Chrome trace-event JSON that Perfetto and chrome://tracing open directly.
