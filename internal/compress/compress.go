@@ -97,38 +97,6 @@ func grow(buf []float32, n int) []float32 {
 	return buf[:n]
 }
 
-// maxAbs returns max_i |v[i]| — the shared scale factor of the quantizers —
-// reduced in parallel. Partial chunk maxima combine in chunk order; float
-// max is exactly associative, so the result is bit-identical to the scalar
-// scan for any chunking.
-func maxAbs(v []float32) float32 {
-	var s float32
-	if len(v) < par.MinWork || par.Budget() <= 1 {
-		for _, x := range v {
-			if a := abs32(x); a > s {
-				s = a
-			}
-		}
-		return s
-	}
-	partial := make([]float32, par.Budget())
-	n := par.ForChunks(len(v), func(chunk, lo, hi int) {
-		var m float32
-		for _, x := range v[lo:hi] {
-			if a := abs32(x); a > m {
-				m = a
-			}
-		}
-		partial[chunk] = m
-	})
-	for _, m := range partial[:n] {
-		if m > s {
-			s = m
-		}
-	}
-	return s
-}
-
 // --- FP32 (no compression) --------------------------------------------------
 
 // FP32 is the lossless identity baseline ("all-reduce" in the figures).

@@ -88,7 +88,6 @@ func TestParallelKernelsBitExact(t *testing.T) {
 	}
 	kernels := []kernel{
 		{"fp16-encode", func() any { return NewFP16().Encode(grad) }},
-		{"maxabs", func() any { return maxAbs(grad) }},
 		{"topk-encode", func() any { return NewTopK(0.01).Encode(grad) }},
 		{"dgc-encode", func() any {
 			d := NewDGC(0.01, 0.9)

@@ -55,7 +55,7 @@ func (*TernGrad) Decode(payload []float32, out []float32) { copy(out, payload) }
 // alias grad): out[i] ∈ {−s, 0, +s} with E[out] = grad. It is exported so
 // PacTrain can reuse it on compacted gradients (§III-D).
 func Ternarize(rng *tensor.RNG, grad []float32, out []float32) {
-	s := maxAbs(grad)
+	s := tensor.MaxAbs(grad)
 	if s == 0 {
 		for i := range out {
 			out[i] = 0
@@ -115,7 +115,7 @@ func (q *QSGD) Encode(grad []float32) []float32 { return q.EncodeInto(grad, nil)
 // rounding consumes a sequential RNG stream and stays scalar.
 func (q *QSGD) EncodeInto(grad, buf []float32) []float32 {
 	out := grow(buf, len(grad))
-	s := maxAbs(grad)
+	s := tensor.MaxAbs(grad)
 	if s == 0 {
 		for i := range out {
 			out[i] = 0
@@ -184,7 +184,7 @@ func (t *THC) Encode(grad []float32) []float32 { return t.EncodeInto(grad, nil) 
 // bit-exactly.
 func (t *THC) EncodeInto(grad, buf []float32) []float32 {
 	out := grow(buf, len(grad))
-	s := maxAbs(grad)
+	s := tensor.MaxAbs(grad)
 	if s == 0 {
 		for i := range out {
 			out[i] = 0

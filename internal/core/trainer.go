@@ -364,7 +364,7 @@ func buildMask(cfg *Config, model *nn.Model, trainSet *data.Dataset, shared *sha
 		if probeN > trainSet.Len() {
 			probeN = trainSet.Len()
 		}
-		x, labels := trainSet.Batch(0, probeN)
+		x, labels := trainSet.View(0, probeN)
 		computeGrads := func() {
 			model.ZeroGrad()
 			out := model.Forward(x, true)
@@ -385,7 +385,7 @@ func evaluate(model *nn.Model, testSet *data.Dataset) float64 {
 	correct := 0.0
 	total := 0
 	for from := 0; from < testSet.Len(); from += chunk {
-		x, labels := testSet.Batch(from, chunk)
+		x, labels := testSet.View(from, chunk)
 		out := model.Forward(x, false)
 		correct += nn.Accuracy(out, labels) * float64(len(labels))
 		total += len(labels)

@@ -248,3 +248,35 @@ func TestGraSPPruneMethodRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestEvaluateOnViewsLeavesTheDatasetUntouched pins what lets evaluate and
+// GraSP's probe hand a model zero-copy views of the dataset: no layer writes
+// its input, in eval or in train mode. Every twin is evaluated on views and on
+// copies — same accuracy — and run one train-mode forward/backward on a view;
+// the dataset's bytes must not move.
+func TestEvaluateOnViewsLeavesTheDatasetUntouched(t *testing.T) {
+	set := data.Generate(data.CIFAR10Like(100, 3))
+	before := append([]float32(nil), set.Images.Data()...)
+	for _, name := range []string{"MLP", "VGG19", "ResNet18", "ResNet152", "ViT-Base-16"} {
+		model, err := nn.NewLiteByName(name, nn.DefaultLiteConfig(10, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		correct := 0.0
+		for from := 0; from < set.Len(); from += 64 {
+			x, labels := set.Batch(from, 64)
+			correct += nn.Accuracy(model.Forward(x, false), labels) * float64(len(labels))
+		}
+		if got, want := evaluate(model, set), correct/float64(set.Len()); got != want {
+			t.Errorf("%s: accuracy %v on views, %v on copies", name, got, want)
+		}
+		x, labels := set.View(0, 16)
+		_, g := nn.SoftmaxCrossEntropy(model.Forward(x, true), labels)
+		model.Backward(g)
+		for i, v := range set.Images.Data() {
+			if math.Float32bits(v) != math.Float32bits(before[i]) {
+				t.Fatalf("%s wrote its input: image float %d is %v, was %v", name, i, v, before[i])
+			}
+		}
+	}
+}

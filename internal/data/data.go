@@ -211,19 +211,17 @@ func (s *Shard) Batches(batchSize int, rng *tensor.RNG) func() (x *tensor.Tensor
 	}
 }
 
-// Batch materializes samples [from, from+n) of the full dataset, used for
-// evaluation.
-func (d *Dataset) Batch(from, n int) (*tensor.Tensor, []int) {
-	if from+n > d.Len() {
-		n = d.Len() - from
-	}
+// View returns samples [from, from+n) of the full dataset, clipped to its
+// end, without copying: the tensor and the labels alias the dataset's own
+// storage, which is safe to hand a model because no layer writes its input.
+func (d *Dataset) View(from, n int) (*tensor.Tensor, []int) {
+	n = min(n, d.Len()-from)
 	pix := d.Channels * d.Size * d.Size
-	x := tensor.New(n, d.Channels, d.Size, d.Size)
-	labels := make([]int, n)
-	xd, src := x.Data(), d.Images.Data()
-	for i := 0; i < n; i++ {
-		copy(xd[i*pix:(i+1)*pix], src[(from+i)*pix:(from+i+1)*pix])
-		labels[i] = d.Labels[from+i]
-	}
-	return x, labels
+	return tensor.FromSlice(d.Images.Data()[from*pix:(from+n)*pix], n, d.Channels, d.Size, d.Size), d.Labels[from : from+n]
+}
+
+// Batch is View copied out, for callers that write to what they get.
+func (d *Dataset) Batch(from, n int) (*tensor.Tensor, []int) {
+	x, labels := d.View(from, n)
+	return x.Clone(), append([]int(nil), labels...)
 }

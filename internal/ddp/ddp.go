@@ -59,11 +59,7 @@ func (b *Bucket) Scatter() {
 
 // Scale multiplies the flat gradient by alpha (used to average after a sum
 // all-reduce).
-func (b *Bucket) Scale(alpha float32) {
-	for i := range b.Flat {
-		b.Flat[i] *= alpha
-	}
-}
+func (b *Bucket) Scale(alpha float32) { tensor.Scale(b.Flat, alpha) }
 
 // FlatKeepMask flattens a pruning mask into bucket order, with true for
 // parameters absent from the mask (never pruned). This helper exists for

@@ -103,3 +103,20 @@ func BenchmarkTrainStepAttn(b *testing.B) {
 	cfg := DefaultLiteConfig(10, 1)
 	benchmarkTrainStep(b, NewViTLite(cfg, 4*cfg.Width, 4, 2))
 }
+
+// BenchmarkSGDStep is the optimizer alone on the MLP twin's parameters, with
+// momentum and weight decay as every trainer sets them.
+func BenchmarkSGDStep(b *testing.B) {
+	params := NewMLP(DefaultLiteConfig(10, 1), 64).Params()
+	elements := 0
+	for _, p := range params {
+		p.Grad.Fill(0.01)
+		elements += p.NumElements()
+	}
+	opt := NewSGD(0.05, 0.9, 5e-4)
+	b.SetBytes(int64(4 * elements))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.Step(params)
+	}
+}

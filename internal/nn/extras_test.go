@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pactrain/internal/par"
 	"pactrain/internal/tensor"
 )
 
@@ -143,5 +144,37 @@ func TestTrainingReducesLoss(t *testing.T) {
 				t.Fatalf("loss did not decrease: %v → %v", first, last)
 			}
 		})
+	}
+}
+
+// TestGELUBackwardReadsTheForwardTanh pins the saved-tanh backward to the one
+// it replaced, which took math.Tanh of the same float64 expression again: the
+// two agree bit for bit on zeros, denormals, infinities, NaN and |x| up to 40,
+// at a chunked budget too.
+func TestGELUBackwardReadsTheForwardTanh(t *testing.T) {
+	defer par.SetBudget(par.Budget())
+	xs := []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(1), -math.Float32frombits(0x007fffff),
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), 40, -40, 1e-3, -7.5}
+	r := tensor.NewRNG(5)
+	for len(xs) < 3*par.MinWork {
+		xs = append(xs, float32(r.NormFloat64()*math.Pow(10, float64(len(xs)%5-3))))
+	}
+	x := tensor.FromSlice(xs, len(xs))
+	grad := tensor.Randn(r, 1, len(xs))
+	want := make([]float32, len(xs))
+	for i, g := range grad.Data() {
+		x := float64(xs[i])
+		th := math.Tanh(geluC * (x + 0.044715*x*x*x))
+		want[i] = g * float32(0.5*(1+th)+0.5*x*(1-th*th)*(geluC*(1+3*0.044715*x*x)))
+	}
+	for _, budget := range []int{1, 8} {
+		par.SetBudget(budget)
+		l := NewGELU()
+		l.Forward(x, true)
+		for i, got := range l.Backward(grad).Data() {
+			if math.Float32bits(got) != math.Float32bits(want[i]) {
+				t.Fatalf("budget %d: dx[%d] = %v for x = %v, want %v", budget, i, got, xs[i], want[i])
+			}
+		}
 	}
 }

@@ -131,6 +131,7 @@ func (l *ReLU) Params() []*Parameter { return nil }
 // the activation used by the ViT models in the paper's workload set.
 type GELU struct {
 	lastInput *tensor.Tensor
+	tanh      []float64 // a train-mode Forward's tanh per element, for Backward
 	out       *tensor.Tensor
 	dx        *tensor.Tensor
 }
@@ -142,46 +143,60 @@ const geluC = 0.7978845608028654 // sqrt(2/pi)
 
 // Forward implements Layer. The elementwise map chunks over the par budget
 // (trivially bit-exact); the scalar path avoids the dispatch closure so the
-// budget-1 step stays allocation-free.
-func (l *GELU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+// budget-1 step stays allocation-free. In train mode it keeps each element's
+// tanh, half of the map's cost, so that Backward does not take it again.
+func (l *GELU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.lastInput = x
 	l.out = ensureLike(l.out, x)
 	xd, d := x.Data(), l.out.Data()
 	n := len(xd)
+	l.tanh = l.tanh[:0]
+	if train {
+		if cap(l.tanh) < n {
+			l.tanh = make([]float64, n)
+		}
+		l.tanh = l.tanh[:n]
+	}
+	td := l.tanh
 	if par.PlanChunks(n, n) == 1 {
-		geluForwardRange(xd, d, 0, n)
+		geluForwardRange(xd, d, td, 0, n)
 		return l.out
 	}
-	par.For(n, func(lo, hi int) { geluForwardRange(xd, d, lo, hi) })
+	par.For(n, func(lo, hi int) { geluForwardRange(xd, d, td, lo, hi) })
 	return l.out
 }
 
-func geluForwardRange(xd, d []float32, lo, hi int) {
+func geluForwardRange(xd, d []float32, td []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		fv := float64(xd[i])
-		d[i] = float32(0.5 * fv * (1 + math.Tanh(geluC*(fv+0.044715*fv*fv*fv))))
+		t := math.Tanh(geluC * (fv + 0.044715*fv*fv*fv))
+		d[i] = float32(0.5 * fv * (1 + t))
+		if len(td) != 0 {
+			td[i] = t
+		}
 	}
 }
 
-// Backward implements Layer.
+// Backward implements Layer; the last Forward must have been in train mode.
 func (l *GELU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	l.dx = ensureLike(l.dx, grad)
 	gin, gd := grad.Data(), l.dx.Data()
-	xd := l.lastInput.Data()
+	xd, td := l.lastInput.Data(), l.tanh
 	n := len(gd)
+	if len(td) != n {
+		panic("nn: GELU.Backward without a train-mode Forward of that size")
+	}
 	if par.PlanChunks(n, n) == 1 {
-		geluBackwardRange(xd, gin, gd, 0, n)
+		geluBackwardRange(xd, gin, gd, td, 0, n)
 		return l.dx
 	}
-	par.For(n, func(lo, hi int) { geluBackwardRange(xd, gin, gd, lo, hi) })
+	par.For(n, func(lo, hi int) { geluBackwardRange(xd, gin, gd, td, lo, hi) })
 	return l.dx
 }
 
-func geluBackwardRange(xd, gin, gd []float32, lo, hi int) {
+func geluBackwardRange(xd, gin, gd []float32, td []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		x := float64(xd[i])
-		inner := geluC * (x + 0.044715*x*x*x)
-		t := math.Tanh(inner)
+		x, t := float64(xd[i]), td[i]
 		dInner := geluC * (1 + 3*0.044715*x*x)
 		dgelu := 0.5*(1+t) + 0.5*x*(1-t*t)*dInner
 		gd[i] = gin[i] * float32(dgelu)

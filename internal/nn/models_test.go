@@ -236,6 +236,45 @@ func TestSGDWeightDecay(t *testing.T) {
 	}
 }
 
+// TestSGDStepMatchesElementwiseLoops runs the optimizer three steps against
+// the loops SGD.Step was before tensor.SGDStep — products written so that no
+// compiler fuses them — on a parameter that is no multiple of a register, in
+// every combination of momentum and weight decay on and off.
+func TestSGDStepMatchesElementwiseLoops(t *testing.T) {
+	const n = 77
+	for _, c := range [][2]float64{{0.9, 5e-4}, {0.9, 0}, {0, 0.1}, {0, 0}} {
+		r := tensor.NewRNG(9)
+		p := NewParameter("w", tensor.Randn(r, 1, n))
+		opt := NewSGD(0.05, c[0], c[1])
+		lr, mom, wd := float32(opt.LR), float32(opt.Momentum), float32(opt.WeightDecay)
+		w, v := append([]float32(nil), p.W.Data()...), make([]float32, n)
+		for step := 0; step < 3; step++ {
+			g := tensor.Randn(r, 1, n).Data()
+			copy(p.Grad.Data(), g)
+			opt.Step([]*Parameter{p})
+			for i := range w {
+				if wd != 0 {
+					g[i] += float32(wd * w[i])
+				}
+				if mom != 0 {
+					v[i] = float32(mom*v[i]) + g[i]
+					w[i] -= float32(lr * v[i])
+				} else {
+					w[i] -= float32(lr * g[i])
+				}
+			}
+			for i := range w {
+				if math.Float32bits(p.W.Data()[i]) != math.Float32bits(w[i]) || math.Float32bits(p.Grad.Data()[i]) != math.Float32bits(g[i]) {
+					t.Fatalf("mom %v wd %v step %d: element %d is w %v g %v, want %v %v", mom, wd, step, i, p.W.Data()[i], p.Grad.Data()[i], w[i], g[i])
+				}
+			}
+		}
+		if vel := opt.Velocity("w"); (vel != nil) != (mom != 0) {
+			t.Fatalf("mom %v: velocity buffer %v", mom, vel)
+		}
+	}
+}
+
 func almost(a, b float32) bool {
 	d := a - b
 	if d < 0 {

@@ -30,29 +30,16 @@ func (s *SGD) Step(params []*Parameter) {
 	mom := float32(s.Momentum)
 	wd := float32(s.WeightDecay)
 	for _, p := range params {
-		g := p.Grad.Data()
-		w := p.W.Data()
-		if wd != 0 {
-			for i := range g {
-				g[i] += wd * w[i]
-			}
-		}
+		var vd []float32
 		if mom != 0 {
 			v := s.velocity[p.Name]
 			if v == nil {
 				v = tensor.New(p.W.Shape()...)
 				s.velocity[p.Name] = v
 			}
-			vd := v.Data()
-			for i := range vd {
-				vd[i] = mom*vd[i] + g[i]
-				w[i] -= lr * vd[i]
-			}
-		} else {
-			for i := range w {
-				w[i] -= lr * g[i]
-			}
+			vd = v.Data()
 		}
+		tensor.SGDStep(p.W.Data(), p.Grad.Data(), vd, lr, mom, wd)
 	}
 }
 

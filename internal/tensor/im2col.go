@@ -65,6 +65,16 @@ func im2colRows(cd, xd []float32, c, h, w, outH, outW, kh, kw, stride, pad, lo, 
 		ix0 := ox*stride - pad
 		if iy0 >= 0 && ix0 >= 0 && iy0+kh <= h && ix0+kw <= w {
 			d := cd[row : row+rowLen]
+			if kh == 3 && kw == 3 { // the kernel of every conv twin: nine straight copies
+				for ch := 0; ch < c; ch++ {
+					s := xd[base+ch*h*w+iy0*w+ix0:][:2*w+3]
+					t := d[ch*9:][:9]
+					t[0], t[1], t[2] = s[0], s[1], s[2]
+					t[3], t[4], t[5] = s[w], s[w+1], s[w+2]
+					t[6], t[7], t[8] = s[2*w], s[2*w+1], s[2*w+2]
+				}
+				continue
+			}
 			for ch := 0; ch < c; ch++ {
 				src := base + ch*h*w + iy0*w + ix0
 				for ky := 0; ky < kh; ky++ {

@@ -236,3 +236,51 @@ func BenchmarkMatMulTransB256(b *testing.B) {
 		MatMulTransBInto(dst, x, y)
 	}
 }
+
+// BenchmarkMatMulShapes times the three matmuls at product shapes: the MLP
+// twin's first layer and its weight gradient, a ViT projection, and the
+// ResNet18 twin's conv lowering (dcols, dW, and the forward cols × Wᵀ at two
+// widths). Shapes are (m,k,n) of the product; GMAC/s = m·k·n per ns.
+func BenchmarkMatMulShapes(b *testing.B) {
+	defer par.SetBudget(par.Budget())
+	par.SetBudget(1)
+	for _, c := range []struct {
+		op      string
+		m, k, n int
+	}{
+		{"AB", 64, 768, 64}, {"AB", 136, 48, 96}, {"AB", 2048, 10, 90},
+		{"AtB", 768, 8, 64}, {"AtB", 10, 2048, 90},
+		{"ABt", 2048, 90, 10}, {"ABt", 512, 180, 20},
+	} {
+		b.Run(fmt.Sprintf("%s/%dx%dx%d", c.op, c.m, c.k, c.n), func(b *testing.B) {
+			rng := NewRNG(1)
+			x, y, dst := Randn(rng, 1, c.m, c.k), Randn(rng, 1, c.k, c.n), New(c.m, c.n)
+			run := func() { MatMulInto(dst, x, y) }
+			switch c.op {
+			case "AtB":
+				x = Transpose(x)
+				run = func() { MatMulTransAInto(dst, x, y) }
+			case "ABt":
+				y = Transpose(y)
+				run = func() { MatMulTransBInto(dst, x, y) }
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.ReportMetric(float64(c.m*c.k*c.n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GMAC/s")
+		})
+	}
+}
+
+// BenchmarkMaxAbs scans one MLP-twin gradient bucket (53,898 floats).
+func BenchmarkMaxAbs(b *testing.B) {
+	x := Randn(NewRNG(1), 1, 53898)
+	b.SetBytes(int64(4 * x.Len()))
+	var sink float32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += x.AbsMax()
+	}
+	_ = sink
+}

@@ -2,26 +2,79 @@ package tensor
 
 import "sync"
 
-// axpy adds a·x to y in place: y[j] += a*x[j], for x and y of one length. It
-// is the inner loop of matMulRows and matMulTransARows. On amd64 with AVX2
-// it is axpyAVX2, whose lanes round like axpyGo (simd_amd64.s).
-var axpy = axpyGo
+// The elementwise kernels: each is its Go loop below and, on amd64 with AVX2,
+// the assembly whose lanes round like that loop (simd_amd64.s). The loops
+// write every product as a conversion, which no compiler may fuse into the
+// sum that follows it.
+var (
+	axpy     = axpyGo     // y[j] += a·x[j]
+	scale    = scaleGo    // x[j] *= alpha
+	maxAbs   = maxAbsGo   // max |x[j]| from +0, a NaN never the larger
+	momentum = momentumGo // g[j] += wd·w[j] unless wd is 0; v[j] = mom·v[j] + g[j]; w[j] -= lr·v[j]
+)
 
 func axpyGo(a float32, x, y []float32) {
 	for j, xv := range x {
-		y[j] += a * xv
+		y[j] += float32(a * xv)
 	}
 }
 
-// padCols rounds a column count up to the 8 lanes of a YMM register.
-func padCols(n int) int { return (n + 7) &^ 7 }
+func scaleGo(x []float32, alpha float32) {
+	for j := range x {
+		x[j] *= alpha
+	}
+}
 
-// scratch holds the kernels' transient buffers — the padded transposes
-// matMulTransBRowsAVX2 reads, the private rows MatMulTransAInto's chunks
-// accumulate in — reused across calls so a steady-state step allocates
-// nothing. It is a plain free list, not a sync.Pool: a Pool may drop what it
-// is given (and under the race detector does), and every drop is an
-// allocation the step is pinned not to make.
+func maxAbsGo(x []float32) float32 {
+	var m float32
+	for _, v := range x {
+		if v < 0 {
+			v = -v
+		}
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+func momentumGo(w, g, v []float32, lr, mom, wd float32) {
+	for j := range w {
+		if wd != 0 {
+			g[j] += float32(wd * w[j])
+		}
+		v[j] = float32(mom*v[j]) + g[j]
+		w[j] -= float32(lr * v[j])
+	}
+}
+
+// mulRow is the one row kernel under the three matmuls:
+// c[j] = Σ_p a[p·astride]·b[p·bstride+j] over p < k, each c[j] summed from +0
+// in ascending p, one multiply and one add per term. With skip, the terms
+// whose a is ±0 are left out, as MatMulInto and MatMulTransAInto do for
+// sparsity-enforced operands. rowAVX2 keeps the sums in registers and stores
+// the row once.
+func mulRow(c, a []float32, astride int, b []float32, bstride, k int, skip bool) {
+	if useAVX2 && len(c) >= 8 {
+		rowAVX2(c, a, astride, b, bstride, k, skip)
+		return
+	}
+	clear(c)
+	for p := 0; p < k; p++ {
+		av := a[p*astride]
+		if skip && av == 0 {
+			continue
+		}
+		for j, bv := range b[p*bstride : p*bstride+len(c)] {
+			c[j] += float32(av * bv)
+		}
+	}
+}
+
+// scratch holds the transposes MatMulTransBInto reads, reused across calls so
+// a steady-state step allocates nothing. It is a plain free list, not a
+// sync.Pool: a Pool may drop what it is given (and under the race detector
+// does), and every drop is an allocation the step is pinned not to make.
 var scratch struct {
 	sync.Mutex
 	free [][]float32
@@ -48,39 +101,14 @@ func putScratch(b []float32) {
 	scratch.Unlock()
 }
 
-// transposePadded writes bᵀ for b of shape (n,k) into scratch as k rows of
-// padCols(n) floats, the padding columns zero. The caller returns the buffer
-// with putScratch.
-func transposePadded(b []float32, n, k int) []float32 {
-	npad := padCols(n)
-	bt := getScratch(k * npad)
+// transposed writes bᵀ for b of shape (n,k) into scratch, as k rows of n.
+// The caller returns the buffer with putScratch.
+func transposed(b []float32, n, k int) []float32 {
+	bt := getScratch(k * n)
 	for j := 0; j < n; j++ {
 		for p, v := range b[j*k : (j+1)*k] {
-			bt[p*npad+j] = v
-		}
-	}
-	if n < npad {
-		for p := 0; p < k; p++ {
-			clear(bt[p*npad+n : (p+1)*npad])
+			bt[p*n+j] = v
 		}
 	}
 	return bt
-}
-
-// matMulTransBRowsAVX2 is matMulTransBRows over bt = transposePadded(B): each
-// lane of dotColsAVX2 is one output column's ascending-p dot product from +0,
-// exactly the scalar accumulator. The last, ragged 8-column tile lands in a
-// stack buffer so no store runs past a row of C.
-func matMulTransBRowsAVX2(cd, ad, bt []float32, k, n, lo, hi int) {
-	npad, full := padCols(n), n&^7
-	var tail [8]float32
-	for i := lo; i < hi; i++ {
-		ai := ad[i*k : (i+1)*k]
-		ci := cd[i*n : (i+1)*n]
-		dotColsAVX2(ci[:full], ai, bt, npad)
-		if full < n {
-			dotColsAVX2(tail[:], ai, bt[full:], npad)
-			copy(ci[full:], tail[:])
-		}
-	}
 }

@@ -29,42 +29,19 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
+// The four elementwise kernels take whole registers: their callers
+// (simd_amd64.go) finish what is left of a slice with the Go loops.
+
 // func axpyAVX2(a float32, x, y []float32)
-// y[j] += a*x[j] for j < min(len(x), len(y)).
+// y[j] += a*x[j] for j < len(x) &^ 7; y is as long as x.
 TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
 	VBROADCASTSS a+0(FP), Y0
 	MOVQ x_base+8(FP), SI
 	MOVQ y_base+32(FP), DI
-	MOVQ y_len+40(FP), CX
-	MOVQ x_len+16(FP), AX
-	CMPQ AX, CX
-	CMOVQLT AX, CX
-axpy32:
-	CMPQ CX, $32
-	JLT  axpy8
-	VMOVUPS (SI), Y1
-	VMOVUPS 32(SI), Y2
-	VMOVUPS 64(SI), Y3
-	VMOVUPS 96(SI), Y4
-	VMULPS  Y0, Y1, Y1
-	VMULPS  Y0, Y2, Y2
-	VMULPS  Y0, Y3, Y3
-	VMULPS  Y0, Y4, Y4
-	VADDPS  (DI), Y1, Y1
-	VADDPS  32(DI), Y2, Y2
-	VADDPS  64(DI), Y3, Y3
-	VADDPS  96(DI), Y4, Y4
-	VMOVUPS Y1, (DI)
-	VMOVUPS Y2, 32(DI)
-	VMOVUPS Y3, 64(DI)
-	VMOVUPS Y4, 96(DI)
-	ADDQ $128, SI
-	ADDQ $128, DI
-	SUBQ $32, CX
-	JMP  axpy32
+	MOVQ x_len+16(FP), CX
 axpy8:
 	CMPQ CX, $8
-	JLT  axpy1
+	JLT  axpyDone
 	VMOVUPS (SI), Y1
 	VMULPS  Y0, Y1, Y1
 	VADDPS  (DI), Y1, Y1
@@ -73,61 +50,110 @@ axpy8:
 	ADDQ $32, DI
 	SUBQ $8, CX
 	JMP  axpy8
-axpy1:
-	TESTQ CX, CX
-	JEQ   axpyDone
-	VMOVSS (SI), X1
-	VMULSS X0, X1, X1
-	VADDSS (DI), X1, X1
-	VMOVSS X1, (DI)
-	ADDQ $4, SI
-	ADDQ $4, DI
-	DECQ CX
-	JMP  axpy1
 axpyDone:
 	VZEROUPPER
 	RET
 
-// func dotColsAVX2(c, a, bt []float32, stride int)
-// c[j] = Σ_p a[p]·bt[p·stride+j] for j < len(c), p ascending from +0 in every
-// lane. len(c) is a multiple of 8; columns go 32 and then 8 at a time.
-TEXT ·dotColsAVX2(SB), NOSPLIT, $0-80
+// MAC adds a·b[off/4 … off/4+8) to eight sums: the product rounds, then the sum.
+#define MAC(off, tmp, acc) \
+	VMOVUPS off(R10), tmp \
+	VMULPS  Y15, tmp, tmp \
+	VADDPS  tmp, acc, acc
+
+// func rowAVX2(c, a []float32, astride int, b []float32, bstride, k int, skip bool)
+// c[j] = Σ_p a[p·astride]·b[p·bstride+j] for j < len(c) and p < k, p ascending
+// from +0 in every lane; with skip, the terms whose a is ±0 are left out.
+// len(c) ≥ 8. Columns go 64, 32 and then 8 at a time, each tile's sums in
+// registers for the whole p loop; a ragged end is the 8-column tile over the
+// last 8 columns, which stores again what the tile before it stored there.
+TEXT ·rowAVX2(SB), NOSPLIT, $0-97
 	MOVQ c_base+0(FP), DI
 	MOVQ c_len+8(FP), CX
 	MOVQ a_base+24(FP), SI
-	MOVQ a_len+32(FP), R8
-	MOVQ bt_base+48(FP), BX
-	MOVQ stride+72(FP), R9
+	MOVQ astride+48(FP), R12
+	MOVQ b_base+56(FP), BX
+	MOVQ bstride+80(FP), R9
+	MOVQ k+88(FP), R8
+	MOVBLZX skip+96(FP), R13
+	XORL $1, R13 // a's bits, sign shifted out, plus this: 0 only for a skipped ±0
+	SHLQ $2, R12
 	SHLQ $2, R9
-dot32:
-	CMPQ CX, $32
-	JLT  dot8
+row64:
+	CMPQ CX, $64
+	JLT  row32
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ SI, R14
 	MOVQ BX, R10
-	XORQ R11, R11
-dot32p:
-	CMPQ R11, R8
-	JGE  dot32store
-	VBROADCASTSS (SI)(R11*4), Y4
-	VMOVUPS (R10), Y5
-	VMOVUPS 32(R10), Y6
-	VMOVUPS 64(R10), Y7
-	VMOVUPS 96(R10), Y8
-	VMULPS  Y4, Y5, Y5
-	VMULPS  Y4, Y6, Y6
-	VMULPS  Y4, Y7, Y7
-	VMULPS  Y4, Y8, Y8
-	VADDPS  Y5, Y0, Y0
-	VADDPS  Y6, Y1, Y1
-	VADDPS  Y7, Y2, Y2
-	VADDPS  Y8, Y3, Y3
+	MOVQ R8, R11
+	TESTQ R8, R8
+	JEQ  row64store
+row64p:
+	MOVL (R14), AX
+	LEAL (R13)(AX*2), AX
+	TESTL AX, AX
+	JEQ  row64next
+	VBROADCASTSS (R14), Y15
+	MAC(0, Y8, Y0)
+	MAC(32, Y9, Y1)
+	MAC(64, Y10, Y2)
+	MAC(96, Y11, Y3)
+	MAC(128, Y8, Y4)
+	MAC(160, Y9, Y5)
+	MAC(192, Y10, Y6)
+	MAC(224, Y11, Y7)
+row64next:
+	ADDQ R12, R14
 	ADDQ R9, R10
-	INCQ R11
-	JMP  dot32p
-dot32store:
+	DECQ R11
+	JNE  row64p
+row64store:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	ADDQ $256, DI
+	ADDQ $256, BX
+	SUBQ $64, CX
+	JMP  row64
+row32:
+	CMPQ CX, $32
+	JLT  row8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ SI, R14
+	MOVQ BX, R10
+	MOVQ R8, R11
+	TESTQ R8, R8
+	JEQ  row32store
+row32p:
+	MOVL (R14), AX
+	LEAL (R13)(AX*2), AX
+	TESTL AX, AX
+	JEQ  row32next
+	VBROADCASTSS (R14), Y15
+	MAC(0, Y8, Y0)
+	MAC(32, Y9, Y1)
+	MAC(64, Y10, Y2)
+	MAC(96, Y11, Y3)
+row32next:
+	ADDQ R12, R14
+	ADDQ R9, R10
+	DECQ R11
+	JNE  row32p
+row32store:
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	VMOVUPS Y2, 64(DI)
@@ -135,29 +161,191 @@ dot32store:
 	ADDQ $128, DI
 	ADDQ $128, BX
 	SUBQ $32, CX
-	JMP  dot32
-dot8:
+	JMP  row32
+row8:
 	CMPQ CX, $8
-	JLT  dotDone
+	JLT  rowTail
 	VXORPS Y0, Y0, Y0
+	MOVQ SI, R14
 	MOVQ BX, R10
-	XORQ R11, R11
-dot8p:
-	CMPQ R11, R8
-	JGE  dot8store
-	VBROADCASTSS (SI)(R11*4), Y4
-	VMOVUPS (R10), Y5
-	VMULPS  Y4, Y5, Y5
-	VADDPS  Y5, Y0, Y0
+	MOVQ R8, R11
+	TESTQ R8, R8
+	JEQ  row8store
+row8p:
+	MOVL (R14), AX
+	LEAL (R13)(AX*2), AX
+	TESTL AX, AX
+	JEQ  row8next
+	VBROADCASTSS (R14), Y15
+	MAC(0, Y8, Y0)
+row8next:
+	ADDQ R12, R14
 	ADDQ R9, R10
-	INCQ R11
-	JMP  dot8p
-dot8store:
+	DECQ R11
+	JNE  row8p
+row8store:
 	VMOVUPS Y0, (DI)
 	ADDQ $32, DI
 	ADDQ $32, BX
 	SUBQ $8, CX
-	JMP  dot8
-dotDone:
+	JMP  row8
+rowTail:
+	TESTQ CX, CX
+	JEQ   rowDone
+	LEAQ  -32(DI)(CX*4), DI
+	LEAQ  -32(BX)(CX*4), BX
+	MOVQ  $8, CX
+	JMP   row8
+rowDone:
+	VZEROUPPER
+	RET
+
+// func tile4AVX2(c []float32, cstride int, a []float32, arow int, b []float32, bstride, k int)
+// Four rows of rowAVX2's 8-column tile without the skip:
+// c[r·cstride+j] = Σ_p a[r·arow+p]·b[p·bstride+j] for r < 4 and j < 8. One load
+// of b feeds four sums that do not wait on each other; each is still its own
+// ascending-p sum from +0.
+TEXT ·tile4AVX2(SB), NOSPLIT, $0-104
+	MOVQ c_base+0(FP), DI
+	MOVQ cstride+24(FP), DX
+	MOVQ a_base+32(FP), SI
+	MOVQ arow+56(FP), R12
+	MOVQ b_base+64(FP), BX
+	MOVQ bstride+88(FP), R9
+	MOVQ k+96(FP), R8
+	SHLQ $2, DX
+	SHLQ $2, R12
+	SHLQ $2, R9
+	LEAQ (R12)(R12*2), R13
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	TESTQ R8, R8
+	JEQ   tile4store
+tile4p:
+	VMOVUPS (BX), Y4
+	VBROADCASTSS (SI), Y5
+	VBROADCASTSS (SI)(R12*1), Y6
+	VBROADCASTSS (SI)(R12*2), Y7
+	VBROADCASTSS (SI)(R13*1), Y8
+	VMULPS Y5, Y4, Y5
+	VMULPS Y6, Y4, Y6
+	VMULPS Y7, Y4, Y7
+	VMULPS Y8, Y4, Y8
+	VADDPS Y5, Y0, Y0
+	VADDPS Y6, Y1, Y1
+	VADDPS Y7, Y2, Y2
+	VADDPS Y8, Y3, Y3
+	ADDQ $4, SI
+	ADDQ R9, BX
+	DECQ R8
+	JNE  tile4p
+tile4store:
+	LEAQ (DX)(DX*2), R13
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, (DI)(DX*1)
+	VMOVUPS Y2, (DI)(DX*2)
+	VMOVUPS Y3, (DI)(R13*1)
+	VZEROUPPER
+	RET
+
+// func scaleAVX2(x []float32, alpha float32)
+// x[j] *= alpha for j < len(x) &^ 7.
+TEXT ·scaleAVX2(SB), NOSPLIT, $0-28
+	MOVQ x_base+0(FP), DI
+	MOVQ x_len+8(FP), CX
+	VBROADCASTSS alpha+24(FP), Y0
+scale8:
+	CMPQ CX, $8
+	JLT  scaleDone
+	VMOVUPS (DI), Y1
+	VMULPS  Y0, Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JMP  scale8
+scaleDone:
+	VZEROUPPER
+	RET
+
+// func maxAbsAVX2(x []float32) float32
+// max |x[j]| from +0 over j < len(x) &^ 31. The running maximum is VMAXPS's second source, the one
+// it returns when an operand is NaN, so a NaN element is passed over as the
+// Go loop's v > m passes over it; the lanes hold no NaN when they are folded.
+TEXT ·maxAbsAVX2(SB), NOSPLIT, $0-28
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	VPCMPEQD Y5, Y5, Y5
+	VPSRLD   $1, Y5, Y5 // 0x7fffffff: clears the sign
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+max32:
+	CMPQ CX, $32
+	JLT  maxFold
+	VANDPS (SI), Y5, Y4
+	VMAXPS Y0, Y4, Y0
+	VANDPS 32(SI), Y5, Y4
+	VMAXPS Y1, Y4, Y1
+	VANDPS 64(SI), Y5, Y4
+	VMAXPS Y2, Y4, Y2
+	VANDPS 96(SI), Y5, Y4
+	VMAXPS Y3, Y4, Y3
+	ADDQ $128, SI
+	SUBQ $32, CX
+	JMP  max32
+maxFold:
+	VMAXPS Y1, Y0, Y0
+	VMAXPS Y3, Y2, Y2
+	VMAXPS Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPS X1, X0, X0
+	VPSRLDQ $8, X0, X1
+	VMAXPS X1, X0, X0
+	VPSRLDQ $4, X0, X1
+	VMAXSS X1, X0, X0
+	VMOVSS X0, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func momentumAVX2(w, g, v []float32, lr, mom, wd float32)
+// g[j] += wd·w[j] unless wd is ±0, then v[j] = mom·v[j] + g[j] and
+// w[j] -= lr·v[j], for j < len(w) &^ 7: each product, sum and difference rounded.
+TEXT ·momentumAVX2(SB), NOSPLIT, $0-84
+	MOVQ w_base+0(FP), DI
+	MOVQ w_len+8(FP), CX
+	MOVQ g_base+24(FP), SI
+	MOVQ v_base+48(FP), BX
+	VBROADCASTSS lr+72(FP), Y0
+	VBROADCASTSS mom+76(FP), Y1
+	VBROADCASTSS wd+80(FP), Y6
+	MOVL wd+80(FP), AX
+	ADDL AX, AX // 0 when wd is ±0
+mom8:
+	CMPQ CX, $8
+	JLT  momDone
+	VMOVUPS (DI), Y3
+	VMOVUPS (SI), Y4
+	TESTL AX, AX
+	JEQ   mom8v
+	VMULPS  Y6, Y3, Y5
+	VADDPS  Y5, Y4, Y4
+	VMOVUPS Y4, (SI)
+mom8v:
+	VMOVUPS (BX), Y2
+	VMULPS  Y1, Y2, Y2
+	VADDPS  Y4, Y2, Y2
+	VMOVUPS Y2, (BX)
+	VMULPS  Y0, Y2, Y2
+	VSUBPS  Y2, Y3, Y3
+	VMOVUPS Y3, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	ADDQ $32, BX
+	SUBQ $8, CX
+	JMP  mom8
+momDone:
 	VZEROUPPER
 	RET

@@ -97,6 +97,87 @@ func checkMatMuls(t *testing.T, ad, bd []float32, m, k, n int) {
 	sameBits(t, "MatMulTransBInto", dst.data, naiveMatMul(aAt, bAt, m, k, n, false))
 }
 
+// misaligned copies s to off floats past the start of a fresh allocation:
+// 4-, 8- and 12-byte misalignment for off 1, 2 and 3.
+func misaligned(s []float32, off int) []float32 {
+	return append(make([]float32, off, off+len(s)), s...)[off:]
+}
+
+// sgdStepGo is nn.SGD.Step's update of one parameter as it was written before
+// the kernels: the reference for SGDStep, the wd == 0 and mom == 0 branches
+// included.
+func sgdStepGo(w, g, v []float32, lr, mom, wd float32) {
+	for i := range w {
+		if wd != 0 {
+			g[i] += float32(wd * w[i])
+		}
+		if mom != 0 {
+			v[i] = float32(mom*v[i]) + g[i]
+			w[i] -= float32(lr * v[i])
+		} else {
+			w[i] -= float32(lr * g[i])
+		}
+	}
+}
+
+// checkElementwise compares axpy, scale, maxAbs and SGDStep with their Go
+// loops on all but the last element of x, g and v, which have one length; the
+// last element of each is a sentinel no kernel may touch. Every kernel input
+// is misaligned by off floats.
+func checkElementwise(t *testing.T, off int, x, g, v []float32, lr, mom, wd float32) {
+	t.Helper()
+	n := len(x) - 1
+	at := func(s []float32) []float32 { return misaligned(s, off) }
+
+	want, got := at(g), at(g)
+	axpyGo(lr, x[:n], want[:n])
+	axpy(lr, at(x)[:n], got[:n])
+	sameBits(t, "axpy", got, want)
+
+	want, got = at(x), at(x)
+	scaleGo(want[:n], mom)
+	scale(got[:n], mom)
+	sameBits(t, "scale", got, want)
+
+	sameBits(t, "maxAbs", []float32{maxAbs(at(x)[:n])}, []float32{maxAbsGo(x[:n])})
+
+	ww, wg, wv := at(x), at(g), at(v)
+	gw, gg, gv := at(x), at(g), at(v)
+	sgdStepGo(ww[:n], wg[:n], wv[:n], lr, mom, wd)
+	SGDStep(gw[:n], gg[:n], gv[:n], lr, mom, wd)
+	sameBits(t, "SGDStep w", gw, ww)
+	sameBits(t, "SGDStep g", gg, wg)
+	sameBits(t, "SGDStep v", gv, wv)
+}
+
+// checkRow compares mulRow with naiveMatMul on one (m,k,n) product, reading A
+// row-major at stride 1 and transposed at stride m, with and without the zero
+// skip; off misaligns every operand and a sentinel follows each output row.
+func checkRow(t *testing.T, off int, ad, bd []float32, m, k, n int) {
+	t.Helper()
+	at := func(s []float32) []float32 { return misaligned(s, off) }
+	aT := make([]float32, k*m)
+	for i := 0; i < m; i++ {
+		for p := 0; p < k; p++ {
+			aT[p*m+i] = ad[i*k+p]
+		}
+	}
+	a, aTr, b := at(ad), at(aT), at(bd)
+	for _, skip := range []bool{true, false} {
+		want := naiveMatMul(func(i, p int) float32 { return ad[i*k+p] }, func(p, j int) float32 { return bd[p*n+j] }, m, k, n, skip)
+		for i := 0; i < m; i++ {
+			sentinel := palette[10+i]
+			wantRow := append(want[i*n:(i+1)*n:(i+1)*n], sentinel)
+			got := at(append(fill(NewRNG(uint64(i)), n), sentinel))
+			mulRow(got[:n], a[i*k:], 1, b, n, k, skip)
+			sameBits(t, "mulRow stride 1", got, wantRow)
+			got = at(append(fill(NewRNG(uint64(i)), n), sentinel))
+			mulRow(got[:n], aTr[min(i, len(aTr)):], m, b, n, k, skip) // aTr is empty when k is 0
+			sameBits(t, "mulRow stride m", got, wantRow)
+		}
+	}
+}
+
 // TestSIMDKernelsMatchScalar is the property behind "fast without moving one
 // bit": the AVX2 primitives equal the Go loops they replace on every length
 // and alignment, and the kernels built on them equal a naive triple loop.
@@ -108,29 +189,38 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 		if !useAVX2 {
 			t.Skip("no AVX2: the Go loops are the only path")
 		}
+		negZero, nan, inf := palette[1], palette[7], palette[5]
 		for n := 0; n <= 70; n++ {
-			for off := 0; off < 4; off++ { // float offsets: 4-, 8- and 12-byte misalignment
-				x := fill(r, n+off)[off:]
-				y := fill(r, n+off+1)[off : off+n] // one element past y must survive
-				for _, a := range []float32{palette[r.Intn(10)], palette[10+r.Intn(246)]} {
-					want := append([]float32(nil), y[:n+1]...)
-					axpyGo(a, x, want[:n])
-					axpy(a, x, y)
-					sameBits(t, "axpy", y[:n+1], want)
+			for off := 0; off < 4; off++ {
+				x, g, v := fill(r, n+1), fill(r, n+1), fill(r, n+1)
+				special, finite := palette[r.Intn(10)], palette[10+r.Intn(246)]
+				for _, c := range [][3]float32{{finite, 0.9, 5e-4}, {0.05, 0.9, 0}, {0.05, 0, finite}, {finite, 0, 0}, {special, finite, finite}, {finite, special, special}} {
+					checkElementwise(t, off, x, g, v, c[0], c[1], c[2])
 				}
 
-				// The row kernel through its driver: one (2,k,n) product
-				// with k = off·9 + 1 so both tile widths see short and long
-				// sums.
+				// Three rows with k = off·9 + 1, so every tile width sees
+				// short and long sums; the first terms of row 0 put a = −0
+				// and a = NaN against non-finite b.
+				const m = 3
 				k := off*9 + 1
-				ad, bd := fill(r, 2*k+off)[off:], fill(r, n*k)
-				want, got := make([]float32, 2*n), make([]float32, 2*n+off)[off:]
-				matMulTransBRows(want, ad, bd, k, n, 0, 2)
-				bt := transposePadded(bd, n, k)
-				matMulTransBRowsAVX2(got, ad, bt, k, n, 0, 2)
-				putScratch(bt)
-				sameBits(t, "row kernel", got, want)
+				ad, bd := fill(r, m*k), fill(r, k*n)
+				ad[0] = negZero
+				if n > 0 {
+					bd[0], bd[n-1] = inf, nan
+				}
+				if k > 1 {
+					ad[1] = nan
+					copy(bd[n:], []float32{-inf, inf, nan}[:min(3, n)])
+				}
+				checkRow(t, off, ad, bd, m, k, n)
 			}
+		}
+		nans := make([]float32, 70)
+		for i := range nans {
+			nans[i] = nan
+		}
+		for n := 0; n <= 70; n++ {
+			sameBits(t, "maxAbs of NaNs", []float32{maxAbs(nans[:n])}, []float32{0})
 		}
 	})
 
@@ -172,5 +262,29 @@ func FuzzMatMulBitExact(f *testing.F) {
 			bd[i] = palette[data[(i*7+3)%len(data)]]
 		}
 		checkMatMuls(t, ad, bd, m, k, n)
+	})
+}
+
+// FuzzElementwiseBitExact feeds the elementwise kernels and the row kernel
+// lengths, alignments, coefficients and palette values chosen by the fuzzer.
+func FuzzElementwiseBitExact(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(10), uint8(11), uint8(12), []byte{10})
+	f.Add(uint8(9), uint8(1), uint8(200), uint8(0), uint8(0), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 200, 100, 50})
+	f.Add(uint8(70), uint8(3), uint8(7), uint8(5), uint8(1), []byte("each product and sum rounded on its own"))
+	f.Fuzz(func(t *testing.T, nb, offb, lr, mom, wd uint8, data []byte) {
+		n, off := int(nb)%97, int(offb)%4
+		if len(data) == 0 {
+			data = []byte{0}
+		}
+		draw := func(n, mul, add int) []float32 {
+			s := make([]float32, n)
+			for i := range s {
+				s[i] = palette[data[(i*mul+add)%len(data)]]
+			}
+			return s
+		}
+		checkElementwise(t, off, draw(n+1, 1, 0), draw(n+1, 3, 1), draw(n+1, 5, 2), palette[lr], palette[mom], palette[wd])
+		m, k := 1+int(lr)%3, int(mom)%20
+		checkRow(t, off, draw(m*k, 7, 3), draw(k*n, 11, 5), m, k, n)
 	})
 }

@@ -251,16 +251,32 @@ func AxpyInto(dst *Tensor, alpha float32, src *Tensor) {
 	if len(dst.data) != len(src.data) {
 		panic("tensor: Axpy volume mismatch")
 	}
-	d, s := dst.data, src.data
-	for i := range d {
-		d[i] += alpha * s[i]
-	}
+	axpy(alpha, src.data, dst.data)
 }
 
 // ScaleInPlace multiplies every element of t by alpha.
-func (t *Tensor) ScaleInPlace(alpha float32) {
-	for i := range t.data {
-		t.data[i] *= alpha
+func (t *Tensor) ScaleInPlace(alpha float32) { scale(t.data, alpha) }
+
+// Scale multiplies every element of x by alpha.
+func Scale(x []float32, alpha float32) { scale(x, alpha) }
+
+// SGDStep is one momentum-SGD update of a parameter w with gradient g:
+// g += wd·w unless wd is 0, then v = mom·v + g and w -= lr·v, or only
+// w -= lr·g when mom is 0 (v is then not read). Each product, sum and
+// difference rounds on its own, in that order.
+func SGDStep(w, g, v []float32, lr, mom, wd float32) {
+	if len(g) != len(w) || mom != 0 && len(v) != len(w) {
+		panic("tensor: SGDStep length mismatch")
+	}
+	if mom != 0 {
+		momentum(w, g, v, lr, mom, wd)
+		return
+	}
+	for j := range w { // no trainer runs without momentum: the loop is enough
+		if wd != 0 {
+			g[j] += float32(wd * w[j])
+		}
+		w[j] -= float32(lr * g[j])
 	}
 }
 
@@ -326,19 +342,10 @@ func (t *Tensor) Min() (float32, int) {
 }
 
 // AbsMax returns max(|x|) over all elements, 0 for an empty tensor.
-func (t *Tensor) AbsMax() float32 {
-	var m float32
-	for _, v := range t.data {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > m {
-			m = a
-		}
-	}
-	return m
-}
+func (t *Tensor) AbsMax() float32 { return maxAbs(t.data) }
+
+// MaxAbs returns max |x[j]|, 0 for an empty slice; a NaN is never the larger.
+func MaxAbs(x []float32) float32 { return maxAbs(x) }
 
 // MagnitudeBits maps v to an unsigned key ordered like |v|: its IEEE-754 bit
 // pattern with the sign cleared. +0 and −0 share key 0, denormals, normals
@@ -425,8 +432,8 @@ func checkMatMulShapes(op string, dst, a, b *Tensor, m, k, k2, n int) {
 	}
 }
 
-// MatMulInto computes dst = A × B, accumulating into a zeroed dst. dst must
-// have shape (m,n).
+// MatMulInto computes dst = A × B; dst must have shape (m,n) and is
+// overwritten.
 //
 // The kernel is chunked over output rows via the par budget: each output
 // element is still the ascending-p sum of a[i,p]·b[p,j] (with the a==0 skip),
@@ -445,35 +452,22 @@ func MatMulInto(dst, a, b *Tensor) {
 	})
 }
 
-// matMulRows computes output rows [lo,hi) of C = A × B, zeroing them first.
-// Rows are disjoint between chunks, so chunking is bit-exact by construction.
+// matMulRows computes output rows [lo,hi) of C = A × B. Rows are disjoint
+// between chunks, so chunking is bit-exact by construction.
 func matMulRows(cd, ad, bd []float32, k, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		ci := cd[i*n : (i+1)*n]
-		for j := range ci {
-			ci[j] = 0
-		}
-		for p := 0; p < k; p++ {
-			av := ad[i*k+p]
-			if av == 0 {
-				continue
-			}
-			axpy(av, bd[p*n:(p+1)*n], ci)
-		}
+		mulRow(cd[i*n:(i+1)*n], ad[i*k:], 1, bd, n, k, true)
 	}
 }
 
 // MatMulTransAInto computes dst = Aᵀ × B for A of shape (k,m) and B of shape
 // (k,n); dst must be (m,n). Used by Linear backward for weight gradients.
 //
-// Chunking is over output rows i (columns of A) with the p-loop kept outer
-// and ascending inside each chunk, so every dst element accumulates its
-// a[p,i]·b[p,j] terms in exactly the scalar order. Splitting the p-loop into
-// per-chunk partial sums instead would change float association and break
-// the byte-identity contract. Every pass of the p-loop rewrites all of a
-// chunk's rows, so a chunk accumulates in scratch of its own and copies out
-// once: chunks updating neighbouring rows of one small dst in place spend
-// their time passing cache lines back and forth.
+// Chunking is over output rows i (columns of A), and a row is one mulRow
+// reading its column of A at stride m: every dst element accumulates its
+// a[p,i]·b[p,j] terms in ascending p, whole, in one chunk. Splitting the
+// p-loop into per-chunk partial sums instead would change float association
+// and break the byte-identity contract.
 func MatMulTransAInto(dst, a, b *Tensor) {
 	k, m := a.shape[0], a.shape[1]
 	n := b.shape[1]
@@ -484,28 +478,18 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 	}
 	ad, bd, cd := a.data, b.data, dst.data
 	par.ForChunksWork(m, m*k*n, func(_, lo, hi int) {
-		rows := getScratch((hi - lo) * n)
-		matMulTransARows(rows, ad, bd, k, m, n, lo, hi)
-		copy(cd[lo*n:hi*n], rows)
-		putScratch(rows)
+		matMulTransARows(cd, ad, bd, k, m, n, lo, hi)
 	})
 }
 
-// matMulTransARows computes output rows [lo,hi) of C = Aᵀ × B into cd, which
-// holds just those rows, zeroing them first. lo=0, hi=m is exactly the scalar
-// kernel.
+// matMulTransARows computes output rows [lo,hi) of C = Aᵀ × B.
 func matMulTransARows(cd, ad, bd []float32, k, m, n, lo, hi int) {
-	clear(cd[:(hi-lo)*n])
-	for p := 0; p < k; p++ {
-		ap := ad[p*m : (p+1)*m]
-		bp := bd[p*n : (p+1)*n]
-		for i := lo; i < hi; i++ {
-			av := ap[i]
-			if av == 0 {
-				continue
-			}
-			axpy(av, bp, cd[(i-lo)*n:(i-lo+1)*n])
-		}
+	if k == 0 { // A has no column i to start a row at
+		clear(cd[lo*n : hi*n])
+		return
+	}
+	for i := lo; i < hi; i++ {
+		mulRow(cd[i*n:(i+1)*n], ad[i:], m, bd, n, k, true)
 	}
 }
 
@@ -515,16 +499,16 @@ func matMulTransARows(cd, ad, bd []float32, k, m, n, lo, hi int) {
 // The scalar kernel register-blocks four B rows (output columns) per pass:
 // each of the four accumulators is still a plain ascending-p dot product, so
 // the blocking does not change any element's float evaluation order. With
-// AVX2 the same dot products run eight columns to a register over a padded
-// transpose of B (simd.go), unless the inner dimension is empty and there is
-// nothing to transpose.
+// AVX2 and at least one register of columns the same dot products are mulRow
+// over a transpose of B in reused scratch (simd.go), unless the inner
+// dimension is empty and there is nothing to transpose.
 func MatMulTransBInto(dst, a, b *Tensor) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[0]
 	checkMatMulShapes("MatMulTransBInto", dst, a, b, m, k, b.shape[1], n)
 	rows, ad, bd, cd := matMulTransBRows, a.data, b.data, dst.data
-	if useAVX2 && k > 0 {
-		bd = transposePadded(bd, n, k)
+	if useAVX2 && n >= 8 && k > 0 {
+		bd = transposed(bd, n, k)
 		defer putScratch(bd)
 		rows = matMulTransBRowsAVX2
 	}
@@ -535,6 +519,25 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	par.ForChunksWork(m, m*k*n, func(_, lo, hi int) {
 		rows(cd, ad, bd, k, n, lo, hi)
 	})
+}
+
+// matMulTransBRowsAVX2 is matMulTransBRows over bt = transposed(B). An output
+// narrower than 32 columns is nothing but 8-column tiles, each one add chain
+// that waits on itself, so there four rows go to a tile (tile4AVX2): four
+// chains, each still its own row's ascending-p sum.
+func matMulTransBRowsAVX2(cd, ad, bt []float32, k, n, lo, hi int) {
+	i := lo
+	if n < 32 {
+		for ; i+4 <= hi; i += 4 {
+			for j := 0; j < n; j += 8 {
+				t := min(j, n-8) // a ragged last tile is the last 8 columns
+				tile4AVX2(cd[i*n+t:], n, ad[i*k:], k, bt[t:], n, k)
+			}
+		}
+	}
+	for ; i < hi; i++ {
+		mulRow(cd[i*n:(i+1)*n], ad[i*k:], 1, bt, n, k, false)
+	}
 }
 
 // matMulTransBRows computes output rows [lo,hi) of C = A × Bᵀ. Each output
