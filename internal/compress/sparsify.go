@@ -8,11 +8,13 @@ import (
 	"pactrain/internal/tensor"
 )
 
-// decodeSumSparse accumulates a sparse payload into out in parallel. The
-// indices within one payload are unique, so chunks write disjoint
-// coordinates and each out[j] receives exactly one add — bit-identical to
-// the scalar loop for any chunking.
-func decodeSumSparse(p collective.SparsePayload, out []float32) {
+// DecodeSumSparse accumulates a sparse payload into out in parallel: the
+// decode under every SparseCompressor's DecodeSum and under the trainer's
+// all-gather step (whatever produced the payload). The indices within one
+// payload are unique, so chunks write disjoint coordinates and each out[j]
+// receives exactly one add — bit-identical to the scalar loop for any
+// chunking.
+func DecodeSumSparse(p collective.SparsePayload, out []float32) {
 	par.For(len(p.Indices), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[p.Indices[i]] += p.Values[i]
@@ -66,7 +68,7 @@ func (t *TopK) Encode(grad []float32) collective.SparsePayload {
 
 // DecodeSum implements SparseCompressor.
 func (*TopK) DecodeSum(p collective.SparsePayload, out []float32) {
-	decodeSumSparse(p, out)
+	DecodeSumSparse(p, out)
 }
 
 // RandomK transmits a random subset of coordinates, the unbiased (but
@@ -115,7 +117,7 @@ func (r *RandomK) Encode(grad []float32) collective.SparsePayload {
 
 // DecodeSum implements SparseCompressor.
 func (*RandomK) DecodeSum(p collective.SparsePayload, out []float32) {
-	decodeSumSparse(p, out)
+	DecodeSumSparse(p, out)
 }
 
 // DGC is Deep Gradient Compression [Lin et al. 2018]: TopK sparsification
@@ -184,7 +186,7 @@ func (d *DGC) Encode(grad []float32) collective.SparsePayload {
 
 // DecodeSum implements SparseCompressor.
 func (*DGC) DecodeSum(p collective.SparsePayload, out []float32) {
-	decodeSumSparse(p, out)
+	DecodeSumSparse(p, out)
 }
 
 // Reset clears accumulated state (used between experiments).
@@ -248,18 +250,3 @@ func (e *ErrorFeedback) DecodeSum(p collective.SparsePayload, out []float32) {
 
 // Reset clears the residual.
 func (e *ErrorFeedback) Reset() { e.residual = nil }
-
-// COOBytes returns the wire size of a coordinate-list encoding of k
-// non-zeros (value + 32-bit index per entry), the format whose overhead the
-// paper cites as a reason plain sparse encodings underperform at moderate
-// sparsity (§II-B).
-func COOBytes(k int) float64 { return collective.WireSparse.MessageBytes(k) }
-
-// DenseBytes returns the wire size of a dense fp32 encoding of n elements.
-func DenseBytes(n int) float64 { return collective.WireFP32.MessageBytes(n) }
-
-// COOBeatsDense reports whether a COO encoding of k non-zeros out of n
-// elements is smaller than the dense encoding — true only below 50%
-// density, which is why pruning alone (30–80% sparsity) does not make COO
-// pay off and PacTrain compacts against a shared mask instead.
-func COOBeatsDense(k, n int) bool { return COOBytes(k) < DenseBytes(n) }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"pactrain/internal/adaptive"
@@ -53,31 +56,105 @@ func TestAdaptiveSchemeRuns(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSingleCandidateMatchesPacTrainTernary pins the scheme
-// plumbing: a controller restricted to the mask-compact-ternary format must
-// reproduce the pactrain-ternary scheme exactly — same warm-up, same
-// tracker schedule, same compressor seeds, hence bit-identical convergence
-// and clock.
+// TestAdaptiveSingleCandidateMatchesPacTrainTernary (and plain pactrain)
+// pins that a fixed-format scheme is the adaptive scheme with one candidate:
+// a controller restricted to a single format must reproduce the scheme whose
+// constant that format is — same warm-up, same tracker schedule, same
+// compressor seeds — op for op and checksum for checksum. The Decision tag
+// is the one permitted difference (the fixed schemes decide nothing).
 func TestAdaptiveSingleCandidateMatchesPacTrainTernary(t *testing.T) {
-	ternCfg := tinyConfig("pactrain-ternary")
-	tern, err := Run(ternCfg)
-	if err != nil {
-		t.Fatal(err)
+	for scheme, format := range map[string]string{
+		"pactrain":         adaptive.FormatCompact,
+		"pactrain-ternary": adaptive.FormatCompactTernary,
+	} {
+		t.Run(scheme, func(t *testing.T) {
+			t.Parallel()
+			fixed, err := Run(tinyConfig(scheme))
+			if err != nil {
+				t.Fatal(err)
+			}
+			adCfg := tinyConfig(SchemeAdaptive)
+			adCfg.AdaptCandidates = []string{format}
+			ad, err := Run(adCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ad.FinalAcc != fixed.FinalAcc || ad.SimSeconds != fixed.SimSeconds ||
+				ad.StableFraction != fixed.StableFraction {
+				t.Fatalf("adaptive{%s} acc %v clock %v stable %v; %s acc %v clock %v stable %v", format,
+					ad.FinalAcc, ad.SimSeconds, ad.StableFraction,
+					scheme, fixed.FinalAcc, fixed.SimSeconds, fixed.StableFraction)
+			}
+			if !reflect.DeepEqual(ad.WeightChecksums, fixed.WeightChecksums) {
+				t.Fatalf("rank checksums diverged: %v vs %v", ad.WeightChecksums, fixed.WeightChecksums)
+			}
+			if len(ad.CommLog.Iters) != len(fixed.CommLog.Iters) {
+				t.Fatalf("%d iterations recorded vs %d", len(ad.CommLog.Iters), len(fixed.CommLog.Iters))
+			}
+			tagged := 0
+			for i, ops := range fixed.CommLog.Iters {
+				if len(ops) != len(ad.CommLog.Iters[i]) {
+					t.Fatalf("iter %d: %d ops vs %d", i, len(ad.CommLog.Iters[i]), len(ops))
+				}
+				for j, want := range ops {
+					got := ad.CommLog.Iters[i][j]
+					if want.Decision != "" {
+						t.Fatalf("iter %d op %d: %s recorded a Decision %q", i, j, scheme, want.Decision)
+					}
+					if got.Decision != "" {
+						if got.Decision != format {
+							t.Fatalf("iter %d op %d: decision %q, want %q", i, j, got.Decision, format)
+						}
+						tagged++
+						got.Decision = ""
+					}
+					if !reflect.DeepEqual(got, want) { // LaunchAt by value == by bits (never NaN)
+						t.Fatalf("iter %d op %d: adaptive %+v, %s %+v", i, j, got, scheme, want)
+					}
+				}
+			}
+			if tagged == 0 {
+				t.Fatal("the single-candidate controller never drove a round")
+			}
+		})
 	}
-	adCfg := tinyConfig(SchemeAdaptive)
-	adCfg.AdaptCandidates = []string{adaptive.FormatCompactTernary}
-	ad, err := Run(adCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ad.FinalAcc != tern.FinalAcc {
-		t.Fatalf("convergence diverged: adaptive %v vs pactrain-ternary %v", ad.FinalAcc, tern.FinalAcc)
-	}
-	if ad.SimSeconds != tern.SimSeconds {
-		t.Fatalf("clock diverged: adaptive %v vs pactrain-ternary %v", ad.SimSeconds, tern.SimSeconds)
-	}
-	if ad.StableFraction != tern.StableFraction {
-		t.Fatalf("compact-path fraction diverged: %v vs %v", ad.StableFraction, tern.StableFraction)
+}
+
+// TestFixedFormatBuildsNoController pins that the fixed-format schemes are
+// controller-less: no controller is built, so there is no decision
+// telemetry in the Result (or the cache JSON made from it) and heartbeats
+// name no format.
+func TestFixedFormatBuildsNoController(t *testing.T) {
+	for _, scheme := range []string{"pactrain", "pactrain-ternary"} {
+		cfg := tinyConfig(scheme)
+		hook, err := buildHook(&cfg, &hookEnv{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pac := hook.(*pacTrainHook)
+		if counts, switches := pac.FormatCounts(); pac.ctrl != nil || counts != nil || switches != 0 {
+			t.Fatalf("%s built a controller (counts %v, switches %d)", scheme, counts, switches)
+		}
+		cfg.OnProgress = func(p Progress) {
+			if p.Format != "" {
+				t.Errorf("%s heartbeat names a format: %q", scheme, p.Format)
+			}
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.StableFraction <= 0 {
+			t.Fatalf("%s never took the stable path", scheme)
+		}
+		blob, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.AdaptiveDecisions != nil || res.AdaptiveSwitches != 0 || bytes.Contains(blob, []byte("Adaptive")) ||
+			bytes.Contains(blob, []byte(`"Decision"`)) {
+			t.Fatalf("%s result carries controller telemetry", scheme)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"pactrain/internal/adaptive"
 	"pactrain/internal/collective"
 	"pactrain/internal/compress"
 	"pactrain/internal/ddp"
@@ -23,6 +24,11 @@ type hookEnv struct {
 	// the full-size model's gradient would cost (DESIGN.md §1: convergence
 	// comes from the lite twin, bytes-on-wire from the paper's model).
 	wireScale float64
+
+	// sizesBuf is the all-gather step's per-rank payload-size scratch,
+	// reused on ranks that do not record (the comm log retains the slice it
+	// is handed, so a recording rank allocates one per op).
+	sizesBuf []int
 }
 
 func (e *hookEnv) record(op CommOp) {
@@ -38,6 +44,39 @@ func (e *hookEnv) scaleWire(w collective.WireFormat) collective.WireFormat {
 		w.BytesPerElement *= e.wireScale
 	}
 	return w
+}
+
+// allReduce is the one all-reduce step under every scheme: sum payload
+// across the ranks in place, priced as wire, and record the op. decision is
+// the adaptive controller's tag ("" when nothing was decided).
+func (e *hookEnv) allReduce(b *ddp.Bucket, payload []float32, wire collective.WireFormat, decision string, t float64) float64 {
+	wire = e.scaleWire(wire)
+	end := e.cluster.AllReduceSum(e.rank, payload, wire, t)
+	e.record(CommOp{Kind: OpAllReduce, Elements: len(payload), Wire: wire,
+		Decision: decision, Bucket: b.Index, LaunchAt: t})
+	return end
+}
+
+// allGather is the one all-gather step under every scheme: exchange every
+// rank's COO payload wholesale, rebuild the bucket as their sum in rank
+// order (compress.DecodeSumSparse, the decode the benchmark probes time),
+// and record the per-rank sizes. Callers hand in a fresh payload each round,
+// because the rendezvous lets peers read a payload after its owner moved on.
+func (e *hookEnv) allGather(b *ddp.Bucket, payload collective.SparsePayload, wire collective.WireFormat, decision string, t float64) float64 {
+	wire = e.scaleWire(wire)
+	all, end := e.cluster.AllGatherSparse(e.rank, payload, wire, t)
+	clear(b.Flat)
+	if e.log != nil || len(e.sizesBuf) != len(all) {
+		e.sizesBuf = make([]int, len(all))
+	}
+	sizes := e.sizesBuf
+	for i, p := range all {
+		sizes[i] = len(p.Values)
+		compress.DecodeSumSparse(p, b.Flat)
+	}
+	e.record(CommOp{Kind: OpAllGather, Sizes: sizes, Wire: wire,
+		Decision: decision, Bucket: b.Index, LaunchAt: t})
+	return end
 }
 
 // --- Dense hooks (all-reduce / PS transports) --------------------------------
@@ -56,42 +95,21 @@ type denseHook struct {
 	bufs map[int][]float32
 }
 
-// encode produces the bucket's payload, reusing the per-bucket buffer when
-// the compressor supports it.
-func (h *denseHook) encode(b *ddp.Bucket) []float32 {
-	re, ok := h.comp.(compress.ReusableEncoder)
-	if !ok {
-		return h.comp.Encode(b.Flat)
-	}
+// Sync implements ddp.Hook.
+func (h *denseHook) Sync(b *ddp.Bucket, localTime float64) float64 {
 	if h.bufs == nil {
 		h.bufs = make(map[int][]float32)
 	}
-	out := re.EncodeInto(b.Flat, h.bufs[b.Index])
-	h.bufs[b.Index] = out
-	return out
-}
-
-// Name implements ddp.Hook.
-func (h *denseHook) Name() string {
-	if h.forcePS {
-		return "ps"
-	}
-	return h.comp.Name()
-}
-
-// Sync implements ddp.Hook.
-func (h *denseHook) Sync(rank int, b *ddp.Bucket, localTime float64) float64 {
-	payload := h.encode(b)
-	wire := h.env.scaleWire(h.comp.Wire())
+	payload := h.comp.EncodeInto(b.Flat, h.bufs[b.Index])
+	h.bufs[b.Index] = payload
 	var end float64
 	if h.forcePS || h.comp.Transport() == compress.TransportPS {
-		end = h.env.cluster.PSAggregateSum(rank, payload, wire, localTime)
+		wire := h.env.scaleWire(h.comp.Wire())
+		end = h.env.cluster.PSAggregateSum(h.env.rank, payload, wire, localTime)
 		h.env.record(CommOp{Kind: OpPS, Elements: len(payload), Wire: wire,
 			Bucket: b.Index, LaunchAt: localTime})
 	} else {
-		end = h.env.cluster.AllReduceSum(rank, payload, wire, localTime)
-		h.env.record(CommOp{Kind: OpAllReduce, Elements: len(payload), Wire: wire,
-			Bucket: b.Index, LaunchAt: localTime})
+		end = h.env.allReduce(b, payload, h.comp.Wire(), "", localTime)
 	}
 	h.comp.Decode(payload, b.Flat)
 	return end
@@ -103,58 +121,19 @@ func (h *denseHook) Sync(rank int, b *ddp.Bucket, localTime float64) float64 {
 // exchanged wholesale with all-gather and summed locally — the transport
 // TopK and DGC require (Table 1).
 type sparseHook struct {
-	env     *hookEnv
-	mk      func() compress.SparseCompressor
-	perBkt  map[int]compress.SparseCompressor
-	nameStr string
-
-	// sizesBuf is reused for the per-rank payload-size scratch on ranks that
-	// do not record (the comm log retains the slice it is handed, so rank 0
-	// keeps allocating).
-	sizesBuf []int
+	env    *hookEnv
+	mk     func() compress.SparseCompressor
+	perBkt map[int]compress.SparseCompressor
 }
-
-// sizesScratch returns an n-element size slice, reused when recording is off.
-func (h *sparseHook) sizesScratch(n int) []int {
-	if h.env.log != nil {
-		return make([]int, n)
-	}
-	if cap(h.sizesBuf) < n {
-		h.sizesBuf = make([]int, n)
-	}
-	return h.sizesBuf[:n]
-}
-
-func newSparseHook(env *hookEnv, mk func() compress.SparseCompressor) *sparseHook {
-	h := &sparseHook{env: env, mk: mk, perBkt: make(map[int]compress.SparseCompressor)}
-	h.nameStr = mk().Name()
-	return h
-}
-
-// Name implements ddp.Hook.
-func (h *sparseHook) Name() string { return h.nameStr }
 
 // Sync implements ddp.Hook.
-func (h *sparseHook) Sync(rank int, b *ddp.Bucket, localTime float64) float64 {
+func (h *sparseHook) Sync(b *ddp.Bucket, localTime float64) float64 {
 	comp := h.perBkt[b.Index]
 	if comp == nil {
 		comp = h.mk()
 		h.perBkt[b.Index] = comp
 	}
-	payload := comp.Encode(b.Flat)
-	wire := h.env.scaleWire(comp.Wire())
-	all, end := h.env.cluster.AllGatherSparse(rank, payload, wire, localTime)
-	for i := range b.Flat {
-		b.Flat[i] = 0
-	}
-	sizes := h.sizesScratch(len(all))
-	for i, p := range all {
-		sizes[i] = len(p.Values)
-		comp.DecodeSum(p, b.Flat)
-	}
-	h.env.record(CommOp{Kind: OpAllGather, Sizes: sizes, Wire: wire,
-		Bucket: b.Index, LaunchAt: localTime})
-	return end
+	return h.env.allGather(b, comp.Encode(b.Flat), comp.Wire(), "", localTime)
 }
 
 // --- SCC baseline hooks -------------------------------------------------------
@@ -168,17 +147,13 @@ type omniReduceHook struct {
 	blockSize int
 }
 
-// Name implements ddp.Hook.
-func (*omniReduceHook) Name() string { return "omnireduce" }
-
 // Sync implements ddp.Hook.
-func (h *omniReduceHook) Sync(rank int, b *ddp.Bucket, localTime float64) float64 {
+func (h *omniReduceHook) Sync(b *ddp.Bucket, localTime float64) float64 {
 	scale := h.env.wireScale
 	if scale <= 0 {
 		scale = 1
 	}
-	own, union, end := h.env.cluster.AllReduceBlockSparse(rank, b.Flat, h.blockSize, scale, localTime)
-	_ = own
+	_, union, end := h.env.cluster.AllReduceBlockSparse(h.env.rank, b.Flat, h.blockSize, scale, localTime)
 	blocks := make([]int, h.env.world)
 	for i := range blocks {
 		blocks[i] = union // conservative per-worker record; exact counts live in cluster stats
@@ -195,192 +170,188 @@ type zenHook struct {
 	env *hookEnv
 }
 
-// Name implements ddp.Hook.
-func (*zenHook) Name() string { return "zen" }
-
 // Sync implements ddp.Hook.
-func (h *zenHook) Sync(rank int, b *ddp.Bucket, localTime float64) float64 {
-	// Count first so the payload is allocated once at its exact size — a
-	// fresh pair each round, because the rendezvous lets peers read a payload
-	// after its owner moved on.
+func (h *zenHook) Sync(b *ddp.Bucket, localTime float64) float64 {
+	// Count first so the payload is allocated once at its exact size.
 	nnz := 0
 	for _, v := range b.Flat {
 		if v != 0 {
 			nnz++
 		}
 	}
-	vals := make([]float32, 0, nnz)
-	idx := make([]int32, 0, nnz)
+	payload := collective.SparsePayload{Values: make([]float32, 0, nnz), Indices: make([]int32, 0, nnz)}
 	for i, v := range b.Flat {
 		if v != 0 {
-			vals = append(vals, v)
-			idx = append(idx, int32(i))
+			payload.Values = append(payload.Values, v)
+			payload.Indices = append(payload.Indices, int32(i))
 		}
 	}
-	payload := collective.SparsePayload{Values: vals, Indices: idx}
-	wire := h.env.scaleWire(collective.WireSparse)
-	all, end := h.env.cluster.AllGatherSparse(rank, payload, wire, localTime)
-	for i := range b.Flat {
-		b.Flat[i] = 0
-	}
-	sizes := make([]int, len(all))
-	for i, p := range all {
-		sizes[i] = len(p.Values)
-		for j, id := range p.Indices {
-			b.Flat[id] += p.Values[j]
-		}
-	}
-	h.env.record(CommOp{Kind: OpAllGather, Sizes: sizes, Wire: wire,
-		Bucket: b.Index, LaunchAt: localTime})
-	return end
+	return h.env.allGather(b, payload, collective.WireSparse, "", localTime)
 }
 
 // --- The PacTrain hook --------------------------------------------------------
 
-// unstableFullSync is the synchronization step the PacTrain-family hooks
-// (pacTrainHook, adaptiveHook) share while a bucket's sparsity pattern is
-// unstable (Algorithm 1 lines 11–12): pay the owed bitmap re-share, run a
-// full fp32 all-reduce, and feed the tracker with the aggregated gradient —
-// identical bytes on every worker keep the trackers, and therefore the
-// stable/unstable branch, in lockstep across ranks. Both hooks delegate
-// here so the bit-exactness contract between them
-// (TestAdaptiveSingleCandidateMatchesPacTrainTernary) is structural, not
-// copy-discipline.
-func unstableFullSync(env *hookEnv, tr *masktracker.Tracker, rank int, b *ddp.Bucket,
-	payBitmap bool, localTime float64) (float64, masktracker.Observation) {
-	var end float64
-	if payBitmap {
-		bitWire := env.scaleWire(collective.BitmapWire)
-		end = env.cluster.BroadcastScaledBitmap(rank, 0, b.Elements(), bitWire, localTime)
-		env.record(CommOp{Kind: OpBitmapBroadcast, Elements: b.Elements(), Wire: bitWire,
-			Bucket: b.Index, LaunchAt: localTime})
-		localTime = end
-	}
-	fullWire := env.scaleWire(collective.WireFP32)
-	end = env.cluster.AllReduceSum(rank, b.Flat, fullWire, localTime)
-	env.record(CommOp{Kind: OpAllReduce, Elements: b.Elements(), Wire: fullWire,
-		Bucket: b.Index, LaunchAt: localTime})
-	return end, tr.Observe(b.Flat)
-}
-
-// pacTrainHook implements Algorithm 1's synchronization step. Per bucket it
-// maintains a Mask Tracker fed with the *aggregated* gradient (identical on
-// every worker, so all workers take the same branch without extra
-// consensus traffic):
+// pacTrainHook is Algorithm 1's synchronization step, the one
+// implementation under the pactrain, pactrain-ternary and adaptive schemes.
+// Per bucket it maintains a Mask Tracker fed with the *aggregated* gradient
+// (identical on every worker, so all workers take the same branch without
+// extra consensus traffic):
 //
 //   - while the sparsity pattern is unstable → full fp32 all-reduce, plus a
 //     one-off bitmap broadcast whenever the pattern changed (re-sharing the
 //     global mask knowledge);
-//   - once stable → reformat the sparse gradient into a compact dense
-//     tensor via the shared mask and all-reduce only the NNZ coordinates
-//     (optionally ternarized, §III-D).
+//   - once stable → send through the shared mask in one of the four
+//     adaptive.Format* wire formats: the scheme's constant (mask-compact
+//     for pactrain, mask-compact-ternary for pactrain-ternary, §III-D), or,
+//     for adaptive, whatever the cost-model controller picks this round.
+//
+// A fixed format is the adaptive scheme with one candidate, minus the
+// controller: ctrl is nil, nothing is priced, and recorded ops carry no
+// Decision tag. With a controller, every input to a decision — bucket size,
+// the tracker's mask, the synchronized simulated clock — is
+// replica-identical, so all ranks pick the same format with zero consensus
+// traffic.
 type pacTrainHook struct {
-	env     *hookEnv
-	ternary bool
-	seed    uint64
-	window  int
+	env    *hookEnv
+	format string               // the fixed stable-path format; unused when ctrl != nil
+	ctrl   *adaptive.Controller // nil for the fixed-format schemes
+	seed   uint64
+	window int
 
-	trackers map[int]*masktracker.Tracker
-	compacts map[int]*compress.MaskCompact
-	// pendingBitmap marks buckets whose mask changed last iteration and owe
-	// a bitmap broadcast with the next full sync.
-	pendingBitmap map[int]bool
-	observed      map[int]bool
-
-	// bufs holds per-bucket compact payload buffers (same safety argument as
-	// denseHook.bufs).
-	bufs map[int][]float32
+	buckets map[int]*pacBucket
 
 	// Telemetry.
-	CompactSyncs int
-	FullSyncs    int
+	CompactSyncs int // stable rounds (sent through the mask, or controller-driven)
+	FullSyncs    int // forced full syncs while unstable
 }
 
-// compactPayload encodes through the installed mask into the bucket's
-// reusable buffer.
-func (h *pacTrainHook) compactPayload(mc *compress.MaskCompact, b *ddp.Bucket) []float32 {
-	if h.bufs == nil {
-		h.bufs = make(map[int][]float32)
-	}
-	out := mc.EncodeInto(b.Flat, h.bufs[b.Index])
-	h.bufs[b.Index] = out
-	return out
+// pacBucket is one bucket's Algorithm 1 state.
+type pacBucket struct {
+	tracker *masktracker.Tracker
+	compact *compress.MaskCompact // the installed mask; nil while suspect
+	// owesBitmap marks a bucket whose mask changed last iteration and owes
+	// a bitmap broadcast with the next full sync.
+	owesBitmap bool
+	observed   bool
+	// buf is the compact payload buffer (same safety argument as
+	// denseHook.bufs).
+	buf []float32
 }
 
-func newPacTrainHook(env *hookEnv, cfg *Config, ternary bool, seed uint64) *pacTrainHook {
-	return &pacTrainHook{
-		env: env, ternary: ternary, seed: seed, window: cfg.StableWindow,
-		trackers:      make(map[int]*masktracker.Tracker),
-		compacts:      make(map[int]*compress.MaskCompact),
-		pendingBitmap: make(map[int]bool),
-		observed:      make(map[int]bool),
-	}
+// newPacTrainHook builds the hook: with a nil ctrl the stable path always
+// sends in format; with a controller (newController) format is ignored.
+func newPacTrainHook(env *hookEnv, cfg *Config, format string, ctrl *adaptive.Controller, seed uint64) *pacTrainHook {
+	return &pacTrainHook{env: env, format: format, ctrl: ctrl, seed: seed, window: cfg.StableWindow,
+		buckets: make(map[int]*pacBucket)}
 }
 
-// Name implements ddp.Hook.
-func (h *pacTrainHook) Name() string {
-	if h.ternary {
-		return "pactrain-ternary"
-	}
-	return "pactrain"
+// newController builds the adaptive scheme's cost-model controller over
+// cfg.AdaptCandidates, pricing on the worker's own cluster.
+func newController(cfg *Config, env *hookEnv) *adaptive.Controller {
+	return adaptive.New(adaptive.Options{
+		Margin:     cfg.AdaptMargin,
+		Dwell:      cfg.AdaptDwell,
+		Candidates: cfg.AdaptCandidates,
+		Algorithm:  env.cluster.Algorithm(),
+		Fabric:     env.cluster.Fabric(),
+		Hosts:      env.cluster.Hosts(),
+		WireScale:  env.wireScale,
+	})
 }
 
 // Sync implements ddp.Hook.
-func (h *pacTrainHook) Sync(rank int, b *ddp.Bucket, localTime float64) float64 {
-	tr := h.trackers[b.Index]
-	if tr == nil {
-		tr = masktracker.New(h.window)
-		h.trackers[b.Index] = tr
+func (h *pacTrainHook) Sync(b *ddp.Bucket, localTime float64) float64 {
+	st := h.buckets[b.Index]
+	if st == nil {
+		st = &pacBucket{tracker: masktracker.New(h.window)}
+		h.buckets[b.Index] = st
 	}
 
-	if tr.Stable() {
-		mc := h.compacts[b.Index]
-		if mc == nil || !mc.HasMask() {
-			mc = compress.NewMaskCompact(h.ternary, h.seed*131+uint64(b.Index))
-			mc.SetMask(tr.Indices(), b.Elements())
-			h.compacts[b.Index] = mc
+	if st.tracker.Stable() {
+		mc := st.compact
+		if mc == nil {
+			mc = compress.NewMaskCompact(false, h.seed*131+uint64(b.Index))
+			mc.SetMask(st.tracker.Indices(), b.Elements())
+			st.compact = mc
 		}
-		payload := h.compactPayload(mc, b)
-		wire := h.env.scaleWire(mc.Wire())
-		end := h.env.cluster.AllReduceSum(rank, payload, wire, localTime)
-		mc.Decode(payload, b.Flat)
-		h.env.record(CommOp{Kind: OpAllReduce, Elements: len(payload), Wire: wire,
-			Bucket: b.Index, LaunchAt: localTime})
+		format, decision := h.format, ""
+		if h.ctrl != nil {
+			// localTime is the bucket's true launch time: under the per-rank
+			// timeline (heterogeneity or per-bucket overlap) the trainer
+			// resolves the launch barrier before calling Sync, so every rank
+			// prices the candidates at the same synchronized instant even
+			// though their compute clocks have diverged.
+			format = h.ctrl.Decide(b.Index, b.Elements(), mc.NNZ(), localTime).Format
+			decision = format
+		}
 		h.CompactSyncs++
-		// On the compact path the support is the mask by construction —
-		// GSE pins local supports inside it and Decode reproduces exactly
-		// it — so there is nothing new to observe. (Observing the decoded
-		// values would be wrong under ternary quantization, which zeroes
-		// in-mask coordinates at random.)
-		return end
+		switch format {
+		case adaptive.FormatDense:
+			return h.env.allReduce(b, b.Flat, collective.WireFP32, decision, localTime)
+
+		case adaptive.FormatCompact, adaptive.FormatCompactTernary:
+			mc.Ternary = format == adaptive.FormatCompactTernary
+			st.buf = mc.EncodeInto(b.Flat, st.buf)
+			end := h.env.allReduce(b, st.buf, mc.Wire(), decision, localTime)
+			// The support is the mask by construction — GSE pins local
+			// supports inside it and Decode reproduces exactly it — so there
+			// is nothing new to observe. (Observing the decoded values would
+			// be wrong under ternary quantization, which zeroes in-mask
+			// coordinates at random.)
+			mc.Decode(st.buf, b.Flat)
+			return end
+
+		case adaptive.FormatIndexList:
+			// Ship exactly the in-mask coordinates (zeros included): the
+			// payload size is then replica-identical and equal to the NNZ
+			// count the controller priced, so the quote matches the charge.
+			vals, idx := mc.EncodeSparse(b.Flat)
+			return h.env.allGather(b, collective.SparsePayload{Values: vals, Indices: idx},
+				collective.WireSparse, decision, localTime)
+		}
+		panic("core: unknown stable-path wire format " + format)
 	}
 
-	// Unstable: full synchronization, paying the mask re-share if the
-	// pattern moved last iteration (unstableFullSync).
-	end, obs := unstableFullSync(h.env, tr, rank, b, h.pendingBitmap[b.Index], localTime)
-	h.compacts[b.Index] = nil // any cached mask is now suspect
+	// Unstable (Algorithm 1 lines 11–12): pay the mask re-share if the
+	// pattern moved last iteration, run a full fp32 all-reduce, and feed the
+	// tracker with the aggregated gradient — identical bytes on every worker
+	// keep the trackers, and therefore the stable/unstable branch, in
+	// lockstep across ranks. These rounds are forced, not decided, so they
+	// carry no Decision tag.
+	if st.owesBitmap {
+		bitWire := h.env.scaleWire(collective.BitmapWire)
+		end := h.env.cluster.BroadcastScaledBitmap(h.env.rank, 0, b.Elements(), bitWire, localTime)
+		h.env.record(CommOp{Kind: OpBitmapBroadcast, Elements: b.Elements(), Wire: bitWire,
+			Bucket: b.Index, LaunchAt: localTime})
+		localTime = end
+	}
+	end := h.env.allReduce(b, b.Flat, collective.WireFP32, "", localTime)
+	obs := st.tracker.Observe(b.Flat)
+	st.compact = nil // any cached mask is now suspect
 	h.FullSyncs++
-	h.pendingBitmap[b.Index] = obs.Changed && h.observed[b.Index]
-	h.observed[b.Index] = true
+	st.owesBitmap = obs.Changed && st.observed
+	st.observed = true
 	return end
 }
 
-// NotifyMaskInvalidated discards all tracker and compaction state. The
-// trainer calls it at the pruning step (Algorithm 1 line 2): the gradient
-// support is about to shrink, so unions learned from dense warm-up
-// gradients no longer describe the sparsity pattern. Every worker calls it
-// at the same iteration, so the branch lockstep is preserved, and the next
+// NotifyMaskInvalidated discards all tracker, compaction and controller
+// state. The trainer calls it at the pruning step (Algorithm 1 line 2): the
+// gradient support is about to shrink, so unions learned from dense warm-up
+// gradients — and the densities the controller's incumbents were chosen
+// under — no longer describe the sparsity pattern. Every worker calls it at
+// the same iteration, so the branch lockstep is preserved, and the next
 // stabilization pays the bitmap re-share as usual.
 func (h *pacTrainHook) NotifyMaskInvalidated() {
-	for _, tr := range h.trackers {
-		tr.Reset()
+	for _, st := range h.buckets {
+		st.tracker.Reset()
+		st.compact, st.owesBitmap, st.observed = nil, false, false
 	}
-	h.compacts = make(map[int]*compress.MaskCompact)
-	h.pendingBitmap = make(map[int]bool)
-	h.observed = make(map[int]bool)
+	if h.ctrl != nil {
+		h.ctrl.Reset()
+	}
 }
 
-// StableFraction reports the fraction of bucket syncs that used the compact
+// StableFraction reports the fraction of bucket syncs that took the stable
 // path.
 func (h *pacTrainHook) StableFraction() float64 {
 	total := h.CompactSyncs + h.FullSyncs
@@ -388,4 +359,22 @@ func (h *pacTrainHook) StableFraction() float64 {
 		return 0
 	}
 	return float64(h.CompactSyncs) / float64(total)
+}
+
+// FormatCounts reports how many controller rounds landed on each format and
+// how many format switches completed (nil, 0 without a controller).
+func (h *pacTrainHook) FormatCounts() (counts map[string]int, switches int) {
+	if h.ctrl == nil {
+		return nil, 0
+	}
+	return h.ctrl.Counts(), h.ctrl.Switches()
+}
+
+// CurrentFormat names the wire format the controller is currently sending,
+// for progress heartbeats ("" without a controller).
+func (h *pacTrainHook) CurrentFormat() string {
+	if h.ctrl == nil {
+		return ""
+	}
+	return h.ctrl.Current()
 }

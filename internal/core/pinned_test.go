@@ -1,0 +1,93 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"testing"
+
+	"pactrain/internal/netsim"
+)
+
+// runDigest hashes everything a sync hook can move: every field of every
+// CommOp rank 0 recorded (floats by bit pattern), the bucket geometry, the
+// simulated clock and all rank weight checksums.
+func runDigest(res *Result) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "buckets %v\n", res.CommLog.BucketElems)
+	for i, ops := range res.CommLog.Iters {
+		for _, op := range ops {
+			fmt.Fprintf(h, "%d %d %d %v %v %d %d %x %s %x %x %q %d %x\n", i,
+				op.Kind, op.Elements, op.Sizes, op.Blocks, op.Union, op.BlockSz,
+				math.Float64bits(op.Scale), op.Wire.Name,
+				math.Float64bits(op.Wire.BytesPerElement), math.Float64bits(op.Wire.HeaderBytes),
+				op.Decision, op.Bucket, math.Float64bits(op.LaunchAt))
+		}
+	}
+	fmt.Fprintf(h, "sim %x\n", math.Float64bits(res.SimSeconds))
+	for _, cs := range res.WeightChecksums {
+		fmt.Fprintf(h, "cs %x\n", math.Float64bits(cs))
+	}
+	return hex.EncodeToString(h.Sum(nil))[:32]
+}
+
+// oscillatingAdaptiveConfig is the tiny adaptive config on a WAN-latency
+// fabric whose every link alternates between full speed and a deep dip, so
+// the controller (all four candidates) really switches formats mid-run.
+func oscillatingAdaptiveConfig() Config {
+	cfg := tinyConfig(SchemeAdaptive)
+	cfg.Topology = netsim.FlatTopology(4, netsim.Gbps, 5e-3)
+	for li := range cfg.Topology.Links {
+		var segs []netsim.TraceSegment
+		for k := 0; k < 512; k++ {
+			scale := 1.0
+			if k%2 == 1 {
+				scale = 0.002
+			}
+			segs = append(segs, netsim.TraceSegment{UntilSec: float64(k+1) * 1.5, Scale: scale})
+		}
+		cfg.Traces = append(cfg.Traces, &netsim.BandwidthTrace{LinkIndex: li, Segments: segs})
+	}
+	return cfg
+}
+
+// TestPinnedRunDigests holds every hook family to a digest recorded at the
+// commit before the PacTrain and adaptive hooks were merged (PR 24's
+// parent). A moved digest is a moved report byte: never re-record one to
+// make a change pass.
+func TestPinnedRunDigests(t *testing.T) {
+	pinned := []struct {
+		name   string
+		cfg    Config
+		digest string
+	}{
+		{"pactrain", tinyConfig("pactrain"), "71035e9252fc14b5867ff4aa4a30c06c"},
+		{"pactrain-ternary", tinyConfig("pactrain-ternary"), "c93d68781d9f0758db585f6b7330d937"},
+		{"adaptive", oscillatingAdaptiveConfig(), "75f5f79e377dc3ccfec588eee3fc72db"},
+		{"zen", tinyConfig("zen"), "97a7ffa2f04f7171dea14b3d0c998628"},
+		{"topk-0.01", tinyConfig("topk-0.01"), "9fbd11d2ff8b38ded73c16cb2f8dfc07"},
+		{"dgc-0.01", tinyConfig("dgc-0.01"), "6fa7d4e1cde9a6d95d71386113fff345"},
+		{"omnireduce", tinyConfig("omnireduce"), "15035b341b5460f392b9a74977b23760"},
+		{"ps", tinyConfig("ps"), "7d4d3f2f0da16a25cfe9a1ec84d381ff"},
+		{"fp16", tinyConfig("fp16"), "8b125556dd26327d0a28f573186e177b"},
+	}
+	for _, p := range pinned {
+		t.Run(p.name, func(t *testing.T) {
+			t.Parallel()
+			res, err := Run(p.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.name == SchemeAdaptive {
+				if res.AdaptiveSwitches == 0 || len(res.AdaptiveDecisions) < 2 {
+					t.Fatalf("controller never switched: %d switches, decisions %v",
+						res.AdaptiveSwitches, res.AdaptiveDecisions)
+				}
+			}
+			if got := runDigest(res); got != p.digest {
+				t.Errorf("%s digest %s, pinned %s", p.name, got, p.digest)
+			}
+		})
+	}
+}

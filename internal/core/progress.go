@@ -19,19 +19,15 @@ type Progress struct {
 	Format string `json:"format,omitempty"`
 }
 
-// formatReporter is implemented by hooks that can name the wire format
-// they are currently sending (the adaptive controller); heartbeats carry
-// it so observers can watch format switches live.
-type formatReporter interface{ CurrentFormat() string }
-
 // emitProgress builds and delivers a heartbeat; no-op without a callback.
-func emitProgress(cfg *Config, hook any, iter, epoch int, simTime, acc, loss float64) {
+// pac is the run's PacTrain-family hook, nil for every other scheme.
+func emitProgress(cfg *Config, pac *pacTrainHook, iter, epoch int, simTime, acc, loss float64) {
 	if cfg.OnProgress == nil {
 		return
 	}
 	p := Progress{Iter: iter, Epoch: epoch, SimSeconds: simTime, Acc: acc, Loss: loss}
-	if fr, ok := hook.(formatReporter); ok {
-		p.Format = fr.CurrentFormat()
+	if pac != nil {
+		p.Format = pac.CurrentFormat()
 	}
 	cfg.OnProgress(p)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"pactrain/internal/adaptive"
 	"pactrain/internal/compress"
 	"pactrain/internal/ddp"
 )
@@ -91,17 +92,17 @@ func schemeTable() []schemeDef {
 		{name: "pactrain",
 			about: "PacTrain pruning + GSE + Mask Tracker mask-compact all-reduce",
 			build: func(cfg *Config, env *hookEnv, seed uint64) ddp.Hook {
-				return newPacTrainHook(env, cfg, false, seed)
+				return newPacTrainHook(env, cfg, adaptive.FormatCompact, nil, seed)
 			}},
 		{name: "pactrain-ternary",
 			about: "PacTrain with the §III-D ternary stage on the compact path",
 			build: func(cfg *Config, env *hookEnv, seed uint64) ddp.Hook {
-				return newPacTrainHook(env, cfg, true, seed)
+				return newPacTrainHook(env, cfg, adaptive.FormatCompactTernary, nil, seed)
 			}},
 		{name: SchemeAdaptive,
 			about: "PacTrain pipeline with a cost-model controller picking the wire format per bucket per round",
 			build: func(cfg *Config, env *hookEnv, seed uint64) ddp.Hook {
-				return newAdaptiveHook(env, cfg, seed)
+				return newPacTrainHook(env, cfg, "", newController(cfg, env), seed)
 			}},
 	}
 }
@@ -110,7 +111,8 @@ func schemeTable() []schemeDef {
 // constructor (TopK, RandomK, DGC all ride the sparse all-gather hook).
 func sparseBuilder(mk func(seed uint64) compress.SparseCompressor) func(*Config, *hookEnv, uint64) ddp.Hook {
 	return func(_ *Config, env *hookEnv, seed uint64) ddp.Hook {
-		return newSparseHook(env, func() compress.SparseCompressor { return mk(seed) })
+		return &sparseHook{env: env, mk: func() compress.SparseCompressor { return mk(seed) },
+			perBkt: make(map[int]compress.SparseCompressor)}
 	}
 }
 

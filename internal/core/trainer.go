@@ -199,6 +199,9 @@ func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *share
 	if err != nil {
 		return err
 	}
+	// The PacTrain-family schemes share one hook type; everything the
+	// trainer asks of a hook beyond Sync is asked of it (nil otherwise).
+	pac, _ := hook.(*pacTrainHook)
 
 	var mask *prune.Mask
 	simTime := 0.0
@@ -234,8 +237,8 @@ func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *share
 			}
 			mask.Apply(model)
 			gse.ZeroVelocity(opt, model, mask)
-			if mr, ok := hook.(maskResetter); ok {
-				mr.NotifyMaskInvalidated()
+			if pac != nil {
+				pac.NotifyMaskInvalidated()
 			}
 			if rank == 0 {
 				res.MaskSparsity = mask.Sparsity()
@@ -284,7 +287,7 @@ func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *share
 				if timeline {
 					t = cluster.LaunchBarrier(rank, t)
 				}
-				commEnd = hook.Sync(rank, b, t)
+				commEnd = hook.Sync(b, t)
 			}
 			simTime = sched.Finish(commEnd)
 			for _, b := range buckets {
@@ -300,13 +303,13 @@ func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *share
 			if evalNow(false) {
 				acc := evaluate(model, testSet)
 				res.Curve.Add(metrics.Point{Iter: iter, Epoch: epoch, SimTime: simTime, Acc: acc, Loss: lastLoss})
-				emitProgress(cfg, hook, iter, epoch, simTime, acc, lastLoss)
+				emitProgress(cfg, pac, iter, epoch, simTime, acc, lastLoss)
 			}
 		}
 		if evalNow(true) && cfg.EvalEvery == 0 {
 			acc := evaluate(model, testSet)
 			res.Curve.Add(metrics.Point{Iter: iter, Epoch: epoch, SimTime: simTime, Acc: acc, Loss: lastLoss})
-			emitProgress(cfg, hook, iter, epoch, simTime, acc, lastLoss)
+			emitProgress(cfg, pac, iter, epoch, simTime, acc, lastLoss)
 		}
 	}
 
@@ -320,29 +323,12 @@ func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *share
 		res.Iterations = iter
 		res.EpochsRun = cfg.Epochs
 		res.SimSeconds = simTime
-		if sr, ok := hook.(stableReporter); ok {
-			res.StableFraction = sr.StableFraction()
-		}
-		if ar, ok := hook.(adaptiveReporter); ok {
-			res.AdaptiveDecisions = ar.FormatCounts()
-			res.AdaptiveSwitches = ar.FormatSwitches()
+		if pac != nil {
+			res.StableFraction = pac.StableFraction()
+			res.AdaptiveDecisions, res.AdaptiveSwitches = pac.FormatCounts()
 		}
 	}
 	return nil
-}
-
-// maskResetter is implemented by hooks whose per-bucket state derives from
-// the sparsity pattern; the trainer resets them at the pruning step.
-type maskResetter interface{ NotifyMaskInvalidated() }
-
-// stableReporter exposes the compact-path fraction of the PacTrain-family
-// hooks.
-type stableReporter interface{ StableFraction() float64 }
-
-// adaptiveReporter exposes the adaptive controller's decision telemetry.
-type adaptiveReporter interface {
-	FormatCounts() map[string]int
-	FormatSwitches() int
 }
 
 // buildMask returns the pruning mask for the configured method. Magnitude

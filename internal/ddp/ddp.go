@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"pactrain/internal/nn"
-	"pactrain/internal/prune"
 	"pactrain/internal/tensor"
 )
 
@@ -60,26 +59,6 @@ func (b *Bucket) Scatter() {
 // Scale multiplies the flat gradient by alpha (used to average after a sum
 // all-reduce).
 func (b *Bucket) Scale(alpha float32) { tensor.Scale(b.Flat, alpha) }
-
-// FlatKeepMask flattens a pruning mask into bucket order, with true for
-// parameters absent from the mask (never pruned). This helper exists for
-// verification; the PacTrain hook itself does not use it — it recovers the
-// pattern via the Mask Tracker, as the paper's hook must.
-func (b *Bucket) FlatKeepMask(mask *prune.Mask) []bool {
-	keep := make([]bool, len(b.Flat))
-	for i, p := range b.Params {
-		off := b.offsets[i]
-		pk := mask.Of(p.Name)
-		for j := 0; j < p.NumElements(); j++ {
-			if pk == nil {
-				keep[off+j] = true
-			} else {
-				keep[off+j] = pk[j]
-			}
-		}
-	}
-	return keep
-}
 
 // BuildBuckets partitions the model's parameters into buckets of at most
 // capBytes bytes (fp32), in reverse registration order. A parameter larger
@@ -123,10 +102,10 @@ func BuildBuckets(m *nn.Model, capBytes int) []*Bucket {
 
 // Hook is the communication-hook interface: Sync must replace b.Flat with
 // the *average* of all workers' bucket gradients and return the
-// synchronized completion time. Implementations live in internal/core.
+// synchronized completion time. Implementations live in internal/core; each
+// is built per worker and knows its own rank.
 type Hook interface {
-	Name() string
-	Sync(rank int, b *Bucket, localTime float64) float64
+	Sync(b *Bucket, localTime float64) float64
 }
 
 // ComputeModel converts a model profile into simulated compute seconds. The

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pactrain/internal/nn"
-	"pactrain/internal/prune"
 	"pactrain/internal/tensor"
 )
 
@@ -116,39 +115,6 @@ func TestScale(t *testing.T) {
 	for _, v := range b.Flat {
 		if v != 1 {
 			t.Fatalf("scale wrong: %v", v)
-		}
-	}
-}
-
-func TestFlatKeepMaskAlignsWithGSE(t *testing.T) {
-	m := testModel(7)
-	mask, _ := prune.MagnitudePrune(m, 0.5, prune.GlobalMagnitude)
-	mask.Apply(m)
-	// Build gradients, apply GSE via mask, flatten; the flat zero pattern
-	// must match FlatKeepMask (on prunable coordinates gradients may also
-	// be incidentally zero, so check one direction: !keep ⇒ zero).
-	r := tensor.NewRNG(3)
-	x := tensor.Randn(r, 1, 4, 1, 4, 4)
-	out := m.Forward(x, true)
-	_, grad := nn.SoftmaxCrossEntropy(out, []int{0, 1, 2, 0})
-	m.ZeroGrad()
-	m.Backward(grad)
-	for _, p := range m.Params() {
-		keep := mask.Of(p.Name)
-		g := p.Grad.Data()
-		for i := range g {
-			if !keep[i] {
-				g[i] = 0
-			}
-		}
-	}
-	buckets := BuildBuckets(m, 1<<30)
-	b := buckets[0]
-	b.Gather()
-	keep := b.FlatKeepMask(mask)
-	for i, v := range b.Flat {
-		if !keep[i] && v != 0 {
-			t.Fatalf("flat[%d] = %v where mask says pruned", i, v)
 		}
 	}
 }

@@ -43,19 +43,6 @@ func EnforceByWeight(m *nn.Model) {
 	}
 }
 
-// EnforceFlat applies a flat keep-mask to a flattened gradient bucket, the
-// form the DDP communication hook operates on.
-func EnforceFlat(grad []float32, keep []bool) {
-	if len(grad) != len(keep) {
-		panic("gse: flat mask length mismatch")
-	}
-	for i := range grad {
-		if !keep[i] {
-			grad[i] = 0
-		}
-	}
-}
-
 // ZeroVelocity clears optimizer momentum on pruned coordinates so stale
 // velocity cannot push pruned weights away from zero after the mask is
 // applied.

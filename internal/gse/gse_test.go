@@ -196,43 +196,27 @@ func TestEnforceMatchesBoolLoop(t *testing.T) {
 	}
 }
 
-func TestEnforceFlat(t *testing.T) {
-	g := []float32{1, 2, 3, 4}
-	EnforceFlat(g, []bool{true, false, true, false})
-	want := []float32{1, 0, 3, 0}
-	for i := range want {
-		if g[i] != want[i] {
-			t.Fatalf("EnforceFlat = %v", g)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on length mismatch")
-		}
-	}()
-	EnforceFlat(g, []bool{true})
-}
-
 // Property: GSE is idempotent and support(grad) ⊆ keep after enforcement.
 func TestPropertyGSEIdempotent(t *testing.T) {
 	f := func(seed uint64) bool {
-		r := tensor.NewRNG(seed)
-		n := 5 + r.Intn(50)
-		g := make([]float32, n)
-		keep := make([]bool, n)
-		for i := range g {
-			g[i] = float32(r.NormFloat64())
-			keep[i] = r.Float64() < 0.5
+		m := testModel(seed)
+		mask, _ := prune.MagnitudePrune(m, float64(seed%10)/10, prune.GlobalMagnitude)
+		backprop(m, seed+1)
+		Enforce(m, mask)
+		var snapshot [][]float32
+		for _, p := range m.Params() {
+			snapshot = append(snapshot, append([]float32(nil), p.Grad.Data()...))
 		}
-		EnforceFlat(g, keep)
-		snapshot := append([]float32(nil), g...)
-		EnforceFlat(g, keep)
-		for i := range g {
-			if g[i] != snapshot[i] {
-				return false
-			}
-			if !keep[i] && g[i] != 0 {
-				return false
+		Enforce(m, mask)
+		for pi, p := range m.Params() {
+			keep := mask.Of(p.Name)
+			for i, g := range p.Grad.Data() {
+				if g != snapshot[pi][i] {
+					return false
+				}
+				if keep != nil && !keep[i] && g != 0 {
+					return false
+				}
 			}
 		}
 		return true

@@ -104,7 +104,8 @@ func (k EventKind) String() string {
 
 // Event is one observable step of the engine's scheduling, the structured
 // counterpart of the progress log: callers that used to scrape log lines
-// subscribe to these instead (Options.OnEvent).
+// subscribe to these instead (Options.OnEvent for a whole engine,
+// Engine.WithObserver for one client's view of a shared one).
 type Event struct {
 	Kind        EventKind
 	Label       string
@@ -163,10 +164,11 @@ type Options struct {
 	MemoLimit int
 	// Log receives per-job progress lines; nil discards them.
 	Log io.Writer
-	// OnEvent, when non-nil, observes every scheduling step. It is invoked
-	// synchronously from scheduling goroutines — possibly several at once —
-	// so it must be fast, internally synchronized, and must not call back
-	// into the engine.
+	// OnEvent, when non-nil, observes every scheduling step of the jobs
+	// submitted through the engine New returns — the root view's observer
+	// (a WithObserver view carries its own). It is invoked synchronously
+	// from scheduling goroutines — possibly several at once — so it must be
+	// fast, internally synchronized, and must not call back into the engine.
 	OnEvent func(Event)
 }
 
@@ -174,10 +176,15 @@ type Options struct {
 // jobs. It is safe for concurrent use; one engine is typically shared by
 // every experiment in a process.
 type Engine struct {
+	*state
+	onEvent func(Event)
+}
+
+// state is everything the views of one engine share (Engine.WithObserver).
+type state struct {
 	sem       chan struct{}
 	cache     CacheBackend
 	log       io.Writer
-	onEvent   func(Event)
 	memoLimit int
 	peers     []string
 	peerID    string
@@ -193,6 +200,15 @@ type Engine struct {
 	persisted map[string]bool
 
 	logMu sync.Mutex
+}
+
+// WithObserver returns a view of e: the same pool, memo, cache and
+// counters, with fn (instead of Options.OnEvent) observing exactly the
+// events of the jobs submitted through the view. It is how a caller
+// multiplexing several clients onto one engine (internal/serve) tells
+// their events apart; the observer selects no behaviour.
+func (e *Engine) WithObserver(fn func(Event)) *Engine {
+	return &Engine{state: e.state, onEvent: fn}
 }
 
 // call is one singleflight entry: the first submitter of a fingerprint
@@ -224,18 +240,17 @@ func New(opt Options) *Engine {
 	if peerHTTP == nil {
 		peerHTTP = &http.Client{Timeout: peerClientTimeout}
 	}
-	return &Engine{
+	return &Engine{onEvent: opt.OnEvent, state: &state{
 		sem:       make(chan struct{}, opt.Parallelism),
 		cache:     cache,
 		log:       opt.Log,
-		onEvent:   opt.OnEvent,
 		memoLimit: opt.MemoLimit,
 		peers:     opt.PeerURLs,
 		peerID:    opt.PeerID,
 		peerHTTP:  peerHTTP,
 		inflight:  make(map[string]*call),
 		persisted: make(map[string]bool),
-	}
+	}}
 }
 
 // emit delivers an event to the observer with a fresh counter snapshot. It

@@ -281,3 +281,41 @@ func TestEventCacheHitCarriesAge(t *testing.T) {
 		}
 	}
 }
+
+// TestWithObserverDeliversOnlyOwnEvents checks the view contract: two views
+// of one engine share the memo and the counters (the second submission of a
+// config deduplicates onto the first's training), yet each observer sees
+// exactly the events of the jobs submitted through its own view, and the
+// engine-wide Options.OnEvent observer sees none of them.
+func TestWithObserverDeliversOnlyOwnEvents(t *testing.T) {
+	t.Parallel()
+	var root, a, b eventRecorder
+	e := New(Options{Parallelism: 1, OnEvent: root.record})
+	va, vb := e.WithObserver(a.record), e.WithObserver(b.record)
+	cfg := testConfig("all-reduce")
+	if _, err := va.Run(Job{Label: "a", Config: cfg}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vb.Run(Job{Label: "b", Config: cfg}); err != nil {
+		t.Fatal(err)
+	}
+	if a.count(EventSubmitted) != 1 || a.count(EventTrainDone) != 1 || a.count(EventProgress) == 0 || a.count(EventDeduped) != 0 {
+		t.Fatalf("view a saw %+v", a.evs)
+	}
+	if len(b.evs) != 2 || b.count(EventSubmitted) != 1 || b.count(EventDeduped) != 1 {
+		t.Fatalf("view b saw %+v, want its own submitted + deduped only", b.evs)
+	}
+	for label, rec := range map[string]*eventRecorder{"a": &a, "b": &b} {
+		for _, ev := range rec.evs {
+			if ev.Label != label {
+				t.Fatalf("view %s received another view's event: %+v", label, ev)
+			}
+		}
+	}
+	if len(root.evs) != 0 {
+		t.Fatalf("engine-wide observer saw %d events of view submissions", len(root.evs))
+	}
+	if st := e.Stats(); st.Submitted != 2 || st.Trained != 1 || st.Deduped != 1 || st != vb.Stats() {
+		t.Fatalf("views do not share counters: engine %+v, view %+v", st, vb.Stats())
+	}
+}

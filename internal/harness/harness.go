@@ -32,7 +32,6 @@ import (
 	"pactrain/internal/harness/engine"
 	"pactrain/internal/metrics"
 	"pactrain/internal/netsim"
-	"pactrain/internal/nn"
 	"pactrain/internal/obs"
 )
 
@@ -340,15 +339,6 @@ func renderRelTTA(rel float64, reached bool) string {
 		return fmt.Sprintf(">%.3f", rel)
 	}
 	return fmt.Sprintf("%.3f", rel)
-}
-
-// profileFor fetches the communication profile for table rendering.
-func profileFor(model string) nn.CommProfile {
-	p, err := nn.ProfileByName(model)
-	if err != nil {
-		return nn.CommProfile{Name: model, Params: 1_000_000, FLOPsPerSample: 100_000_000}
-	}
-	return p
 }
 
 // tableFromCurve renders a curve as a two-column table (time, accuracy).

@@ -52,7 +52,7 @@ type Profile struct {
 	// Experiment is the submitted experiment id (default "ablation-tern",
 	// the smallest grid that really trains).
 	Experiment string
-	// Quick selects quick grids (default true via DefaultProfile).
+	// Quick selects quick grids.
 	Quick bool
 	// World and Samples shape the grid (defaults 2 and 64: the smallest
 	// honest training).
@@ -69,24 +69,6 @@ type Profile struct {
 	Client *http.Client
 	// Log receives progress lines; nil discards them.
 	Log io.Writer
-}
-
-// DefaultProfile is the quick profile the CI smoke lane and the perf grid
-// run: 24 arrivals at 40/s, duplicate-heavy with a recost tail.
-func DefaultProfile() Profile {
-	return Profile{
-		Count:      24,
-		Rate:       40,
-		DupFrac:    0.5,
-		RecostFrac: 0.25,
-		Experiment: "ablation-tern",
-		Quick:      true,
-		World:      2,
-		Samples:    64,
-		BaseSeed:   100,
-		RNGSeed:    1,
-		Timeout:    2 * time.Minute,
-	}
 }
 
 func (p Profile) normalized() Profile {

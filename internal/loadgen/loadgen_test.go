@@ -206,9 +206,11 @@ func TestLoadgenQuickProfile(t *testing.T) {
 		t.Fatal("calibration submission trained nothing")
 	}
 
-	profile := DefaultProfile()
-	profile.Count = 12 // smoke-sized: ~3 unique grids at the default mix
-	profile.Log = testWriter{t}
+	// Smoke-sized: 12 arrivals at 40/s, duplicate-heavy with a recost
+	// tail — ~3 unique grids.
+	profile := Profile{Count: 12, Rate: 40, DupFrac: 0.5, RecostFrac: 0.25,
+		Experiment: "ablation-tern", Quick: true, World: 2, Samples: 64,
+		BaseSeed: 100, RNGSeed: 1, Timeout: 2 * time.Minute, Log: testWriter{t}}
 	res, err := Run(pair.URLs, profile)
 	if err != nil {
 		t.Fatal(err)

@@ -71,14 +71,6 @@ func (c *Curve) BestAcc() float64 {
 	return best
 }
 
-// EndTime returns the simulated time of the last point.
-func (c *Curve) EndTime() float64 {
-	if len(c.Points) == 0 {
-		return 0
-	}
-	return c.Points[len(c.Points)-1].SimTime
-}
-
 // RelativeTTA returns tta/baselineTTA, the normalization used by Fig. 3
 // (lower is better; the all-reduce baseline is 1.0).
 func RelativeTTA(tta, baselineTTA float64) float64 {

@@ -464,14 +464,6 @@ func (f *Fabric) BottleneckBandwidthAt(t float64) float64 {
 	return bw
 }
 
-// ResetAccounting zeroes the byte counters.
-func (f *Fabric) ResetAccounting() {
-	for i := range f.BytesOnLink {
-		f.BytesOnLink[i] = 0
-	}
-	f.TotalBytes = 0
-}
-
 // --- Straggler presets ------------------------------------------------------
 //
 // The cluster scenarios the paper's related work targets (hierarchical and

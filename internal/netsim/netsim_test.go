@@ -133,24 +133,6 @@ func TestBandwidthTrace(t *testing.T) {
 	}
 }
 
-func TestResetAccounting(t *testing.T) {
-	topo := FlatTopology(2, 1*Gbps, 0)
-	f := NewFabric(topo)
-	hosts := topo.Hosts()
-	if _, err := f.TransferTime(hosts[0], hosts[1], 100, 0); err != nil {
-		t.Fatal(err)
-	}
-	f.ResetAccounting()
-	if f.TotalBytes != 0 {
-		t.Fatal("TotalBytes not reset")
-	}
-	for _, b := range f.BytesOnLink {
-		if b != 0 {
-			t.Fatal("BytesOnLink not reset")
-		}
-	}
-}
-
 func TestAddLinkValidation(t *testing.T) {
 	topo := NewTopology()
 	a := topo.AddNode("a", Host)

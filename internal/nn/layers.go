@@ -206,71 +206,6 @@ func geluBackwardRange(xd, gin, gd []float32, td []float64, lo, hi int) {
 // Params implements Layer.
 func (l *GELU) Params() []*Parameter { return nil }
 
-// Dropout zeroes a fraction p of activations during training and scales the
-// survivors by 1/(1-p) (inverted dropout). During evaluation it is the
-// identity.
-type Dropout struct {
-	P   float64
-	rng *tensor.RNG
-
-	mask []bool
-	out  *tensor.Tensor
-	dx   *tensor.Tensor
-}
-
-// NewDropout constructs a dropout layer with its own deterministic RNG
-// stream.
-func NewDropout(p float64, rng *tensor.RNG) *Dropout {
-	return &Dropout{P: p, rng: rng}
-}
-
-// Forward implements Layer.
-func (l *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || l.P <= 0 {
-		l.mask = nil
-		return x
-	}
-	l.out = ensureLike(l.out, x)
-	xd, d := x.Data(), l.out.Data()
-	if cap(l.mask) < len(d) {
-		l.mask = make([]bool, len(d))
-	}
-	l.mask = l.mask[:len(d)]
-	scale := float32(1 / (1 - l.P))
-	// The RNG stream is inherently sequential, so this loop stays serial.
-	for i := range d {
-		if l.rng.Float64() < l.P {
-			l.mask[i] = false
-			d[i] = 0
-		} else {
-			l.mask[i] = true
-			d[i] = xd[i] * scale
-		}
-	}
-	return l.out
-}
-
-// Backward implements Layer.
-func (l *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if l.mask == nil {
-		return grad
-	}
-	l.dx = ensureLike(l.dx, grad)
-	gd, d := grad.Data(), l.dx.Data()
-	scale := float32(1 / (1 - l.P))
-	for i := range d {
-		if l.mask[i] {
-			d[i] = gd[i] * scale
-		} else {
-			d[i] = 0
-		}
-	}
-	return l.dx
-}
-
-// Params implements Layer.
-func (l *Dropout) Params() []*Parameter { return nil }
-
 // Flatten reshapes (N, ...) to (N, prod(...)). Backward restores the shape.
 type Flatten struct {
 	lastShape []int

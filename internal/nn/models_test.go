@@ -152,22 +152,6 @@ func TestParameterNamesUnique(t *testing.T) {
 	}
 }
 
-func TestCopyWeightsFrom(t *testing.T) {
-	cfg := DefaultLiteConfig(10, 1)
-	a := NewMLP(cfg, 16)
-	cfg2 := cfg
-	cfg2.Seed = 2
-	b := NewMLP(cfg2, 16)
-	b.CopyWeightsFrom(a)
-	for i := range a.Params() {
-		for j := range a.Params()[i].W.Data() {
-			if a.Params()[i].W.Data()[j] != b.Params()[i].W.Data()[j] {
-				t.Fatal("CopyWeightsFrom did not copy")
-			}
-		}
-	}
-}
-
 // TestMLPLearnsSeparableTask verifies the full train loop machinery: an MLP
 // must fit a linearly separable 2-class problem nearly perfectly.
 func TestMLPLearnsSeparableTask(t *testing.T) {
@@ -293,17 +277,6 @@ func TestCosineLRBoundaries(t *testing.T) {
 	mid := CosineLR(1.0, 0.1, 5, 11)
 	if mid > 1.0 || mid < 0.1 {
 		t.Fatalf("mid lr out of range: %v", mid)
-	}
-}
-
-func TestStepLR(t *testing.T) {
-	got := StepLR(1.0, 15, []int{10, 20}, 0.1)
-	if !almost(float32(got), 0.1) {
-		t.Fatalf("lr = %v", got)
-	}
-	got = StepLR(1.0, 25, []int{10, 20}, 0.1)
-	if !almost(float32(got), 0.01) {
-		t.Fatalf("lr = %v", got)
 	}
 }
 

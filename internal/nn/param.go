@@ -164,15 +164,3 @@ func (m *Model) NumParameters() int {
 	}
 	return n
 }
-
-// CopyWeightsFrom copies all weights from src (matched by position). It
-// panics if the models have different parameter layouts. Workers use this to
-// start from identical replicas.
-func (m *Model) CopyWeightsFrom(src *Model) {
-	if len(m.params) != len(src.params) {
-		panic("nn: CopyWeightsFrom parameter count mismatch")
-	}
-	for i, p := range m.params {
-		p.W.CopyFrom(src.params[i].W)
-	}
-}

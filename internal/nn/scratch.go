@@ -18,14 +18,6 @@ import "pactrain/internal/tensor"
 // overwritten on reuse (the *Into kernels zero or assign every element), so
 // stale values can never leak between steps.
 
-// ensure1 returns buf if it is a (n) tensor, else a new one.
-func ensure1(buf *tensor.Tensor, n int) *tensor.Tensor {
-	if buf != nil && buf.Rank() == 1 && buf.Dim(0) == n {
-		return buf
-	}
-	return tensor.New(n)
-}
-
 // ensure2 returns buf if it is a (r, c) tensor, else a new one.
 func ensure2(buf *tensor.Tensor, r, c int) *tensor.Tensor {
 	if buf != nil && buf.Rank() == 2 && buf.Dim(0) == r && buf.Dim(1) == c {

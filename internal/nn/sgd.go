@@ -59,14 +59,3 @@ func CosineLR(base, floor float64, epoch, total int) float64 {
 	}
 	return floor + 0.5*(base-floor)*(1+math.Cos(math.Pi*t))
 }
-
-// StepLR returns base decayed by gamma at each milestone epoch.
-func StepLR(base float64, epoch int, milestones []int, gamma float64) float64 {
-	lr := base
-	for _, m := range milestones {
-		if epoch >= m {
-			lr *= gamma
-		}
-	}
-	return lr
-}

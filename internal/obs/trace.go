@@ -47,9 +47,6 @@ type Trace struct {
 
 func (t *Trace) add(ev traceEvent) { t.events = append(t.events, ev) }
 
-// Events returns the number of events in the document.
-func (t *Trace) Events() int { return len(t.events) }
-
 // JSON serializes the document. The encoding is deterministic: events keep
 // insertion order and encoding/json marshals args maps with sorted keys,
 // so identical span sets yield byte-identical files.

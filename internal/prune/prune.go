@@ -358,32 +358,3 @@ func FilterPrune(m *nn.Model, ratio float64, norm FilterNorm) (*Mask, error) {
 	}
 	return mask, nil
 }
-
-// Snapshot stores a copy of the model weights, enabling lottery-ticket
-// rewinding (train → prune → rewind to early weights → retrain sparse).
-type Snapshot struct {
-	weights map[string]*tensor.Tensor
-}
-
-// TakeSnapshot copies the current weights.
-func TakeSnapshot(m *nn.Model) *Snapshot {
-	s := &Snapshot{weights: make(map[string]*tensor.Tensor, len(m.Params()))}
-	for _, p := range m.Params() {
-		s.weights[p.Name] = p.W.Clone()
-	}
-	return s
-}
-
-// Rewind restores the snapshot weights, then re-applies the mask so the
-// rewound network is the masked sub-network at its early-training values
-// (the lottery-ticket procedure).
-func (s *Snapshot) Rewind(m *nn.Model, mask *Mask) {
-	for _, p := range m.Params() {
-		if w, ok := s.weights[p.Name]; ok {
-			p.W.CopyFrom(w)
-		}
-	}
-	if mask != nil {
-		mask.Apply(m)
-	}
-}

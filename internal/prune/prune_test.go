@@ -297,34 +297,6 @@ func TestFilterPruneRemovesWholeRows(t *testing.T) {
 	}
 }
 
-func TestSnapshotRewind(t *testing.T) {
-	m := testModel(10)
-	snap := TakeSnapshot(m)
-	orig := append([]float32(nil), m.Params()[0].W.Data()...)
-	// Perturb.
-	for _, p := range m.Params() {
-		p.W.Fill(7)
-	}
-	mk, _ := MagnitudePrune(m, 0, GlobalMagnitude) // all-keep mask
-	snap.Rewind(m, mk)
-	for i, v := range m.Params()[0].W.Data() {
-		if v != orig[i] {
-			t.Fatalf("rewind mismatch at %d", i)
-		}
-	}
-	// Rewind with a pruning mask applies the mask after restoring.
-	mk2, _ := MagnitudePrune(m, 0.5, GlobalMagnitude)
-	snap.Rewind(m, mk2)
-	for _, p := range m.Params() {
-		keep := mk2.Keep[p.Name]
-		for i, v := range p.W.Data() {
-			if !keep[i] && v != 0 {
-				t.Fatal("rewind did not re-apply mask")
-			}
-		}
-	}
-}
-
 // Property: higher pruning ratios produce monotonically sparser masks.
 func TestPropertyRatioMonotone(t *testing.T) {
 	m := testModel(11)

@@ -16,8 +16,7 @@ import (
 // `-log-format json` log lines are both exactly this, so a consumer parses
 // one schema no matter how it listens.
 type EventPayload struct {
-	// Job names the job the event belongs to; empty on engine events no
-	// running job claimed (log lines only — streams are always per-job).
+	// Job names the job the event belongs to.
 	Job string `json:"job,omitempty"`
 	// Type is "state" for job lifecycle transitions, otherwise the engine
 	// event kind ("submitted", "train-done", "deduped", "cache-hit",
@@ -87,20 +86,6 @@ func (s *Server) publishLocked(j *job, p EventPayload) {
 	if s.opt.LogFormat == "json" {
 		fmt.Fprintf(s.opt.Log, "%s\n", data)
 	}
-}
-
-// logEventLocked writes the structured log line for an event that was not
-// published to any job stream (engine activity no running job claimed).
-// Callers hold s.mu.
-func (s *Server) logEventLocked(p EventPayload) {
-	if s.opt.LogFormat != "json" {
-		return
-	}
-	data, err := json.Marshal(p)
-	if err != nil {
-		return
-	}
-	fmt.Fprintf(s.opt.Log, "%s\n", data)
 }
 
 // subscribe snapshots a job's replay (events with seq > after) and, unless

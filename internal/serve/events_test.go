@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -137,6 +138,54 @@ func TestJobEventStream(t *testing.T) {
 	}
 }
 
+// TestConcurrentSameExperimentJobsKeepOwnEvents pins per-job event
+// delivery: two jobs of one experiment running side by side (different
+// seeds, so they do not coalesce) each count, stream, and total exactly the
+// engine events of the grid cells their own run submitted — never each
+// other's.
+func TestConcurrentSameExperimentJobsKeepOwnEvents(t *testing.T) {
+	t.Parallel()
+	_, ts := newTestServer(t, Options{Parallelism: 2, Workers: 2})
+
+	var ids []string
+	for _, seed := range []uint64{11, 12} {
+		req := testRequest("ablation-tern")
+		req.Seed = seed
+		resp, raw := postJSON(t, ts.URL+"/v1/experiments", req)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit status %d", resp.StatusCode)
+		}
+		var sub submitResponse
+		if err := json.Unmarshal(raw, &sub); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, sub.JobID)
+	}
+	prints := map[string]string{} // fingerprint -> the job that streamed it
+	for _, id := range ids {
+		view := waitForState(t, ts.URL, id, JobDone)
+		if view.Progress.Submitted != 2 || view.Progress.Trained != 2 {
+			t.Fatalf("job %s progress %+v, want submitted == trained == 2", id, view.Progress)
+		}
+		for _, f := range readSSE(t, ts.URL+"/v1/jobs/"+id+"/events", "") {
+			var p EventPayload
+			if err := json.Unmarshal([]byte(f.Data), &p); err != nil {
+				t.Fatal(err)
+			}
+			if p.Fingerprint == "" {
+				continue
+			}
+			if other, seen := prints[p.Fingerprint]; seen && other != id {
+				t.Fatalf("fingerprint %s streamed to both %s and %s", p.Fingerprint, other, id)
+			}
+			prints[p.Fingerprint] = id
+		}
+	}
+	if len(prints) != 4 {
+		t.Fatalf("%d distinct fingerprints streamed, want 4 (two per job)", len(prints))
+	}
+}
+
 // TestSSELastEventIDReplay pins exact resume: reconnecting with
 // Last-Event-ID must deliver precisely the frames after that id,
 // byte-identical to the original stream's suffix, and a finished job's
@@ -241,6 +290,34 @@ func TestStatsMetricsStayCoherent(t *testing.T) {
 	}
 	if strings.Contains(text, "pactrain_serve_job_sim_seconds_sum 0\n") {
 		t.Fatal("job_sim histogram observed no simulated seconds")
+	}
+}
+
+// TestMetricsHeaderPinned holds /metrics to the instrument names, help
+// strings, types and order recorded before the scalar instruments became
+// one table (testdata/metrics_header.txt): dashboards and scrapers key on
+// them.
+func TestMetricsHeaderPinned(t *testing.T) {
+	t.Parallel()
+	_, ts := newTestServer(t, Options{})
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var header []string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if strings.HasPrefix(sc.Text(), "# ") {
+			header = append(header, sc.Text())
+		}
+	}
+	want, err := os.ReadFile("testdata/metrics_header.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(header, "\n"); got != string(want) {
+		t.Fatalf("/metrics header moved:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -44,12 +44,10 @@ const (
 	JobFailed  JobState = "failed"
 )
 
-// Progress counts the engine activity attributed to a job while it runs:
-// how many grid cells it submitted and how each was satisfied. Attribution
-// is by experiment id (grid jobs are labelled "<id> ..."), so two
-// concurrently running jobs of the same experiment under different options
-// both observe the combined activity — exact whenever running jobs have
-// distinct experiment ids, which request coalescing makes the common case.
+// Progress counts a job's own engine activity while it runs: how many grid
+// cells its run submitted and how each was satisfied. It is exact — every
+// engine event is delivered to the one job whose run made the submission
+// (Server.onEngineEvent).
 type Progress struct {
 	Submitted int    `json:"submitted"`
 	Trained   int    `json:"trained"`

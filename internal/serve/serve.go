@@ -121,7 +121,6 @@ type Server struct {
 	jobs      map[string]*job
 	order     []string
 	inflight  map[string]*job // submission key -> queued/running job
-	running   map[string]*job // job id -> running job (event attribution)
 	seq       int
 	q         jobQueue
 	qcond     *sync.Cond // signalled on push and close; waits under s.mu
@@ -184,7 +183,6 @@ func New(opt Options) (*Server, error) {
 		start:    time.Now(),
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
-		running:  make(map[string]*job),
 		limiter:  newRateLimiter(opt.RateLimit, opt.RateBurst),
 	}
 	s.qcond = sync.NewCond(&s.mu)
@@ -199,7 +197,6 @@ func New(opt Options) (*Server, error) {
 		CacheDir:    opt.CacheDir,
 		MemoLimit:   opt.MemoLimit,
 		Log:         engineLog,
-		OnEvent:     s.onEngineEvent,
 		PeerURLs:    opt.CachePeers,
 		PeerID:      opt.PeerID,
 	})
@@ -245,34 +242,72 @@ func (s *Server) nextJob() (*job, bool) {
 	return nil, false
 }
 
-// serveMetrics holds the server's typed instrument handles on one
-// metrics.Registry. Every scalar is written by refreshDerived from the same
-// locked state /v1/stats reads, so the two endpoints can never disagree;
-// the histograms observe at event time (completions, cache hits).
-type serveMetrics struct {
-	reg *metrics.Registry
+// scalarMetrics is the table of derived scalar instruments: each is a pure
+// function of the StatsView snapshot /v1/stats serves, registered in this
+// order by newServeMetrics and rewritten by refreshDerivedLocked — one
+// source of truth, so the JSON and Prometheus views of the same server
+// state can never diverge.
+var scalarMetrics = []struct {
+	name, help string
+	gauge      bool
+	value      func(StatsView) float64
+}{
+	{"pactrain_serve_jobs_queued", "jobs accepted and waiting for a worker", true,
+		func(v StatsView) float64 { return float64(v.Jobs.Queued) }},
+	{"pactrain_serve_jobs_running", "jobs currently executing", true,
+		func(v StatsView) float64 { return float64(v.Jobs.Running) }},
+	{"pactrain_serve_jobs_done_total", "jobs completed successfully", false,
+		func(v StatsView) float64 { return float64(v.Jobs.Done) }},
+	{"pactrain_serve_jobs_failed_total", "jobs that ended in error", false,
+		func(v StatsView) float64 { return float64(v.Jobs.Failed) }},
+	{"pactrain_serve_jobs_coalesced_total", "submissions folded onto an identical in-flight job", false,
+		func(v StatsView) float64 { return float64(v.Jobs.Coalesced) }},
+	{"pactrain_engine_jobs_submitted_total", "grid cells submitted to the engine", false,
+		func(v StatsView) float64 { return float64(v.Engine.Submitted) }},
+	{"pactrain_engine_trainings_total", "trainings the engine actually executed", false,
+		func(v StatsView) float64 { return float64(v.Engine.Trained) }},
+	{"pactrain_engine_deduped_total", "grid cells satisfied by an identical in-process job", false,
+		func(v StatsView) float64 { return float64(v.Engine.Deduped) }},
+	{"pactrain_engine_cache_hits_total", "grid cells satisfied from the on-disk cache", false,
+		func(v StatsView) float64 { return float64(v.Engine.CacheHits) }},
+	{"pactrain_serve_sim_seconds_served_total", "simulated training seconds delivered to clients", false,
+		func(v StatsView) float64 { return v.SimSecondsServed }},
+	{"pactrain_serve_cache_swept_total", "stale or corrupt cache entries removed at startup", false,
+		func(v StatsView) float64 { return float64(v.CacheSweep.Swept) }},
+	{"pactrain_serve_draining", "1 while graceful shutdown is in progress", true,
+		func(v StatsView) float64 {
+			if v.Draining {
+				return 1
+			}
+			return 0
+		}},
+	{"pactrain_serve_queue_depth", "submissions sitting in the accept queue", true,
+		func(v StatsView) float64 { return float64(v.Queue.High + v.Queue.Low) }},
+	{"pactrain_serve_queue_depth_high", "submissions waiting at high priority (recost/quick lane)", true,
+		func(v StatsView) float64 { return float64(v.Queue.High) }},
+	{"pactrain_serve_queue_depth_low", "submissions waiting at low priority (grid-training lane)", true,
+		func(v StatsView) float64 { return float64(v.Queue.Low) }},
+	{"pactrain_serve_cache_hit_ratio", "fraction of resolved grid cells served from cache (disk or peer) rather than trained", true,
+		func(v StatsView) float64 { return v.CacheHitRatio }},
+	{"pactrain_serve_drain_rate_jobs_per_sec", "observed job completion rate (EWMA), the basis for Retry-After", true,
+		func(v StatsView) float64 { return v.DrainRatePerSec }},
+	{"pactrain_serve_rate_limited_total", "submissions rejected by the per-client rate limit", false,
+		func(v StatsView) float64 { return float64(v.RateLimited) }},
+	{"pactrain_cache_peer_hits", "grid cells satisfied over the cache-peer protocol", false,
+		func(v StatsView) float64 { return float64(v.Engine.PeerHits) }},
+	{"pactrain_cache_peer_misses", "peer requests that answered no-entry", false,
+		func(v StatsView) float64 { return float64(v.Engine.PeerMisses) }},
+	{"pactrain_cache_peer_errors", "peer requests that failed outright", false,
+		func(v StatsView) float64 { return float64(v.Engine.PeerErrors) }},
+}
 
-	jobsQueued      *metrics.Counter
-	jobsRunning     *metrics.Counter
-	jobsDone        *metrics.Counter
-	jobsFailed      *metrics.Counter
-	jobsCoalesced   *metrics.Counter
-	engineSubmitted *metrics.Counter
-	engineTrained   *metrics.Counter
-	engineDeduped   *metrics.Counter
-	engineCacheHits *metrics.Counter
-	simServed       *metrics.Counter
-	cacheSwept      *metrics.Counter
-	draining        *metrics.Counter
-	queueDepth      *metrics.Counter
-	queueDepthHigh  *metrics.Counter
-	queueDepthLow   *metrics.Counter
-	cacheHitRatio   *metrics.Counter
-	drainRate       *metrics.Counter
-	rateLimited     *metrics.Counter
-	peerHits        *metrics.Counter
-	peerMisses      *metrics.Counter
-	peerErrors      *metrics.Counter
+// serveMetrics holds the server's instruments on one metrics.Registry: the
+// derived scalars (parallel to scalarMetrics), and handles for the
+// instruments written at event time — the audit tallies at audited-job
+// completion, the histograms at completions and cache hits.
+type serveMetrics struct {
+	reg     *metrics.Registry
+	scalars []*metrics.Counter
 
 	auditRuns         *metrics.Counter
 	auditOracleRegret *metrics.Counter
@@ -287,40 +322,25 @@ type serveMetrics struct {
 func newServeMetrics() *serveMetrics {
 	reg := metrics.NewRegistry()
 	reg.Info("pactrain_build_info", "build identity of the serving binary", metrics.BuildInfoLabels())
-	return &serveMetrics{
-		reg:               reg,
-		jobsQueued:        reg.Gauge("pactrain_serve_jobs_queued", "jobs accepted and waiting for a worker"),
-		jobsRunning:       reg.Gauge("pactrain_serve_jobs_running", "jobs currently executing"),
-		jobsDone:          reg.Counter("pactrain_serve_jobs_done_total", "jobs completed successfully"),
-		jobsFailed:        reg.Counter("pactrain_serve_jobs_failed_total", "jobs that ended in error"),
-		jobsCoalesced:     reg.Counter("pactrain_serve_jobs_coalesced_total", "submissions folded onto an identical in-flight job"),
-		engineSubmitted:   reg.Counter("pactrain_engine_jobs_submitted_total", "grid cells submitted to the engine"),
-		engineTrained:     reg.Counter("pactrain_engine_trainings_total", "trainings the engine actually executed"),
-		engineDeduped:     reg.Counter("pactrain_engine_deduped_total", "grid cells satisfied by an identical in-process job"),
-		engineCacheHits:   reg.Counter("pactrain_engine_cache_hits_total", "grid cells satisfied from the on-disk cache"),
-		simServed:         reg.Counter("pactrain_serve_sim_seconds_served_total", "simulated training seconds delivered to clients"),
-		cacheSwept:        reg.Counter("pactrain_serve_cache_swept_total", "stale or corrupt cache entries removed at startup"),
-		draining:          reg.Gauge("pactrain_serve_draining", "1 while graceful shutdown is in progress"),
-		queueDepth:        reg.Gauge("pactrain_serve_queue_depth", "submissions sitting in the accept queue"),
-		queueDepthHigh:    reg.Gauge("pactrain_serve_queue_depth_high", "submissions waiting at high priority (recost/quick lane)"),
-		queueDepthLow:     reg.Gauge("pactrain_serve_queue_depth_low", "submissions waiting at low priority (grid-training lane)"),
-		cacheHitRatio:     reg.Gauge("pactrain_serve_cache_hit_ratio", "fraction of resolved grid cells served from cache (disk or peer) rather than trained"),
-		drainRate:         reg.Gauge("pactrain_serve_drain_rate_jobs_per_sec", "observed job completion rate (EWMA), the basis for Retry-After"),
-		rateLimited:       reg.Counter("pactrain_serve_rate_limited_total", "submissions rejected by the per-client rate limit"),
-		peerHits:          reg.Counter("pactrain_cache_peer_hits", "grid cells satisfied over the cache-peer protocol"),
-		peerMisses:        reg.Counter("pactrain_cache_peer_misses", "peer requests that answered no-entry"),
-		peerErrors:        reg.Counter("pactrain_cache_peer_errors", "peer requests that failed outright"),
-		auditRuns:         reg.Counter("pactrain_audit_runs_total", "training runs audited into counterfactual ledgers"),
-		auditOracleRegret: reg.Counter("pactrain_audit_oracle_regret_seconds_total", "audited controller cost above the per-round oracle, summed over runs"),
-		auditStaticRegret: reg.Gauge("pactrain_audit_static_regret_seconds_total", "audited controller cost versus the best static format, summed over runs (negative: the controller won)"),
-		auditCalibMax:     reg.Gauge("pactrain_audit_calibration_max_abs_error", "largest |predicted-actual|/actual cost error observed across audited runs"),
-		jobWall: reg.Histogram("pactrain_serve_job_wall_seconds", "wall-clock duration of completed jobs",
-			metrics.ExponentialBuckets(0.1, 2, 12)),
-		jobSim: reg.Histogram("pactrain_serve_job_sim_seconds", "simulated training seconds attributed to completed jobs",
-			metrics.ExponentialBuckets(1, 4, 10)),
-		cacheHitAge: reg.Histogram("pactrain_engine_cache_hit_age_seconds", "age of on-disk cache entries when served",
-			metrics.ExponentialBuckets(1, 4, 10)),
+	m := &serveMetrics{reg: reg}
+	for _, row := range scalarMetrics {
+		declare := reg.Counter
+		if row.gauge {
+			declare = reg.Gauge
+		}
+		m.scalars = append(m.scalars, declare(row.name, row.help))
 	}
+	m.auditRuns = reg.Counter("pactrain_audit_runs_total", "training runs audited into counterfactual ledgers")
+	m.auditOracleRegret = reg.Counter("pactrain_audit_oracle_regret_seconds_total", "audited controller cost above the per-round oracle, summed over runs")
+	m.auditStaticRegret = reg.Gauge("pactrain_audit_static_regret_seconds_total", "audited controller cost versus the best static format, summed over runs (negative: the controller won)")
+	m.auditCalibMax = reg.Gauge("pactrain_audit_calibration_max_abs_error", "largest |predicted-actual|/actual cost error observed across audited runs")
+	m.jobWall = reg.Histogram("pactrain_serve_job_wall_seconds", "wall-clock duration of completed jobs",
+		metrics.ExponentialBuckets(0.1, 2, 12))
+	m.jobSim = reg.Histogram("pactrain_serve_job_sim_seconds", "simulated training seconds attributed to completed jobs",
+		metrics.ExponentialBuckets(1, 4, 10))
+	m.cacheHitAge = reg.Histogram("pactrain_engine_cache_hit_age_seconds", "age of on-disk cache entries when served",
+		metrics.ExponentialBuckets(1, 4, 10))
+	return m
 }
 
 // Submit validates, coalesces, and enqueues a request. The bool reports
@@ -421,13 +441,12 @@ func (s *Server) run(j *job) {
 	s.mu.Lock()
 	j.state = JobRunning
 	j.started = time.Now()
-	s.running[j.id] = j
 	s.publishLocked(j, EventPayload{Type: "state", State: JobRunning})
 	s.mu.Unlock()
 	s.logf("serve: job %s running (%s)", j.id, j.key)
 
 	opts := j.opts
-	opts.Engine = s.engine
+	opts.Engine = s.engine.WithObserver(func(ev engine.Event) { s.onEngineEvent(j, ev) })
 	opts.Log = s.opt.Log
 	if s.opt.LogFormat == "json" {
 		// The harness narrates experiments in prose; structured mode keeps
@@ -499,7 +518,6 @@ func (s *Server) run(j *job) {
 	if s.inflight[j.key] == j {
 		delete(s.inflight, j.key)
 	}
-	delete(s.running, j.id)
 	s.evictHistory()
 	s.mu.Unlock()
 	s.logf("serve: job %s %s (%.1fs wall)", j.id, j.state, j.finished.Sub(j.started).Seconds())
@@ -525,13 +543,14 @@ func (s *Server) evictHistory() {
 	s.order = kept
 }
 
-// onEngineEvent is the engine's observer: it feeds the per-job progress
-// counters, the sim-seconds tally, the recent-event ring, the event-time
-// histograms, and every matching job's SSE stream. It is called from
-// scheduling goroutines concurrently, never with s.mu held.
-func (s *Server) onEngineEvent(ev engine.Event) {
-	expID, _, _ := strings.Cut(ev.Label, " ")
-	delivered := ev.Err == ""
+// onEngineEvent observes the engine events of one job's own submissions —
+// run hands def.Run a per-job view of the shared engine
+// (engine.WithObserver), so an event reaches exactly the job whose run
+// made the submission. It feeds the job's progress counters, sim-seconds
+// tally and SSE stream, plus the server-wide recent-event ring, served
+// total and event-time histograms. It is called from scheduling goroutines
+// concurrently, never with s.mu held.
+func (s *Server) onEngineEvent(j *job, ev engine.Event) {
 	if ev.Kind == engine.EventCacheHit && ev.CacheAgeSeconds > 0 {
 		s.met.cacheHitAge.Observe(ev.CacheAgeSeconds)
 	}
@@ -545,13 +564,28 @@ func (s *Server) onEngineEvent(ev engine.Event) {
 			s.recent = s.recent[len(s.recent)-recentEvents:]
 		}
 	}
+	delivered := ev.Err == ""
+	switch ev.Kind {
+	case engine.EventSubmitted:
+		j.progress.Submitted++
+	case engine.EventDeduped:
+		j.progress.Deduped++
+	case engine.EventCacheHit:
+		j.progress.CacheHits++
+	case engine.EventTrainDone:
+		if delivered {
+			j.progress.Trained++
+		}
+	}
 	if delivered {
 		switch ev.Kind {
 		case engine.EventDeduped, engine.EventCacheHit, engine.EventTrainDone:
 			s.simServed += ev.SimSeconds
+			j.simSeconds += ev.SimSeconds
 		}
 	}
-	payload := EventPayload{
+	j.progress.LastEvent = fmt.Sprintf("%s %s", ev.Kind, ev.Label)
+	s.publishLocked(j, EventPayload{
 		Type:            ev.Kind.String(),
 		Label:           ev.Label,
 		Fingerprint:     ev.Fingerprint,
@@ -559,37 +593,7 @@ func (s *Server) onEngineEvent(ev engine.Event) {
 		CacheAgeSeconds: ev.CacheAgeSeconds,
 		Error:           ev.Err,
 		Progress:        ev.Progress,
-	}
-	claimed := false
-	for _, j := range s.running {
-		if j.def.ID != expID {
-			continue
-		}
-		claimed = true
-		switch ev.Kind {
-		case engine.EventSubmitted:
-			j.progress.Submitted++
-		case engine.EventDeduped:
-			j.progress.Deduped++
-		case engine.EventCacheHit:
-			j.progress.CacheHits++
-		case engine.EventTrainDone:
-			if delivered {
-				j.progress.Trained++
-			}
-		}
-		if delivered {
-			switch ev.Kind {
-			case engine.EventDeduped, engine.EventCacheHit, engine.EventTrainDone:
-				j.simSeconds += ev.SimSeconds
-			}
-		}
-		j.progress.LastEvent = fmt.Sprintf("%s %s", ev.Kind, ev.Label)
-		s.publishLocked(j, payload)
-	}
-	if !claimed {
-		s.logEventLocked(payload)
-	}
+	})
 }
 
 // Job fetches a job snapshot by id.
@@ -736,37 +740,13 @@ func (s *Server) Stats() StatsView {
 	return v
 }
 
-// refreshDerivedLocked writes every scalar instrument from the snapshot
-// both /v1/stats and /metrics serve — one source of truth, so the JSON and
-// Prometheus views of the same server state can never diverge. The
-// histograms are not touched here; they observe at event time. Callers
+// refreshDerivedLocked rewrites every scalarMetrics instrument from the
+// snapshot both /v1/stats and /metrics serve. The histograms and audit
+// tallies are not touched here; they are written at event time. Callers
 // hold s.mu.
 func (s *Server) refreshDerivedLocked(v StatsView) {
-	m := s.met
-	m.jobsQueued.Set(float64(v.Jobs.Queued))
-	m.jobsRunning.Set(float64(v.Jobs.Running))
-	m.jobsDone.Set(float64(v.Jobs.Done))
-	m.jobsFailed.Set(float64(v.Jobs.Failed))
-	m.jobsCoalesced.Set(float64(v.Jobs.Coalesced))
-	m.engineSubmitted.Set(float64(v.Engine.Submitted))
-	m.engineTrained.Set(float64(v.Engine.Trained))
-	m.engineDeduped.Set(float64(v.Engine.Deduped))
-	m.engineCacheHits.Set(float64(v.Engine.CacheHits))
-	m.simServed.Set(v.SimSecondsServed)
-	m.cacheSwept.Set(float64(s.sweep.Swept))
-	m.queueDepth.Set(float64(v.Queue.High + v.Queue.Low))
-	m.queueDepthHigh.Set(float64(v.Queue.High))
-	m.queueDepthLow.Set(float64(v.Queue.Low))
-	m.cacheHitRatio.Set(v.CacheHitRatio)
-	m.drainRate.Set(v.DrainRatePerSec)
-	m.rateLimited.Set(float64(v.RateLimited))
-	m.peerHits.Set(float64(v.Engine.PeerHits))
-	m.peerMisses.Set(float64(v.Engine.PeerMisses))
-	m.peerErrors.Set(float64(v.Engine.PeerErrors))
-	if v.Draining {
-		m.draining.Set(1)
-	} else {
-		m.draining.Set(0)
+	for i, row := range scalarMetrics {
+		s.met.scalars[i].Set(row.value(v))
 	}
 }
 
@@ -787,7 +767,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.draining = true
 		s.q.closed = true
 		s.qcond.Broadcast()
-		s.met.draining.Set(1)
 	}
 	s.mu.Unlock()
 	s.logf("serve: draining (finishing accepted jobs)")

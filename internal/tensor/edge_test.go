@@ -33,16 +33,6 @@ func TestFullAndOnes(t *testing.T) {
 	}
 }
 
-func TestCopyFromMismatchPanics(t *testing.T) {
-	a, b := New(2, 2), New(3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	a.CopyFrom(b)
-}
-
 func TestMinMaxEmptyPanics(t *testing.T) {
 	empty := New(0)
 	for _, fn := range []func(){

@@ -33,11 +33,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Float32 returns a uniform value in [0,1).
-func (r *RNG) Float32() float32 {
-	return float32(r.Uint64()>>40) / (1 << 24)
-}
-
 // Intn returns a uniform value in [0,n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {

@@ -33,10 +33,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: make([]float32, n)}
 }
 
-// Zeros is an alias for New, provided for readability at call sites that
-// emphasize the initial value.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Full returns a tensor with every element set to v.
 func Full(v float32, shape ...int) *Tensor {
 	t := New(shape...)
@@ -115,14 +111,6 @@ func (t *Tensor) Clone() *Tensor {
 	c := &Tensor{shape: append([]int(nil), t.shape...), data: make([]float32, len(t.data))}
 	copy(c.data, t.data)
 	return c
-}
-
-// CopyFrom copies src's elements into t. Shapes must have equal volume.
-func (t *Tensor) CopyFrom(src *Tensor) {
-	if len(t.data) != len(src.data) {
-		panic(fmt.Sprintf("tensor: CopyFrom volume mismatch %d vs %d", len(t.data), len(src.data)))
-	}
-	copy(t.data, src.data)
 }
 
 // Reshape returns a view with a new shape sharing the same storage. The new
@@ -354,24 +342,6 @@ func MaxAbs(x []float32) float32 { return maxAbs(x) }
 // top-k) compares these keys, which pins what a NaN means there — larger
 // than every number — and keeps the comparison a strict weak order.
 func MagnitudeBits(v float32) uint32 { return math.Float32bits(v) &^ (1 << 31) }
-
-// Norm2 returns the Euclidean (L2) norm of the flattened tensor.
-func (t *Tensor) Norm2() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
-// Norm1 returns the L1 norm of the flattened tensor.
-func (t *Tensor) Norm1() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += math.Abs(float64(v))
-	}
-	return s
-}
 
 // CountNonZero returns the number of elements that are exactly non-zero.
 func (t *Tensor) CountNonZero() int {
