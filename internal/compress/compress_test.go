@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -264,6 +265,68 @@ func TestTernGradValuesAreTernary(t *testing.T) {
 			t.Fatalf("non-ternary value %v (scale %v)", v, s)
 		}
 	}
+}
+
+// ternarizeScalar is Ternarize as a plain branching loop, kept as the
+// oracle the branch-free kernel is fuzzed against.
+func ternarizeScalar(rng *tensor.RNG, grad []float32, out []float32) {
+	s := tensor.MaxAbs(grad)
+	if s == 0 {
+		for i := range out {
+			out[i] = 0
+		}
+		return
+	}
+	for i, v := range grad {
+		p := float64(abs32(v) / s)
+		if rng.Float64() < p {
+			if v >= 0 {
+				out[i] = s
+			} else {
+				out[i] = -s
+			}
+		} else {
+			out[i] = 0
+		}
+	}
+}
+
+// FuzzTernarizeMatchesScalar checks the branch-free Ternarize against the
+// branching loop bit for bit — output and the RNG state it leaves — on raw
+// float32 patterns. The seed corpus under testdata holds the named edges
+// (±0, NaN, ±Inf, subnormals, an all-zero input where s == 0, a lone
+// non-zero, out aliasing grad).
+func FuzzTernarizeMatchesScalar(f *testing.F) {
+	f.Add(uint64(1), false, []byte("\x00\x00\x00\x80\x00\x00\xc0\x7f\x01\x00\x00\x00\xcd\xcc\x4c\xbe"))
+	f.Fuzz(func(t *testing.T, seed uint64, alias bool, raw []byte) {
+		grad := make([]float32, len(raw)/4)
+		for i := range grad {
+			grad[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		want := make([]float32, len(grad))
+		wantRNG := tensor.NewRNG(seed)
+		ternarizeScalar(wantRNG, grad, want)
+		got := make([]float32, len(grad))
+		for i := range got {
+			got[i] = 7 // stale output must be overwritten
+		}
+		in := grad
+		if alias {
+			copy(got, grad)
+			in = got
+		}
+		gotRNG := tensor.NewRNG(seed)
+		Ternarize(gotRNG, in, got)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("element %d (%#x): got %#x, scalar loop %#x", i,
+					math.Float32bits(grad[i]), math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+		if gotRNG.Uint64() != wantRNG.Uint64() {
+			t.Fatal("RNG state differs from the scalar loop's afterwards")
+		}
+	})
 }
 
 func TestTernarizeZeroVector(t *testing.T) {

@@ -54,25 +54,27 @@ func (*TernGrad) Decode(payload []float32, out []float32) { copy(out, payload) }
 // Ternarize writes the ternary quantization of grad into out (which may
 // alias grad): out[i] ∈ {−s, 0, +s} with E[out] = grad. It is exported so
 // PacTrain can reuse it on compacted gradients (§III-D).
+//
+// The keep decision is a coin flip, so the loop is branch-free: keep becomes
+// a bit mask that selects s with v's sign or +0. Each element still takes one
+// rng draw in order and compares it with the float32 ratio |v|/s, so a NaN or
+// zero element is dropped and a kept one is ±s by the sign of v.
 func Ternarize(rng *tensor.RNG, grad []float32, out []float32) {
 	s := tensor.MaxAbs(grad)
 	if s == 0 {
-		for i := range out {
-			out[i] = 0
-		}
+		clear(out)
 		return
 	}
+	const sign = 1 << 31
+	sb := math.Float32bits(s)
 	for i, v := range grad {
-		p := float64(abs32(v) / s)
+		vb := math.Float32bits(v)
+		p := float64(math.Float32frombits(vb&^sign) / s)
+		keep := uint32(0)
 		if rng.Float64() < p {
-			if v >= 0 {
-				out[i] = s
-			} else {
-				out[i] = -s
-			}
-		} else {
-			out[i] = 0
+			keep = ^uint32(0)
 		}
+		out[i] = math.Float32frombits((sb | vb&sign) & keep)
 	}
 }
 

@@ -112,9 +112,11 @@ type Config struct {
 	RecordComm bool
 
 	// OnProgress, when non-nil, receives rank 0's evaluation heartbeats as
-	// the run advances (progress.go). Observation-only and excluded from
-	// the fingerprint: a callback cannot change the trajectory, so two
-	// configs differing only here are the same run.
+	// the run advances (progress.go). It is called from the goroutine that
+	// evaluates rank 0's snapshots, not from a rank: one call at a time, in
+	// evaluation order, every call before Run returns. Observation-only and
+	// excluded from the fingerprint: a callback cannot change the
+	// trajectory, so two configs differing only here are the same run.
 	OnProgress func(Progress) `json:"-"`
 }
 

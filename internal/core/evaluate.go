@@ -1,0 +1,80 @@
+package core
+
+import (
+	"pactrain/internal/data"
+	"pactrain/internal/metrics"
+	"pactrain/internal/nn"
+	"pactrain/internal/par"
+)
+
+// evaluator takes rank 0's evaluations off the critical path: at an
+// evaluation point rank 0 copies its state into one replica and trains on
+// while a goroutine evaluates the copy. Evaluations run one at a time, in
+// order, each appending its Curve point and then firing OnProgress; Run joins
+// the last one before it returns.
+type evaluator struct {
+	cfg     *Config
+	testSet *data.Dataset
+	curve   *metrics.Curve
+	replica *nn.Model     // built at the first evaluation point
+	done    chan struct{} // closed when the latest evaluation has finished
+}
+
+// snapshot starts evaluating model's current state for the point pt, whose
+// Acc it fills in, once the previous evaluation has finished. pac, the run's
+// PacTrain-family hook or nil, names the heartbeat's wire format as of now.
+func (e *evaluator) snapshot(model *nn.Model, pac *pacTrainHook, pt metrics.Point) error {
+	e.wait()
+	if e.replica == nil {
+		replica, err := nn.NewLiteByName(e.cfg.ModelName, e.cfg.Lite)
+		if err != nil {
+			return err
+		}
+		e.replica = replica
+	}
+	e.replica.CopyStateFrom(model)
+	beat := Progress{Iter: pt.Iter, Epoch: pt.Epoch, SimSeconds: pt.SimTime, Loss: pt.Loss}
+	if pac != nil {
+		beat.Format = pac.CurrentFormat()
+	}
+	done := make(chan struct{})
+	e.done = done
+	// The evaluation issues kernels beside the ranks for as long as it runs.
+	par.Enter(1)
+	go func() {
+		defer close(done)
+		defer par.Leave(1)
+		pt.Acc = evaluate(e.replica, e.testSet)
+		beat.Acc = pt.Acc
+		e.curve.Add(pt)
+		if e.cfg.OnProgress != nil {
+			e.cfg.OnProgress(beat)
+		}
+	}()
+	return nil
+}
+
+// wait blocks until the latest evaluation, if any, has finished.
+func (e *evaluator) wait() {
+	if e.done != nil {
+		<-e.done
+	}
+}
+
+// evaluate computes test accuracy in chunks (eval compute is excluded from
+// the simulated clock, matching how the paper reports training time).
+func evaluate(model *nn.Model, testSet *data.Dataset) float64 {
+	const chunk = 64
+	correct := 0.0
+	total := 0
+	for from := 0; from < testSet.Len(); from += chunk {
+		x, labels := testSet.View(from, chunk)
+		out := model.Forward(x, false)
+		correct += nn.Accuracy(out, labels) * float64(len(labels))
+		total += len(labels)
+	}
+	if total == 0 {
+		return 0
+	}
+	return correct / float64(total)
+}

@@ -91,3 +91,68 @@ func TestPinnedRunDigests(t *testing.T) {
 		})
 	}
 }
+
+// evalDigest hashes rank 0's evaluation trajectory and the heartbeat sequence
+// delivered to OnProgress, floats by bit pattern.
+func evalDigest(res *Result, beats []Progress) string {
+	h := sha256.New()
+	for _, p := range res.Curve.Points {
+		fmt.Fprintf(h, "pt %d %d %x %x %x\n", p.Iter, p.Epoch, math.Float64bits(p.SimTime),
+			math.Float64bits(p.Acc), math.Float64bits(p.Loss))
+	}
+	for _, b := range beats {
+		fmt.Fprintf(h, "hb %d %d %x %x %x %q\n", b.Iter, b.Epoch, math.Float64bits(b.SimSeconds),
+			math.Float64bits(b.Acc), math.Float64bits(b.Loss), b.Format)
+	}
+	return hex.EncodeToString(h.Sum(nil))[:32]
+}
+
+// tinyTwinConfig is tinyConfig on a narrow conv or attention twin, evaluated
+// every other iteration on a test split whose last chunk is ragged (64 + 6).
+// Its 24 iterations move BatchNorm's running statistics far enough from
+// their initial values that evaluating without them changes the digest.
+func tinyTwinConfig(model string) Config {
+	cfg := tinyConfig("pactrain-ternary")
+	cfg.ModelName = model
+	cfg.Lite.Width = 4
+	cfg.Data.Samples, cfg.TestSamples = 256, 70
+	cfg.EvalEvery = 2
+	return cfg
+}
+
+// TestPinnedEvalDigests holds the evaluation trajectory and the heartbeats of
+// a BatchNorm twin, an attention twin and a format-switching adaptive run to
+// digests recorded while rank 0 still evaluated inline, between its own
+// training steps. Never re-record one to make a change pass.
+func TestPinnedEvalDigests(t *testing.T) {
+	adaptive := oscillatingAdaptiveConfig()
+	adaptive.EvalEvery = 3
+	pinned := []struct {
+		name   string
+		cfg    Config
+		digest string
+	}{
+		{"ResNet18", tinyTwinConfig("ResNet18"), "a87c6843b9f74427894ee7e46c6bf43c"},
+		{"ViT-Base-16", tinyTwinConfig("ViT-Base-16"), "3469680e737cf924a488be2599b4fa72"},
+		{"adaptive", adaptive, "3440f43991345be6e457c9e06482c55f"},
+	}
+	for _, p := range pinned {
+		t.Run(p.name, func(t *testing.T) {
+			t.Parallel()
+			var beats []Progress
+			p.cfg.OnProgress = func(b Progress) { beats = append(beats, b) }
+			res, err := Run(p.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Read after Run returns: every heartbeat must have been delivered
+			// by then (-race checks that none is delivered later).
+			if len(beats) != len(res.Curve.Points) || len(beats) < 6 {
+				t.Fatalf("%d heartbeats, %d curve points", len(beats), len(res.Curve.Points))
+			}
+			if got := evalDigest(res, beats); got != p.digest {
+				t.Errorf("%s eval digest %s, pinned %s", p.name, got, p.digest)
+			}
+		})
+	}
+}

@@ -4,7 +4,9 @@ package core
 // emitted at every evaluation point (the Curve's cadence: EvalEvery
 // iterations, or end of epoch). It exists for observers — the serve SSE
 // stream and structured logs relay it verbatim — and carries no state the
-// Result does not already record.
+// Result does not already record. Heartbeats come from the evaluation
+// goroutine (evaluate.go), in order, each once its accuracy is known, and all
+// of them before Run returns.
 type Progress struct {
 	// Iter and Epoch locate the heartbeat in the run.
 	Iter  int `json:"iter"`
@@ -14,20 +16,8 @@ type Progress struct {
 	// Acc and Loss are the evaluation accuracy and last training loss.
 	Acc  float64 `json:"acc"`
 	Loss float64 `json:"loss"`
-	// Format is the wire format the current scheme is sending — the
-	// adaptive controller's current choice, or empty for static schemes.
+	// Format is the wire format the current scheme is sending at the
+	// evaluation point — the adaptive controller's current choice, or empty
+	// for static schemes.
 	Format string `json:"format,omitempty"`
-}
-
-// emitProgress builds and delivers a heartbeat; no-op without a callback.
-// pac is the run's PacTrain-family hook, nil for every other scheme.
-func emitProgress(cfg *Config, pac *pacTrainHook, iter, epoch int, simTime, acc, loss float64) {
-	if cfg.OnProgress == nil {
-		return
-	}
-	p := Progress{Iter: iter, Epoch: epoch, SimSeconds: simTime, Acc: acc, Loss: loss}
-	if pac != nil {
-		p.Format = pac.CurrentFormat()
-	}
-	cfg.OnProgress(p)
 }

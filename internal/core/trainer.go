@@ -91,8 +91,7 @@ func Run(cfg Config) (*Result, error) {
 	// dataset and split off the tail for evaluation.
 	fullCfg := cfg.Data
 	fullCfg.Samples = cfg.Data.Samples + cfg.TestSamples
-	full := data.Generate(fullCfg)
-	trainSet, testSet := data.Split(full, cfg.TestSamples)
+	trainSet, testSet := data.Split(memoDataset(fullCfg), cfg.TestSamples)
 
 	res := &Result{Scheme: cfg.Scheme, Model: cfg.ModelName, Collective: cfg.Collective,
 		WeightChecksums: make([]float64, cfg.World)}
@@ -108,15 +107,17 @@ func Run(cfg Config) (*Result, error) {
 	defer par.Leave(cfg.World)
 	errs := make([]error, cfg.World)
 	var shared sharedMask
+	eval := &evaluator{cfg: &cfg, testSet: testSet, curve: &res.Curve}
 	var wg sync.WaitGroup
 	for rank := 0; rank < cfg.World; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			errs[rank] = runWorker(&cfg, rank, cluster, &shared, trainSet, testSet, log, res)
+			errs[rank] = runWorker(&cfg, rank, cluster, &shared, trainSet, eval, log, res)
 		}(rank)
 	}
 	wg.Wait()
+	eval.wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -150,7 +151,7 @@ type sharedMask struct {
 
 // runWorker is the per-rank training loop (Algorithm 1).
 func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *sharedMask,
-	trainSet, testSet *data.Dataset, log *CommLog, res *Result) error {
+	trainSet *data.Dataset, eval *evaluator, log *CommLog, res *Result) error {
 
 	if rankStartHook != nil {
 		rankStartHook()
@@ -209,14 +210,17 @@ func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *share
 	lastLoss := 0.0
 	invWorld := 1 / float32(cfg.World)
 
-	evalNow := func(endOfEpoch bool) bool {
-		if rank != 0 {
-			return false
-		}
+	// evalAt hands rank 0's state to the evaluator at every evaluation point:
+	// each EvalEvery iterations, or at the end of each epoch when it is 0.
+	evalAt := func(epoch int, endOfEpoch bool) error {
+		due := endOfEpoch
 		if cfg.EvalEvery > 0 {
-			return iter%cfg.EvalEvery == 0
+			due = !endOfEpoch && iter%cfg.EvalEvery == 0
 		}
-		return endOfEpoch
+		if rank != 0 || !due {
+			return nil
+		}
+		return eval.snapshot(model, pac, metrics.Point{Iter: iter, Epoch: epoch, SimTime: simTime, Loss: lastLoss})
 	}
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -300,16 +304,12 @@ func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *share
 			opt.Step(model.Params())
 			iter++
 
-			if evalNow(false) {
-				acc := evaluate(model, testSet)
-				res.Curve.Add(metrics.Point{Iter: iter, Epoch: epoch, SimTime: simTime, Acc: acc, Loss: lastLoss})
-				emitProgress(cfg, pac, iter, epoch, simTime, acc, lastLoss)
+			if err := evalAt(epoch, false); err != nil {
+				return err
 			}
 		}
-		if evalNow(true) && cfg.EvalEvery == 0 {
-			acc := evaluate(model, testSet)
-			res.Curve.Add(metrics.Point{Iter: iter, Epoch: epoch, SimTime: simTime, Acc: acc, Loss: lastLoss})
-			emitProgress(cfg, pac, iter, epoch, simTime, acc, lastLoss)
+		if err := evalAt(epoch, true); err != nil {
+			return err
 		}
 	}
 
@@ -362,22 +362,4 @@ func buildMask(cfg *Config, model *nn.Model, trainSet *data.Dataset, shared *sha
 		return mask, err
 	}
 	return nil, fmt.Errorf("core: unsupported prune method %v", cfg.PruneMethod)
-}
-
-// evaluate computes test accuracy in chunks (eval compute is excluded from
-// the simulated clock, matching how the paper reports training time).
-func evaluate(model *nn.Model, testSet *data.Dataset) float64 {
-	const chunk = 64
-	correct := 0.0
-	total := 0
-	for from := 0; from < testSet.Len(); from += chunk {
-		x, labels := testSet.View(from, chunk)
-		out := model.Forward(x, false)
-		correct += nn.Accuracy(out, labels) * float64(len(labels))
-		total += len(labels)
-	}
-	if total == 0 {
-		return 0
-	}
-	return correct / float64(total)
 }

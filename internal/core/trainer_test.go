@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"pactrain/internal/data"
 	"pactrain/internal/netsim"
 	"pactrain/internal/nn"
+	"pactrain/internal/prune"
 )
 
 // tinyConfig returns a fast configuration for integration tests: MLP twin,
@@ -277,6 +280,39 @@ func TestEvaluateOnViewsLeavesTheDatasetUntouched(t *testing.T) {
 			if math.Float32bits(v) != math.Float32bits(before[i]) {
 				t.Fatalf("%s wrote its input: image float %d is %v, was %v", name, i, v, before[i])
 			}
+		}
+	}
+}
+
+// TestMemoizedDatasetOutlivesRuns guards the dataset memo against any
+// in-place writer: Run takes its dataset from the memo, and a full run of a
+// BatchNorm twin and an attention twin — training, GraSP's train-mode probe on
+// views, evaluation on views — leaves its bytes as they were.
+func TestMemoizedDatasetOutlivesRuns(t *testing.T) {
+	for _, model := range []string{"ResNet18", "ViT-Base-16"} {
+		cfg := tinyTwinConfig(model)
+		cfg.PruneMethod = prune.GraSP
+		cfg.Data.Seed = 77
+		full := cfg.Data
+		full.Samples = cfg.shardSamples()*cfg.World + cfg.TestSamples
+		ds := memoDataset(full)
+		digest := func() [32]byte {
+			h := sha256.New()
+			binary.Write(h, binary.LittleEndian, ds.Images.Data())
+			for _, l := range ds.Labels {
+				binary.Write(h, binary.LittleEndian, int64(l))
+			}
+			return [32]byte(h.Sum(nil))
+		}
+		before := digest()
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if memoDataset(full) != ds {
+			t.Fatalf("%s: the memo no longer holds the run's dataset", model)
+		}
+		if digest() != before {
+			t.Fatalf("%s: a run wrote to its memoized dataset", model)
 		}
 	}
 }

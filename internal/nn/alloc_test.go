@@ -58,6 +58,29 @@ func TestSteadyStateStepsAllocationFree(t *testing.T) {
 	for _, c := range cases {
 		c.step()
 	}
+
+	// A trainer's model flips between evaluation chunks and training batches:
+	// once the scratch has held the largest shape, a whole eval(64) →
+	// eval(8) → train(8) cycle allocates nothing.
+	for _, name := range []string{"ResNet18", "ViT-Base-16"} {
+		m, err := NewLiteByName(name, DefaultLiteConfig(10, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x64 := tensor.Randn(r, 1, 64, 3, 16, 16)
+		x8 := tensor.Randn(r, 1, 8, 3, 16, 16)
+		g8 := tensor.Randn(r, 1, 8, 10)
+		cycle := func() {
+			m.Forward(x64, false)
+			m.Forward(x8, false)
+			m.Forward(x8, true)
+			m.Backward(g8)
+		}
+		cycle()
+		if n := testing.AllocsPerRun(3, cycle); n > 0 {
+			t.Errorf("%s: eval(64) → eval(8) → train(8) allocates %.1f times after the first round, want 0", name, n)
+		}
+	}
 }
 
 // stepAllocs warms the layer's scratch, then asserts a steady-state step

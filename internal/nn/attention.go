@@ -141,7 +141,7 @@ func (l *MultiHeadAttention) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	n, t, d := x.Dim(0), x.Dim(1), x.Dim(2)
 	l.lastX = x
 	l.ensureScratch(n, t)
-	l.out = ensure3(l.out, n, t, d)
+	l.out = ensure(l.out, n, t, d)
 	scale := float32(1 / math.Sqrt(float64(l.Dh)))
 
 	work := 4 * n * t * d * d
@@ -213,7 +213,7 @@ func softmaxRows(x *tensor.Tensor) {
 // Backward implements Layer.
 func (l *MultiHeadAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, t, d := grad.Dim(0), grad.Dim(1), grad.Dim(2)
-	l.dx = ensure3(l.dx, n, t, d)
+	l.dx = ensure(l.dx, n, t, d)
 	scale := float32(1 / math.Sqrt(float64(l.Dh)))
 
 	// Phase 1 (parallel over samples): per-sample dx slices and per-sample
@@ -374,12 +374,12 @@ func (l *PatchEmbed) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	n := x.Dim(0)
 	l.lastShape = append(l.lastShape[:0], x.Shape()...)
 	patch := l.Proj.W.Dim(1)
-	l.lastCols = ensure2(l.lastCols, n*l.T, patch)
+	l.lastCols = ensure(l.lastCols, n*l.T, patch)
 	tensor.Im2ColInto(l.lastCols, x, l.PS, l.PS, l.PS, 0) // (N*T, patch)
-	l.proj = ensure2(l.proj, n*l.T, l.D)
+	l.proj = ensure(l.proj, n*l.T, l.D)
 	tensor.MatMulTransBInto(l.proj, l.lastCols, l.Proj.W)
 
-	l.out = ensure3(l.out, n, l.T+1, l.D)
+	l.out = ensure(l.out, n, l.T+1, l.D)
 	od, pd := l.out.Data(), l.proj.Data()
 	bd, cd, ed := l.Bias.W.Data(), l.Cls.W.Data(), l.PosEmb.W.Data()
 	for s := 0; s < n; s++ {
@@ -404,7 +404,7 @@ func (l *PatchEmbed) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n := grad.Dim(0)
 	gd := grad.Data()
 	cg, eg, bg := l.Cls.Grad.Data(), l.PosEmb.Grad.Data(), l.Bias.Grad.Data()
-	l.dProj = ensure2(l.dProj, n*l.T, l.D)
+	l.dProj = ensure(l.dProj, n*l.T, l.D)
 	dpd := l.dProj.Data()
 	for s := 0; s < n; s++ {
 		base := s * (l.T + 1) * l.D
@@ -424,17 +424,17 @@ func (l *PatchEmbed) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	// dW = dProjᵀ × cols → (D, patch).
-	l.dW = ensure2(l.dW, l.D, l.Proj.W.Dim(1))
+	l.dW = ensure(l.dW, l.D, l.Proj.W.Dim(1))
 	tensor.MatMulTransAInto(l.dW, l.dProj, l.lastCols)
 	tensor.AxpyInto(l.Proj.Grad, 1, l.dW)
 	if l.noDx {
 		return nil
 	}
 	// dcols = dProj × W.
-	l.dcols = ensure2(l.dcols, n*l.T, l.Proj.W.Dim(1))
+	l.dcols = ensure(l.dcols, n*l.T, l.Proj.W.Dim(1))
 	tensor.MatMulInto(l.dcols, l.dProj, l.Proj.W)
 	h, w := l.lastShape[2], l.lastShape[3]
-	l.dx = ensure4(l.dx, n, l.C, h, w)
+	l.dx = ensure(l.dx, n, l.C, h, w)
 	tensor.Col2ImInto(l.dx, l.dcols, l.PS, l.PS, l.PS, 0)
 	return l.dx
 }
@@ -485,17 +485,17 @@ func (l *TransformerBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor 
 	n, t, d := x.Dim(0), x.Dim(1), x.Dim(2)
 	l.lastShape = append(l.lastShape[:0], n, t, d)
 	a := l.Attn.Forward(l.LN1.Forward(x, train), train)
-	l.x1 = ensure3(l.x1, n, t, d)
+	l.x1 = ensure(l.x1, n, t, d)
 	tensor.AddInto(l.x1, x, a)
 	h := l.LN2.Forward(l.x1, train)
-	l.hFlat = ensure2(l.hFlat, n*t, d)
+	l.hFlat = ensure(l.hFlat, n*t, d)
 	l.hFlat.Rebind(h.Data())
 	h2 := l.FC1.Forward(l.hFlat, train)
 	h3 := l.Act.Forward(h2, train)
 	h4 := l.FC2.Forward(h3, train)
-	l.h4View = ensure3(l.h4View, n, t, d)
+	l.h4View = ensure(l.h4View, n, t, d)
 	l.h4View.Rebind(h4.Data())
-	l.out = ensure3(l.out, n, t, d)
+	l.out = ensure(l.out, n, t, d)
 	tensor.AddInto(l.out, l.x1, l.h4View)
 	return l.out
 }
@@ -504,20 +504,20 @@ func (l *TransformerBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor 
 func (l *TransformerBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, t, d := l.lastShape[0], l.lastShape[1], l.lastShape[2]
 	// MLP branch.
-	l.gradFlat = ensure2(l.gradFlat, n*t, d)
+	l.gradFlat = ensure(l.gradFlat, n*t, d)
 	l.gradFlat.Rebind(grad.Data())
 	gm := l.FC2.Backward(l.gradFlat)
 	gm = l.Act.Backward(gm)
 	gm = l.FC1.Backward(gm)
-	l.gmView = ensure3(l.gmView, n, t, d)
+	l.gmView = ensure(l.gmView, n, t, d)
 	l.gmView.Rebind(gm.Data())
 	gn := l.LN2.Backward(l.gmView)
-	l.dx1 = ensure3(l.dx1, n, t, d)
+	l.dx1 = ensure(l.dx1, n, t, d)
 	tensor.AddInto(l.dx1, grad, gn)
 	// Attention branch.
 	ga := l.Attn.Backward(l.dx1)
 	ga = l.LN1.Backward(ga)
-	l.dxOut = ensure3(l.dxOut, n, t, d)
+	l.dxOut = ensure(l.dxOut, n, t, d)
 	tensor.AddInto(l.dxOut, l.dx1, ga)
 	return l.dxOut
 }
@@ -548,7 +548,7 @@ func NewTokenPool() *TokenPool { return &TokenPool{} }
 func (l *TokenPool) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	n, t, d := x.Dim(0), x.Dim(1), x.Dim(2)
 	l.lastShape = append(l.lastShape[:0], n, t, d)
-	l.out = ensure2(l.out, n, d)
+	l.out = ensure(l.out, n, d)
 	xd, od := x.Data(), l.out.Data()
 	for s := 0; s < n; s++ {
 		copy(od[s*d:(s+1)*d], xd[s*t*d:s*t*d+d])
@@ -559,7 +559,7 @@ func (l *TokenPool) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 // Backward implements Layer.
 func (l *TokenPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, t, d := l.lastShape[0], l.lastShape[1], l.lastShape[2]
-	l.dx = ensure3(l.dx, n, t, d)
+	l.dx = ensure(l.dx, n, t, d)
 	l.dx.Zero()
 	gd, dd := grad.Data(), l.dx.Data()
 	for s := 0; s < n; s++ {

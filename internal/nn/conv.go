@@ -46,17 +46,17 @@ func (l *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	spatial := outH * outW
 	patch := l.Weight.W.Dim(1)
 	rows := n * spatial
-	l.lastCols = ensure2(l.lastCols, rows, patch)
+	l.lastCols = ensure(l.lastCols, rows, patch)
 	tensor.Im2ColInto(l.lastCols, x, l.KH, l.KW, l.Stride, l.Pad) // (N*outH*outW, inC*kh*kw)
 	l.lastInputShape = append(l.lastInputShape[:0], x.Shape()...)
 
 	// out = cols × Wᵀ : (rows, outC)
-	l.outMat = ensure2(l.outMat, rows, l.OutC)
+	l.outMat = ensure(l.outMat, rows, l.OutC)
 	tensor.MatMulTransBInto(l.outMat, l.lastCols, l.Weight.W)
 
 	// Add bias and permute (N*outH*outW, outC) → (N, outC, outH, outW).
 	// Images are disjoint, so the permute chunks over them bit-exactly.
-	l.out = ensure4(l.out, n, l.OutC, outH, outW)
+	l.out = ensure(l.out, n, l.OutC, outH, outW)
 	od, md, bd := l.out.Data(), l.outMat.Data(), l.Bias.W.Data()
 	work := rows * l.OutC
 	if par.PlanChunks(n, work) == 1 {
@@ -94,7 +94,7 @@ func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 	// Un-permute grad (N, outC, outH, outW) → (rows, outC). Images are
 	// disjoint, so the permute chunks over them bit-exactly.
-	l.gm = ensure2(l.gm, rows, l.OutC)
+	l.gm = ensure(l.gm, rows, l.OutC)
 	gd, gmd := grad.Data(), l.gm.Data()
 	work := rows * l.OutC
 	if par.PlanChunks(n, work) == 1 {
@@ -118,7 +118,7 @@ func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 	// Weight gradient: dW = gmᵀ × cols → (outC, inC*kh*kw).
 	patch := l.Weight.W.Dim(1)
-	l.dW = ensure2(l.dW, l.OutC, patch)
+	l.dW = ensure(l.dW, l.OutC, patch)
 	tensor.MatMulTransAInto(l.dW, l.gm, l.lastCols)
 	tensor.AxpyInto(l.Weight.Grad, 1, l.dW)
 
@@ -126,9 +126,9 @@ func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		return nil
 	}
 	// Input gradient: dcols = gm × W → (rows, patch); then col2im.
-	l.dcols = ensure2(l.dcols, rows, patch)
+	l.dcols = ensure(l.dcols, rows, patch)
 	tensor.MatMulInto(l.dcols, l.gm, l.Weight.W)
-	l.dx = ensure4(l.dx, n, l.InC, h, w)
+	l.dx = ensure(l.dx, n, l.InC, h, w)
 	tensor.Col2ImInto(l.dx, l.dcols, l.KH, l.KW, l.Stride, l.Pad)
 	return l.dx
 }
@@ -170,7 +170,7 @@ func (l *MaxPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	outH := tensor.ConvOutSize(h, l.K, l.Stride, 0)
 	outW := tensor.ConvOutSize(w, l.K, l.Stride, 0)
-	l.out = ensure4(l.out, n, c, outH, outW)
+	l.out = ensure(l.out, n, c, outH, outW)
 	out := l.out
 	l.lastShape = append(l.lastShape[:0], x.Shape()...)
 	if cap(l.argmax) < out.Len() {
@@ -215,7 +215,7 @@ func (l *MaxPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (l *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	l.dx = ensure4(l.dx, l.lastShape[0], l.lastShape[1], l.lastShape[2], l.lastShape[3])
+	l.dx = ensure(l.dx, l.lastShape...)
 	l.dx.Zero()
 	dd, gd := l.dx.Data(), grad.Data()
 	for i, src := range l.argmax {
@@ -242,7 +242,7 @@ func NewGlobalAvgPool2D() *GlobalAvgPool2D { return &GlobalAvgPool2D{} }
 func (l *GlobalAvgPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	l.lastShape = append(l.lastShape[:0], x.Shape()...)
-	l.out = ensure2(l.out, n, c)
+	l.out = ensure(l.out, n, c)
 	out := l.out
 	xd, od := x.Data(), out.Data()
 	area := h * w
@@ -261,7 +261,7 @@ func (l *GlobalAvgPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 // Backward implements Layer.
 func (l *GlobalAvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := l.lastShape[0], l.lastShape[1], l.lastShape[2], l.lastShape[3]
-	l.dx = ensure4(l.dx, n, c, h, w)
+	l.dx = ensure(l.dx, n, c, h, w)
 	dx := l.dx
 	dd, gd := dx.Data(), grad.Data()
 	area := h * w

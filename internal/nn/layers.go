@@ -34,7 +34,7 @@ func (l *Linear) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	l.lastInput = x
 	n := x.Dim(0)
 	out := l.Weight.W.Dim(1)
-	l.out = ensure2(l.out, n, out)
+	l.out = ensure(l.out, n, out)
 	y := l.out
 	tensor.MatMulInto(y, x, l.Weight.W)
 	bd := l.Bias.W.Data()
@@ -54,7 +54,7 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	in, out := l.Weight.W.Dim(0), l.Weight.W.Dim(1)
 	n := x.Dim(0)
 
-	l.dW = ensure2(l.dW, in, out)
+	l.dW = ensure(l.dW, in, out)
 	tensor.MatMulTransAInto(l.dW, x, grad)
 	tensor.AxpyInto(l.Weight.Grad, 1, l.dW)
 
@@ -70,7 +70,7 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if l.noDx {
 		return nil
 	}
-	l.dx = ensure2(l.dx, n, in)
+	l.dx = ensure(l.dx, n, in)
 	tensor.MatMulTransBInto(l.dx, grad, l.Weight.W)
 	return l.dx
 }
@@ -92,7 +92,7 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward implements Layer.
 func (l *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	l.out = ensureLike(l.out, x)
+	l.out = ensure(l.out, x.Shape()...)
 	xd, d := x.Data(), l.out.Data()
 	if cap(l.mask) < len(d) {
 		l.mask = make([]bool, len(d))
@@ -112,7 +112,7 @@ func (l *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (l *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	l.dx = ensureLike(l.dx, grad)
+	l.dx = ensure(l.dx, grad.Shape()...)
 	gd, d := grad.Data(), l.dx.Data()
 	for i, v := range gd {
 		if l.mask[i] {
@@ -147,7 +147,7 @@ const geluC = 0.7978845608028654 // sqrt(2/pi)
 // tanh, half of the map's cost, so that Backward does not take it again.
 func (l *GELU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.lastInput = x
-	l.out = ensureLike(l.out, x)
+	l.out = ensure(l.out, x.Shape()...)
 	xd, d := x.Data(), l.out.Data()
 	n := len(xd)
 	l.tanh = l.tanh[:0]
@@ -179,7 +179,7 @@ func geluForwardRange(xd, d []float32, td []float64, lo, hi int) {
 
 // Backward implements Layer; the last Forward must have been in train mode.
 func (l *GELU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	l.dx = ensureLike(l.dx, grad)
+	l.dx = ensure(l.dx, grad.Shape()...)
 	gin, gd := grad.Data(), l.dx.Data()
 	xd, td := l.lastInput.Data(), l.tanh
 	n := len(gd)
@@ -260,7 +260,7 @@ func (l *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if l.Shortcut != nil {
 		skip = l.Shortcut.Forward(x, train)
 	}
-	l.out = ensureLike(l.out, main)
+	l.out = ensure(l.out, main.Shape()...)
 	tensor.AddInto(l.out, main, skip)
 	d := l.out.Data()
 	if cap(l.reluMask) < len(d) {
@@ -280,7 +280,7 @@ func (l *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (l *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	l.g = ensureLike(l.g, grad)
+	l.g = ensure(l.g, grad.Shape()...)
 	gd, d := grad.Data(), l.g.Data()
 	for i, v := range gd {
 		if l.reluMask[i] {
@@ -294,7 +294,7 @@ func (l *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if l.Shortcut != nil {
 		dSkip = l.Shortcut.Backward(l.g)
 	}
-	l.dx = ensureLike(l.dx, dMain)
+	l.dx = ensure(l.dx, dMain.Shape()...)
 	tensor.AddInto(l.dx, dMain, dSkip)
 	return l.dx
 }

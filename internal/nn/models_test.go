@@ -323,3 +323,39 @@ func TestProfileOrderingMatchesPaperSizes(t *testing.T) {
 		t.Fatal("profile parameter ordering wrong")
 	}
 }
+
+// TestCopyStateFromEvaluatesIdentically: a replica built from another seed and
+// handed a trained twin's state through CopyStateFrom evaluates bit for bit
+// like the twin — BatchNorm running statistics included — and the copy
+// allocates nothing.
+func TestCopyStateFromEvaluatesIdentically(t *testing.T) {
+	x := tensor.Randn(tensor.NewRNG(9), 1, 6, 3, 16, 16)
+	labels := []int{1, 7, 0, 3, 2, 2}
+	for _, name := range []string{"MLP", "VGG19", "ResNet18", "ViT-Base-16"} {
+		src, err := NewLiteByName(name, DefaultLiteConfig(10, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := NewSGD(0.1, 0.9, 0)
+		for step := 0; step < 3; step++ {
+			src.ZeroGrad()
+			_, g := SoftmaxCrossEntropy(src.Forward(x, true), labels)
+			src.Backward(g)
+			opt.Step(src.Params())
+		}
+		dst, err := NewLiteByName(name, DefaultLiteConfig(10, 6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(3, func() { dst.CopyStateFrom(src) }); n > 0 {
+			t.Errorf("%s: CopyStateFrom allocates %.1f times", name, n)
+		}
+		want := src.Forward(x, false).Clone()
+		got := dst.Forward(x, false)
+		for i, v := range want.Data() {
+			if math.Float32bits(got.Data()[i]) != math.Float32bits(v) {
+				t.Fatalf("%s: replica logit %d is %v, source %v", name, i, got.Data()[i], v)
+			}
+		}
+	}
+}

@@ -52,8 +52,8 @@ func (l *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	l.lastShape = append(l.lastShape[:0], x.Shape()...)
 	area := h * w
-	l.out = ensure4(l.out, n, c, h, w)
-	l.lastXHat = ensureLike(l.lastXHat, x)
+	l.out = ensure(l.out, n, c, h, w)
+	l.lastXHat = ensure(l.lastXHat, x.Shape()...)
 	if cap(l.lastInvStd) < c {
 		l.lastInvStd = make([]float64, c)
 	}
@@ -123,7 +123,7 @@ func (l *BatchNorm2D) forwardChannels(x *tensor.Tensor, train bool, n, area, lo,
 func (l *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c := l.lastShape[0], l.lastShape[1]
 	area := l.lastShape[2] * l.lastShape[3]
-	l.dx = ensure4(l.dx, l.lastShape[0], l.lastShape[1], l.lastShape[2], l.lastShape[3])
+	l.dx = ensure(l.dx, l.lastShape...)
 
 	work := 2 * n * c * area
 	if par.PlanChunks(c, work) == 1 {
@@ -202,8 +202,8 @@ func (l *LayerNorm) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	d := x.Dim(x.Rank() - 1)
 	rows := x.Len() / d
 	l.lastShape = append(l.lastShape[:0], x.Shape()...)
-	l.out = ensureLike(l.out, x)
-	l.lastXHat = ensureLike(l.lastXHat, x)
+	l.out = ensure(l.out, x.Shape()...)
+	l.lastXHat = ensure(l.lastXHat, x.Shape()...)
 	if cap(l.lastInvStd) < rows {
 		l.lastInvStd = make([]float64, rows)
 	}
@@ -258,7 +258,7 @@ func (l *LayerNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	for _, s := range l.lastShape[:len(l.lastShape)-1] {
 		rows *= s
 	}
-	l.dx = ensureLike(l.dx, grad)
+	l.dx = ensure(l.dx, grad.Shape()...)
 
 	work := rows * d
 	if par.PlanChunks(rows, work) == 1 {

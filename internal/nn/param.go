@@ -156,6 +156,38 @@ func (m *Model) ZeroGrad() {
 	}
 }
 
+// CopyStateFrom makes m compute exactly what src computes: every parameter's
+// weights and every BatchNorm layer's running statistics are copied, without
+// allocating. m must have been built like src (same constructor, same
+// geometry); its gradients and scratch are left as they are.
+func (m *Model) CopyStateFrom(src *Model) {
+	for i, p := range m.params {
+		copy(p.W.Data(), src.params[i].W.Data())
+	}
+	copyLayerState(m.Root, src.Root)
+}
+
+// copyLayerState copies the state outside parameters — BatchNorm running
+// statistics, the only such state — between two identically built layer trees.
+func copyLayerState(dst, src Layer) {
+	switch d := dst.(type) {
+	case *Sequential:
+		for i, l := range d.Layers {
+			copyLayerState(l, src.(*Sequential).Layers[i])
+		}
+	case *Residual:
+		s := src.(*Residual)
+		copyLayerState(d.Body, s.Body)
+		if d.Shortcut != nil {
+			copyLayerState(d.Shortcut, s.Shortcut)
+		}
+	case *BatchNorm2D:
+		s := src.(*BatchNorm2D)
+		copy(d.runningMean, s.runningMean)
+		copy(d.runningVar, s.runningVar)
+	}
+}
+
 // NumParameters returns the total scalar parameter count.
 func (m *Model) NumParameters() int {
 	n := 0

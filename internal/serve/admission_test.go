@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -134,11 +135,12 @@ func TestRateLimiterBuckets(t *testing.T) {
 // queue-full 429 advises a backoff derived from the drain estimate.
 func TestQueueFull429CarriesRetryAfter(t *testing.T) {
 	t.Parallel()
-	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
+	holdWorker(t, s)
 
-	// The blocker trains (so the single worker stays busy); the queue
-	// fillers are recost-only largescale runs with distinct seeds, which
-	// cost nothing once they eventually run.
+	// The blocker holds the single worker; the queue fillers are recost-only
+	// largescale runs with distinct seeds, which cost nothing once they
+	// eventually run.
 	var first submitResponse
 	resp, raw := postJSON(t, ts.URL+"/v1/experiments", testRequest("ablation-tern"))
 	if resp.StatusCode != http.StatusAccepted {
@@ -227,6 +229,7 @@ func TestPriorityOverrideAndPromotion(t *testing.T) {
 	}
 
 	// Occupy the single worker so later submissions stay queued.
+	release := holdWorker(t, s)
 	blocker, _, err := s.Submit(testRequest("ablation-tern"))
 	if err != nil {
 		t.Fatal(err)
@@ -266,5 +269,17 @@ func TestPriorityOverrideAndPromotion(t *testing.T) {
 	if stats.Queue.High != 1 || stats.Queue.Low != 0 {
 		t.Fatalf("queue split %+v, want 1 high / 0 low", stats.Queue)
 	}
+	release()
 	waitForState(t, ts.URL, lowView.ID, JobDone)
+}
+
+// holdWorker parks every job of s on its worker, marked running, until the
+// returned release is called or the test ends (before s shuts down), so a
+// test's blocker stays running however fast it would train.
+func holdWorker(t *testing.T, s *Server) (release func()) {
+	gate := make(chan struct{})
+	release = sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	s.beforeRun = func(*job) { <-gate }
+	return release
 }

@@ -138,6 +138,10 @@ type Server struct {
 	// audited run — the drift headline pactrain_audit_calibration_max_abs_error
 	// reports.
 	auditCalibMax float64
+	// beforeRun, when a test sets it before submitting anything, runs on the
+	// worker once a job is marked running and before it trains, so the test
+	// can hold the worker there.
+	beforeRun func(*job)
 
 	wg sync.WaitGroup
 }
@@ -444,6 +448,9 @@ func (s *Server) run(j *job) {
 	s.publishLocked(j, EventPayload{Type: "state", State: JobRunning})
 	s.mu.Unlock()
 	s.logf("serve: job %s running (%s)", j.id, j.key)
+	if s.beforeRun != nil {
+		s.beforeRun(j)
+	}
 
 	opts := j.opts
 	opts.Engine = s.engine.WithObserver(func(ev engine.Event) { s.onEngineEvent(j, ev) })

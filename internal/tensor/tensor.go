@@ -134,6 +134,27 @@ func (t *Tensor) Rebind(data []float32) {
 	t.data = data
 }
 
+// Resize gives t a new shape in place. The storage is kept when its capacity
+// holds the new volume and replaced otherwise, so a scratch buffer that
+// alternates between shapes (an evaluation chunk of 64, a batch of 8) stops
+// allocating once it has held the largest. Element values after a resize are
+// unspecified: the caller overwrites every element.
+func (t *Tensor) Resize(shape ...int) {
+	n := 1
+	for _, d := range shape {
+		if d < 0 {
+			panic("tensor: negative dimension in Resize")
+		}
+		n *= d
+	}
+	t.shape = append(t.shape[:0], shape...)
+	if cap(t.data) < n {
+		t.data = make([]float32, n)
+	} else {
+		t.data = t.data[:n]
+	}
+}
+
 // Zero sets every element to zero in place.
 func (t *Tensor) Zero() {
 	for i := range t.data {
