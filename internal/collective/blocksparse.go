@@ -65,9 +65,10 @@ func CostBlockSparseAggregate(f *netsim.Fabric, hosts []netsim.NodeID, perWorker
 // AllReduceBlockSparse sums vec across workers by exchanging only non-zero
 // blocks of blockSize elements through a streaming aggregator. vec is
 // overwritten with the global sum; byteScale scales the per-value wire cost
-// (1 for raw use). The returned block counts describe this rank's
-// contribution and the union (for experiment accounting).
-func (c *Cluster) AllReduceBlockSparse(rank int, vec []float32, blockSize int, byteScale, localTime float64) (ownBlocks, unionBlocks int, end float64) {
+// (1 for raw use). It returns the block counts the aggregation was priced
+// on: every rank's own non-zero blocks, in rank order (one slice shared by
+// all ranks, read-only), and their union.
+func (c *Cluster) AllReduceBlockSparse(rank int, vec []float32, blockSize int, byteScale, localTime float64) (perWorker []int, unionBlocks int, end float64) {
 	type bsIn struct{ vec []float32 }
 	type bsOut struct {
 		sum       []float32
@@ -103,5 +104,5 @@ func (c *Cluster) AllReduceBlockSparse(rank int, vec []float32, blockSize int, b
 	})
 	out := res.(bsOut)
 	copy(vec, out.sum)
-	return out.perWorker[rank], out.union, endT
+	return out.perWorker, out.union, endT
 }

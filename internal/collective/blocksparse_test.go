@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"slices"
 	"testing"
 
 	"pactrain/internal/netsim"
@@ -16,10 +17,9 @@ func TestBlockSparseSumCorrect(t *testing.T) {
 		// Each rank populates a different block plus one shared block.
 		vec[rank*256] = float32(rank + 1)
 		vec[768] = 1
-		_, _, _ = 0, 0, 0
-		own, union, _ := c.AllReduceBlockSparse(rank, vec, 256, 1, 0)
-		if own != 2 {
-			t.Errorf("rank %d own blocks %d, want 2", rank, own)
+		perWorker, union, _ := c.AllReduceBlockSparse(rank, vec, 256, 1, 0)
+		if !slices.Equal(perWorker, []int{2, 2, 2}) {
+			t.Errorf("rank %d per-worker blocks %v, want [2 2 2]", rank, perWorker)
 		}
 		if union != 4 {
 			t.Errorf("rank %d union %d, want 4", rank, union)

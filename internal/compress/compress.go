@@ -18,7 +18,6 @@ package compress
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"pactrain/internal/collective"
 	"pactrain/internal/par"
@@ -256,171 +255,86 @@ func NMSE(x, xhat []float32) float64 {
 
 // --- Registry ---------------------------------------------------------------
 
-// topKSelector owns the scratch selection runs in: the index slice
-// quickselect partitions and the threshold sample. Sparse compressors embed
-// one and reuse it across calls, removing the per-bucket per-iteration
-// allocation the historical sort-based selection paid. Selectors are not safe
-// for concurrent use; each rank's compressor instance is driven serially,
-// which is the only way the trainer calls them.
+// topKSelector owns the scratch selection runs in: the candidate indices and
+// the keys that share the threshold's top digit. Sparse compressors embed one
+// and reuse it across calls. Selectors are not safe for concurrent use; each
+// rank's compressor instance is driven serially, which is the only way the
+// trainer calls them.
 type topKSelector struct {
-	scratch []int32
-	sample  []uint32
+	idx  []int32
+	keys []uint32
 }
 
-// topKIndices returns the indices of the k largest |v| entries, ascending.
-// Ties between equal magnitudes break toward the lower index — the same
-// total order (|v| descending, index ascending) the original full sort used,
-// so quickselect returns the identical index set.
+// topDigitShift leaves the top 11 bits of a tensor.MagnitudeBits key: the
+// digit the first pass of topKIndices counts.
+const topDigitShift = 20
+
+// topKIndices returns the indices of the k largest |v| entries, ascending,
+// with ties between equal magnitudes broken toward the lower index — the set
+// a full sort by (|v| descending, index ascending) puts first. Magnitudes
+// compare as tensor.MagnitudeBits keys, so a NaN ranks above every number.
+//
+// It finds the threshold th, the k-th largest key, then keeps what lies above
+// it. One pass counts every key's top digit, which fixes th's digit d. A
+// second collects, in ascending order, every index whose digit is at least d
+// and the keys whose digit is d; tensor.KthKey among those keys gives th
+// exactly. The output is every candidate above th plus the lowest-indexed
+// candidates equal to it.
 func (s *topKSelector) topKIndices(v []float32, k int) []int32 {
 	n := len(v)
-	if cap(s.scratch) < n {
-		s.scratch = make([]int32, n)
+	k = min(k, n)
+	if k <= 0 {
+		return nil
 	}
-	if k > n {
-		k = n
-	}
-	idx := s.candidates(v, k)
-	if len(idx) < k {
-		// No usable threshold: select among all n coordinates.
-		idx = s.scratch[:n]
-		for i := range idx {
-			idx[i] = int32(i)
+	// count[0] is never incremented: it is what the other bins leave of n,
+	// and the zeros of a sparse bucket would all queue on that one counter.
+	var count [1 << (31 - topDigitShift)]int
+	for _, x := range v {
+		if b := tensor.MagnitudeBits(x) >> topDigitShift; b != 0 {
+			count[b]++
 		}
 	}
-	if k < len(idx) {
-		quickselectTopK(v, idx, k)
+	// above counts the keys whose digit exceeds d; they are all selected.
+	above, d := 0, uint32(len(count)-1)
+	for d > 0 && above+count[d] < k {
+		above += count[d]
+		d--
 	}
-	out := append([]int32(nil), idx[:k]...)
-	slices.Sort(out)
-	return out
-}
-
-// topKSample is the number of strided samples the selection threshold is
-// estimated from.
-const topKSample = 1024
-
-// samplePos is where the j-th threshold sample is read: a fixed offset inside
-// the j-th stride (a multiplicative hash of j — deterministic, no RNG), so that
-// no period of v (a pruned column, a dead unit's row) can line up with the
-// stride and hide from the sample.
-func samplePos(j, stride int) int { return j*stride + int(uint32(j)*2654435761>>8)%stride }
-
-// candidates narrows selection to C = {i : |v[i]| ≥ t} for a threshold t > 0
-// estimated from a strided sample, as Deep Gradient Compression does. Every
-// coordinate left out is strictly smaller than every member of C, so whenever
-// |C| ≥ k the first k coordinates under the selection order all lie in C and
-// selecting within C returns exactly the set a full selection would. The
-// caller falls back to the full selection when the result is shorter than k:
-// the sample misjudged, or no threshold is worth a pass (small n, a dense k,
-// t = 0 among the ties of a sparse v).
-func (s *topKSelector) candidates(v []float32, k int) []int32 {
-	n := len(v)
-	if n < 4*topKSample {
-		return nil
+	if cap(s.idx) < n {
+		s.idx, s.keys = make([]int32, n), make([]uint32, n)
 	}
-	// A sample holds about k·m/n of the top k, give or take σ ≈ √(k·m/n):
-	// take the threshold three σ further down the sample.
-	expect := float64(k) * topKSample / float64(n)
-	rank := int(expect+3*math.Sqrt(expect)) + 2
-	if rank > topKSample/2 {
-		return nil
-	}
-	if s.sample == nil {
-		s.sample = make([]uint32, topKSample)
-	}
-	stride := n / topKSample
-	for j := range s.sample {
-		s.sample[j] = tensor.MagnitudeBits(v[samplePos(j, stride)])
-	}
-	slices.Sort(s.sample)
-	t := s.sample[topKSample-rank]
-	if t == 0 {
-		return nil
-	}
-	c := s.scratch[:0]
+	idx, keys := s.idx[:0], s.keys[:0]
 	for i, x := range v {
-		if tensor.MagnitudeBits(x) >= t {
-			c = append(c, int32(i))
+		if key := tensor.MagnitudeBits(x); key>>topDigitShift >= d {
+			idx = append(idx, int32(i))
+			if key>>topDigitShift == d {
+				keys = append(keys, key)
+			}
 		}
 	}
-	return c
+	th := tensor.KthKey(keys, len(keys)-(k-above))
+	ties := k // what is left for keys equal to th once those above it are in
+	for _, i := range idx {
+		if tensor.MagnitudeBits(v[i]) > th {
+			ties--
+		}
+	}
+	out := make([]int32, 0, k)
+	for _, i := range idx {
+		if key := tensor.MagnitudeBits(v[i]); key > th || key == th && ties > 0 {
+			if key == th {
+				ties--
+			}
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // topKIndices is the selector without scratch reuse, for one-shot callers.
 func topKIndices(v []float32, k int) []int32 {
 	var s topKSelector
 	return s.topKIndices(v, k)
-}
-
-// topKLess is the strict total order selection runs under: larger magnitude
-// first, lower index first among equal magnitudes. The index tiebreak makes
-// every pair of distinct indices comparable, so the order has no duplicates.
-// Magnitudes compare as tensor.MagnitudeBits keys, so the order stays total
-// when a NaN is present: NaNs rank above every number and are selected first.
-func topKLess(v []float32, a, b int32) bool {
-	va, vb := tensor.MagnitudeBits(v[a]), tensor.MagnitudeBits(v[b])
-	if va != vb {
-		return va > vb
-	}
-	return a < b
-}
-
-// quickselectTopK partially orders idx so idx[:k] holds the first k entries
-// under topKLess — the k largest-magnitude coordinates with deterministic
-// tie-breaks, in O(n) expected time. The pivot is a median of three, which
-// is deterministic (no RNG to perturb reproducibility) and defeats the
-// sorted/reversed inputs that degrade a fixed-pivot quickselect.
-func quickselectTopK(v []float32, idx []int32, k int) {
-	lo, hi := 0, len(idx)
-	for hi-lo > 16 {
-		mid := lo + (hi-lo)/2
-		if topKLess(v, idx[mid], idx[lo]) {
-			idx[mid], idx[lo] = idx[lo], idx[mid]
-		}
-		if topKLess(v, idx[hi-1], idx[lo]) {
-			idx[hi-1], idx[lo] = idx[lo], idx[hi-1]
-		}
-		if topKLess(v, idx[hi-1], idx[mid]) {
-			idx[hi-1], idx[mid] = idx[mid], idx[hi-1]
-		}
-		pivot := idx[mid]
-		i, j := lo-1, hi
-		for {
-			for {
-				i++
-				if !topKLess(v, idx[i], pivot) {
-					break
-				}
-			}
-			for {
-				j--
-				if !topKLess(v, pivot, idx[j]) {
-					break
-				}
-			}
-			if i >= j {
-				break
-			}
-			idx[i], idx[j] = idx[j], idx[i]
-		}
-		// Hoare invariant: every entry of [lo, j] precedes every entry of
-		// (j, hi) under topKLess. Recurse into whichever side straddles k.
-		switch {
-		case k <= j:
-			hi = j + 1
-		case k > j+1:
-			lo = j + 1
-		default:
-			return
-		}
-	}
-	// Small windows finish by insertion sort, which also handles the
-	// already-partitioned prefix exactly.
-	for i := lo + 1; i < hi; i++ {
-		for j := i; j > lo && topKLess(v, idx[j], idx[j-1]); j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
 }
 
 func abs32(v float32) float32 {

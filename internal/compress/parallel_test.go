@@ -10,7 +10,7 @@ import (
 )
 
 // testGrad builds a deterministic gradient with repeated magnitudes (ties
-// exercise the quickselect total order) and exact negative mirrors.
+// exercise the index tie-break) and exact negative mirrors.
 func testGrad(n int, seed uint64) []float32 {
 	rng := tensor.NewRNG(seed)
 	v := make([]float32, n)
@@ -32,7 +32,7 @@ func withBudget(budget int, f func()) {
 	f()
 }
 
-func TestQuickselectMatchesReferenceSort(t *testing.T) {
+func TestTopKMatchesReferenceSort(t *testing.T) {
 	t.Parallel()
 	for _, n := range []int{1, 2, 17, 100, 4096} {
 		v := testGrad(n, uint64(n)+3)

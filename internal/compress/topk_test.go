@@ -43,14 +43,18 @@ var topKPalette = []float32{
 
 // Shapes of fuzzVector.
 const (
-	shapePalette    = iota // topKPalette entries picked by the data bytes
-	shapeRawBits           // data bytes read as float32 bit patterns
-	shapeGaussian          // dense, distinct magnitudes: the threshold path
-	shapeHalfSparse        // Gaussian with every other run of coordinates zero
-	shapeSampleLies        // the strided sample sees only large values
-	shapeFewLevels         // four magnitudes: ties straddle any threshold
+	shapePalette     = iota // topKPalette entries picked by the data bytes
+	shapeRawBits            // data bytes read as float32 bit patterns
+	shapeGaussian           // dense, distinct magnitudes
+	shapeHalfSparse         // Gaussian with every other run of coordinates zero
+	shapeStridePeaks        // uniform [0, 1) with one coordinate per stride lifted by 100
+	shapeFewLevels          // four magnitudes: ties straddle any threshold
+	shapeOneDigit           // magnitudes in [1, 1.12): one top digit holds them all
 	shapeCount
 )
+
+// fuzzMaxN bounds the fuzzed input length.
+const fuzzMaxN = 1 << 14
 
 // fuzzVector builds the n-element input a fuzz case describes.
 func fuzzVector(n int, shape uint8, data []byte) []float32 {
@@ -59,6 +63,7 @@ func fuzzVector(n int, shape uint8, data []byte) []float32 {
 	}
 	at := func(i int) byte { return data[i%len(data)] }
 	rng := tensor.NewRNG(uint64(at(0))<<8 | uint64(at(1)))
+	stride := max(n/1024, 1)
 	v := make([]float32, n)
 	for i := range v {
 		switch shape % shapeCount {
@@ -73,13 +78,17 @@ func fuzzVector(n int, shape uint8, data []byte) []float32 {
 			if x := float32(rng.NormFloat64()); (i/int(1+at(2)%7))%2 == 0 {
 				v[i] = x
 			}
-		case shapeSampleLies:
+		case shapeStridePeaks:
+			// The lifted coordinate sits at a hashed offset inside its
+			// stride, so the peaks follow no period of v.
 			v[i] = float32(rng.Float64())
-			if stride := n / topKSample; stride > 0 && i/stride < topKSample && i == samplePos(i/stride, stride) {
+			if j := i / stride; i == j*stride+int(uint32(j)*2654435761>>8)%stride {
 				v[i] += 100
 			}
 		case shapeFewLevels:
 			v[i] = float32(1+int(at(i))%4) * float32(1-2*(i%2))
+		case shapeOneDigit:
+			v[i] = float32(1+rng.Float64()/9) * float32(1-2*(i%2))
 		}
 	}
 	return v
@@ -99,41 +108,30 @@ func checkTopK(t *testing.T, v []float32, k int) {
 
 func head(idx []int32) []int32 { return idx[:min(len(idx), 16)] }
 
-// FuzzTopKMatchesFullSort checks that threshold-first selection returns the
-// index set of a full sort whatever the input: the seed corpus under testdata
-// holds the named edges (all-zero, all-equal, ties straddling the threshold,
-// k of 1, n−1 and n, n below the sample size, ±0, denormals, ±Inf, NaN, and a
-// sample that under-estimates so that the fallback runs).
+// FuzzTopKMatchesFullSort checks that threshold-then-filter selection returns
+// the index set of a full sort whatever the input. The seed corpus under
+// testdata holds the named edges — all-zero, all-equal, ties straddling the
+// threshold, k of 1, n−1 and n, n of 1, ±0, denormals, ±Inf, NaN — and the
+// radix ones: every magnitude inside one top digit, ties at the threshold
+// with more of them than k leaves room for, NaN and ±Inf sharing the
+// threshold's digit.
 func FuzzTopKMatchesFullSort(f *testing.F) {
 	f.Add(uint16(9999), uint16(99), uint8(shapeGaussian), []byte("dense gradient, one percent"))
 	f.Add(uint16(16), uint16(3), uint8(shapePalette), []byte{0, 1, 2, 3, 12, 13, 14})
 	f.Fuzz(func(t *testing.T, nb, kb uint16, shape uint8, data []byte) {
-		n := 1 + int(nb)%(16*topKSample)
+		n := 1 + int(nb)%fuzzMaxN
 		k := 1 + int(kb)%n
 		checkTopK(t, fuzzVector(n, shape, data), k)
 	})
 }
 
-// TestTopKCandidatePaths pins which route the inputs above take, so the
-// properties are not vacuous: a dense gradient is selected from a candidate
-// set a fraction of its size, and a lying sample, an all-ties input, a small
-// input and a dense k all fall through to the full selection.
-func TestTopKCandidatePaths(t *testing.T) {
-	const n = 16 * topKSample
-	var sel topKSelector
-	sel.scratch = make([]int32, n)
+// TestTopKNamedInputs holds the selection to the full sort on named inputs:
+// a dense gradient at 1% and 10%, a half-sparse one, one large peak per
+// stride, an all-zero input, k beyond the non-zeros of a sparse input, a
+// short input and a dense k.
+func TestTopKNamedInputs(t *testing.T) {
+	const n = fuzzMaxN
 	dense := fuzzVector(n, shapeGaussian, []byte{7, 7})
-	for _, k := range []int{n / 100, n / 10} {
-		c := len(sel.candidates(dense, k))
-		if c < k || c > 2*k+n/50 {
-			t.Errorf("dense n=%d k=%d: %d candidates, want a small superset of the top k", n, k, c)
-		}
-		checkTopK(t, dense, k)
-	}
-	sparse := fuzzVector(n, shapeHalfSparse, []byte{7, 7, 0})
-	if c := len(sel.candidates(sparse, n/10)); c < n/10 || c > n/4 {
-		t.Errorf("half-sparse k=10%%: %d candidates", c)
-	}
 	eighth := make([]float32, n)
 	for i := 0; i < n; i += 8 {
 		eighth[i] = dense[i]
@@ -143,16 +141,16 @@ func TestTopKCandidatePaths(t *testing.T) {
 		v    []float32
 		k    int
 	}{
-		{"sample over-estimates the threshold", fuzzVector(n, shapeSampleLies, []byte{3, 1}), n / 4},
+		{"dense, 1%", dense, n / 100},
+		{"dense, 10%", dense, n / 10},
+		{"half-sparse, 10%", fuzzVector(n, shapeHalfSparse, []byte{7, 7, 0}), n / 10},
+		{"strided peaks", fuzzVector(n, shapeStridePeaks, []byte{3, 1}), n / 4},
 		{"all zero", make([]float32, n), n / 100},
 		{"k beyond the non-zeros of a sparse input", eighth, n / 4},
-		{"n below four samples", dense[:4*topKSample-1], 40},
+		{"n below 4,096", dense[:4095], 40},
 		{"dense k", dense, n/2 + 1},
 	} {
-		if c := len(sel.candidates(tc.v, tc.k)); c >= tc.k {
-			t.Errorf("%s: %d candidates for k=%d, want the fallback", tc.name, c, tc.k)
-		}
-		checkTopK(t, tc.v, tc.k)
+		t.Run(tc.name, func(t *testing.T) { checkTopK(t, tc.v, tc.k) })
 	}
 }
 

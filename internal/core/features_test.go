@@ -2,8 +2,11 @@ package core
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
+	"pactrain/internal/collective"
 	"pactrain/internal/data"
 	"pactrain/internal/ddp"
 	"pactrain/internal/netsim"
@@ -164,5 +167,42 @@ func TestHighPruneRatioHurtsAccuracy(t *testing.T) {
 	if extreme >= moderate {
 		t.Fatalf("99%% pruning (acc %v) should underperform 50%% (acc %v) — the Fig. 6 cliff",
 			extreme, moderate)
+	}
+}
+
+// TestOmniReduceRecordsEachRanksBlocks hand-builds a bucket whose third
+// 256-block is all zero on rank 1 only, so rank 1 streams one block fewer than
+// the union holds. The op rank 0 records must carry each rank's own count and
+// price to exactly the duration the live cluster charged.
+func TestOmniReduceRecordsEachRanksBlocks(t *testing.T) {
+	const world, blocks, size = 3, 4, 256
+	cluster := collective.NewCluster(world, netsim.NewFabric(netsim.FlatTopology(world, netsim.Gbps, 1e-5)))
+	log := &CommLog{}
+	ends := make([]float64, world)
+	var wg sync.WaitGroup
+	for rank := range world {
+		env := &hookEnv{cluster: cluster, rank: rank, world: world}
+		if rank == 0 {
+			env.log = log
+		}
+		b := &ddp.Bucket{Flat: make([]float32, blocks*size)}
+		for blk := range blocks {
+			if rank != 1 || blk != 2 {
+				b.Flat[blk*size+rank] = 1
+			}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ends[rank] = (&omniReduceHook{env: env, blockSize: size}).Sync(b, 0)
+		}()
+	}
+	wg.Wait()
+	op := log.Iters[0][0]
+	if !slices.Equal(op.Blocks, []int{4, 3, 4}) || op.Union != 4 {
+		t.Fatalf("recorded blocks %v, union %d; want [4 3 4], 4", op.Blocks, op.Union)
+	}
+	if got := CostOp(op, cluster.Algorithm(), cluster.Fabric(), cluster.Hosts(), 0); got != ends[0] {
+		t.Errorf("recorded op prices to %v, the live cluster charged %v", got, ends[0])
 	}
 }

@@ -153,11 +153,7 @@ func (h *omniReduceHook) Sync(b *ddp.Bucket, localTime float64) float64 {
 	if scale <= 0 {
 		scale = 1
 	}
-	_, union, end := h.env.cluster.AllReduceBlockSparse(h.env.rank, b.Flat, h.blockSize, scale, localTime)
-	blocks := make([]int, h.env.world)
-	for i := range blocks {
-		blocks[i] = union // conservative per-worker record; exact counts live in cluster stats
-	}
+	blocks, union, end := h.env.cluster.AllReduceBlockSparse(h.env.rank, b.Flat, h.blockSize, scale, localTime)
 	h.env.record(CommOp{Kind: OpBlockSparse, Blocks: blocks, Union: union, BlockSz: h.blockSize,
 		Scale: scale, Bucket: b.Index, LaunchAt: localTime})
 	return end

@@ -54,8 +54,9 @@ func oscillatingAdaptiveConfig() Config {
 
 // TestPinnedRunDigests holds every hook family to a digest recorded at the
 // commit before the PacTrain and adaptive hooks were merged (PR 24's
-// parent). A moved digest is a moved report byte: never re-record one to
-// make a change pass.
+// parent; the topk-0.1 and dgc-0.1 rows at the commit before top-k's sampled
+// threshold was replaced). A moved digest is a moved report byte: never
+// re-record one to make a change pass.
 func TestPinnedRunDigests(t *testing.T) {
 	pinned := []struct {
 		name   string
@@ -68,6 +69,8 @@ func TestPinnedRunDigests(t *testing.T) {
 		{"zen", tinyConfig("zen"), "97a7ffa2f04f7171dea14b3d0c998628"},
 		{"topk-0.01", tinyConfig("topk-0.01"), "9fbd11d2ff8b38ded73c16cb2f8dfc07"},
 		{"dgc-0.01", tinyConfig("dgc-0.01"), "6fa7d4e1cde9a6d95d71386113fff345"},
+		{"topk-0.1", tinyConfig("topk-0.1"), "b9b2b5843ff4f4ac28cff51439844d5e"},
+		{"dgc-0.1", tinyConfig("dgc-0.1"), "baf5087dc691c9aef2dc91f5879d44f2"},
 		{"omnireduce", tinyConfig("omnireduce"), "15035b341b5460f392b9a74977b23760"},
 		{"ps", tinyConfig("ps"), "7d4d3f2f0da16a25cfe9a1ec84d381ff"},
 		{"fp16", tinyConfig("fp16"), "8b125556dd26327d0a28f573186e177b"},

@@ -147,9 +147,6 @@ type Options struct {
 	// resolving race is broken by total order on IDs (smaller trains), so
 	// IDs must be unique and stable across the peer group.
 	PeerID string
-	// PeerClient overrides the HTTP client used for peer fetches (nil uses
-	// a default with a timeout above the server's long-poll cap).
-	PeerClient *http.Client
 	// MemoLimit bounds the in-memory singleflight Result memo (0 =
 	// unlimited, the historical behavior). The memo is the cross-experiment
 	// dedup economy, but a long-lived process serving many distinct configs
@@ -236,10 +233,6 @@ func New(opt Options) *Engine {
 	if cache == nil && opt.CacheDir != "" {
 		cache = NewCache(opt.CacheDir)
 	}
-	peerHTTP := opt.PeerClient
-	if peerHTTP == nil {
-		peerHTTP = &http.Client{Timeout: peerClientTimeout}
-	}
 	return &Engine{onEvent: opt.OnEvent, state: &state{
 		sem:       make(chan struct{}, opt.Parallelism),
 		cache:     cache,
@@ -247,7 +240,7 @@ func New(opt Options) *Engine {
 		memoLimit: opt.MemoLimit,
 		peers:     opt.PeerURLs,
 		peerID:    opt.PeerID,
-		peerHTTP:  peerHTTP,
+		peerHTTP:  &http.Client{Timeout: peerClientTimeout},
 		inflight:  make(map[string]*call),
 		persisted: make(map[string]bool),
 	}}

@@ -199,36 +199,7 @@ func kthMagnitude(keys []uint32, ratio float64) (th uint32, ok bool) {
 	if k <= 0 {
 		return 0, false
 	}
-	return kthKey(keys, min(k, len(keys)-1)), true
-}
-
-// kthKey returns the key slices.Sort would put at index k < len(keys), by
-// radix selection in O(len(keys)): each pass counts the remaining keys by one
-// byte, most significant first, fixes that byte of the answer, and keeps only
-// the keys that share it, moved to the front of keys (which it reorders).
-func kthKey(keys []uint32, k int) uint32 {
-	var key uint32
-	for shift := 24; shift >= 0; shift -= 8 {
-		var count [256]int
-		for _, v := range keys {
-			count[byte(v>>shift)]++
-		}
-		b := 0
-		for k >= count[b] {
-			k -= count[b]
-			b++
-		}
-		key |= uint32(b) << shift
-		n := 0
-		for _, v := range keys {
-			keys[n] = v
-			if byte(v>>shift) == byte(b) {
-				n++
-			}
-		}
-		keys = keys[:n]
-	}
-	return key
+	return tensor.KthKey(keys, min(k, len(keys)-1)), true
 }
 
 // GraSPScores computes the gradient-flow score of Eq. 4, S = −θ ⊙ (H∇l),

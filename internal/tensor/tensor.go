@@ -364,6 +364,36 @@ func MaxAbs(x []float32) float32 { return maxAbs(x) }
 // than every number — and keeps the comparison a strict weak order.
 func MagnitudeBits(v float32) uint32 { return math.Float32bits(v) &^ (1 << 31) }
 
+// KthKey returns the key slices.Sort would put at index k < len(keys), by
+// radix selection in O(len(keys)): each pass counts the remaining keys by one
+// byte, most significant first, fixes that byte of the answer, and keeps only
+// the keys that share it, moved to the front of keys (which it reorders).
+// Both magnitude thresholds — pruning's and top-k's — are selected here.
+func KthKey(keys []uint32, k int) uint32 {
+	var key uint32
+	for shift := 24; shift >= 0; shift -= 8 {
+		var count [256]int
+		for _, v := range keys {
+			count[byte(v>>shift)]++
+		}
+		b := 0
+		for k >= count[b] {
+			k -= count[b]
+			b++
+		}
+		key |= uint32(b) << shift
+		n := 0
+		for _, v := range keys {
+			keys[n] = v
+			if byte(v>>shift) == byte(b) {
+				n++
+			}
+		}
+		keys = keys[:n]
+	}
+	return key
+}
+
 // CountNonZero returns the number of elements that are exactly non-zero.
 func (t *Tensor) CountNonZero() int {
 	n := 0

@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -536,4 +538,29 @@ func TestMagnitudeBitsOrder(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzKthMatchesSort checks that radix selection returns the key a full sort
+// puts at index k — at k, at 0 and at len−1 — for any keys. The fuzz data are
+// raw little-endian words; the seed corpus under testdata holds the named
+// edges (one key, all equal, duplicates straddling k, NaN and ±Inf
+// magnitude patterns, keys differing only in their low byte, the top bit set).
+func FuzzKthMatchesSort(f *testing.F) {
+	f.Add(uint16(3), []byte("\x01\x00\x00\x00\x00\x00\xc0\x7f\x00\x00\x80\x7f\x01\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, kb uint16, raw []byte) {
+		keys := make([]uint32, len(raw)/4)
+		for i := range keys {
+			keys[i] = binary.LittleEndian.Uint32(raw[4*i:])
+		}
+		if len(keys) == 0 {
+			return
+		}
+		sorted := slices.Clone(keys)
+		slices.Sort(sorted)
+		for _, k := range []int{int(kb) % len(keys), 0, len(keys) - 1} {
+			if got := KthKey(slices.Clone(keys), k); got != sorted[k] {
+				t.Fatalf("KthKey(%d keys, k=%d) = %#x, sort gives %#x", len(keys), k, got, sorted[k])
+			}
+		}
+	})
 }
