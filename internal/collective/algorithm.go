@@ -3,7 +3,6 @@ package collective
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"pactrain/internal/netsim"
 )
@@ -26,7 +25,7 @@ import (
 // onto one aggregator), not interchangeable patterns for the same logical
 // operation.
 type Algorithm interface {
-	// Name is the registry identifier ("ring", "tree", "hierarchical").
+	// Name is the selector identifier ("ring", "tree", "hierarchical").
 	Name() string
 	// Description is a one-line summary for the catalog surfaces
 	// (`pactrain-bench -list-collectives`, GET /v1/collectives).
@@ -45,32 +44,17 @@ type Algorithm interface {
 // with.
 const DefaultAlgorithm = "ring"
 
-var (
-	algoMu   sync.RWMutex
-	algoByID = map[string]Algorithm{}
-	algoIDs  []string // registration order
-)
+// algorithms is the fixed algorithm table, in catalog order (ring first,
+// the default).
+var algorithms = []Algorithm{ringAlgorithm{}, treeAlgorithm{}, hierarchicalAlgorithm{}}
 
-// RegisterAlgorithm adds an algorithm to the registry. It panics on a
-// duplicate name; registration is expected at init time.
-func RegisterAlgorithm(a Algorithm) {
-	algoMu.Lock()
-	defer algoMu.Unlock()
-	name := a.Name()
-	if _, dup := algoByID[name]; dup {
-		panic(fmt.Sprintf("collective: algorithm %q registered twice", name))
-	}
-	algoByID[name] = a
-	algoIDs = append(algoIDs, name)
-}
-
-// AlgorithmNames lists the registered algorithms in registration order
-// (ring first, the default).
+// AlgorithmNames lists the algorithms in catalog order (ring first, the
+// default).
 func AlgorithmNames() []string {
-	algoMu.RLock()
-	defer algoMu.RUnlock()
-	out := make([]string, len(algoIDs))
-	copy(out, algoIDs)
+	out := make([]string, len(algorithms))
+	for i, a := range algorithms {
+		out[i] = a.Name()
+	}
 	return out
 }
 
@@ -81,14 +65,12 @@ type AlgorithmInfo struct {
 	Description string `json:"description"`
 }
 
-// AlgorithmCatalog lists every registered algorithm with its description,
-// in registration order (ring first, the default).
+// AlgorithmCatalog lists every algorithm with its description, in catalog
+// order (ring first, the default).
 func AlgorithmCatalog() []AlgorithmInfo {
-	algoMu.RLock()
-	defer algoMu.RUnlock()
-	out := make([]AlgorithmInfo, len(algoIDs))
-	for i, id := range algoIDs {
-		out[i] = AlgorithmInfo{Name: id, Description: algoByID[id].Description()}
+	out := make([]AlgorithmInfo, len(algorithms))
+	for i, a := range algorithms {
+		out[i] = AlgorithmInfo{Name: a.Name(), Description: a.Description()}
 	}
 	return out
 }
@@ -97,28 +79,25 @@ func AlgorithmCatalog() []AlgorithmInfo {
 // canonicalizes to DefaultAlgorithm, known names pass through, and unknown
 // names error with the valid vocabulary.
 func CanonicalAlgorithm(name string) (string, error) {
-	if name == "" {
-		return DefaultAlgorithm, nil
+	a, err := AlgorithmByName(name)
+	if err != nil {
+		return "", err
 	}
-	algoMu.RLock()
-	_, ok := algoByID[name]
-	algoMu.RUnlock()
-	if !ok {
-		return "", fmt.Errorf("collective: unknown algorithm %q (have %v)", name, AlgorithmNames())
-	}
-	return name, nil
+	return a.Name(), nil
 }
 
 // AlgorithmByName resolves a selector to its implementation ("" means
 // DefaultAlgorithm).
 func AlgorithmByName(name string) (Algorithm, error) {
-	canon, err := CanonicalAlgorithm(name)
-	if err != nil {
-		return nil, err
+	if name == "" {
+		name = DefaultAlgorithm
 	}
-	algoMu.RLock()
-	defer algoMu.RUnlock()
-	return algoByID[canon], nil
+	for _, a := range algorithms {
+		if a.Name() == name {
+			return a, nil
+		}
+	}
+	return nil, fmt.Errorf("collective: unknown algorithm %q (have %v)", name, AlgorithmNames())
 }
 
 // MustAlgorithm is AlgorithmByName for selectors already validated upstream
@@ -129,12 +108,6 @@ func MustAlgorithm(name string) Algorithm {
 		panic(err)
 	}
 	return a
-}
-
-func init() {
-	RegisterAlgorithm(ringAlgorithm{})
-	RegisterAlgorithm(treeAlgorithm{})
-	RegisterAlgorithm(hierarchicalAlgorithm{})
 }
 
 // transferOrPanic wraps Fabric.TransferTime; a disconnected pair is a
@@ -229,7 +202,7 @@ func concurrentStep(f *netsim.Fabric, xfers []xfer, t float64) float64 {
 // ringAlgorithm is the paper's flat ring: reduce-scatter + all-gather
 // all-reduce, ring all-gather, binomial-tree broadcast. It delegates to the
 // original cost functions in cost.go, so the default path is bit-exact with
-// the pre-registry behavior.
+// the single-algorithm behavior.
 type ringAlgorithm struct{}
 
 func (ringAlgorithm) Name() string { return "ring" }

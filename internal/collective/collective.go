@@ -1,11 +1,11 @@
 // Package collective implements the gradient-aggregation primitives the
-// PacTrain paper builds on: all-reduce, all-gather for sparse (value,index)
-// payloads, broadcast, a parameter-server aggregation baseline, and
-// barriers — all executed for real across worker goroutines with every
-// transfer costed through the netsim fabric. The symmetric collectives are
-// priced by a pluggable Algorithm (ring, tree, hierarchical — see
-// algorithm.go); the flat ring is the default and reproduces the paper's
-// setup bit-exactly.
+// PacTrain paper's schemes call: all-reduce, all-gather for sparse
+// (value,index) payloads, the block-sparse aggregation, a parameter-server
+// baseline and the mask-bitmap broadcast — all executed for real across
+// worker goroutines with every transfer costed through the netsim fabric.
+// The symmetric collectives are priced by one of a fixed table of
+// Algorithms (ring, tree, hierarchical — see algorithm.go); the flat ring is
+// the default and reproduces the paper's setup bit-exactly.
 //
 // Timing model. Each collective advances a simulated clock. A collective is
 // a synchronization point, so it starts at the maximum of the participants'
@@ -62,10 +62,12 @@ func (w WireFormat) MessageBytes(n int) float64 {
 // hierarchical, tree pays fold/unfold copies) live in the fabric's
 // per-link accounting (Fabric.BytesOnLink, Fabric.TotalBytes).
 type Stats struct {
-	AllReduceOps  int
-	AllGatherOps  int
-	BroadcastOps  int
-	PSOps         int
+	AllReduceOps int
+	AllGatherOps int
+	BroadcastOps int
+	PSOps        int
+	// BarrierOps stays 0 (no run issues a bare barrier); it is kept because
+	// every cached Result's JSON carries it.
 	BarrierOps    int
 	SimSeconds    float64 // total time spent inside collectives
 	PayloadBytes  float64 // logical payload bytes sent by all workers
@@ -284,37 +286,6 @@ func (c *Cluster) AllGatherSparse(rank int, payload SparsePayload, wire WireForm
 	return res.([]SparsePayload), end
 }
 
-// Broadcast sends root's vector to all workers via a binomial tree,
-// overwriting vec on every non-root worker.
-func (c *Cluster) Broadcast(rank, root int, vec []float32, wire WireFormat, localTime float64) float64 {
-	type bcIn struct {
-		rank int
-		vec  []float32
-	}
-	res, end := c.rendezvous(rank, bcIn{rank, vec}, localTime, func(inputs []any, start float64) (any, float64) {
-		var src []float32
-		for _, in := range inputs {
-			b := in.(bcIn)
-			if b.rank == root {
-				src = b.vec
-			}
-		}
-		t := start
-		if c.world > 1 && len(src) > 0 {
-			msg := wire.MessageBytes(len(src))
-			t += c.algo.Broadcast(c.fabric, c.hosts, root, msg, start)
-			c.stats.PayloadBytes += msg * float64(c.world-1)
-		}
-		c.stats.BroadcastOps++
-		c.stats.SimSeconds += t - start
-		return src, t
-	})
-	if rank != root {
-		copy(vec, res.([]float32))
-	}
-	return end
-}
-
 // PSAggregateSum implements the parameter-server baseline: every worker
 // sends its vector to the server (rank 0's host), which sums and returns the
 // result. Ingress transfers share the server's edge link and are therefore
@@ -343,30 +314,6 @@ func (c *Cluster) PSAggregateSum(rank int, vec []float32, wire WireFormat, local
 		return sum, t
 	})
 	copy(vec, res.([]float32))
-	return end
-}
-
-// Barrier synchronizes clocks: every worker observes the maximum local time.
-func (c *Cluster) Barrier(rank int, localTime float64) float64 {
-	_, end := c.rendezvous(rank, nil, localTime, func(_ []any, start float64) (any, float64) {
-		c.stats.BarrierOps++
-		return nil, start
-	})
-	return end
-}
-
-// LaunchBarrier resolves the launch time of the next collective without
-// issuing one: every worker observes the maximum local clock — the bucket
-// barrier core.Replay derives from the ranks' schedules, realized across
-// the live worker goroutines. Unlike Barrier it leaves the statistics
-// untouched; it is the clock-only rendezvous the per-rank timeline model
-// uses so that replica-lockstep decisions (the adaptive controller) and
-// recorded launch times see the collective's true start even when rank
-// clocks have diverged. It costs no simulated time.
-func (c *Cluster) LaunchBarrier(rank int, localTime float64) float64 {
-	_, end := c.rendezvous(rank, nil, localTime, func(_ []any, start float64) (any, float64) {
-		return nil, start
-	})
 	return end
 }
 

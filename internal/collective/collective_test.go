@@ -178,27 +178,6 @@ func TestAllGatherCostGrowsWithWorld(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	world := 5
-	c := newTestCluster(world, netsim.Gbps)
-	results := make([][]float32, world)
-	runWorkers(world, func(rank int) {
-		vec := make([]float32, 4)
-		if rank == 2 {
-			copy(vec, []float32{9, 8, 7, 6})
-		}
-		c.Broadcast(rank, 2, vec, WireFP32, 0)
-		results[rank] = vec
-	})
-	for rank, vec := range results {
-		for i, want := range []float32{9, 8, 7, 6} {
-			if vec[i] != want {
-				t.Fatalf("rank %d elem %d = %v, want %v", rank, i, vec[i], want)
-			}
-		}
-	}
-}
-
 func TestPSAggregateCorrectAndSlowerThanAllReduce(t *testing.T) {
 	world := 8
 	n := 1 << 18
@@ -232,20 +211,6 @@ func TestPSAggregateCorrectAndSlowerThanAllReduce(t *testing.T) {
 	})
 	if psEnd <= arEnd {
 		t.Fatalf("PS (%v) should be slower than ring all-reduce (%v) due to incast", psEnd, arEnd)
-	}
-}
-
-func TestBarrierSynchronizesClocks(t *testing.T) {
-	world := 3
-	c := newTestCluster(world, netsim.Gbps)
-	ends := make([]float64, world)
-	runWorkers(world, func(rank int) {
-		ends[rank] = c.Barrier(rank, float64(rank*5))
-	})
-	for _, e := range ends {
-		if e != 10 {
-			t.Fatalf("barrier end %v, want 10 (max clock)", e)
-		}
 	}
 }
 
@@ -297,11 +262,10 @@ func TestStatsAccumulate(t *testing.T) {
 	runWorkers(world, func(rank int) {
 		vec := []float32{1, 2, 3}
 		c.AllReduceSum(rank, vec, WireFP32, 0)
-		c.Barrier(rank, 0)
-		c.Broadcast(rank, 0, vec, WireFP32, 0)
+		c.BroadcastScaledBitmap(rank, 0, len(vec), BitmapWire, 0)
 	})
 	st := c.Stats()
-	if st.AllReduceOps != 1 || st.BarrierOps != 1 || st.BroadcastOps != 1 {
+	if st.AllReduceOps != 1 || st.BroadcastOps != 1 {
 		t.Fatalf("stats wrong: %+v", st)
 	}
 	if st.PayloadBytes <= 0 || st.SimSeconds <= 0 {

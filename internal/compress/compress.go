@@ -53,8 +53,6 @@ type Compressor interface {
 	Transport() Transport
 	// Wire returns the on-wire representation of payload elements.
 	Wire() collective.WireFormat
-	// Lossless reports whether decode(aggregate(encode)) is exact.
-	Lossless() bool
 }
 
 // DenseCompressor produces payloads that aggregate by elementwise sum
@@ -110,9 +108,6 @@ func (*FP32) Transport() Transport { return TransportAllReduce }
 // Wire implements Compressor.
 func (*FP32) Wire() collective.WireFormat { return collective.WireFP32 }
 
-// Lossless implements Compressor.
-func (*FP32) Lossless() bool { return true }
-
 // Encode implements DenseCompressor.
 func (c *FP32) Encode(grad []float32) []float32 { return c.EncodeInto(grad, nil) }
 
@@ -144,9 +139,6 @@ func (*FP16) Transport() Transport { return TransportAllReduce }
 
 // Wire implements Compressor.
 func (*FP16) Wire() collective.WireFormat { return collective.WireFP16 }
-
-// Lossless implements Compressor.
-func (*FP16) Lossless() bool { return false }
 
 // Encode implements DenseCompressor.
 func (c *FP16) Encode(grad []float32) []float32 { return c.EncodeInto(grad, nil) }
@@ -230,27 +222,6 @@ func HalfToFloat32(h uint16) float32 {
 	default:
 		return math.Float32frombits(sign | (exp+112)<<23 | man<<13)
 	}
-}
-
-// NMSE computes the normalized mean squared error ‖x−x̂‖²/‖x‖² used by the
-// paper (§III-D) to quantify compression distortion.
-func NMSE(x, xhat []float32) float64 {
-	if len(x) != len(xhat) {
-		panic("compress: NMSE length mismatch")
-	}
-	var num, den float64
-	for i := range x {
-		d := float64(x[i] - xhat[i])
-		num += d * d
-		den += float64(x[i]) * float64(x[i])
-	}
-	if den == 0 {
-		if num == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return num / den
 }
 
 // --- Registry ---------------------------------------------------------------

@@ -29,7 +29,7 @@ func TestFP32RoundTrip(t *testing.T) {
 			t.Fatal("fp32 must be exact")
 		}
 	}
-	if !c.Lossless() || c.Transport() != TransportAllReduce {
+	if c.Transport() != TransportAllReduce {
 		t.Fatal("fp32 properties wrong")
 	}
 }
@@ -99,13 +99,15 @@ func TestFP16EncodeIsHalfPrecision(t *testing.T) {
 	c := NewFP16()
 	g := []float32{1.0002441, 3.14159, -2.71828}
 	enc := c.Encode(g)
+	exact := true
 	for i, v := range enc {
 		rel := math.Abs(float64(v-g[i])) / math.Abs(float64(g[i]))
 		if rel > 1.0/1024 {
 			t.Fatalf("fp16 error too large at %d: %v", i, rel)
 		}
+		exact = exact && v == g[i]
 	}
-	if NMSE(g, enc) == 0 {
+	if exact {
 		t.Fatal("fp16 should introduce some quantization error")
 	}
 }
@@ -395,9 +397,6 @@ func TestMaskCompactRoundTrip(t *testing.T) {
 			t.Fatalf("decode %v, want %v", out, want)
 		}
 	}
-	if !m.Lossless() {
-		t.Fatal("plain mask compaction is lossless on the retained support")
-	}
 }
 
 func TestMaskCompactEncodeSparse(t *testing.T) {
@@ -465,19 +464,6 @@ func TestMaskCompactTernaryStaysOnSupport(t *testing.T) {
 	m.Decode(enc, out)
 	if out[1] != 0 || out[3] != 0 {
 		t.Fatal("pruned coordinates must stay zero after ternary decode")
-	}
-}
-
-func TestNMSE(t *testing.T) {
-	x := []float32{1, 2}
-	if NMSE(x, x) != 0 {
-		t.Fatal("identical vectors have NMSE 0")
-	}
-	if v := NMSE(x, []float32{0, 0}); math.Abs(v-1) > 1e-9 {
-		t.Fatalf("zero estimate NMSE %v, want 1", v)
-	}
-	if !math.IsInf(NMSE([]float32{0}, []float32{1}), 1) {
-		t.Fatal("NMSE of zero reference with error should be +inf")
 	}
 }
 

@@ -74,11 +74,6 @@ func (m *MaskCompact) Wire() collective.WireFormat {
 	return collective.WireFP32
 }
 
-// Lossless implements Compressor. The compaction itself is lossless on the
-// retained support (the paper's "non-lossy compression scheme"); the
-// optional ternary stage is not.
-func (m *MaskCompact) Lossless() bool { return !m.Ternary }
-
 // Encode implements DenseCompressor: gather the retained coordinates into a
 // compact dense vector of length NNZ.
 func (m *MaskCompact) Encode(grad []float32) []float32 { return m.EncodeInto(grad, nil) }

@@ -33,9 +33,6 @@ func (*TernGrad) Transport() Transport { return TransportAllReduce }
 // Wire implements Compressor.
 func (*TernGrad) Wire() collective.WireFormat { return collective.WireInt8 }
 
-// Lossless implements Compressor.
-func (*TernGrad) Lossless() bool { return false }
-
 // Encode implements DenseCompressor.
 func (t *TernGrad) Encode(grad []float32) []float32 { return t.EncodeInto(grad, nil) }
 
@@ -107,9 +104,6 @@ func (q *QSGD) Wire() collective.WireFormat {
 	return collective.WireFormat{Name: q.Name(), BytesPerElement: bits / 8, HeaderBytes: 8}
 }
 
-// Lossless implements Compressor.
-func (*QSGD) Lossless() bool { return false }
-
 // Encode implements DenseCompressor.
 func (q *QSGD) Encode(grad []float32) []float32 { return q.EncodeInto(grad, nil) }
 
@@ -173,9 +167,6 @@ func (t *THC) Wire() collective.WireFormat {
 	bits := math.Ceil(math.Log2(float64(t.Levels)))
 	return collective.WireFormat{Name: "thc", BytesPerElement: bits / 8, HeaderBytes: 16}
 }
-
-// Lossless implements Compressor.
-func (*THC) Lossless() bool { return false }
 
 // Encode implements DenseCompressor: deterministic rounding onto the shared
 // lattice spanning [−s, s].

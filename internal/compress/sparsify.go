@@ -50,9 +50,6 @@ func (*TopK) Transport() Transport { return TransportAllGather }
 // Wire implements Compressor.
 func (*TopK) Wire() collective.WireFormat { return collective.WireSparse }
 
-// Lossless implements Compressor.
-func (*TopK) Lossless() bool { return false }
-
 // Encode implements SparseCompressor.
 func (t *TopK) Encode(grad []float32) collective.SparsePayload {
 	k := ratioCount(len(grad), t.Ratio)
@@ -94,9 +91,6 @@ func (*RandomK) Transport() Transport { return TransportAllGather }
 
 // Wire implements Compressor.
 func (*RandomK) Wire() collective.WireFormat { return collective.WireSparse }
-
-// Lossless implements Compressor.
-func (*RandomK) Lossless() bool { return false }
 
 // Encode implements SparseCompressor.
 func (r *RandomK) Encode(grad []float32) collective.SparsePayload {
@@ -150,9 +144,6 @@ func (*DGC) Transport() Transport { return TransportAllGather }
 
 // Wire implements Compressor.
 func (*DGC) Wire() collective.WireFormat { return collective.WireSparse }
-
-// Lossless implements Compressor.
-func (*DGC) Lossless() bool { return false }
 
 // Encode implements SparseCompressor: momentum correction (u ← m·u + g),
 // accumulation (v ← v + u), top-k selection on v, and clearing of the
@@ -213,9 +204,6 @@ func (e *ErrorFeedback) Transport() Transport { return e.Inner.Transport() }
 
 // Wire implements Compressor.
 func (e *ErrorFeedback) Wire() collective.WireFormat { return e.Inner.Wire() }
-
-// Lossless implements Compressor.
-func (e *ErrorFeedback) Lossless() bool { return false }
 
 // Encode implements SparseCompressor.
 func (e *ErrorFeedback) Encode(grad []float32) collective.SparsePayload {

@@ -272,11 +272,10 @@ func (h *pacTrainHook) Sync(b *ddp.Bucket, localTime float64) float64 {
 		}
 		format, decision := h.format, ""
 		if h.ctrl != nil {
-			// localTime is the bucket's true launch time: under the per-rank
-			// timeline (heterogeneity or per-bucket overlap) the trainer
-			// resolves the launch barrier before calling Sync, so every rank
-			// prices the candidates at the same synchronized instant even
-			// though their compute clocks have diverged.
+			// localTime is the bucket's true launch time: every rank's clock
+			// walk derives the same barrier before calling Sync, so every
+			// rank prices the candidates at the same synchronized instant
+			// even though their compute clocks have diverged.
 			format = h.ctrl.Decide(b.Index, b.Elements(), mc.NNZ(), localTime).Format
 			decision = format
 		}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"pactrain/internal/ddp"
 	"pactrain/internal/netsim"
 )
 
@@ -52,17 +53,42 @@ func oscillatingAdaptiveConfig() Config {
 	return cfg
 }
 
+// timelineConfig sets per-bucket overlap (when overlap is true) and the rank
+// compute profile on cfg: the two features that move rank clocks apart.
+func timelineConfig(cfg Config, overlap bool, rc ddp.RankCompute) Config {
+	if overlap {
+		cfg.Overlap = ddp.OverlapBackward
+	}
+	cfg.RankCompute = rc
+	return cfg
+}
+
 // TestPinnedRunDigests holds every hook family to a digest recorded at the
 // commit before the PacTrain and adaptive hooks were merged (PR 24's
 // parent; the topk-0.1 and dgc-0.1 rows at the commit before top-k's sampled
-// threshold was replaced). A moved digest is a moved report byte: never
-// re-record one to make a change pass.
+// threshold was replaced; the straggler and overlap rows at the commit before
+// the trainer and Replay shared one clock walk). A moved digest is a moved
+// report byte: never re-record one to make a change pass.
 func TestPinnedRunDigests(t *testing.T) {
+	ragged := tinyConfig("topk-0.01")
+	ragged.Data.Samples = 300
 	pinned := []struct {
 		name   string
 		cfg    Config
 		digest string
 	}{
+		{"straggler-jitter", timelineConfig(tinyConfig("pactrain-ternary"), false,
+			ddp.RankCompute{Multipliers: netsim.OneSlowRank(4, 2), JitterFrac: 0.1, JitterSeed: 7}),
+			"06ee56c85d41b892cc1d9436c6468aff"},
+		{"overlap-straggler", timelineConfig(tinyConfig("pactrain"), true,
+			ddp.RankCompute{Multipliers: netsim.OneSlowRank(4, 2.5), JitterFrac: 0.2, JitterSeed: 7}),
+			"07574bbd2c1abc0725c52459fd8afcf0"},
+		{"adaptive-overlap-ramp", timelineConfig(oscillatingAdaptiveConfig(), true,
+			ddp.RankCompute{Multipliers: netsim.RampRanks(4, 3)}),
+			"a2bd43315d8b35f74401624719cc9beb"},
+		{"ragged-overlap-straggler", timelineConfig(ragged, true,
+			ddp.RankCompute{Multipliers: netsim.OneSlowRank(4, 2), JitterFrac: 0.1, JitterSeed: 7}),
+			"ed646cad112cd71e265789cf20a9c2dd"},
 		{"pactrain", tinyConfig("pactrain"), "71035e9252fc14b5867ff4aa4a30c06c"},
 		{"pactrain-ternary", tinyConfig("pactrain-ternary"), "c93d68781d9f0758db585f6b7330d937"},
 		{"adaptive", oscillatingAdaptiveConfig(), "75f5f79e377dc3ccfec588eee3fc72db"},
@@ -82,7 +108,7 @@ func TestPinnedRunDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p.name == SchemeAdaptive {
+			if p.cfg.Scheme == SchemeAdaptive {
 				if res.AdaptiveSwitches == 0 || len(res.AdaptiveDecisions) < 2 {
 					t.Fatalf("controller never switched: %d switches, decisions %v",
 						res.AdaptiveSwitches, res.AdaptiveDecisions)
@@ -126,10 +152,13 @@ func tinyTwinConfig(model string) Config {
 // TestPinnedEvalDigests holds the evaluation trajectory and the heartbeats of
 // a BatchNorm twin, an attention twin and a format-switching adaptive run to
 // digests recorded while rank 0 still evaluated inline, between its own
-// training steps. Never re-record one to make a change pass.
+// training steps; the overlapped ramp row, whose curve times come from the
+// clock walk, was recorded before the trainer shared it with Replay. Never
+// re-record one to make a change pass.
 func TestPinnedEvalDigests(t *testing.T) {
 	adaptive := oscillatingAdaptiveConfig()
 	adaptive.EvalEvery = 3
+	ramp := timelineConfig(adaptive, true, ddp.RankCompute{Multipliers: netsim.RampRanks(4, 3)})
 	pinned := []struct {
 		name   string
 		cfg    Config
@@ -138,6 +167,7 @@ func TestPinnedEvalDigests(t *testing.T) {
 		{"ResNet18", tinyTwinConfig("ResNet18"), "a87c6843b9f74427894ee7e46c6bf43c"},
 		{"ViT-Base-16", tinyTwinConfig("ViT-Base-16"), "3469680e737cf924a488be2599b4fa72"},
 		{"adaptive", adaptive, "3440f43991345be6e457c9e06482c55f"},
+		{"adaptive-overlap-ramp", ramp, "c0d668113238a3376334ac46aff45c57"},
 	}
 	for _, p := range pinned {
 		t.Run(p.name, func(t *testing.T) {

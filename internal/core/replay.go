@@ -37,16 +37,12 @@ type ReplayVisitor interface {
 //	clock  = max(the rank's compute floor, the last op's end)
 //
 // with each rank's compute priced at the iteration's real mini-batch size
-// (EpochBatches) times its RankCompute.Scale. These are the expressions the
-// trainer evaluates live, in the same operand order, so for any pricing
-// function that reproduces the trainer's costs the result equals the
-// trainer's clock bit for bit; launches are derived from cfg, never read
-// from the recorded LaunchAt, so a log re-prices under any fabric, straggler
-// profile and overlap mode its recording is insensitive to.
-//
-// When the ranks are homogeneous and no visitor needs per-rank views, one
-// schedule stands for all of them (a max over equal floats is that float);
-// the result is identical to the full-world walk.
+// (EpochBatches) times its RankCompute.Scale. The trainer drives the same
+// clockWalk live, so for any pricing function that reproduces the trainer's
+// costs the result equals the trainer's clock bit for bit; launches are
+// derived from cfg, never read from the recorded LaunchAt, so a log
+// re-prices under any fabric, straggler profile and overlap mode its
+// recording is insensitive to.
 //
 // Replay panics on a log Replayable rejects. Logs the engine serves have
 // passed the same check (entryCurrent); callers holding logs of other
@@ -55,51 +51,91 @@ func Replay(cfg *Config, log *CommLog, price PriceFunc, v ReplayVisitor) []float
 	if err := log.Replayable(cfg); err != nil {
 		panic(err)
 	}
-	var prefix []float64
-	if cfg.Overlap == ddp.OverlapBackward {
-		prefix = simclock.PrefixShares(log.BucketElems)
-	}
-	batches := cfg.EpochBatches()
-	ranks := cfg.World
-	if v == nil && !cfg.RankCompute.Enabled() {
-		ranks = 1
-	}
-	tl := simclock.NewTimeline(ranks)
-	scheds := make([]simclock.IterSchedule, ranks)
-	comp := simclock.NewIterComposer(scheds)
+	w := newClockWalk(cfg, log.BucketElems, v != nil)
 	cum := make([]float64, len(log.Iters)+1)
 	for k, ops := range log.Iters {
-		batch := cfg.BatchSize
-		if len(batches) > 0 {
-			batch = batches[k%len(batches)]
-		}
-		fwd, bwd := cfg.Compute.ForwardSeconds(batch), cfg.Compute.BackwardSeconds(batch)
-		for r := range scheds {
-			scale := cfg.RankCompute.Scale(r, k)
-			scheds[r] = simclock.NewIterSchedule(tl.Clock(r), fwd*scale, bwd*scale, prefix)
-		}
-		comp.Reset()
+		w.startIter(k)
 		if v != nil {
-			v.StartIter(k, scheds)
+			v.StartIter(k, w.scheds)
 		}
-		commEnd := math.Inf(-1)
 		for _, op := range ops {
-			launch := comp.Barrier(op.Bucket)
-			if commEnd > launch {
-				// One in-order communication stream: an op never launches
-				// before the previous one completed.
-				launch = commEnd
-			}
+			launch := w.launch(op.Bucket)
 			cost := price(op, launch)
 			if v != nil {
-				v.Op(k, op, commEnd, launch, cost)
+				v.Op(k, op, w.free, launch, cost)
 			}
-			commEnd = launch + cost
+			w.free = launch + cost
 		}
-		comp.FinishInto(tl, commEnd)
-		cum[k+1] = tl.Clock(0)
+		cum[k+1] = w.finish(0)
 	}
 	return cum
+}
+
+// clockWalk is that walk, driven by Replay over a log and by the trainer
+// live: per-rank timelines, one iteration's schedules, their barrier
+// composer and the communication stream's free time (the previous op's end,
+// -Inf before an iteration's first op; the caller sets it). Compute is a pure
+// function of (cfg, rank, iteration), so a live rank walks every rank's
+// schedule itself and knows each bucket's barrier without communicating.
+type clockWalk struct {
+	cfg     *Config
+	batches []int
+	prefix  []float64
+	tl      *simclock.Timeline
+	scheds  []simclock.IterSchedule
+	comp    *simclock.IterComposer
+	free    float64
+}
+
+// newClockWalk builds the walk over a model's bucket element counts. Unless
+// perRank asks for every rank's clock, homogeneous ranks share one schedule
+// (a max over equal floats is that float, so the clocks are identical).
+func newClockWalk(cfg *Config, bucketElems []int, perRank bool) *clockWalk {
+	w := &clockWalk{cfg: cfg, batches: cfg.EpochBatches()}
+	if cfg.Overlap == ddp.OverlapBackward {
+		w.prefix = simclock.PrefixShares(bucketElems)
+	}
+	ranks := cfg.World
+	if !perRank && !cfg.RankCompute.Enabled() {
+		ranks = 1
+	}
+	w.tl = simclock.NewTimeline(ranks)
+	w.scheds = make([]simclock.IterSchedule, ranks)
+	w.comp = simclock.NewIterComposer(w.scheds)
+	return w
+}
+
+// startIter lays out every rank's compute for iteration k from its clock.
+func (w *clockWalk) startIter(k int) {
+	batch := w.cfg.BatchSize
+	if len(w.batches) > 0 {
+		batch = w.batches[k%len(w.batches)]
+	}
+	fwd, bwd := w.cfg.Compute.ForwardSeconds(batch), w.cfg.Compute.BackwardSeconds(batch)
+	for r := range w.scheds {
+		scale := w.cfg.RankCompute.Scale(r, k)
+		w.scheds[r] = simclock.NewIterSchedule(w.tl.Clock(r), fwd*scale, bwd*scale, w.prefix)
+	}
+	w.comp.Reset()
+	w.free = math.Inf(-1)
+}
+
+// launch returns when the next op, on bucket, starts: the bucket's barrier,
+// or the stream's free time if that is later (one in-order communication
+// stream never starts an op before the previous one completed).
+func (w *clockWalk) launch(bucket int) float64 {
+	launch := w.comp.Barrier(bucket)
+	if w.free > launch {
+		launch = w.free
+	}
+	return launch
+}
+
+// finish ends the iteration at the stream's free time and returns rank's
+// clock.
+func (w *clockWalk) finish(rank int) float64 {
+	w.comp.FinishInto(w.tl, w.free)
+	return w.tl.Clock(rank)
 }
 
 // Replayable reports whether the log can be replayed under cfg. The one

@@ -117,8 +117,8 @@ func TestStragglerPerBucketOverlap(t *testing.T) {
 }
 
 // TestStragglerAdaptiveLockstep drives the adaptive controller under
-// diverged rank clocks and per-bucket overlap: the trainer's launch barrier
-// hands every rank the same synchronized decision time, so the controller
+// diverged rank clocks and per-bucket overlap: every rank's clock walk
+// derives the same synchronized decision time, so the controller
 // must stay in lockstep (divergence would deadlock the rendezvous or split
 // the weights).
 func TestStragglerAdaptiveLockstep(t *testing.T) {

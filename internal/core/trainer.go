@@ -13,7 +13,6 @@ import (
 	"pactrain/internal/nn"
 	"pactrain/internal/par"
 	"pactrain/internal/prune"
-	"pactrain/internal/simclock"
 	"pactrain/internal/tensor"
 )
 
@@ -164,23 +163,14 @@ func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *share
 	shard := data.ShardDataset(trainSet, rank, cfg.World)
 	buckets := ddp.BuildBuckets(model, cfg.BucketBytes)
 
-	// The per-rank timeline model (DESIGN.md §9). Under per-bucket overlap
-	// each bucket's collective launches once its gradient is ready — forward
-	// plus the bucket's prefix share of backward, in reverse-registration
-	// order. With heterogeneity or overlap active, a clock-only rendezvous
-	// (LaunchBarrier) resolves every bucket's launch time before the hook
-	// runs, so lockstep decisions and the recorded log see the true
-	// synchronized start; when inactive, the arithmetic below reduces
-	// bit-exactly to the historical scalar clock.
-	timeline := cfg.RankCompute.Enabled() || cfg.Overlap == ddp.OverlapBackward
 	elems := make([]int, len(buckets))
 	for i, b := range buckets {
 		elems[i] = b.Elements()
 	}
-	var prefix []float64
-	if cfg.Overlap == ddp.OverlapBackward {
-		prefix = simclock.PrefixShares(elems)
-	}
+	// The per-rank timeline (DESIGN.md §9): walking every rank's compute
+	// from the config gives each bucket's synchronized launch — the instant
+	// lockstep decisions and the recorded log see — with no rendezvous.
+	walk := newClockWalk(cfg, elems, true)
 
 	// Price the lite twin's buckets as slices of the full-size model's
 	// gradient: each logical element carries Profile.Params/liteParams
@@ -269,31 +259,14 @@ func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *share
 				gse.Enforce(model, mask) // Eq. 2, every iteration
 			}
 
-			// Simulated compute, then bucket-by-bucket synchronization on
-			// this rank's timeline. This loop is the live realisation of the
-			// walk Replay states once for every recorded log (replay.go):
-			// the same Scale/ready/Finish expressions, with the bucket
-			// barrier resolved through the cluster rendezvous.
-			scale := cfg.RankCompute.Scale(rank, iter)
-			fwd := cfg.Compute.ForwardSeconds(len(labels)) * scale
-			bwd := cfg.Compute.BackwardSeconds(len(labels)) * scale
-			sched := simclock.NewIterSchedule(simTime, fwd, bwd, prefix)
-			commEnd := sched.Start
+			// Simulated compute, then bucket-by-bucket synchronization: the
+			// walk Replay states once (replay.go), driven live.
+			walk.startIter(iter)
 			for i, b := range buckets {
 				b.Gather()
-				// Launch no earlier than this rank's bucket-ready time and
-				// never before the previous collective completed (one
-				// in-order communication stream, as real DDP schedules).
-				t := sched.ReadyAt(i)
-				if commEnd > t {
-					t = commEnd
-				}
-				if timeline {
-					t = cluster.LaunchBarrier(rank, t)
-				}
-				commEnd = hook.Sync(b, t)
+				walk.free = hook.Sync(b, walk.launch(i))
 			}
-			simTime = sched.Finish(commEnd)
+			simTime = walk.finish(rank)
 			for _, b := range buckets {
 				b.Scale(invWorld)
 				b.Scatter()

@@ -67,17 +67,36 @@ func (c *Cache) path(fp string) string {
 	return filepath.Join(c.dir, fp+".json")
 }
 
-// entryCurrent reports whether a stored Result carries everything current
-// consumers need. Recorded logs from before the per-rank timeline refactor
-// lack the bucket geometry (CommLog.BucketElems) per-bucket overlap replay
-// requires (core.CommLog.Replayable, DESIGN.md §5) — their fingerprints
-// still match, but serving them would panic core.Replay in a
-// straggler-grid or overlap re-cost downstream. Such
-// entries are treated as misses (and swept), so they retrain once and
-// rewrite with the full schema; results recorded without a comm log stay
-// valid.
+// entryCurrent reports whether a stored Result can be served. A recorded
+// log must carry the bucket geometry (CommLog.BucketElems) per-bucket
+// overlap replay requires (core.CommLog.Replayable, DESIGN.md §5) — logs
+// from before the per-rank timeline lack it although their fingerprints
+// still match — and its ops must fit it: every op on a bucket the geometry
+// has, every all-gather size list and block-sparse block list one entry per
+// rank (len(WeightChecksums)). Anything else would panic core.Replay or a
+// cost function in a straggler-grid or overlap re-cost downstream, inside a
+// worker nothing recovers. Such entries are misses (and swept), so they
+// retrain once and rewrite with the full schema; results recorded without a
+// comm log stay valid.
 func entryCurrent(res *core.Result) bool {
-	return res.CommLog == nil || len(res.CommLog.BucketElems) > 0
+	log := res.CommLog
+	if log == nil {
+		return true
+	}
+	if len(log.BucketElems) == 0 {
+		return false
+	}
+	world := len(res.WeightChecksums)
+	for _, ops := range log.Iters {
+		for _, op := range ops {
+			if op.Bucket < 0 || op.Bucket >= len(log.BucketElems) ||
+				op.Kind == core.OpAllGather && len(op.Sizes) != world ||
+				op.Kind == core.OpBlockSparse && len(op.Blocks) != world {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // encodeEntry marshals a Result into the on-disk (and on-wire, peer.go)
@@ -91,7 +110,8 @@ func encodeEntry(res *core.Result) ([]byte, error) {
 }
 
 // decodeEntry unmarshals an envelope; ok is false on corrupt bytes, version
-// skew, or an entry missing data the current schema records.
+// skew, or an entry entryCurrent refuses. It is the one decision Load, Sweep
+// and the peer client take.
 func decodeEntry(raw []byte) (*core.Result, bool) {
 	var entry cacheEntry
 	if err := json.Unmarshal(raw, &entry); err != nil || entry.Version != cacheVersion ||
@@ -102,9 +122,8 @@ func decodeEntry(raw []byte) (*core.Result, bool) {
 	return entry.Result, true
 }
 
-// Load fetches the Result for a fingerprint; ok is false on miss, version
-// skew, a corrupt entry, or an entry missing data the current schema
-// records (all treated as misses).
+// Load fetches the Result for a fingerprint; ok is false on a miss or an
+// entry decodeEntry rejects.
 func (c *Cache) Load(fp string) (*core.Result, bool) {
 	raw, err := os.ReadFile(c.path(fp))
 	if err != nil {
@@ -177,14 +196,14 @@ func (s SweepResult) String() string {
 // writer's rename, losing a freshly trained Result from the cache.
 const sweepTmpGrace = 10 * time.Minute
 
-// Sweep deletes entries that can never hit again — version skew from an
-// older cacheVersion, corrupt or truncated JSON, and recorded logs missing
-// the current schema's bucket geometry (entryCurrent) — plus temp files
-// orphaned by a crashed writer (older than sweepTmpGrace; younger ones may
-// have a live writer behind them). Without it stale entries accumulate
-// forever, since Load treats them as silent misses. A missing cache
-// directory sweeps nothing. The cache mutex is held throughout, so an
-// in-process Store can never interleave with the scan.
+// Sweep deletes entries that can never hit again — every entry decodeEntry
+// rejects: version skew, corrupt or truncated JSON, and recorded logs
+// missing or not fitting their bucket geometry — plus temp files orphaned by
+// a crashed writer (older than sweepTmpGrace; younger ones may have a live
+// writer behind them). Without it stale entries accumulate forever, since
+// Load treats them as silent misses. A missing cache directory sweeps
+// nothing. The cache mutex is held throughout, so an in-process Store can
+// never interleave with the scan.
 func (c *Cache) Sweep() (SweepResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -220,12 +239,11 @@ func (c *Cache) Sweep() (SweepResult, error) {
 			continue
 		}
 		sr.Scanned++
-		raw, readErr := os.ReadFile(path)
-		var entry cacheEntry
-		if readErr == nil && json.Unmarshal(raw, &entry) == nil &&
-			entry.Version == cacheVersion && entry.Result != nil && entryCurrent(entry.Result) {
-			sr.Kept++
-			continue
+		if raw, err := os.ReadFile(path); err == nil {
+			if _, ok := decodeEntry(raw); ok {
+				sr.Kept++
+				continue
+			}
 		}
 		if err := os.Remove(path); err != nil {
 			return sr, err

@@ -6,6 +6,11 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"pactrain/internal/collective"
+	"pactrain/internal/core"
+	"pactrain/internal/ddp"
+	"pactrain/internal/netsim"
 )
 
 // TestCacheConcurrentStoreLoadSweep hammers one cache with concurrent
@@ -125,4 +130,89 @@ func TestCacheStoreConcurrentSameFingerprint(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("%d files left in cache dir, want exactly the entry", len(entries))
 	}
+}
+
+// fittingResult is a two-rank entry whose every op kind fits its geometry.
+func fittingResult() *core.Result {
+	return &core.Result{Scheme: "crafted", WeightChecksums: []float64{1, 1},
+		CommLog: &core.CommLog{BucketElems: []int{3, 5}, Iters: [][]core.CommOp{{
+			{Kind: core.OpBitmapBroadcast, Elements: 8, Wire: collective.BitmapWire, Bucket: 1},
+			{Kind: core.OpAllReduce, Elements: 8, Wire: collective.WireFP32, Bucket: 1},
+			{Kind: core.OpAllGather, Sizes: []int{2, 3}, Wire: collective.WireSparse},
+			{Kind: core.OpBlockSparse, Blocks: []int{1, 2}, Union: 2, BlockSz: 4, Scale: 1},
+			{Kind: core.OpPS, Elements: 3, Wire: collective.WireFP16},
+		}}}}
+}
+
+// TestCacheOpsOutsideGeometryAreMisses: an entry whose ops do not fit its
+// own geometry — a bucket the log does not have, an all-gather or
+// block-sparse list without one entry per rank — would panic Replay or a
+// cost function downstream, so Load must miss and Sweep must remove it.
+func TestCacheOpsOutsideGeometryAreMisses(t *testing.T) {
+	t.Parallel()
+	c := NewCache(t.TempDir())
+	misfits := map[string]core.CommOp{
+		"bucket-past-end": {Kind: core.OpAllReduce, Elements: 8, Wire: collective.WireFP32, Bucket: 5},
+		"bucket-negative": {Kind: core.OpAllReduce, Elements: 8, Wire: collective.WireFP32, Bucket: -1},
+		"sizes-short":     {Kind: core.OpAllGather, Sizes: []int{3}, Wire: collective.WireSparse},
+		"blocks-long":     {Kind: core.OpBlockSparse, Blocks: []int{1, 2, 3}, Union: 2, BlockSz: 4},
+	}
+	for fp, op := range misfits {
+		res := fittingResult()
+		res.CommLog.Iters[0] = append(res.CommLog.Iters[0], op)
+		if err := c.Store(fp, res); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.Load(fp); ok {
+			t.Errorf("%s: an op outside its geometry loaded", fp)
+		}
+	}
+	if err := c.Store("fitting", fittingResult()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Load("fitting"); !ok {
+		t.Fatal("a fitting entry missed")
+	}
+	sr, err := c.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Swept != len(misfits) || sr.Kept != 1 {
+		t.Fatalf("sweep %+v, want %d swept / 1 kept", sr, len(misfits))
+	}
+}
+
+// FuzzDecodeEntry: any bytes are either rejected, or decode to a Result
+// whose log replays without panicking under World = len(WeightChecksums),
+// in both overlap modes, with homogeneous and with straggling ranks, priced
+// by the ring — what a re-cost of a served entry does.
+func FuzzDecodeEntry(f *testing.F) {
+	raw, err := encodeEntry(fittingResult())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	ring := collective.MustAlgorithm("ring")
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		res, ok := decodeEntry(raw)
+		if !ok || res.CommLog == nil {
+			return
+		}
+		world := len(res.WeightChecksums)
+		if world > 64 {
+			return // past the worlds a replay here builds
+		}
+		fabric := netsim.NewFabric(netsim.FlatTopology(world, netsim.Gbps, 1e-5))
+		hosts := fabric.Topo.Hosts()
+		price := func(op core.CommOp, launch float64) float64 {
+			return core.CostOp(op, ring, fabric, hosts, launch)
+		}
+		for _, overlap := range []ddp.Overlap{ddp.OverlapNone, ddp.OverlapBackward} {
+			for _, rc := range []ddp.RankCompute{{}, {Multipliers: netsim.OneSlowRank(world, 2)}} {
+				cfg := core.DefaultConfig("MLP", "all-reduce")
+				cfg.World, cfg.Overlap, cfg.RankCompute = world, overlap, rc
+				core.Replay(&cfg, res.CommLog, price, nil)
+			}
+		}
+	})
 }

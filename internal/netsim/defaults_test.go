@@ -10,17 +10,27 @@ func TestFig4OptionDefaults(t *testing.T) {
 	f := NewFabric(topo)
 	hosts := topo.Hosts()
 	// Default bottleneck is 1 Gbps, edges 10 Gbps.
-	q, err := f.Quote(hosts[0], hosts[4], 0)
+	if bps, _ := routeQuote(t, f, hosts[0], hosts[4], 0); bps != 1*Gbps {
+		t.Fatalf("default bottleneck %v, want 1 Gbps", bps)
+	}
+	if bps, _ := routeQuote(t, f, hosts[0], hosts[1], 0); bps != 10*Gbps {
+		t.Fatalf("default edge %v, want 10 Gbps", bps)
+	}
+}
+
+// routeQuote returns the bottleneck bandwidth at time at and the cumulative
+// latency of the route from src to dst.
+func routeQuote(t *testing.T, f *Fabric, src, dst NodeID, at float64) (bps, latency float64) {
+	t.Helper()
+	r, err := f.Route(src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.BottleneckBps != 1*Gbps {
-		t.Fatalf("default bottleneck %v, want 1 Gbps", q.BottleneckBps)
+	bps = math.Inf(1)
+	for _, li := range r.Links {
+		bps = min(bps, f.LinkBandwidthAt(li, at))
 	}
-	q2, _ := f.Quote(hosts[0], hosts[1], 0)
-	if q2.BottleneckBps != 10*Gbps {
-		t.Fatalf("default edge %v, want 10 Gbps", q2.BottleneckBps)
-	}
+	return bps, r.LatencySec
 }
 
 func TestTraceScaleAtEdges(t *testing.T) {
@@ -49,12 +59,8 @@ func TestTraceScaleAtEdges(t *testing.T) {
 func TestQuoteSelf(t *testing.T) {
 	topo := FlatTopology(2, Gbps, 0)
 	f := NewFabric(topo)
-	q, err := f.Quote(topo.Hosts()[0], topo.Hosts()[0], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(q.BottleneckBps, 1) || q.LatencySec != 0 {
-		t.Fatalf("self quote %+v", q)
+	if bps, lat := routeQuote(t, f, topo.Hosts()[0], topo.Hosts()[0], 0); !math.IsInf(bps, 1) || lat != 0 {
+		t.Fatalf("self route: bottleneck %v, latency %v", bps, lat)
 	}
 }
 

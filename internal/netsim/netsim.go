@@ -392,30 +392,6 @@ func (f *Fabric) Send(r Route, payloadBytes float64, t float64) float64 {
 	return r.LatencySec + payloadBytes*8/bottleneck
 }
 
-// PathQuote describes the cost of a transfer path at a point in time.
-type PathQuote struct {
-	BottleneckBps float64
-	LatencySec    float64
-	Hops          int
-}
-
-// Quote resolves the path from src to dst at time t and returns its
-// bottleneck bandwidth and cumulative latency. It returns an error when the
-// nodes are disconnected.
-func (f *Fabric) Quote(src, dst NodeID, t float64) (PathQuote, error) {
-	r, err := f.Route(src, dst)
-	if err != nil {
-		return PathQuote{}, err
-	}
-	q := PathQuote{BottleneckBps: math.Inf(1), LatencySec: r.LatencySec, Hops: len(r.Links)}
-	for _, li := range r.Links {
-		if bw := f.LinkBandwidthAt(li, t); bw < q.BottleneckBps {
-			q.BottleneckBps = bw
-		}
-	}
-	return q, nil
-}
-
 // TransferTime returns the time to move payloadBytes from src to dst
 // starting at time t, and records the bytes on every traversed link.
 func (f *Fabric) TransferTime(src, dst NodeID, payloadBytes float64, t float64) (float64, error) {

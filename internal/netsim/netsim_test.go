@@ -47,23 +47,16 @@ func TestQuoteBottleneck(t *testing.T) {
 	f := NewFabric(topo)
 	hosts := topo.Hosts()
 	// Same switch: bottleneck is the 10 Gbps edge.
-	q, err := f.Quote(hosts[0], hosts[1], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.BottleneckBps != 10*Gbps {
-		t.Fatalf("same-switch bottleneck %v, want 10G", q.BottleneckBps)
+	if bps, _ := routeQuote(t, f, hosts[0], hosts[1], 0); bps != 10*Gbps {
+		t.Fatalf("same-switch bottleneck %v, want 10G", bps)
 	}
 	// Across switches: the 100 Mbps inter-switch link dominates.
-	q, err = f.Quote(hosts[0], hosts[4], 0)
-	if err != nil {
-		t.Fatal(err)
+	bps, lat := routeQuote(t, f, hosts[0], hosts[4], 0)
+	if bps != 100*Mbps {
+		t.Fatalf("cross-switch bottleneck %v, want 100M", bps)
 	}
-	if q.BottleneckBps != 100*Mbps {
-		t.Fatalf("cross-switch bottleneck %v, want 100M", q.BottleneckBps)
-	}
-	if math.Abs(q.LatencySec-3e-4) > 1e-12 {
-		t.Fatalf("latency %v, want 3e-4 (3 hops)", q.LatencySec)
+	if math.Abs(lat-3e-4) > 1e-12 {
+		t.Fatalf("latency %v, want 3e-4 (3 hops)", lat)
 	}
 }
 

@@ -17,11 +17,11 @@
 //   - an IterComposer answers one iteration's barrier queries without
 //     rescanning the ranks per op.
 //
-// The trainer (internal/core) realizes the launch barrier through the
-// cluster rendezvous while workers run concurrently; core.Replay walks the
-// same arithmetic sequentially over a recorded log. Both evaluate the
-// expressions below with identical operand order, which is what makes
-// replay bit-exact (DESIGN.md §9).
+// One walk in internal/core (clockWalk) drives these types: core.Replay
+// over a recorded log, and the trainer live. Compute is a pure function of
+// the config, the rank and the iteration, so each trainer rank walks every
+// rank's schedule itself and the barrier needs no communication. One walk
+// for both is what makes replay bit-exact (DESIGN.md §5, §9).
 package simclock
 
 import "math"
@@ -44,9 +44,8 @@ func (t *Timeline) Set(rank int, v float64) { t.clocks[rank] = v }
 
 // LaunchTime returns the synchronization barrier for a collective whose
 // per-rank ready times are given by ready: the launch is the maximum ready
-// time across ranks. This is the event-timeline form of the cluster
-// rendezvous — no rank's bytes move before the slowest rank's gradient
-// exists.
+// time across ranks — no rank's bytes move before the slowest rank's
+// gradient exists.
 func (t *Timeline) LaunchTime(ready func(rank int) float64) float64 {
 	launch := math.Inf(-1)
 	for r := range t.clocks {
