@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"pactrain/internal/core"
 	"pactrain/internal/harness/engine"
 	"pactrain/internal/metrics"
 	"pactrain/internal/netsim"
@@ -30,7 +29,6 @@ type AblationMTResult struct {
 // coverage against robustness.
 func RunAblationMT(opt Options) (*AblationMTResult, error) {
 	opt.defaults()
-	eng := opt.engine()
 	w := opt.workloads()[0]
 	out := &AblationMTResult{Model: w.Model}
 	opt.logf("Ablation: Mask Tracker stability window on %s", w.Model)
@@ -44,13 +42,12 @@ func RunAblationMT(opt Options) (*AblationMTResult, error) {
 			Config: cfg,
 		})
 	}
-	results, err := eng.RunAll(jobs)
+	recs, err := opt.train("ablation-mt", jobs)
 	if err != nil {
-		return nil, fmt.Errorf("ablation-mt: %w", err)
+		return nil, err
 	}
-	opt.traceRuns(jobs, results)
 	for wi, window := range windows {
-		res := results[wi]
+		res := recs[wi].res
 		tta, reached := res.Curve.TTA(w.TargetAcc)
 		out.Rows = append(out.Rows, AblationMTRow{
 			Window: window, StableFraction: res.StableFraction,
@@ -93,29 +90,23 @@ type AblationTernaryResult struct {
 // re-costs both across the Fig. 3 bandwidths.
 func RunAblationTernary(opt Options) (*AblationTernaryResult, error) {
 	opt.defaults()
-	eng := opt.engine()
 	w := opt.workloads()[0]
 	out := &AblationTernaryResult{Model: w.Model}
 	opt.logf("Ablation: ternary stage on %s", w.Model)
 
-	jobs := []engine.Job{
-		trainJob("ablation-tern", w, "pactrain", opt),
-		trainJob("ablation-tern", w, "pactrain-ternary", opt),
-	}
-	results, err := eng.RunAll(jobs)
+	recs, err := opt.train("ablation-tern", trainJobs("ablation-tern", w, opt, "pactrain", "pactrain-ternary"))
 	if err != nil {
-		return nil, fmt.Errorf("ablation-tern: %w", err)
+		return nil, err
 	}
-	opt.traceRuns(jobs, results)
 	opt.traceRecost("ablation-tern", map[string]any{"bandwidths": len(Fig3Bandwidths())})
-	plainRes, plainCfg := results[0], jobs[0].Config
-	ternRes, ternCfg := results[1], jobs[1].Config
+	plain, tern := recs[0], recs[1]
 	for _, bw := range Fig3Bandwidths() {
-		pt, _ := recostTTA(plainRes, &plainCfg, bw, w.TargetAcc)
-		tt, _ := recostTTA(ternRes, &ternCfg, bw, w.TargetAcc)
+		at := fig4At(bw)
+		pt, _ := plain.tta(at, w.TargetAcc)
+		tt, _ := tern.tta(at, w.TargetAcc)
 		out.Rows = append(out.Rows, AblationTernaryRow{
 			BandwidthBps: bw, PlainTTA: pt, TernaryTTA: tt,
-			PlainAcc: plainRes.FinalAcc, TernaryAcc: ternRes.FinalAcc,
+			PlainAcc: plain.res.FinalAcc, TernaryAcc: tern.res.FinalAcc,
 		})
 	}
 	return out, nil
@@ -156,41 +147,26 @@ type AblationTopoResult struct {
 // Fig. 4 topology versus a flat switch at 500 Mbps.
 func RunAblationTopo(opt Options) (*AblationTopoResult, error) {
 	opt.defaults()
-	eng := opt.engine()
 	w := opt.workloads()[0]
 	out := &AblationTopoResult{}
 	opt.logf("Ablation: topology sensitivity on %s", w.Model)
 	bw := 500 * netsim.Mbps
 	schemes := []string{"all-reduce", "pactrain-ternary"}
-	var jobs []engine.Job
-	for _, scheme := range schemes {
-		jobs = append(jobs, trainJob("ablation-topo", w, scheme, opt))
-	}
-	results, err := eng.RunAll(jobs)
+	recs, err := opt.train("ablation-topo", trainJobs("ablation-topo", w, opt, schemes...))
 	if err != nil {
-		return nil, fmt.Errorf("ablation-topo: %w", err)
+		return nil, err
 	}
-	opt.traceRuns(jobs, results)
 	opt.traceRecost("ablation-topo", map[string]any{"topologies": []any{"fig4", "flat"}})
 	for si, scheme := range schemes {
-		res, cfg := results[si], jobs[si].Config
 		// Fig. 4 at bw bottleneck.
-		fig4TTA, reached4 := recostTTA(res, &cfg, bw, w.TargetAcc)
+		fig4TTA, reached4 := recs[si].tta(fig4At(bw), w.TargetAcc)
 		out.Rows = append(out.Rows, AblationTopoRow{Topology: "fig4", Scheme: scheme, TTA: fig4TTA, Reached: reached4})
 		// Flat switch: every link at bw.
-		flatTTA, reachedF := recostOnTopology(res, &cfg, netsim.FlatTopology(cfg.World, bw, 1e-4), w.TargetAcc)
+		flat := point{topo: netsim.FlatTopology(recs[si].cfg.World, bw, 1e-4)}
+		flatTTA, reachedF := recs[si].tta(flat, w.TargetAcc)
 		out.Rows = append(out.Rows, AblationTopoRow{Topology: "flat", Scheme: scheme, TTA: flatTTA, Reached: reachedF})
 	}
 	return out, nil
-}
-
-// recostOnTopology generalizes recostTTA to an arbitrary topology. It
-// refuses fabric-sensitive configs (multi-candidate adaptive runs), whose
-// logs only replay exactly on the fabric they were recorded under.
-func recostOnTopology(res *core.Result, cfg *core.Config, topo *netsim.Topology, target float64) (float64, bool) {
-	rejectFabricSensitive(cfg)
-	cum := recostCum(res, cfg, netsim.NewFabric(topo))
-	return ttaFromCum(res, cum, target)
 }
 
 // Render prints the grid.

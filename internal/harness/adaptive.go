@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"pactrain/internal/adaptive"
@@ -112,7 +113,6 @@ func oscillatingTraces(topo *netsim.Topology, period, dip float64) []*netsim.Ban
 // replay decisions the controller would not have made there (DESIGN.md §8).
 func RunAdaptive(opt Options) (*AdaptiveExpResult, error) {
 	opt.defaults()
-	eng := opt.engine()
 	w := opt.workloads()[0]
 	out := &AdaptiveExpResult{
 		Model:             w.Model,
@@ -136,55 +136,40 @@ func RunAdaptive(opt Options) (*AdaptiveExpResult, error) {
 			Config: cfg,
 		})
 	}
-	staticRes, err := eng.RunAll(staticJobs)
+	statics, err := opt.train("adaptive statics", staticJobs)
 	if err != nil {
-		return nil, fmt.Errorf("adaptive statics: %w", err)
-	}
-	opt.traceRuns(staticJobs, staticRes)
-	if err := opt.auditRuns(staticJobs, staticRes); err != nil {
-		return nil, fmt.Errorf("adaptive statics: %w", err)
+		return nil, err
 	}
 
 	// Operating-point fabrics. The varbw oscillation period is sized per
 	// bandwidth from the ternary baseline re-costed on the untraced WAN
 	// fabric, so every run sees several dips before finishing.
-	ternIdx := -1
-	for i, f := range out.Formats {
-		if f == adaptive.FormatCompactTernary {
-			ternIdx = i
-		}
-	}
-	type point struct {
+	tern := statics[slices.Index(out.Formats, adaptive.FormatCompactTernary)]
+	type cellPoint struct {
 		fabric string
 		bw     float64
-		topo   *netsim.Topology
-		traces []*netsim.BandwidthTrace
+		point
 	}
-	var points []point
+	var points []cellPoint
 	for _, bw := range out.VarBWBandwidths {
 		topo := netsim.Fig4Topology(netsim.Fig4Options{
 			BottleneckBps: bw, LatencySec: out.LatencySec,
 		})
-		ternCfg := staticJobs[ternIdx].Config
-		cum := recostCum(staticRes[ternIdx], &ternCfg, netsim.NewFabric(topo))
+		cum := tern.price(point{topo: topo})
 		period := cum[len(cum)-1] / 6
 		if period <= 0 {
 			period = 1
 		}
 		out.PeriodsSec = append(out.PeriodsSec, period)
-		points = append(points, point{
-			fabric: "varbw", bw: bw, topo: topo,
-			traces: oscillatingTraces(topo, period, out.DipScale),
-		})
+		points = append(points, cellPoint{"varbw", bw,
+			point{topo: topo, traces: oscillatingTraces(topo, period, out.DipScale)}})
 	}
 	for _, bw := range out.TwoRackBandwidths {
-		points = append(points, point{
-			fabric: "two-rack", bw: bw,
-			topo: netsim.TwoRackTopology(netsim.TwoRackOptions{
-				Hosts: opt.World, BottleneckBps: bw, EdgeBps: 10 * netsim.Gbps,
-				LatencySec: out.LatencySec,
-			}),
+		topo := netsim.TwoRackTopology(netsim.TwoRackOptions{
+			Hosts: opt.World, BottleneckBps: bw, EdgeBps: 10 * netsim.Gbps,
+			LatencySec: out.LatencySec,
 		})
+		points = append(points, cellPoint{"two-rack", bw, point{topo: topo}})
 	}
 
 	// Adaptive cells: one training per operating point, fabric in config.
@@ -198,38 +183,27 @@ func RunAdaptive(opt Options) (*AdaptiveExpResult, error) {
 			Config: cfg,
 		})
 	}
-	adaptiveRes, err := eng.RunAll(adaptiveJobs)
-	if err != nil {
-		return nil, fmt.Errorf("adaptive cells: %w", err)
-	}
-	// The adaptive cells carry their operating-point fabric in the config
-	// (Topology + Traces), so TraceRun replays each on its recorded fabric
-	// — the only fabric an adaptive log replays exactly (DESIGN.md §8) —
-	// with repriced candidate quotes on every decision instant.
-	opt.traceRuns(adaptiveJobs, adaptiveRes)
+	// The re-cost mark goes ahead of the cells' audit marks, which the
+	// train step drops. The adaptive cells carry their operating-point
+	// fabric in the config (Topology + Traces), so the train step traces and
+	// audits each on its recorded fabric — the only fabric an adaptive log
+	// replays exactly, and where its counterfactual quotes are truthful
+	// (DESIGN.md §8).
 	opt.traceRecost("adaptive", map[string]any{"points": len(points), "formats": len(out.Formats)})
-	// Audits replay each adaptive cell on its recorded fabric (in the
-	// config, like the trace replays) — counterfactual quotes are only
-	// truthful where the controller actually priced (DESIGN.md §8).
-	if err := opt.auditRuns(adaptiveJobs, adaptiveRes); err != nil {
-		return nil, fmt.Errorf("adaptive audit: %w", err)
+	cells, err := opt.train("adaptive cells", adaptiveJobs)
+	if err != nil {
+		return nil, err
 	}
 
 	for pi, p := range points {
 		for fi, f := range out.Formats {
-			fabric := netsim.NewFabric(p.topo)
-			for _, tr := range p.traces {
-				fabric.SetTrace(tr)
-			}
-			cfg := staticJobs[fi].Config
-			cum := recostCum(staticRes[fi], &cfg, fabric)
-			tta, reached := ttaFromCum(staticRes[fi], cum, w.TargetAcc)
+			tta, reached := statics[fi].tta(p.point, w.TargetAcc)
 			out.Cells = append(out.Cells, AdaptiveCell{
 				Fabric: p.fabric, Scheme: StaticSchemeName(f), BandwidthBps: p.bw,
-				TTASeconds: tta, Reached: reached, FinalAcc: staticRes[fi].FinalAcc,
+				TTASeconds: tta, Reached: reached, FinalAcc: statics[fi].res.FinalAcc,
 			})
 		}
-		res := adaptiveRes[pi]
+		res := cells[pi].res
 		tta, reached := res.Curve.TTA(w.TargetAcc)
 		out.Cells = append(out.Cells, AdaptiveCell{
 			Fabric: p.fabric, Scheme: AdaptiveSchemeName, BandwidthBps: p.bw,
@@ -243,12 +217,9 @@ func RunAdaptive(opt Options) (*AdaptiveExpResult, error) {
 
 // Cell fetches one grid entry.
 func (r *AdaptiveExpResult) Cell(fabric, scheme string, bw float64) (AdaptiveCell, bool) {
-	for _, c := range r.Cells {
-		if c.Fabric == fabric && c.Scheme == scheme && c.BandwidthBps == bw {
-			return c, true
-		}
-	}
-	return AdaptiveCell{}, false
+	return lookup(r.Cells, func(c AdaptiveCell) bool {
+		return c.Fabric == fabric && c.Scheme == scheme && c.BandwidthBps == bw
+	})
 }
 
 // BestStaticTTA returns the lowest static-format TTA at an operating
@@ -281,37 +252,20 @@ func (r *AdaptiveExpResult) Render() string {
 		{"varbw", fmt.Sprintf("Fig. 4 WAN, bottleneck oscillating 1.0↔%.1f×", r.DipScale)},
 		{"two-rack", "two-rack WAN, single bottleneck link"},
 	}
+	schemes := append([]string{AdaptiveSchemeName}, labels(r.Formats, StaticSchemeName)...)
 	for _, part := range parts {
 		bws := r.bandwidths(part.id)
-		headers := []string{"scheme \\ bandwidth"}
-		for _, bw := range bws {
-			headers = append(headers, netsim.FormatBandwidth(bw))
-		}
-		tb := metrics.NewTable(fmt.Sprintf("Adaptive — TTA on %s (%s; %s/link latency; best static vs controller)",
-			part.title, r.Model, metrics.FormatSeconds(r.LatencySec)), headers...)
-		schemes := []string{AdaptiveSchemeName}
-		for _, f := range r.Formats {
-			schemes = append(schemes, StaticSchemeName(f))
-		}
-		for _, scheme := range schemes {
-			row := []string{scheme}
-			for _, bw := range bws {
-				if c, ok := r.Cell(part.id, scheme, bw); ok {
-					cell := metrics.FormatSeconds(c.TTASeconds)
-					if !c.Reached {
-						cell = ">" + cell
-					}
-					if best, ok := r.BestStaticTTA(part.id, bw); ok && scheme == AdaptiveSchemeName {
-						cell += fmt.Sprintf(" (%.2f× best static)", metrics.Speedup(c.TTASeconds, best))
-					}
-					row = append(row, cell)
-				} else {
-					row = append(row, "-")
+		title := fmt.Sprintf("Adaptive — TTA on %s (%s; %s/link latency; best static vs controller)",
+			part.title, r.Model, metrics.FormatSeconds(r.LatencySec))
+		b.WriteString(grid(title, "scheme \\ bandwidth", schemes, labels(bws, netsim.FormatBandwidth),
+			func(i, j int) (string, bool) {
+				c, ok := r.Cell(part.id, schemes[i], bws[j])
+				cell := flagMissed(metrics.FormatSeconds(c.TTASeconds), c.Reached)
+				if best, found := r.BestStaticTTA(part.id, bws[j]); found && schemes[i] == AdaptiveSchemeName {
+					cell += fmt.Sprintf(" (%.2f× best static)", metrics.Speedup(c.TTASeconds, best))
 				}
-			}
-			tb.AddRow(row...)
-		}
-		b.WriteString(tb.String())
+				return cell, ok
+			}))
 		b.WriteString("\n")
 	}
 	b.WriteString("controller decisions (rounds per format, completed switches):\n")

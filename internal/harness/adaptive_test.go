@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"pactrain/internal/adaptive"
+	"pactrain/internal/collective"
 	"pactrain/internal/core"
+	"pactrain/internal/ddp"
+	"pactrain/internal/harness/engine"
 	"pactrain/internal/netsim"
 )
 
@@ -115,11 +118,7 @@ func TestAdaptiveRecostExactOnRecordedFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := netsim.NewFabric(cfg.Topology)
-	for _, tr := range cfg.Traces {
-		fabric.SetTrace(tr)
-	}
-	cum := recostCum(res, &cfg, fabric)
+	cum := recording{cfg, res}.price(point{}) // the zero point: cfg.NewFabric
 	if got := cum[len(cum)-1]; got != res.SimSeconds {
 		t.Fatalf("re-costed end time %v != recorded SimSeconds %v (Δ %g)",
 			got, res.SimSeconds, got-res.SimSeconds)
@@ -172,24 +171,23 @@ func TestAdaptiveRecostRequiresRecordedFabric(t *testing.T) {
 		t.Fatal("fabrics elicited identical decision sequences; the caveat has nothing to bite on")
 	}
 	// The consequence: replaying the flat-fabric log on the dipped fabric
-	// does not reproduce a dipped-fabric training.
-	dippedFabric := netsim.NewFabric(dipped.Topology)
-	for _, tr := range dipped.Traces {
-		dippedFabric.SetTrace(tr)
-	}
-	cum := recostCum(flatRes, &flat, dippedFabric)
+	// does not reproduce a dipped-fabric training. The re-price function
+	// refuses this replay, so the kernel is driven directly.
+	dippedFabric := dipped.NewFabric()
+	coster := newOpCoster(collective.MustAlgorithm(flat.Collective), dippedFabric, dippedFabric.Topo.Hosts()[:flat.World], false)
+	cum := core.Replay(&flat, flatRes.CommLog, coster.cost, nil)
 	if got := cum[len(cum)-1]; got == dippedRes.SimSeconds {
 		t.Fatalf("cross-fabric re-cost accidentally exact (%v); the harness relies on it NOT being a substitute for retraining", got)
 	}
-	// The sweep helpers enforce the rule rather than leaving it to
-	// convention: re-costing a fabric-sensitive run across networks panics.
+	// The re-price function enforces the rule rather than leaving it to
+	// convention: re-pricing a fabric-sensitive run across networks panics.
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("recostTTA accepted a fabric-sensitive config")
+				t.Fatal("recording.tta accepted a fabric-sensitive config at a foreign bandwidth")
 			}
 		}()
-		_, _ = recostTTA(flatRes, &flat, 100*netsim.Mbps, 0.7)
+		_, _ = recording{flat, flatRes}.tta(fig4At(100*netsim.Mbps), 0.7)
 	}()
 
 	// Control: pin the candidate set to one format and the very same
@@ -209,13 +207,49 @@ func TestAdaptiveRecostRequiresRecordedFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dippedFabric2 := netsim.NewFabric(singleDipped.Topology)
-	for _, tr := range singleDipped.Traces {
-		dippedFabric2.SetTrace(tr)
-	}
-	cum = recostCum(singleRes, &single, dippedFabric2)
+	cum = recording{single, singleRes}.price(point{topo: singleDipped.Topology, traces: singleDipped.Traces})
 	if got := cum[len(cum)-1]; got != singleDippedRes.SimSeconds {
 		t.Fatalf("single-candidate cross-fabric re-cost %v != traced training %v (Δ %g)",
 			got, singleDippedRes.SimSeconds, got-singleDippedRes.SimSeconds)
+	}
+}
+
+// TestRepriceGuardsFabricSensitiveRecordings pins the re-price function's
+// guard (DESIGN.md §8): a multi-candidate adaptive recording re-prices bit
+// for bit at the zero point, its own fabric, and is refused at every other
+// operating point — a foreign fabric, a foreign collective algorithm and a
+// foreign overlap mode, each of which would have changed the controller's
+// decisions.
+func TestRepriceGuardsFabricSensitiveRecordings(t *testing.T) {
+	skipIfShort(t)
+	t.Parallel()
+	opt := quickOpts()
+	opt.defaults()
+	cfg := adaptiveWANConfig(opt, 2)
+	res, err := testEngine.Run(engine.Job{Label: "reprice-guard", Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := recording{cfg, res}
+	cum := rec.price(point{})
+	if got := cum[len(cum)-1]; got != res.SimSeconds {
+		t.Fatalf("zero-point re-price %v != recorded SimSeconds %v (Δ %g)", got, res.SimSeconds, got-res.SimSeconds)
+	}
+	for _, foreign := range []struct {
+		name string
+		at   point
+	}{
+		{"fabric", fig4At(100 * netsim.Mbps)},
+		{"algorithm", point{algo: "hierarchical"}},
+		{"overlap", point{adjust: func(c *core.Config) { c.Overlap = ddp.OverlapBackward }}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("re-priced a fabric-sensitive recording at a foreign %s", foreign.name)
+				}
+			}()
+			rec.price(foreign.at)
+		}()
 	}
 }

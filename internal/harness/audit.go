@@ -3,15 +3,14 @@ package harness
 import (
 	"pactrain/internal/audit"
 	"pactrain/internal/core"
-	"pactrain/internal/harness/engine"
 )
 
 // This file hangs the decision-audit layer (internal/audit) off the
-// experiment harness the same way trace.go hangs the tracer: audits are
-// derived from recorded results after the grid completes, in submission
-// order, so the collected artifact is deterministic at any engine
-// parallelism and the experiment reports are byte-identical with or without
-// an auditor attached.
+// experiment harness the same way trace.go hangs the tracer: the train step
+// (Options.train) audits controller-driven runs from their recorded results
+// after the grid completes, in submission order, so the collected artifact
+// is deterministic at any engine parallelism and the experiment reports are
+// byte-identical with or without an auditor attached.
 
 // AuditRun audits one recorded run on the fabric its config describes (see
 // audit.Replay). label names the report; empty keeps the model/scheme
@@ -23,43 +22,4 @@ func AuditRun(label string, cfg core.Config, res *core.Result, opt audit.Options
 	}
 	rep.Label = label
 	return rep, nil
-}
-
-// auditRuns audits every controller-driven job of a completed grid into
-// Options.Auditor, deduplicated by config fingerprint (the collector keeps
-// the first label, like the tracer). Runs without controller decisions are
-// skipped silently — a grid of static schemes collects nothing. When a
-// tracer is also attached, each collected report drops an "audit" mark into
-// the trace export so the regret headline rides along the Perfetto timeline.
-func (o *Options) auditRuns(jobs []engine.Job, results []*core.Result) error {
-	if o.Auditor == nil {
-		return nil
-	}
-	for i, job := range jobs {
-		if i >= len(results) || results[i] == nil || results[i].CommLog == nil {
-			continue
-		}
-		rep, err := AuditRun(job.Label, job.Config, results[i], audit.Options{
-			StalenessSec: o.AuditStaleness,
-		})
-		if err != nil {
-			return err
-		}
-		if rep.DecidedRounds == 0 {
-			continue
-		}
-		if !o.Auditor.Add(rep) {
-			continue // same training already audited under an earlier label
-		}
-		if o.Tracer != nil {
-			o.Tracer.AddMark("audit", map[string]any{
-				"label":             rep.Label,
-				"rounds":            rep.DecidedRounds,
-				"oracle_regret_sec": rep.OracleRegretSec,
-				"static_regret_sec": rep.StaticRegretSec,
-				"max_calib_error":   rep.MaxCalibrationError(),
-			})
-		}
-	}
-	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"pactrain/internal/collective"
-	"pactrain/internal/harness/engine"
 	"pactrain/internal/metrics"
 	"pactrain/internal/netsim"
 )
@@ -53,7 +52,6 @@ func CollectivesSchemes() []string {
 // TestRecostExactPerAlgorithm).
 func RunCollectives(opt Options) (*CollectivesResult, error) {
 	opt.defaults()
-	eng := opt.engine()
 	w := opt.workloads()[0]
 	out := &CollectivesResult{
 		Model:      w.Model,
@@ -65,30 +63,22 @@ func RunCollectives(opt Options) (*CollectivesResult, error) {
 	opt.logf("Collectives: %d algorithms × %d schemes × %d bandwidths on %s (two-rack fabric)",
 		len(out.Algorithms), len(out.Schemes), len(out.Bandwidths), w.Model)
 
-	var jobs []engine.Job
-	for _, scheme := range out.Schemes {
-		jobs = append(jobs, trainJob("collectives", w, scheme, opt))
-	}
-	results, err := eng.RunAll(jobs)
+	recs, err := opt.train("collectives", trainJobs("collectives", w, opt, out.Schemes...))
 	if err != nil {
-		return nil, fmt.Errorf("collectives: %w", err)
+		return nil, err
 	}
-	opt.traceRuns(jobs, results)
 	opt.traceRecost("collectives", map[string]any{
 		"algorithms": len(out.Algorithms), "bandwidths": len(out.Bandwidths),
 	})
 
 	for si, scheme := range out.Schemes {
-		res, cfg := results[si], jobs[si].Config
 		for _, bw := range out.Bandwidths {
 			topo := netsim.TwoRackTopology(netsim.TwoRackOptions{
 				Hosts: opt.World, BottleneckBps: bw, EdgeBps: out.EdgeBps,
 			})
 			ringTTA := 0.0
 			for _, algo := range out.Algorithms {
-				fabric := netsim.NewFabric(topo)
-				cum := recostCumWith(collective.MustAlgorithm(algo), res, &cfg, fabric, false)
-				tta, reached := ttaFromCum(res, cum, w.TargetAcc)
+				tta, reached := recs[si].tta(point{topo: topo, algo: algo}, w.TargetAcc)
 				if algo == collective.DefaultAlgorithm {
 					ringTTA = tta
 				}
@@ -105,12 +95,9 @@ func RunCollectives(opt Options) (*CollectivesResult, error) {
 
 // Cell fetches one grid entry.
 func (r *CollectivesResult) Cell(algo, scheme string, bw float64) (CollectivesCell, bool) {
-	for _, c := range r.Cells {
-		if c.Algorithm == algo && c.Scheme == scheme && c.BandwidthBps == bw {
-			return c, true
-		}
-	}
-	return CollectivesCell{}, false
+	return lookup(r.Cells, func(c CollectivesCell) bool {
+		return c.Algorithm == algo && c.Scheme == scheme && c.BandwidthBps == bw
+	})
 }
 
 // HierarchicalSpeedup returns the best hierarchical-over-ring speedup for a
@@ -131,32 +118,13 @@ func (r *CollectivesResult) HierarchicalSpeedup(scheme string) float64 {
 func (r *CollectivesResult) Render() string {
 	var b strings.Builder
 	for _, bw := range r.Bandwidths {
-		headers := append([]string{"algorithm \\ scheme"}, func() []string {
-			names := make([]string, len(r.Schemes))
-			for i, s := range r.Schemes {
-				names[i] = DisplayName(s)
-			}
-			return names
-		}()...)
-		tb := metrics.NewTable(fmt.Sprintf(
-			"Collectives — TTA on two-rack fabric (%s; %s bottleneck, %s edges; vs ring)",
-			r.Model, netsim.FormatBandwidth(bw), netsim.FormatBandwidth(r.EdgeBps)), headers...)
-		for _, algo := range r.Algorithms {
-			row := []string{algo}
-			for _, scheme := range r.Schemes {
-				if c, ok := r.Cell(algo, scheme, bw); ok {
-					cell := fmt.Sprintf("%s (%.2f×)", metrics.FormatSeconds(c.TTASeconds), c.SpeedupVsRing)
-					if !c.Reached {
-						cell = ">" + cell
-					}
-					row = append(row, cell)
-				} else {
-					row = append(row, "-")
-				}
-			}
-			tb.AddRow(row...)
-		}
-		b.WriteString(tb.String())
+		title := fmt.Sprintf("Collectives — TTA on two-rack fabric (%s; %s bottleneck, %s edges; vs ring)",
+			r.Model, netsim.FormatBandwidth(bw), netsim.FormatBandwidth(r.EdgeBps))
+		b.WriteString(grid(title, "algorithm \\ scheme", r.Algorithms, labels(r.Schemes, DisplayName),
+			func(i, j int) (string, bool) {
+				c, ok := r.Cell(r.Algorithms[i], r.Schemes[j], bw)
+				return flagMissed(fmt.Sprintf("%s (%.2f×)", metrics.FormatSeconds(c.TTASeconds), c.SpeedupVsRing), c.Reached), ok
+			}))
 		b.WriteString("\n")
 	}
 	fmt.Fprintf(&b, "Best hierarchical speedup over flat ring: all-reduce %.2f×, PacTrain %.2f×\n",

@@ -108,12 +108,12 @@ func TestRecostExactPerAlgorithm(t *testing.T) {
 			}
 			// Re-cost the ring-trained twin (shared via the engine) under
 			// this algorithm on an identical fabric.
-			ringRun, err := testEngine.Run(trainJob("recost-algo-test", w, "pactrain-ternary", opt))
+			ringRun, err := testEngine.Run(trainJobs("recost-algo-test", w, opt, "pactrain-ternary")[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			topo := netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: cfg.BottleneckBps})
-			cum := recostCumWith(collective.MustAlgorithm(algo), ringRun, &cfg, netsim.NewFabric(topo), false)
+			ringCfg := baseConfig(w, "pactrain-ternary", opt)
+			cum := recording{ringCfg, ringRun}.price(point{algo: algo})
 			if got := cum[len(cum)-1]; got != trained.SimSeconds {
 				t.Fatalf("re-costed end time %v != trained SimSeconds %v (Δ %g)",
 					got, trained.SimSeconds, got-trained.SimSeconds)
@@ -166,11 +166,7 @@ func TestRecostExactPerAlgorithmWithTraces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fabric := netsim.NewFabric(netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: cfg.BottleneckBps}))
-			for _, tr := range traces {
-				fabric.SetTrace(tr)
-			}
-			cum := recostCum(untraced, &untracedCfg, fabric)
+			cum := recording{untracedCfg, untraced}.price(point{topo: topo, traces: traces})
 			if got := cum[len(cum)-1]; got != traced.SimSeconds {
 				t.Fatalf("re-costed end time %v != traced SimSeconds %v (Δ %g)",
 					got, traced.SimSeconds, got-traced.SimSeconds)

@@ -42,7 +42,6 @@ type Fig3Result struct {
 // bottleneck bandwidth and normalizes TTA to the all-reduce baseline.
 func RunFig3(opt Options) (*Fig3Result, error) {
 	opt.defaults()
-	eng := opt.engine()
 	workloads := opt.workloads()
 	schemes := Fig3Schemes()
 	bandwidths := Fig3Bandwidths()
@@ -53,25 +52,20 @@ func RunFig3(opt Options) (*Fig3Result, error) {
 
 	var jobs []engine.Job
 	for _, w := range workloads {
-		for _, scheme := range schemes {
-			jobs = append(jobs, trainJob("fig3", w, scheme, opt))
-		}
+		jobs = append(jobs, trainJobs("fig3", w, opt, schemes...)...)
 	}
-	results, err := eng.RunAll(jobs)
+	recs, err := opt.train("fig3", jobs)
 	if err != nil {
-		return nil, fmt.Errorf("fig3: %w", err)
+		return nil, err
 	}
-	opt.traceRuns(jobs, results)
 	opt.traceRecost("fig3", map[string]any{"bandwidths": len(bandwidths), "runs": len(jobs)})
 
 	for wi, w := range workloads {
 		out.Models = append(out.Models, w.Model)
 		baselineTTA := make(map[float64]float64)
 		for si, scheme := range schemes {
-			res := results[wi*len(schemes)+si]
-			cfg := jobs[wi*len(schemes)+si].Config
 			for _, bw := range bandwidths {
-				tta, reached := recostTTA(res, &cfg, bw, w.TargetAcc)
+				tta, reached := recs[wi*len(schemes)+si].tta(fig4At(bw), w.TargetAcc)
 				if scheme == "all-reduce" {
 					baselineTTA[bw] = tta
 				}
@@ -90,12 +84,9 @@ func RunFig3(opt Options) (*Fig3Result, error) {
 
 // Cell fetches one grid entry.
 func (r *Fig3Result) Cell(model, scheme string, bw float64) (Fig3Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Model == model && c.Scheme == scheme && c.BandwidthBps == bw {
-			return c, true
-		}
-	}
-	return Fig3Cell{}, false
+	return lookup(r.Cells, func(c Fig3Cell) bool {
+		return c.Model == model && c.Scheme == scheme && c.BandwidthBps == bw
+	})
 }
 
 // MaxSpeedup returns the largest PacTrain speedup over all-reduce across
@@ -116,21 +107,13 @@ func (r *Fig3Result) MaxSpeedup() float64 {
 func (r *Fig3Result) Render() string {
 	var b strings.Builder
 	for _, bw := range r.Bandwidths {
-		headers := append([]string{"scheme \\ model"}, r.Models...)
-		tb := metrics.NewTable(fmt.Sprintf("Fig. 3 — Relative TTA at WAN bandwidth %s (all-reduce = 1.0, lower is better)",
-			netsim.FormatBandwidth(bw)), headers...)
-		for _, scheme := range r.Schemes {
-			row := []string{DisplayName(scheme)}
-			for _, model := range r.Models {
-				if c, ok := r.Cell(model, scheme, bw); ok {
-					row = append(row, renderRelTTA(c.RelTTA, c.Reached))
-				} else {
-					row = append(row, "-")
-				}
-			}
-			tb.AddRow(row...)
-		}
-		b.WriteString(tb.String())
+		title := fmt.Sprintf("Fig. 3 — Relative TTA at WAN bandwidth %s (all-reduce = 1.0, lower is better)",
+			netsim.FormatBandwidth(bw))
+		b.WriteString(grid(title, "scheme \\ model", labels(r.Schemes, DisplayName), r.Models,
+			func(i, j int) (string, bool) {
+				c, ok := r.Cell(r.Models[j], r.Schemes[i], bw)
+				return flagMissed(fmt.Sprintf("%.3f", c.RelTTA), c.Reached), ok
+			}))
 		b.WriteString("\n")
 	}
 	fmt.Fprintf(&b, "Max PacTrain speedup over all-reduce: %.2f×\n", r.MaxSpeedup())

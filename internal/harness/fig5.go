@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"pactrain/internal/harness/engine"
 	"pactrain/internal/metrics"
-	"pactrain/internal/netsim"
 )
 
 // Fig5Series is one accuracy-vs-time curve of Fig. 5.
@@ -35,7 +33,6 @@ type Fig5Result struct {
 // DESIGN.md §3).
 func RunFig5(opt Options) (*Fig5Result, error) {
 	opt.defaults()
-	eng := opt.engine()
 	w := PaperWorkloads()[2] // ResNet152
 	if opt.Quick {
 		w = QuickWorkloads()[0]
@@ -44,22 +41,15 @@ func RunFig5(opt Options) (*Fig5Result, error) {
 	out := &Fig5Result{Model: w.Model, TargetAcc: w.TargetAcc}
 	opt.logf("Fig. 5: time-to-accuracy curves, %s @ 1 Gbps, target %.0f%%", w.Model, w.TargetAcc*100)
 
-	var jobs []engine.Job
-	for _, scheme := range schemes {
-		job := trainJob("fig5", w, scheme, opt)
-		job.Config.BottleneckBps = 1 * netsim.Gbps
-		job.Config.Topology = nil // rebuilt by validate at the 1 Gbps bottleneck
-		jobs = append(jobs, job)
-	}
-	results, err := eng.RunAll(jobs)
+	// baseConfig trains on Fig. 4 at the 1 Gbps bottleneck the figure plots.
+	recs, err := opt.train("fig5", trainJobs("fig5", w, opt, schemes...))
 	if err != nil {
-		return nil, fmt.Errorf("fig5: %w", err)
+		return nil, err
 	}
-	opt.traceRuns(jobs, results)
 
 	ttas := map[string]float64{}
 	for si, scheme := range schemes {
-		res := results[si]
+		res := recs[si].res
 		tta, reached := res.Curve.TTA(w.TargetAcc)
 		ttas[scheme] = tta
 		out.Series = append(out.Series, Fig5Series{

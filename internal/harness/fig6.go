@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"pactrain/internal/harness/engine"
-	"pactrain/internal/metrics"
 )
 
 // Fig6Point is one (model, pruning ratio) final-accuracy measurement.
@@ -40,7 +39,6 @@ func Fig6Ratios(quick bool) []float64 {
 // completion at each pruning ratio and recording final accuracy.
 func RunFig6(opt Options) (*Fig6Result, error) {
 	opt.defaults()
-	eng := opt.engine()
 	ratios := Fig6Ratios(opt.Quick)
 	out := &Fig6Result{Ratios: ratios}
 	workloads := opt.workloads()
@@ -69,16 +67,15 @@ func RunFig6(opt Options) (*Fig6Result, error) {
 			})
 		}
 	}
-	results, err := eng.RunAll(jobs)
+	recs, err := opt.train("fig6", jobs)
 	if err != nil {
-		return nil, fmt.Errorf("fig6: %w", err)
+		return nil, err
 	}
-	opt.traceRuns(jobs, results)
 
 	for wi, w := range workloads {
 		out.Models = append(out.Models, w.Model)
 		for ri, ratio := range ratios {
-			res := results[wi*len(ratios)+ri]
+			res := recs[wi*len(ratios)+ri].res
 			opt.logf("  %s @ ratio %.2f: final acc %.3f", w.Model, ratio, res.FinalAcc)
 			out.Points = append(out.Points, Fig6Point{
 				Model: w.Model, Ratio: ratio,
@@ -91,12 +88,7 @@ func RunFig6(opt Options) (*Fig6Result, error) {
 
 // Point fetches one measurement.
 func (r *Fig6Result) Point(model string, ratio float64) (Fig6Point, bool) {
-	for _, p := range r.Points {
-		if p.Model == model && p.Ratio == ratio {
-			return p, true
-		}
-	}
-	return Fig6Point{}, false
+	return lookup(r.Points, func(p Fig6Point) bool { return p.Model == model && p.Ratio == ratio })
 }
 
 // AccuracyDrop returns final-accuracy loss at the given ratio relative to
@@ -113,20 +105,12 @@ func (r *Fig6Result) AccuracyDrop(model string, ratio float64) (float64, bool) {
 // Render prints the ratio × model accuracy grid.
 func (r *Fig6Result) Render() string {
 	var b strings.Builder
-	headers := append([]string{"pruning ratio"}, r.Models...)
-	tb := metrics.NewTable("Fig. 6 — Final accuracy vs pruning ratio (CIFAR-10-like)", headers...)
-	for _, ratio := range r.Ratios {
-		row := []string{fmt.Sprintf("%.2f", ratio)}
-		for _, model := range r.Models {
-			if p, ok := r.Point(model, ratio); ok {
-				row = append(row, fmt.Sprintf("%.3f", p.FinalAcc))
-			} else {
-				row = append(row, "-")
-			}
-		}
-		tb.AddRow(row...)
-	}
-	b.WriteString(tb.String())
+	ratios := labels(r.Ratios, func(ratio float64) string { return fmt.Sprintf("%.2f", ratio) })
+	b.WriteString(grid("Fig. 6 — Final accuracy vs pruning ratio (CIFAR-10-like)", "pruning ratio", ratios, r.Models,
+		func(i, j int) (string, bool) {
+			p, ok := r.Point(r.Models[j], r.Ratios[i])
+			return fmt.Sprintf("%.3f", p.FinalAcc), ok
+		}))
 	for _, model := range r.Models {
 		if drop, ok := r.AccuracyDrop(model, 0.8); ok {
 			fmt.Fprintf(&b, "%s: accuracy drop at ratio 0.8 = %.3f\n", model, drop)

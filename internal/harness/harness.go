@@ -18,6 +18,9 @@
 // and optionally caches results on disk (Options.Parallelism, CacheDir,
 // Engine). Jobs are submitted and assembled in a fixed order, so reports
 // are byte-identical to the historical serial path at any parallelism.
+// Every experiment trains through one step (Options.train), re-prices
+// through one function (recording.price at an operating point) and draws
+// its grid tables through one renderer (grid).
 package harness
 
 import (
@@ -129,13 +132,16 @@ type Options struct {
 // Normalized returns the options with every default applied — the
 // canonical form under which two Options describe the same experiment
 // grid. The serve subsystem coalesces identical submissions by comparing
-// the value fields (Quick, World, Samples, Seed, Collective) of normalized
-// options.
+// the value fields (Quick, World, Samples, Seed, Collective, Overlap) of
+// normalized options.
 func (o Options) Normalized() Options {
 	o.defaults()
 	return o
 }
 
+// defaults applies every default, the private engine of a standalone
+// experiment call included (Options.Engine nil): built once, so every train
+// step of the call shares its dedup table.
 func (o *Options) defaults() {
 	if o.World == 0 {
 		o.World = 8
@@ -162,27 +168,22 @@ func (o *Options) defaults() {
 	if o.Parallelism < 1 {
 		o.Parallelism = 1
 	}
+	if o.Engine == nil {
+		o.Engine = engine.New(engine.Options{
+			Parallelism: o.Parallelism,
+			CacheDir:    o.CacheDir,
+			Log:         o.Log,
+		})
+	}
 }
 
 // NewEngine builds the scheduler an Options describes. The experiment
 // drivers (cmd/pactrain-bench, tests) construct one and set Options.Engine
 // so every experiment in the process shares its dedup table and cache.
 func NewEngine(opt Options) *engine.Engine {
+	opt.Engine = nil
 	opt.defaults()
-	return engine.New(engine.Options{
-		Parallelism: opt.Parallelism,
-		CacheDir:    opt.CacheDir,
-		Log:         opt.Log,
-	})
-}
-
-// engine returns the shared scheduler, or a private one for a standalone
-// experiment call.
-func (o *Options) engine() *engine.Engine {
-	if o.Engine != nil {
-		return o.Engine
-	}
-	return NewEngine(*o)
+	return opt.Engine
 }
 
 func (o *Options) logf(format string, args ...any) {
@@ -264,81 +265,192 @@ func DisplayName(scheme string) string {
 	return scheme
 }
 
-// recostCum rebuilds a recorded run's cumulative simulated clock on an
-// arbitrary fabric (bandwidth traces included), under the collective
-// algorithm the run's config names: cum[i] is the simulated time after i
-// iterations. It is core.Replay with live pricing and no visitor, so on a
-// fabric identical to the training fabric it reproduces the recorded clock
-// bit for bit (TestReplayMatchesTrainingEveryConsumer), and a log recorded
-// under one straggler profile and overlap mode re-prices exactly under any
-// other.
-func recostCum(res *core.Result, cfg *core.Config, fabric *netsim.Fabric) []float64 {
-	return recostCumWith(collective.MustAlgorithm(cfg.Collective), res, cfg, fabric, false)
+// trainJobs builds the engine jobs for one workload trained under each
+// scheme, with communication recording.
+func trainJobs(exp string, w Workload, opt Options, schemes ...string) []engine.Job {
+	jobs := make([]engine.Job, len(schemes))
+	for i, scheme := range schemes {
+		jobs[i] = engine.Job{
+			Label:  fmt.Sprintf("%s %s/%s", exp, w.Model, DisplayName(scheme)),
+			Config: baseConfig(w, scheme, opt),
+		}
+	}
+	return jobs
 }
 
-// recostCumWith is recostCum under an explicit collective algorithm — the
-// recorded operations are algorithm-independent, so the collectives
-// experiment prices one training under every algorithm — and an explicit
-// pricing strategy: memoize engages per-signature cost memoization (see
-// opCoster), which the replay contract forbids for recorded runs and the
-// cluster-scale pricing path requires.
-func recostCumWith(alg collective.Algorithm, res *core.Result, cfg *core.Config, fabric *netsim.Fabric, memoize bool) []float64 {
-	coster := newOpCoster(alg, fabric, fabric.Topo.Hosts()[:cfg.World], memoize)
-	return core.Replay(cfg, res.CommLog, coster.cost, nil)
+// recording is one run the harness re-prices: the config it trained (or was
+// synthesized) under and its result, recorded communication log included.
+type recording struct {
+	cfg core.Config
+	res *core.Result
 }
 
-// ttaFromCum reads the time-to-target off a rebuilt clock: the re-costed
-// time of the first curve point at or above target.
-func ttaFromCum(res *core.Result, cum []float64, target float64) (float64, bool) {
-	for _, p := range res.Curve.Points {
-		if p.Acc >= target {
-			if p.Iter < len(cum) {
-				return cum[p.Iter], true
-			}
-			return cum[len(cum)-1], true
+// train is every experiment's one train step: it runs the jobs on the
+// engine and returns their recordings in submission order. It traces every
+// run into Options.Tracer and audits every controller-driven run into
+// Options.Auditor, each deduplicated by config fingerprint (a run shared
+// between experiments, or repeated within one, is observed once, under its
+// first label — deterministic because grids run in submission order). Each
+// audit that collects a report drops an "audit" mark carrying its regret
+// headline into the trace.
+func (o *Options) train(exp string, jobs []engine.Job) ([]recording, error) {
+	results, err := o.Engine.RunAll(jobs)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", exp, err)
+	}
+	recs := make([]recording, len(jobs))
+	for i, job := range jobs {
+		recs[i] = recording{job.Config, results[i]}
+		if err := TraceRun(o.Tracer, job.Label, job.Config, results[i]); err != nil {
+			o.logf("%v", err)
+		}
+		// Only controller configs decide anything: auditing a static run
+		// would replay its whole log for an empty ledger.
+		if o.Auditor == nil || job.Config.Scheme != core.SchemeAdaptive {
+			continue
+		}
+		rep, err := AuditRun(job.Label, job.Config, results[i], audit.Options{StalenessSec: o.AuditStaleness})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", exp, err)
+		}
+		if rep.DecidedRounds == 0 || !o.Auditor.Add(rep) || o.Tracer == nil {
+			continue
+		}
+		o.Tracer.AddMark("audit", map[string]any{
+			"label":             rep.Label,
+			"rounds":            rep.DecidedRounds,
+			"oracle_regret_sec": rep.OracleRegretSec,
+			"static_regret_sec": rep.StaticRegretSec,
+			"max_calib_error":   rep.MaxCalibrationError(),
+		})
+	}
+	return recs, nil
+}
+
+// point is an operating point a recording re-prices at. Each field left
+// zero keeps the recording's own: topo and traces replace its fabric, algo
+// its collective algorithm (the recorded ops are algorithm-independent),
+// and adjust edits a copy of its config's compute plane (compute model,
+// straggler profile, overlap mode). memoize engages per-signature cost
+// memoization (opCoster), which the replay contract forbids for recorded
+// runs and the cluster-scale pricing path requires. The zero point is the
+// recording's own fabric, core.Config.NewFabric.
+type point struct {
+	topo    *netsim.Topology
+	traces  []*netsim.BandwidthTrace
+	algo    string
+	adjust  func(*core.Config)
+	memoize bool
+}
+
+// fig4At is the paper's Fig. 4 fabric at a bottleneck bandwidth.
+func fig4At(bw float64) point {
+	return point{topo: netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: bw})}
+}
+
+// at resolves an operating point against a recording: the config its log
+// re-prices under and the fabric it prices on. Every point but the zero
+// point refuses a fabric-sensitive recording (core.Config.FabricSensitive,
+// a multi-candidate adaptive log): its decisions answered the recorded
+// fabric, algorithm and clock, so replaying them under any other yields a
+// clock no training there would have (DESIGN.md §8). Experiments retrain
+// such cells per operating point, as RunAdaptive does.
+func (r recording) at(p point) (core.Config, *netsim.Fabric) {
+	cfg := r.cfg
+	if p.topo != nil || p.algo != "" || p.adjust != nil {
+		if cfg.FabricSensitive() {
+			panic(fmt.Sprintf("harness: %q run is fabric-sensitive; retrain per operating point instead of re-pricing it elsewhere (DESIGN.md §8)", cfg.Scheme))
+		}
+		if p.algo != "" {
+			cfg.Collective = p.algo
+		}
+		if p.adjust != nil {
+			p.adjust(&cfg)
+		}
+	}
+	if p.topo == nil {
+		fabric := cfg.NewFabric()
+		return cfg, fabric
+	}
+	fabric := netsim.NewFabric(p.topo)
+	for _, tr := range p.traces {
+		fabric.SetTrace(tr)
+	}
+	return cfg, fabric
+}
+
+// price re-prices a recording at an operating point and returns its
+// cumulative simulated clock: cum[i] is the time after i iterations. It is
+// core.Replay with no visitor, so at the zero point it reproduces the
+// recorded clock bit for bit (TestReplayMatchesTrainingEveryConsumer), and
+// a static log re-prices exactly under any fabric, algorithm, compute
+// model, straggler profile and overlap mode.
+func (r recording) price(p point) []float64 {
+	cfg, fabric := r.at(p)
+	coster := newOpCoster(collective.MustAlgorithm(cfg.Collective), fabric, fabric.Topo.Hosts()[:cfg.World], p.memoize)
+	return core.Replay(&cfg, r.res.CommLog, coster.cost, nil)
+}
+
+// tta re-prices a recording at an operating point and reads the time to
+// target off the rebuilt clock: the time of the first curve point at or
+// above target, or the run's end (not reached) when none is. The
+// convergence trajectory is reused; only the clock is rebuilt.
+func (r recording) tta(p point, target float64) (float64, bool) {
+	cum := r.price(p)
+	for _, pt := range r.res.Curve.Points {
+		if pt.Acc >= target {
+			return cum[min(pt.Iter, len(cum)-1)], true
 		}
 	}
 	return cum[len(cum)-1], false
 }
 
-// recostTTA recomputes a recorded run's accuracy-vs-time curve under a
-// different bottleneck bandwidth and returns the time to target. The
-// convergence trajectory (accuracy per iteration) is reused; only the
-// clock is rebuilt from compute time plus the re-priced communication ops.
-func recostTTA(res *core.Result, cfg *core.Config, bottleneck float64, target float64) (float64, bool) {
-	topo := netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: bottleneck})
-	return recostOnTopology(res, cfg, topo, target)
-}
-
-// rejectFabricSensitive makes Config.FabricSensitive load-bearing on the
-// cross-network sweep paths: a multi-candidate adaptive log replays
-// decisions the controller would not have made on a different fabric, so
-// re-costing it across networks silently produces wrong clocks (DESIGN.md
-// §8). Experiments must retrain such cells per operating point, as
-// RunAdaptive does. Same-fabric replay (recostCum on the recorded fabric)
-// remains valid and is not guarded.
-func rejectFabricSensitive(cfg *core.Config) {
-	if cfg.FabricSensitive() {
-		panic(fmt.Sprintf("harness: %q run is fabric-sensitive; retrain per operating point instead of re-costing across networks (DESIGN.md §8)", cfg.Scheme))
+// lookup is every result grid's cell scan: the first cell matching.
+func lookup[T any](cells []T, match func(T) bool) (T, bool) {
+	for _, c := range cells {
+		if match(c) {
+			return c, true
+		}
 	}
+	var zero T
+	return zero, false
 }
 
-// trainJob builds the engine job for one (workload, scheme) training with
-// communication recording.
-func trainJob(exp string, w Workload, scheme string, opt Options) engine.Job {
-	return engine.Job{
-		Label:  fmt.Sprintf("%s %s/%s", exp, w.Model, DisplayName(scheme)),
-		Config: baseConfig(w, scheme, opt),
+// grid renders a rows × columns table under a corner header: row i is
+// labelled rows[i], and cell(i, j) draws its entry, or "-" when the grid
+// holds none there.
+func grid(title, corner string, rows, cols []string, cell func(i, j int) (string, bool)) string {
+	tb := metrics.NewTable(title, append([]string{corner}, cols...)...)
+	for i, name := range rows {
+		row := []string{name}
+		for j := range cols {
+			if s, ok := cell(i, j); ok {
+				row = append(row, s)
+			} else {
+				row = append(row, "-")
+			}
+		}
+		tb.AddRow(row...)
 	}
+	return tb.String()
 }
 
-// renderRelTTA formats a relative-TTA cell, flagging runs that never
-// reached the target the way the paper's log-scale bars saturate.
-func renderRelTTA(rel float64, reached bool) string {
+// labels maps a grid axis to its header strings.
+func labels[T any](axis []T, label func(T) string) []string {
+	out := make([]string, len(axis))
+	for i, v := range axis {
+		out[i] = label(v)
+	}
+	return out
+}
+
+// flagMissed marks a TTA cell whose run never reached the target, the way
+// the paper's log-scale bars saturate.
+func flagMissed(cell string, reached bool) string {
 	if !reached {
-		return fmt.Sprintf(">%.3f", rel)
+		return ">" + cell
 	}
-	return fmt.Sprintf("%.3f", rel)
+	return cell
 }
 
 // tableFromCurve renders a curve as a two-column table (time, accuracy).

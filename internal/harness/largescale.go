@@ -159,10 +159,8 @@ func RunLargeScale(opt Options) (*LargeScaleResult, error) {
 	opt.traceRecost("largescale", map[string]any{"world": out.World})
 
 	topo := netsim.RackedTopology(netsim.RackedOptions{Racks: racks, HostsPerRack: hosts})
-	alg := collective.MustAlgorithm(out.Collective)
 	for _, scheme := range out.Schemes {
-		log := largeScaleLog(scheme, buckets, largeScaleIters)
-		res := &core.Result{Scheme: scheme, CommLog: log}
+		res := &core.Result{Scheme: scheme, CommLog: largeScaleLog(scheme, buckets, largeScaleIters)}
 		uniformIter := 0.0
 		for _, sev := range out.Severities {
 			cfg := core.Config{
@@ -177,9 +175,10 @@ func RunLargeScale(opt Options) (*LargeScaleResult, error) {
 					Multipliers: netsim.OneSlowRack(racks, hosts, sev),
 				}
 			}
-			// Fresh fabric per cell: byte accounting is meaningless under
-			// memoized pricing and must not leak across cells.
-			cum := recostCumWith(alg, res, &cfg, netsim.NewFabric(topo), true)
+			// Each re-price builds a fresh fabric: byte accounting is
+			// meaningless under memoized pricing and must not leak across
+			// cells.
+			cum := recording{cfg, res}.price(point{topo: topo, memoize: true})
 			// Steady state excludes the warm-up iteration (PacTrain's full
 			// sync + bitmap re-share).
 			iter := (cum[len(cum)-1] - cum[1]) / float64(largeScaleIters-1)
@@ -197,39 +196,22 @@ func RunLargeScale(opt Options) (*LargeScaleResult, error) {
 
 // Cell fetches one grid entry.
 func (r *LargeScaleResult) Cell(scheme string, sev float64) (LargeScaleCell, bool) {
-	for _, c := range r.Cells {
-		if c.Scheme == scheme && c.Severity == sev {
-			return c, true
-		}
-	}
-	return LargeScaleCell{}, false
+	return lookup(r.Cells, func(c LargeScaleCell) bool { return c.Scheme == scheme && c.Severity == sev })
 }
 
 // Render prints the grid (rows = schemes, columns = slow-rack severities,
 // cells = steady-state iteration time with degradation vs the uniform
 // cluster) plus the two headline observations.
 func (r *LargeScaleResult) Render() string {
-	headers := []string{"scheme \\ slow-rack ×"}
-	for _, sev := range r.Severities {
-		headers = append(headers, fmt.Sprintf("%g×", sev))
-	}
-	tb := metrics.NewTable(fmt.Sprintf(
-		"LargeScale — steady-state iteration time at %d ranks (%d racks × %d, hierarchical, one slow rack; ×degradation vs uniform)",
-		r.World, r.Racks, r.HostsPerRack), headers...)
-	for _, scheme := range r.Schemes {
-		row := []string{DisplayName(scheme)}
-		for _, sev := range r.Severities {
-			if c, ok := r.Cell(scheme, sev); ok {
-				row = append(row, fmt.Sprintf("%s (%.3f×)",
-					metrics.FormatSeconds(c.IterSeconds), c.Degradation))
-			} else {
-				row = append(row, "-")
-			}
-		}
-		tb.AddRow(row...)
-	}
+	title := fmt.Sprintf("LargeScale — steady-state iteration time at %d ranks (%d racks × %d, hierarchical, one slow rack; ×degradation vs uniform)",
+		r.World, r.Racks, r.HostsPerRack)
+	severities := labels(r.Severities, func(sev float64) string { return fmt.Sprintf("%g×", sev) })
 	var b strings.Builder
-	b.WriteString(tb.String())
+	b.WriteString(grid(title, "scheme \\ slow-rack ×", labels(r.Schemes, DisplayName), severities,
+		func(i, j int) (string, bool) {
+			c, ok := r.Cell(r.Schemes[i], r.Severities[j])
+			return fmt.Sprintf("%s (%.3f×)", metrics.FormatSeconds(c.IterSeconds), c.Degradation), ok
+		}))
 	pac, okP := r.Cell("pactrain-ternary", 1)
 	dense, okD := r.Cell("all-reduce", 1)
 	if okP && okD {

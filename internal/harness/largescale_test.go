@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"pactrain/internal/collective"
 	"pactrain/internal/core"
 	"pactrain/internal/ddp"
 	"pactrain/internal/netsim"
@@ -20,7 +19,6 @@ func TestMemoizedReplayMatchesLive(t *testing.T) {
 	t.Parallel()
 	const racks, hosts = 4, 4
 	topo := netsim.RackedTopology(netsim.RackedOptions{Racks: racks, HostsPerRack: hosts})
-	alg := collective.MustAlgorithm("hierarchical")
 	buckets := []int{300_000, 300_000, 100_000}
 	for _, scheme := range LargeScaleSchemes() {
 		res := &core.Result{Scheme: scheme, CommLog: largeScaleLog(scheme, buckets, 6)}
@@ -34,8 +32,8 @@ func TestMemoizedReplayMatchesLive(t *testing.T) {
 				Multipliers: netsim.OneSlowRack(racks, hosts, 3),
 			},
 		}
-		live := recostCumWith(alg, res, &cfg, netsim.NewFabric(topo), false)
-		memo := recostCumWith(alg, res, &cfg, netsim.NewFabric(topo), true)
+		live := recording{cfg, res}.price(point{topo: topo})
+		memo := recording{cfg, res}.price(point{topo: topo, memoize: true})
 		if len(live) != len(memo) {
 			t.Fatalf("%s: cum lengths differ: %d vs %d", scheme, len(live), len(memo))
 		}

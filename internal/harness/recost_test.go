@@ -25,12 +25,12 @@ func TestRecostReproducesTraining(t *testing.T) {
 		t.Run(scheme, func(t *testing.T) {
 			t.Parallel()
 			cfg := baseConfig(w, scheme, opt)
-			res, err := testEngine.Run(trainJob("recost-test", w, scheme, opt))
+			res, err := testEngine.Run(trainJobs("recost-test", w, opt, scheme)[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			topo := netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: cfg.BottleneckBps})
-			cum := recostCum(res, &cfg, netsim.NewFabric(topo))
+			rec := recording{cfg, res}
+			cum := rec.price(fig4At(cfg.BottleneckBps))
 			if got := cum[len(cum)-1]; got != res.SimSeconds {
 				t.Fatalf("re-costed end time %v != recorded SimSeconds %v (Δ %g)",
 					got, res.SimSeconds, got-res.SimSeconds)
@@ -43,7 +43,7 @@ func TestRecostReproducesTraining(t *testing.T) {
 			}
 			// And the TTA read off the rebuilt clock matches the recorded one.
 			wantTTA, wantReached := res.Curve.TTA(cfg.TargetAcc)
-			gotTTA, gotReached := ttaFromCum(res, cum, cfg.TargetAcc)
+			gotTTA, gotReached := rec.tta(point{}, cfg.TargetAcc)
 			if gotTTA != wantTTA || gotReached != wantReached {
 				t.Fatalf("re-costed TTA (%v,%v) != recorded (%v,%v)",
 					gotTTA, gotReached, wantTTA, wantReached)
@@ -73,8 +73,7 @@ func TestRecostExactForOddSampleCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo := netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: cfg.BottleneckBps})
-	cum := recostCum(res, &cfg, netsim.NewFabric(topo))
+	cum := recording{cfg, res}.price(fig4At(cfg.BottleneckBps))
 	if got := cum[len(cum)-1]; got != res.SimSeconds {
 		t.Fatalf("re-costed end time %v != recorded SimSeconds %v (Δ %g)",
 			got, res.SimSeconds, got-res.SimSeconds)
@@ -109,15 +108,11 @@ func TestRecostReproducesTrainingWithTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	untraced, err := testEngine.Run(trainJob("recost-test", w, "pactrain-ternary", opt))
+	untraced, err := testEngine.Run(trainJobs("recost-test", w, opt, "pactrain-ternary")[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := netsim.NewFabric(netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: cfg.BottleneckBps}))
-	for _, tr := range traces {
-		fabric.SetTrace(tr)
-	}
-	cum := recostCum(untraced, &cfg, fabric)
+	cum := recording{cfg, untraced}.price(point{topo: topo, traces: traces})
 	if got := cum[len(cum)-1]; got != traced.SimSeconds {
 		t.Fatalf("re-costed end time %v != traced SimSeconds %v (Δ %g)",
 			got, traced.SimSeconds, got-traced.SimSeconds)

@@ -104,7 +104,7 @@ func checkReplayConsumers(t *testing.T, cfg core.Config) {
 	}
 
 	// Re-costing: nil visitor, so homogeneous rows take the one-rank view.
-	cum := recostCum(res, &cfg, cfg.NewFabric())
+	cum := recording{cfg, res}.price(point{})
 	if got := cum[len(cum)-1]; got != res.SimSeconds {
 		t.Fatalf("replayed end %v != trained SimSeconds %v (Δ %g)", got, res.SimSeconds, got-res.SimSeconds)
 	}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"pactrain/internal/core"
 	"pactrain/internal/ddp"
-	"pactrain/internal/harness/engine"
 	"pactrain/internal/metrics"
 	"pactrain/internal/netsim"
 )
@@ -85,7 +85,6 @@ func StragglerComputeModel(flopsPerSample int64) ddp.ComputeModel {
 // real heterogeneous trainings).
 func RunStragglers(opt Options) (*StragglersResult, error) {
 	opt.defaults()
-	eng := opt.engine()
 	w := opt.workloads()[0]
 	out := &StragglersResult{
 		Model:        w.Model,
@@ -98,15 +97,10 @@ func RunStragglers(opt Options) (*StragglersResult, error) {
 		len(out.Schemes), len(out.Overlaps), len(out.Severities), w.Model,
 		netsim.FormatBandwidth(out.BandwidthBps))
 
-	var jobs []engine.Job
-	for _, scheme := range out.Schemes {
-		jobs = append(jobs, trainJob("stragglers", w, scheme, opt))
-	}
-	results, err := eng.RunAll(jobs)
+	recs, err := opt.train("stragglers", trainJobs("stragglers", w, opt, out.Schemes...))
 	if err != nil {
-		return nil, fmt.Errorf("stragglers: %w", err)
+		return nil, err
 	}
-	opt.traceRuns(jobs, results)
 	opt.traceRecost("stragglers", map[string]any{
 		"overlaps": len(out.Overlaps), "severities": len(out.Severities),
 	})
@@ -114,20 +108,19 @@ func RunStragglers(opt Options) (*StragglersResult, error) {
 	topo := netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: out.BandwidthBps})
 	maxSev := out.Severities[len(out.Severities)-1]
 	for si, scheme := range out.Schemes {
-		res := results[si]
 		for _, overlap := range out.Overlaps {
 			uniformTTA := 0.0
 			for _, sev := range out.Severities {
-				cfg := jobs[si].Config
-				cfg.Compute = StragglerComputeModel(cfg.Profile.FLOPsPerSample)
-				cfg.Overlap = ddp.MustOverlap(overlap)
-				if sev != 1 {
-					cfg.RankCompute = ddp.RankCompute{
-						Multipliers: netsim.OneSlowRank(cfg.World, sev),
+				at := point{topo: topo, adjust: func(cfg *core.Config) {
+					cfg.Compute = StragglerComputeModel(cfg.Profile.FLOPsPerSample)
+					cfg.Overlap = ddp.MustOverlap(overlap)
+					if sev != 1 {
+						cfg.RankCompute = ddp.RankCompute{
+							Multipliers: netsim.OneSlowRank(cfg.World, sev),
+						}
 					}
-				}
-				cum := recostCum(res, &cfg, netsim.NewFabric(topo))
-				tta, reached := ttaFromCum(res, cum, w.TargetAcc)
+				}}
+				tta, reached := recs[si].tta(at, w.TargetAcc)
 				if opt.Tracer != nil && sev == maxSev {
 					// Replay the worst-severity cells in full: the wait
 					// spans on the slow rank's peers are the experiment's
@@ -135,7 +128,8 @@ func RunStragglers(opt Options) (*StragglersResult, error) {
 					// tracing the full grid would dwarf the training runs.
 					label := fmt.Sprintf("stragglers cell %s/%s sev %g",
 						DisplayName(scheme), overlap, sev)
-					traceRunOn(opt.Tracer, label, "", cfg, res, netsim.NewFabric(topo))
+					cfg, fabric := recs[si].at(at)
+					traceRunOn(opt.Tracer, label, "", cfg, recs[si].res, fabric)
 				}
 				if sev == 1 {
 					uniformTTA = tta
@@ -153,42 +147,24 @@ func RunStragglers(opt Options) (*StragglersResult, error) {
 
 // Cell fetches one grid entry.
 func (r *StragglersResult) Cell(scheme, overlap string, sev float64) (StragglerCell, bool) {
-	for _, c := range r.Cells {
-		if c.Scheme == scheme && c.Overlap == overlap && c.Severity == sev {
-			return c, true
-		}
-	}
-	return StragglerCell{}, false
+	return lookup(r.Cells, func(c StragglerCell) bool {
+		return c.Scheme == scheme && c.Overlap == overlap && c.Severity == sev
+	})
 }
 
 // Render prints one table per overlap mode (rows = schemes, columns =
 // severities, cells = TTA with the degradation over the uniform cluster).
 func (r *StragglersResult) Render() string {
 	var b strings.Builder
+	severities := labels(r.Severities, func(sev float64) string { return fmt.Sprintf("%g×", sev) })
 	for _, overlap := range r.Overlaps {
-		headers := []string{"scheme \\ slow-rank ×"}
-		for _, sev := range r.Severities {
-			headers = append(headers, fmt.Sprintf("%g×", sev))
-		}
-		tb := metrics.NewTable(fmt.Sprintf(
-			"Stragglers — TTA with one slow rank (%s; Fig. 4 at %s; overlap=%s; ×degradation vs uniform)",
-			r.Model, netsim.FormatBandwidth(r.BandwidthBps), overlap), headers...)
-		for _, scheme := range r.Schemes {
-			row := []string{DisplayName(scheme)}
-			for _, sev := range r.Severities {
-				if c, ok := r.Cell(scheme, overlap, sev); ok {
-					cell := fmt.Sprintf("%s (%.3f×)", metrics.FormatSeconds(c.TTASeconds), c.Degradation)
-					if !c.Reached {
-						cell = ">" + cell
-					}
-					row = append(row, cell)
-				} else {
-					row = append(row, "-")
-				}
-			}
-			tb.AddRow(row...)
-		}
-		b.WriteString(tb.String())
+		title := fmt.Sprintf("Stragglers — TTA with one slow rank (%s; Fig. 4 at %s; overlap=%s; ×degradation vs uniform)",
+			r.Model, netsim.FormatBandwidth(r.BandwidthBps), overlap)
+		b.WriteString(grid(title, "scheme \\ slow-rank ×", labels(r.Schemes, DisplayName), severities,
+			func(i, j int) (string, bool) {
+				c, ok := r.Cell(r.Schemes[i], overlap, r.Severities[j])
+				return flagMissed(fmt.Sprintf("%s (%.3f×)", metrics.FormatSeconds(c.TTASeconds), c.Degradation), c.Reached), ok
+			}))
 		b.WriteString("\n")
 	}
 	for _, overlap := range r.Overlaps {

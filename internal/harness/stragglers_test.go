@@ -50,8 +50,7 @@ func TestStragglerRecostReproducesTraining(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			topo := netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: stragglerBandwidth})
-			cum := recostCum(res, &cfg, netsim.NewFabric(topo))
+			cum := recording{cfg, res}.price(point{})
 			if got := cum[len(cum)-1]; got != res.SimSeconds {
 				t.Fatalf("re-costed end time %v != recorded SimSeconds %v (Δ %g)",
 					got, res.SimSeconds, got-res.SimSeconds)
@@ -86,12 +85,12 @@ func TestStragglerRecostCrossProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	uniform, err := testEngine.Run(trainJob("straggler-cross", w, "pactrain-ternary", opt))
+	uniform, err := testEngine.Run(trainJobs("straggler-cross", w, opt, "pactrain-ternary")[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo := netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: stragglerBandwidth})
-	cum := recostCum(uniform, &straggler, netsim.NewFabric(topo))
+	// The uniform log under the straggler config, on its Fig. 4 fabric.
+	cum := recording{straggler, uniform}.price(point{})
 	if got := cum[len(cum)-1]; got != trained.SimSeconds {
 		t.Fatalf("uniform log re-costed under straggler profile = %v, straggler training recorded %v (Δ %g)",
 			got, trained.SimSeconds, got-trained.SimSeconds)

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"pactrain/internal/compress"
-	"pactrain/internal/harness/engine"
 	"pactrain/internal/metrics"
 	"pactrain/internal/netsim"
 )
@@ -65,7 +64,6 @@ func allReduceCompatible(scheme string) bool {
 // bandwidth-constrained link (500 Mbps, the middle of Fig. 3's range).
 func RunTable1(opt Options) (*Table1Result, error) {
 	opt.defaults()
-	eng := opt.engine()
 	w := PaperWorkloads()[0] // VGG19, the reference workload
 	if opt.Quick {
 		w = QuickWorkloads()[0]
@@ -75,29 +73,25 @@ func RunTable1(opt Options) (*Table1Result, error) {
 	opt.logf("Table 1: method properties on %s @ %s", w.Model, netsim.FormatBandwidth(bw))
 
 	// Job 0 is the lossless baseline; the rest follow Table1Schemes order.
-	jobs := []engine.Job{trainJob("table1", w, "all-reduce", opt)}
-	for _, scheme := range Table1Schemes() {
-		jobs = append(jobs, trainJob("table1", w, scheme, opt))
-	}
-	results, err := eng.RunAll(jobs)
+	jobs := trainJobs("table1", w, opt, append([]string{"all-reduce"}, Table1Schemes()...)...)
+	recs, err := opt.train("table1", jobs)
 	if err != nil {
-		return nil, fmt.Errorf("table1: %w", err)
+		return nil, err
 	}
-	opt.traceRuns(jobs, results)
 	opt.traceRecost("table1", map[string]any{"bandwidth": netsim.FormatBandwidth(bw), "runs": len(jobs)})
 
-	baseRes, baseCfg := results[0], jobs[0].Config
+	at := fig4At(bw)
+	baseRes := recs[0].res
 	baseIters, baseReached := baseRes.Curve.IterTo(w.TargetAcc)
-	baseTTA, _ := recostTTA(baseRes, &baseCfg, bw, w.TargetAcc)
+	baseTTA, _ := recs[0].tta(at, w.TargetAcc)
 	if !baseReached {
 		opt.logf("  warning: baseline did not reach target %.2f; verdicts use end-of-run state", w.TargetAcc)
 		baseIters = baseRes.Iterations
 	}
 
 	for si, scheme := range Table1Schemes() {
-		res, cfg := results[si+1], jobs[si+1].Config
-		iters, reached := res.Curve.IterTo(w.TargetAcc)
-		tta, ttaReached := recostTTA(res, &cfg, bw, w.TargetAcc)
+		iters, reached := recs[si+1].res.Curve.IterTo(w.TargetAcc)
+		tta, ttaReached := recs[si+1].tta(at, w.TargetAcc)
 		row := Table1Row{
 			Scheme:              scheme,
 			AllReduceCompatible: allReduceCompatible(scheme),

@@ -7,7 +7,6 @@ import (
 	"pactrain/internal/audit"
 	"pactrain/internal/collective"
 	"pactrain/internal/core"
-	"pactrain/internal/harness/engine"
 	"pactrain/internal/netsim"
 	"pactrain/internal/obs"
 	"pactrain/internal/simclock"
@@ -56,20 +55,6 @@ func traceRunOn(tr *obs.Tracer, label, dedupKey string, cfg core.Config, res *co
 		run:    run,
 		quoter: newDecisionQuoter(&cfg, fabric, hosts, res.CommLog.BucketElems),
 	})
-}
-
-// traceRuns traces every job of a completed grid, deduplicated by config
-// fingerprint so a run shared between experiments (or repeated within one)
-// is traced once, under its first label — deterministic because
-// experiments run their grids in submission order.
-func (o *Options) traceRuns(jobs []engine.Job, results []*core.Result) {
-	for i, job := range jobs {
-		if i < len(results) {
-			if err := TraceRun(o.Tracer, job.Label, job.Config, results[i]); err != nil {
-				o.logf("%v", err)
-			}
-		}
-	}
 }
 
 // traceRecost drops a harness-level instant marking a re-costing pass (the

@@ -46,7 +46,7 @@ func TestTraceRunEndMatchesSimSeconds(t *testing.T) {
 	opt := quickOpts()
 	opt.defaults()
 	w := QuickWorkloads()[0]
-	job := trainJob("trace-test", w, "pactrain-ternary", opt)
+	job := trainJobs("trace-test", w, opt, "pactrain-ternary")[0]
 	res, err := testEngine.Run(job)
 	if err != nil {
 		t.Fatal(err)

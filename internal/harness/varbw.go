@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"pactrain/internal/harness/engine"
 	"pactrain/internal/metrics"
 	"pactrain/internal/netsim"
 )
@@ -41,46 +40,28 @@ type VarBWResult struct {
 // (TestRecostReproducesTrainingWithTraces).
 func RunAblationVarBW(opt Options) (*VarBWResult, error) {
 	opt.defaults()
-	eng := opt.engine()
 	w := opt.workloads()[0]
 	out := &VarBWResult{Model: w.Model, DipScale: 0.1}
 	opt.logf("Ablation: variable-constrained bandwidth on %s", w.Model)
 
-	// Size the oscillation period from an untraced baseline run. The probe
-	// is the plain all-reduce job, so any experiment sharing the engine has
-	// already paid for it.
-	probe, err := eng.Run(trainJob("ablation-varbw probe", w, "all-reduce", opt))
+	schemes := []string{"all-reduce", "fp16", "pactrain-ternary"}
+	recs, err := opt.train("ablation-varbw", trainJobs("ablation-varbw", w, opt, schemes...))
 	if err != nil {
-		return nil, fmt.Errorf("varbw probe: %w", err)
+		return nil, err
 	}
-	period := probe.SimSeconds / 6
+	// Size the oscillation period from the untraced all-reduce baseline.
+	period := recs[0].res.SimSeconds / 6
 	if period <= 0 {
 		period = 1
 	}
 	out.PeriodSec = period
-
-	schemes := []string{"all-reduce", "fp16", "pactrain-ternary"}
-	var jobs []engine.Job
-	for _, scheme := range schemes {
-		jobs = append(jobs, trainJob("ablation-varbw", w, scheme, opt))
-	}
-	results, err := eng.RunAll(jobs)
-	if err != nil {
-		return nil, fmt.Errorf("varbw: %w", err)
-	}
-	opt.traceRuns(jobs, results)
 	opt.traceRecost("ablation-varbw", map[string]any{"period_sec": period})
 	for si, scheme := range schemes {
-		res, cfg := results[si], jobs[si].Config
-		topo := netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: cfg.BottleneckBps})
-		fabric := netsim.NewFabric(topo)
-		for _, tr := range oscillatingTraces(topo, period, out.DipScale) {
-			fabric.SetTrace(tr)
-		}
-		cum := recostCum(res, &cfg, fabric)
-		tta, reached := ttaFromCum(res, cum, w.TargetAcc)
+		topo := netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: recs[si].cfg.BottleneckBps})
+		at := point{topo: topo, traces: oscillatingTraces(topo, period, out.DipScale)}
+		tta, reached := recs[si].tta(at, w.TargetAcc)
 		out.Rows = append(out.Rows, VarBWRow{
-			Scheme: scheme, TTASeconds: tta, Reached: reached, FinalAcc: res.FinalAcc,
+			Scheme: scheme, TTASeconds: tta, Reached: reached, FinalAcc: recs[si].res.FinalAcc,
 		})
 	}
 	return out, nil

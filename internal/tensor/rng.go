@@ -75,18 +75,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Fork returns a new RNG whose stream is decorrelated from r but fully
-// determined by r's current state and the given label. Workers use Fork to
-// derive per-rank streams from a shared experiment seed.
-func (r *RNG) Fork(label uint64) *RNG {
-	// Mix the label through one splitmix64 round of a copied state so the
-	// parent stream is not advanced.
-	z := r.state + 0x9e3779b97f4a7c15*(label+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return &RNG{state: z ^ (z >> 31)}
-}
-
 // Randn fills a new tensor of the given shape with N(0, std²) samples.
 func Randn(r *RNG, std float64, shape ...int) *Tensor {
 	t := New(shape...)

@@ -225,15 +225,6 @@ func SubInto(dst, a, b *Tensor) {
 	}
 }
 
-// MulInto computes dst = a ⊙ b elementwise.
-func MulInto(dst, a, b *Tensor) {
-	checkSameLen3(dst, a, b)
-	d, x, y := dst.data, a.data, b.data
-	for i := range d {
-		d[i] = x[i] * y[i]
-	}
-}
-
 // Add returns a + b as a new tensor shaped like a.
 func Add(a, b *Tensor) *Tensor {
 	out := New(a.shape...)
@@ -245,13 +236,6 @@ func Add(a, b *Tensor) *Tensor {
 func Sub(a, b *Tensor) *Tensor {
 	out := New(a.shape...)
 	SubInto(out, a, b)
-	return out
-}
-
-// Mul returns a ⊙ b as a new tensor shaped like a.
-func Mul(a, b *Tensor) *Tensor {
-	out := New(a.shape...)
-	MulInto(out, a, b)
 	return out
 }
 

@@ -109,10 +109,6 @@ func TestElementwiseOps(t *testing.T) {
 	if diff.Data()[1] != 3 {
 		t.Fatalf("Sub wrong: %v", diff.Data())
 	}
-	prod := Mul(a, b)
-	if prod.Data()[2] != 18 {
-		t.Fatalf("Mul wrong: %v", prod.Data())
-	}
 	AxpyInto(a, 2, b)
 	if a.Data()[0] != 9 {
 		t.Fatalf("Axpy wrong: %v", a.Data())
@@ -343,20 +339,6 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds should give different streams")
-	}
-}
-
-func TestRNGForkDecorrelated(t *testing.T) {
-	r := NewRNG(9)
-	f1 := r.Fork(1)
-	f2 := r.Fork(2)
-	if f1.Uint64() == f2.Uint64() {
-		t.Fatal("forked streams should differ")
-	}
-	// Forking must not advance the parent.
-	r2 := NewRNG(9)
-	if r.Uint64() != r2.Uint64() {
-		t.Fatal("Fork must not advance parent stream")
 	}
 }
 
