@@ -18,6 +18,7 @@ import (
 	"pactrain/internal/harness"
 	"pactrain/internal/netsim"
 	"pactrain/internal/nn"
+	"pactrain/internal/par"
 	"pactrain/internal/tensor"
 )
 
@@ -239,6 +240,30 @@ func BenchmarkConvForward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		layer.Forward(x, true)
+	}
+}
+
+// BenchmarkConvBackward measures Conv2D's backward pass (weight and input
+// gradients) at the ResNet18 twin's shapes: a 10→10 3×3 conv and the 10→20
+// stride-2 conv that opens its second stage, batch 8 of 16×16 inputs, on one
+// core.
+func BenchmarkConvBackward(b *testing.B) {
+	defer par.SetBudget(par.Budget())
+	par.SetBudget(1)
+	for _, c := range []struct {
+		name           string
+		out, k, stride int
+	}{{"10to10-3x3", 10, 3, 1}, {"10to20-3x3-stride2", 20, 3, 2}} {
+		b.Run(c.name, func(b *testing.B) {
+			r := tensor.NewRNG(1)
+			layer := nn.NewConv2D("conv", r, 10, c.out, c.k, c.stride, 1)
+			x := tensor.Randn(r, 1, 8, 10, 16, 16)
+			g := tensor.Randn(r, 1, layer.Forward(x, true).Shape()...)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				layer.Backward(g)
+			}
+		})
 	}
 }
 

@@ -24,6 +24,7 @@ func TestTrainingBitExactAcrossKernelBudgets(t *testing.T) {
 		{model: "", scheme: "pactrain-ternary"}, // tinyConfig default (MLP)
 		{model: "", scheme: "topk-0.1"},
 		{model: "VGG19", scheme: "pactrain-ternary", heavy: true},
+		{model: "ResNet18", scheme: "pactrain-ternary", heavy: true}, // stride-2 and 1×1 shortcut convs
 		{model: "ViT-Base-16", scheme: "pactrain-ternary", heavy: true},
 	}
 	for _, tc := range cases {

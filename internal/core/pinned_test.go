@@ -67,7 +67,8 @@ func timelineConfig(cfg Config, overlap bool, rc ddp.RankCompute) Config {
 // commit before the PacTrain and adaptive hooks were merged (PR 24's
 // parent; the topk-0.1 and dgc-0.1 rows at the commit before top-k's sampled
 // threshold was replaced; the straggler and overlap rows at the commit before
-// the trainer and Replay shared one clock walk). A moved digest is a moved
+// the trainer and Replay shared one clock walk; the conv twin rows at the
+// commit before convolution stopped lowering). A moved digest is a moved
 // report byte: never re-record one to make a change pass.
 func TestPinnedRunDigests(t *testing.T) {
 	ragged := tinyConfig("topk-0.01")
@@ -100,6 +101,10 @@ func TestPinnedRunDigests(t *testing.T) {
 		{"omnireduce", tinyConfig("omnireduce"), "15035b341b5460f392b9a74977b23760"},
 		{"ps", tinyConfig("ps"), "7d4d3f2f0da16a25cfe9a1ec84d381ff"},
 		{"fp16", tinyConfig("fp16"), "8b125556dd26327d0a28f573186e177b"},
+		// The conv twins, dense and pruned epochs, recorded while Conv2D still
+		// lowered through im2col and col2im.
+		{"ResNet18", tinyTwinConfig("ResNet18"), "02653eb93275741856206c1b832d7a06"},
+		{"VGG19", tinyTwinConfig("VGG19"), "c5993af4d1b1c7adb665e343c9fa90aa"},
 	}
 	for _, p := range pinned {
 		t.Run(p.name, func(t *testing.T) {

@@ -1,31 +1,21 @@
 package nn
 
-import (
-	"pactrain/internal/par"
-	"pactrain/internal/tensor"
-)
+import "pactrain/internal/tensor"
 
-// Conv2D is a 2-D convolution over (N, C, H, W) inputs using im2col
-// lowering. Weights are stored as a (outC, inC*kh*kw) matrix; bias is per
-// output channel.
+// Conv2D is a 2-D convolution over (N, C, H, W) inputs, computed directly
+// from a zero-padded copy of the input (tensor.Conv). Weights are stored as an
+// (outC, inC*kh*kw) matrix; bias is per output channel.
 type Conv2D struct {
 	Weight *Parameter
 	Bias   *Parameter
 
-	InC, OutC      int
-	KH, KW         int
-	Stride, Pad    int
-	lastCols       *tensor.Tensor
-	lastInputShape []int
+	InC, OutC   int
+	KH, KW      int
+	Stride, Pad int
+	conv        *tensor.Conv // the last input's geometry and padded copy
 
-	// Scratch reused across steps.
-	outMat *tensor.Tensor
-	out    *tensor.Tensor
-	gm     *tensor.Tensor
-	dW     *tensor.Tensor
-	dcols  *tensor.Tensor
-	dx     *tensor.Tensor
-	noDx   bool // Backward skips dcols and col2im (see inputGradDropper)
+	out, dW, dx *tensor.Tensor // scratch reused across steps
+	noDx        bool           // Backward skips the input gradient (see inputGradDropper)
 }
 
 // NewConv2D constructs a convolution layer with Kaiming initialization.
@@ -40,113 +30,39 @@ func NewConv2D(name string, r *tensor.RNG, inC, outC, k, stride, pad int) *Conv2
 
 // Forward implements Layer.
 func (l *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	n, _, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	outH := tensor.ConvOutSize(h, l.KH, l.Stride, l.Pad)
-	outW := tensor.ConvOutSize(w, l.KW, l.Stride, l.Pad)
-	spatial := outH * outW
-	patch := l.Weight.W.Dim(1)
-	rows := n * spatial
-	l.lastCols = ensure(l.lastCols, rows, patch)
-	tensor.Im2ColInto(l.lastCols, x, l.KH, l.KW, l.Stride, l.Pad) // (N*outH*outW, inC*kh*kw)
-	l.lastInputShape = append(l.lastInputShape[:0], x.Shape()...)
-
-	// out = cols × Wᵀ : (rows, outC)
-	l.outMat = ensure(l.outMat, rows, l.OutC)
-	tensor.MatMulTransBInto(l.outMat, l.lastCols, l.Weight.W)
-
-	// Add bias and permute (N*outH*outW, outC) → (N, outC, outH, outW).
-	// Images are disjoint, so the permute chunks over them bit-exactly.
-	l.out = ensure(l.out, n, l.OutC, outH, outW)
-	od, md, bd := l.out.Data(), l.outMat.Data(), l.Bias.W.Data()
-	work := rows * l.OutC
-	if par.PlanChunks(n, work) == 1 {
-		convPermuteForward(od, md, bd, l.OutC, spatial, 0, n)
-	} else {
-		outC := l.OutC
-		par.ForChunksWork(n, work, func(_, lo, hi int) {
-			convPermuteForward(od, md, bd, outC, spatial, lo, hi)
-		})
-	}
+	l.conv = tensor.ConvFor(l.conv, x, l.OutC, l.KH, l.KW, l.Stride, l.Pad)
+	l.out = ensure(l.out, x.Dim(0), l.OutC, l.conv.OutH, l.conv.OutW)
+	l.conv.Forward(l.out, x, l.Weight.W, l.Bias.W)
 	return l.out
-}
-
-// convPermuteForward adds the bias and permutes images [lo,hi) from
-// (rows, outC) layout to (N, outC, outH, outW).
-func convPermuteForward(od, md, bd []float32, outC, spatial, lo, hi int) {
-	for img := lo; img < hi; img++ {
-		for s := 0; s < spatial; s++ {
-			row := md[(img*spatial+s)*outC : (img*spatial+s+1)*outC]
-			for f, v := range row {
-				od[(img*outC+f)*spatial+s] = v + bd[f]
-			}
-		}
-	}
 }
 
 // Backward implements Layer.
 func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n := l.lastInputShape[0]
-	h, w := l.lastInputShape[2], l.lastInputShape[3]
-	outH := tensor.ConvOutSize(h, l.KH, l.Stride, l.Pad)
-	outW := tensor.ConvOutSize(w, l.KW, l.Stride, l.Pad)
-	spatial := outH * outW
-	rows := n * spatial
+	n, spatial := grad.Dim(0), l.conv.OutH*l.conv.OutW
 
-	// Un-permute grad (N, outC, outH, outW) → (rows, outC). Images are
-	// disjoint, so the permute chunks over them bit-exactly.
-	l.gm = ensure(l.gm, rows, l.OutC)
-	gd, gmd := grad.Data(), l.gm.Data()
-	work := rows * l.OutC
-	if par.PlanChunks(n, work) == 1 {
-		convPermuteBackward(gmd, gd, l.OutC, spatial, 0, n)
-	} else {
-		outC := l.OutC
-		par.ForChunksWork(n, work, func(_, lo, hi int) {
-			convPermuteBackward(gmd, gd, outC, spatial, lo, hi)
-		})
-	}
-
-	// Bias gradient: column sums of gm, kept serial so each channel's terms
-	// accumulate in the scalar row order.
-	bg := l.Bias.Grad.Data()
-	for r := 0; r < rows; r++ {
-		row := gmd[r*l.OutC : (r+1)*l.OutC]
-		for f, v := range row {
-			bg[f] += v
-		}
-	}
-
-	// Weight gradient: dW = gmᵀ × cols → (outC, inC*kh*kw).
-	patch := l.Weight.W.Dim(1)
-	l.dW = ensure(l.dW, l.OutC, patch)
-	tensor.MatMulTransAInto(l.dW, l.gm, l.lastCols)
-	tensor.AxpyInto(l.Weight.Grad, 1, l.dW)
-
-	if l.noDx {
-		return nil
-	}
-	// Input gradient: dcols = gm × W → (rows, patch); then col2im.
-	l.dcols = ensure(l.dcols, rows, patch)
-	tensor.MatMulInto(l.dcols, l.gm, l.Weight.W)
-	l.dx = ensure(l.dx, n, l.InC, h, w)
-	tensor.Col2ImInto(l.dx, l.dcols, l.KH, l.KW, l.Stride, l.Pad)
-	return l.dx
-}
-
-func (l *Conv2D) dropInputGrad() bool { l.noDx = true; return false }
-
-// convPermuteBackward un-permutes images [lo,hi) of the gradient from
-// (N, outC, outH, outW) layout to (rows, outC).
-func convPermuteBackward(gmd, gd []float32, outC, spatial, lo, hi int) {
-	for img := lo; img < hi; img++ {
-		for f := 0; f < outC; f++ {
-			src := gd[(img*outC+f)*spatial : (img*outC+f+1)*spatial]
-			for s, v := range src {
-				gmd[(img*spatial+s)*outC+f] = v
+	// Bias gradient: each channel's sum in ascending (image, position) order.
+	bg, gd := l.Bias.Grad.Data(), grad.Data()
+	for img := 0; img < n; img++ {
+		planes := gd[img*l.OutC*spatial : (img+1)*l.OutC*spatial]
+		for s := 0; s < spatial; s++ {
+			for f := range bg {
+				bg[f] += planes[f*spatial+s]
 			}
 		}
 	}
+
+	l.dW = ensure(l.dW, l.OutC, l.Weight.W.Dim(1))
+	var dx *tensor.Tensor
+	if !l.noDx {
+		l.dx = ensure(l.dx, n, l.InC, l.conv.H, l.conv.W)
+		dx = l.dx
+	}
+	l.conv.Backward(l.dW, dx, grad, l.Weight.W)
+	tensor.AxpyInto(l.Weight.Grad, 1, l.dW)
+	return dx
 }
+
+func (l *Conv2D) dropInputGrad() bool { l.noDx = true; return false }
 
 // Params implements Layer.
 func (l *Conv2D) Params() []*Parameter { return []*Parameter{l.Weight, l.Bias} }

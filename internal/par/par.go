@@ -158,8 +158,8 @@ func ForChunks(n int, fn func(chunk, lo, hi int)) int {
 
 // ForChunksWork is ForChunks with an explicit scalar-work estimate for the
 // inline/chunk-count decision, for loops whose items are coarser than one
-// element: matmul output rows (k·n flops each), im2col receptive-field rows,
-// image planes, attention samples. n still bounds the chunk count; work
+// element: matmul output rows (k·n flops each), convolution planes and term
+// blocks, attention samples. n still bounds the chunk count; work
 // only gates dispatch and granularity.
 func ForChunksWork(n, work int, fn func(chunk, lo, hi int)) int {
 	return dispatch(n, chunksFor(n, work), fn)

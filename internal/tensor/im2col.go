@@ -1,14 +1,10 @@
 package tensor
 
-import (
-	"fmt"
-
-	"pactrain/internal/par"
-)
+import "fmt"
 
 // Im2Col lowers a batched image tensor into a matrix so that convolution
-// becomes a single matrix multiplication, the standard approach used by
-// CPU/GPU deep-learning kernels.
+// becomes a single matrix multiplication. PatchEmbed lowers its patches with
+// it; Conv2D computes directly (Conv) and the lowering is its test oracle.
 //
 // Input x has shape (N, C, H, W). The result has shape
 // (N*outH*outW, C*kh*kw): each row is the receptive field of one output
@@ -24,11 +20,8 @@ func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 }
 
 // Im2ColInto is Im2Col writing into a caller-owned (N*outH*outW, C*kh*kw)
-// matrix, so conv layers can reuse the (large) column buffer across steps.
-// dst is fully overwritten; padding positions are re-zeroed.
-//
-// Each output row is an independent gather from x, so the kernel chunks rows
-// over the par budget with bit-identical results at any budget.
+// matrix, which PatchEmbed reuses across steps. dst is fully overwritten;
+// padding positions are re-zeroed.
 func Im2ColInto(dst, x *Tensor, kh, kw, stride, pad int) {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	outH := (h+2*pad-kh)/stride + 1
@@ -38,24 +31,11 @@ func Im2ColInto(dst, x *Tensor, kh, kw, stride, pad int) {
 		panic(fmt.Sprintf("tensor: Im2ColInto dst%v, want [%d %d] for x%v k=%dx%d stride=%d pad=%d",
 			dst.shape, rows, rowLen, x.shape, kh, kw, stride, pad))
 	}
-	if par.PlanChunks(rows, rows*rowLen) == 1 {
-		im2colRows(dst.data, x.data, c, h, w, outH, outW, kh, kw, stride, pad, 0, rows)
-		return
-	}
+	// An interior receptive field — one that touches no padding — is kh
+	// contiguous kw-runs per channel, copied with no zero fill and no
+	// per-element tests; a field that touches padding zeroes its row first.
 	cd, xd := dst.data, x.data
-	par.ForChunksWork(rows, rows*rowLen, func(_, lo, hi int) {
-		im2colRows(cd, xd, c, h, w, outH, outW, kh, kw, stride, pad, lo, hi)
-	})
-}
-
-// im2colRows fills column-matrix rows [lo,hi). An interior receptive field —
-// one that touches no padding — is kh contiguous kw-runs per channel, copied
-// with no zero fill and no per-element tests; a field that touches padding
-// zeroes its row first so padding positions read zero even when the buffer is
-// reused.
-func im2colRows(cd, xd []float32, c, h, w, outH, outW, kh, kw, stride, pad, lo, hi int) {
-	rowLen := c * kh * kw
-	for r := lo; r < hi; r++ {
+	for r := 0; r < rows; r++ {
 		row := r * rowLen
 		ox := r % outW
 		oy := (r / outW) % outH
@@ -65,16 +45,6 @@ func im2colRows(cd, xd []float32, c, h, w, outH, outW, kh, kw, stride, pad, lo, 
 		ix0 := ox*stride - pad
 		if iy0 >= 0 && ix0 >= 0 && iy0+kh <= h && ix0+kw <= w {
 			d := cd[row : row+rowLen]
-			if kh == 3 && kw == 3 { // the kernel of every conv twin: nine straight copies
-				for ch := 0; ch < c; ch++ {
-					s := xd[base+ch*h*w+iy0*w+ix0:][:2*w+3]
-					t := d[ch*9:][:9]
-					t[0], t[1], t[2] = s[0], s[1], s[2]
-					t[3], t[4], t[5] = s[w], s[w+1], s[w+2]
-					t[6], t[7], t[8] = s[2*w], s[2*w+1], s[2*w+2]
-				}
-				continue
-			}
 			for ch := 0; ch < c; ch++ {
 				src := base + ch*h*w + iy0*w + ix0
 				for ky := 0; ky < kh; ky++ {
@@ -113,21 +83,18 @@ func im2colRows(cd, xd []float32, c, h, w, outH, outW, kh, kw, stride, pad, lo, 
 // Col2Im is the adjoint of Im2Col: it scatters (accumulates) a column matrix
 // of shape (N*outH*outW, C*kh*kw) back into an image tensor of shape
 // (N, C, H, W). Overlapping receptive fields sum, which is exactly the
-// gradient of Im2Col, so Conv2D backward can reuse it directly.
+// gradient of Im2Col.
 func Col2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
 	img := New(n, c, h, w)
 	Col2ImInto(img, cols, kh, kw, stride, pad)
 	return img
 }
 
-// Col2ImInto is Col2Im writing into a caller-owned (N, C, H, W) tensor,
-// which is fully overwritten.
-//
-// The kernel chunks over (image, channel) planes: every destination pixel
-// lives in exactly one plane, and its overlapping contributions are added in
-// ascending (oy, ox, ky, kx) order from +0 — the float addition sequence of a
-// scalar scatter into a zeroed plane — so results are bit-identical at any
-// par budget.
+// Col2ImInto is Col2Im writing into a caller-owned (N, C, H, W) tensor, which
+// is fully overwritten: a serial scatter into the zeroed tensor, so every
+// pixel sums its contributions from +0 in ascending (oy, ox, ky, kx) order.
+// PatchEmbed's input gradient is its one caller, and no training computes
+// that gradient (a model's first layer skips it).
 func Col2ImInto(dst, cols *Tensor, kh, kw, stride, pad int) {
 	n, c, h, w := dst.shape[0], dst.shape[1], dst.shape[2], dst.shape[3]
 	outH := (h+2*pad-kh)/stride + 1
@@ -137,50 +104,15 @@ func Col2ImInto(dst, cols *Tensor, kh, kw, stride, pad int) {
 		panic(fmt.Sprintf("tensor: Col2ImInto cols%v, want [%d %d] for dst%v k=%dx%d stride=%d pad=%d",
 			cols.shape, rows, rowLen, dst.shape, kh, kw, stride, pad))
 	}
-	planes := n * c
-	work := rows * rowLen
-	if par.PlanChunks(planes, work) == 1 {
-		col2imPlanes(dst.data, cols.data, c, h, w, outH, outW, kh, kw, stride, pad, 0, planes)
-		return
-	}
-	xd, cd := dst.data, cols.data
-	par.ForChunksWork(planes, work, func(_, lo, hi int) {
-		col2imPlanes(xd, cd, c, h, w, outH, outW, kh, kw, stride, pad, lo, hi)
-	})
-}
-
-// col2imPlanes sums column-matrix contributions into (image, channel) planes
-// [lo,hi) of the output. It gathers: every pixel adds its own terms from +0
-// in ascending (oy, ox) order — which fixes (ky, kx) — so the additions are
-// the scatter's, with no plane zeroing, no padding tests and no
-// read-modify-write chain through memory. Channels are the inner loop so a
-// column row is read whole while it is in cache.
-func col2imPlanes(xd, cd []float32, c, h, w, outH, outW, kh, kw, stride, pad, lo, hi int) {
-	rowLen := c * kh * kw
-	for plane := lo; plane < hi; {
-		im, chLo := plane/c, plane%c
-		chHi := min(c, chLo+hi-plane)
-		for iy := 0; iy < h; iy++ {
-			// Output rows whose window covers input row iy: 0 <= iy+pad-oy·stride < kh.
-			oyLo := max(0, (iy+pad-kh+stride)/stride)
-			oyHi := min(outH-1, (iy+pad)/stride)
-			for ix := 0; ix < w; ix++ {
-				oxLo := max(0, (ix+pad-kw+stride)/stride)
-				oxHi := min(outW-1, (ix+pad)/stride)
-				for ch := chLo; ch < chHi; ch++ {
-					var s float32
-					for oy := oyLo; oy <= oyHi; oy++ {
-						ky := iy + pad - oy*stride
-						col := (im*outH+oy)*outW*rowLen + (ch*kh+ky)*kw + ix + pad
-						for ox := oxLo; ox <= oxHi; ox++ {
-							s += cd[col+ox*(rowLen-stride)] // kx = ix+pad-ox·stride
-						}
-					}
-					xd[((im*c+ch)*h+iy)*w+ix] = s
-				}
+	clear(dst.data)
+	for r := 0; r < rows; r++ {
+		img, oy, ox := r/(outH*outW), r/outW%outH, r%outW
+		for p, v := range cols.data[r*rowLen : (r+1)*rowLen] {
+			iy, ix := oy*stride-pad+p/kw%kh, ox*stride-pad+p%kw
+			if iy >= 0 && iy < h && ix >= 0 && ix < w {
+				dst.data[((img*c+p/(kh*kw))*h+iy)*w+ix] += v
 			}
 		}
-		plane += chHi - chLo
 	}
 }
 

@@ -11,6 +11,9 @@ var (
 	scale    = scaleGo    // x[j] *= alpha
 	maxAbs   = maxAbsGo   // max |x[j]| from +0, a NaN never the larger
 	momentum = momentumGo // g[j] += wd·w[j] unless wd is 0; v[j] = mom·v[j] + g[j]; w[j] -= lr·v[j]
+
+	convRow    = convRowGo    // the direct convolution's forward and input-gradient lanes
+	convWeight = convWeightGo // its weight-gradient lanes
 )
 
 func axpyGo(a float32, x, y []float32) {
@@ -67,6 +70,44 @@ func mulRow(c, a []float32, astride int, b []float32, bstride, k int, skip bool)
 		}
 		for j, bv := range b[p*bstride : p*bstride+len(c)] {
 			c[j] += float32(av * bv)
+		}
+	}
+}
+
+// convRowGo: c[j] = Σ_p a[p·astride]·b[off[p]+j] over p < len(off) ≥ 1, from
+// +0 in ascending p, one multiply and one add per term; with mask a term whose
+// b is ±0 adds +0 (as skipping it would: a sum from +0 is never −0); with acc
+// the sum is then added to c[j]. len(c) is a multiple of 8.
+func convRowGo(c, a []float32, astride int, b []float32, off []int32, mask, acc bool) {
+	for j := range c {
+		var t float32
+		for p, o := range off {
+			if v := b[int(o)+j]; !mask || v != 0 {
+				t += float32(a[p*astride] * v)
+			}
+		}
+		if acc {
+			t = c[j] + t
+		}
+		c[j] = t
+	}
+}
+
+// convWeightGo: c[i·cs+j] += Σ x[off[i]+oy·wq+ox]·g[(oy·ow+ox)·gs+j] for i, j
+// < 8, over ascending oy < oh, ox < ow; a term whose g is ±0 adds +0 to these
+// sums from +0. The lanes feed eight sums from one load of g.
+func convWeightGo(c []float32, cs int, x []float32, off []int32, g []float32, gs, oh, ow, wq int) {
+	for i, o := range off[:8] {
+		for j := range 8 {
+			s := c[i*cs+j]
+			for oy := range oh {
+				for ox := range ow {
+					if gv := g[(oy*ow+ox)*gs+j]; gv != 0 {
+						s += float32(x[int(o)+oy*wq+ox] * gv)
+					}
+				}
+			}
+			c[i*cs+j] = s
 		}
 	}
 }

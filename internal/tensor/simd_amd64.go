@@ -4,7 +4,8 @@ package tensor
 var useAVX2 = cpuHasAVX2()
 
 // The elementwise assembly takes whole registers (four at a time in maxAbs);
-// the Go loops finish the few elements left.
+// the Go loops finish the few elements left. The conv kernels' callers pass
+// whole registers.
 func init() {
 	if !useAVX2 {
 		return
@@ -28,6 +29,7 @@ func init() {
 		momentumAVX2(w[:n], g[:n], v[:n], lr, mom, wd)
 		momentumGo(w[n:], g[n:], v[n:], lr, mom, wd)
 	}
+	convRow, convWeight = convRowAVX2, convWeightAVX2
 }
 
 func cpuHasAVX2() bool
@@ -37,6 +39,12 @@ func rowAVX2(c, a []float32, astride int, b []float32, bstride, k int, skip bool
 
 //go:noescape
 func tile4AVX2(c []float32, cstride int, a []float32, arow int, b []float32, bstride, k int)
+
+//go:noescape
+func convRowAVX2(c, a []float32, astride int, b []float32, off []int32, mask, acc bool)
+
+//go:noescape
+func convWeightAVX2(c []float32, cs int, x []float32, off []int32, g []float32, gs, oh, ow, wq int)
 
 //go:noescape
 func axpyAVX2(a float32, x, y []float32)

@@ -349,3 +349,288 @@ mom8v:
 momDone:
 	VZEROUPPER
 	RET
+
+// The direct convolution's kernels (conv.go; Go loops convRowGo and
+// convWeightGo in simd.go). They keep the matmuls' operand order — the weight
+// (forward, input gradient) or the input (weight gradient) is the first
+// factor, the running sum the first addend — and leave a masked term as a +0
+// product, so each element rounds as the lowering rounds it.
+
+// CTERM points R10 at the next term's b (b + off[p]·4) and broadcasts its a.
+#define CTERM \
+	MOVLQSX (R15), R10 \
+	LEAQ    (BX)(R10*4), R10 \
+	VBROADCASTSS (R14), Y15
+
+// CNEXT steps to the next term and loops while terms are left.
+#define CNEXT(label) \
+	ADDQ $4, R15 \
+	ADDQ R12, R14 \
+	DECQ R11 \
+	JNE  label
+
+// CMAC adds a·b[off/4 … off/4+8) to eight sums.
+#define CMAC(off, tmp, acc) \
+	VMULPS off(R10), Y15, tmp \
+	VADDPS tmp, acc, acc
+
+// CMMAC is CMAC with a +0 product in every lane whose b is ±0.
+#define CMMAC(off, tmp, m, acc) \
+	VMOVUPS off(R10), tmp \
+	VCMPPS  $4, Y14, tmp, m \
+	VMULPS  tmp, Y15, tmp \
+	VANDPS  m, tmp, tmp \
+	VADDPS  tmp, acc, acc
+
+// CACC turns eight sums into c[off/4 … off/4+8) plus the sums.
+#define CACC(off, tmp, acc) \
+	VMOVUPS off(DI), tmp \
+	VADDPS  acc, tmp, acc
+
+// CSTART points the term walk at the first term.
+#define CSTART \
+	MOVQ SI, R14 \
+	MOVQ R8, R15 \
+	MOVQ R9, R11
+
+// func convRowAVX2(c, a []float32, astride int, b []float32, off []int32, mask, acc bool)
+// c[j] = Σ_p a[p·astride]·b[off[p]+j] for j < len(c) and p < len(off), p
+// ascending from +0 in every lane; with mask a lane whose b is ±0 adds +0; with
+// acc the sums are added to c. len(c) is a multiple of 8 and len(off) ≥ 1.
+// Columns go 64, 32 and then 8 at a time, each tile's sums in registers for the
+// whole term loop.
+TEXT ·convRowAVX2(SB), NOSPLIT, $0-106
+	MOVQ c_base+0(FP), DI
+	MOVQ c_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ astride+48(FP), R12
+	MOVQ b_base+56(FP), BX
+	MOVQ off_base+80(FP), R8
+	MOVQ off_len+88(FP), R9
+	MOVBLZX mask+104(FP), R13
+	MOVBLZX acc+105(FP), DX
+	SHLQ $2, R12
+	VXORPS Y14, Y14, Y14
+cr64:
+	CMPQ CX, $64
+	JLT  cr32
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	CSTART
+	TESTQ R13, R13
+	JNE   cr64m
+cr64p:
+	CTERM
+	CMAC(0, Y8, Y0)
+	CMAC(32, Y9, Y1)
+	CMAC(64, Y10, Y2)
+	CMAC(96, Y11, Y3)
+	CMAC(128, Y8, Y4)
+	CMAC(160, Y9, Y5)
+	CMAC(192, Y10, Y6)
+	CMAC(224, Y11, Y7)
+	CNEXT(cr64p)
+	JMP cr64store
+cr64m:
+	CTERM
+	CMMAC(0, Y8, Y9, Y0)
+	CMMAC(32, Y10, Y11, Y1)
+	CMMAC(64, Y12, Y13, Y2)
+	CMMAC(96, Y8, Y9, Y3)
+	CMMAC(128, Y10, Y11, Y4)
+	CMMAC(160, Y12, Y13, Y5)
+	CMMAC(192, Y8, Y9, Y6)
+	CMMAC(224, Y10, Y11, Y7)
+	CNEXT(cr64m)
+cr64store:
+	TESTQ DX, DX
+	JEQ   cr64put
+	CACC(0, Y8, Y0)
+	CACC(32, Y9, Y1)
+	CACC(64, Y10, Y2)
+	CACC(96, Y11, Y3)
+	CACC(128, Y8, Y4)
+	CACC(160, Y9, Y5)
+	CACC(192, Y10, Y6)
+	CACC(224, Y11, Y7)
+cr64put:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	ADDQ $256, DI
+	ADDQ $256, BX
+	SUBQ $64, CX
+	JMP  cr64
+cr32:
+	CMPQ CX, $32
+	JLT  cr8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	CSTART
+	TESTQ R13, R13
+	JNE   cr32m
+cr32p:
+	CTERM
+	CMAC(0, Y8, Y0)
+	CMAC(32, Y9, Y1)
+	CMAC(64, Y10, Y2)
+	CMAC(96, Y11, Y3)
+	CNEXT(cr32p)
+	JMP cr32store
+cr32m:
+	CTERM
+	CMMAC(0, Y8, Y9, Y0)
+	CMMAC(32, Y10, Y11, Y1)
+	CMMAC(64, Y12, Y13, Y2)
+	CMMAC(96, Y8, Y9, Y3)
+	CNEXT(cr32m)
+cr32store:
+	TESTQ DX, DX
+	JEQ   cr32put
+	CACC(0, Y8, Y0)
+	CACC(32, Y9, Y1)
+	CACC(64, Y10, Y2)
+	CACC(96, Y11, Y3)
+cr32put:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, BX
+	SUBQ $32, CX
+	JMP  cr32
+cr8:
+	CMPQ CX, $8
+	JLT  crDone
+	VXORPS Y0, Y0, Y0
+	CSTART
+	TESTQ R13, R13
+	JNE   cr8m
+cr8p:
+	CTERM
+	CMAC(0, Y8, Y0)
+	CNEXT(cr8p)
+	JMP cr8store
+cr8m:
+	CTERM
+	CMMAC(0, Y8, Y9, Y0)
+	CNEXT(cr8m)
+cr8store:
+	TESTQ DX, DX
+	JEQ   cr8put
+	CACC(0, Y8, Y0)
+cr8put:
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, BX
+	SUBQ $8, CX
+	JMP  cr8
+crDone:
+	VZEROUPPER
+	RET
+
+// CWMAC adds x[off]·g to eight sums, +0 in the lanes where g (Y8) is ±0.
+#define CWMAC(off, tmp, acc) \
+	VBROADCASTSS (SI)(off*4), tmp \
+	VMULPS  Y8, tmp, tmp \
+	VANDPS  Y9, tmp, tmp \
+	VADDPS  tmp, acc, acc
+
+// func convWeightAVX2(c []float32, cs int, x []float32, off []int32, g []float32, gs, oh, ow, wq int)
+// For i < 8 and j < 8: c[i·cs+j] += x[off[i]+oy·wq+ox]·g[(oy·ow+ox)·gs+j] over
+// oy < oh and ox < ow ascending, a lane whose g is ±0 adding +0. The 64 sums
+// stay in registers; each g load feeds eight of them.
+TEXT ·convWeightAVX2(SB), NOSPLIT, $0-136
+	MOVQ off_base+56(FP), AX
+	MOVLQSX 0(AX), R8
+	MOVLQSX 4(AX), R9
+	MOVLQSX 8(AX), R10
+	MOVLQSX 12(AX), R11
+	MOVLQSX 16(AX), R12
+	MOVLQSX 20(AX), R13
+	MOVLQSX 24(AX), R14
+	MOVLQSX 28(AX), R15
+	MOVQ c_base+0(FP), SI
+	MOVQ cs+24(FP), CX
+	SHLQ $2, CX
+	VMOVUPS (SI), Y0
+	ADDQ    CX, SI
+	VMOVUPS (SI), Y1
+	ADDQ    CX, SI
+	VMOVUPS (SI), Y2
+	ADDQ    CX, SI
+	VMOVUPS (SI), Y3
+	ADDQ    CX, SI
+	VMOVUPS (SI), Y4
+	ADDQ    CX, SI
+	VMOVUPS (SI), Y5
+	ADDQ    CX, SI
+	VMOVUPS (SI), Y6
+	ADDQ    CX, SI
+	VMOVUPS (SI), Y7
+	MOVQ x_base+32(FP), SI
+	MOVQ g_base+80(FP), DX
+	MOVQ gs+104(FP), BX
+	SHLQ $2, BX
+	MOVQ wq+128(FP), DI
+	SUBQ ow+120(FP), DI
+	SHLQ $2, DI
+	VXORPS Y10, Y10, Y10
+	MOVQ oh+112(FP), AX
+	TESTQ AX, AX
+	JEQ   cwStore
+cwRow:
+	MOVQ ow+120(FP), CX
+cwCol:
+	VMOVUPS (DX), Y8
+	VCMPPS  $4, Y10, Y8, Y9
+	CWMAC(R8, Y11, Y0)
+	CWMAC(R9, Y12, Y1)
+	CWMAC(R10, Y13, Y2)
+	CWMAC(R11, Y14, Y3)
+	CWMAC(R12, Y11, Y4)
+	CWMAC(R13, Y12, Y5)
+	CWMAC(R14, Y13, Y6)
+	CWMAC(R15, Y14, Y7)
+	ADDQ $4, SI
+	ADDQ BX, DX
+	DECQ CX
+	JNE  cwCol
+	ADDQ DI, SI
+	DECQ AX
+	JNE  cwRow
+cwStore:
+	MOVQ c_base+0(FP), DI
+	MOVQ cs+24(FP), CX
+	SHLQ $2, CX
+	VMOVUPS Y0, (DI)
+	ADDQ    CX, DI
+	VMOVUPS Y1, (DI)
+	ADDQ    CX, DI
+	VMOVUPS Y2, (DI)
+	ADDQ    CX, DI
+	VMOVUPS Y3, (DI)
+	ADDQ    CX, DI
+	VMOVUPS Y4, (DI)
+	ADDQ    CX, DI
+	VMOVUPS Y5, (DI)
+	ADDQ    CX, DI
+	VMOVUPS Y6, (DI)
+	ADDQ    CX, DI
+	VMOVUPS Y7, (DI)
+	VZEROUPPER
+	RET

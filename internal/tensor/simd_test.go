@@ -178,6 +178,41 @@ func checkRow(t *testing.T, off int, ad, bd []float32, m, k, n int) {
 	}
 }
 
+// checkConvKernels compares the direct convolution's kernels with their Go
+// loops on palette values: convRow over a grid of n lanes with and without the
+// mask and the accumulate, and convWeight over a random output window.
+func checkConvKernels(t *testing.T, r *RNG, n int) {
+	t.Helper()
+	k := 1 + r.Intn(12)
+	a, b, off := fill(r, 3*k), fill(r, n+64), make([]int32, k)
+	for i := range off {
+		off[i] = int32(r.Intn(65))
+	}
+	for _, mask := range []bool{false, true} {
+		for _, acc := range []bool{false, true} {
+			want := fill(r, n)
+			got := append([]float32(nil), want...)
+			convRowGo(want, a, 3, b, off, mask, acc)
+			convRow(got, a, 3, b, off, mask, acc)
+			sameBits(t, "convRow", got, want)
+		}
+	}
+	oh, ow := 1+r.Intn(4), 1+r.Intn(n/8+3)
+	wq, gs, cs := ow+r.Intn(3), 8*(1+r.Intn(3)), 8*(1+r.Intn(2))
+	x, g, off8 := fill(r, 64+oh*wq), fill(r, oh*ow*gs), make([]int32, 8)
+	for i := range off8 {
+		off8[i] = int32(r.Intn(65))
+	}
+	want := fill(r, 8*cs)
+	for i, v := range want {
+		want[i] = v + 0 // partial sums from +0: never −0
+	}
+	got := append([]float32(nil), want...)
+	convWeightGo(want, cs, x, off8, g, gs, oh, ow, wq)
+	convWeight(got, cs, x, off8, g, gs, oh, ow, wq)
+	sameBits(t, "convWeight", got, want)
+}
+
 // TestSIMDKernelsMatchScalar is the property behind "fast without moving one
 // bit": the AVX2 primitives equal the Go loops they replace on every length
 // and alignment, and the kernels built on them equal a naive triple loop.
@@ -214,6 +249,9 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 				}
 				checkRow(t, off, ad, bd, m, k, n)
 			}
+		}
+		for n := 8; n <= 200; n += 8 {
+			checkConvKernels(t, r, n)
 		}
 		nans := make([]float32, 70)
 		for i := range nans {

@@ -1,6 +1,6 @@
 // Package tensor implements the dense float32 tensor substrate used by the
 // PacTrain reproduction: shape/stride bookkeeping, elementwise kernels,
-// matrix multiplication, im2col-based convolution support, reductions, and a
+// matrix multiplication, direct convolution, reductions, and a
 // deterministic random number generator so every experiment is replayable
 // bit-for-bit.
 //
