@@ -68,8 +68,9 @@ func timelineConfig(cfg Config, overlap bool, rc ddp.RankCompute) Config {
 // parent; the topk-0.1 and dgc-0.1 rows at the commit before top-k's sampled
 // threshold was replaced; the straggler and overlap rows at the commit before
 // the trainer and Replay shared one clock walk; the conv twin rows at the
-// commit before convolution stopped lowering). A moved digest is a moved
-// report byte: never re-record one to make a change pass.
+// commit before convolution stopped lowering; the attention twin's row at the
+// commit before GELU, ReLU and BatchNorm ran on vector lanes). A moved digest
+// is a moved report byte: never re-record one to make a change pass.
 func TestPinnedRunDigests(t *testing.T) {
 	ragged := tinyConfig("topk-0.01")
 	ragged.Data.Samples = 300
@@ -105,6 +106,9 @@ func TestPinnedRunDigests(t *testing.T) {
 		// lowered through im2col and col2im.
 		{"ResNet18", tinyTwinConfig("ResNet18"), "02653eb93275741856206c1b832d7a06"},
 		{"VGG19", tinyTwinConfig("VGG19"), "c5993af4d1b1c7adb665e343c9fa90aa"},
+		// The attention twin, recorded while GELU still called math.Tanh per
+		// element.
+		{"ViT-Base-16", tinyTwinConfig("ViT-Base-16"), "e0a7103115a22ac16bc28b39d320ade0"},
 	}
 	for _, p := range pinned {
 		t.Run(p.name, func(t *testing.T) {

@@ -143,3 +143,38 @@ func BenchmarkSGDStep(b *testing.B) {
 		opt.Step(params)
 	}
 }
+
+// BenchmarkActivations times the activation and BatchNorm layers on one core
+// at the shapes train_job's twins give them: the ViT-Base-16 twin's MLP GELU
+// (8 images × 17 tokens × 96 features) and the ResNet18 twin's first stage
+// (8 × 10 channels × 16 × 16) for ReLU, the residual block's add-ReLU and
+// BatchNorm.
+func BenchmarkActivations(b *testing.B) {
+	defer par.SetBudget(par.Budget())
+	par.SetBudget(1)
+	r := tensor.NewRNG(1)
+	tokens := tensor.Randn(r, 1, 8*17, 96)
+	planes := tensor.Randn(r, 1, 8, 10, 16, 16)
+	grad := tensor.Randn(r, 1, 8, 10, 16, 16)
+	gelu, relu, bn := NewGELU(), NewReLU(), NewBatchNorm2D("bn", 10)
+	add := NewResidual(NewSequential(), nil) // relu(x + x)
+	relu.Forward(planes, true)
+	bn.Forward(planes, true)
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"gelu-fwd", func() { gelu.Forward(tokens, true) }},
+		{"relu-fwd", func() { relu.Forward(planes, true) }},
+		{"relu-bwd", func() { relu.Backward(grad) }},
+		{"add-relu", func() { add.Forward(planes, true) }},
+		{"bn-fwd", func() { bn.Forward(planes, true) }},
+		{"bn-bwd", func() { bn.Backward(grad) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.run()
+			}
+		})
+	}
+}

@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"math"
-
 	"pactrain/internal/par"
 	"pactrain/internal/tensor"
 )
@@ -80,11 +78,11 @@ func (l *Linear) dropInputGrad() bool { l.noDx = true; return false }
 // Params implements Layer.
 func (l *Linear) Params() []*Parameter { return []*Parameter{l.Weight, l.Bias} }
 
-// ReLU applies max(0, x) elementwise.
+// ReLU applies max(0, x) elementwise. Backward reads the layer's own output:
+// it is positive exactly where x was.
 type ReLU struct {
-	mask []bool
-	out  *tensor.Tensor
-	dx   *tensor.Tensor
+	out *tensor.Tensor
+	dx  *tensor.Tensor
 }
 
 // NewReLU returns a ReLU activation.
@@ -93,34 +91,14 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Forward implements Layer.
 func (l *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	l.out = ensure(l.out, x.Shape()...)
-	xd, d := x.Data(), l.out.Data()
-	if cap(l.mask) < len(d) {
-		l.mask = make([]bool, len(d))
-	}
-	l.mask = l.mask[:len(d)]
-	for i, v := range xd {
-		if v > 0 {
-			l.mask[i] = true
-			d[i] = v
-		} else {
-			l.mask[i] = false
-			d[i] = 0
-		}
-	}
+	tensor.ReLU(l.out.Data(), x.Data())
 	return l.out
 }
 
 // Backward implements Layer.
 func (l *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	l.dx = ensure(l.dx, grad.Shape()...)
-	gd, d := grad.Data(), l.dx.Data()
-	for i, v := range gd {
-		if l.mask[i] {
-			d[i] = v
-		} else {
-			d[i] = 0
-		}
-	}
+	tensor.ReLUGrad(l.dx.Data(), l.out.Data(), grad.Data())
 	return l.dx
 }
 
@@ -159,22 +137,17 @@ func (l *GELU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	td := l.tanh
 	if par.PlanChunks(n, n) == 1 {
-		geluForwardRange(xd, d, td, 0, n)
+		tensor.GELU(d, xd, td)
 		return l.out
 	}
-	par.For(n, func(lo, hi int) { geluForwardRange(xd, d, td, lo, hi) })
-	return l.out
-}
-
-func geluForwardRange(xd, d []float32, td []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		fv := float64(xd[i])
-		t := math.Tanh(geluC * (fv + 0.044715*fv*fv*fv))
-		d[i] = float32(0.5 * fv * (1 + t))
-		if len(td) != 0 {
-			td[i] = t
+	par.For(n, func(lo, hi int) {
+		if len(td) == 0 {
+			tensor.GELU(d[lo:hi], xd[lo:hi], nil)
+		} else {
+			tensor.GELU(d[lo:hi], xd[lo:hi], td[lo:hi])
 		}
-	}
+	})
+	return l.out
 }
 
 // Backward implements Layer; the last Forward must have been in train mode.
@@ -242,10 +215,9 @@ type Residual struct {
 	Body     Layer
 	Shortcut Layer
 
-	reluMask []bool
-	out      *tensor.Tensor
-	g        *tensor.Tensor
-	dx       *tensor.Tensor
+	out *tensor.Tensor
+	g   *tensor.Tensor
+	dx  *tensor.Tensor
 }
 
 // NewResidual builds a residual block.
@@ -261,34 +233,14 @@ func (l *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		skip = l.Shortcut.Forward(x, train)
 	}
 	l.out = ensure(l.out, main.Shape()...)
-	tensor.AddInto(l.out, main, skip)
-	d := l.out.Data()
-	if cap(l.reluMask) < len(d) {
-		l.reluMask = make([]bool, len(d))
-	}
-	l.reluMask = l.reluMask[:len(d)]
-	for i, v := range d {
-		if v > 0 {
-			l.reluMask[i] = true
-		} else {
-			l.reluMask[i] = false
-			d[i] = 0
-		}
-	}
+	tensor.AddReLU(l.out.Data(), main.Data(), skip.Data())
 	return l.out
 }
 
 // Backward implements Layer.
 func (l *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	l.g = ensure(l.g, grad.Shape()...)
-	gd, d := grad.Data(), l.g.Data()
-	for i, v := range gd {
-		if l.reluMask[i] {
-			d[i] = v
-		} else {
-			d[i] = 0
-		}
-	}
+	tensor.ReLUGrad(l.g.Data(), l.out.Data(), grad.Data())
 	dMain := l.Body.Backward(l.g)
 	dSkip := l.g
 	if l.Shortcut != nil {

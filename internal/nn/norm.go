@@ -104,11 +104,7 @@ func (l *BatchNorm2D) forwardChannels(x *tensor.Tensor, train bool, n, area, lo,
 		g, b := gd[ch], bd[ch]
 		for img := 0; img < n; img++ {
 			off := (img*c + ch) * area
-			for i := 0; i < area; i++ {
-				xh := float32((float64(xd[off+i]) - mean) * invStd)
-				hd[off+i] = xh
-				od[off+i] = g*xh + b
-			}
+			tensor.BatchNorm(hd[off:off+area], od[off:off+area], xd[off:off+area], mean, invStd, g, b)
 		}
 	}
 }
@@ -160,11 +156,7 @@ func (l *BatchNorm2D) backwardChannels(grad *tensor.Tensor, n, area, lo, hi int)
 		scale := float64(gw[ch]) * l.lastInvStd[ch] / m
 		for img := 0; img < n; img++ {
 			off := (img*c + ch) * area
-			for i := 0; i < area; i++ {
-				dy := float64(gd[off+i])
-				xh := float64(hd[off+i])
-				dd[off+i] = float32(scale * (m*dy - sumDy - xh*sumDyXhat))
-			}
+			tensor.BatchNormGrad(dd[off:off+area], gd[off:off+area], hd[off:off+area], m, sumDy, sumDyXhat, scale)
 		}
 	}
 }

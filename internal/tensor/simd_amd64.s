@@ -634,3 +634,328 @@ cwStore:
 	VMOVUPS Y7, (DI)
 	VZEROUPPER
 	RET
+
+// func cpuHasFMA() bool
+// The CPU has FMA3. With AVX (cpuHasAVX2), this is when amd64's math.Exp
+// takes its VFMADD path.
+TEXT ·cpuHasFMA(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	SHRL $12, CX // FMA
+	ANDL $1, CX
+	MOVB CX, ret+0(FP)
+	RET
+
+// The activation and BatchNorm lanes (activation.go; Go loops geluGo,
+// reluGo, addReLUGo, reluGradGo, batchNormGo and batchNormGradGo). They take
+// whole registers, as the elementwise kernels above do.
+
+// func reluAVX2(y, x []float32)
+// y[j] = x[j] > 0 ? x[j] : +0 for j < len(x) &^ 7. +0 is VMAXPS's second
+// source, the operand it returns when x is ±0, negative or NaN.
+TEXT ·reluAVX2(SB), NOSPLIT, $0-48
+	MOVQ y_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	VXORPS Y0, Y0, Y0
+relu8:
+	CMPQ CX, $8
+	JLT  reluDone
+	VMOVUPS (SI), Y1
+	VMAXPS  Y0, Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JMP  relu8
+reluDone:
+	VZEROUPPER
+	RET
+
+// func addReLUAVX2(y, a, b []float32)
+// y[j] = reluAVX2's map of a[j] + b[j] for j < len(a) &^ 7.
+TEXT ·addReLUAVX2(SB), NOSPLIT, $0-72
+	MOVQ y_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ a_len+32(FP), CX
+	MOVQ b_base+48(FP), BX
+	VXORPS Y0, Y0, Y0
+addReLU8:
+	CMPQ CX, $8
+	JLT  addReLUDone
+	VMOVUPS (SI), Y1
+	VADDPS  (BX), Y1, Y1
+	VMAXPS  Y0, Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ $32, SI
+	ADDQ $32, BX
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JMP  addReLU8
+addReLUDone:
+	VZEROUPPER
+	RET
+
+// func reluGradAVX2(dx, y, g []float32)
+// dx[j] = y[j] > 0 ? g[j] : +0 for j < len(y) &^ 7: an ordered greater-than
+// (false for NaN), then the mask ANDed with g.
+TEXT ·reluGradAVX2(SB), NOSPLIT, $0-72
+	MOVQ dx_base+0(FP), DI
+	MOVQ y_base+24(FP), SI
+	MOVQ y_len+32(FP), CX
+	MOVQ g_base+48(FP), BX
+	VXORPS Y0, Y0, Y0
+reluGrad8:
+	CMPQ CX, $8
+	JLT  reluGradDone
+	VMOVUPS (SI), Y1
+	VCMPPS  $0x1e, Y0, Y1, Y1 // GT_OQ
+	VANDPS  (BX), Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ $32, SI
+	ADDQ $32, BX
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JMP  reluGrad8
+reluGradDone:
+	VZEROUPPER
+	RET
+
+// func batchNormAVX2(xh, y, x []float32, mean, invStd float64, gamma, beta float32)
+// xh[j] = float32((float64(x[j]) − mean)·invStd), then y[j] = gamma·xh[j] + beta,
+// for j < len(x) &^ 3: a difference, a product and a conversion in float64,
+// then a product and a sum in float32.
+TEXT ·batchNormAVX2(SB), NOSPLIT, $0-96
+	MOVQ xh_base+0(FP), DI
+	MOVQ y_base+24(FP), DX
+	MOVQ x_base+48(FP), SI
+	MOVQ x_len+56(FP), CX
+	VBROADCASTSD mean+72(FP), Y0
+	VBROADCASTSD invStd+80(FP), Y1
+	VBROADCASTSS gamma+88(FP), X2
+	VBROADCASTSS beta+92(FP), X3
+bn4:
+	CMPQ CX, $4
+	JLT  bnDone
+	VCVTPS2PD  (SI), Y4
+	VSUBPD     Y0, Y4, Y4
+	VMULPD     Y1, Y4, Y4
+	VCVTPD2PSY Y4, X4
+	VMOVUPS    X4, (DI)
+	VMULPS     X2, X4, X4
+	VADDPS     X3, X4, X4
+	VMOVUPS    X4, (DX)
+	ADDQ $16, SI
+	ADDQ $16, DI
+	ADDQ $16, DX
+	SUBQ $4, CX
+	JMP  bn4
+bnDone:
+	VZEROUPPER
+	RET
+
+// func batchNormGradAVX2(dx, dy, xh []float32, m, sumDy, sumDyXhat, scale float64)
+// dx[j] = float32(scale·((m·dy[j] − sumDy) − xh[j]·sumDyXhat)) in float64,
+// each product, difference and the conversion rounded on its own, for
+// j < len(dy) &^ 3.
+TEXT ·batchNormGradAVX2(SB), NOSPLIT, $0-104
+	MOVQ dx_base+0(FP), DI
+	MOVQ dy_base+24(FP), SI
+	MOVQ dy_len+32(FP), CX
+	MOVQ xh_base+48(FP), BX
+	VBROADCASTSD m+72(FP), Y0
+	VBROADCASTSD sumDy+80(FP), Y1
+	VBROADCASTSD sumDyXhat+88(FP), Y2
+	VBROADCASTSD scale+96(FP), Y3
+bnGrad4:
+	CMPQ CX, $4
+	JLT  bnGradDone
+	VCVTPS2PD  (SI), Y4
+	VMULPD     Y0, Y4, Y4
+	VSUBPD     Y1, Y4, Y4
+	VCVTPS2PD  (BX), Y5
+	VMULPD     Y2, Y5, Y5
+	VSUBPD     Y5, Y4, Y4
+	VMULPD     Y3, Y4, Y4
+	VCVTPD2PSY Y4, X4
+	VMOVUPS    X4, (DI)
+	ADDQ $16, SI
+	ADDQ $16, BX
+	ADDQ $16, DI
+	SUBQ $4, CX
+	JMP  bnGrad4
+bnGradDone:
+	VZEROUPPER
+	RET
+
+// GELU's constants: its inner polynomial, math.Tanh's (tanh.go) and the
+// FMA path of math.Exp on amd64 (exp_amd64.s), as float64 bits.
+DATA geluk<>+0(SB)/8, $0x3fa6e4e26d4801f7   // 0.044715
+DATA geluk<>+8(SB)/8, $0x3fe9884533d43651   // √(2/π)
+DATA geluk<>+16(SB)/8, $0xbfeedc5baafd6f4b  // tanhP[0]
+DATA geluk<>+24(SB)/8, $0xc058d26a0e26682d  // tanhP[1]
+DATA geluk<>+32(SB)/8, $0xc0993ac030580563  // tanhP[2]
+DATA geluk<>+40(SB)/8, $0x405c33f28a581b86  // tanhQ[0]
+DATA geluk<>+48(SB)/8, $0x40a176fa0e5535fa  // tanhQ[1]
+DATA geluk<>+56(SB)/8, $0x40b2ec102442040c  // tanhQ[2]
+DATA geluk<>+64(SB)/8, $0x404601e678fc457b  // MAXLOG/2
+DATA geluk<>+72(SB)/8, $0x3fe4000000000000  // 0.625
+DATA geluk<>+80(SB)/8, $0x3ff71547652b82fe  // LOG2E
+DATA geluk<>+88(SB)/8, $0x3fe62e42fefa3000  // LN2U
+DATA geluk<>+96(SB)/8, $0x3d53de6af278ece6  // LN2L
+DATA geluk<>+104(SB)/8, $0x3fb0000000000000 // 1/16
+DATA geluk<>+112(SB)/8, $0x3efa01a01a01a01a // 1/8!
+DATA geluk<>+120(SB)/8, $0x3f2a01a01a01a01a // 1/7!
+DATA geluk<>+128(SB)/8, $0x3f56c16c16c16c17 // 1/6!
+DATA geluk<>+136(SB)/8, $0x3f81111111111111 // 1/5!
+DATA geluk<>+144(SB)/8, $0x3fa5555555555555 // 1/4!
+DATA geluk<>+152(SB)/8, $0x3fc5555555555555 // 1/3!
+DATA geluk<>+160(SB)/8, $0x3fe0000000000000 // 0.5
+DATA geluk<>+168(SB)/8, $0x3ff0000000000000 // 1
+DATA geluk<>+176(SB)/8, $0x4000000000000000 // 2
+DATA geluk<>+184(SB)/8, $0x8000000000000000 // the sign bit
+DATA geluk<>+192(SB)/8, $0x00000000000003ff // the exponent bias
+GLOBL geluk<>(SB), RODATA|NOPTR, $200
+
+// GK broadcasts GELU constant off into reg.
+#define GK(off, reg) VBROADCASTSD geluk<>+off(SB), reg
+
+// func geluAVX2(y, x []float32, t []float64)
+// For j < len(x) &^ 3, with v = float64(x[j]) and u = √(2/π)·(v + 0.044715·v·v·v):
+// t[j] = math.Tanh(u) when t is not empty, and y[j] = float32(0.5·v·(1 + tanh u)).
+// Each lane takes each of Tanh's three branches and keeps one: ±1 for
+// |u| > MAXLOG/2; 1 − 2/(e^{2|u|} + 1) with u's sign for |u| ≥ 0.625, the
+// exponential computed as math.Exp's FMA path computes it; otherwise the
+// rational polynomial, or u itself when u is ±0. Every other operation is
+// the Go loop's, in its order.
+TEXT ·geluAVX2(SB), NOSPLIT, $0-72
+	MOVQ y_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	MOVQ t_base+48(FP), BX
+	MOVQ t_len+56(FP), DX
+	GK(184, Y15)
+	GK(168, Y14)
+	GK(176, Y13)
+	VPBROADCASTQ geluk<>+192(SB), Y12
+	VXORPD Y11, Y11, Y11
+gelu4:
+	CMPQ CX, $4
+	JLT  geluDone
+	// u = √(2/π)·(v + ((0.044715·v)·v)·v) in Y1, |u| in Y2, u's sign in Y3.
+	VCVTPS2PD (SI), Y0
+	GK(0, Y1)
+	VMULPD  Y0, Y1, Y1
+	VMULPD  Y0, Y1, Y1
+	VMULPD  Y0, Y1, Y1
+	VADDPD  Y1, Y0, Y1
+	GK(8, Y2)
+	VMULPD  Y2, Y1, Y1
+	VANDNPD Y1, Y15, Y2
+	VANDPD  Y15, Y1, Y3
+
+	// e = math.Exp(2|u|) in Y4: n = round(LOG2E·a) as int32 in X5; a
+	// reduced by n·LN2U and n·LN2L, each fused; a/16; the Taylor chain as
+	// seven fused steps; three squarings a·(a+2) and a fourth fused with
+	// the final +1; then ·2ⁿ by exponent bits.
+	VADDPD      Y2, Y2, Y4
+	GK(80, Y5)
+	VMULPD      Y4, Y5, Y5
+	VCVTPD2DQY  Y5, X5
+	VCVTDQ2PD   X5, Y6
+	GK(88, Y7)
+	VFNMADD231PD Y7, Y6, Y4
+	GK(96, Y7)
+	VFNMADD231PD Y7, Y6, Y4
+	GK(104, Y7)
+	VMULPD      Y7, Y4, Y4
+	GK(112, Y6)
+	GK(120, Y7)
+	VFMADD213PD Y7, Y4, Y6
+	GK(128, Y7)
+	VFMADD213PD Y7, Y4, Y6
+	GK(136, Y7)
+	VFMADD213PD Y7, Y4, Y6
+	GK(144, Y7)
+	VFMADD213PD Y7, Y4, Y6
+	GK(152, Y7)
+	VFMADD213PD Y7, Y4, Y6
+	GK(160, Y7)
+	VFMADD213PD Y7, Y4, Y6
+	VFMADD213PD Y14, Y4, Y6
+	VMULPD      Y6, Y4, Y4
+	VADDPD      Y13, Y4, Y6
+	VMULPD      Y6, Y4, Y4
+	VADDPD      Y13, Y4, Y6
+	VMULPD      Y6, Y4, Y4
+	VADDPD      Y13, Y4, Y6
+	VMULPD      Y6, Y4, Y4
+	VADDPD      Y13, Y4, Y6
+	VFMADD213PD Y14, Y6, Y4
+	VPMOVSXDQ   X5, Y5
+	VPADDQ      Y12, Y5, Y5
+	VPSLLQ      $52, Y5, Y5
+	VMULPD      Y5, Y4, Y4
+
+	// The middle branch in Y4: 1 − 2/(e + 1), u's sign put back.
+	VADDPD Y14, Y4, Y4
+	VDIVPD Y4, Y13, Y4
+	VSUBPD Y4, Y14, Y4
+	VORPD  Y3, Y4, Y4
+
+	// The polynomial branch in Y5: s = u·u, then
+	// u + u·s·((P0·s + P1)·s + P2) / (((s + Q0)·s + Q1)·s + Q2).
+	VMULPD Y1, Y1, Y5
+	GK(16, Y6)
+	VMULPD Y5, Y6, Y6
+	GK(24, Y7)
+	VADDPD Y7, Y6, Y6
+	VMULPD Y5, Y6, Y6
+	GK(32, Y7)
+	VADDPD Y7, Y6, Y6
+	GK(40, Y7)
+	VADDPD Y7, Y5, Y7
+	VMULPD Y5, Y7, Y7
+	GK(48, Y8)
+	VADDPD Y8, Y7, Y7
+	VMULPD Y5, Y7, Y7
+	GK(56, Y8)
+	VADDPD Y8, Y7, Y7
+	VMULPD Y5, Y1, Y5
+	VMULPD Y6, Y5, Y5
+	VDIVPD Y7, Y5, Y5
+	VADDPD Y5, Y1, Y5
+
+	// tanh u in Y5: the middle branch where |u| ≥ 0.625, ±1 where
+	// |u| > MAXLOG/2, u where u is ±0 (ordered compares: a NaN keeps the
+	// polynomial's NaN).
+	GK(72, Y6)
+	VCMPPD    $0x1d, Y6, Y2, Y6 // GE_OQ
+	VBLENDVPD Y6, Y4, Y5, Y5
+	GK(64, Y6)
+	VCMPPD    $0x1e, Y6, Y2, Y6 // GT_OQ
+	VORPD     Y3, Y14, Y7
+	VBLENDVPD Y6, Y7, Y5, Y5
+	VCMPPD    $0x00, Y11, Y1, Y6 // EQ_OQ
+	VBLENDVPD Y6, Y1, Y5, Y5
+
+	// y = float32((0.5·v)·(1 + tanh u)).
+	GK(160, Y6)
+	VMULPD     Y6, Y0, Y0
+	VADDPD     Y14, Y5, Y6
+	VMULPD     Y6, Y0, Y0
+	VCVTPD2PSY Y0, X0
+	VMOVUPS    X0, (DI)
+	TESTQ DX, DX
+	JEQ   gelu4next
+	VMOVUPD Y5, (BX)
+	ADDQ $32, BX
+gelu4next:
+	ADDQ $16, SI
+	ADDQ $16, DI
+	SUBQ $4, CX
+	JMP  gelu4
+geluDone:
+	VZEROUPPER
+	RET

@@ -2,7 +2,7 @@
 
 package tensor
 
-const useAVX2 = false
+const useAVX2, useFMA = false, false
 
 func rowAVX2(c, a []float32, astride int, b []float32, bstride, k int, skip bool) {
 	panic("tensor: no AVX2 kernels on this GOARCH")

@@ -120,10 +120,22 @@ func sgdStepGo(w, g, v []float32, lr, mom, wd float32) {
 	}
 }
 
-// checkElementwise compares axpy, scale, maxAbs and SGDStep with their Go
-// loops on all but the last element of x, g and v, which have one length; the
-// last element of each is a sentinel no kernel may touch. Every kernel input
-// is misaligned by off floats.
+func sameBits64(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if g, w := math.Float64bits(got[i]), math.Float64bits(want[i]); g != w {
+			t.Fatalf("%s: element %d is %#016x (%v), want %#016x (%v)", what, i, g, got[i], w, want[i])
+		}
+	}
+}
+
+// checkElementwise compares axpy, scale, maxAbs, SGDStep and the activation
+// and BatchNorm kernels with their Go loops on all but the last element of x,
+// g and v, which have one length; the last element of each is a sentinel no
+// kernel may touch. Every kernel input is misaligned by off floats.
 func checkElementwise(t *testing.T, off int, x, g, v []float32, lr, mom, wd float32) {
 	t.Helper()
 	n := len(x) - 1
@@ -148,6 +160,135 @@ func checkElementwise(t *testing.T, off int, x, g, v []float32, lr, mom, wd floa
 	sameBits(t, "SGDStep w", gw, ww)
 	sameBits(t, "SGDStep g", gg, wg)
 	sameBits(t, "SGDStep v", gv, wv)
+
+	// The activation and BatchNorm kernels write over v's values.
+	want, got = at(v), at(v)
+	reluGo(want[:n], x[:n])
+	ReLU(got[:n], at(x)[:n])
+	sameBits(t, "ReLU", got, want)
+
+	want, got = at(v), at(v)
+	addReLUGo(want[:n], x[:n], g[:n])
+	AddReLU(got[:n], at(x)[:n], at(g)[:n])
+	sameBits(t, "AddReLU", got, want)
+
+	want, got = at(v), at(v)
+	reluGradGo(want[:n], x[:n], g[:n])
+	ReLUGrad(got[:n], at(x)[:n], at(g)[:n])
+	sameBits(t, "ReLUGrad", got, want)
+
+	tanhs := func() []float64 {
+		s := make([]float64, off+n+1)[off:]
+		s[n] = -1.5 // the sentinel
+		return s
+	}
+	wantT, gotT := tanhs(), tanhs()
+	for _, keep := range []bool{true, false} {
+		wt, gt := wantT[:n], gotT[:n]
+		if !keep {
+			wt, gt = nil, nil
+		}
+		want, got = at(v), at(v)
+		geluGo(want[:n], x[:n], wt)
+		GELU(got[:n], at(x)[:n], gt)
+		sameBits(t, "GELU", got, want)
+		sameBits64(t, "GELU tanh", gotT, wantT)
+	}
+
+	// BatchNorm's float64 scalars are sums and quotients, with the full
+	// mantissa a float32 leaves empty; a third of a float32 has it too.
+	mean, invStd, scale := float64(lr)/3, float64(mom)/3, float64(wd)/3
+	wantH, gotH := at(g), at(g)
+	want, got = at(v), at(v)
+	batchNormGo(wantH[:n], want[:n], x[:n], mean, invStd, wd, lr)
+	BatchNorm(gotH[:n], got[:n], at(x)[:n], mean, invStd, wd, lr)
+	sameBits(t, "BatchNorm x̂", gotH, wantH)
+	sameBits(t, "BatchNorm", got, want)
+
+	want, got = at(v), at(v)
+	batchNormGradGo(want[:n], g[:n], x[:n], float64(n), mean, invStd, scale)
+	BatchNormGrad(got[:n], at(g)[:n], at(x)[:n], float64(n), mean, invStd, scale)
+	sameBits(t, "BatchNormGrad", got, want)
+}
+
+// geluEdges returns the inputs on both sides of each of math.Tanh's branch
+// edges (|u| ≥ 0.625 and |u| > MAXLOG/2, u = geluInner(x)) — the largest x
+// below the edge and the two above it, of either sign — then ±0, subnormals,
+// ±Inf and NaNs with several payloads.
+func geluEdges(t *testing.T) []float32 {
+	const maxLog = 8.8029691931113054295988e+01
+	var x []float32
+	for _, edge := range []struct {
+		at     float64
+		inside func(u float64) bool
+	}{
+		{0.625, func(u float64) bool { return u >= 0.625 }},
+		{maxLog / 2, func(u float64) bool { return u > maxLog/2 }},
+	} {
+		// The first positive float32 inside the edge: float32 bits of
+		// positive values order like the values, and u grows with x.
+		lo, hi := uint32(0), uint32(0x7f800000)
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if edge.inside(geluInner(float64(math.Float32frombits(mid)))) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		below, above := geluInner(float64(math.Float32frombits(lo-1))), geluInner(float64(math.Float32frombits(lo)))
+		if edge.inside(below) || !edge.inside(above) {
+			t.Fatalf("edge %v: u %v and %v do not straddle it", edge.at, below, above)
+		}
+		for _, b := range []uint32{lo - 1, lo, lo + 1} {
+			x = append(x, math.Float32frombits(b), math.Float32frombits(b|1<<31))
+		}
+	}
+	for _, b := range []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x00000001, 0x80000001, 0x007fffff, 0x807fffff, 0x00400000, // subnormals
+		0x7f800000, 0xff800000, // ±Inf
+		0x7fc00000, 0xffc00000, 0x7f800001, 0xff800001, 0x7fffffff, 0xffd23456, // NaNs
+	} {
+		x = append(x, math.Float32frombits(b))
+	}
+	return x
+}
+
+// TestElementwiseGELUMatchesTanh holds the GELU lane to its Go loop, and so to
+// the toolchain's math.Tanh and math.Exp, on every 256th float32 bit pattern
+// (the low byte varying too) and on the inputs geluEdges picks: the output's
+// float32 bits and tanh's float64 bits, with the tanh kept and without.
+func TestElementwiseGELUMatchesTanh(t *testing.T) {
+	if !useFMA {
+		t.Skip("no AVX2 and FMA: the Go loop is the only path")
+	}
+	const chunk = 1 << 16
+	x := make([]float32, 0, chunk)
+	want, got := make([]float32, chunk), make([]float32, chunk)
+	wantT, gotT := make([]float64, chunk), make([]float64, chunk)
+	check := func(in []float32) {
+		n := len(in)
+		geluGo(want[:n], in, wantT[:n])
+		GELU(got[:n], in, gotT[:n])
+		for i := range in {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) ||
+				math.Float64bits(gotT[i]) != math.Float64bits(wantT[i]) {
+				t.Fatalf("GELU(%#08x): %#08x and tanh %#016x, want %#08x and %#016x", math.Float32bits(in[i]),
+					math.Float32bits(got[i]), math.Float64bits(gotT[i]), math.Float32bits(want[i]), math.Float64bits(wantT[i]))
+			}
+		}
+		GELU(got[:n], in, nil)
+		sameBits(t, "GELU without the tanh", got[:n], want[:n])
+	}
+	check(geluEdges(t))
+	for i := uint32(0); i < 1<<24; i++ {
+		x = append(x, math.Float32frombits(i<<8|i&0xff))
+		if len(x) == chunk {
+			check(x)
+			x = x[:0]
+		}
+	}
 }
 
 // checkRow compares mulRow with naiveMatMul on one (m,k,n) product, reading A
