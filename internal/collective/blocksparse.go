@@ -64,33 +64,30 @@ func CostBlockSparseAggregate(f *netsim.Fabric, hosts []netsim.NodeID, perWorker
 
 // AllReduceBlockSparse sums vec across workers by exchanging only non-zero
 // blocks of blockSize elements through a streaming aggregator. vec is
-// overwritten with the global sum; byteScale scales the per-value wire cost
+// overwritten with the global sum, finished once per cluster by f like
+// AllReduce (nil takes the sum); byteScale scales the per-value wire cost
 // (1 for raw use). It returns the block counts the aggregation was priced
 // on: every rank's own non-zero blocks, in rank order (one slice shared by
 // all ranks, read-only), and their union.
-func (c *Cluster) AllReduceBlockSparse(rank int, vec []float32, blockSize int, byteScale, localTime float64) (perWorker []int, unionBlocks int, end float64) {
-	type bsIn struct{ vec []float32 }
+func (c *Cluster) AllReduceBlockSparse(rank int, vec []float32, blockSize int, byteScale, localTime float64, f Finish) (perWorker []int, unionBlocks int, end float64) {
 	type bsOut struct {
 		sum       []float32
 		perWorker []int
 		union     int
 	}
-	res, endT := c.rendezvous(rank, bsIn{vec}, localTime, func(inputs []any, start float64) (any, float64) {
-		n := len(vec)
-		sum := make([]float32, n)
+	res, endT := c.rendezvous(rank, vec, localTime, func(inputs []any, start float64) (any, float64) {
+		vecs := make([][]float32, len(inputs))
 		perWorker := make([]int, c.world)
 		unionSet := map[int]bool{}
 		for i, in := range inputs {
-			v := in.(bsIn).vec
-			blocks := nonZeroBlocks(v, blockSize)
+			vecs[i] = in.([]float32)
+			blocks := nonZeroBlocks(vecs[i], blockSize)
 			perWorker[i] = len(blocks)
 			for _, b := range blocks {
 				unionSet[b] = true
 			}
-			for j, x := range v {
-				sum[j] += x
-			}
 		}
+		sum := c.sum(vecs, f, len(vec))
 		t := start + CostBlockSparseAggregate(c.fabric, c.hosts, perWorker, len(unionSet), blockSize, byteScale, start)
 		var total float64
 		for i := 1; i < c.world; i++ {

@@ -17,7 +17,7 @@ func TestBlockSparseSumCorrect(t *testing.T) {
 		// Each rank populates a different block plus one shared block.
 		vec[rank*256] = float32(rank + 1)
 		vec[768] = 1
-		perWorker, union, _ := c.AllReduceBlockSparse(rank, vec, 256, 1, 0)
+		perWorker, union, _ := c.AllReduceBlockSparse(rank, vec, 256, 1, 0, nil)
 		if !slices.Equal(perWorker, []int{2, 2, 2}) {
 			t.Errorf("rank %d per-worker blocks %v, want [2 2 2]", rank, perWorker)
 		}
@@ -47,7 +47,7 @@ func TestBlockSparseCostScalesWithDensity(t *testing.T) {
 			for b := 0; b < denseBlocks; b++ {
 				vec[b*256] = 1
 			}
-			_, _, e := c.AllReduceBlockSparse(rank, vec, 256, 1, 0)
+			_, _, e := c.AllReduceBlockSparse(rank, vec, 256, 1, 0, nil)
 			if rank == 0 {
 				end = e
 			}
@@ -77,7 +77,7 @@ func TestBlockSparseLosesAtModerateSparsity(t *testing.T) {
 		for b := 0; b < 64; b++ {
 			vec[b*2*256] = 1
 		}
-		_, _, e := ca.AllReduceBlockSparse(rank, vec, 256, 1, 0)
+		_, _, e := ca.AllReduceBlockSparse(rank, vec, 256, 1, 0, nil)
 		if rank == 0 {
 			bsEnd = e
 		}

@@ -24,6 +24,7 @@ import (
 
 	"pactrain/internal/netsim"
 	"pactrain/internal/par"
+	"pactrain/internal/tensor"
 )
 
 // WireFormat describes how a logical element is represented on the wire.
@@ -94,29 +95,49 @@ type Cluster struct {
 	result  any
 	outTime float64
 
-	// sumBuf is the reusable reduction buffer behind AllReduceSum and
-	// PSAggregateSum, so steady-state iterations stop allocating a
-	// full-payload slice per collective. Reuse is safe under the rendezvous
-	// protocol: the buffer becomes c.result, every rank copies it out before
-	// arriving at the next rendezvous, and the next compute closure (the only
-	// writer) cannot run until all ranks have arrived.
-	sumBuf []float32
+	// sumBuf and bucketBuf are the once-paths' reusable buffers. Reuse is
+	// safe: a buffer becomes c.result, every rank copies it out before it
+	// arrives at the next rendezvous, and only that rendezvous writes it.
+	sumBuf, bucketBuf []float32
 
 	stats Stats
 }
 
-// scratchSum returns the zeroed n-element reduction buffer.
-func (c *Cluster) scratchSum(n int) []float32 {
-	if cap(c.sumBuf) < n {
-		c.sumBuf = make([]float32, n)
+// Finish is a collective's once-per-cluster step: the last rank to arrive runs
+// it inside the rendezvous to write the bucket every rank then copies into
+// its out, from the aggregate sum. Whichever rank's Finish runs, it must write
+// the same bytes.
+type Finish func(sum, bucket []float32)
+
+// grow returns the first n elements of *buf, growing it; contents are
+// arbitrary.
+func grow(buf *[]float32, n int) []float32 {
+	if cap(*buf) < n {
+		*buf = make([]float32, n)
 	}
-	s := c.sumBuf[:n]
-	par.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s[i] = 0
+	return (*buf)[:n]
+}
+
+// sum adds vecs elementwise, in rank order from +0, into the reduction
+// buffer; chunks split elements, never ranks, so any chunking gives the
+// scalar sum's bits. A nil f takes the sum as the bucket.
+func (c *Cluster) sum(vecs [][]float32, f Finish, n int) []float32 {
+	s := grow(&c.sumBuf, len(vecs[0]))
+	par.For(len(s), func(lo, hi int) {
+		for r, v := range vecs {
+			tensor.AddTo(s[lo:hi], v[lo:hi], r == 0)
 		}
 	})
-	return s
+	return c.finish(f, s, n)
+}
+
+func (c *Cluster) finish(f Finish, sum []float32, n int) []float32 {
+	if f == nil {
+		return sum
+	}
+	bucket := grow(&c.bucketBuf, n)
+	f(sum, bucket)
+	return bucket
 }
 
 // NewCluster builds a cluster of world workers mapped in rank order onto the
@@ -214,31 +235,31 @@ func chunkRange(idx, n, world int) (int, int) {
 	return from, from + size
 }
 
-// AllReduceSum sums vec elementwise across all workers using a ring
-// all-reduce (reduce-scatter followed by all-gather), overwriting vec with
-// the global sum on every worker. wire selects the on-wire representation;
-// the returned time is the synchronized completion time.
-func (c *Cluster) AllReduceSum(rank int, vec []float32, wire WireFormat, localTime float64) float64 {
-	type arIn struct{ vec []float32 }
-	res, end := c.rendezvous(rank, arIn{vec}, localTime, func(inputs []any, start float64) (any, float64) {
-		n := len(vec)
+// reduce is the dense collectives' once-path: the last rank to arrive sums
+// and finishes every rank's payload and prices the op with cost, which
+// returns the completion time; every rank copies the bucket into out.
+func (c *Cluster) reduce(rank int, payload, out []float32, localTime float64, f Finish,
+	cost func(n int, start float64) float64) float64 {
+	res, end := c.rendezvous(rank, payload, localTime, func(inputs []any, start float64) (any, float64) {
 		vecs := make([][]float32, len(inputs))
-		for r, in := range inputs {
-			vecs[r] = in.(arIn).vec
-			if len(vecs[r]) != n {
-				panic("collective: AllReduceSum length mismatch across ranks")
+		for r, x := range inputs {
+			if vecs[r] = x.([]float32); len(vecs[r]) != len(payload) {
+				panic("collective: payload length mismatch across ranks")
 			}
 		}
-		sum := c.scratchSum(n)
-		// Each element accumulates contributions in rank order inside one
-		// chunk, so the chunked reduction is bit-identical to the scalar one.
-		par.For(n, func(lo, hi int) {
-			for _, v := range vecs {
-				for i := lo; i < hi; i++ {
-					sum[i] += v[i]
-				}
-			}
-		})
+		return c.sum(vecs, f, len(out)), cost(len(payload), start)
+	})
+	copy(out, res.([]float32))
+	return end
+}
+
+// AllReduce sums payload elementwise across all workers using a ring
+// all-reduce (reduce-scatter followed by all-gather) and writes the bucket f
+// finishes from the sum (nil: the sum) into out on every worker. wire selects
+// the on-wire representation; the returned time is the synchronized
+// completion time.
+func (c *Cluster) AllReduce(rank int, payload, out []float32, wire WireFormat, localTime float64, f Finish) float64 {
+	return c.reduce(rank, payload, out, localTime, f, func(n int, start float64) float64 {
 		t := start + c.algo.AllReduce(c.fabric, c.hosts, n, wire, start)
 		if c.world > 1 && n > 0 {
 			c.stats.PerWorkerSent += wire.MessageBytes(n) / float64(c.world) * 2 * float64(c.world-1)
@@ -246,10 +267,13 @@ func (c *Cluster) AllReduceSum(rank int, vec []float32, wire WireFormat, localTi
 		}
 		c.stats.AllReduceOps++
 		c.stats.SimSeconds += t - start
-		return sum, t
+		return t
 	})
-	copy(vec, res.([]float32))
-	return end
+}
+
+// AllReduceSum is AllReduce overwriting vec with the global sum.
+func (c *Cluster) AllReduceSum(rank int, vec []float32, wire WireFormat, localTime float64) float64 {
+	return c.AllReduce(rank, vec, vec, wire, localTime, nil)
 }
 
 // SparsePayload carries one worker's sparse contribution to an all-gather.
@@ -258,12 +282,11 @@ type SparsePayload struct {
 	Indices []int32
 }
 
-// AllGatherSparse exchanges every worker's (values, indices) lists so each
-// worker holds all contributions, using a ring all-gather. This is the
-// transport TopK and DGC must use — sparse selections differ across workers,
-// so they cannot be summed in place by all-reduce (§I, Table 1).
-func (c *Cluster) AllGatherSparse(rank int, payload SparsePayload, wire WireFormat, localTime float64) ([]SparsePayload, float64) {
-	res, end := c.rendezvous(rank, payload, localTime, func(inputs []any, start float64) (any, float64) {
+// gather is the all-gather rendezvous: the last rank to arrive prices the
+// payloads and hands every rank f(payloads in rank order, their sizes).
+func (c *Cluster) gather(rank int, payload SparsePayload, wire WireFormat, localTime float64,
+	f func(all []SparsePayload, sizes []int) any) (any, float64) {
+	return c.rendezvous(rank, payload, localTime, func(inputs []any, start float64) (any, float64) {
 		all := make([]SparsePayload, c.world)
 		for i, in := range inputs {
 			all[i] = in.(SparsePayload)
@@ -281,40 +304,56 @@ func (c *Cluster) AllGatherSparse(rank int, payload SparsePayload, wire WireForm
 		}
 		c.stats.AllGatherOps++
 		c.stats.SimSeconds += t - start
-		return all, t
+		return f(all, sizes), t
 	})
+}
+
+// AllGatherSparse exchanges every worker's (values, indices) lists so each
+// worker holds all contributions, using a ring all-gather. This is the
+// transport TopK and DGC must use — sparse selections differ across workers,
+// so they cannot be summed in place by all-reduce (§I, Table 1). Peers read a
+// payload after its owner returns, so each round needs a fresh one.
+func (c *Cluster) AllGatherSparse(rank int, payload SparsePayload, wire WireFormat, localTime float64) ([]SparsePayload, float64) {
+	res, end := c.gather(rank, payload, wire, localTime, func(all []SparsePayload, _ []int) any { return all })
 	return res.([]SparsePayload), end
 }
 
-// PSAggregateSum implements the parameter-server baseline: every worker
-// sends its vector to the server (rank 0's host), which sums and returns the
-// result. Ingress transfers share the server's edge link and are therefore
+// AllGatherSum is the all-gather's once-path: the last rank to arrive adds
+// each payload's values at its (distinct) indices into one bucket of len(out)
+// from +0 in rank order, and finishes it like AllReduce. No payload is read
+// after the rendezvous. sizes, what the op was priced on, is new per op, read-only.
+func (c *Cluster) AllGatherSum(rank int, payload SparsePayload, out []float32, wire WireFormat, localTime float64, f Finish) (sizes []int, end float64) {
+	type agOut struct {
+		bucket []float32
+		sizes  []int
+	}
+	res, end := c.gather(rank, payload, wire, localTime, func(all []SparsePayload, sizes []int) any {
+		sum := grow(&c.sumBuf, len(out))
+		clear(sum)
+		for _, p := range all {
+			tensor.ScatterAdd(sum, p.Indices, p.Values)
+		}
+		return agOut{c.finish(f, sum, len(out)), sizes}
+	})
+	r := res.(agOut)
+	copy(out, r.bucket)
+	return r.sizes, end
+}
+
+// PSAggregate implements the parameter-server baseline: every worker sends
+// its payload to the server (rank 0's host), which sums and finishes it like
+// AllReduce and returns the bucket into every worker's out.
+// Ingress transfers share the server's edge link and are therefore
 // serialized, and the response fan-out likewise — the incast bottleneck that
 // motivates all-reduce.
-func (c *Cluster) PSAggregateSum(rank int, vec []float32, wire WireFormat, localTime float64) float64 {
-	type psIn struct{ vec []float32 }
-	res, end := c.rendezvous(rank, psIn{vec}, localTime, func(inputs []any, start float64) (any, float64) {
-		n := len(vec)
-		vecs := make([][]float32, len(inputs))
-		for r, in := range inputs {
-			vecs[r] = in.(psIn).vec
-		}
-		sum := c.scratchSum(n)
-		par.For(n, func(lo, hi int) {
-			for _, v := range vecs {
-				for i := lo; i < hi; i++ {
-					sum[i] += v[i]
-				}
-			}
-		})
+func (c *Cluster) PSAggregate(rank int, payload, out []float32, wire WireFormat, localTime float64, f Finish) float64 {
+	return c.reduce(rank, payload, out, localTime, f, func(n int, start float64) float64 {
 		t := start + CostPSAggregate(c.fabric, c.hosts, n, wire, start)
 		c.stats.PayloadBytes += wire.MessageBytes(n) * 2 * float64(c.world-1)
 		c.stats.PSOps++
 		c.stats.SimSeconds += t - start
-		return sum, t
+		return t
 	})
-	copy(vec, res.([]float32))
-	return end
 }
 
 // BroadcastScaledBitmap costs the distribution of a pruning/sparsity bitmap

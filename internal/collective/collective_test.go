@@ -189,7 +189,7 @@ func TestPSAggregateCorrectAndSlowerThanAllReduce(t *testing.T) {
 		for i := range vec {
 			vec[i] = 1
 		}
-		e := ca.PSAggregateSum(rank, vec, WireFP32, 0)
+		e := ca.PSAggregate(rank, vec, vec, WireFP32, 0, nil)
 		if rank == 0 {
 			psEnd = e
 		}

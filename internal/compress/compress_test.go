@@ -403,7 +403,7 @@ func TestMaskCompactEncodeSparse(t *testing.T) {
 	m := NewMaskCompact(false, 1)
 	keep := []bool{true, false, false, true, true, false}
 	m.SetMask(MaskIndices(keep), 6)
-	vals, idx := m.EncodeSparse([]float32{1, 99, 98, 0, 5, 97})
+	vals, idx := m.EncodeSparse([]float32{1, 99, 98, 0, 5, 97}, nil)
 	if len(vals) != 3 || len(idx) != 3 {
 		t.Fatalf("COO lengths %d/%d, want 3/3", len(vals), len(idx))
 	}

@@ -122,18 +122,18 @@ func (m *MaskCompact) Decode(payload []float32, out []float32) {
 
 // EncodeSparse gathers the retained coordinates as a COO (values, indices)
 // pair — the index-list wire format the adaptive controller can pick when
-// latency, not bytes, bounds the round. The index slice is the installed
-// mask and must not be mutated; values include in-mask zeros, so the
-// payload length is always NNZ (replica-identical, and exactly what the
-// controller's quote priced).
-func (m *MaskCompact) EncodeSparse(grad []float32) ([]float32, []int32) {
+// latency, not bytes, bounds the round. Values reuse buf as in EncodeInto;
+// the index slice is the installed mask and must not be mutated. Values
+// include in-mask zeros, so the payload length is always NNZ
+// (replica-identical, and exactly what the controller's quote priced).
+func (m *MaskCompact) EncodeSparse(grad, buf []float32) ([]float32, []int32) {
 	if !m.maskSet {
 		panic("compress: MaskCompact.EncodeSparse before SetMask")
 	}
 	if len(grad) != m.fullLen {
 		panic(fmt.Sprintf("compress: gradient length %d does not match mask domain %d", len(grad), m.fullLen))
 	}
-	vals := make([]float32, len(m.indices))
+	vals := grow(buf, len(m.indices))
 	par.For(len(m.indices), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			vals[i] = grad[m.indices[i]]

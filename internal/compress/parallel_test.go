@@ -110,7 +110,7 @@ func TestParallelKernelsBitExact(t *testing.T) {
 			payload := mc.Encode(grad)
 			out := make([]float32, n)
 			mc.Decode(payload, out)
-			vals, idx := mc.EncodeSparse(grad)
+			vals, idx := mc.EncodeSparse(grad, nil)
 			return []any{payload, out, vals, idx}
 		}},
 	}
@@ -138,7 +138,7 @@ func BenchmarkEncodeSparse(b *testing.B) {
 			b.SetBytes(int64(n) * 4)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				vals, idx := mc.EncodeSparse(grad)
+				vals, idx := mc.EncodeSparse(grad, nil)
 				_ = vals
 				_ = idx
 			}

@@ -108,7 +108,7 @@ func FuzzCompressorRoundTrip(f *testing.F) {
 			if ternary {
 				continue
 			}
-			vals, idx := m.EncodeSparse(grad)
+			vals, idx := m.EncodeSparse(grad, nil)
 			list := make([]float32, n)
 			DecodeSumSparse(collective.SparsePayload{Values: vals, Indices: idx}, list)
 			for i := range list {

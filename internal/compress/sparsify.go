@@ -9,17 +9,12 @@ import (
 )
 
 // DecodeSumSparse accumulates a sparse payload into out in parallel: the
-// decode under every SparseCompressor's DecodeSum and under the trainer's
-// all-gather step (whatever produced the payload). The indices within one
-// payload are unique, so chunks write disjoint coordinates and each out[j]
-// receives exactly one add — bit-identical to the scalar loop for any
-// chunking.
+// decode under every SparseCompressor's DecodeSum, and the scatter-add
+// (tensor.ScatterAdd) collective.AllGatherSum runs once per payload. The
+// indices within one payload are unique, so it is bit-identical to the
+// scalar loop for any chunking.
 func DecodeSumSparse(p collective.SparsePayload, out []float32) {
-	par.For(len(p.Indices), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[p.Indices[i]] += p.Values[i]
-		}
-	})
+	tensor.ScatterAdd(out, p.Indices, p.Values)
 }
 
 // TopK transmits the k = ratio·n largest-magnitude coordinates as

@@ -1,34 +1,34 @@
 package core
 
 import (
+	"sync"
+
 	"pactrain/internal/adaptive"
 	"pactrain/internal/collective"
 	"pactrain/internal/compress"
 	"pactrain/internal/ddp"
 	"pactrain/internal/masktracker"
+	"pactrain/internal/tensor"
 )
 
 // hookEnv is the per-worker context hooks operate in. Hooks issue
 // collectives against the cluster, which prices them under the config's
 // collective algorithm (Config.Collective); the hook code itself is
 // algorithm-agnostic. buildHook (schemes.go) constructs hooks from the
-// scheme registry.
+// scheme registry. Decode, average and Mask Tracker observation run once per
+// cluster in a collective's Finish (DESIGN.md §4).
 type hookEnv struct {
-	cluster *collective.Cluster
-	rank    int
-	world   int
-	log     *CommLog // non-nil only on rank 0 when recording
+	cluster  *collective.Cluster
+	rank     int
+	world    int
+	log      *CommLog  // non-nil only on rank 0 when recording
+	trackers *sync.Map // the run's sharedTrackers by {generation, bucket}
 
 	// wireScale prices each logical bucket element as wireScale wire
 	// elements, so a lite-twin bucket costs what the corresponding slice of
 	// the full-size model's gradient would cost (DESIGN.md §1: convergence
 	// comes from the lite twin, bytes-on-wire from the paper's model).
 	wireScale float64
-
-	// sizesBuf is the all-gather step's per-rank payload-size scratch,
-	// reused on ranks that do not record (the comm log retains the slice it
-	// is handed, so a recording rank allocates one per op).
-	sizesBuf []int
 }
 
 func (e *hookEnv) record(op CommOp) {
@@ -46,34 +46,38 @@ func (e *hookEnv) scaleWire(w collective.WireFormat) collective.WireFormat {
 	return w
 }
 
+// average is every hook's Finish: decode (a compressor's Decode; nil when the
+// payload is the bucket) writes the bucket, then 1/World scales it.
+func (e *hookEnv) average(decode collective.Finish) collective.Finish {
+	return func(sum, bucket []float32) {
+		if decode == nil {
+			copy(bucket, sum)
+		} else {
+			decode(sum, bucket)
+		}
+		tensor.Scale(bucket, 1/float32(e.world))
+	}
+}
+
 // allReduce is the one all-reduce step under every scheme: sum payload
-// across the ranks in place, priced as wire, and record the op. decision is
-// the adaptive controller's tag ("" when nothing was decided).
-func (e *hookEnv) allReduce(b *ddp.Bucket, payload []float32, wire collective.WireFormat, decision string, t float64) float64 {
+// across the ranks, decode and average it once, priced as wire, and record
+// the op. decision is the adaptive controller's tag ("" when nothing was
+// decided).
+func (e *hookEnv) allReduce(b *ddp.Bucket, payload []float32, wire collective.WireFormat, decision string, t float64, decode collective.Finish) float64 {
 	wire = e.scaleWire(wire)
-	end := e.cluster.AllReduceSum(e.rank, payload, wire, t)
+	end := e.cluster.AllReduce(e.rank, payload, b.Flat, wire, t, e.average(decode))
 	e.record(CommOp{Kind: OpAllReduce, Elements: len(payload), Wire: wire,
 		Decision: decision, Bucket: b.Index, LaunchAt: t})
 	return end
 }
 
 // allGather is the one all-gather step under every scheme: exchange every
-// rank's COO payload wholesale, rebuild the bucket as their sum in rank
-// order (compress.DecodeSumSparse, the decode the benchmark probes time),
-// and record the per-rank sizes. Callers hand in a fresh payload each round,
-// because the rendezvous lets peers read a payload after its owner moved on.
+// rank's COO payload, rebuild the bucket once as their sum in rank order and
+// average it (collective.AllGatherSum), and record the per-rank sizes.
+// Callers may reuse the payload: no peer reads it after the rendezvous.
 func (e *hookEnv) allGather(b *ddp.Bucket, payload collective.SparsePayload, wire collective.WireFormat, decision string, t float64) float64 {
 	wire = e.scaleWire(wire)
-	all, end := e.cluster.AllGatherSparse(e.rank, payload, wire, t)
-	clear(b.Flat)
-	if e.log != nil || len(e.sizesBuf) != len(all) {
-		e.sizesBuf = make([]int, len(all))
-	}
-	sizes := e.sizesBuf
-	for i, p := range all {
-		sizes[i] = len(p.Values)
-		compress.DecodeSumSparse(p, b.Flat)
-	}
+	sizes, end := e.cluster.AllGatherSum(e.rank, payload, b.Flat, wire, t, e.average(nil))
 	e.record(CommOp{Kind: OpAllGather, Sizes: sizes, Wire: wire,
 		Decision: decision, Bucket: b.Index, LaunchAt: t})
 	return end
@@ -82,7 +86,7 @@ func (e *hookEnv) allGather(b *ddp.Bucket, payload collective.SparsePayload, wir
 // --- Dense hooks (all-reduce / PS transports) --------------------------------
 
 // denseHook aggregates via a DenseCompressor: encode, sum payloads through
-// the compressor's transport, decode.
+// the compressor's transport, decode once.
 type denseHook struct {
 	env     *hookEnv
 	comp    compress.DenseCompressor
@@ -102,17 +106,14 @@ func (h *denseHook) Sync(b *ddp.Bucket, localTime float64) float64 {
 	}
 	payload := h.comp.EncodeInto(b.Flat, h.bufs[b.Index])
 	h.bufs[b.Index] = payload
-	var end float64
 	if h.forcePS || h.comp.Transport() == compress.TransportPS {
 		wire := h.env.scaleWire(h.comp.Wire())
-		end = h.env.cluster.PSAggregateSum(h.env.rank, payload, wire, localTime)
+		end := h.env.cluster.PSAggregate(h.env.rank, payload, b.Flat, wire, localTime, h.env.average(h.comp.Decode))
 		h.env.record(CommOp{Kind: OpPS, Elements: len(payload), Wire: wire,
 			Bucket: b.Index, LaunchAt: localTime})
-	} else {
-		end = h.env.allReduce(b, payload, h.comp.Wire(), "", localTime)
+		return end
 	}
-	h.comp.Decode(payload, b.Flat)
-	return end
+	return h.env.allReduce(b, payload, h.comp.Wire(), "", localTime, h.comp.Decode)
 }
 
 // --- Sparse hooks (all-gather transport) -------------------------------------
@@ -153,7 +154,7 @@ func (h *omniReduceHook) Sync(b *ddp.Bucket, localTime float64) float64 {
 	if scale <= 0 {
 		scale = 1
 	}
-	blocks, union, end := h.env.cluster.AllReduceBlockSparse(h.env.rank, b.Flat, h.blockSize, scale, localTime)
+	blocks, union, end := h.env.cluster.AllReduceBlockSparse(h.env.rank, b.Flat, h.blockSize, scale, localTime, h.env.average(nil))
 	h.env.record(CommOp{Kind: OpBlockSparse, Blocks: blocks, Union: union, BlockSz: h.blockSize,
 		Scale: scale, Bucket: b.Index, LaunchAt: localTime})
 	return end
@@ -164,34 +165,34 @@ func (h *omniReduceHook) Sync(b *ddp.Bucket, localTime float64) float64 {
 // it beats dense only below 50% density.
 type zenHook struct {
 	env *hookEnv
+	// bufs holds one payload per bucket, reused every round (see allGather).
+	bufs map[int]collective.SparsePayload
 }
 
 // Sync implements ddp.Hook.
 func (h *zenHook) Sync(b *ddp.Bucket, localTime float64) float64 {
-	// Count first so the payload is allocated once at its exact size.
-	nnz := 0
-	for _, v := range b.Flat {
-		if v != 0 {
-			nnz++
-		}
+	if h.bufs == nil {
+		h.bufs = make(map[int]collective.SparsePayload)
 	}
-	payload := collective.SparsePayload{Values: make([]float32, 0, nnz), Indices: make([]int32, 0, nnz)}
+	p := h.bufs[b.Index]
+	p.Values, p.Indices = p.Values[:0], p.Indices[:0]
 	for i, v := range b.Flat {
 		if v != 0 {
-			payload.Values = append(payload.Values, v)
-			payload.Indices = append(payload.Indices, int32(i))
+			p.Values = append(p.Values, v)
+			p.Indices = append(p.Indices, int32(i))
 		}
 	}
-	return h.env.allGather(b, payload, collective.WireSparse, "", localTime)
+	h.bufs[b.Index] = p
+	return h.env.allGather(b, p, collective.WireSparse, "", localTime)
 }
 
 // --- The PacTrain hook --------------------------------------------------------
 
 // pacTrainHook is Algorithm 1's synchronization step, the one
 // implementation under the pactrain, pactrain-ternary and adaptive schemes.
-// Per bucket it maintains a Mask Tracker fed with the *aggregated* gradient
-// (identical on every worker, so all workers take the same branch without
-// extra consensus traffic):
+// Per bucket it consults a Mask Tracker fed with the *aggregated* gradient
+// (identical on every worker, so one tracker per bucket serves every rank and
+// all ranks take the same branch without extra consensus traffic):
 //
 //   - while the sparsity pattern is unstable → full fp32 all-reduce, plus a
 //     one-off bitmap broadcast whenever the pattern changed (re-sharing the
@@ -213,6 +214,7 @@ type pacTrainHook struct {
 	ctrl   *adaptive.Controller // nil for the fixed-format schemes
 	seed   uint64
 	window int
+	gen    int // mask generation: NotifyMaskInvalidated calls so far
 
 	buckets map[int]*pacBucket
 
@@ -221,17 +223,33 @@ type pacTrainHook struct {
 	FullSyncs    int // forced full syncs while unstable
 }
 
-// pacBucket is one bucket's Algorithm 1 state.
+// pacBucket is one rank's view of a bucket's Algorithm 1 state.
 type pacBucket struct {
-	tracker *masktracker.Tracker
-	compact *compress.MaskCompact // the installed mask; nil while suspect
-	// owesBitmap marks a bucket whose mask changed last iteration and owes
-	// a bitmap broadcast with the next full sync.
-	owesBitmap bool
-	observed   bool
-	// buf is the compact payload buffer (same safety argument as
-	// denseHook.bufs).
+	mask    *sharedTracker
+	compact *compress.MaskCompact // this rank's encoder over the stable mask
+	// buf is the compact or index-list payload buffer (see denseHook.bufs).
 	buf []float32
+}
+
+// sharedTracker is one bucket's Mask Tracker for one mask generation (between
+// NotifyMaskInvalidated calls), shared by every rank's hook. Only observe,
+// the unstable round's Finish, writes it; ranks read it between collectives.
+type sharedTracker struct {
+	tracker      *masktracker.Tracker
+	indices      []int32 // the retained coordinates once stable, read-only
+	owesBitmap   bool    // the mask changed last round: re-share it next full sync
+	observations int
+}
+
+// observe feeds the aggregated gradient to the tracker and passes it on.
+func (t *sharedTracker) observe(sum, bucket []float32) {
+	obs := t.tracker.Observe(sum)
+	t.owesBitmap = obs.Changed && t.observations > 0
+	t.observations++
+	if obs.Stable {
+		t.indices = t.tracker.Indices()
+	}
+	copy(bucket, sum)
 }
 
 // newPacTrainHook builds the hook: with a nil ctrl the stable path always
@@ -259,15 +277,16 @@ func newController(cfg *Config, env *hookEnv) *adaptive.Controller {
 func (h *pacTrainHook) Sync(b *ddp.Bucket, localTime float64) float64 {
 	st := h.buckets[b.Index]
 	if st == nil {
-		st = &pacBucket{tracker: masktracker.New(h.window)}
+		mask, _ := h.env.trackers.LoadOrStore([2]int{h.gen, b.Index}, &sharedTracker{tracker: masktracker.New(h.window)})
+		st = &pacBucket{mask: mask.(*sharedTracker)}
 		h.buckets[b.Index] = st
 	}
 
-	if st.tracker.Stable() {
+	if st.mask.tracker.Stable() {
 		mc := st.compact
 		if mc == nil {
 			mc = compress.NewMaskCompact(false, h.seed*131+uint64(b.Index))
-			mc.SetMask(st.tracker.Indices(), b.Elements())
+			mc.SetMask(st.mask.indices, b.Elements())
 			st.compact = mc
 		}
 		format, decision := h.format, ""
@@ -282,25 +301,25 @@ func (h *pacTrainHook) Sync(b *ddp.Bucket, localTime float64) float64 {
 		h.CompactSyncs++
 		switch format {
 		case adaptive.FormatDense:
-			return h.env.allReduce(b, b.Flat, collective.WireFP32, decision, localTime)
+			return h.env.allReduce(b, b.Flat, collective.WireFP32, decision, localTime, nil)
 
 		case adaptive.FormatCompact, adaptive.FormatCompactTernary:
 			mc.Ternary = format == adaptive.FormatCompactTernary
 			st.buf = mc.EncodeInto(b.Flat, st.buf)
-			end := h.env.allReduce(b, st.buf, mc.Wire(), decision, localTime)
 			// The support is the mask by construction — GSE pins local
 			// supports inside it and Decode reproduces exactly it — so there
 			// is nothing new to observe. (Observing the decoded values would
 			// be wrong under ternary quantization, which zeroes in-mask
-			// coordinates at random.)
-			mc.Decode(st.buf, b.Flat)
-			return end
+			// coordinates at random.) Every rank's mask is the shared one, so
+			// whichever rank's Decode runs writes the same bucket.
+			return h.env.allReduce(b, st.buf, mc.Wire(), decision, localTime, mc.Decode)
 
 		case adaptive.FormatIndexList:
 			// Ship exactly the in-mask coordinates (zeros included): the
 			// payload size is then replica-identical and equal to the NNZ
 			// count the controller priced, so the quote matches the charge.
-			vals, idx := mc.EncodeSparse(b.Flat)
+			vals, idx := mc.EncodeSparse(b.Flat, st.buf)
+			st.buf = vals
 			return h.env.allGather(b, collective.SparsePayload{Values: vals, Indices: idx},
 				collective.WireSparse, decision, localTime)
 		}
@@ -309,38 +328,30 @@ func (h *pacTrainHook) Sync(b *ddp.Bucket, localTime float64) float64 {
 
 	// Unstable (Algorithm 1 lines 11–12): pay the mask re-share if the
 	// pattern moved last iteration, run a full fp32 all-reduce, and feed the
-	// tracker with the aggregated gradient — identical bytes on every worker
-	// keep the trackers, and therefore the stable/unstable branch, in
-	// lockstep across ranks. These rounds are forced, not decided, so they
-	// carry no Decision tag.
-	if st.owesBitmap {
+	// tracker with the aggregated gradient once, inside the all-reduce: the
+	// bytes are identical on every worker, so one tracker serves every rank.
+	// These rounds are forced, not decided, so they carry no Decision tag.
+	if st.mask.owesBitmap {
 		bitWire := h.env.scaleWire(collective.BitmapWire)
 		end := h.env.cluster.BroadcastScaledBitmap(h.env.rank, 0, b.Elements(), bitWire, localTime)
 		h.env.record(CommOp{Kind: OpBitmapBroadcast, Elements: b.Elements(), Wire: bitWire,
 			Bucket: b.Index, LaunchAt: localTime})
 		localTime = end
 	}
-	end := h.env.allReduce(b, b.Flat, collective.WireFP32, "", localTime)
-	obs := st.tracker.Observe(b.Flat)
-	st.compact = nil // any cached mask is now suspect
 	h.FullSyncs++
-	st.owesBitmap = obs.Changed && st.observed
-	st.observed = true
-	return end
+	return h.env.allReduce(b, b.Flat, collective.WireFP32, "", localTime, st.mask.observe)
 }
 
-// NotifyMaskInvalidated discards all tracker, compaction and controller
-// state. The trainer calls it at the pruning step (Algorithm 1 line 2): the
-// gradient support is about to shrink, so unions learned from dense warm-up
-// gradients — and the densities the controller's incumbents were chosen
-// under — no longer describe the sparsity pattern. Every worker calls it at
-// the same iteration, so the branch lockstep is preserved, and the next
-// stabilization pays the bitmap re-share as usual.
+// NotifyMaskInvalidated moves to fresh shared trackers and drops compaction
+// and controller state. The trainer calls it at the pruning step (Algorithm 1
+// line 2): the gradient support is about to shrink, so unions learned from
+// dense warm-up gradients — and the densities the controller's incumbents
+// were chosen under — no longer describe the sparsity pattern. Every worker
+// calls it at the same iteration, so the branch lockstep is preserved, and
+// the next stabilization pays the bitmap re-share as usual.
 func (h *pacTrainHook) NotifyMaskInvalidated() {
-	for _, st := range h.buckets {
-		st.tracker.Reset()
-		st.compact, st.owesBitmap, st.observed = nil, false, false
-	}
+	h.gen++
+	clear(h.buckets)
 	if h.ctrl != nil {
 		h.ctrl.Reset()
 	}

@@ -103,16 +103,17 @@ func Run(cfg Config) (*Result, error) {
 	// The ranks share the kernel budget (see package par): 8 ranks on 2
 	// cores run every kernel inline, a 16-core host still fans out.
 	par.Enter(cfg.World)
-	defer par.Leave(cfg.World)
 	errs := make([]error, cfg.World)
 	var shared sharedMask
+	var trackers sync.Map // the Mask Trackers (hooks.go)
 	eval := &evaluator{cfg: &cfg, testSet: testSet, curve: &res.Curve}
 	var wg sync.WaitGroup
 	for rank := 0; rank < cfg.World; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			errs[rank] = runWorker(&cfg, rank, cluster, &shared, trainSet, eval, log, res)
+			defer par.Leave(1) // the final evaluation gets this share back
+			errs[rank] = runWorker(&cfg, rank, cluster, &shared, &trackers, trainSet, eval, log, res)
 		}(rank)
 	}
 	wg.Wait()
@@ -139,6 +140,9 @@ var rankStartHook func()
 // step, before the mask touches the rank's replica.
 var maskHook func(rank int, model *nn.Model, mask *prune.Mask)
 
+// syncHook, when a test sets it, runs on every rank after each sync scatters.
+var syncHook func(rank int, model *nn.Model, hook ddp.Hook)
+
 // sharedMask is a run's magnitude mask: the weights it derives from are
 // replica-identical, so whichever rank reaches the pruning epoch first
 // derives it and every rank reads it — the paper's global knowledge.
@@ -149,7 +153,7 @@ type sharedMask struct {
 }
 
 // runWorker is the per-rank training loop (Algorithm 1).
-func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *sharedMask,
+func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *sharedMask, trackers *sync.Map,
 	trainSet *data.Dataset, eval *evaluator, log *CommLog, res *Result) error {
 
 	if rankStartHook != nil {
@@ -179,7 +183,7 @@ func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *share
 	if cfg.Profile.Params > 0 && model.NumParameters() > 0 {
 		wireScale = float64(cfg.Profile.Params) / float64(model.NumParameters())
 	}
-	env := &hookEnv{cluster: cluster, rank: rank, world: cfg.World, wireScale: wireScale}
+	env := &hookEnv{cluster: cluster, rank: rank, world: cfg.World, wireScale: wireScale, trackers: trackers}
 	if rank == 0 {
 		env.log = log
 		if log != nil {
@@ -198,7 +202,6 @@ func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *share
 	simTime := 0.0
 	iter := 0
 	lastLoss := 0.0
-	invWorld := 1 / float32(cfg.World)
 
 	// evalAt hands rank 0's state to the evaluator at every evaluation point:
 	// each EvalEvery iterations, or at the end of each epoch when it is 0.
@@ -267,12 +270,12 @@ func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *share
 				walk.free = hook.Sync(b, walk.launch(i))
 			}
 			simTime = walk.finish(rank)
+			// Hooks deliver the mean gradient, +0 where GSE zeroed every rank's.
 			for _, b := range buckets {
-				b.Scale(invWorld)
 				b.Scatter()
 			}
-			if mask != nil {
-				gse.Enforce(model, mask)
+			if syncHook != nil {
+				syncHook(rank, model, hook)
 			}
 			opt.Step(model.Params())
 			iter++

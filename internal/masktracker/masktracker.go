@@ -41,10 +41,6 @@ func New(stableAfter int) *Tracker {
 
 // Observation is the result of feeding one bucket gradient to the tracker.
 type Observation struct {
-	// Mask is the keep-mask (true where the gradient has ever been
-	// non-zero). The slice is owned by the tracker and valid until the next
-	// Observe.
-	Mask []bool
 	// Changed reports whether the union grew this iteration (always true
 	// on the first observation).
 	Changed bool
@@ -78,7 +74,6 @@ func (t *Tracker) Observe(flat []float32) Observation {
 		t.consecutive++
 	}
 	return Observation{
-		Mask:    t.union,
 		Changed: grew,
 		Stable:  t.consecutive >= t.StableAfter,
 		NNZ:     t.nnz,

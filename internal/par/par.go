@@ -69,6 +69,9 @@ func Budget() int { return int(budget.Load()) }
 // issues nothing and the ranks still computing can use its share.
 func Enter(n int) { callers.Add(int64(n)) }
 
+// Callers returns how many goroutines are registered: entered, less left.
+func Callers() int { return int(callers.Load()) }
+
 // Leave undoes Enter. A goroutine nobody entered may leave and re-enter too
 // (a Cluster driven outside core.Run): the count dips below what is really
 // running for the wait, which can only make a dispatch fan out more.

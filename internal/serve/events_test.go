@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -392,4 +394,67 @@ func TestJSONLogFormat(t *testing.T) {
 	if !sawProgress {
 		t.Fatal("json log carried no trainer heartbeats")
 	}
+}
+
+// FuzzEventsResume pins Last-Event-ID resume for any header value: a finished
+// job's stream replays exactly the frames after min(n, last) when the value is
+// a decimal id n, and every frame when it is anything else (empty, negative,
+// overflowing, padded, non-decimal) — byte for byte the full stream's suffix,
+// with no gap and no duplicate.
+func FuzzEventsResume(f *testing.F) {
+	// The seed corpus (testdata/fuzz/FuzzEventsResume) holds the edges: ids
+	// 0, 1, the last and past it, and the non-ids above.
+	s, err := New(Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	const id, last = "resume", 41
+	j := &job{id: id, state: JobRunning}
+	s.mu.Lock()
+	s.jobs[id] = j
+	for i := range last - 1 {
+		s.publishLocked(j, EventPayload{Type: "progress", Label: fmt.Sprint("cell ", i)})
+	}
+	j.state = JobDone
+	s.publishLocked(j, EventPayload{Type: "state", State: JobDone})
+	s.mu.Unlock()
+
+	h := s.Handler()
+	stream := func(lastEventID string) []string {
+		req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/events", nil)
+		if lastEventID != "" {
+			req.Header.Set("Last-Event-ID", lastEventID)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			f.Fatalf("events stream status %d", rec.Code)
+		}
+		frames := strings.SplitAfter(rec.Body.String(), "\n\n")
+		return frames[:len(frames)-1] // the empty string after the last frame
+	}
+	full := stream("")
+	if len(full) != last {
+		f.Fatalf("full stream has %d frames, want %d", len(full), last)
+	}
+	for i, fr := range full {
+		if !strings.HasPrefix(fr, fmt.Sprintf("id: %d\n", i+1)) {
+			f.Fatalf("frame %d is %q", i, fr)
+		}
+	}
+	f.Fuzz(func(t *testing.T, lastEventID string) {
+		after := 0
+		if n, err := strconv.Atoi(lastEventID); err == nil && n > 0 {
+			after = min(n, last)
+		}
+		got := stream(lastEventID)
+		if !slices.Equal(got, full[after:]) {
+			t.Fatalf("Last-Event-ID %q replayed %d frames, want the %d after id %d", lastEventID, len(got), last-after, after)
+		}
+	})
 }

@@ -9,6 +9,7 @@ import "sync"
 var (
 	axpy     = axpyGo     // y[j] += a·x[j]
 	scale    = scaleGo    // x[j] *= alpha
+	add      = addGo      // y[j] += x[j], or y[j] = +0 + x[j] with fromZero
 	maxAbs   = maxAbsGo   // max |x[j]| from +0, a NaN never the larger
 	momentum = momentumGo // g[j] += wd·w[j] unless wd is 0; v[j] = mom·v[j] + g[j]; w[j] -= lr·v[j]
 
@@ -25,6 +26,15 @@ func axpyGo(a float32, x, y []float32) {
 func scaleGo(x []float32, alpha float32) {
 	for j := range x {
 		x[j] *= alpha
+	}
+}
+
+func addGo(y, x []float32, fromZero bool) {
+	for j, yv := range y { // the running sum first, as the reduction loops had it
+		if fromZero {
+			yv = 0
+		}
+		y[j] = yv + x[j]
 	}
 }
 

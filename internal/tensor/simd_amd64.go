@@ -25,6 +25,11 @@ func init() {
 		scaleAVX2(x[:n], alpha)
 		scaleGo(x[n:], alpha)
 	}
+	add = func(y, x []float32, fromZero bool) {
+		n := len(x) &^ 7
+		addAVX2(y[:n], x[:n], fromZero)
+		addGo(y[n:], x[n:], fromZero)
+	}
 	maxAbs = func(x []float32) float32 {
 		n := len(x) &^ 31
 		return max(maxAbsAVX2(x[:n]), maxAbsGo(x[n:]))
@@ -95,6 +100,9 @@ func axpyAVX2(a float32, x, y []float32)
 
 //go:noescape
 func scaleAVX2(x []float32, alpha float32)
+
+//go:noescape
+func addAVX2(y, x []float32, fromZero bool)
 
 //go:noescape
 func maxAbsAVX2(x []float32) float32

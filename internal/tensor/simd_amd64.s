@@ -29,7 +29,7 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// The four elementwise kernels take whole registers: their callers
+// The five elementwise kernels take whole registers: their callers
 // (simd_amd64.go) finish what is left of a slice with the Go loops.
 
 // func axpyAVX2(a float32, x, y []float32)
@@ -266,6 +266,40 @@ scale8:
 	SUBQ $8, CX
 	JMP  scale8
 scaleDone:
+	VZEROUPPER
+	RET
+
+// func addAVX2(y, x []float32, fromZero bool)
+// y[j] += x[j] for j < len(x) &^ 7, the running sum the first source as in
+// the compiler's ADDSS; with fromZero, y[j] = +0 + x[j] without reading y.
+TEXT ·addAVX2(SB), NOSPLIT, $0-49
+	MOVQ y_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	MOVBLZX fromZero+48(FP), AX
+	VXORPS Y0, Y0, Y0
+	TESTQ AX, AX
+	JNZ  addZero8
+add8:
+	CMPQ CX, $8
+	JLT  addDone
+	VMOVUPS (DI), Y1
+	VADDPS  (SI), Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JMP  add8
+addZero8:
+	CMPQ CX, $8
+	JLT  addDone
+	VADDPS  (SI), Y0, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JMP  addZero8
+addDone:
 	VZEROUPPER
 	RET
 

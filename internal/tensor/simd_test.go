@@ -132,7 +132,7 @@ func sameBits64(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// checkElementwise compares axpy, scale, maxAbs, SGDStep and the activation
+// checkElementwise compares axpy, AddTo, scale, maxAbs, SGDStep and the activation
 // and BatchNorm kernels with their Go loops on all but the last element of x,
 // g and v, which have one length; the last element of each is a sentinel no
 // kernel may touch. Every kernel input is misaligned by off floats.
@@ -145,6 +145,20 @@ func checkElementwise(t *testing.T, off int, x, g, v []float32, lr, mom, wd floa
 	axpyGo(lr, x[:n], want[:n])
 	axpy(lr, at(x)[:n], got[:n])
 	sameBits(t, "axpy", got, want)
+
+	// The reference for AddTo is the reduction loop it replaced: a clear,
+	// then the running sum as first addend.
+	for _, fromZero := range []bool{false, true} {
+		want, got = at(g), at(g)
+		if fromZero {
+			clear(want[:n])
+		}
+		for j := range n {
+			want[j] += x[j]
+		}
+		AddTo(got[:n], at(x)[:n], fromZero)
+		sameBits(t, "AddTo", got, want)
+	}
 
 	want, got = at(x), at(x)
 	scaleGo(want[:n], mom)
@@ -209,6 +223,27 @@ func checkElementwise(t *testing.T, off int, x, g, v []float32, lr, mom, wd floa
 	batchNormGradGo(want[:n], g[:n], x[:n], float64(n), mean, invStd, scale)
 	BatchNormGrad(got[:n], at(g)[:n], at(x)[:n], float64(n), mean, invStd, scale)
 	sameBits(t, "BatchNormGrad", got, want)
+}
+
+// TestElementwiseAddKeepsRunningSumNaN pins AddTo's operand order where it
+// shows: when both addends are NaNs, x86 returns the first one's payload, and
+// the reduction loops AddTo replaced had the running sum first. The lane and
+// the Go loop (the ninth element) must both keep y's payload; fromZero keeps
+// x's, the only NaN.
+func TestElementwiseAddKeepsRunningSumNaN(t *testing.T) {
+	ny, nx := math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00002)
+	for _, fromZero := range []bool{false, true} {
+		y, x := make([]float32, 9), make([]float32, 9)
+		for i := range y {
+			y[i], x[i] = ny, nx
+		}
+		AddTo(y, x, fromZero)
+		want := ny
+		if fromZero {
+			want = nx
+		}
+		sameBits(t, "AddTo", y, []float32{want, want, want, want, want, want, want, want, want})
+	}
 }
 
 // geluEdges returns the inputs on both sides of each of math.Tanh's branch

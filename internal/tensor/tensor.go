@@ -253,6 +253,25 @@ func (t *Tensor) ScaleInPlace(alpha float32) { scale(t.data, alpha) }
 // Scale multiplies every element of x by alpha.
 func Scale(x []float32, alpha float32) { scale(x, alpha) }
 
+// AddTo adds x into y elementwise, y[j] += x[j], rounded as the scalar loop;
+// fromZero writes +0 + x[j], a sum's first term fused with the clear.
+func AddTo(y, x []float32, fromZero bool) {
+	if len(y) != len(x) {
+		panic("tensor: AddTo length mismatch")
+	}
+	add(y, x, fromZero)
+}
+
+// ScatterAdd adds vals[i] to dst[idx[i]] for every i in parallel chunks; the
+// indices are distinct, so any chunking gives the scalar loop's bits.
+func ScatterAdd(dst []float32, idx []int32, vals []float32) {
+	par.For(len(idx), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst[idx[i]] += vals[i]
+		}
+	})
+}
+
 // SGDStep is one momentum-SGD update of a parameter w with gradient g:
 // g += wd·w unless wd is 0, then v = mom·v + g and w -= lr·v, or only
 // w -= lr·g when mom is 0 (v is then not read). Each product, sum and
