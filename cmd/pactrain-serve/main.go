@@ -18,13 +18,13 @@
 //	curl -s localhost:8080/v1/stats
 //	curl -s localhost:8080/metrics
 //
-// Scaling out: instances started with -cache-peers and a unique -peer-id
-// form one logical cache — a local miss consults every peer (and their
+// Scaling out: instances started with -cache-peers form one logical
+// cache — a local miss consults every peer (and their
 // in-flight trainings) before training, so a fingerprint trains once per
 // cluster, not once per instance:
 //
-//	pactrain-serve -addr :8080 -peer-id a -cache c-a -cache-peers http://b:8080
-//	pactrain-serve -addr :8081 -peer-id b -cache c-b -cache-peers http://a:8080
+//	pactrain-serve -addr :8080 -cache c-a -cache-peers http://b:8080
+//	pactrain-serve -addr :8081 -cache c-b -cache-peers http://a:8080
 //
 // -rate-limit puts a per-client token bucket in front of the queue; both
 // rate-limit and queue-full rejections are 429s carrying a Retry-After
@@ -67,8 +67,7 @@ func main() {
 	queueDepth := flag.Int("queue", 64, "accepted-but-unstarted job limit")
 	history := flag.Int("history", 256, "retained finished-job records (oldest evict past this)")
 	memoLimit := flag.Int("memo-limit", 0, "in-memory trained-result memo bound; disk-persisted entries evict past this (0 = unlimited)")
-	cachePeers := flag.String("cache-peers", "", "comma-separated base URLs of sibling instances; local cache misses consult them before training (requires -peer-id)")
-	peerID := flag.String("peer-id", "", "stable unique name of this instance in the cache-peer group (symmetric races break by ID order)")
+	cachePeers := flag.String("cache-peers", "", "comma-separated base URLs of sibling instances; local cache misses consult them before training")
 	rateLimit := flag.Float64("rate-limit", 0, "per-client sustained submissions/sec; past it submissions 429 with Retry-After (0 = unlimited)")
 	rateBurst := flag.Int("rate-burst", 0, "per-client token-bucket burst capacity (default 1 when -rate-limit is set)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Minute, "how long shutdown waits for accepted jobs")
@@ -86,10 +85,6 @@ func main() {
 		if p = strings.TrimSpace(p); p != "" {
 			peers = append(peers, strings.TrimRight(p, "/"))
 		}
-	}
-	if len(peers) > 0 && *peerID == "" {
-		fmt.Fprintln(os.Stderr, "pactrain-serve: -cache-peers requires -peer-id (the peer protocol breaks ties by instance name)")
-		os.Exit(2)
 	}
 	var logw io.Writer = os.Stderr
 	if *quiet {
@@ -110,7 +105,6 @@ func main() {
 		RateLimit:    *rateLimit,
 		RateBurst:    *rateBurst,
 		CachePeers:   peers,
-		PeerID:       *peerID,
 		HistoryLimit: *history,
 		Log:          logw,
 		LogFormat:    *logFormat,

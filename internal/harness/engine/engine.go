@@ -19,6 +19,7 @@
 package engine
 
 import (
+	"crypto/rand"
 	"fmt"
 	"io"
 	"net/http"
@@ -143,10 +144,6 @@ type Options struct {
 	// protocol (peer.go): a local cache miss consults each peer before the
 	// engine commits to training. Empty disables peering.
 	PeerURLs []string
-	// PeerID names this instance in the peer protocol. The resolving-vs-
-	// resolving race is broken by total order on IDs (smaller trains), so
-	// IDs must be unique and stable across the peer group.
-	PeerID string
 	// MemoLimit bounds the in-memory singleflight Result memo (0 =
 	// unlimited, the historical behavior). The memo is the cross-experiment
 	// dedup economy, but a long-lived process serving many distinct configs
@@ -184,8 +181,10 @@ type state struct {
 	log       io.Writer
 	memoLimit int
 	peers     []string
-	peerID    string
 	peerHTTP  *http.Client
+	// id names this instance in the peer protocol; the server side breaks
+	// symmetric races by its order (peer.go).
+	id string
 
 	mu       sync.Mutex
 	inflight map[string]*call
@@ -213,12 +212,17 @@ func (e *Engine) WithObserver(fn func(Event)) *Engine {
 type call struct {
 	done chan struct{}
 	// training is closed once the owner commits to training locally —
-	// after the disk cache and every peer have missed. The peer server
-	// reports a call "resolving" before the latch closes and "training"
-	// after; only the latter is a promise a remote instance may wait on.
+	// after the disk cache and every peer have missed. Before it closes the
+	// call is still resolving, and the peer server holds a remote request on
+	// it only for a larger caller ID; after, the call is a promise any
+	// remote instance may wait on (peer.go).
 	training chan struct{}
-	res      *core.Result
-	err      error
+	// yielded is set, under the engine lock, when the peer server answered
+	// a smaller instance's request 404 while the call was resolving; the
+	// owner then asks its peers again instead of committing (peer.go).
+	yielded bool
+	res     *core.Result
+	err     error
 }
 
 // New builds an engine.
@@ -239,8 +243,8 @@ func New(opt Options) *Engine {
 		log:       opt.Log,
 		memoLimit: opt.MemoLimit,
 		peers:     opt.PeerURLs,
-		peerID:    opt.PeerID,
 		peerHTTP:  &http.Client{Timeout: peerClientTimeout},
+		id:        rand.Text(),
 		inflight:  make(map[string]*call),
 		persisted: make(map[string]bool),
 	}}
@@ -334,9 +338,7 @@ func (e *Engine) evictLocked() {
 func (e *Engine) execute(job Job, fp string, c *call) (*core.Result, bool, error) {
 	if e.cache != nil {
 		if res, ok := e.cache.Load(fp); ok {
-			e.mu.Lock()
-			e.stats.CacheHits++
-			e.mu.Unlock()
+			e.bump(&e.stats.CacheHits)
 			if e.onEvent != nil {
 				ev := Event{Kind: EventCacheHit, Label: job.Label, Fingerprint: fp,
 					SimSeconds: res.SimSeconds, CacheAgeSeconds: e.cache.Age(fp), Stats: e.Stats()}
@@ -346,26 +348,10 @@ func (e *Engine) execute(job Job, fp string, c *call) (*core.Result, bool, error
 			return res, true, nil
 		}
 	}
-	if len(e.peers) > 0 {
-		if res, ok := e.consultPeers(job, fp); ok {
-			// Write through to the local cache so the entry is served
-			// from disk next time, and so the memo entry is evictable.
-			persisted := false
-			if e.cache != nil {
-				if err := e.cache.Store(fp, res); err != nil {
-					e.logf("engine: %-32s %s cache store failed: %v", job.Label, fp, err)
-				} else {
-					persisted = true
-				}
-			}
-			return res, persisted, nil
-		}
+	if res, ok := e.consultPeers(job, fp, c); ok {
+		return res, e.persist(job, fp, res), nil
 	}
-
-	// Local and peer misses exhausted: commit to training. The latch tells
-	// the peer server this call is now a promise remote instances may wait
-	// on (see peer.go).
-	close(c.training)
+	// Every lookup missed and the training latch is closed: train.
 	e.sem <- struct{}{}
 	defer func() { <-e.sem }()
 
@@ -392,19 +378,24 @@ func (e *Engine) execute(job Job, fp string, c *call) (*core.Result, bool, error
 		e.emit(EventTrainDone, job.Label, fp, 0, err)
 		return nil, false, err
 	}
-	e.mu.Lock()
-	e.stats.Trained++
-	e.mu.Unlock()
-	persisted := false
-	if e.cache != nil {
-		if err := e.cache.Store(fp, res); err != nil {
-			e.logf("engine: %-32s %s cache store failed: %v", job.Label, fp, err)
-		} else {
-			persisted = true
-		}
-	}
+	e.bump(&e.stats.Trained)
+	persisted := e.persist(job, fp, res)
 	e.emit(EventTrainDone, job.Label, fp, res.SimSeconds, nil)
 	return res, persisted, nil
+}
+
+// persist writes res through to the local cache, so the entry is served from
+// disk next time, and reports whether it is there: the precondition for memo
+// eviction.
+func (e *Engine) persist(job Job, fp string, res *core.Result) bool {
+	if e.cache == nil {
+		return false
+	}
+	if err := e.cache.Store(fp, res); err != nil {
+		e.logf("engine: %-32s %s cache store failed: %v", job.Label, fp, err)
+		return false
+	}
+	return true
 }
 
 // runConfig shields the scheduler from panicking training code (e.g. a
@@ -441,6 +432,13 @@ func (e *Engine) RunAll(jobs []Job) ([]*core.Result, error) {
 		}
 	}
 	return results, nil
+}
+
+// bump increments one of the engine's counters.
+func (e *Engine) bump(n *int) {
+	e.mu.Lock()
+	*n++
+	e.mu.Unlock()
 }
 
 // Stats returns a snapshot of the engine's counters.

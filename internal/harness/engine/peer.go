@@ -9,39 +9,46 @@ package engine
 //
 // Wire format (one route, mounted by NewPeerServer):
 //
-//	GET {base}/cache/v1/entry/{fp}[?wait=SECONDS]
+//	GET {base}/cache/v1/entry/{fp}?from=ID
 //
 //	200  body = the cacheEntry JSON envelope (identical to the on-disk
 //	     file bytes' schema): the peer has the Result.
-//	404  the peer has no entry and no in-flight resolution for fp.
-//	202  body = {"state":"resolving"|"training","id":PEER_ID}: the peer
-//	     has an in-flight submission for fp. "training" means it has
-//	     committed to training (the caller should wait — with ?wait the
-//	     server long-polls completion before answering). "resolving"
-//	     means the peer is itself still consulting cache/peers.
+//	404  the peer has no entry, its call for fp failed, or it declines to
+//	     hold the request (below): the caller moves on.
+//	202  empty: the peer held the request on an in-flight call for the
+//	     full long-poll (or the caller went away); ask again.
 //
-// Cross-instance singleflight falls out of the 202 states plus one
-// tie-break. Each call carries a `training` latch that is closed only when
-// the owner commits to local training, i.e. after both its disk cache and
-// every peer have missed. A peer that answers "training" will definitely
-// produce the Result, so the client long-polls it instead of training.
-// "resolving" is the symmetric race — both instances are mid-consult for
-// the same fingerprint — and is broken by total order on PeerID: the
-// smaller ID treats the answer as a miss and goes on to train; the larger
-// ID defers (bounded backoff re-poll) until the smaller side either
-// commits ("training"), publishes (200), or gives up (404). The order is
-// total, so at least one instance always makes progress and the mutual
-// wait cannot deadlock. Every failure mode — peer down, malformed body,
-// defer budget exhausted, peer's training failed — degrades to a local
-// training: duplicated work at worst, never a wrong or missing result.
+// The answering instance arbitrates; the caller only asks each peer in turn,
+// re-asks on 202 and stops at the first 200. IDs come from crypto/rand at
+// New, so they are unique without configuration. Each call carries a
+// `training` latch that closes once the owner commits to local training,
+// after its disk cache and every peer have missed. A latched call is a
+// promise, so the server holds the request until it completes. A call still
+// resolving is the symmetric race — both instances are mid-consult for the
+// same fingerprint — and the server holds only when its own ID is strictly
+// smaller than the caller's; otherwise it answers 404 and the caller goes on
+// to train. A wait on a resolving call therefore always points at a smaller
+// ID, so the smallest instance in any race never waits on one and no cycle of
+// waits can form. A missing `from` (a bare probe) or an instance listed as
+// its own peer compares <= its own ID and is never held.
+//
+// The caller's 404 can be stale: an instance that asked before the smaller
+// one had the fingerprint in flight saw a plain miss, and the smaller one
+// then finds it still resolving and goes on to train too. So a call that
+// told a smaller caller to go ahead records it (`yielded`) and asks its peers
+// once more before it commits; the smaller instance holds that request until
+// it has the Result. Latch and flag change under the engine lock, so a race
+// among instances that list each other trains once.
+//
+// Every failure mode — peer down, malformed body, peer's training failed —
+// degrades to a local training: duplicated work at worst, never a wrong or
+// missing result.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -53,43 +60,16 @@ const (
 	// fingerprints; clients append the fingerprint.
 	peerEntryPrefix = "/cache/v1/entry/"
 
-	// peerServerMaxWait caps how long one ?wait long-poll may hold the
-	// server; clients re-poll. Must stay below the client timeout.
-	peerServerMaxWait = 25 * time.Second
-	// peerClientTimeout bounds one peer HTTP request end to end; it leaves
-	// headroom over peerServerMaxWait so a full-length long-poll answers.
-	peerClientTimeout = 30 * time.Second
-	// peerLongPoll is the ?wait the client requests while a peer reports
-	// "training": completion answers immediately, otherwise the poll
-	// returns after this long and the client re-issues it.
+	// peerLongPoll caps how long the server holds one request on an
+	// in-flight call before answering 202; the caller re-asks.
 	peerLongPoll = 10 * time.Second
+	// peerClientTimeout bounds one peer HTTP request end to end; it leaves
+	// headroom over peerLongPoll so a full-length hold answers.
+	peerClientTimeout = 30 * time.Second
 	// peerMaxBody bounds a peer response body; a recorded Result with full
 	// comm logs is a few MB, so this is generous without being unbounded.
 	peerMaxBody = 128 << 20
-
-	// peerDeferBase/Max bound the backoff between re-polls while deferring
-	// to a lower-ID peer that is still "resolving" (a window of a few
-	// milliseconds in practice).
-	peerDeferBase = 10 * time.Millisecond
-	peerDeferMax  = 250 * time.Millisecond
-	// peerDeferRounds caps defer iterations; past it the engine stops
-	// waiting and trains locally (safe: results are deterministic).
-	peerDeferRounds = 512
 )
-
-// peer wire states beyond plain hit/miss.
-const (
-	peerStateHit       = "hit"
-	peerStateMiss      = "miss"
-	peerStateResolving = "resolving"
-	peerStateTraining  = "training"
-)
-
-// peerPending is the 202 body: the peer has fp in flight.
-type peerPending struct {
-	State string `json:"state"`
-	ID    string `json:"id"`
-}
 
 // NewPeerServer exposes an engine's cache — and its in-flight trainings —
 // to sibling instances over the cache-peer protocol. Mount it alongside the
@@ -102,18 +82,9 @@ func NewPeerServer(e *Engine) http.Handler {
 			http.Error(w, "malformed fingerprint", http.StatusBadRequest)
 			return
 		}
-		var wait time.Duration
-		if s := r.URL.Query().Get("wait"); s != "" {
-			sec, err := strconv.ParseFloat(s, 64)
-			if err != nil || sec < 0 {
-				http.Error(w, "malformed wait", http.StatusBadRequest)
-				return
-			}
-			wait = min(time.Duration(sec*float64(time.Second)), peerServerMaxWait)
-		}
-		res, state := e.peerLookup(r.Context(), fp, wait)
-		switch state {
-		case peerStateHit:
+		res, status := e.peerLookup(r.Context(), fp, r.URL.Query().Get("from"))
+		switch status {
+		case http.StatusOK:
 			raw, err := encodeEntry(res)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -121,12 +92,10 @@ func NewPeerServer(e *Engine) http.Handler {
 			}
 			w.Header().Set("Content-Type", "application/json")
 			w.Write(raw)
-		case peerStateMiss:
+		case http.StatusNotFound:
 			http.Error(w, "no entry", http.StatusNotFound)
 		default:
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusAccepted)
-			json.NewEncoder(w).Encode(peerPending{State: state, ID: e.peerID})
+			w.WriteHeader(status)
 		}
 	})
 	return mux
@@ -147,153 +116,113 @@ func validFingerprint(fp string) bool {
 	return true
 }
 
-// peerLookup resolves one peer request against this engine: disk cache,
-// then the in-flight table. With wait > 0 a fingerprint in the "training"
-// state long-polls completion for up to that long before answering
-// "training" (the client re-polls).
-func (e *Engine) peerLookup(ctx context.Context, fp string, wait time.Duration) (*core.Result, string) {
+// peerLookup answers one request for fp from the instance named from with
+// the HTTP status of the wire format: disk cache, then the in-flight table,
+// holding on a call only where the package comment allows it.
+func (e *Engine) peerLookup(ctx context.Context, fp, from string) (*core.Result, int) {
 	if e.cache != nil {
 		if res, ok := e.cache.Load(fp); ok {
-			return res, peerStateHit
+			return res, http.StatusOK
 		}
-	}
-	e.mu.Lock()
-	c, ok := e.inflight[fp]
-	e.mu.Unlock()
-	if !ok {
-		return nil, peerStateMiss
 	}
 	// Completed calls stay in the table as the singleflight memo, so a
 	// diskless instance still serves peers from memory.
-	select {
-	case <-c.done:
-		if c.err != nil {
-			return nil, peerStateMiss
+	e.mu.Lock()
+	c, ok := e.inflight[fp]
+	resolving := false
+	if ok {
+		select {
+		case <-c.done:
+		case <-c.training:
+		default:
+			resolving = true
+			if from != "" && from < e.id {
+				// The 404 below sends a smaller instance on to train.
+				c.yielded = true
+			}
 		}
-		return c.res, peerStateHit
-	default:
 	}
-	select {
-	case <-c.training:
-	default:
-		return nil, peerStateResolving
+	e.mu.Unlock()
+	if !ok || resolving && from <= e.id {
+		return nil, http.StatusNotFound
 	}
-	if wait <= 0 {
-		return nil, peerStateTraining
-	}
-	timer := time.NewTimer(wait)
+	timer := time.NewTimer(peerLongPoll)
 	defer timer.Stop()
 	select {
 	case <-c.done:
 		if c.err != nil {
-			return nil, peerStateMiss
+			return nil, http.StatusNotFound
 		}
-		return c.res, peerStateHit
+		return c.res, http.StatusOK
 	case <-timer.C:
-		return nil, peerStateTraining
 	case <-ctx.Done():
-		return nil, peerStateTraining
 	}
+	return nil, http.StatusAccepted
 }
 
-// consultPeers asks every configured peer for fp, driving the singleflight
-// dance described in the package comment. ok is true with the peer-served
-// Result; false means every peer missed (or failed) and the caller should
-// train locally.
-func (e *Engine) consultPeers(job Job, fp string) (*core.Result, bool) {
-	backoff := peerDeferBase
-	deferred := 0
-	wait := time.Duration(0)
+// consultPeers asks each configured peer in turn for fp, re-asking a peer
+// that answers 202. ok is true with the first peer-served Result. false means
+// every peer missed (or failed): c's training latch is then closed, making
+// the call a promise to remote instances, and the caller trains locally. If
+// the server told a smaller instance to go ahead during the round, the
+// peers are asked once more instead (package comment).
+func (e *Engine) consultPeers(job Job, fp string, c *call) (*core.Result, bool) {
 	for {
-		anyTraining, anyDefer := false, false
 		for _, peer := range e.peers {
-			res, state, remoteID, err := e.peerFetch(peer, fp, wait)
-			if err != nil {
-				e.mu.Lock()
-				e.stats.PeerErrors++
-				e.mu.Unlock()
-				e.logf("engine: %-32s %s peer %s error: %v", job.Label, fp, peer, err)
-				continue
+			res, status, err := e.peerFetch(peer, fp)
+			for err == nil && status == http.StatusAccepted {
+				res, status, err = e.peerFetch(peer, fp)
 			}
-			switch state {
-			case peerStateHit:
-				e.mu.Lock()
-				e.stats.PeerHits++
-				e.mu.Unlock()
+			switch {
+			case err != nil:
+				e.bump(&e.stats.PeerErrors)
+				e.logf("engine: %-32s %s peer %s error: %v", job.Label, fp, peer, err)
+			case status == http.StatusNotFound:
+				e.bump(&e.stats.PeerMisses)
+			default:
+				e.bump(&e.stats.PeerHits)
 				if e.onEvent != nil {
 					e.onEvent(Event{Kind: EventPeerHit, Label: job.Label, Fingerprint: fp,
 						SimSeconds: res.SimSeconds, Peer: peer, Stats: e.Stats()})
 				}
 				e.logf("engine: %-32s %s peer hit (%s)", job.Label, fp, peer)
 				return res, true
-			case peerStateMiss:
-				e.mu.Lock()
-				e.stats.PeerMisses++
-				e.mu.Unlock()
-			case peerStateTraining:
-				anyTraining = true
-			case peerStateResolving:
-				// Symmetric race: both instances are mid-consult. Total
-				// order on peer IDs breaks it — the smaller ID proceeds
-				// to train, the larger defers.
-				if remoteID < e.peerID {
-					anyDefer = true
-				}
 			}
 		}
-		if !anyTraining && !anyDefer {
+		e.mu.Lock()
+		again := c.yielded
+		c.yielded = false
+		if !again {
+			close(c.training)
+		}
+		e.mu.Unlock()
+		if !again {
 			return nil, false
 		}
-		if anyTraining {
-			// A peer owns the training; the next fetch long-polls its
-			// completion server-side, so no client-side sleep is needed.
-			wait = peerLongPoll
-			continue
-		}
-		deferred++
-		if deferred > peerDeferRounds {
-			e.logf("engine: %-32s %s peer defer budget exhausted; training locally", job.Label, fp)
-			return nil, false
-		}
-		time.Sleep(backoff)
-		backoff = min(backoff*2, peerDeferMax)
 	}
 }
 
-// peerFetch performs one protocol request against one peer base URL.
-func (e *Engine) peerFetch(base, fp string, wait time.Duration) (*core.Result, string, string, error) {
-	url := strings.TrimRight(base, "/") + peerEntryPrefix + fp
-	if wait > 0 {
-		url += fmt.Sprintf("?wait=%g", wait.Seconds())
-	}
-	resp, err := e.peerHTTP.Get(url)
+// peerFetch performs one protocol request against one peer base URL and
+// returns 200 with the decoded Result, 404 or 202; anything else is an error.
+func (e *Engine) peerFetch(base, fp string) (*core.Result, int, error) {
+	resp, err := e.peerHTTP.Get(strings.TrimRight(base, "/") + peerEntryPrefix + fp + "?from=" + e.id)
 	if err != nil {
-		return nil, "", "", err
+		return nil, 0, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, peerMaxBody))
 	if err != nil {
-		return nil, "", "", err
+		return nil, 0, err
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
 		res, ok := decodeEntry(body)
 		if !ok {
-			return nil, "", "", fmt.Errorf("peer %s: undecodable entry for %s", base, fp)
+			return nil, 0, fmt.Errorf("peer %s: undecodable entry for %s", base, fp)
 		}
-		return res, peerStateHit, "", nil
-	case http.StatusNotFound:
-		return nil, peerStateMiss, "", nil
-	case http.StatusAccepted:
-		var p peerPending
-		if err := json.Unmarshal(body, &p); err != nil {
-			return nil, "", "", fmt.Errorf("peer %s: undecodable pending body: %w", base, err)
-		}
-		if p.State != peerStateResolving && p.State != peerStateTraining {
-			return nil, "", "", fmt.Errorf("peer %s: unknown pending state %q", base, p.State)
-		}
-		return nil, p.State, p.ID, nil
-	default:
-		return nil, "", "", fmt.Errorf("peer %s: status %d", base, resp.StatusCode)
+		return res, http.StatusOK, nil
+	case http.StatusNotFound, http.StatusAccepted:
+		return nil, resp.StatusCode, nil
 	}
+	return nil, 0, fmt.Errorf("peer %s: status %d", base, resp.StatusCode)
 }

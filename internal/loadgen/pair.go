@@ -65,7 +65,6 @@ func NewPair(opt PairOptions) (*Pair, error) {
 			RateLimit:   opt.RateLimit,
 			RateBurst:   opt.RateBurst,
 			CachePeers:  []string{p.URLs[1-i]},
-			PeerID:      fmt.Sprintf("peer%d", i),
 			Log:         opt.Log,
 		})
 		if err != nil {

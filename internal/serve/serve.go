@@ -83,13 +83,10 @@ type Options struct {
 	RateBurst int
 	// CachePeers lists sibling instances' base URLs for the engine's
 	// cache-peer protocol: a local cache miss consults each peer before
-	// training (engine.Options.PeerURLs). The peer endpoint is served under
-	// /cache/v1/ on this server's own Handler.
+	// training (engine.Options.PeerURLs). This server's own Handler answers
+	// peers under /cache/v1/ whether or not CachePeers is set, and the
+	// engine names itself, so a peer group needs no other configuration.
 	CachePeers []string
-	// PeerID names this instance in the peer protocol; required unique and
-	// stable across the peer group when CachePeers is set (the protocol
-	// breaks symmetric races by ID order).
-	PeerID string
 	// HistoryLimit bounds retained job records (default 256): once the
 	// server holds more, the oldest finished jobs — and their report bytes
 	// — are evicted, so a long-lived process does not grow without bound.
@@ -202,7 +199,6 @@ func New(opt Options) (*Server, error) {
 		MemoLimit:   opt.MemoLimit,
 		Log:         engineLog,
 		PeerURLs:    opt.CachePeers,
-		PeerID:      opt.PeerID,
 	})
 
 	sweep, err := s.engine.SweepCache()
