@@ -18,7 +18,6 @@ import (
 	"pactrain/internal/harness"
 	"pactrain/internal/netsim"
 	"pactrain/internal/nn"
-	"pactrain/internal/par"
 	"pactrain/internal/tensor"
 )
 
@@ -200,12 +199,12 @@ func BenchmarkCompressors(b *testing.B) {
 // sparsity — the hot loop of the compact path.
 func BenchmarkMaskCompact(b *testing.B) {
 	n := 1 << 20
-	keep := make([]bool, n)
+	keep := make([]int32, 0, n/2)
 	for i := 0; i < n; i += 2 {
-		keep[i] = true
+		keep = append(keep, int32(i))
 	}
 	mc := compress.NewMaskCompact(false, 1)
-	mc.SetMask(compress.MaskIndices(keep), n)
+	mc.SetMask(keep, n)
 	grad := make([]float32, n)
 	out := make([]float32, n)
 	b.SetBytes(int64(n * 4))
@@ -245,11 +244,8 @@ func BenchmarkConvForward(b *testing.B) {
 
 // BenchmarkConvBackward measures Conv2D's backward pass (weight and input
 // gradients) at the ResNet18 twin's shapes: a 10→10 3×3 conv and the 10→20
-// stride-2 conv that opens its second stage, batch 8 of 16×16 inputs, on one
-// core.
+// stride-2 conv that opens its second stage, batch 8 of 16×16 inputs.
 func BenchmarkConvBackward(b *testing.B) {
-	defer par.SetBudget(par.Budget())
-	par.SetBudget(1)
 	for _, c := range []struct {
 		name           string
 		out, k, stride int

@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"pactrain"
@@ -26,7 +25,6 @@ import (
 	"pactrain/internal/cli"
 	"pactrain/internal/metrics"
 	"pactrain/internal/netsim"
-	"pactrain/internal/par"
 )
 
 func main() { os.Exit(run()) }
@@ -52,8 +50,6 @@ func run() int {
 	adaptMargin := flag.Float64("adapt-margin", 0, "adaptive scheme: hysteresis win margin (0 = default)")
 	adaptDwell := flag.Int("adapt-dwell", 0, "adaptive scheme: challenger rounds before a format switch (0 = default)")
 	adaptCandidates := flag.String("adapt-candidates", "", "adaptive scheme: comma-separated candidate formats (empty = all)")
-	kernelParallel := flag.Int("kernel-parallel", runtime.GOMAXPROCS(0),
-		"cores the model-compute and compression kernels may occupy, shared by the run's ranks (results are bit-identical at any value)")
 	common := cli.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -66,7 +62,6 @@ func run() int {
 		return cli.Usage(fmt.Errorf("-bw: %w", err))
 	}
 
-	par.SetBudget(*kernelParallel)
 	stopProfiles, err := common.StartProfiles()
 	if err != nil {
 		return cli.Usage(err)

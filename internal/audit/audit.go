@@ -24,8 +24,8 @@
 // Like internal/obs, the audit is *derived*: it reads only the recorded log
 // and the run's config, prices on throwaway fabrics, and perturbs nothing —
 // reports, fingerprints, and caches are byte-identical with or without it,
-// and the audit artifact itself is byte-identical at any -parallel or
-// kernel-budget setting. As a guard, Replay verifies the replayed clock
+// and the audit artifact itself is byte-identical at any -parallel
+// setting. As a guard, Replay verifies the replayed clock
 // reproduces the recorded SimSeconds bit-for-bit; a mismatch means the
 // config/fabric handed in is not the one the log was recorded under
 // (DESIGN.md §8), and the audit refuses rather than reporting fiction.

@@ -101,6 +101,16 @@ func TestRetiredPerfFlagIsUndefined(t *testing.T) {
 	}
 }
 
+// TestKernelParallelFlagIsUndefined: serial kernels left no kernel-budget
+// flag behind.
+func TestKernelParallelFlagIsUndefined(t *testing.T) {
+	t.Parallel()
+	code, stderr := run(t, t.TempDir(), "pactrain-train", "-kernel-parallel", "2")
+	if code != 2 || !strings.HasPrefix(stderr, "flag provided but not defined: -kernel-parallel\n") {
+		t.Errorf("pactrain-train -kernel-parallel 2: exit %d, want 2 and package flag's undefined-flag line; stderr:\n%s", code, stderr)
+	}
+}
+
 // TestProfilesSurviveFailedRun runs pactrain-train into a failure after
 // training (an unwritable -trace) and checks both profiles were still
 // written: the deferred stop must run on the way to a non-zero exit.

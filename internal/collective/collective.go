@@ -23,7 +23,6 @@ import (
 	"sync"
 
 	"pactrain/internal/netsim"
-	"pactrain/internal/par"
 	"pactrain/internal/tensor"
 )
 
@@ -119,15 +118,12 @@ func grow(buf *[]float32, n int) []float32 {
 }
 
 // sum adds vecs elementwise, in rank order from +0, into the reduction
-// buffer; chunks split elements, never ranks, so any chunking gives the
-// scalar sum's bits. A nil f takes the sum as the bucket.
+// buffer. A nil f takes the sum as the bucket.
 func (c *Cluster) sum(vecs [][]float32, f Finish, n int) []float32 {
 	s := grow(&c.sumBuf, len(vecs[0]))
-	par.For(len(s), func(lo, hi int) {
-		for r, v := range vecs {
-			tensor.AddTo(s[lo:hi], v[lo:hi], r == 0)
-		}
-	})
+	for r, v := range vecs {
+		tensor.AddTo(s, v, r == 0)
+	}
 	return c.finish(f, s, n)
 }
 
@@ -212,13 +208,9 @@ func (c *Cluster) rendezvous(rank int, input any, localTime float64,
 		c.cond.Broadcast()
 		return res, c.outTime
 	}
-	// A waiting rank issues no kernels: its share of the kernel budget goes
-	// to the ranks still computing, and to compute above when it runs.
-	par.Leave(1)
 	for c.gen == gen {
 		c.cond.Wait()
 	}
-	par.Enter(1)
 	return c.result, c.outTime
 }
 

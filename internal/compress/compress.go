@@ -20,7 +20,6 @@ import (
 	"math"
 
 	"pactrain/internal/collective"
-	"pactrain/internal/par"
 	"pactrain/internal/tensor"
 )
 
@@ -143,15 +142,12 @@ func (*FP16) Wire() collective.WireFormat { return collective.WireFP16 }
 // Encode implements DenseCompressor.
 func (c *FP16) Encode(grad []float32) []float32 { return c.EncodeInto(grad, nil) }
 
-// EncodeInto implements DenseCompressor. The conversion is elementwise, so
-// the chunked parallel loop is bit-identical to the scalar one.
+// EncodeInto implements DenseCompressor.
 func (*FP16) EncodeInto(grad, buf []float32) []float32 {
 	out := grow(buf, len(grad))
-	par.For(len(grad), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = HalfToFloat32(Float32ToHalf(grad[i]))
-		}
-	})
+	for i, g := range grad {
+		out[i] = HalfToFloat32(Float32ToHalf(g))
+	}
 	return out
 }
 

@@ -377,10 +377,22 @@ func TestTHCSharedLattice(t *testing.T) {
 	}
 }
 
+// maskIndices converts a boolean keep-mask into the ascending index list
+// MaskCompact consumes.
+func maskIndices(keep []bool) []int32 {
+	var idx []int32
+	for i, k := range keep {
+		if k {
+			idx = append(idx, int32(i))
+		}
+	}
+	return idx
+}
+
 func TestMaskCompactRoundTrip(t *testing.T) {
 	m := NewMaskCompact(false, 1)
 	keep := []bool{true, false, false, true, true, false}
-	m.SetMask(MaskIndices(keep), 6)
+	m.SetMask(maskIndices(keep), 6)
 	g := []float32{1, 99, 98, 4, 5, 97} // pruned coords carry garbage
 	enc := m.Encode(g)
 	if len(enc) != 3 {
@@ -402,7 +414,7 @@ func TestMaskCompactRoundTrip(t *testing.T) {
 func TestMaskCompactEncodeSparse(t *testing.T) {
 	m := NewMaskCompact(false, 1)
 	keep := []bool{true, false, false, true, true, false}
-	m.SetMask(MaskIndices(keep), 6)
+	m.SetMask(maskIndices(keep), 6)
 	vals, idx := m.EncodeSparse([]float32{1, 99, 98, 0, 5, 97}, nil)
 	if len(vals) != 3 || len(idx) != 3 {
 		t.Fatalf("COO lengths %d/%d, want 3/3", len(vals), len(idx))
@@ -457,7 +469,7 @@ func TestMaskCompactValidation(t *testing.T) {
 func TestMaskCompactTernaryStaysOnSupport(t *testing.T) {
 	m := NewMaskCompact(true, 42)
 	keep := []bool{true, false, true, false}
-	m.SetMask(MaskIndices(keep), 4)
+	m.SetMask(maskIndices(keep), 4)
 	g := []float32{0.9, 0.5, -0.2, 0.7}
 	enc := m.Encode(g)
 	out := make([]float32, 4)
@@ -501,7 +513,7 @@ func TestPropertyMaskCompactProjection(t *testing.T) {
 			keep[0] = true
 		}
 		m := NewMaskCompact(false, seed)
-		m.SetMask(MaskIndices(keep), n)
+		m.SetMask(maskIndices(keep), n)
 		g := make([]float32, n)
 		for i := range g {
 			g[i] = float32(r.NormFloat64())

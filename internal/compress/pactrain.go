@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pactrain/internal/collective"
-	"pactrain/internal/par"
 	"pactrain/internal/tensor"
 )
 
@@ -78,10 +77,8 @@ func (m *MaskCompact) Wire() collective.WireFormat {
 // compact dense vector of length NNZ.
 func (m *MaskCompact) Encode(grad []float32) []float32 { return m.EncodeInto(grad, nil) }
 
-// EncodeInto implements DenseCompressor. The gather is parallel (mask
-// indices are strictly ascending, so chunks read and write disjoint ranges);
-// the optional ternary stage consumes a sequential RNG stream and stays
-// scalar to preserve bit-exact reproducibility.
+// EncodeInto implements DenseCompressor: a gather of the mask's coordinates,
+// then the optional ternary stage, which consumes a sequential RNG stream.
 func (m *MaskCompact) EncodeInto(grad, buf []float32) []float32 {
 	if !m.maskSet {
 		panic("compress: MaskCompact.Encode before SetMask")
@@ -90,11 +87,9 @@ func (m *MaskCompact) EncodeInto(grad, buf []float32) []float32 {
 		panic(fmt.Sprintf("compress: gradient length %d does not match mask domain %d", len(grad), m.fullLen))
 	}
 	out := grow(buf, len(m.indices))
-	par.For(len(m.indices), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = grad[m.indices[i]]
-		}
-	})
+	for i, j := range m.indices {
+		out[i] = grad[j]
+	}
 	if m.Ternary {
 		Ternarize(m.rng, out, out)
 	}
@@ -108,16 +103,10 @@ func (m *MaskCompact) Decode(payload []float32, out []float32) {
 	if len(payload) != len(m.indices) {
 		panic("compress: MaskCompact.Decode payload length mismatch")
 	}
-	par.For(len(out), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = 0
-		}
-	})
-	par.For(len(m.indices), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[m.indices[i]] = payload[i]
-		}
-	})
+	clear(out)
+	for i, j := range m.indices {
+		out[j] = payload[i]
+	}
 }
 
 // EncodeSparse gathers the retained coordinates as a COO (values, indices)
@@ -134,22 +123,8 @@ func (m *MaskCompact) EncodeSparse(grad, buf []float32) ([]float32, []int32) {
 		panic(fmt.Sprintf("compress: gradient length %d does not match mask domain %d", len(grad), m.fullLen))
 	}
 	vals := grow(buf, len(m.indices))
-	par.For(len(m.indices), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			vals[i] = grad[m.indices[i]]
-		}
-	})
-	return vals, m.indices
-}
-
-// MaskIndices converts a boolean keep-mask into the ascending index list
-// MaskCompact consumes.
-func MaskIndices(keep []bool) []int32 {
-	var idx []int32
-	for i, k := range keep {
-		if k {
-			idx = append(idx, int32(i))
-		}
+	for i, j := range m.indices {
+		vals[i] = grad[j]
 	}
-	return idx
+	return vals, m.indices
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"pactrain/internal/collective"
-	"pactrain/internal/par"
 	"pactrain/internal/tensor"
 )
 
@@ -172,9 +171,7 @@ func (t *THC) Wire() collective.WireFormat {
 // lattice spanning [−s, s].
 func (t *THC) Encode(grad []float32) []float32 { return t.EncodeInto(grad, nil) }
 
-// EncodeInto implements DenseCompressor. The rounding is deterministic and
-// elementwise, so both the max reduction and the lattice loop parallelize
-// bit-exactly.
+// EncodeInto implements DenseCompressor.
 func (t *THC) EncodeInto(grad, buf []float32) []float32 {
 	out := grow(buf, len(grad))
 	s := tensor.MaxAbs(grad)
@@ -186,12 +183,10 @@ func (t *THC) EncodeInto(grad, buf []float32) []float32 {
 	}
 	L := float64(t.Levels - 1)
 	step := 2 * float64(s) / L
-	par.For(len(grad), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			q := math.Round((float64(grad[i]) + float64(s)) / step)
-			out[i] = float32(q*step - float64(s))
-		}
-	})
+	for i := range grad {
+		q := math.Round((float64(grad[i]) + float64(s)) / step)
+		out[i] = float32(q*step - float64(s))
+	}
 	return out
 }
 

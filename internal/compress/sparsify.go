@@ -4,15 +4,12 @@ import (
 	"fmt"
 
 	"pactrain/internal/collective"
-	"pactrain/internal/par"
 	"pactrain/internal/tensor"
 )
 
-// DecodeSumSparse accumulates a sparse payload into out in parallel: the
-// decode under every SparseCompressor's DecodeSum, and the scatter-add
-// (tensor.ScatterAdd) collective.AllGatherSum runs once per payload. The
-// indices within one payload are unique, so it is bit-identical to the
-// scalar loop for any chunking.
+// DecodeSumSparse accumulates a sparse payload into out: the decode under
+// every SparseCompressor's DecodeSum, and the scatter-add (tensor.ScatterAdd)
+// collective.AllGatherSum runs once per payload.
 func DecodeSumSparse(p collective.SparsePayload, out []float32) {
 	tensor.ScatterAdd(out, p.Indices, p.Values)
 }
@@ -50,11 +47,9 @@ func (t *TopK) Encode(grad []float32) collective.SparsePayload {
 	k := ratioCount(len(grad), t.Ratio)
 	idx := t.sel.topKIndices(grad, k)
 	vals := make([]float32, len(idx))
-	par.For(len(idx), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			vals[i] = grad[idx[i]]
-		}
-	})
+	for i, j := range idx {
+		vals[i] = grad[j]
+	}
 	return collective.SparsePayload{Values: vals, Indices: idx}
 }
 
@@ -153,12 +148,10 @@ func (d *DGC) Encode(grad []float32) collective.SparsePayload {
 		panic("compress: DGC gradient length changed between iterations")
 	}
 	m := float32(d.Momentum)
-	par.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d.u[i] = m*d.u[i] + grad[i]
-			d.v[i] += d.u[i]
-		}
-	})
+	for i := range n {
+		d.u[i] = m*d.u[i] + grad[i]
+		d.v[i] += d.u[i]
+	}
 	k := ratioCount(n, d.Ratio)
 	idx := d.sel.topKIndices(d.v, k)
 	vals := make([]float32, len(idx))
@@ -212,11 +205,9 @@ func (e *ErrorFeedback) Encode(grad []float32) collective.SparsePayload {
 	// The corrected gradient grad + residual is built in the residual itself:
 	// what is left of it once the transmitted coordinates are cleared is the
 	// next residual. (Encoders read their input; none keeps or edits it.)
-	par.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e.residual[i] = grad[i] + e.residual[i]
-		}
-	})
+	for i := range n {
+		e.residual[i] = grad[i] + e.residual[i]
+	}
 	p := e.Inner.Encode(e.residual)
 	for _, j := range p.Indices {
 		e.residual[j] = 0

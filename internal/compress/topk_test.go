@@ -195,3 +195,86 @@ func BenchmarkTopKSelect(b *testing.B) {
 		}
 	}
 }
+
+// testGrad builds a deterministic gradient with repeated magnitudes (ties
+// exercise the index tie-break) and exact negative mirrors.
+func testGrad(n int, seed uint64) []float32 {
+	rng := tensor.NewRNG(seed)
+	v := make([]float32, n)
+	for i := range v {
+		v[i] = float32(rng.Float64()*2 - 1)
+	}
+	for i := 0; i+8 < n; i += 8 {
+		v[i+3] = v[i]  // exact duplicate magnitude
+		v[i+5] = -v[i] // |x| tie with opposite sign
+	}
+	return v
+}
+
+func TestTopKMatchesReferenceSort(t *testing.T) {
+	t.Parallel()
+	for _, n := range []int{1, 2, 17, 100, 4096} {
+		v := testGrad(n, uint64(n)+3)
+		for _, k := range []int{1, 2, n / 10, n / 2, n - 1, n} {
+			if k < 1 || k > n {
+				continue
+			}
+			got := topKIndices(v, k)
+			want := fullSortTopK(v, k)
+			if len(got) != len(want) {
+				t.Fatalf("n=%d k=%d: %d indices, want %d", n, k, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d k=%d: index[%d] = %d, want %d", n, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestSelectorScratchReuseIsStable(t *testing.T) {
+	t.Parallel()
+	var sel topKSelector
+	v := testGrad(10000, 9)
+	first := sel.topKIndices(v, 100)
+	for round := 0; round < 3; round++ {
+		got := sel.topKIndices(v, 100)
+		for i := range first {
+			if got[i] != first[i] {
+				t.Fatalf("round %d: index[%d] = %d, want %d", round, i, got[i], first[i])
+			}
+		}
+	}
+}
+
+func BenchmarkTopKEncode(b *testing.B) {
+	grad := testGrad(2_500_000, 5)
+	topk := NewTopK(0.01)
+	b.SetBytes(int64(len(grad)) * 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = topk.Encode(grad)
+	}
+}
+
+func BenchmarkEncodeSparse(b *testing.B) {
+	for _, n := range []int{64 << 10, 1024 << 10, 4096 << 10} {
+		b.Run(fmt.Sprintf("n=%dk", n>>10), func(b *testing.B) {
+			grad := testGrad(n, 5)
+			mc := NewMaskCompact(true, 3)
+			mask := make([]int32, 0, n/2)
+			for i := int32(0); i < int32(n); i += 2 {
+				mask = append(mask, i)
+			}
+			mc.SetMask(mask, n)
+			b.SetBytes(int64(n) * 4)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				vals, idx := mc.EncodeSparse(grad, nil)
+				_ = vals
+				_ = idx
+			}
+		})
+	}
+}

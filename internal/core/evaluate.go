@@ -4,7 +4,6 @@ import (
 	"pactrain/internal/data"
 	"pactrain/internal/metrics"
 	"pactrain/internal/nn"
-	"pactrain/internal/par"
 )
 
 // evaluator takes rank 0's evaluations off the critical path: at an
@@ -39,11 +38,8 @@ func (e *evaluator) snapshot(model *nn.Model, pac *pacTrainHook, pt metrics.Poin
 	}
 	done := make(chan struct{})
 	e.done = done
-	// The evaluation issues kernels beside the ranks for as long as it runs.
-	par.Enter(1)
 	go func() {
 		defer close(done)
-		defer par.Leave(1)
 		pt.Acc = evaluate(e.replica, e.testSet)
 		beat.Acc = pt.Acc
 		e.curve.Add(pt)

@@ -93,7 +93,9 @@ func TestPSSchemeSlowerThanAllReduce(t *testing.T) {
 
 func TestCIFAR100LikeWorkload(t *testing.T) {
 	cfg := tinyConfig("pactrain")
-	cfg.Data = data.CIFAR100Like(320, 5)
+	// A harder 100-class-style task, reduced to 20 classes.
+	cfg.Data = data.Config{Name: "cifar100-like", Classes: 20, Samples: 320,
+		Channels: 3, Size: 16, Noise: 1.2, Prototypes: 4, Seed: 5}
 	cfg.Lite.Classes = 20
 	cfg.Epochs = 2
 	res, err := Run(cfg)

@@ -11,7 +11,6 @@ import (
 	"pactrain/internal/gse"
 	"pactrain/internal/metrics"
 	"pactrain/internal/nn"
-	"pactrain/internal/par"
 	"pactrain/internal/prune"
 	"pactrain/internal/tensor"
 )
@@ -100,9 +99,6 @@ func Run(cfg Config) (*Result, error) {
 		res.CommLog = log
 	}
 
-	// The ranks share the kernel budget (see package par): 8 ranks on 2
-	// cores run every kernel inline, a 16-core host still fans out.
-	par.Enter(cfg.World)
 	errs := make([]error, cfg.World)
 	var shared sharedMask
 	var trackers sync.Map // the Mask Trackers (hooks.go)
@@ -112,7 +108,6 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			defer par.Leave(1) // the final evaluation gets this share back
 			errs[rank] = runWorker(&cfg, rank, cluster, &shared, &trackers, trainSet, eval, log, res)
 		}(rank)
 	}

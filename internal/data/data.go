@@ -52,14 +52,6 @@ func CIFAR10Like(samples int, seed uint64) Config {
 		Channels: 3, Size: 16, Noise: 1.0, Prototypes: 4, Seed: seed}
 }
 
-// CIFAR100Like returns a harder 100-class-style configuration (reduced to 20
-// classes to keep lite-model heads small while preserving the many-class
-// difficulty profile).
-func CIFAR100Like(samples int, seed uint64) Config {
-	return Config{Name: "cifar100-like", Classes: 20, Samples: samples,
-		Channels: 3, Size: 16, Noise: 1.2, Prototypes: 4, Seed: seed}
-}
-
 // Generate synthesizes a dataset from the configuration.
 func Generate(cfg Config) *Dataset {
 	if cfg.Classes <= 1 || cfg.Samples <= 0 || cfg.Channels <= 0 || cfg.Size <= 0 {

@@ -40,10 +40,17 @@ func TestSplitInvalidSizesPanic(t *testing.T) {
 	}
 }
 
+// cifar100Like is a harder 100-class-style configuration, reduced to 20
+// classes to keep lite-model heads small.
+func cifar100Like(samples int, seed uint64) Config {
+	return Config{Name: "cifar100-like", Classes: 20, Samples: samples,
+		Channels: 3, Size: 16, Noise: 1.2, Prototypes: 4, Seed: seed}
+}
+
 func TestCIFAR100LikeShape(t *testing.T) {
-	ds := Generate(CIFAR100Like(100, 3))
+	ds := Generate(cifar100Like(100, 3))
 	if ds.Classes != 20 {
-		t.Fatalf("CIFAR100Like classes %d, want 20", ds.Classes)
+		t.Fatalf("cifar100-like classes %d, want 20", ds.Classes)
 	}
 	seen := map[int]bool{}
 	for _, l := range ds.Labels {

@@ -8,9 +8,8 @@
 //     in the process train exactly once and share the Result (training is
 //     deterministic for a fingerprint, so sharing is exact);
 //   - bounded parallelism: at most Parallelism trainings run concurrently,
-//     independent grid cells overlapping on the wall clock; the running
-//     trainings share the kernel budget through the ranks core.Run registers
-//     (the rule is package par's);
+//     independent grid cells overlapping on the wall clock, each running its
+//     ranks' serial kernels on the ranks' goroutines;
 //   - an optional on-disk JSON result cache, so repeated CLI invocations
 //     re-cost recorded runs instead of re-training them.
 //

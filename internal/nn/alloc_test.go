@@ -3,18 +3,13 @@ package nn
 import (
 	"testing"
 
-	"pactrain/internal/par"
 	"pactrain/internal/tensor"
 )
 
 // TestSteadyStateStepsAllocationFree pins the scratch-reuse contract: after a
-// warm-up step sizes every buffer, a budget-1 forward+backward through each
-// layer family allocates nothing. (Budget 1 is the meaningful case — at
-// higher budgets the chunk dispatch itself allocates its closure, which is
-// one small allocation per kernel call, not per element.)
+// warm-up step sizes every buffer, a forward+backward through each layer
+// family allocates nothing.
 func TestSteadyStateStepsAllocationFree(t *testing.T) {
-	defer par.SetBudget(par.Budget())
-	par.SetBudget(1)
 	r := tensor.NewRNG(11)
 
 	cases := []struct {
@@ -96,7 +91,6 @@ func stepAllocs(t *testing.T, name string, step func()) {
 }
 
 func benchmarkTrainStep(b *testing.B, model *Model) {
-	defer par.SetBudget(par.Budget())
 	r := tensor.NewRNG(1)
 	x := tensor.Randn(r, 1, 8, 3, 16, 16)
 	labels := make([]int, 8)
@@ -144,14 +138,12 @@ func BenchmarkSGDStep(b *testing.B) {
 	}
 }
 
-// BenchmarkActivations times the activation and BatchNorm layers on one core
-// at the shapes train_job's twins give them: the ViT-Base-16 twin's MLP GELU
-// (8 images × 17 tokens × 96 features) and the ResNet18 twin's first stage
-// (8 × 10 channels × 16 × 16) for ReLU, the residual block's add-ReLU and
+// BenchmarkActivations times the activation and BatchNorm layers at the
+// shapes train_job's twins give them: the ViT-Base-16 twin's MLP GELU (8
+// images × 17 tokens × 96 features) and the ResNet18 twin's first stage (8 ×
+// 10 channels × 16 × 16) for ReLU, the residual block's add-ReLU and
 // BatchNorm.
 func BenchmarkActivations(b *testing.B) {
-	defer par.SetBudget(par.Budget())
-	par.SetBudget(1)
 	r := tensor.NewRNG(1)
 	tokens := tensor.Randn(r, 1, 8*17, 96)
 	planes := tensor.Randn(r, 1, 8, 10, 16, 16)

@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 
-	"pactrain/internal/par"
 	"pactrain/internal/tensor"
 )
 
@@ -11,12 +10,10 @@ import (
 // self-attention over (N, T, D) token tensors, the core of the ViT workload
 // in the paper's evaluation. D must be divisible by the head count.
 //
-// Both passes chunk over samples via the par budget: every per-sample
-// temporary lives in that sample's mhaScratch slot, forward writes disjoint
-// output slices, and backward computes per-sample weight-gradient partials
-// in parallel and then folds them into the shared parameter gradients in a
-// serial ascending-sample pass — the exact float accumulation sequence of
-// the scalar loop, keeping training bit-identical at any budget.
+// Both passes loop over samples. Every per-sample temporary lives in that
+// sample's mhaScratch slot, and backward computes per-sample weight-gradient
+// partials and then folds them into the shared parameter gradients in an
+// ascending-sample pass.
 type MultiHeadAttention struct {
 	Wq, Wk, Wv, Wo *Parameter
 	Bq, Bk, Bv, Bo *Parameter
@@ -144,17 +141,8 @@ func (l *MultiHeadAttention) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	l.out = ensure(l.out, n, t, d)
 	scale := float32(1 / math.Sqrt(float64(l.Dh)))
 
-	work := 4 * n * t * d * d
-	if par.PlanChunks(n, work) == 1 {
-		for s := 0; s < n; s++ {
-			l.forwardSample(x, scale, s)
-		}
-	} else {
-		par.ForChunksWork(n, work, func(_, lo, hi int) {
-			for s := lo; s < hi; s++ {
-				l.forwardSample(x, scale, s)
-			}
-		})
+	for s := 0; s < n; s++ {
+		l.forwardSample(x, scale, s)
 	}
 	return l.out
 }
@@ -216,23 +204,13 @@ func (l *MultiHeadAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	l.dx = ensure(l.dx, n, t, d)
 	scale := float32(1 / math.Sqrt(float64(l.Dh)))
 
-	// Phase 1 (parallel over samples): per-sample dx slices and per-sample
-	// weight-gradient partials. No shared state is written.
-	work := 8 * n * t * d * d
-	if par.PlanChunks(n, work) == 1 {
-		for s := 0; s < n; s++ {
-			l.backwardSample(grad, scale, s)
-		}
-	} else {
-		par.ForChunksWork(n, work, func(_, lo, hi int) {
-			for s := lo; s < hi; s++ {
-				l.backwardSample(grad, scale, s)
-			}
-		})
+	// Phase 1: per-sample dx slices and per-sample weight-gradient partials.
+	for s := 0; s < n; s++ {
+		l.backwardSample(grad, scale, s)
 	}
 
-	// Phase 2 (serial, ascending samples): fold the partials into the shared
-	// parameter gradients in exactly the scalar accumulation order.
+	// Phase 2 (ascending samples): fold the partials into the shared
+	// parameter gradients.
 	for s := 0; s < n; s++ {
 		sc := l.scratch[s]
 		tensor.AxpyInto(l.Wo.Grad, 1, sc.dWo)

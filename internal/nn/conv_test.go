@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"pactrain/internal/par"
 	"pactrain/internal/tensor"
 )
 
@@ -102,9 +101,8 @@ func checkConv(t *testing.T, n, c, h, w, f, k, stride, pad int, data []byte) {
 }
 
 // TestConvMatchesLowered sweeps the geometries of every conv twin and the
-// fuzzer's kernel, stride and padding set at par budgets 1 and 8.
+// fuzzer's kernel, stride and padding set.
 func TestConvMatchesLowered(t *testing.T) {
-	defer par.SetBudget(par.Budget())
 	// Any palette value, then only zeros and finite values: the input
 	// gradient leaves out zero terms by a lane mask only when a weight is not
 	// finite.
@@ -113,9 +111,7 @@ func TestConvMatchesLowered(t *testing.T) {
 	for i := range data {
 		data[i], finite[i] = byte(r.Intn(256)), byte(10+r.Intn(246))
 	}
-	for i, budget := range []int{1, 8} {
-		par.SetBudget(budget)
-		data := [][]byte{data, finite}[i]
+	for _, data := range [][]byte{data, finite} {
 		for _, g := range [][8]int{ // n, c, h, w, f, k, stride, pad
 			{8, 3, 16, 16, 10, 3, 1, 1}, {8, 10, 16, 16, 10, 3, 1, 1}, {8, 10, 16, 16, 20, 3, 2, 1},
 			{8, 10, 16, 16, 20, 1, 2, 0}, {8, 20, 8, 8, 20, 3, 1, 1}, {2, 16, 4, 4, 32, 3, 1, 1},

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"pactrain/internal/par"
-	"pactrain/internal/tensor"
-)
+import "pactrain/internal/tensor"
 
 // Linear is a fully connected layer computing y = xW + b for x of shape
 // (N, in) and W of shape (in, out).
@@ -119,14 +116,12 @@ func NewGELU() *GELU { return &GELU{} }
 
 const geluC = 0.7978845608028654 // sqrt(2/pi)
 
-// Forward implements Layer. The elementwise map chunks over the par budget
-// (trivially bit-exact); the scalar path avoids the dispatch closure so the
-// budget-1 step stays allocation-free. In train mode it keeps each element's
-// tanh, half of the map's cost, so that Backward does not take it again.
+// Forward implements Layer. In train mode it keeps each element's tanh, half
+// of the map's cost, so that Backward does not take it again.
 func (l *GELU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.lastInput = x
 	l.out = ensure(l.out, x.Shape()...)
-	xd, d := x.Data(), l.out.Data()
+	xd := x.Data()
 	n := len(xd)
 	l.tanh = l.tanh[:0]
 	if train {
@@ -135,18 +130,7 @@ func (l *GELU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		l.tanh = l.tanh[:n]
 	}
-	td := l.tanh
-	if par.PlanChunks(n, n) == 1 {
-		tensor.GELU(d, xd, td)
-		return l.out
-	}
-	par.For(n, func(lo, hi int) {
-		if len(td) == 0 {
-			tensor.GELU(d[lo:hi], xd[lo:hi], nil)
-		} else {
-			tensor.GELU(d[lo:hi], xd[lo:hi], td[lo:hi])
-		}
-	})
+	tensor.GELU(l.out.Data(), xd, l.tanh)
 	return l.out
 }
 
@@ -155,25 +139,16 @@ func (l *GELU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	l.dx = ensure(l.dx, grad.Shape()...)
 	gin, gd := grad.Data(), l.dx.Data()
 	xd, td := l.lastInput.Data(), l.tanh
-	n := len(gd)
-	if len(td) != n {
+	if len(td) != len(gd) {
 		panic("nn: GELU.Backward without a train-mode Forward of that size")
 	}
-	if par.PlanChunks(n, n) == 1 {
-		geluBackwardRange(xd, gin, gd, td, 0, n)
-		return l.dx
-	}
-	par.For(n, func(lo, hi int) { geluBackwardRange(xd, gin, gd, td, lo, hi) })
-	return l.dx
-}
-
-func geluBackwardRange(xd, gin, gd []float32, td []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range gd {
 		x, t := float64(xd[i]), td[i]
 		dInner := geluC * (1 + 3*0.044715*x*x)
 		dgelu := 0.5*(1+t) + 0.5*x*(1-t*t)*dInner
 		gd[i] = gin[i] * float32(dgelu)
 	}
+	return l.dx
 }
 
 // Params implements Layer.

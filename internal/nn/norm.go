@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 
-	"pactrain/internal/par"
 	"pactrain/internal/tensor"
 )
 
@@ -45,9 +44,8 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 	return bn
 }
 
-// Forward implements Layer. Channels are fully independent (statistics,
-// running averages, and output planes are all per-channel), so the loop
-// chunks over channels with bit-identical results at any par budget.
+// Forward implements Layer. Statistics, running averages and output planes
+// are all per-channel.
 func (l *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	l.lastShape = append(l.lastShape[:0], x.Shape()...)
@@ -59,24 +57,10 @@ func (l *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	l.lastInvStd = l.lastInvStd[:c]
 
-	work := 2 * n * c * area
-	if par.PlanChunks(c, work) == 1 {
-		l.forwardChannels(x, train, n, area, 0, c)
-	} else {
-		par.ForChunksWork(c, work, func(_, lo, hi int) {
-			l.forwardChannels(x, train, n, area, lo, hi)
-		})
-	}
-	return l.out
-}
-
-// forwardChannels normalizes channels [lo,hi).
-func (l *BatchNorm2D) forwardChannels(x *tensor.Tensor, train bool, n, area, lo, hi int) {
-	c := l.lastShape[1]
 	cnt := float64(n * area)
 	xd, od, hd := x.Data(), l.out.Data(), l.lastXHat.Data()
 	gd, bd := l.Gamma.W.Data(), l.Beta.W.Data()
-	for ch := lo; ch < hi; ch++ {
+	for ch := 0; ch < c; ch++ {
 		var mean, variance float64
 		if train {
 			var s, sq float64
@@ -107,41 +91,24 @@ func (l *BatchNorm2D) forwardChannels(x *tensor.Tensor, train bool, n, area, lo,
 			tensor.BatchNorm(hd[off:off+area], od[off:off+area], xd[off:off+area], mean, invStd, g, b)
 		}
 	}
+	return l.out
 }
 
 // Backward implements Layer. Uses the standard batch-norm gradient:
 //
 //	dx = (γ·invStd/m) · (m·dy − Σdy − x̂·Σ(dy·x̂))
-//
-// Like Forward, the loop chunks over channels: each channel's gamma/beta
-// gradient is a single += and its dx plane is disjoint from every other
-// channel's, so chunking is bit-exact.
 func (l *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c := l.lastShape[0], l.lastShape[1]
 	area := l.lastShape[2] * l.lastShape[3]
 	l.dx = ensure(l.dx, l.lastShape...)
 
-	work := 2 * n * c * area
-	if par.PlanChunks(c, work) == 1 {
-		l.backwardChannels(grad, n, area, 0, c)
-	} else {
-		par.ForChunksWork(c, work, func(_, lo, hi int) {
-			l.backwardChannels(grad, n, area, lo, hi)
-		})
-	}
-	return l.dx
-}
-
-// backwardChannels computes gradients for channels [lo,hi).
-func (l *BatchNorm2D) backwardChannels(grad *tensor.Tensor, n, area, lo, hi int) {
-	c := l.lastShape[1]
 	m := float64(n * area)
 	gd := grad.Data()
 	hd := l.lastXHat.Data()
 	dd := l.dx.Data()
 	gg, gb := l.Gamma.Grad.Data(), l.Beta.Grad.Data()
 	gw := l.Gamma.W.Data()
-	for ch := lo; ch < hi; ch++ {
+	for ch := 0; ch < c; ch++ {
 		var sumDy, sumDyXhat float64
 		for img := 0; img < n; img++ {
 			off := (img*c + ch) * area
@@ -159,6 +126,7 @@ func (l *BatchNorm2D) backwardChannels(grad *tensor.Tensor, n, area, lo, hi int)
 			tensor.BatchNormGrad(dd[off:off+area], gd[off:off+area], hd[off:off+area], m, sumDy, sumDyXhat, scale)
 		}
 	}
+	return l.dx
 }
 
 // Params implements Layer.
@@ -188,8 +156,7 @@ func NewLayerNorm(name string, d int) *LayerNorm {
 	}
 }
 
-// Forward implements Layer. Rows are independent (gamma/beta are read-only
-// here), so the loop chunks over rows bit-exactly.
+// Forward implements Layer.
 func (l *LayerNorm) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	d := x.Dim(x.Rank() - 1)
 	rows := x.Len() / d
@@ -201,22 +168,9 @@ func (l *LayerNorm) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	}
 	l.lastInvStd = l.lastInvStd[:rows]
 
-	work := x.Len()
-	if par.PlanChunks(rows, work) == 1 {
-		l.forwardRows(x, d, 0, rows)
-	} else {
-		par.ForChunksWork(rows, work, func(_, lo, hi int) {
-			l.forwardRows(x, d, lo, hi)
-		})
-	}
-	return l.out
-}
-
-// forwardRows normalizes rows [lo,hi).
-func (l *LayerNorm) forwardRows(x *tensor.Tensor, d, lo, hi int) {
 	xd, od, hd := x.Data(), l.out.Data(), l.lastXHat.Data()
 	gd, bd := l.Gamma.W.Data(), l.Beta.W.Data()
-	for r := lo; r < hi; r++ {
+	for r := 0; r < rows; r++ {
 		row := xd[r*d : (r+1)*d]
 		var s, sq float64
 		for _, v := range row {
@@ -237,13 +191,11 @@ func (l *LayerNorm) forwardRows(x *tensor.Tensor, d, lo, hi int) {
 			od[r*d+i] = gd[i]*xh + bd[i]
 		}
 	}
+	return l.out
 }
 
-// Backward implements Layer. The dx rows are independent and chunk over the
-// par budget; the gamma/beta gradients accumulate across rows, so they are
-// folded in a separate serial pass that visits rows in ascending order —
-// exactly the scalar accumulation sequence, keeping results bit-identical at
-// any budget.
+// Backward implements Layer. The dx rows come first; the gamma/beta
+// gradients accumulate across rows in a second pass, in ascending row order.
 func (l *LayerNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	d := l.lastShape[len(l.lastShape)-1]
 	rows := 1
@@ -252,37 +204,12 @@ func (l *LayerNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	l.dx = ensure(l.dx, grad.Shape()...)
 
-	work := rows * d
-	if par.PlanChunks(rows, work) == 1 {
-		l.backwardRows(grad, d, 0, rows)
-	} else {
-		par.ForChunksWork(rows, work, func(_, lo, hi int) {
-			l.backwardRows(grad, d, lo, hi)
-		})
-	}
-
-	// Serial fold: gamma/beta gradients in ascending row order.
-	gd := grad.Data()
-	hd := l.lastXHat.Data()
-	gg, gb := l.Gamma.Grad.Data(), l.Beta.Grad.Data()
-	for r := 0; r < rows; r++ {
-		for i := 0; i < d; i++ {
-			dy := float64(gd[r*d+i])
-			gg[i] += float32(dy * float64(hd[r*d+i]))
-			gb[i] += float32(dy)
-		}
-	}
-	return l.dx
-}
-
-// backwardRows computes dx rows [lo,hi).
-func (l *LayerNorm) backwardRows(grad *tensor.Tensor, d, lo, hi int) {
 	gd := grad.Data()
 	hd := l.lastXHat.Data()
 	dd := l.dx.Data()
 	gw := l.Gamma.W.Data()
 	df := float64(d)
-	for r := lo; r < hi; r++ {
+	for r := 0; r < rows; r++ {
 		var sumDy, sumDyXhat float64
 		for i := 0; i < d; i++ {
 			dy := float64(gd[r*d+i]) * float64(gw[i])
@@ -296,6 +223,16 @@ func (l *LayerNorm) backwardRows(grad *tensor.Tensor, d, lo, hi int) {
 			dd[r*d+i] = float32(l.lastInvStd[r] / df * (df*dyg - sumDy - xh*sumDyXhat))
 		}
 	}
+
+	gg, gb := l.Gamma.Grad.Data(), l.Beta.Grad.Data()
+	for r := 0; r < rows; r++ {
+		for i := 0; i < d; i++ {
+			dy := float64(gd[r*d+i])
+			gg[i] += float32(dy * float64(hd[r*d+i]))
+			gb[i] += float32(dy)
+		}
+	}
+	return l.dx
 }
 
 // Params implements Layer.

@@ -108,23 +108,31 @@ func writeTooBusy(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusTooManyRequests, err)
 }
 
+// maxSubmitBytes bounds a submission body; a SubmitRequest is well under
+// 1 KiB.
+const maxSubmitBytes = 4 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err := s.Admit(clientID(r)); err != nil {
 		writeTooBusy(w, err)
 		return
 	}
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, err)
 		return
 	}
 	view, coalesced, err := s.Submit(req)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrUnknownExperiment), errors.Is(err, ErrUnknownCollective),
-			errors.Is(err, ErrUnknownOverlap), errors.Is(err, ErrUnknownPriority):
+			errors.Is(err, ErrUnknownOverlap), errors.Is(err, ErrUnknownPriority), errors.Is(err, ErrBadSize):
 			writeError(w, http.StatusBadRequest, err)
 		case errors.Is(err, ErrDraining):
 			writeError(w, http.StatusServiceUnavailable, err)

@@ -7,6 +7,10 @@ import (
 	"pactrain/internal/harness"
 )
 
+// MaxSamples is the largest SubmitRequest.Samples a submission may ask for:
+// ten full grids' default of 768, rounded up to a power of two.
+const MaxSamples = 8192
+
 // SubmitRequest is the body of POST /v1/experiments: an experiment id plus
 // the harness options that shape its grid. Zero values take the harness
 // defaults (world 8, preset sample counts, seed 1), exactly as the
@@ -14,9 +18,11 @@ import (
 type SubmitRequest struct {
 	Experiment string `json:"experiment"`
 	Quick      bool   `json:"quick"`
-	World      int    `json:"world"`
-	Samples    int    `json:"samples"`
-	Seed       uint64 `json:"seed"`
+	// Neither World nor Samples may be negative, and Samples may be at most
+	// MaxSamples.
+	World   int    `json:"world"`
+	Samples int    `json:"samples"`
+	Seed    uint64 `json:"seed"`
 	// Collective selects the collective algorithm for every job in the grid
 	// ("ring", "tree", "hierarchical"; empty = ring). "ring" and empty
 	// coalesce onto the same job.

@@ -50,6 +50,9 @@ var (
 	// ErrUnknownOverlap rejects backward-overlap selectors outside the
 	// ddp.OverlapNames vocabulary (400).
 	ErrUnknownOverlap = errors.New("unknown overlap mode")
+	// ErrBadSize rejects a negative World or Samples, or Samples above
+	// MaxSamples (400).
+	ErrBadSize = errors.New("world or samples out of range")
 	// ErrDraining rejects submissions during graceful shutdown (503).
 	ErrDraining = errors.New("server is draining")
 	// ErrQueueFull rejects submissions when the job queue is at capacity
@@ -358,6 +361,10 @@ func (s *Server) Submit(req SubmitRequest) (JobView, bool, error) {
 	if _, err := ddp.ParseOverlap(req.Overlap); err != nil {
 		return JobView{}, false, fmt.Errorf("%w: %q (valid names: %s)",
 			ErrUnknownOverlap, req.Overlap, strings.Join(ddp.OverlapNames(), ", "))
+	}
+	if req.World < 0 || req.Samples < 0 || req.Samples > MaxSamples {
+		return JobView{}, false, fmt.Errorf("%w: world %d, samples %d (neither negative, samples at most %d)",
+			ErrBadSize, req.World, req.Samples, MaxSamples)
 	}
 	prio, override, err := parsePriority(req.Priority)
 	if err != nil {

@@ -324,6 +324,40 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizedInput covers the bounds on POST
+// /v1/experiments: the body's byte limit and the World and Samples ranges.
+func TestSubmitRejectsOversizedInput(t *testing.T) {
+	t.Parallel()
+	s, ts := newTestServer(t, Options{Workers: 1})
+	sized := func(world, samples int) SubmitRequest {
+		req := testRequest("fig3")
+		req.World, req.Samples = world, samples
+		return req
+	}
+	for _, c := range []struct {
+		name string
+		body any
+		want int
+	}{
+		{"oversized body", map[string]any{"experiment": strings.Repeat("x", maxSubmitBytes)}, http.StatusRequestEntityTooLarge},
+		// A body just under the limit is decoded and reaches validation.
+		{"body under the limit", map[string]any{"experiment": strings.Repeat("x", maxSubmitBytes-64)}, http.StatusBadRequest},
+		{"huge samples", sized(0, 1<<40), http.StatusBadRequest},
+		{"samples one past the maximum", sized(0, MaxSamples+1), http.StatusBadRequest},
+		{"negative samples", sized(0, -1), http.StatusBadRequest},
+		{"negative world", sized(-2, 0), http.StatusBadRequest},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if resp, raw := postJSON(t, ts.URL+"/v1/experiments", c.body); resp.StatusCode != c.want {
+				t.Errorf("status %d, want %d: %s", resp.StatusCode, c.want, raw)
+			}
+		})
+	}
+	if jobs := s.Stats().Jobs; jobs != (JobCounts{}) {
+		t.Fatalf("rejected submissions made jobs: %+v", jobs)
+	}
+}
+
 // TestOverlapSubmissionCoalescing covers the overlap dimension of the
 // submission key: "none" and the empty default coalesce onto one job, while
 // "backward" gets its own.

@@ -3,8 +3,6 @@ package tensor
 import (
 	"fmt"
 	"slices"
-
-	"pactrain/internal/par"
 )
 
 // Conv is a direct 2-D convolution at one geometry: F filters of KH×KW, weights
@@ -112,21 +110,11 @@ func (g *Conv) Forward(out, x, w, bias *Tensor) {
 			}
 		}
 	}
-	items := n * g.F
-	if work := items * g.OutH * g.wq * len(g.xoff); par.PlanChunks(items, work) > 1 {
-		par.ForChunksWork(items, work, func(_, lo, hi int) { g.forward(out.data, w.data, bias.data, lo, hi) })
-		return
-	}
-	g.forward(out.data, w.data, bias.data, 0, items)
-}
-
-// forward computes output planes [lo,hi), plane i = img·F + f.
-func (g *Conv) forward(od, wd, bd []float32, lo, hi int) {
 	p, spatial := g.C*g.KH*g.KW, g.OutH*g.OutW
 	row := getScratch(gridLen((g.OutH-1)*g.wq + g.OutW))
-	for i := lo; i < hi; i++ {
-		convRow(row, wd[i%g.F*p:], 1, g.xp[i/g.F*g.xn:], g.xoff[:p], false, false)
-		o, bv := od[i*spatial:], bd[i%g.F]
+	for i := range n * g.F { // output plane i = img·F + f
+		convRow(row, w.data[i%g.F*p:], 1, g.xp[i/g.F*g.xn:], g.xoff[:p], false, false)
+		o, bv := out.data[i*spatial:], bias.data[i%g.F]
 		for oy := range g.OutH {
 			for ox, v := range row[oy*g.wq : oy*g.wq+g.OutW] {
 				o[oy*g.OutW+ox] = v + bv
@@ -149,13 +137,16 @@ func (g *Conv) Backward(dW, dx, grad, w *Tensor) {
 			rows[r*fs] = v
 		}
 	}
+	// dWᵀ, rows of F rounded up to 8, goes in blocks of 8 terms of 8 filters,
+	// each element summed over ascending (img, oy, ox) from +0 with ±0
+	// gradient terms left out, as gmᵀ × cols summed it.
 	dwt := getScratch(len(g.xoff) * fs)
 	clear(dwt)
-	blocks := fs / 8 * len(g.xoff) / 8
-	if work := n * spatial * fs * len(g.xoff); par.PlanChunks(blocks, work) > 1 {
-		par.ForChunksWork(blocks, work, func(_, lo, hi int) { g.weightGrad(dwt, n, lo, hi) })
-	} else {
-		g.weightGrad(dwt, n, 0, blocks)
+	for i := range fs / 8 * len(g.xoff) / 8 {
+		f0, p0 := i%(fs/8)*8, i/(fs/8)*8
+		for img := range n {
+			convWeight(dwt[p0*fs+f0:], fs, g.xp[img*g.xn:], g.xoff[p0:p0+8], g.gm[img*spatial*fs+f0:], fs, g.OutH, g.OutW, g.wq)
+		}
 	}
 	for f := range g.F {
 		for q := range p {
@@ -165,19 +156,6 @@ func (g *Conv) Backward(dW, dx, grad, w *Tensor) {
 	putScratch(dwt)
 	if dx != nil {
 		g.inputGrad(dx, grad, w)
-	}
-}
-
-// weightGrad computes blocks [lo,hi) of dWᵀ, rows of F rounded up to 8: block
-// i is 8 terms of 8 filters, each element summed over ascending (img, oy, ox)
-// from +0 with ±0 gradient terms left out, as gmᵀ × cols summed it.
-func (g *Conv) weightGrad(dwt []float32, n, lo, hi int) {
-	fs, spatial := (g.F+7)&^7, g.OutH*g.OutW
-	for i := lo; i < hi; i++ {
-		f0, p0 := i%(fs/8)*8, i/(fs/8)*8
-		for img := range n {
-			convWeight(dwt[p0*fs+f0:], fs, g.xp[img*g.xn:], g.xoff[p0:p0+8], g.gm[img*spatial*fs+f0:], fs, g.OutH, g.OutW, g.wq)
-		}
 	}
 }
 
@@ -201,27 +179,17 @@ func (g *Conv) inputGrad(dx, grad, w *Tensor) {
 	for _, v := range w.data {
 		mask = mask || v-v != 0
 	}
-	items := n * g.C
-	if work := items * g.F * g.H * g.W * g.KH * g.KW / (g.Stride * g.Stride); par.PlanChunks(items, work) > 1 {
-		par.ForChunksWork(items, work, func(_, lo, hi int) { g.inputGradPlanes(dx.data, w.data, mask, lo, hi) })
-		return
-	}
-	g.inputGradPlanes(dx.data, w.data, mask, 0, items)
-}
-
-// inputGradPlanes computes dx planes [lo,hi), plane i = img·C + c.
-func (g *Conv) inputGradPlanes(xd, wd []float32, mask bool, lo, hi int) {
 	p, kk, s := g.C*g.KH*g.KW, g.KH*g.KW, g.Stride
 	buf := getScratch(gridLen(((g.H+s-1)/s-1)*g.wg + (g.W+s-1)/s))
-	for i := lo; i < hi; i++ {
+	for i := range n * g.C { // dx plane i = img·C + c
 		for _, ph := range g.phases {
 			acc := buf[:gridLen((ph.hu-1)*g.wg+ph.wv)]
 			clear(acc)
 			for j, k := range ph.kk {
-				convRow(acc, wd[i%g.C*kk+k:], p, g.gp[i/g.C*g.F*g.hg*g.wg:], ph.off[j*g.F:(j+1)*g.F], mask, true)
+				convRow(acc, w.data[i%g.C*kk+k:], p, g.gp[i/g.C*g.F*g.hg*g.wg:], ph.off[j*g.F:(j+1)*g.F], mask, true)
 			}
 			for u := range ph.hu {
-				dst, src := xd[i*g.H*g.W+(ph.a+u*s)*g.W+ph.b:], acc[u*g.wg:u*g.wg+ph.wv]
+				dst, src := dx.data[i*g.H*g.W+(ph.a+u*s)*g.W+ph.b:], acc[u*g.wg:u*g.wg+ph.wv]
 				if s == 1 {
 					copy(dst, src)
 					continue

@@ -5,8 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"pactrain/internal/par"
 )
 
 // bitsEqual reports whether two tensors are byte-identical (exact float bit
@@ -23,47 +21,26 @@ func bitsEqual(a, b *Tensor) bool {
 	return true
 }
 
-// TestMatMulBitExactAcrossBudgets pins the core kernel invariant: every
-// matmul variant produces byte-identical output at par budgets 1 and 8, on
-// shapes large enough to actually chunk (> par.MinWork of scalar work) and
-// awkward enough to exercise ragged chunk boundaries and the register-block
-// remainder columns.
-func TestMatMulBitExactAcrossBudgets(t *testing.T) {
-	defer par.SetBudget(par.Budget())
+// TestMatMulMatchesNaiveOnRaggedShapes holds every matmul variant to the
+// naive triple loop, bit for bit, on shapes with ragged row counts and
+// register-block remainder columns, with exact zeros in A so the a == 0 skip
+// runs.
+func TestMatMulMatchesNaiveOnRaggedShapes(t *testing.T) {
 	rng := NewRNG(42)
 	shapes := []struct{ m, k, n int }{
-		{7, 5, 3},     // below MinWork: stays inline
-		{67, 129, 31}, // chunked, ragged rows, n%4 != 0
-		{128, 64, 64}, // chunked, aligned
+		{7, 5, 3},
+		{67, 129, 31}, // n%4 != 0
+		{128, 64, 64},
 	}
 	for _, s := range shapes {
 		a := Randn(rng, 1, s.m, s.k)
 		b := Randn(rng, 1, s.k, s.n)
-		at := Transpose(a) // (k,m)
-		bt := Transpose(b) // (n,k)
-		// Sprinkle exact zeros so the av==0 skip path is exercised.
 		for i := 0; i < len(a.data); i += 5 {
 			a.data[i] = 0
 		}
-		kernels := []struct {
-			name string
-			run  func(dst *Tensor)
-		}{
-			{"MatMulInto", func(dst *Tensor) { MatMulInto(dst, a, b) }},
-			{"MatMulTransAInto", func(dst *Tensor) { MatMulTransAInto(dst, at, b) }},
-			{"MatMulTransBInto", func(dst *Tensor) { MatMulTransBInto(dst, a, bt) }},
-		}
-		for _, kn := range kernels {
-			par.SetBudget(1)
-			want := New(s.m, s.n)
-			kn.run(want)
-			par.SetBudget(8)
-			got := New(s.m, s.n)
-			kn.run(got)
-			if !bitsEqual(want, got) {
-				t.Errorf("%s (%d,%d,%d): budget 8 differs from budget 1", kn.name, s.m, s.k, s.n)
-			}
-		}
+		t.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(t *testing.T) {
+			checkMatMuls(t, a.data, b.data, s.m, s.k, s.n)
+		})
 	}
 }
 
@@ -94,30 +71,24 @@ func TestMatMulIntoReusesDirtyBuffer(t *testing.T) {
 	}
 }
 
-// TestIm2ColIntoBitExactAndDirtySafe covers the lowering kernels: budget
-// independence and full overwrite of a reused buffer (padding rows must read
-// zero again).
+// TestIm2ColIntoBitExactAndDirtySafe pins that the lowering kernels fully
+// overwrite a reused buffer, bit for bit (padding rows must read zero again).
 func TestIm2ColIntoBitExactAndDirtySafe(t *testing.T) {
-	defer par.SetBudget(par.Budget())
 	rng := NewRNG(3)
-	x := Randn(rng, 1, 4, 3, 14, 14) // 4*12*12=576 rows × 27 cols, chunkable with pad
+	x := Randn(rng, 1, 4, 3, 14, 14) // 4*12*12=576 rows × 27 cols, with pad
 	const kh, kw, stride, pad = 3, 3, 1, 1
-	par.SetBudget(1)
 	want := Im2Col(x, kh, kw, stride, pad)
-	par.SetBudget(8)
 	got := Full(float32(math.NaN()), want.shape[0], want.shape[1])
 	Im2ColInto(got, x, kh, kw, stride, pad)
 	if !bitsEqual(want, got) {
-		t.Fatal("Im2ColInto: dirty buffer at budget 8 differs from fresh at budget 1")
+		t.Fatal("Im2ColInto: dirty buffer differs from fresh")
 	}
 
-	par.SetBudget(1)
 	wantImg := Col2Im(want, 4, 3, 14, 14, kh, kw, stride, pad)
-	par.SetBudget(8)
 	gotImg := Full(float32(math.NaN()), 4, 3, 14, 14)
 	Col2ImInto(gotImg, got, kh, kw, stride, pad)
 	if !bitsEqual(wantImg, gotImg) {
-		t.Fatal("Col2ImInto: dirty buffer at budget 8 differs from fresh at budget 1")
+		t.Fatal("Col2ImInto: dirty buffer differs from fresh")
 	}
 }
 
@@ -201,22 +172,17 @@ func TestMatMulIntoShapePanicsIncludeShapes(t *testing.T) {
 	}
 }
 
-func benchmarkMatMul(b *testing.B, size, budget int) {
-	defer par.SetBudget(par.Budget())
-	par.SetBudget(budget)
+func BenchmarkMatMul256(b *testing.B) {
 	rng := NewRNG(1)
-	x := Randn(rng, 1, size, size)
-	y := Randn(rng, 1, size, size)
-	dst := New(size, size)
-	b.SetBytes(int64(size) * int64(size) * int64(size) * 4)
+	x := Randn(rng, 1, 256, 256)
+	y := Randn(rng, 1, 256, 256)
+	dst := New(256, 256)
+	b.SetBytes(256 * 256 * 256 * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMulInto(dst, x, y)
 	}
 }
-
-func BenchmarkMatMul256(b *testing.B)        { benchmarkMatMul(b, 256, 1) }
-func BenchmarkMatMul256Budget8(b *testing.B) { benchmarkMatMul(b, 256, 8) }
 
 func BenchmarkMatMulTransB256(b *testing.B) {
 	rng := NewRNG(1)
@@ -234,8 +200,6 @@ func BenchmarkMatMulTransB256(b *testing.B) {
 // ResNet18 twin's conv lowering (dcols, dW, and the forward cols × Wᵀ at two
 // widths). Shapes are (m,k,n) of the product; GMAC/s = m·k·n per ns.
 func BenchmarkMatMulShapes(b *testing.B) {
-	defer par.SetBudget(par.Budget())
-	par.SetBudget(1)
 	for _, c := range []struct {
 		op      string
 		m, k, n int

@@ -3,8 +3,6 @@ package tensor
 import (
 	"math"
 	"testing"
-
-	"pactrain/internal/par"
 )
 
 // palette maps a byte to a float32: the values that break naive kernels
@@ -393,7 +391,6 @@ func checkConvKernels(t *testing.T, r *RNG, n int) {
 // bit": the AVX2 primitives equal the Go loops they replace on every length
 // and alignment, and the kernels built on them equal a naive triple loop.
 func TestSIMDKernelsMatchScalar(t *testing.T) {
-	defer par.SetBudget(par.Budget())
 	r := NewRNG(2025)
 
 	t.Run("primitives", func(t *testing.T) {
@@ -440,8 +437,7 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 
 	t.Run("matmuls", func(t *testing.T) {
 		dims := []int{1, 7, 8, 9, 10, 33, 90}
-		for _, budget := range []int{1, 8} {
-			par.SetBudget(budget)
+		for range 2 { // every shape twice, with fresh inputs
 			for _, m := range dims {
 				for _, k := range dims {
 					for _, n := range dims {
@@ -449,7 +445,7 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 					}
 				}
 			}
-			// Large enough to chunk at budget 8, and an empty inner dimension.
+			// A larger problem, and an empty inner dimension.
 			checkMatMuls(t, fill(r, 70*90), fill(r, 90*33), 70, 90, 33)
 			checkMatMuls(t, nil, nil, 9, 0, 10)
 		}

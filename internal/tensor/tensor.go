@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"pactrain/internal/par"
 )
 
 // Tensor is a dense, row-major float32 tensor. The zero value is not usable;
@@ -262,14 +260,11 @@ func AddTo(y, x []float32, fromZero bool) {
 	add(y, x, fromZero)
 }
 
-// ScatterAdd adds vals[i] to dst[idx[i]] for every i in parallel chunks; the
-// indices are distinct, so any chunking gives the scalar loop's bits.
+// ScatterAdd adds vals[i] to dst[idx[i]] for every i.
 func ScatterAdd(dst []float32, idx []int32, vals []float32) {
-	par.For(len(idx), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[idx[i]] += vals[i]
-		}
-	})
+	for i := range idx {
+		dst[idx[i]] += vals[i]
+	}
 }
 
 // SGDStep is one momentum-SGD update of a parameter w with gradient g:
@@ -457,63 +452,32 @@ func checkMatMulShapes(op string, dst, a, b *Tensor, m, k, k2, n int) {
 }
 
 // MatMulInto computes dst = A × B; dst must have shape (m,n) and is
-// overwritten.
-//
-// The kernel is chunked over output rows via the par budget: each output
-// element is still the ascending-p sum of a[i,p]·b[p,j] (with the a==0 skip),
-// so results are bit-identical at every budget.
+// overwritten. Each output element is the ascending-p sum of a[i,p]·b[p,j]
+// (with the a==0 skip).
 func MatMulInto(dst, a, b *Tensor) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[1]
 	checkMatMulShapes("MatMulInto", dst, a, b, m, k, b.shape[0], n)
-	if par.PlanChunks(m, m*k*n) == 1 {
-		matMulRows(dst.data, a.data, b.data, k, n, 0, m)
-		return
-	}
-	ad, bd, cd := a.data, b.data, dst.data
-	par.ForChunksWork(m, m*k*n, func(_, lo, hi int) {
-		matMulRows(cd, ad, bd, k, n, lo, hi)
-	})
-}
-
-// matMulRows computes output rows [lo,hi) of C = A × B. Rows are disjoint
-// between chunks, so chunking is bit-exact by construction.
-func matMulRows(cd, ad, bd []float32, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		mulRow(cd[i*n:(i+1)*n], ad[i*k:], 1, bd, n, k, true)
+	for i := 0; i < m; i++ {
+		mulRow(dst.data[i*n:(i+1)*n], a.data[i*k:], 1, b.data, n, k, true)
 	}
 }
 
 // MatMulTransAInto computes dst = Aᵀ × B for A of shape (k,m) and B of shape
 // (k,n); dst must be (m,n). Used by Linear backward for weight gradients.
 //
-// Chunking is over output rows i (columns of A), and a row is one mulRow
-// reading its column of A at stride m: every dst element accumulates its
-// a[p,i]·b[p,j] terms in ascending p, whole, in one chunk. Splitting the
-// p-loop into per-chunk partial sums instead would change float association
-// and break the byte-identity contract.
+// An output row i is one mulRow reading column i of A at stride m: every dst
+// element accumulates its a[p,i]·b[p,j] terms in ascending p.
 func MatMulTransAInto(dst, a, b *Tensor) {
 	k, m := a.shape[0], a.shape[1]
 	n := b.shape[1]
 	checkMatMulShapes("MatMulTransAInto", dst, a, b, m, k, b.shape[0], n)
-	if par.PlanChunks(m, m*k*n) == 1 {
-		matMulTransARows(dst.data, a.data, b.data, k, m, n, 0, m)
-		return
-	}
-	ad, bd, cd := a.data, b.data, dst.data
-	par.ForChunksWork(m, m*k*n, func(_, lo, hi int) {
-		matMulTransARows(cd, ad, bd, k, m, n, lo, hi)
-	})
-}
-
-// matMulTransARows computes output rows [lo,hi) of C = Aᵀ × B.
-func matMulTransARows(cd, ad, bd []float32, k, m, n, lo, hi int) {
 	if k == 0 { // A has no column i to start a row at
-		clear(cd[lo*n : hi*n])
+		clear(dst.data)
 		return
 	}
-	for i := lo; i < hi; i++ {
-		mulRow(cd[i*n:(i+1)*n], ad[i:], m, bd, n, k, true)
+	for i := 0; i < m; i++ {
+		mulRow(dst.data[i*n:(i+1)*n], a.data[i:], m, b.data, n, k, true)
 	}
 }
 
@@ -530,45 +494,38 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[0]
 	checkMatMulShapes("MatMulTransBInto", dst, a, b, m, k, b.shape[1], n)
-	rows, ad, bd, cd := matMulTransBRows, a.data, b.data, dst.data
 	if useAVX2 && n >= 8 && k > 0 {
-		bd = transposed(bd, n, k)
-		defer putScratch(bd)
-		rows = matMulTransBRowsAVX2
-	}
-	if par.PlanChunks(m, m*k*n) == 1 {
-		rows(cd, ad, bd, k, n, 0, m)
+		bt := transposed(b.data, n, k)
+		matMulTransBRowsAVX2(dst.data, a.data, bt, k, n, m)
+		putScratch(bt)
 		return
 	}
-	par.ForChunksWork(m, m*k*n, func(_, lo, hi int) {
-		rows(cd, ad, bd, k, n, lo, hi)
-	})
+	matMulTransBRows(dst.data, a.data, b.data, k, n, m)
 }
 
 // matMulTransBRowsAVX2 is matMulTransBRows over bt = transposed(B). An output
 // narrower than 32 columns is nothing but 8-column tiles, each one add chain
 // that waits on itself, so there four rows go to a tile (tile4AVX2): four
 // chains, each still its own row's ascending-p sum.
-func matMulTransBRowsAVX2(cd, ad, bt []float32, k, n, lo, hi int) {
-	i := lo
+func matMulTransBRowsAVX2(cd, ad, bt []float32, k, n, m int) {
+	i := 0
 	if n < 32 {
-		for ; i+4 <= hi; i += 4 {
+		for ; i+4 <= m; i += 4 {
 			for j := 0; j < n; j += 8 {
 				t := min(j, n-8) // a ragged last tile is the last 8 columns
 				tile4AVX2(cd[i*n+t:], n, ad[i*k:], k, bt[t:], n, k)
 			}
 		}
 	}
-	for ; i < hi; i++ {
+	for ; i < m; i++ {
 		mulRow(cd[i*n:(i+1)*n], ad[i*k:], 1, bt, n, k, false)
 	}
 }
 
-// matMulTransBRows computes output rows [lo,hi) of C = A × Bᵀ. Each output
-// element is an independent dot product, so rows need no zeroing and chunking
-// is trivially bit-exact.
-func matMulTransBRows(cd, ad, bd []float32, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
+// matMulTransBRows computes the m output rows of C = A × Bᵀ. Each output
+// element is an independent dot product, so rows need no zeroing.
+func matMulTransBRows(cd, ad, bd []float32, k, n, m int) {
+	for i := 0; i < m; i++ {
 		ai := ad[i*k : (i+1)*k]
 		ci := cd[i*n : (i+1)*n]
 		j := 0

@@ -321,7 +321,7 @@ func AuditRun(label string, cfg Config, res *Result, opt AuditOptions) (*AuditRe
 }
 
 // WriteAuditReports serializes audit reports as an indented JSON artifact —
-// byte-identical across parallelism and kernel budgets.
+// byte-identical at any parallelism.
 func WriteAuditReports(path string, reports []*AuditReport) error {
 	return audit.WriteReports(path, reports)
 }
