@@ -80,13 +80,12 @@ func run() int {
 	tb := metrics.NewTable("", "model", "grad size", algo.Name()+" all-reduce", "PS", "PacTrain(0.5)+ternary", "compute/iter")
 	for _, prof := range nn.Profiles() {
 		n := int(prof.Params)
-		fresh := func() *netsim.Fabric { return netsim.NewFabric(topo) }
 		// The symmetric collectives price under the selected algorithm; the
 		// parameter server is a scheme topology of its own and always
 		// prices the same way (see collective.Algorithm).
-		ar := algo.AllReduce(fresh(), hosts, n, collective.WireFP32, 0)
-		ps := collective.CostPSAggregate(fresh(), hosts, n, collective.WireFP32, 0)
-		pac := algo.AllReduce(fresh(), hosts, n/2, collective.WireInt8, 0)
+		ar := algo.AllReduce(fabric, hosts, n, collective.WireFP32, 0)
+		ps := collective.CostPSAggregate(fabric, hosts, n, collective.WireFP32, 0)
+		pac := algo.AllReduce(fabric, hosts, n/2, collective.WireInt8, 0)
 		iterCompute := float64(prof.FLOPsPerSample) * float64(*batch) * 3 / (37.4e12 * 0.35)
 		tb.AddRow(prof.Name,
 			metrics.FormatBytes(float64(prof.GradBytes())),

@@ -21,12 +21,11 @@
 //     coordinates (8 bytes per coordinate, but roughly half the ring steps
 //     of an all-reduce — the latency-bound regime's friend).
 //
-// Pricing runs on a netsim.Fabric.PricingClone so quoted-but-not-taken
-// transfers never pollute the live fabric's byte accounting. Every input to
-// a decision (bucket size, mask NNZ, the synchronized simulated clock) is
-// replica-identical, so all workers reach the same decision in lockstep
-// with zero consensus traffic — the same property PacTrain's Mask Tracker
-// relies on.
+// Pricing quotes on the live fabric, which records nothing, so a quoted but
+// untaken transfer leaves no trace. Every input to a decision (bucket size,
+// mask NNZ, the synchronized simulated clock) is replica-identical, so all
+// workers reach the same decision in lockstep with zero consensus traffic —
+// the same property PacTrain's Mask Tracker relies on.
 //
 // Because decisions consult the fabric, a recorded adaptive run re-costs
 // exactly only under the fabric it was recorded on (see DESIGN.md §8); the
@@ -120,8 +119,7 @@ type Options struct {
 	// Algorithm prices the symmetric collectives (the same implementation
 	// the cluster charges the real ops with).
 	Algorithm collective.Algorithm
-	// Fabric is the live fabric; the controller prices on a PricingClone of
-	// it so quotes never touch the real byte accounting.
+	// Fabric is the live fabric the controller quotes on.
 	Fabric *netsim.Fabric
 	// Hosts maps ranks to fabric hosts, as the cluster sees them.
 	Hosts []netsim.NodeID
@@ -166,7 +164,7 @@ type Controller struct {
 	dwell      int
 	candidates []string
 	algo       collective.Algorithm
-	pricing    *netsim.Fabric
+	fabric     *netsim.Fabric
 	hosts      []netsim.NodeID
 	wireScale  float64
 
@@ -199,7 +197,7 @@ func New(opt Options) *Controller {
 		dwell:      opt.Dwell,
 		candidates: cands,
 		algo:       opt.Algorithm,
-		pricing:    opt.Fabric.PricingClone(),
+		fabric:     opt.Fabric,
 		hosts:      opt.Hosts,
 		wireScale:  scale,
 		buckets:    make(map[int]*bucketState),
@@ -239,9 +237,8 @@ func priceFormat(algo collective.Algorithm, pricing *netsim.Fabric, hosts []nets
 // with nnz retained coordinates at absolute time t, in candidate order. It
 // is the quote vector behind Controller.Decide, exported so the trace
 // replay (internal/harness) can reprice a recorded adaptive round against
-// the recorded fabric without rebuilding a controller. Callers must pass a
-// fabric that is safe to quote on — a PricingClone — so quoted-but-not-taken
-// transfers never touch live byte accounting; wireScale <= 0 means 1.
+// the recorded fabric without rebuilding a controller. wireScale <= 0
+// means 1.
 func PriceQuotes(algo collective.Algorithm, pricing *netsim.Fabric, hosts []netsim.NodeID,
 	wireScale float64, candidates []string, n, nnz int, t float64) []Quote {
 	if wireScale <= 0 {
@@ -270,8 +267,8 @@ func PriceQuotes(algo collective.Algorithm, pricing *netsim.Fabric, hosts []nets
 // the margin.
 func (c *Controller) Decide(bucket, n, nnz int, t float64) Decision {
 	dec := Decision{
-		Quotes:        PriceQuotes(c.algo, c.pricing, c.hosts, c.wireScale, c.candidates, n, nnz, t),
-		BottleneckBps: c.pricing.BottleneckBandwidthAt(t),
+		Quotes:        PriceQuotes(c.algo, c.fabric, c.hosts, c.wireScale, c.candidates, n, nnz, t),
+		BottleneckBps: c.fabric.BottleneckBandwidthAt(t),
 	}
 	costs := make(map[string]float64, len(c.candidates))
 	best := ""

@@ -171,25 +171,6 @@ func TestControllerDeterministic(t *testing.T) {
 	}
 }
 
-// TestPricingDoesNotTouchLiveFabric guards the PricingClone contract: a
-// thousand quotes must leave the live fabric's byte accounting untouched.
-func TestPricingDoesNotTouchLiveFabric(t *testing.T) {
-	t.Parallel()
-	fabric, hosts := wanFabric(10)
-	ctrl := New(Options{
-		Algorithm: collective.MustAlgorithm("ring"),
-		Fabric:    fabric,
-		Hosts:     hosts,
-		WireScale: testScale,
-	})
-	for i := 0; i < 1000; i++ {
-		ctrl.Decide(0, testElems, testNNZ, float64(i))
-	}
-	if fabric.TotalBytes != 0 {
-		t.Fatalf("pricing leaked %v bytes onto the live fabric", fabric.TotalBytes)
-	}
-}
-
 func TestDenseDominatedByCompact(t *testing.T) {
 	t.Parallel()
 	// With a strict subset mask (nnz < n) and equal wire format, the
@@ -244,7 +225,7 @@ func TestDecisionQuotesRestrictedCandidates(t *testing.T) {
 		if len(d.Quotes) != len(want) {
 			t.Fatalf("round %d: %d quotes for %d candidates: %+v", round, len(d.Quotes), len(want), d.Quotes)
 		}
-		ref := PriceQuotes(collective.MustAlgorithm("ring"), fabric.PricingClone(), hosts,
+		ref := PriceQuotes(collective.MustAlgorithm("ring"), fabric, hosts,
 			testScale, want, testElems, testNNZ, at)
 		for i, q := range d.Quotes {
 			if q.Format != want[i] {

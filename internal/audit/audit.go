@@ -2,7 +2,7 @@
 // training run: it rides the run's core.Replay as a visitor, and at every
 // controller-driven round reprices the full candidate set with the same
 // pricing arithmetic the adaptive controller used (adaptive.PriceQuotes on
-// a PricingClone of the recorded fabric). The resulting ledger — the cost
+// the recorded fabric). The resulting ledger — the cost
 // every candidate *would* have incurred, round by round — answers the
 // question the decision log alone cannot: was each pick right, and by how
 // much?
@@ -293,7 +293,6 @@ func replayLedger(rep *Report, cfg *core.Config, res *core.Result, fabric *netsi
 	log := res.CommLog
 	alg := collective.MustAlgorithm(cfg.Collective)
 	hosts := fabric.Topo.Hosts()[:cfg.World]
-	pricing := fabric.PricingClone()
 	nnzs := NewNNZTracker()
 	// Only the sparse formats price by mask NNZ; a candidate set without
 	// them (the dense-only static baseline) audits every round even though
@@ -334,14 +333,14 @@ func replayLedger(rep *Report, cfg *core.Config, res *core.Result, fabric *netsi
 			return
 		}
 		scale := WireScaleFromOp(op)
-		truth := adaptive.PriceQuotes(alg, pricing, hosts, scale, rep.Candidates, n, nnz, launch)
+		truth := adaptive.PriceQuotes(alg, fabric, hosts, scale, rep.Candidates, n, nnz, launch)
 		stale := truth
 		if opt.StalenessSec > 0 {
 			t := launch - opt.StalenessSec
 			if t < 0 {
 				t = 0
 			}
-			stale = adaptive.PriceQuotes(alg, pricing, hosts, scale, rep.Candidates, n, nnz, t)
+			stale = adaptive.PriceQuotes(alg, fabric, hosts, scale, rep.Candidates, n, nnz, t)
 		}
 		chosen, okChosen := quoteFor(truth, op.Decision)
 		predicted, okStale := quoteFor(stale, op.Decision)

@@ -151,8 +151,7 @@ func newXfer(f *netsim.Fabric, src, dst netsim.NodeID, bytes float64) xfer {
 // needs this (a unidirectional ring puts at most one same-step transfer on
 // each directed link, so ringSteps' max-of-transfers is already exact), but
 // the tree pattern routinely stacks several pair exchanges onto one
-// inter-switch link, where uncontended pricing would be fiction. Bytes are
-// recorded on every traversed link, like Fabric.Send.
+// inter-switch link, where uncontended pricing would be fiction.
 func concurrentStep(f *netsim.Fabric, xfers []xfer, t float64) float64 {
 	links := f.Topo.Links
 	// A hop is a directed link: 2·li, +1 when traversed B→A. load counts the
@@ -186,10 +185,8 @@ func concurrentStep(f *netsim.Fabric, xfers []xfer, t float64) float64 {
 			if bw := f.LinkBandwidthAt(hop/2, t) / float64(load[hop]); bw < bottleneck {
 				bottleneck = bw
 			}
-			f.BytesOnLink[hop/2] += x.bytes
 		}
 		hops = hops[n:]
-		f.TotalBytes += x.bytes
 		if dt := x.route.LatencySec + x.bytes*8/bottleneck; dt > step {
 			step = dt
 		}

@@ -58,9 +58,8 @@ func (w WireFormat) MessageBytes(n int) float64 {
 // ring-equivalent bytes the paper's compression ratios describe — and are
 // deliberately algorithm-independent, so a scheme's volume reads the same
 // under ring, tree, or hierarchical pricing. The bytes a given algorithm
-// actually pushes across each link (leaders send more than members under
-// hierarchical, tree pays fold/unfold copies) live in the fabric's
-// per-link accounting (Fabric.BytesOnLink, Fabric.TotalBytes).
+// pushes across each link (leaders send more than members under
+// hierarchical, tree pays fold/unfold copies) are priced, not counted.
 type Stats struct {
 	AllReduceOps int
 	AllGatherOps int
@@ -161,7 +160,7 @@ func (c *Cluster) World() int { return c.world }
 // Algorithm returns the collective algorithm pricing this cluster.
 func (c *Cluster) Algorithm() Algorithm { return c.algo }
 
-// Fabric returns the underlying fabric (for accounting inspection).
+// Fabric returns the underlying fabric, for pricing hypothetical collectives.
 func (c *Cluster) Fabric() *netsim.Fabric { return c.fabric }
 
 // Hosts returns the fabric hosts the workers are mapped onto, in rank

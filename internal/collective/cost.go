@@ -1,6 +1,10 @@
 package collective
 
-import "pactrain/internal/netsim"
+import (
+	"math"
+
+	"pactrain/internal/netsim"
+)
 
 // This file exposes the pure timing models behind each collective as
 // standalone functions. The Cluster methods use them for in-situ timing, and
@@ -28,12 +32,34 @@ func chunkBytes(n, world int, wire WireFormat) []float64 {
 // time the last one ends. In step s every host i sends msg[(i-s) mod world]
 // to host i+1 concurrently — a unidirectional ring puts at most one of a
 // step's transfers on each directed link, so the step costs its slowest
-// transfer. Bytes are recorded on the fabric per transfer.
+// transfer. Every step sends each chunk once, so when the fabric has no
+// traces and every ring route has one latency and bottleneck, every step
+// costs the largest chunk's transfer (a transfer's cost is monotone in its
+// bytes) and the walk is that step added steps times, in order.
 func ringSteps(f *netsim.Fabric, hosts []netsim.NodeID, msg []float64, steps int, t float64) float64 {
 	world := len(hosts)
 	routes := make([]netsim.Route, world)
+	uniform := f.TimeInvariant()
 	for i := range routes {
 		routes[i] = mustRoute(f, hosts[i], hosts[(i+1)%world])
+		uniform = uniform && routes[i].LatencySec == routes[0].LatencySec &&
+			routes[i].BottleneckBps == routes[0].BottleneckBps
+	}
+	if uniform {
+		largest := math.Inf(-1) // the strict > skips NaN chunks, as the loop below does
+		for _, m := range msg {
+			if m > largest {
+				largest = m
+			}
+		}
+		var step float64
+		if dt := f.Send(routes[0], largest, t); dt > step {
+			step = dt
+		}
+		for range steps {
+			t += step
+		}
+		return t
 	}
 	for s := 0; s < steps; s++ {
 		var step float64

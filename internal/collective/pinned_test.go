@@ -12,8 +12,7 @@ import (
 )
 
 // pinnedFabric is one stage of the pinned cost table: a fresh fabric per
-// priced operation (so byte accounting is per operation) and the launch
-// times to price at.
+// priced operation and the launch times to price at.
 type pinnedFabric struct {
 	name  string
 	build func() *netsim.Fabric
@@ -56,8 +55,8 @@ func pinnedFabrics() []pinnedFabric {
 }
 
 // pinnedCostTable prices every cost function of the package on every pinned
-// fabric and renders duration, total bytes and per-link bytes as hex floats:
-// one line per (fabric, launch time, operation).
+// fabric and renders each duration as a hex float: one line per (fabric,
+// launch time, operation).
 func pinnedCostTable() string {
 	hex := func(x float64) string { return strconv.FormatFloat(x, 'x', -1, 64) }
 	var b strings.Builder
@@ -95,14 +94,7 @@ func pinnedCostTable() string {
 			for _, op := range ops {
 				f := pf.build()
 				d := op.cost(f, f.Topo.Hosts(), at)
-				fmt.Fprintf(&b, "%s t=%v %s: %s total=%s links=", pf.name, at, op.name, hex(d), hex(f.TotalBytes))
-				for i, x := range f.BytesOnLink {
-					if i > 0 {
-						b.WriteByte(',')
-					}
-					b.WriteString(hex(x))
-				}
-				b.WriteByte('\n')
+				fmt.Fprintf(&b, "%s t=%v %s: %s\n", pf.name, at, op.name, hex(d))
 			}
 		}
 	}
@@ -114,17 +106,18 @@ func pinnedCostTable() string {
 // {ring, tree, hierarchical} × {all-reduce, all-gather, broadcast}, the
 // parameter server and the block-sparse transport, on Fig. 4, an odd
 // two-rack world, a 4×3 racked fabric, and a traced fabric at t = 0 and
-// mid-segment — durations and byte counters, bit for bit.
+// mid-segment — durations bit for bit. Each pinned line also carries the
+// byte counters the fabric kept when it was recorded; the fabric keeps none
+// now, so a line is compared up to its " total=".
 func TestPinnedCostTable(t *testing.T) {
 	want, err := os.ReadFile("testdata/pinned_costs.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := pinnedCostTable()
-	if got == string(want) {
-		return
+	gl, wl := strings.Split(pinnedCostTable(), "\n"), strings.Split(string(want), "\n")
+	for i := range wl {
+		wl[i], _, _ = strings.Cut(wl[i], " total=")
 	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	for i := range gl {
 		if i >= len(wl) || gl[i] != wl[i] {
 			w := "<missing>"
@@ -134,5 +127,7 @@ func TestPinnedCostTable(t *testing.T) {
 			t.Fatalf("line %d moved:\n got %s\nwant %s", i+1, gl[i], w)
 		}
 	}
-	t.Fatalf("table has %d lines, pinned file has %d", len(gl), len(wl))
+	if len(gl) != len(wl) {
+		t.Fatalf("table has %d lines, pinned file has %d", len(gl), len(wl))
+	}
 }

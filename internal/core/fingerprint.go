@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -147,11 +149,26 @@ func appendFabric(b []byte, topo *netsim.Topology, traces []*netsim.BandwidthTra
 			line("link=", []int{i, int(l.A), int(l.B)}, l.BandwidthBps, l.LatencySec)
 		}
 	}
+	// A trace whose segments repeat the previous trace's bit for bit copies
+	// the text already made.
+	var prev []netsim.TraceSegment
+	var segsFrom, segsTo int
 	for _, tr := range traces {
 		line("trace=", []int{tr.LinkIndex})
+		if slices.EqualFunc(tr.Segments, prev, sameBits) {
+			b = append(b, b[segsFrom:segsTo]...)
+			continue
+		}
+		prev, segsFrom = tr.Segments, len(b)
 		for _, s := range tr.Segments {
 			line("seg=", nil, s.UntilSec, s.Scale)
 		}
+		segsTo = len(b)
 	}
 	return b
+}
+
+func sameBits(x, y netsim.TraceSegment) bool {
+	return math.Float64bits(x.UntilSec) == math.Float64bits(y.UntilSec) &&
+		math.Float64bits(x.Scale) == math.Float64bits(y.Scale)
 }

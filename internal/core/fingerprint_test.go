@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -233,14 +234,26 @@ func TestFingerprintFabricMatchesFmt(t *testing.T) {
 		segs = append(segs, netsim.TraceSegment{UntilSec: v, Scale: edge[(i+7)%len(edge)]})
 	}
 	traces := []*netsim.BandwidthTrace{{LinkIndex: 2, Segments: segs}, {LinkIndex: -1}, {LinkIndex: 0, Segments: segs[:1]}}
+	// Traces shared, cloned, then cut before the NaN and broken by one sign
+	// of zero, over alternating scales with ±0 and NaN.
+	var alt []netsim.TraceSegment
+	for i, v := range []float64{1, 0.3, 1, 0, math.Copysign(0, -1), 1, math.NaN()} {
+		alt = append(alt, netsim.TraceSegment{UntilSec: float64(i) / 3, Scale: v})
+	}
+	broken := slices.Clone(alt[:6])
+	broken[4].Scale = 0
+	repeated := []*netsim.BandwidthTrace{{LinkIndex: 0, Segments: alt}, {LinkIndex: 1, Segments: alt},
+		{LinkIndex: 2, Segments: slices.Clone(alt)}, {LinkIndex: 3, Segments: alt[:6]},
+		{LinkIndex: 4, Segments: broken}, {LinkIndex: 5, Segments: alt}}
 	for name, c := range map[string]struct {
 		topo   *netsim.Topology
 		traces []*netsim.BandwidthTrace
 	}{
-		"none":   {nil, nil},
-		"racked": {racked, nil},
-		"edge":   {weird, traces},
-		"traces": {nil, traces},
+		"none":     {nil, nil},
+		"racked":   {racked, nil},
+		"edge":     {weird, traces},
+		"traces":   {nil, traces},
+		"repeated": {racked, repeated},
 	} {
 		if got, want := string(appendFabric(nil, c.topo, c.traces)), fmtFabric(c.topo, c.traces); got != want {
 			t.Errorf("%s: appended bytes differ from the fmt spelling:\n got %q\nwant %q", name, got, want)

@@ -80,6 +80,7 @@ func Replay(cfg *Config, log *CommLog, price PriceFunc, v ReplayVisitor) []float
 type clockWalk struct {
 	cfg     *Config
 	batches []int
+	ranks   []int // the rank whose compute each schedule lays out
 	prefix  []float64
 	tl      *simclock.Timeline
 	scheds  []simclock.IterSchedule
@@ -88,33 +89,46 @@ type clockWalk struct {
 }
 
 // newClockWalk builds the walk over a model's bucket element counts. Unless
-// perRank asks for every rank's clock, homogeneous ranks share one schedule
-// (a max over equal floats is that float, so the clocks are identical).
+// perRank asks for every rank's clock, or jitter gives every rank its own
+// compute, ranks of equal multiplier share one schedule, rank 0's first:
+// they start at 0 and compute alike, so their clocks stay identical, and a
+// barrier's max over a multiset of ready times is its max over the distinct
+// ones.
 func newClockWalk(cfg *Config, bucketElems []int, perRank bool) *clockWalk {
 	w := &clockWalk{cfg: cfg, batches: cfg.EpochBatches()}
 	if cfg.Overlap == ddp.OverlapBackward {
 		w.prefix = simclock.PrefixShares(bucketElems)
 	}
-	ranks := cfg.World
-	if !perRank && !cfg.RankCompute.Enabled() {
-		ranks = 1
+	if perRank || cfg.RankCompute.JitterFrac > 0 {
+		w.ranks = make([]int, cfg.World)
+		for r := range w.ranks {
+			w.ranks[r] = r
+		}
+	} else {
+		seen := make(map[uint64]bool)
+		for r := range cfg.World {
+			if bits := math.Float64bits(cfg.RankCompute.Scale(r, 0)); !seen[bits] {
+				seen[bits] = true
+				w.ranks = append(w.ranks, r)
+			}
+		}
 	}
-	w.tl = simclock.NewTimeline(ranks)
-	w.scheds = make([]simclock.IterSchedule, ranks)
+	w.tl = simclock.NewTimeline(len(w.ranks))
+	w.scheds = make([]simclock.IterSchedule, len(w.ranks))
 	w.comp = simclock.NewIterComposer(w.scheds)
 	return w
 }
 
-// startIter lays out every rank's compute for iteration k from its clock.
+// startIter lays out every schedule's compute for iteration k from its clock.
 func (w *clockWalk) startIter(k int) {
 	batch := w.cfg.BatchSize
 	if len(w.batches) > 0 {
 		batch = w.batches[k%len(w.batches)]
 	}
 	fwd, bwd := w.cfg.Compute.ForwardSeconds(batch), w.cfg.Compute.BackwardSeconds(batch)
-	for r := range w.scheds {
+	for i, r := range w.ranks {
 		scale := w.cfg.RankCompute.Scale(r, k)
-		w.scheds[r] = simclock.NewIterSchedule(w.tl.Clock(r), fwd*scale, bwd*scale, w.prefix)
+		w.scheds[i] = simclock.NewIterSchedule(w.tl.Clock(i), fwd*scale, bwd*scale, w.prefix)
 	}
 	w.comp.Reset()
 	w.free = math.Inf(-1)

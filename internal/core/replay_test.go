@@ -180,8 +180,10 @@ func naiveReplay(cfg *Config, log *CommLog, price PriceFunc) []float64 {
 	return cum
 }
 
-// fuzzReplayCase decodes fuzz input into a replay problem. world is 1–64.
-// flags: bit 0 per-bucket overlap; bits 1–2 the multipliers (none, all
+// fuzzReplayCase decodes fuzz input into a replay problem. world is 1–64
+// (worldB's low six bits); worldB's bit 6 replaces the multipliers with a
+// slow rack, a block of ranks sharing one multiplier. flags: bit 0
+// per-bucket overlap; bits 1–2 the multipliers (none, all
 // ones, one slow rank, a ramp); bit 3 jitter; bit 4 a launch-dependent
 // price; bits 5–7 the batch size. samples is the dataset size (0 = unknown,
 // every batch full). data: one byte of bucket count, that many bucket
@@ -206,6 +208,12 @@ func fuzzReplayCase(worldB, flags uint8, samples uint16, raw []byte) (Config, *C
 		cfg.RankCompute.Multipliers = netsim.OneSlowRank(world, 2.5)
 	case 3:
 		cfg.RankCompute.Multipliers = netsim.RampRanks(world, 3)
+	}
+	if worldB&0x40 != 0 {
+		// The last rack of world/hosts racks of hosts ranks; ranks past the
+		// racks run at 1.0 after it.
+		hosts := max(world/4, 1)
+		cfg.RankCompute.Multipliers = netsim.OneSlowRack(world/hosts, hosts, 2.5)
 	}
 	if flags&8 != 0 {
 		cfg.RankCompute.JitterFrac, cfg.RankCompute.JitterSeed = 0.2, uint64(samples)
@@ -239,10 +247,11 @@ func fuzzReplayCase(worldB, flags uint8, samples uint16, raw []byte) (Config, *C
 
 // FuzzReplayMatchesNaive checks the kernel against the naive walk on any
 // world, bucket geometry, op sequence, straggler profile, overlap mode and
-// pricing function, and — for homogeneous ranks — the one-rank view against
-// the full-world view. The seed corpus under testdata holds the named
+// pricing function, and the view with one schedule per rank class (no
+// visitor) against the full-world view. The seed corpus under testdata holds the named
 // edges: an empty log, empty iterations, a log that stops mid-epoch,
-// all-ones multipliers, out-of-order buckets at 64 ranks.
+// all-ones multipliers, out-of-order buckets at 64 ranks, a slow rack at 64
+// ranks.
 func FuzzReplayMatchesNaive(f *testing.F) {
 	f.Add(uint8(7), uint8(0b0010_0101), uint16(80), []byte{3, 10, 10, 20, 0, 1, 2, 0xFF, 2, 2, 0, 1})
 	f.Add(uint8(0), uint8(0), uint16(0), []byte{})

@@ -82,20 +82,20 @@ func adaptiveTwoRackBandwidths() []float64 {
 
 // oscillatingTraces builds the alternating full/dip bandwidth traces for
 // every inter-switch link of a topology (the varbw ablation and the adaptive
-// experiment's oscillating fabric).
+// experiment's oscillating fabric). The links share one segment slice.
 func oscillatingTraces(topo *netsim.Topology, period, dip float64) []*netsim.BandwidthTrace {
+	// Alternate full/dip windows long enough to outlast any run.
+	segs := make([]netsim.TraceSegment, 0, 4097)
+	for k := 0; k < 4096; k++ {
+		scale := 1.0
+		if k%2 == 1 {
+			scale = dip
+		}
+		segs = append(segs, netsim.TraceSegment{UntilSec: float64(k+1) * period, Scale: scale})
+	}
+	segs = append(segs, netsim.TraceSegment{UntilSec: math.Inf(1), Scale: 1})
 	var traces []*netsim.BandwidthTrace
 	for _, li := range topo.InterSwitchLinks() {
-		var segs []netsim.TraceSegment
-		// Alternate full/dip windows long enough to outlast any run.
-		for k := 0; k < 4096; k++ {
-			scale := 1.0
-			if k%2 == 1 {
-				scale = dip
-			}
-			segs = append(segs, netsim.TraceSegment{UntilSec: float64(k+1) * period, Scale: scale})
-		}
-		segs = append(segs, netsim.TraceSegment{UntilSec: math.Inf(1), Scale: 1})
 		traces = append(traces, &netsim.BandwidthTrace{LinkIndex: li, Segments: segs})
 	}
 	return traces

@@ -25,16 +25,13 @@ import (
 // live, and only the cluster-scale pricing path (the largescale experiment,
 // whose model is *defined* as memoized pricing) enables it. There, recorded
 // logs repeat a handful of signatures hundreds of times, and memoization
-// turns O(iterations) collective simulations — ~300k link transfers each at
-// 4,096 ranks — into O(distinct signatures). The memo is scoped to one
-// coster for the same reason it is opt-in: shared across launch times (let
-// alone processes) it would move the last ulp of paths that pin their bytes.
-// What every path gets instead is cheap live pricing — a collective resolves
-// each pair's route once per call (DESIGN.md §4).
-//
-// The memo also skips the fabric's byte accounting for repeated ops;
-// re-costing fabrics are throwaway pricing instruments and no harness caller
-// reads their counters.
+// turns O(iterations) collective simulations — some 12k route resolutions
+// each at 4,096 ranks — into O(distinct signatures). The memo is scoped to
+// one coster for the same reason it is opt-in: shared across launch times
+// (let alone processes) it would move the last ulp of paths that pin their
+// bytes. What every path gets instead is cheap live pricing — a collective
+// resolves each pair's route once per call, and a uniform ring prices each
+// step once (DESIGN.md §4).
 type opCoster struct {
 	alg    collective.Algorithm
 	fabric *netsim.Fabric

@@ -175,9 +175,6 @@ func RunLargeScale(opt Options) (*LargeScaleResult, error) {
 					Multipliers: netsim.OneSlowRack(racks, hosts, sev),
 				}
 			}
-			// Each re-price builds a fresh fabric: byte accounting is
-			// meaningless under memoized pricing and must not leak across
-			// cells.
 			cum := recording{cfg, res}.price(point{topo: topo, memoize: true})
 			// Steady state excludes the warm-up iteration (PacTrain's full
 			// sync + bitmap re-share).

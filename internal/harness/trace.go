@@ -146,13 +146,13 @@ func opSpan(op core.CommOp) (string, map[string]any) {
 }
 
 // decisionQuoter reprices a recorded adaptive round's candidate set at the
-// replayed launch time on a pricing clone of the replay fabric — on the
-// recorded fabric that reproduces the quote vector the controller actually
-// weighed (the formats' relative costs, adaptive.PriceQuotes). For static
-// schemes the wire format itself is the (frozen) decision.
+// replayed launch time on the replay fabric — on the recorded fabric that
+// reproduces the quote vector the controller actually weighed (the formats'
+// relative costs, adaptive.PriceQuotes). For static schemes the wire format
+// itself is the (frozen) decision.
 type decisionQuoter struct {
 	algo        collective.Algorithm
-	pricing     *netsim.Fabric
+	fabric      *netsim.Fabric
 	hosts       []netsim.NodeID
 	candidates  []string
 	bucketElems []int
@@ -170,7 +170,7 @@ func newDecisionQuoter(cfg *core.Config, fabric *netsim.Fabric, hosts []netsim.N
 	}
 	return &decisionQuoter{
 		algo:        collective.MustAlgorithm(cfg.Collective),
-		pricing:     fabric.PricingClone(),
+		fabric:      fabric,
 		hosts:       hosts,
 		candidates:  cands,
 		bucketElems: bucketElems,
@@ -192,7 +192,7 @@ func (q *decisionQuoter) decide(op core.CommOp, launch float64) (string, map[str
 	if !ok || n == 0 {
 		return op.Decision, nil
 	}
-	quotes := adaptive.PriceQuotes(q.algo, q.pricing, q.hosts, audit.WireScaleFromOp(op),
+	quotes := adaptive.PriceQuotes(q.algo, q.fabric, q.hosts, audit.WireScaleFromOp(op),
 		q.candidates, n, nnz, launch)
 	m := make(map[string]any, len(quotes))
 	for _, quote := range quotes {

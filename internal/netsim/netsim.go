@@ -93,8 +93,8 @@ type Topology struct {
 	// tree is the rooted index Path walks when the graph is a tree (nil
 	// slice when it is not), built on first use and dropped by
 	// AddNode/AddLink. Building is idempotent, so the fabrics sharing one
-	// topology (PricingClone, engine jobs reusing a config's topology) may
-	// race to publish it.
+	// topology (engine jobs reusing a config's topology) may race to publish
+	// it.
 	tree atomic.Pointer[[]treeNode]
 }
 
@@ -119,8 +119,8 @@ func (t *Topology) AddNode(name string, kind NodeKind) NodeID {
 
 // AddLink connects two nodes with the given bandwidth and latency. It panics
 // on unknown nodes or non-positive bandwidth. Topologies are built
-// single-threaded, before any fabric is created over them: a Fabric sizes
-// its byte counters at NewFabric and refuses to route once the link set has
+// single-threaded, before any fabric is created over them: a Fabric notes
+// the link count at NewFabric and refuses to route once the link set has
 // changed underneath it.
 func (t *Topology) AddLink(a, b NodeID, bandwidthBps, latencySec float64) int {
 	if !t.has(a) || !t.has(b) || a == b {
@@ -294,25 +294,19 @@ func (b *BandwidthTrace) scaleAt(t float64) float64 {
 	return 1
 }
 
-// Fabric couples a topology with traffic accounting and bandwidth traces.
-// A Fabric is driven by the collective layer; methods are not safe for
-// concurrent use and callers serialize through the cluster rendezvous.
+// Fabric couples a topology with bandwidth traces. It is a pricing
+// instrument only: quoting a transfer writes nothing, so any number of
+// callers may quote on one fabric at once, once its traces are installed.
 type Fabric struct {
 	Topo *Topology
 
 	traces map[int]*BandwidthTrace
-
-	// BytesOnLink accumulates payload bytes crossing each link.
-	BytesOnLink []float64
-	// TotalBytes accumulates payload bytes across all transfers (counted
-	// once per transfer, not per hop).
-	TotalBytes float64
+	links  int // len(Topo.Links) at NewFabric
 }
 
 // NewFabric wraps a topology.
 func NewFabric(t *Topology) *Fabric {
-	return &Fabric{Topo: t, traces: make(map[int]*BandwidthTrace),
-		BytesOnLink: make([]float64, len(t.Links))}
+	return &Fabric{Topo: t, traces: make(map[int]*BandwidthTrace), links: len(t.Links)}
 }
 
 // SetTrace installs a bandwidth trace on a link.
@@ -347,11 +341,15 @@ type Route struct {
 	Links []int
 	// LatencySec is the links' one-way latencies summed in that order.
 	LatencySec float64
+	// BottleneckBps is the links' minimum nominal bandwidth (+Inf for a
+	// node's route to itself): the rate a transfer sees on a fabric without
+	// traces.
+	BottleneckBps float64
 }
 
 // Route resolves the path from src to dst. It returns an error when the
 // nodes are disconnected, or when links were added to the topology after
-// NewFabric sized this fabric's byte counters.
+// NewFabric.
 func (f *Fabric) Route(src, dst NodeID) (Route, error) {
 	return f.route(nil, src, dst)
 }
@@ -359,41 +357,46 @@ func (f *Fabric) Route(src, dst NodeID) (Route, error) {
 // route is Route with the links appended to buf, so a caller that prices one
 // transfer and drops the route can keep it on its stack.
 func (f *Fabric) route(buf []int, src, dst NodeID) (Route, error) {
-	if len(f.BytesOnLink) != len(f.Topo.Links) {
-		return Route{}, fmt.Errorf("netsim: topology changed after NewFabric (%d links, fabric counts %d)",
-			len(f.Topo.Links), len(f.BytesOnLink))
+	if f.links != len(f.Topo.Links) {
+		return Route{}, fmt.Errorf("netsim: topology changed after NewFabric (%d links, fabric built over %d)",
+			len(f.Topo.Links), f.links)
 	}
 	path, ok := f.Topo.appendPath(buf, src, dst)
 	if !ok {
 		return Route{}, fmt.Errorf("netsim: no path from %d to %d", src, dst)
 	}
-	r := Route{Links: path}
+	r := Route{Links: path, BottleneckBps: math.Inf(1)}
 	for _, li := range path {
-		r.LatencySec += f.Topo.Links[li].LatencySec
+		l := &f.Topo.Links[li]
+		r.LatencySec += l.LatencySec
+		if l.BandwidthBps < r.BottleneckBps {
+			r.BottleneckBps = l.BandwidthBps
+		}
 	}
 	return r, nil
 }
 
 // Send returns the time to move payloadBytes along a route resolved on this
-// fabric, starting at time t, and records the bytes on every traversed link.
-// Each link's bandwidth is read at t, so traces apply per transfer.
+// fabric, starting at time t. Each link's bandwidth is read at t, so traces
+// apply per transfer; without traces the route's bottleneck is the rate.
 func (f *Fabric) Send(r Route, payloadBytes float64, t float64) float64 {
 	if len(r.Links) == 0 {
 		return 0
 	}
-	bottleneck := math.Inf(1)
-	for _, li := range r.Links {
-		if bw := f.LinkBandwidthAt(li, t); bw < bottleneck {
-			bottleneck = bw
+	bottleneck := r.BottleneckBps
+	if len(f.traces) != 0 {
+		bottleneck = math.Inf(1)
+		for _, li := range r.Links {
+			if bw := f.LinkBandwidthAt(li, t); bw < bottleneck {
+				bottleneck = bw
+			}
 		}
-		f.BytesOnLink[li] += payloadBytes
 	}
-	f.TotalBytes += payloadBytes
 	return r.LatencySec + payloadBytes*8/bottleneck
 }
 
 // TransferTime returns the time to move payloadBytes from src to dst
-// starting at time t, and records the bytes on every traversed link.
+// starting at time t.
 func (f *Fabric) TransferTime(src, dst NodeID, payloadBytes float64, t float64) (float64, error) {
 	var buf [8]int // longer paths spill to the heap
 	r, err := f.route(buf[:0], src, dst)
@@ -401,21 +404,6 @@ func (f *Fabric) TransferTime(src, dst NodeID, payloadBytes float64, t float64) 
 		return 0, err
 	}
 	return f.Send(r, payloadBytes, t), nil
-}
-
-// PricingClone returns a fabric over the same topology and traces with
-// fresh byte accounting — a scratch instrument for what-if pricing. The
-// collective cost functions record payload bytes on every link they touch,
-// so a caller that merely wants to *quote* a hypothetical transfer (the
-// adaptive compression controller prices every candidate wire format each
-// round) must run them against a clone, or the accounting of transfers that
-// never happened would pollute the real fabric.
-func (f *Fabric) PricingClone() *Fabric {
-	nf := NewFabric(f.Topo)
-	for li, tr := range f.traces {
-		nf.traces[li] = tr
-	}
-	return nf
 }
 
 // BottleneckBandwidthAt returns the minimum effective (trace-scaled)

@@ -73,19 +73,6 @@ func TestTransferTimePhysics(t *testing.T) {
 	if math.Abs(dt-1) > 1e-9 {
 		t.Fatalf("transfer time %v, want 1s", dt)
 	}
-	if f.TotalBytes != bytes {
-		t.Fatalf("TotalBytes = %v", f.TotalBytes)
-	}
-	// Two links traversed (host-switch-host), each counted.
-	counted := 0
-	for _, b := range f.BytesOnLink {
-		if b == bytes {
-			counted++
-		}
-	}
-	if counted != 2 {
-		t.Fatalf("bytes recorded on %d links, want 2", counted)
-	}
 }
 
 func TestTransferSelfIsFree(t *testing.T) {

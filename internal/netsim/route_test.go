@@ -13,10 +13,8 @@ import (
 // searches the graph breadth-first and reads each link's trace from a map,
 // the way TransferTime was written before routes were resolved ahead.
 type naiveFabric struct {
-	topo        *Topology
-	traces      map[int]*BandwidthTrace
-	bytesOnLink []float64
-	totalBytes  float64
+	topo   *Topology
+	traces map[int]*BandwidthTrace
 }
 
 func (n *naiveFabric) transferTime(src, dst NodeID, payload, t float64) (float64, bool) {
@@ -37,9 +35,7 @@ func (n *naiveFabric) transferTime(src, dst NodeID, payload, t float64) (float64
 			bottleneck = bw
 		}
 		latency += n.topo.Links[li].LatencySec
-		n.bytesOnLink[li] += payload
 	}
-	n.totalBytes += payload
 	return latency + payload*8/bottleneck, true
 }
 
@@ -48,8 +44,8 @@ func (n *naiveFabric) transferTime(src, dst NodeID, payload, t float64) (float64
 // speeds, latencies and traces, then prices random transfers at random
 // launch times three ways: TransferTime, Route+Send with the route reused,
 // and the naive reference. Paths must agree link for link with the
-// breadth-first search, durations and byte counters bit for bit, and an
-// unreachable pair must be an error, never a panic.
+// breadth-first search, durations bit for bit, and an unreachable pair must
+// be an error, never a panic.
 func FuzzRouteMatchesBFS(f *testing.F) {
 	f.Add(uint64(1), uint8(10), uint8(0), uint8(0), uint8(0))  // tree, no traces
 	f.Add(uint64(2), uint8(40), uint8(0), uint8(0), uint8(5))  // deep tree, traced
@@ -83,7 +79,7 @@ func FuzzRouteMatchesBFS(f *testing.F) {
 		}
 
 		fab := NewFabric(topo)
-		naive := &naiveFabric{topo: topo, traces: map[int]*BandwidthTrace{}, bytesOnLink: make([]float64, len(topo.Links))}
+		naive := &naiveFabric{topo: topo, traces: map[int]*BandwidthTrace{}}
 		for i := 0; i < int(traced) && len(topo.Links) > 0; i++ {
 			tr := &BandwidthTrace{LinkIndex: rng.Intn(len(topo.Links))}
 			until := 0.0
@@ -94,7 +90,6 @@ func FuzzRouteMatchesBFS(f *testing.F) {
 			fab.SetTrace(tr)
 			naive.traces[tr.LinkIndex] = tr
 		}
-		reused := fab.PricingClone()
 
 		wantTree := len(topo.Links) == n-1 && slices.IndexFunc(topo.Nodes, func(nd Node) bool {
 			return nd.ID != 0 && topo.pathBFS(0, nd.ID) == nil
@@ -112,7 +107,7 @@ func FuzzRouteMatchesBFS(f *testing.F) {
 			if got := topo.Path(src, dst); !slices.Equal(got, want) || (got == nil) != (want == nil) {
 				t.Fatalf("Path(%d,%d) = %v, breadth-first search %v", src, dst, got, want)
 			}
-			route, err := reused.Route(src, dst)
+			route, err := fab.Route(src, dst)
 			if (err != nil) != (want == nil) {
 				t.Fatalf("Route(%d,%d) error %v, breadth-first path %v", src, dst, err, want)
 			}
@@ -127,25 +122,19 @@ func FuzzRouteMatchesBFS(f *testing.F) {
 				if !ok {
 					continue
 				}
-				if sent := reused.Send(route, payload, at); gotDt != wantDt || sent != wantDt {
+				if sent := fab.Send(route, payload, at); gotDt != wantDt || sent != wantDt {
 					t.Fatalf("transfer %d→%d of %v B at t=%v: TransferTime %x, Route+Send %x, reference %x",
 						src, dst, payload, at, gotDt, sent, wantDt)
 				}
 			}
 		}
-		for _, got := range []*Fabric{fab, reused} {
-			if got.TotalBytes != naive.totalBytes || !slices.Equal(got.BytesOnLink, naive.bytesOnLink) {
-				t.Fatalf("byte counters diverged: total %v vs %v, per link %v vs %v",
-					got.TotalBytes, naive.totalBytes, got.BytesOnLink, naive.bytesOnLink)
-			}
-		}
 	})
 }
 
-// TestFabricRefusesChangedTopology: a fabric sizes its byte counters at
+// TestFabricRefusesChangedTopology: a fabric notes the link count at
 // NewFabric, so links added afterwards must surface as an error from every
-// routing entry point rather than an index out of range on the first path
-// that crosses the new link.
+// routing entry point rather than a route priced over a link set the fabric
+// was not built for.
 func TestFabricRefusesChangedTopology(t *testing.T) {
 	t.Parallel()
 	topo := FlatTopology(2, Gbps, 1e-4)
@@ -170,13 +159,20 @@ func TestFabricRefusesChangedTopology(t *testing.T) {
 }
 
 // TestPathIndexSharedAcrossFabrics: fabrics on several goroutines share one
-// topology (PricingClone, engine jobs reusing a config's topology) and race
-// to build its rooted index on first use; every one must route identically.
+// topology (engine jobs reusing a config's topology) and race to build its
+// rooted index on first use; every one must route identically. They also
+// quote on one shared traced fabric at once (every rank's adaptive
+// controller quotes on the live fabric), which pricing must not disturb.
 func TestPathIndexSharedAcrossFabrics(t *testing.T) {
 	t.Parallel()
 	topo := RackedTopology(RackedOptions{Racks: 8, HostsPerRack: 8})
 	hosts := topo.Hosts()
 	want := NewFabric(RackedTopology(RackedOptions{Racks: 8, HostsPerRack: 8}))
+	trace := &BandwidthTrace{LinkIndex: topo.InterSwitchLinks()[3], Segments: []TraceSegment{
+		{UntilSec: 1, Scale: 0.25}, {UntilSec: math.Inf(1), Scale: 0.5}}}
+	shared := NewFabric(topo)
+	shared.SetTrace(trace)
+	want.SetTrace(trace)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -187,8 +183,15 @@ func TestPathIndexSharedAcrossFabrics(t *testing.T) {
 				src, dst := hosts[(i+g)%len(hosts)], hosts[(i*7+3)%len(hosts)]
 				got, err := f.Route(src, dst)
 				ref, _ := want.Route(src, dst)
-				if err != nil || !slices.Equal(got.Links, ref.Links) || got.LatencySec != ref.LatencySec {
+				if err != nil || !slices.Equal(got.Links, ref.Links) || got.LatencySec != ref.LatencySec ||
+					got.BottleneckBps != ref.BottleneckBps {
 					t.Errorf("goroutine %d: route %d→%d = %+v (%v), want %+v", g, src, dst, got, err, ref)
+					return
+				}
+				at := float64(i%3) / 2
+				dt, err := shared.TransferTime(src, dst, 1<<20, at)
+				if wantDt, _ := want.TransferTime(src, dst, 1<<20, at); err != nil || dt != wantDt {
+					t.Errorf("goroutine %d: shared fabric quotes %d→%d at %v as %v (%v), want %v", g, src, dst, at, dt, err, wantDt)
 					return
 				}
 			}

@@ -64,38 +64,6 @@ func TestScaleAtEdgeCases(t *testing.T) {
 	}
 }
 
-// TestPricingCloneSharesTracesNotAccounting: the clone quotes identically
-// to the original — traces included — but its byte accounting is disjoint.
-func TestPricingCloneSharesTracesNotAccounting(t *testing.T) {
-	t.Parallel()
-	topo := Fig4Topology(Fig4Options{BottleneckBps: 1 * Gbps})
-	f := NewFabric(topo)
-	li := topo.InterSwitchLinks()[0]
-	f.SetTrace(&BandwidthTrace{LinkIndex: li, Segments: []TraceSegment{
-		{UntilSec: 10, Scale: 0.5},
-		{UntilSec: math.Inf(1), Scale: 1},
-	}})
-
-	clone := f.PricingClone()
-	hosts := topo.Hosts()
-	want, err := f.TransferTime(hosts[0], hosts[7], 1<<20, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := clone.TransferTime(hosts[0], hosts[7], 1<<20, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("clone quotes %v, original %v — traces not shared", got, want)
-	}
-	// One transfer each: the accounting must not be shared.
-	if f.TotalBytes != 1<<20 || clone.TotalBytes != 1<<20 {
-		t.Fatalf("accounting crossed the clone boundary: original %v, clone %v",
-			f.TotalBytes, clone.TotalBytes)
-	}
-}
-
 func TestBottleneckBandwidthAt(t *testing.T) {
 	t.Parallel()
 	topo := Fig4Topology(Fig4Options{BottleneckBps: 500 * Mbps})

@@ -358,6 +358,48 @@ func TestSubmitRejectsOversizedInput(t *testing.T) {
 	}
 }
 
+// FuzzSubmit posts arbitrary bodies to POST /v1/experiments: every one gets
+// 202, 400, 413, 429 or 503, never another status or a panic. Accepted jobs
+// fail at once instead of training (the worker swaps their grid for one that
+// errors), and the queue holds two, so repeats see 429 as well.
+func FuzzSubmit(f *testing.F) {
+	valid, err := json.Marshal(testRequest("fig3"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, body := range []string{string(valid), "", "{}", "null", "[1]", `{"experiment":"fig3"}{}`,
+		`{"experiment":"fig3","bogus":1}`, `{"experiment":"fig3","world":-2}`, `{"experiment":"fig3","samples":1e99}`,
+		`{"experiment":"fig3","samples":8193}`, `{"experiment":"fig3","priority":"urgent"}`,
+		`{"experiment":"fig3","collective":"butterfly","overlap":"sideways"}`, `{"experiment":` + strings.Repeat(" ", maxSubmitBytes)} {
+		f.Add([]byte(body))
+	}
+	s, err := New(Options{Workers: 1, QueueDepth: 2, Log: io.Discard})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.beforeRun = func(j *job) {
+		j.def.Run = func(harness.Options) (harness.Report, error) { return nil, fmt.Errorf("not run") }
+	}
+	f.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			f.Errorf("shutdown: %v", err)
+		}
+	})
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/experiments", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusAccepted, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
+			http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("body %q: status %d: %s", body, rec.Code, rec.Body)
+		}
+	})
+}
+
 // TestOverlapSubmissionCoalescing covers the overlap dimension of the
 // submission key: "none" and the empty default coalesce onto one job, while
 // "backward" gets its own.
