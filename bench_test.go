@@ -135,8 +135,8 @@ func BenchmarkCollectivesGrid(b *testing.B) {
 
 // --- Micro-benchmarks of the primitives on the critical path ---------------
 
-// BenchmarkRingAllReduce8MiB measures the simulated collective engine
-// itself (data movement + pricing) for a 2Mi-element bucket on 8 workers.
+// BenchmarkRingAllReduce8MiB measures the live collective data plane
+// (rendezvous + summation) for a 2Mi-element bucket on 8 workers.
 func BenchmarkRingAllReduce8MiB(b *testing.B) {
 	topo := netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: netsim.Gbps})
 	cluster := collective.NewCluster(8, netsim.NewFabric(topo))
@@ -151,7 +151,7 @@ func BenchmarkRingAllReduce8MiB(b *testing.B) {
 		done := make(chan struct{})
 		for r := 0; r < 8; r++ {
 			go func(rank int) {
-				cluster.AllReduceSum(rank, vecs[rank], collective.WireFP32, 0)
+				cluster.AllReduce(rank, vecs[rank], vecs[rank], nil)
 				done <- struct{}{}
 			}(r)
 		}

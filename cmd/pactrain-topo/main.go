@@ -18,6 +18,7 @@ import (
 
 	"pactrain/internal/cli"
 	"pactrain/internal/collective"
+	"pactrain/internal/core"
 	"pactrain/internal/metrics"
 	"pactrain/internal/netsim"
 	"pactrain/internal/nn"
@@ -82,9 +83,10 @@ func run() int {
 		n := int(prof.Params)
 		// The symmetric collectives price under the selected algorithm; the
 		// parameter server is a scheme topology of its own and always
-		// prices the same way (see collective.Algorithm).
+		// prices the same way (see collective.Algorithm), through the
+		// pricer a trained PS op goes through.
 		ar := algo.AllReduce(fabric, hosts, n, collective.WireFP32, 0)
-		ps := collective.CostPSAggregate(fabric, hosts, n, collective.WireFP32, 0)
+		ps := core.CostOp(core.CommOp{Kind: core.OpPS, Elements: n, Wire: collective.WireFP32}, algo, fabric, hosts, 0)
 		pac := algo.AllReduce(fabric, hosts, n/2, collective.WireInt8, 0)
 		iterCompute := float64(prof.FLOPsPerSample) * float64(*batch) * 3 / (37.4e12 * 0.35)
 		tb.AddRow(prof.Name,

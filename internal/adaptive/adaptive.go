@@ -117,11 +117,11 @@ type Options struct {
 	// canonical order). Callers must pass a CanonicalCandidates result.
 	Candidates []string
 	// Algorithm prices the symmetric collectives (the same implementation
-	// the cluster charges the real ops with).
+	// core.CostOp charges the real ops with).
 	Algorithm collective.Algorithm
 	// Fabric is the live fabric the controller quotes on.
 	Fabric *netsim.Fabric
-	// Hosts maps ranks to fabric hosts, as the cluster sees them.
+	// Hosts maps ranks to fabric hosts, as the real ops are priced on them.
 	Hosts []netsim.NodeID
 	// WireScale multiplies each wire format's per-element bytes, matching
 	// the lite-twin scaling the hooks apply (DESIGN.md §1).

@@ -244,7 +244,7 @@ func (a *calAccum) observe(err float64) {
 // config (core.CommLog.Replayable) is an error.
 func Replay(cfg core.Config, res *core.Result, opt Options) (*Report, error) {
 	if res == nil || res.CommLog == nil {
-		return nil, errors.New("audit: run was not recorded (Config.RecordComm)")
+		return nil, errors.New("audit: result carries no communication log")
 	}
 	if err := res.CommLog.Replayable(&cfg); err != nil {
 		return nil, fmt.Errorf("audit: %w", err)

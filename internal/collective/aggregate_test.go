@@ -20,7 +20,8 @@ var specials = []uint32{
 
 // FuzzAggregateOnceMatchesPerRank holds the once-per-cluster aggregation to
 // the per-rank code it replaced, bit for bit on every rank: the dense sum
-// (AllReduce, PSAggregate) against clearing a buffer and adding each rank's
+// (AllReduce, which the all-reduce and parameter-server hooks sum through,
+// and AllReduceBlockSparse) against clearing a buffer and adding each rank's
 // payload in rank order; the compact sum decoded once with MaskCompact.Decode
 // against the sum copied out and decoded by each rank; and AllGatherSum
 // against each rank clearing its bucket and running DecodeSumSparse's loop
@@ -113,16 +114,17 @@ func FuzzAggregateOnceMatchesPerRank(f *testing.F) {
 				for k := range got[r] {
 					got[r][k] = garbage(n)
 				}
-				cluster.AllReduce(r, dense[r], got[r][0], collective.WireFP32, 0, nil)
-				cluster.PSAggregate(r, dense[r], got[r][1], collective.WireFP32, 0, nil)
-				cluster.AllReduce(r, compact[r], got[r][2], collective.WireFP32, 0, mc.Decode)
-				cluster.AllGatherSum(r, sparse[r], got[r][3], collective.WireSparse, 0, nil)
+				cluster.AllReduce(r, dense[r], got[r][0], nil)
+				copy(got[r][1], dense[r])
+				cluster.AllReduceBlockSparse(r, got[r][1], 4, nil)
+				cluster.AllReduce(r, compact[r], got[r][2], mc.Decode)
+				cluster.AllGatherSum(r, sparse[r], got[r][3], nil)
 			}()
 		}
 		wg.Wait()
 		for r := range world {
 			sameBits(t, "AllReduce", r, got[r][0], wantDense)
-			sameBits(t, "PSAggregate", r, got[r][1], wantDense)
+			sameBits(t, "AllReduceBlockSparse", r, got[r][1], wantDense)
 			sameBits(t, "AllReduce + MaskCompact.Decode", r, got[r][2], wantCompact)
 			sameBits(t, "AllGatherSum", r, got[r][3], wantSparse)
 		}

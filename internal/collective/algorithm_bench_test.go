@@ -26,35 +26,30 @@ func BenchmarkAlgorithmAllReduceCost(b *testing.B) {
 	}
 }
 
-// BenchmarkAlgorithmClusterAllReduce measures the live data plane (worker
-// rendezvous + summation + pricing) under each algorithm.
-func BenchmarkAlgorithmClusterAllReduce(b *testing.B) {
+// BenchmarkClusterAllReduce measures the live data plane (worker rendezvous
+// + summation); pricing is the cost functions' and benchmarked above.
+func BenchmarkClusterAllReduce(b *testing.B) {
 	const world = 8
 	n := 1 << 18
-	for _, name := range AlgorithmNames() {
-		alg := MustAlgorithm(name)
-		b.Run(name, func(b *testing.B) {
-			topo := netsim.TwoRackTopology(netsim.TwoRackOptions{Hosts: world, BottleneckBps: netsim.Gbps})
-			c := NewClusterWith(world, netsim.NewFabric(topo), alg)
-			vecs := make([][]float32, world)
-			for r := range vecs {
-				vecs[r] = make([]float32, n)
-			}
-			b.SetBytes(int64(n * 4))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				done := make(chan struct{})
-				for r := 0; r < world; r++ {
-					go func(rank int) {
-						c.AllReduceSum(rank, vecs[rank], WireFP32, 0)
-						done <- struct{}{}
-					}(r)
-				}
-				for r := 0; r < world; r++ {
-					<-done
-				}
-			}
-		})
+	topo := netsim.TwoRackTopology(netsim.TwoRackOptions{Hosts: world, BottleneckBps: netsim.Gbps})
+	c := NewCluster(world, netsim.NewFabric(topo))
+	vecs := make([][]float32, world)
+	for r := range vecs {
+		vecs[r] = make([]float32, n)
+	}
+	b.SetBytes(int64(n * 4))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		done := make(chan struct{})
+		for r := 0; r < world; r++ {
+			go func(rank int) {
+				c.AllReduce(rank, vecs[rank], vecs[rank], nil)
+				done <- struct{}{}
+			}(r)
+		}
+		for r := 0; r < world; r++ {
+			<-done
+		}
 	}
 }
 

@@ -164,44 +164,46 @@ func TestRacksDerivation(t *testing.T) {
 	}
 }
 
-// TestClusterCorrectUnderEveryAlgorithm runs the live data plane under each
-// algorithm — including a non-power-of-two world to exercise the tree's
-// fold/unfold — and checks that the sums and gathers are unchanged: the
-// algorithm moves the clock, never the bytes' values.
+// TestClusterCorrectUnderEveryAlgorithm runs the live data plane — including
+// a non-power-of-two world, which exercises the tree's fold/unfold when
+// priced — and checks the sums and gathers, then that every algorithm
+// prices the same ops: the algorithm moves the clock, never the bytes'
+// values, and the cluster, a data plane only, knows no algorithm.
 func TestClusterCorrectUnderEveryAlgorithm(t *testing.T) {
-	for _, name := range AlgorithmNames() {
-		for _, world := range []int{4, 6} {
-			topo := netsim.TwoRackTopology(netsim.TwoRackOptions{Hosts: world, BottleneckBps: netsim.Gbps})
-			c := NewClusterWith(world, netsim.NewFabric(topo), MustAlgorithm(name))
-			ends := make([]float64, world)
-			runWorkers(world, func(rank int) {
-				vec := []float32{float32(rank + 1), 1}
-				ends[rank] = c.AllReduceSum(rank, vec, WireFP32, 0)
-				wantSum := float32(world*(world+1)) / 2
-				if vec[0] != wantSum || vec[1] != float32(world) {
-					t.Errorf("%s world %d: sum = %v, want [%v %v]", name, world, vec, wantSum, world)
+	for _, world := range []int{4, 6} {
+		topo := netsim.TwoRackTopology(netsim.TwoRackOptions{Hosts: world, BottleneckBps: netsim.Gbps})
+		f := netsim.NewFabric(topo)
+		c := NewCluster(world, f)
+		sizes := make([]int, world)
+		runWorkers(world, func(rank int) {
+			vec := []float32{float32(rank + 1), 1}
+			c.AllReduce(rank, vec, vec, nil)
+			wantSum := float32(world*(world+1)) / 2
+			if vec[0] != wantSum || vec[1] != float32(world) {
+				t.Errorf("world %d: sum = %v, want [%v %v]", world, vec, wantSum, world)
+				return
+			}
+			p := SparsePayload{Values: []float32{float32(rank)}, Indices: []int32{int32(rank)}}
+			all, _ := c.AllGatherSparse(rank, p, WireSparse, 0)
+			for r, got := range all {
+				if len(got.Values) != 1 || got.Values[0] != float32(r) {
+					t.Errorf("world %d: gather payload %d corrupted: %+v", world, r, got)
 					return
 				}
-				p := SparsePayload{Values: []float32{float32(rank)}, Indices: []int32{int32(rank)}}
-				all, _ := c.AllGatherSparse(rank, p, WireSparse, ends[rank])
-				for r, got := range all {
-					if len(got.Values) != 1 || got.Values[0] != float32(r) {
-						t.Errorf("%s world %d: gather payload %d corrupted: %+v", name, world, r, got)
-						return
-					}
-				}
-				c.BroadcastScaledBitmap(rank, 1, 3, BitmapWire, 0)
-			})
-			for _, e := range ends {
-				if e != ends[0] {
-					t.Fatalf("%s: ranks observed different completion times %v", name, ends)
-				}
 			}
-			if world > 1 && ends[0] <= 0 {
-				t.Fatalf("%s: all-reduce completion time %v, want > 0", name, ends[0])
-			}
-			if st := c.Stats(); st.AllReduceOps != 1 || st.AllGatherOps != 1 || st.BroadcastOps != 1 {
-				t.Fatalf("%s: stats %+v", name, st)
+			sizes[rank] = len(all[rank].Values)
+		})
+		hosts := topo.Hosts()[:world]
+		for _, name := range AlgorithmNames() {
+			alg := MustAlgorithm(name)
+			for op, d := range map[string]float64{
+				"all-reduce": alg.AllReduce(f, hosts, 2, WireFP32, 0),
+				"all-gather": alg.AllGather(f, hosts, sizes, WireSparse, 0),
+				"broadcast":  alg.Broadcast(f, hosts, 1, BitmapWire.MessageBytes(3), 0),
+			} {
+				if d <= 0 {
+					t.Fatalf("%s world %d: %s costs %v, want > 0", name, world, op, d)
+				}
 			}
 		}
 	}

@@ -34,9 +34,9 @@ func nonZeroBlocks(vec []float32, blockSize int) []int {
 	return idx
 }
 
-// blockBytes returns the wire size of k blocks of blockSize fp32 values,
+// BlockBytes returns the wire size of k blocks of blockSize fp32 values,
 // scaled by byteScale (the lite-twin→profile wire scale; 1 for raw use).
-func blockBytes(k, blockSize int, byteScale float64) float64 {
+func BlockBytes(k, blockSize int, byteScale float64) float64 {
 	return float64(k) * (float64(blockSize)*4*byteScale + BlockSparseHeaderBytes)
 }
 
@@ -53,9 +53,9 @@ func CostBlockSparseAggregate(f *netsim.Fabric, hosts []netsim.NodeID, perWorker
 	}
 	start := t
 	for i := 1; i < world; i++ {
-		t += transferOrPanic(f, hosts[i], hosts[0], blockBytes(perWorkerBlocks[i], blockSize, byteScale), t)
+		t += transferOrPanic(f, hosts[i], hosts[0], BlockBytes(perWorkerBlocks[i], blockSize, byteScale), t)
 	}
-	out := blockBytes(unionBlocks, blockSize, byteScale)
+	out := BlockBytes(unionBlocks, blockSize, byteScale)
 	for i := 1; i < world; i++ {
 		t += transferOrPanic(f, hosts[0], hosts[i], out, t)
 	}
@@ -65,17 +65,16 @@ func CostBlockSparseAggregate(f *netsim.Fabric, hosts []netsim.NodeID, perWorker
 // AllReduceBlockSparse sums vec across workers by exchanging only non-zero
 // blocks of blockSize elements through a streaming aggregator. vec is
 // overwritten with the global sum, finished once per cluster by f like
-// AllReduce (nil takes the sum); byteScale scales the per-value wire cost
-// (1 for raw use). It returns the block counts the aggregation was priced
-// on: every rank's own non-zero blocks, in rank order (one slice shared by
-// all ranks, read-only), and their union.
-func (c *Cluster) AllReduceBlockSparse(rank int, vec []float32, blockSize int, byteScale, localTime float64, f Finish) (perWorker []int, unionBlocks int, end float64) {
+// AllReduce (nil takes the sum). It returns the block counts the aggregation
+// is priced on (CostBlockSparseAggregate): every rank's own non-zero blocks,
+// in rank order (one slice shared by all ranks, read-only), and their union.
+func (c *Cluster) AllReduceBlockSparse(rank int, vec []float32, blockSize int, f Finish) (perWorker []int, unionBlocks int) {
 	type bsOut struct {
 		sum       []float32
 		perWorker []int
 		union     int
 	}
-	res, endT := c.rendezvous(rank, vec, localTime, func(inputs []any, start float64) (any, float64) {
+	out := c.rendezvous(rank, vec, func(inputs []any) any {
 		vecs := make([][]float32, len(inputs))
 		perWorker := make([]int, c.world)
 		unionSet := map[int]bool{}
@@ -87,19 +86,8 @@ func (c *Cluster) AllReduceBlockSparse(rank int, vec []float32, blockSize int, b
 				unionSet[b] = true
 			}
 		}
-		sum := c.sum(vecs, f, len(vec))
-		t := start + CostBlockSparseAggregate(c.fabric, c.hosts, perWorker, len(unionSet), blockSize, byteScale, start)
-		var total float64
-		for i := 1; i < c.world; i++ {
-			total += blockBytes(perWorker[i], blockSize, byteScale)
-			total += blockBytes(len(unionSet), blockSize, byteScale)
-		}
-		c.stats.PSOps++
-		c.stats.PayloadBytes += total
-		c.stats.SimSeconds += t - start
-		return bsOut{sum: sum, perWorker: perWorker, union: len(unionSet)}, t
-	})
-	out := res.(bsOut)
+		return bsOut{sum: c.sum(vecs, f, len(vec)), perWorker: perWorker, union: len(unionSet)}
+	}).(bsOut)
 	copy(vec, out.sum)
-	return out.perWorker, out.union, endT
+	return out.perWorker, out.union
 }

@@ -17,7 +17,7 @@ func TestBlockSparseSumCorrect(t *testing.T) {
 		// Each rank populates a different block plus one shared block.
 		vec[rank*256] = float32(rank + 1)
 		vec[768] = 1
-		perWorker, union, _ := c.AllReduceBlockSparse(rank, vec, 256, 1, 0, nil)
+		perWorker, union := c.AllReduceBlockSparse(rank, vec, 256, nil)
 		if !slices.Equal(perWorker, []int{2, 2, 2}) {
 			t.Errorf("rank %d per-worker blocks %v, want [2 2 2]", rank, perWorker)
 		}
@@ -36,24 +36,31 @@ func TestBlockSparseSumCorrect(t *testing.T) {
 	}
 }
 
+// blockSparseCost runs one block-sparse aggregation of world identical
+// vectors of n elements, every other block (every block when step is 1)
+// non-zero up to blocks of them, and prices it on the block counts the
+// cluster returned.
+func blockSparseCost(world, n, blocks, step int) float64 {
+	c := newTestCluster(world, netsim.Gbps)
+	var perWorker []int
+	var union int
+	runWorkers(world, func(rank int) {
+		vec := make([]float32, n)
+		for b := 0; b < blocks; b++ {
+			vec[b*step*256] = 1
+		}
+		pw, u := c.AllReduceBlockSparse(rank, vec, 256, nil)
+		if rank == 0 {
+			perWorker, union = pw, u
+		}
+	})
+	f, hosts := flatFabric(world, netsim.Gbps)
+	return CostBlockSparseAggregate(f, hosts, perWorker, union, 256, 1, 0)
+}
+
 func TestBlockSparseCostScalesWithDensity(t *testing.T) {
 	n := 256 * 64 // 64 blocks
-	cost := func(denseBlocks int) float64 {
-		topo := netsim.FlatTopology(4, netsim.Gbps, 0)
-		c := NewCluster(4, netsim.NewFabric(topo))
-		var end float64
-		runWorkers(4, func(rank int) {
-			vec := make([]float32, n)
-			for b := 0; b < denseBlocks; b++ {
-				vec[b*256] = 1
-			}
-			_, _, e := c.AllReduceBlockSparse(rank, vec, 256, 1, 0, nil)
-			if rank == 0 {
-				end = e
-			}
-		})
-		return end
-	}
+	cost := func(denseBlocks int) float64 { return blockSparseCost(4, n, denseBlocks, 1) }
 	sparse := cost(4)
 	dense := cost(64)
 	if dense <= sparse*4 {
@@ -69,29 +76,9 @@ func TestBlockSparseLosesAtModerateSparsity(t *testing.T) {
 	world := 8
 	n := 256 * 128
 	// Half the blocks non-zero.
-	topoA := netsim.FlatTopology(world, netsim.Gbps, 0)
-	ca := NewCluster(world, netsim.NewFabric(topoA))
-	var bsEnd float64
-	runWorkers(world, func(rank int) {
-		vec := make([]float32, n)
-		for b := 0; b < 64; b++ {
-			vec[b*2*256] = 1
-		}
-		_, _, e := ca.AllReduceBlockSparse(rank, vec, 256, 1, 0, nil)
-		if rank == 0 {
-			bsEnd = e
-		}
-	})
-	topoB := netsim.FlatTopology(world, netsim.Gbps, 0)
-	cb := NewCluster(world, netsim.NewFabric(topoB))
-	var arEnd float64
-	runWorkers(world, func(rank int) {
-		vec := make([]float32, n)
-		e := cb.AllReduceSum(rank, vec, WireFP32, 0)
-		if rank == 0 {
-			arEnd = e
-		}
-	})
+	bsEnd := blockSparseCost(world, n, 64, 2)
+	f, hosts := flatFabric(world, netsim.Gbps)
+	arEnd := CostRingAllReduce(f, hosts, n, WireFP32, 0)
 	if bsEnd <= arEnd {
 		t.Fatalf("block-sparse at 50%% density (%v) should lose to ring all-reduce (%v)", bsEnd, arEnd)
 	}

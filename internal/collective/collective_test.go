@@ -2,6 +2,7 @@ package collective
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestAllReduceSumCorrectness(t *testing.T) {
 		for i := range vec {
 			vec[i] = float32(rank + 1) // sum over ranks = 1+2+3+4 = 10
 		}
-		c.AllReduceSum(rank, vec, WireFP32, 0)
+		c.AllReduce(rank, vec, vec, nil)
 		results[rank] = vec
 	})
 	for rank, vec := range results {
@@ -58,7 +59,7 @@ func TestAllReduceUnevenLength(t *testing.T) {
 		for i := range vec {
 			vec[i] = 1
 		}
-		c.AllReduceSum(rank, vec, WireFP32, 0)
+		c.AllReduce(rank, vec, vec, nil)
 		for _, v := range vec {
 			if v != 3 {
 				t.Errorf("rank %d got %v, want 3", rank, v)
@@ -67,23 +68,22 @@ func TestAllReduceUnevenLength(t *testing.T) {
 	})
 }
 
+// flatFabric returns a fabric over a flat topology of world hosts with no
+// latency, and its hosts.
+func flatFabric(world int, bw float64) (*netsim.Fabric, []netsim.NodeID) {
+	topo := netsim.FlatTopology(world, bw, 0)
+	return netsim.NewFabric(topo), topo.Hosts()
+}
+
 func TestAllReduceTimeMatchesRingModel(t *testing.T) {
 	// Homogeneous flat network: ring all-reduce of S bytes over n workers
 	// takes 2(n-1)/n × S/B (each transfer crosses two 1 Gbps edge links,
 	// bottleneck B = 1 Gbps) plus latency terms.
 	world := 4
 	bw := netsim.Gbps
-	topo := netsim.FlatTopology(world, bw, 0)
-	c := NewCluster(world, netsim.NewFabric(topo))
 	n := 1 << 20 // 1Mi elements = 4 MiB fp32
-	var end float64
-	runWorkers(world, func(rank int) {
-		vec := make([]float32, n)
-		e := c.AllReduceSum(rank, vec, WireFP32, 0)
-		if rank == 0 {
-			end = e
-		}
-	})
+	f, hosts := flatFabric(world, bw)
+	end := CostRingAllReduce(f, hosts, n, WireFP32, 0)
 	s := float64(n) * 4 * 8 // bits
 	want := 2 * float64(world-1) / float64(world) * s / bw
 	if math.Abs(end-want)/want > 0.02 {
@@ -91,38 +91,12 @@ func TestAllReduceTimeMatchesRingModel(t *testing.T) {
 	}
 }
 
-func TestAllReduceStartsAtMaxClock(t *testing.T) {
-	world := 2
-	c := newTestCluster(world, netsim.Gbps)
-	ends := make([]float64, world)
-	runWorkers(world, func(rank int) {
-		vec := []float32{1}
-		local := float64(rank) * 10 // rank1 arrives at t=10
-		ends[rank] = c.AllReduceSum(rank, vec, WireFP32, local)
-	})
-	if ends[0] != ends[1] {
-		t.Fatal("all workers must observe the same completion time")
-	}
-	if ends[0] < 10 {
-		t.Fatalf("completion %v must be after the last arrival (10)", ends[0])
-	}
-}
-
 func TestWireFormatScalesTime(t *testing.T) {
 	world := 4
 	n := 1 << 18
+	f, hosts := flatFabric(world, netsim.Gbps)
 	timeFor := func(wire WireFormat) float64 {
-		topo := netsim.FlatTopology(world, netsim.Gbps, 0)
-		c := NewCluster(world, netsim.NewFabric(topo))
-		var end float64
-		runWorkers(world, func(rank int) {
-			vec := make([]float32, n)
-			e := c.AllReduceSum(rank, vec, wire, 0)
-			if rank == 0 {
-				end = e
-			}
-		})
-		return end
+		return CostRingAllReduce(f, hosts, n, wire, 0)
 	}
 	t32 := timeFor(WireFP32)
 	t16 := timeFor(WireFP16)
@@ -160,17 +134,8 @@ func TestAllGatherCostGrowsWithWorld(t *testing.T) {
 	// the congestion effect in §IV-C.
 	k := 1 << 16
 	cost := func(world int) float64 {
-		topo := netsim.FlatTopology(world, netsim.Gbps, 0)
-		c := NewCluster(world, netsim.NewFabric(topo))
-		var end float64
-		runWorkers(world, func(rank int) {
-			p := SparsePayload{Values: make([]float32, k), Indices: make([]int32, k)}
-			_, e := c.AllGatherSparse(rank, p, WireSparse, 0)
-			if rank == 0 {
-				end = e
-			}
-		})
-		return end
+		f, hosts := flatFabric(world, netsim.Gbps)
+		return CostRingAllGather(f, hosts, slices.Repeat([]int{k}, world), WireSparse, 0)
 	}
 	c2, c8 := cost(2), cost(8)
 	if c8 <= c2*2 {
@@ -178,54 +143,38 @@ func TestAllGatherCostGrowsWithWorld(t *testing.T) {
 	}
 }
 
+// TestPSAggregateCorrectAndSlowerThanAllReduce checks the parameter-server
+// transport: its data plane is AllReduce's (the PS hook sums through it),
+// and its price, the incast onto one server, exceeds the ring's.
 func TestPSAggregateCorrectAndSlowerThanAllReduce(t *testing.T) {
 	world := 8
 	n := 1 << 18
-	topoA := netsim.FlatTopology(world, netsim.Gbps, 0)
-	ca := NewCluster(world, netsim.NewFabric(topoA))
-	var psEnd float64
+	c := newTestCluster(world, netsim.Gbps)
 	runWorkers(world, func(rank int) {
 		vec := make([]float32, n)
 		for i := range vec {
 			vec[i] = 1
 		}
-		e := ca.PSAggregate(rank, vec, vec, WireFP32, 0, nil)
-		if rank == 0 {
-			psEnd = e
-		}
+		c.AllReduce(rank, vec, vec, nil)
 		for _, v := range vec {
 			if v != float32(world) {
 				t.Errorf("PS sum = %v, want %d", v, world)
+				return
 			}
 		}
 	})
-	topoB := netsim.FlatTopology(world, netsim.Gbps, 0)
-	cb := NewCluster(world, netsim.NewFabric(topoB))
-	var arEnd float64
-	runWorkers(world, func(rank int) {
-		vec := make([]float32, n)
-		e := cb.AllReduceSum(rank, vec, WireFP32, 0)
-		if rank == 0 {
-			arEnd = e
-		}
-	})
+	f, hosts := flatFabric(world, netsim.Gbps)
+	psEnd := CostPSAggregate(f, hosts, n, WireFP32, 0)
+	arEnd := CostRingAllReduce(f, hosts, n, WireFP32, 0)
 	if psEnd <= arEnd {
 		t.Fatalf("PS (%v) should be slower than ring all-reduce (%v) due to incast", psEnd, arEnd)
 	}
 }
 
 func TestBroadcastBitmapCost(t *testing.T) {
-	world := 2
-	topo := netsim.FlatTopology(world, netsim.Gbps, 0)
-	c := NewCluster(world, netsim.NewFabric(topo))
 	n := 8 << 20 // 8Mi elements → 1 MiB bitmap
-	var end float64
-	runWorkers(world, func(rank int) {
-		e := c.BroadcastScaledBitmap(rank, 0, n, BitmapWire, 0)
-		if rank == 0 {
-			end = e
-		}
-	})
+	f, hosts := flatFabric(2, netsim.Gbps)
+	end := CostBinomialBroadcast(f, hosts, 0, BitmapWire.MessageBytes(n), 0)
 	// Path host→switch→host is costed at its bottleneck bandwidth (1 Gbps).
 	want := (float64(n)*0.125 + 8) * 8 / netsim.Gbps
 	if math.Abs(end-want)/want > 0.05 {
@@ -238,38 +187,12 @@ func TestFig4BottleneckDominatesAllReduce(t *testing.T) {
 	n := 1 << 18
 	run := func(bottleneck float64) float64 {
 		topo := netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: bottleneck})
-		c := NewCluster(world, netsim.NewFabric(topo))
-		var end float64
-		runWorkers(world, func(rank int) {
-			vec := make([]float32, n)
-			e := c.AllReduceSum(rank, vec, WireFP32, 0)
-			if rank == 0 {
-				end = e
-			}
-		})
-		return end
+		return CostRingAllReduce(netsim.NewFabric(topo), topo.Hosts()[:world], n, WireFP32, 0)
 	}
 	slow := run(100 * netsim.Mbps)
 	fast := run(1 * netsim.Gbps)
 	if r := slow / fast; r < 5 || r > 12 {
 		t.Fatalf("100Mbps/1Gbps ratio %v, want ≈10 (bottleneck-dominated)", r)
-	}
-}
-
-func TestStatsAccumulate(t *testing.T) {
-	world := 2
-	c := newTestCluster(world, netsim.Gbps)
-	runWorkers(world, func(rank int) {
-		vec := []float32{1, 2, 3}
-		c.AllReduceSum(rank, vec, WireFP32, 0)
-		c.BroadcastScaledBitmap(rank, 0, len(vec), BitmapWire, 0)
-	})
-	st := c.Stats()
-	if st.AllReduceOps != 1 || st.BroadcastOps != 1 {
-		t.Fatalf("stats wrong: %+v", st)
-	}
-	if st.PayloadBytes <= 0 || st.SimSeconds <= 0 {
-		t.Fatalf("stats should accumulate bytes/time: %+v", st)
 	}
 }
 
@@ -291,7 +214,7 @@ func TestRepeatedOpsReuseCluster(t *testing.T) {
 		vec := []float32{1}
 		for i := 0; i < 50; i++ {
 			vec[0] = 1
-			c.AllReduceSum(rank, vec, WireFP32, 0)
+			c.AllReduce(rank, vec, vec, nil)
 			if vec[0] != 4 {
 				t.Errorf("iteration %d: got %v", i, vec[0])
 				return

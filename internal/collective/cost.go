@@ -7,15 +7,29 @@ import (
 )
 
 // This file exposes the pure timing models behind each collective as
-// standalone functions. The Cluster methods use them for in-situ timing, and
-// the experiment harness re-uses them to re-cost a recorded training run
-// under a different bandwidth without re-training (the convergence
-// trajectory is bandwidth-independent; only the clock changes).
+// standalone functions. core.CostOp prices every op through them, the
+// trainer's live ops and every replay's alike, so the experiment harness
+// re-costs a recorded training run under a different bandwidth without
+// re-training (the convergence trajectory is bandwidth-independent; only the
+// clock changes).
 
 // Every cost function below resolves each (src, dst) pair it uses once per
 // call and prices its steps over the resolved routes (DESIGN.md §4): a pair
 // used in a single step goes through transferOrPanic, the pairs a ring
 // reuses on every step are held as routes across the steps.
+
+// chunkRange returns the [from,to) element range of ring chunk idx when
+// splitting n elements into world chunks.
+func chunkRange(idx, n, world int) (int, int) {
+	base := n / world
+	rem := n % world
+	from := idx*base + min(idx, rem)
+	size := base
+	if idx < rem {
+		size++
+	}
+	return from, from + size
+}
 
 // chunkBytes returns the wire size of each of the world chunks a ring splits
 // n elements into.

@@ -107,10 +107,6 @@ type Config struct {
 	// Seed determines everything: weights, data, shuffles, quantization.
 	Seed uint64
 
-	// RecordComm enables per-iteration communication logging on rank 0 for
-	// bandwidth re-costing.
-	RecordComm bool
-
 	// OnProgress, when non-nil, receives rank 0's evaluation heartbeats as
 	// the run advances (progress.go). It is called from the goroutine that
 	// evaluates rank 0's snapshots, not from a rank: one call at a time, in
@@ -151,7 +147,6 @@ func DefaultConfig(modelName, scheme string) Config {
 		Compute:        ddp.A40ComputeModel(profile.FLOPsPerSample),
 		Overlap:        ddp.OverlapNone,
 		Seed:           1,
-		RecordComm:     true,
 	}
 }
 

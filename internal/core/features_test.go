@@ -174,18 +174,19 @@ func TestHighPruneRatioHurtsAccuracy(t *testing.T) {
 
 // TestOmniReduceRecordsEachRanksBlocks hand-builds a bucket whose third
 // 256-block is all zero on rank 1 only, so rank 1 streams one block fewer than
-// the union holds. The op rank 0 records must carry each rank's own count and
-// price to exactly the duration the live cluster charged.
+// the union holds. The op rank 0 records must carry each rank's own count,
+// and every rank must end where that op prices to.
 func TestOmniReduceRecordsEachRanksBlocks(t *testing.T) {
 	const world, blocks, size = 3, 4, 256
-	cluster := collective.NewCluster(world, netsim.NewFabric(netsim.FlatTopology(world, netsim.Gbps, 1e-5)))
-	log := &CommLog{}
+	log, stats := &CommLog{}, &Stats{}
+	base := testEnv(world)
 	ends := make([]float64, world)
 	var wg sync.WaitGroup
 	for rank := range world {
-		env := &hookEnv{cluster: cluster, rank: rank, world: world}
+		env := base
+		env.rank = rank
 		if rank == 0 {
-			env.log = log
+			env.log, env.stats = log, stats
 		}
 		b := &ddp.Bucket{Flat: make([]float32, blocks*size)}
 		for blk := range blocks {
@@ -196,7 +197,7 @@ func TestOmniReduceRecordsEachRanksBlocks(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ends[rank] = (&omniReduceHook{env: env, blockSize: size}).Sync(b, 0)
+			ends[rank] = (&omniReduceHook{env: &env, blockSize: size}).Sync(b, 0)
 		}()
 	}
 	wg.Wait()
@@ -204,7 +205,41 @@ func TestOmniReduceRecordsEachRanksBlocks(t *testing.T) {
 	if !slices.Equal(op.Blocks, []int{4, 3, 4}) || op.Union != 4 {
 		t.Fatalf("recorded blocks %v, union %d; want [4 3 4], 4", op.Blocks, op.Union)
 	}
-	if got := CostOp(op, cluster.Algorithm(), cluster.Fabric(), cluster.Hosts(), 0); got != ends[0] {
-		t.Errorf("recorded op prices to %v, the live cluster charged %v", got, ends[0])
+	want := CostOp(op, base.algo, base.fabric, base.hosts, 0)
+	for rank, end := range ends {
+		if end != want {
+			t.Errorf("rank %d ended at %v, the recorded op prices to %v", rank, end, want)
+		}
+	}
+	if stats.PSOps != 1 || stats.SimSeconds != want {
+		t.Errorf("stats %+v, want one PS op of %v s", stats, want)
+	}
+}
+
+// testEnv is a world-rank hookEnv over a flat 1 Gbps fabric, priced by the
+// ring; callers set the rank, and rank 0's log and stats.
+func testEnv(world int) hookEnv {
+	f := netsim.NewFabric(netsim.FlatTopology(world, netsim.Gbps, 1e-5))
+	return hookEnv{cluster: collective.NewCluster(world, f), world: world,
+		algo: collective.MustAlgorithm(collective.DefaultAlgorithm), fabric: f, hosts: f.Topo.Hosts()}
+}
+
+// TestStatsAccumulate commits an all-reduce and a bitmap broadcast through
+// rank 0's hookEnv: each is recorded at its launch and counted once, and
+// their bytes and durations add up.
+func TestStatsAccumulate(t *testing.T) {
+	env := testEnv(2)
+	env.log, env.stats = &CommLog{}, &Stats{}
+	mid := env.commit(CommOp{Kind: OpAllReduce, Elements: 3, Wire: collective.WireFP32}, 0)
+	end := env.commit(CommOp{Kind: OpBitmapBroadcast, Elements: 3, Wire: collective.BitmapWire}, mid)
+	st := *env.stats
+	if st.AllReduceOps != 1 || st.BroadcastOps != 1 {
+		t.Fatalf("stats wrong: %+v", st)
+	}
+	if st.PayloadBytes <= 0 || st.SimSeconds <= 0 || st.SimSeconds != mid+(end-mid) {
+		t.Fatalf("stats should accumulate bytes and the ops' durations: %+v", st)
+	}
+	if ops := env.log.Iters[0]; len(ops) != 2 || ops[0].LaunchAt != 0 || ops[1].LaunchAt != mid {
+		t.Fatalf("recorded ops %+v, want launches 0 and %v", ops, mid)
 	}
 }

@@ -109,7 +109,9 @@ func (c *Config) Fingerprint() string {
 		w("rank_jitter_seed", cp.RankCompute.JitterSeed)
 	}
 	w("seed", cp.Seed)
-	w("record_comm", cp.RecordComm)
+	// Every run records its log. The constant line keeps every fingerprint,
+	// and so every warm cache, as it was while recording was optional.
+	w("record_comm", true)
 
 	b = appendFabric(b, cp.Topology, cp.Traces)
 

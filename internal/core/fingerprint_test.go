@@ -150,7 +150,6 @@ func TestFingerprintDistinguishesResultChangingFields(t *testing.T) {
 		"profile":      func(c *Config) { c.Profile.Params *= 2 },
 		"compute":      func(c *Config) { c.Compute.DeviceFLOPS *= 2 },
 		"seed":         func(c *Config) { c.Seed++ },
-		"record":       func(c *Config) { c.RecordComm = false },
 		"bottleneck":   func(c *Config) { c.BottleneckBps = 100 * netsim.Mbps },
 		"trace": func(c *Config) {
 			c.Traces = []*netsim.BandwidthTrace{{LinkIndex: 0, Segments: []netsim.TraceSegment{{UntilSec: 1, Scale: 0.5}}}}

@@ -8,21 +8,27 @@ import (
 	"pactrain/internal/compress"
 	"pactrain/internal/ddp"
 	"pactrain/internal/masktracker"
+	"pactrain/internal/netsim"
 	"pactrain/internal/tensor"
 )
 
-// hookEnv is the per-worker context hooks operate in. Hooks issue
-// collectives against the cluster, which prices them under the config's
-// collective algorithm (Config.Collective); the hook code itself is
-// algorithm-agnostic. buildHook (schemes.go) constructs hooks from the
-// scheme registry. Decode, average and Mask Tracker observation run once per
-// cluster in a collective's Finish (DESIGN.md §4).
+// hookEnv is the per-worker context hooks operate in. Hooks move bytes
+// through the cluster, a data plane only, and every hook ends in commit,
+// which prices its op through CostOp — the pricer every replay uses — under
+// the config's collective algorithm (Config.Collective); the hook code
+// itself is algorithm-agnostic. buildHook (schemes.go) constructs hooks from
+// the scheme registry. Decode, average and Mask Tracker observation run once
+// per cluster in a collective's Finish (DESIGN.md §4).
 type hookEnv struct {
 	cluster  *collective.Cluster
 	rank     int
 	world    int
-	log      *CommLog  // non-nil only on rank 0 when recording
-	trackers *sync.Map // the run's sharedTrackers by {generation, bucket}
+	algo     collective.Algorithm
+	fabric   *netsim.Fabric
+	hosts    []netsim.NodeID // the workers' hosts in rank order, read-only
+	log      *CommLog        // rank 0's; nil on every other rank
+	stats    *Stats          // rank 0's Result.Stats; nil on every other rank
+	trackers *sync.Map       // the run's sharedTrackers by {generation, bucket}
 
 	// wireScale prices each logical bucket element as wireScale wire
 	// elements, so a lite-twin bucket costs what the corresponding slice of
@@ -31,10 +37,17 @@ type hookEnv struct {
 	wireScale float64
 }
 
-func (e *hookEnv) record(op CommOp) {
+// commit launches op at t, the synchronized launch every rank's clockWalk
+// derives, prices it as every replay does and returns its end. Rank 0
+// records the op and adds it to the run's Stats.
+func (e *hookEnv) commit(op CommOp, t float64) float64 {
+	op.LaunchAt = t
+	end := t + CostOp(op, e.algo, e.fabric, e.hosts, t)
 	if e.log != nil {
 		e.log.Record(op)
+		e.stats.add(op, e.world, end-t)
 	}
+	return end
 }
 
 // scaleWire applies the profile scale to a wire format's per-element cost;
@@ -60,27 +73,24 @@ func (e *hookEnv) average(decode collective.Finish) collective.Finish {
 }
 
 // allReduce is the one all-reduce step under every scheme: sum payload
-// across the ranks, decode and average it once, priced as wire, and record
-// the op. decision is the adaptive controller's tag ("" when nothing was
+// across the ranks, decode and average it once, and commit the op priced as
+// wire. decision is the adaptive controller's tag ("" when nothing was
 // decided).
 func (e *hookEnv) allReduce(b *ddp.Bucket, payload []float32, wire collective.WireFormat, decision string, t float64, decode collective.Finish) float64 {
-	wire = e.scaleWire(wire)
-	end := e.cluster.AllReduce(e.rank, payload, b.Flat, wire, t, e.average(decode))
-	e.record(CommOp{Kind: OpAllReduce, Elements: len(payload), Wire: wire,
-		Decision: decision, Bucket: b.Index, LaunchAt: t})
-	return end
+	e.cluster.AllReduce(e.rank, payload, b.Flat, e.average(decode))
+	return e.commit(CommOp{Kind: OpAllReduce, Elements: len(payload), Wire: e.scaleWire(wire),
+		Decision: decision, Bucket: b.Index}, t)
 }
 
 // allGather is the one all-gather step under every scheme: exchange every
 // rank's COO payload, rebuild the bucket once as their sum in rank order and
-// average it (collective.AllGatherSum), and record the per-rank sizes.
-// Callers may reuse the payload: no peer reads it after the rendezvous.
+// average it (collective.AllGatherSum), and commit the op on the per-rank
+// sizes. Callers may reuse the payload: no peer reads it after the
+// rendezvous.
 func (e *hookEnv) allGather(b *ddp.Bucket, payload collective.SparsePayload, wire collective.WireFormat, decision string, t float64) float64 {
-	wire = e.scaleWire(wire)
-	sizes, end := e.cluster.AllGatherSum(e.rank, payload, b.Flat, wire, t, e.average(nil))
-	e.record(CommOp{Kind: OpAllGather, Sizes: sizes, Wire: wire,
-		Decision: decision, Bucket: b.Index, LaunchAt: t})
-	return end
+	sizes := e.cluster.AllGatherSum(e.rank, payload, b.Flat, e.average(nil))
+	return e.commit(CommOp{Kind: OpAllGather, Sizes: sizes, Wire: e.scaleWire(wire),
+		Decision: decision, Bucket: b.Index}, t)
 }
 
 // --- Dense hooks (all-reduce / PS transports) --------------------------------
@@ -107,11 +117,11 @@ func (h *denseHook) Sync(b *ddp.Bucket, localTime float64) float64 {
 	payload := h.comp.EncodeInto(b.Flat, h.bufs[b.Index])
 	h.bufs[b.Index] = payload
 	if h.forcePS || h.comp.Transport() == compress.TransportPS {
-		wire := h.env.scaleWire(h.comp.Wire())
-		end := h.env.cluster.PSAggregate(h.env.rank, payload, b.Flat, wire, localTime, h.env.average(h.comp.Decode))
-		h.env.record(CommOp{Kind: OpPS, Elements: len(payload), Wire: wire,
-			Bucket: b.Index, LaunchAt: localTime})
-		return end
+		// The parameter server moves the all-reduce's bytes; only its
+		// pricing, the incast onto rank 0's host, differs.
+		h.env.cluster.AllReduce(h.env.rank, payload, b.Flat, h.env.average(h.comp.Decode))
+		return h.env.commit(CommOp{Kind: OpPS, Elements: len(payload), Wire: h.env.scaleWire(h.comp.Wire()),
+			Bucket: b.Index}, localTime)
 	}
 	return h.env.allReduce(b, payload, h.comp.Wire(), "", localTime, h.comp.Decode)
 }
@@ -154,10 +164,9 @@ func (h *omniReduceHook) Sync(b *ddp.Bucket, localTime float64) float64 {
 	if scale <= 0 {
 		scale = 1
 	}
-	blocks, union, end := h.env.cluster.AllReduceBlockSparse(h.env.rank, b.Flat, h.blockSize, scale, localTime, h.env.average(nil))
-	h.env.record(CommOp{Kind: OpBlockSparse, Blocks: blocks, Union: union, BlockSz: h.blockSize,
-		Scale: scale, Bucket: b.Index, LaunchAt: localTime})
-	return end
+	blocks, union := h.env.cluster.AllReduceBlockSparse(h.env.rank, b.Flat, h.blockSize, h.env.average(nil))
+	return h.env.commit(CommOp{Kind: OpBlockSparse, Blocks: blocks, Union: union, BlockSz: h.blockSize,
+		Scale: scale, Bucket: b.Index}, localTime)
 }
 
 // zenHook exchanges each worker's exact non-zero coordinates via a balanced
@@ -260,15 +269,16 @@ func newPacTrainHook(env *hookEnv, cfg *Config, format string, ctrl *adaptive.Co
 }
 
 // newController builds the adaptive scheme's cost-model controller over
-// cfg.AdaptCandidates, pricing on the worker's own cluster.
+// cfg.AdaptCandidates, pricing on the algorithm, fabric and hosts the
+// worker's ops are priced on.
 func newController(cfg *Config, env *hookEnv) *adaptive.Controller {
 	return adaptive.New(adaptive.Options{
 		Margin:     cfg.AdaptMargin,
 		Dwell:      cfg.AdaptDwell,
 		Candidates: cfg.AdaptCandidates,
-		Algorithm:  env.cluster.Algorithm(),
-		Fabric:     env.cluster.Fabric(),
-		Hosts:      env.cluster.Hosts(),
+		Algorithm:  env.algo,
+		Fabric:     env.fabric,
+		Hosts:      env.hosts,
 		WireScale:  env.wireScale,
 	})
 }
@@ -332,11 +342,10 @@ func (h *pacTrainHook) Sync(b *ddp.Bucket, localTime float64) float64 {
 	// bytes are identical on every worker, so one tracker serves every rank.
 	// These rounds are forced, not decided, so they carry no Decision tag.
 	if st.mask.owesBitmap {
-		bitWire := h.env.scaleWire(collective.BitmapWire)
-		end := h.env.cluster.BroadcastScaledBitmap(h.env.rank, 0, b.Elements(), bitWire, localTime)
-		h.env.record(CommOp{Kind: OpBitmapBroadcast, Elements: b.Elements(), Wire: bitWire,
-			Bucket: b.Index, LaunchAt: localTime})
-		localTime = end
+		// Every rank already holds the shared mask, so the broadcast moves
+		// no data here; it is only priced, at the model's scale.
+		localTime = h.env.commit(CommOp{Kind: OpBitmapBroadcast, Elements: b.Elements(),
+			Wire: h.env.scaleWire(collective.BitmapWire), Bucket: b.Index}, localTime)
 	}
 	h.FullSyncs++
 	return h.env.allReduce(b, b.Flat, collective.WireFP32, "", localTime, st.mask.observe)

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"pactrain/internal/ddp"
@@ -63,54 +64,67 @@ func timelineConfig(cfg Config, overlap bool, rc ddp.RankCompute) Config {
 	return cfg
 }
 
-// TestPinnedRunDigests holds every hook family to a digest recorded at the
-// commit before the PacTrain and adaptive hooks were merged (PR 24's
-// parent; the topk-0.1 and dgc-0.1 rows at the commit before top-k's sampled
-// threshold was replaced; the straggler and overlap rows at the commit before
-// the trainer and Replay shared one clock walk; the conv twin rows at the
-// commit before convolution stopped lowering; the attention twin's row at the
-// commit before GELU, ReLU and BatchNorm ran on vector lanes). A moved digest
+// pinnedRuns is every hook family's pinned config, with the digest of its
+// run (runDigest) and of its communication statistics (statsDigest).
+//
+// The run digests were recorded at the commit before the PacTrain and
+// adaptive hooks were merged (PR 24's parent; the topk-0.1 and dgc-0.1 rows at
+// the commit before top-k's sampled threshold was replaced; the straggler and
+// overlap rows at the commit before the trainer and Replay shared one clock
+// walk; the conv twin rows at the commit before convolution stopped lowering;
+// the attention twin's row at the commit before GELU, ReLU and BatchNorm ran
+// on vector lanes). The stats digests were recorded while the cluster still
+// priced and counted every collective inside its rendezvous. A moved digest
 // is a moved report byte: never re-record one to make a change pass.
-func TestPinnedRunDigests(t *testing.T) {
+func pinnedRuns() []struct {
+	name          string
+	cfg           Config
+	digest, stats string
+} {
 	ragged := tinyConfig("topk-0.01")
 	ragged.Data.Samples = 300
-	pinned := []struct {
-		name   string
-		cfg    Config
-		digest string
+	return []struct {
+		name          string
+		cfg           Config
+		digest, stats string
 	}{
 		{"straggler-jitter", timelineConfig(tinyConfig("pactrain-ternary"), false,
 			ddp.RankCompute{Multipliers: netsim.OneSlowRank(4, 2), JitterFrac: 0.1, JitterSeed: 7}),
-			"06ee56c85d41b892cc1d9436c6468aff"},
+			"06ee56c85d41b892cc1d9436c6468aff", "f447bdc620f1c1b87609b85149595c28"},
 		{"overlap-straggler", timelineConfig(tinyConfig("pactrain"), true,
 			ddp.RankCompute{Multipliers: netsim.OneSlowRank(4, 2.5), JitterFrac: 0.2, JitterSeed: 7}),
-			"07574bbd2c1abc0725c52459fd8afcf0"},
+			"07574bbd2c1abc0725c52459fd8afcf0", "19a57b71afb5533423943a65e0f02c38"},
 		{"adaptive-overlap-ramp", timelineConfig(oscillatingAdaptiveConfig(), true,
 			ddp.RankCompute{Multipliers: netsim.RampRanks(4, 3)}),
-			"a2bd43315d8b35f74401624719cc9beb"},
+			"a2bd43315d8b35f74401624719cc9beb", "1d03caeab77dcf8608f8358b305a2b22"},
 		{"ragged-overlap-straggler", timelineConfig(ragged, true,
 			ddp.RankCompute{Multipliers: netsim.OneSlowRank(4, 2), JitterFrac: 0.1, JitterSeed: 7}),
-			"ed646cad112cd71e265789cf20a9c2dd"},
-		{"pactrain", tinyConfig("pactrain"), "71035e9252fc14b5867ff4aa4a30c06c"},
-		{"pactrain-ternary", tinyConfig("pactrain-ternary"), "c93d68781d9f0758db585f6b7330d937"},
-		{"adaptive", oscillatingAdaptiveConfig(), "75f5f79e377dc3ccfec588eee3fc72db"},
-		{"zen", tinyConfig("zen"), "97a7ffa2f04f7171dea14b3d0c998628"},
-		{"topk-0.01", tinyConfig("topk-0.01"), "9fbd11d2ff8b38ded73c16cb2f8dfc07"},
-		{"dgc-0.01", tinyConfig("dgc-0.01"), "6fa7d4e1cde9a6d95d71386113fff345"},
-		{"topk-0.1", tinyConfig("topk-0.1"), "b9b2b5843ff4f4ac28cff51439844d5e"},
-		{"dgc-0.1", tinyConfig("dgc-0.1"), "baf5087dc691c9aef2dc91f5879d44f2"},
-		{"omnireduce", tinyConfig("omnireduce"), "15035b341b5460f392b9a74977b23760"},
-		{"ps", tinyConfig("ps"), "7d4d3f2f0da16a25cfe9a1ec84d381ff"},
-		{"fp16", tinyConfig("fp16"), "8b125556dd26327d0a28f573186e177b"},
+			"ed646cad112cd71e265789cf20a9c2dd", "4e6e78a7898f81377033b78f72eddfa5"},
+		{"pactrain", tinyConfig("pactrain"), "71035e9252fc14b5867ff4aa4a30c06c", "19a57b71afb5533423943a65e0f02c38"},
+		{"pactrain-ternary", tinyConfig("pactrain-ternary"), "c93d68781d9f0758db585f6b7330d937", "706db34faa0761f3a1b21f3e2a112bc0"},
+		{"adaptive", oscillatingAdaptiveConfig(), "75f5f79e377dc3ccfec588eee3fc72db", "1d03caeab77dcf8608f8358b305a2b22"},
+		{"zen", tinyConfig("zen"), "97a7ffa2f04f7171dea14b3d0c998628", "4ce775e1cbaa9c3e9a3ce54671cf639d"},
+		{"topk-0.01", tinyConfig("topk-0.01"), "9fbd11d2ff8b38ded73c16cb2f8dfc07", "4e6e78a7898f81377033b78f72eddfa5"},
+		{"dgc-0.01", tinyConfig("dgc-0.01"), "6fa7d4e1cde9a6d95d71386113fff345", "4e6e78a7898f81377033b78f72eddfa5"},
+		{"topk-0.1", tinyConfig("topk-0.1"), "b9b2b5843ff4f4ac28cff51439844d5e", "270effb1a7cecf76e91c9a2238a5f2a2"},
+		{"dgc-0.1", tinyConfig("dgc-0.1"), "baf5087dc691c9aef2dc91f5879d44f2", "270effb1a7cecf76e91c9a2238a5f2a2"},
+		{"omnireduce", tinyConfig("omnireduce"), "15035b341b5460f392b9a74977b23760", "2a50c3d3d129355f515cc444718b8841"},
+		{"ps", tinyConfig("ps"), "7d4d3f2f0da16a25cfe9a1ec84d381ff", "59bcd012e5fe8d01ed702e7a016fa134"},
+		{"fp16", tinyConfig("fp16"), "8b125556dd26327d0a28f573186e177b", "cd4b78d01dd3f63321e83eedd82eb3d7"},
 		// The conv twins, dense and pruned epochs, recorded while Conv2D still
 		// lowered through im2col and col2im.
-		{"ResNet18", tinyTwinConfig("ResNet18"), "02653eb93275741856206c1b832d7a06"},
-		{"VGG19", tinyTwinConfig("VGG19"), "c5993af4d1b1c7adb665e343c9fa90aa"},
+		{"ResNet18", tinyTwinConfig("ResNet18"), "02653eb93275741856206c1b832d7a06", "de22233c6c6b0cab4dfacf553ceff4e3"},
+		{"VGG19", tinyTwinConfig("VGG19"), "c5993af4d1b1c7adb665e343c9fa90aa", "0f0b3b05f4aec0f6ac03f6e24ea65001"},
 		// The attention twin, recorded while GELU still called math.Tanh per
 		// element.
-		{"ViT-Base-16", tinyTwinConfig("ViT-Base-16"), "e0a7103115a22ac16bc28b39d320ade0"},
+		{"ViT-Base-16", tinyTwinConfig("ViT-Base-16"), "e0a7103115a22ac16bc28b39d320ade0", "fc5cf6a19ecf03bfe86ed2adef383f59"},
 	}
-	for _, p := range pinned {
+}
+
+// TestPinnedRunDigests holds every hook family's log, clock and checksums to
+// its pinned digest.
+func TestPinnedRunDigests(t *testing.T) {
+	for _, p := range pinnedRuns() {
 		t.Run(p.name, func(t *testing.T) {
 			t.Parallel()
 			res, err := Run(p.cfg)
@@ -125,6 +139,43 @@ func TestPinnedRunDigests(t *testing.T) {
 			}
 			if got := runDigest(res); got != p.digest {
 				t.Errorf("%s digest %s, pinned %s", p.name, got, p.digest)
+			}
+		})
+	}
+}
+
+// statsDigest hashes every field of a run's communication statistics by
+// name, counts as integers and floats by bit pattern.
+func statsDigest(t *testing.T, stats any) string {
+	h := sha256.New()
+	v := reflect.ValueOf(stats)
+	for i := range v.NumField() {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Int:
+			fmt.Fprintf(h, "%s %d\n", v.Type().Field(i).Name, f.Int())
+		case reflect.Float64:
+			fmt.Fprintf(h, "%s %x\n", v.Type().Field(i).Name, math.Float64bits(f.Float()))
+		default:
+			t.Fatalf("stats field %s has unhashed kind %v", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))[:32]
+}
+
+// TestPinnedStatsDigests holds every hook family's Result.Stats — what the
+// cached Result JSON and pactrain-train's "comm time" and "wire bytes" lines
+// print — to its pinned digest.
+func TestPinnedStatsDigests(t *testing.T) {
+	for _, p := range pinnedRuns() {
+		t.Run(p.name, func(t *testing.T) {
+			t.Parallel()
+			res, err := Run(p.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := statsDigest(t, res.Stats); got != p.stats {
+				t.Errorf("%s stats digest %s, pinned %s (%+v)", p.name, got, p.stats, res.Stats)
 			}
 		})
 	}

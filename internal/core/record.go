@@ -117,6 +117,66 @@ func CostOp(op CommOp, alg collective.Algorithm, f *netsim.Fabric, hosts []netsi
 	return 0
 }
 
+// Stats accumulates a run's communication totals, op by op on rank 0. The
+// byte counters are the *logical* communication volume of each operation —
+// the ring-equivalent bytes the paper's compression ratios describe — and
+// are deliberately algorithm-independent, so a scheme's volume reads the
+// same under ring, tree, or hierarchical pricing. The bytes a given
+// algorithm pushes across each link (leaders send more than members under
+// hierarchical, tree pays fold/unfold copies) are priced, not counted.
+type Stats struct {
+	AllReduceOps int
+	AllGatherOps int
+	BroadcastOps int
+	PSOps        int // parameter-server and block-sparse aggregations
+	// BarrierOps stays 0 (no run issues a bare barrier); it is kept because
+	// every cached Result's JSON carries it.
+	BarrierOps    int
+	SimSeconds    float64 // total time spent inside collectives
+	PayloadBytes  float64 // logical payload bytes sent by all workers
+	PerWorkerSent float64 // logical payload bytes per worker (symmetric ops)
+}
+
+// add counts op, which took dur simulated seconds, across world workers.
+func (s *Stats) add(op CommOp, world int, dur float64) {
+	w, peers := float64(world), float64(world-1)
+	switch op.Kind {
+	case OpAllReduce:
+		if world > 1 && op.Elements > 0 {
+			s.PerWorkerSent += op.Wire.MessageBytes(op.Elements) / w * 2 * peers
+			s.PayloadBytes += op.Wire.MessageBytes(op.Elements) / w * 2 * peers * w
+		}
+		s.AllReduceOps++
+	case OpAllGather:
+		var total float64
+		for _, n := range op.Sizes {
+			total += op.Wire.MessageBytes(n) * peers
+		}
+		if world > 1 {
+			s.PayloadBytes += total
+			s.PerWorkerSent += total / w
+		}
+		s.AllGatherOps++
+	case OpPS:
+		s.PayloadBytes += op.Wire.MessageBytes(op.Elements) * 2 * peers
+		s.PSOps++
+	case OpBlockSparse:
+		var total float64
+		for i := 1; i < world; i++ {
+			total += collective.BlockBytes(op.Blocks[i], op.BlockSz, op.Scale)
+			total += collective.BlockBytes(op.Union, op.BlockSz, op.Scale)
+		}
+		s.PayloadBytes += total
+		s.PSOps++
+	case OpBitmapBroadcast:
+		if world > 1 && op.Elements > 0 {
+			s.PayloadBytes += op.Wire.MessageBytes(op.Elements) * peers
+		}
+		s.BroadcastOps++
+	}
+	s.SimSeconds += dur
+}
+
 // WireBytesPerWorker returns the payload bytes one worker puts on the wire
 // for the recorded iteration (the per-iteration communication volume the
 // paper's compression ratios describe).

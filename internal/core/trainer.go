@@ -40,10 +40,10 @@ type Result struct {
 	// WallSeconds is the host wall-clock cost of the run.
 	WallSeconds float64
 
-	// Stats aggregates the cluster's communication accounting.
-	Stats collective.Stats
-	// CommLog holds rank 0's per-iteration operation log when
-	// Config.RecordComm is set, enabling bandwidth re-costing.
+	// Stats aggregates rank 0's communication accounting.
+	Stats Stats
+	// CommLog holds rank 0's per-iteration operation log, enabling
+	// bandwidth re-costing. A Result decoded from elsewhere may lack it.
 	CommLog *CommLog
 
 	// StableFraction is the fraction of PacTrain bucket syncs that used the
@@ -83,7 +83,6 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cluster := collective.NewClusterWith(cfg.World, fabric, algo)
 
 	// Train and test splits must share class prototypes, so generate one
 	// dataset and split off the tail for evaluation.
@@ -92,23 +91,19 @@ func Run(cfg Config) (*Result, error) {
 	trainSet, testSet := data.Split(memoDataset(fullCfg), cfg.TestSamples)
 
 	res := &Result{Scheme: cfg.Scheme, Model: cfg.ModelName, Collective: cfg.Collective,
-		WeightChecksums: make([]float64, cfg.World)}
-	var log *CommLog
-	if cfg.RecordComm {
-		log = &CommLog{}
-		res.CommLog = log
-	}
+		CommLog: &CommLog{}, WeightChecksums: make([]float64, cfg.World)}
 
 	errs := make([]error, cfg.World)
 	var shared sharedMask
-	var trackers sync.Map // the Mask Trackers (hooks.go)
+	env := hookEnv{cluster: collective.NewCluster(cfg.World, fabric), world: cfg.World, algo: algo,
+		fabric: fabric, hosts: fabric.Topo.Hosts()[:cfg.World], trackers: new(sync.Map)}
 	eval := &evaluator{cfg: &cfg, testSet: testSet, curve: &res.Curve}
 	var wg sync.WaitGroup
 	for rank := 0; rank < cfg.World; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			errs[rank] = runWorker(&cfg, rank, cluster, &shared, &trackers, trainSet, eval, log, res)
+			errs[rank] = runWorker(&cfg, rank, env, &shared, trainSet, eval, res)
 		}(rank)
 	}
 	wg.Wait()
@@ -119,7 +114,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	res.Stats = cluster.Stats()
 	res.FinalAcc = res.Curve.FinalAcc()
 	res.BestAcc = res.Curve.BestAcc()
 	res.TTASeconds, res.ReachedTarget = res.Curve.TTA(cfg.TargetAcc)
@@ -147,9 +141,10 @@ type sharedMask struct {
 	err  error
 }
 
-// runWorker is the per-rank training loop (Algorithm 1).
-func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *sharedMask, trackers *sync.Map,
-	trainSet *data.Dataset, eval *evaluator, log *CommLog, res *Result) error {
+// runWorker is the per-rank training loop (Algorithm 1). env is the run's
+// hookEnv, which the worker completes with its rank and wire scale.
+func runWorker(cfg *Config, rank int, env hookEnv, shared *sharedMask,
+	trainSet *data.Dataset, eval *evaluator, res *Result) error {
 
 	if rankStartHook != nil {
 		rankStartHook()
@@ -174,18 +169,15 @@ func runWorker(cfg *Config, rank int, cluster *collective.Cluster, shared *share
 	// Price the lite twin's buckets as slices of the full-size model's
 	// gradient: each logical element carries Profile.Params/liteParams
 	// wire elements (DESIGN.md §1).
-	wireScale := 1.0
+	env.rank, env.wireScale = rank, 1
 	if cfg.Profile.Params > 0 && model.NumParameters() > 0 {
-		wireScale = float64(cfg.Profile.Params) / float64(model.NumParameters())
+		env.wireScale = float64(cfg.Profile.Params) / float64(model.NumParameters())
 	}
-	env := &hookEnv{cluster: cluster, rank: rank, world: cfg.World, wireScale: wireScale, trackers: trackers}
 	if rank == 0 {
-		env.log = log
-		if log != nil {
-			log.SetBuckets(elems)
-		}
+		env.log, env.stats = res.CommLog, &res.Stats
+		env.log.SetBuckets(elems)
 	}
-	hook, err := buildHook(cfg, env)
+	hook, err := buildHook(cfg, &env)
 	if err != nil {
 		return err
 	}

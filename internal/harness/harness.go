@@ -228,7 +228,6 @@ func baseConfig(w Workload, scheme string, opt Options) core.Config {
 	// exit 2, the service rejects with 400); MustOverlap flags programmer
 	// error on the direct-API path.
 	cfg.Overlap = ddp.MustOverlap(opt.Overlap)
-	cfg.RecordComm = true
 	cfg.BottleneckBps = 1 * netsim.Gbps
 	// Evaluate twice per epoch so TTA crossings resolve at sub-epoch
 	// granularity.

@@ -24,9 +24,9 @@ import (
 // TraceRun replays one recorded run into the tracer's span model on the
 // fabric the run's config describes (core.Config.NewFabric) — the same
 // fabric the trainer priced it on, which is the only fabric an adaptive
-// log replays exactly (DESIGN.md §8). A nil tracer, a nil result, or an
-// unrecorded run (Config.RecordComm false) is a no-op; a log that cannot be
-// replayed under the config (core.CommLog.Replayable) is an error.
+// log replays exactly (DESIGN.md §8). A nil tracer, a nil result, or a
+// result without a log (one decoded from elsewhere) is a no-op; a log that
+// cannot be replayed under the config (core.CommLog.Replayable) is an error.
 func TraceRun(tr *obs.Tracer, label string, cfg core.Config, res *core.Result) error {
 	if tr == nil || res == nil || res.CommLog == nil {
 		return nil

@@ -4,36 +4,18 @@ import "math"
 
 // IterComposer batches one iteration's bucket-barrier queries across ranks —
 // the incremental form of calling Timeline.LaunchTime once per recorded op.
-// The naive replay is O(world) per op; at cluster scale (thousands of ranks,
-// tens of ops per iteration, hundreds of iterations) that scan dominates
-// re-costing. The composer exploits the two structures real iterations have:
-//
-//   - identical schedules (no heterogeneity, no jitter): the barrier over
-//     identical ready times *is* rank 0's ready time, so every O(world) scan
-//     collapses to O(1);
-//   - serialized schedules (nil prefix): every bucket is ready at
-//     ComputeDone, so one barrier serves every op of the iteration;
-//   - otherwise each bucket's barrier is computed once and memoized, so an
-//     iteration costs O(world × buckets) instead of O(world × ops).
-//
-// All three paths evaluate the same float expressions as the naive scan in
-// the same operand order (a max over identical values is that value), so
-// composition stays bit-exact — the repo's re-costing contract.
+// The naive replay is O(world) per op; the composer computes each bucket's
+// barrier once per iteration and memoizes it, so an iteration costs
+// O(world × buckets) instead of O(world × ops). The memoized scan evaluates
+// the naive scan's float expressions in its operand order, so composition
+// stays bit-exact — the repo's re-costing contract. Walks over many equal
+// ranks stay cheap because core's clockWalk lays out one schedule per
+// distinct compute multiplier, not one per rank.
 //
 // The composer reads the schedule slice it was built over; callers rewrite
 // the slice in place each iteration and call Reset.
 type IterComposer struct {
 	scheds []IterSchedule
-
-	// homog marks iterations whose rank schedules are all identical
-	// (including sharing the prefix slice), detected with one O(world) pass
-	// per Reset.
-	homog bool
-	// serialized marks nil-prefix schedules, where all buckets share one
-	// barrier (allReady, computed on first use).
-	serialized bool
-	allReady   float64
-	haveAll    bool
 
 	barriers []float64
 	have     []bool
@@ -41,50 +23,17 @@ type IterComposer struct {
 
 // NewIterComposer builds a composer over scheds (retained, not copied).
 func NewIterComposer(scheds []IterSchedule) *IterComposer {
-	c := &IterComposer{scheds: scheds}
-	c.Reset()
-	return c
-}
-
-// samePrefix reports whether two schedules share the same prefix slice
-// (both nil, or the same backing array and length).
-func samePrefix(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	return len(a) == 0 || &a[0] == &b[0]
+	return &IterComposer{scheds: scheds}
 }
 
 // Reset re-reads the (rewritten) schedules for a new iteration.
 func (c *IterComposer) Reset() {
-	c.haveAll = false
-	for i := range c.have {
-		c.have[i] = false
-	}
-	s0 := c.scheds[0]
-	c.serialized = s0.prefix == nil
-	c.homog = true
-	for _, s := range c.scheds[1:] {
-		if s.Start != s0.Start || s.Fwd != s0.Fwd || s.Bwd != s0.Bwd || !samePrefix(s.prefix, s0.prefix) {
-			c.homog = false
-			break
-		}
-	}
+	clear(c.have)
 }
 
 // Barrier returns the launch barrier for bucket — the maximum of the ranks'
 // ReadyAt(bucket), exactly Timeline.LaunchTime over the schedules.
 func (c *IterComposer) Barrier(bucket int) float64 {
-	if c.homog {
-		return c.scheds[0].ReadyAt(bucket)
-	}
-	if c.serialized {
-		if !c.haveAll {
-			c.allReady = c.scan(0)
-			c.haveAll = true
-		}
-		return c.allReady
-	}
 	if bucket >= len(c.have) {
 		grown := make([]bool, bucket+1)
 		copy(grown, c.have)

@@ -192,7 +192,7 @@ func RampRanks(n int, maxFactor float64) []float64 { return netsim.RampRanks(n, 
 // IterationWireBytes returns, for every recorded training iteration, the
 // payload bytes one worker put on the wire — the quantity PacTrain's
 // adaptive compression shrinks once the Mask Tracker stabilizes. It
-// returns nil when the run was not recorded (Config.RecordComm false).
+// returns nil for a result without a log (one decoded from elsewhere).
 func IterationWireBytes(res *Result) []float64 {
 	if res.CommLog == nil {
 		return nil
@@ -271,11 +271,10 @@ type Tracer = obs.Tracer
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer { return obs.NewTracer() }
 
-// TraceRun derives the per-rank timeline of one recorded run (the config
-// must have RecordComm set, as DefaultConfig does) into the tracer.
-// Identical configs are traced once. The only error is a log that cannot
-// be replayed under the config: per-bucket overlap over a recording that
-// predates bucket geometry.
+// TraceRun derives the per-rank timeline of one recorded run into the
+// tracer. Identical configs are traced once. The only error is a log that
+// cannot be replayed under the config: per-bucket overlap over a recording
+// that predates bucket geometry.
 func TraceRun(tr *Tracer, label string, cfg Config, res *Result) error {
 	return harness.TraceRun(tr, label, cfg, res)
 }
@@ -314,8 +313,7 @@ func NewAuditor() *Auditor { return audit.NewCollector() }
 
 // AuditRun replays one recorded run's controller decisions through the
 // pricing arithmetic the controller used and returns its ledger. The config
-// must be the one the run was recorded under (DESIGN.md §8) and must have
-// RecordComm set, as DefaultConfig does.
+// must be the one the run was recorded under (DESIGN.md §8).
 func AuditRun(label string, cfg Config, res *Result, opt AuditOptions) (*AuditReport, error) {
 	return harness.AuditRun(label, cfg, res, opt)
 }
