@@ -15,7 +15,7 @@ type evaluator struct {
 	cfg     *Config
 	testSet *data.Dataset
 	curve   *metrics.Curve
-	replica *nn.Model     // built at the first evaluation point
+	replica *nn.Model     // built undrawn at the first evaluation point
 	done    chan struct{} // closed when the latest evaluation has finished
 }
 
@@ -25,7 +25,8 @@ type evaluator struct {
 func (e *evaluator) snapshot(model *nn.Model, pac *pacTrainHook, pt metrics.Point) error {
 	e.wait()
 	if e.replica == nil {
-		replica, err := nn.NewLiteByName(e.cfg.ModelName, e.cfg.Lite)
+		// Every snapshot overwrites the replica's state, so nothing is drawn.
+		replica, err := nn.NewLiteUndrawn(e.cfg.ModelName, e.cfg.Lite)
 		if err != nil {
 			return err
 		}

@@ -44,7 +44,7 @@ func TestPostSyncGradientsRespectMask(t *testing.T) {
 					return
 				}
 				for _, p := range model.Params() {
-					for i, keep := range masks[rank].Of(p.Name) {
+					for i, keep := range masks[rank].Keep[p.Name] {
 						if g := p.Grad.Data()[i]; !keep && math.Float32bits(g) != 0 {
 							mu.Lock()
 							bad = append(bad, p.Name)

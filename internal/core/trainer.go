@@ -129,7 +129,8 @@ var rankStartHook func()
 // step, before the mask touches the rank's replica.
 var maskHook func(rank int, model *nn.Model, mask *prune.Mask)
 
-// syncHook, when a test sets it, runs on every rank after each sync scatters.
+// syncHook, when a test sets it, runs on every rank after every bucket of an
+// iteration has synchronized, before the optimizer step.
 var syncHook func(rank int, model *nn.Model, hook ddp.Hook)
 
 // sharedMask is a run's magnitude mask: the weights it derives from are
@@ -149,12 +150,14 @@ func runWorker(cfg *Config, rank int, env hookEnv, shared *sharedMask,
 	if rankStartHook != nil {
 		rankStartHook()
 	}
-	model, err := nn.NewLiteByName(cfg.ModelName, cfg.Lite)
+	model, err := newReplica(cfg.ModelName, cfg.Lite)
 	if err != nil {
 		return err
 	}
 	opt := nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay)
 	shard := data.ShardDataset(trainSet, rank, cfg.World)
+	// From here on every gradient is a view of its bucket: backward
+	// accumulates into the buckets, and the optimizer reads what Sync wrote.
 	buckets := ddp.BuildBuckets(model, cfg.BucketBytes)
 
 	elems := make([]int, len(buckets))
@@ -250,17 +253,13 @@ func runWorker(cfg *Config, rank int, env hookEnv, shared *sharedMask,
 			}
 
 			// Simulated compute, then bucket-by-bucket synchronization: the
-			// walk Replay states once (replay.go), driven live.
+			// walk Replay states once (replay.go), driven live. Hooks deliver
+			// the mean gradient, +0 where GSE zeroed every rank's.
 			walk.startIter(iter)
 			for i, b := range buckets {
-				b.Gather()
 				walk.free = hook.Sync(b, walk.launch(i))
 			}
 			simTime = walk.finish(rank)
-			// Hooks deliver the mean gradient, +0 where GSE zeroed every rank's.
-			for _, b := range buckets {
-				b.Scatter()
-			}
 			if syncHook != nil {
 				syncHook(rank, model, hook)
 			}

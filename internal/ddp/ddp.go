@@ -33,26 +33,32 @@ type Bucket struct {
 	// Params lists the parameters in bucket-internal order (reverse
 	// registration order).
 	Params []*nn.Parameter
-	// Flat is the flattened gradient storage, len = Σ param elements.
+	// Flat is the flattened gradient storage, len = Σ param elements. Each
+	// parameter's Grad is a view of its own range of Flat (BuildBuckets), as
+	// with DDP's gradient_as_bucket_view: backward accumulates straight into
+	// the bucket, and a hook's Sync output is the gradient the optimizer reads.
 	Flat []float32
-
-	offsets []int
 }
 
 // Elements returns the number of gradient scalars in the bucket.
 func (b *Bucket) Elements() int { return len(b.Flat) }
 
-// Gather copies the current parameter gradients into Flat.
+// Gather copies the parameter gradients into Flat. Since BuildBuckets makes
+// every Grad a view of Flat, it copies each range onto itself; the trainer
+// never calls it.
 func (b *Bucket) Gather() {
-	for i, p := range b.Params {
-		copy(b.Flat[b.offsets[i]:b.offsets[i]+p.NumElements()], p.Grad.Data())
+	off := 0
+	for _, p := range b.Params {
+		off += copy(b.Flat[off:], p.Grad.Data())
 	}
 }
 
-// Scatter copies Flat back into the parameter gradients.
+// Scatter copies Flat back into the parameter gradients: like Gather, each
+// range onto itself.
 func (b *Bucket) Scatter() {
-	for i, p := range b.Params {
-		copy(p.Grad.Data(), b.Flat[b.offsets[i]:b.offsets[i]+p.NumElements()])
+	off := 0
+	for _, p := range b.Params {
+		off += copy(p.Grad.Data(), b.Flat[off:])
 	}
 }
 
@@ -62,7 +68,9 @@ func (b *Bucket) Scale(alpha float32) { tensor.Scale(b.Flat, alpha) }
 
 // BuildBuckets partitions the model's parameters into buckets of at most
 // capBytes bytes (fp32), in reverse registration order. A parameter larger
-// than capBytes gets its own bucket.
+// than capBytes gets its own bucket. Each parameter's Grad is repointed at its
+// range of the bucket's Flat, keeping its values: from here on a write
+// through either is a write to both, and Model.ZeroGrad clears every Flat.
 func BuildBuckets(m *nn.Model, capBytes int) []*Bucket {
 	if capBytes <= 0 {
 		capBytes = DefaultBucketBytes
@@ -76,12 +84,17 @@ func BuildBuckets(m *nn.Model, capBytes int) []*Bucket {
 			return
 		}
 		total := 0
-		cur.offsets = make([]int, len(cur.Params))
-		for i, p := range cur.Params {
-			cur.offsets[i] = total
+		for _, p := range cur.Params {
 			total += p.NumElements()
 		}
 		cur.Flat = make([]float32, total)
+		off := 0
+		for _, p := range cur.Params {
+			view := cur.Flat[off : off+p.NumElements() : off+p.NumElements()]
+			copy(view, p.Grad.Data())
+			p.Grad.Rebind(view)
+			off += len(view)
+		}
 		cur.Index = len(buckets)
 		buckets = append(buckets, cur)
 		cur = &Bucket{}
@@ -100,8 +113,8 @@ func BuildBuckets(m *nn.Model, capBytes int) []*Bucket {
 	return buckets
 }
 
-// Hook is the communication-hook interface: Sync must replace b.Flat with
-// the *average* of all workers' bucket gradients and return the
+// Hook is the communication-hook interface: Sync must overwrite b.Flat, in
+// place, with the *average* of all workers' bucket gradients and return the
 // synchronized completion time. Implementations live in internal/core; each
 // is built per worker and knows its own rank.
 type Hook interface {

@@ -75,30 +75,84 @@ func TestOversizeParamGetsOwnBucket(t *testing.T) {
 	}
 }
 
-func TestGatherScatterRoundTrip(t *testing.T) {
+// TestGradsAreBucketViews holds the view contract: BuildBuckets keeps every
+// gradient's values and makes it its own range of its bucket's Flat, so a
+// write through either shows in the other, ZeroGrad clears Flat, and the
+// ranges tile each Flat without overlap.
+func TestGradsAreBucketViews(t *testing.T) {
 	m := testModel(5)
 	r := tensor.NewRNG(9)
+	orig := map[string][]float32{}
 	for _, p := range m.Params() {
 		for i := range p.Grad.Data() {
 			p.Grad.Data()[i] = float32(r.NormFloat64())
 		}
-	}
-	orig := map[string][]float32{}
-	for _, p := range m.Params() {
 		orig[p.Name] = append([]float32(nil), p.Grad.Data()...)
 	}
 	buckets := BuildBuckets(m, 1024)
-	for _, b := range buckets {
-		b.Gather()
+	if len(buckets) < 2 {
+		t.Fatalf("want several buckets, got %d", len(buckets))
 	}
+	for _, b := range buckets {
+		off := 0
+		for _, p := range b.Params {
+			for i, v := range p.Grad.Data() {
+				if b.Flat[off+i] != orig[p.Name][i] || v != orig[p.Name][i] {
+					t.Fatalf("BuildBuckets lost %s[%d]", p.Name, i)
+				}
+			}
+			off += p.NumElements()
+		}
+	}
+
+	// Gradient → Flat: a distinct value through every Grad element. Were two
+	// ranges to overlap, the later write would show in the earlier range.
+	index := map[*nn.Parameter]int{}
+	for k, p := range m.Params() {
+		index[p] = k
+		for i := range p.Grad.Data() {
+			p.Grad.Data()[i] = float32(1000*(k+1) + i)
+		}
+	}
+	for _, b := range buckets {
+		off := 0
+		for _, p := range b.Params {
+			if len(p.Grad.Data()) != p.NumElements() {
+				t.Fatalf("%s: gradient has %d elements, want %d", p.Name, len(p.Grad.Data()), p.NumElements())
+			}
+			for i := 0; i < p.NumElements(); i++ {
+				if want := float32(1000*(index[p]+1) + i); b.Flat[off+i] != want {
+					t.Fatalf("bucket %d: Flat[%d] = %v, want %s[%d] = %v", b.Index, off+i, b.Flat[off+i], p.Name, i, want)
+				}
+			}
+			off += p.NumElements()
+		}
+		if off != len(b.Flat) {
+			t.Fatalf("bucket %d: ranges cover %d of %d elements", b.Index, off, len(b.Flat))
+		}
+	}
+
+	// Flat → gradient.
+	for _, b := range buckets {
+		for i := range b.Flat {
+			b.Flat[i] = float32(-i - 1)
+		}
+		off := 0
+		for _, p := range b.Params {
+			for i, v := range p.Grad.Data() {
+				if v != float32(-off-i-1) {
+					t.Fatalf("a write to bucket %d's Flat did not reach %s[%d]", b.Index, p.Name, i)
+				}
+			}
+			off += p.NumElements()
+		}
+	}
+
 	m.ZeroGrad()
 	for _, b := range buckets {
-		b.Scatter()
-	}
-	for _, p := range m.Params() {
-		for i, v := range p.Grad.Data() {
-			if v != orig[p.Name][i] {
-				t.Fatalf("round trip lost %s[%d]", p.Name, i)
+		for i, v := range b.Flat {
+			if v != 0 {
+				t.Fatalf("ZeroGrad left bucket %d's Flat[%d] = %v", b.Index, i, v)
 			}
 		}
 	}

@@ -31,7 +31,7 @@ func TestEnforceZeroesPrunedGrads(t *testing.T) {
 	backprop(m, 2)
 	Enforce(m, mask)
 	for _, p := range m.Params() {
-		keep := mask.Of(p.Name)
+		keep := mask.Keep[p.Name]
 		for i, g := range p.Grad.Data() {
 			if !keep[i] && g != 0 {
 				t.Fatalf("grad %s[%d] = %v after GSE", p.Name, i, g)
@@ -54,7 +54,7 @@ func TestEq2Invariant(t *testing.T) {
 		ZeroVelocity(opt, m, mask)
 		// Pruned weights must remain exactly zero forever.
 		for _, p := range m.Params() {
-			keep := mask.Of(p.Name)
+			keep := mask.Keep[p.Name]
 			for i, w := range p.W.Data() {
 				if !keep[i] && w != 0 {
 					t.Fatalf("step %d: pruned weight %s[%d] = %v resurrected", step, p.Name, i, w)
@@ -75,7 +75,7 @@ func TestWithoutGSEWeightsResurrect(t *testing.T) {
 	opt.Step(m.Params())
 	resurrected := 0
 	for _, p := range m.Params() {
-		keep := mask.Of(p.Name)
+		keep := mask.Keep[p.Name]
 		for i, w := range p.W.Data() {
 			if !keep[i] && w != 0 {
 				resurrected++
@@ -169,7 +169,7 @@ func TestEnforceMatchesBoolLoop(t *testing.T) {
 		opt.Step(m.Params()) // creates the velocity buffers
 		want := map[string][]uint32{}
 		for _, p := range m.Params() {
-			keep := mask.Of(p.Name)
+			keep := mask.Keep[p.Name]
 			for role, d := range map[string][]float32{
 				"grad": p.Grad.Data(), "velocity": opt.Velocity(p.Name).Data(), "weight": p.W.Data()} {
 				for i := range d {
@@ -209,7 +209,7 @@ func TestPropertyGSEIdempotent(t *testing.T) {
 		}
 		Enforce(m, mask)
 		for pi, p := range m.Params() {
-			keep := mask.Of(p.Name)
+			keep := mask.Keep[p.Name]
 			for i, g := range p.Grad.Data() {
 				if g != snapshot[pi][i] {
 					return false

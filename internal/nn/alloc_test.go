@@ -127,7 +127,9 @@ func BenchmarkSGDStep(b *testing.B) {
 	params := NewMLP(DefaultLiteConfig(10, 1), 64).Params()
 	elements := 0
 	for _, p := range params {
-		p.Grad.Fill(0.01)
+		for i := range p.Grad.Data() {
+			p.Grad.Data()[i] = 0.01
+		}
 		elements += p.NumElements()
 	}
 	opt := NewSGD(0.05, 0.9, 5e-4)

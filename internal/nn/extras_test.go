@@ -23,13 +23,13 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	// shift (≈ +5 / running_std), not renormalize to 0.
 	shifted := tensor.Full(5, 8, 2, 4, 4)
 	out := bn.Forward(shifted, false)
-	if m := out.Mean(); m < 2 {
+	if m := out.Sum() / float64(out.Len()); m < 2 {
 		t.Fatalf("eval-mode output mean %v; running stats not used", m)
 	}
 	// Train-mode on the same batch would normalize toward 0 (variance is 0
 	// → output ≈ beta = 0).
 	outTrain := bn.Forward(shifted, true)
-	if m := math.Abs(outTrain.Mean()); m > 0.5 {
+	if m := math.Abs(outTrain.Sum() / float64(outTrain.Len())); m > 0.5 {
 		t.Fatalf("train-mode output mean %v; batch stats not used", m)
 	}
 }

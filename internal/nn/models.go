@@ -81,8 +81,11 @@ func DefaultLiteConfig(classes int, seed uint64) LiteConfig {
 // NewMLP builds a small multi-layer perceptron over flattened images; it is
 // the cheapest trainable model and is used by unit tests and the
 // quickstart example.
-func NewMLP(cfg LiteConfig, hidden int) *Model {
-	r := tensor.NewRNG(cfg.Seed)
+func NewMLP(cfg LiteConfig, hidden int) *Model { return newMLP(tensor.NewRNG(cfg.Seed), cfg, hidden) }
+
+// newMLP and the other unexported builders draw every initialized weight from
+// r; a nil r leaves them zero (see NewLiteUndrawn).
+func newMLP(r *tensor.RNG, cfg LiteConfig, hidden int) *Model {
 	in := cfg.InChannels * cfg.ImageSize * cfg.ImageSize
 	root := NewSequential(
 		NewFlatten(),
@@ -98,8 +101,9 @@ func NewMLP(cfg LiteConfig, hidden int) *Model {
 // NewVGGLite builds a VGG-shaped plain convolutional stack: conv-BN-ReLU
 // pairs with max-pool downsampling and a small fully connected classifier.
 // Like VGG19, it has no skip connections and a classifier-heavy tail.
-func NewVGGLite(cfg LiteConfig) *Model {
-	r := tensor.NewRNG(cfg.Seed)
+func NewVGGLite(cfg LiteConfig) *Model { return newVGGLite(tensor.NewRNG(cfg.Seed), cfg) }
+
+func newVGGLite(r *tensor.RNG, cfg LiteConfig) *Model {
 	w := cfg.Width
 	var layers []Layer
 	in := cfg.InChannels
@@ -148,11 +152,10 @@ func basicBlock(name string, r *tensor.RNG, in, out, stride int) Layer {
 	return NewResidual(body, shortcut)
 }
 
-// NewResNetLite builds a ResNet-shaped residual network with the given
+// newResNetLite builds a ResNet-shaped residual network with the given
 // number of basic blocks per stage. blocks {2,2} with DefaultLiteConfig is
 // the ResNet18 twin; {3,4} the (deeper, slower-converging) ResNet152 twin.
-func NewResNetLite(name string, cfg LiteConfig, blocks []int) *Model {
-	r := tensor.NewRNG(cfg.Seed)
+func newResNetLite(r *tensor.RNG, name string, cfg LiteConfig, blocks []int) *Model {
 	w := cfg.Width
 	layers := []Layer{
 		NewConv2D("stem.conv", r, cfg.InChannels, w, 3, 1, 1),
@@ -180,20 +183,23 @@ func NewResNetLite(name string, cfg LiteConfig, blocks []int) *Model {
 
 // NewResNet18Lite is the ResNet18 twin.
 func NewResNet18Lite(cfg LiteConfig) *Model {
-	return NewResNetLite("ResNet18", cfg, []int{2, 2})
+	return newResNetLite(tensor.NewRNG(cfg.Seed), "ResNet18", cfg, []int{2, 2})
 }
 
 // NewResNet152Lite is the ResNet152 twin: deeper stages so that, like the
 // real model, it converges more slowly per epoch than the 18-layer variant.
 func NewResNet152Lite(cfg LiteConfig) *Model {
-	return NewResNetLite("ResNet152", cfg, []int{3, 4})
+	return newResNetLite(tensor.NewRNG(cfg.Seed), "ResNet152", cfg, []int{3, 4})
 }
 
 // NewViTLite builds the ViT-Base-16 twin: patch embedding, transformer
 // encoder blocks with multi-head attention, class-token pooling and a
 // linear head.
 func NewViTLite(cfg LiteConfig, dim, heads, depth int) *Model {
-	r := tensor.NewRNG(cfg.Seed)
+	return newViTLite(tensor.NewRNG(cfg.Seed), cfg, dim, heads, depth)
+}
+
+func newViTLite(r *tensor.RNG, cfg LiteConfig, dim, heads, depth int) *Model {
 	layers := []Layer{
 		NewPatchEmbed("embed", r, cfg.InChannels, cfg.ImageSize, cfg.ImageSize, 4, dim),
 	}
@@ -208,21 +214,34 @@ func NewViTLite(cfg LiteConfig, dim, heads, depth int) *Model {
 	return NewModel("ViT-Base-16", NewSequential(layers...))
 }
 
-// NewLiteByName builds the lite twin matching a paper workload name.
+// NewLiteByName builds the lite twin matching a paper workload name, its
+// weights drawn from cfg.Seed.
 func NewLiteByName(name string, cfg LiteConfig) (*Model, error) {
+	return newLite(tensor.NewRNG(cfg.Seed), name, cfg)
+}
+
+// NewLiteUndrawn builds the same layer tree as NewLiteByName without drawing
+// from any generator: every randomly initialized weight is zero. It is the
+// shell a drawn model's state is copied into (CopyStateFrom), which is
+// cheaper than drawing the same weights again.
+func NewLiteUndrawn(name string, cfg LiteConfig) (*Model, error) {
+	return newLite(nil, name, cfg)
+}
+
+func newLite(r *tensor.RNG, name string, cfg LiteConfig) (*Model, error) {
 	switch name {
 	case "VGG19", "vgg19":
-		return NewVGGLite(cfg), nil
+		return newVGGLite(r, cfg), nil
 	case "ResNet18", "resnet18":
-		return NewResNet18Lite(cfg), nil
+		return newResNetLite(r, "ResNet18", cfg, []int{2, 2}), nil
 	case "ResNet152", "resnet152":
-		return NewResNet152Lite(cfg), nil
+		return newResNetLite(r, "ResNet152", cfg, []int{3, 4}), nil
 	case "ViT-Base-16", "vit-base-16", "vit", "ViT":
 		// Embedding width scales with the config width (dim = 4·Width) so
 		// the ViT twin gains overcapacity alongside the conv twins.
-		return NewViTLite(cfg, 4*cfg.Width, 4, 2), nil
+		return newViTLite(r, cfg, 4*cfg.Width, 4, 2), nil
 	case "MLP", "mlp":
-		return NewMLP(cfg, 64), nil
+		return newMLP(r, cfg, 64), nil
 	}
 	return nil, fmt.Errorf("nn: unknown lite model %q", name)
 }

@@ -102,9 +102,6 @@ func (mk *Mask) Count() (kept, total int) {
 	return kept, total
 }
 
-// Of returns the keep slice for a parameter name (nil if absent).
-func (mk *Mask) Of(name string) []bool { return mk.Keep[name] }
-
 // prunable reports whether a parameter participates in unstructured
 // pruning. Following standard practice (and the paper's use of unstructured
 // weight pruning), biases and normalization affine parameters are exempt:

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,7 @@ import (
 // bitsEqual reports whether two tensors are byte-identical (exact float bit
 // patterns, not approximate equality).
 func bitsEqual(a, b *Tensor) bool {
-	if !a.SameShape(b) {
+	if !slices.Equal(a.Shape(), b.Shape()) {
 		return false
 	}
 	for i := range a.data {
@@ -236,7 +237,7 @@ func BenchmarkMaxAbs(b *testing.B) {
 	var sink float32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink += x.AbsMax()
+		sink += MaxAbs(x.Data())
 	}
 	_ = sink
 }

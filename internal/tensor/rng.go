@@ -75,9 +75,14 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Randn fills a new tensor of the given shape with N(0, std²) samples.
+// Randn fills a new tensor of the given shape with N(0, std²) samples. A nil
+// r draws nothing and leaves the tensor zero, as does every initializer below:
+// a layer tree built that way gets its weights copied in afterwards.
 func Randn(r *RNG, std float64, shape ...int) *Tensor {
 	t := New(shape...)
+	if r == nil {
+		return t
+	}
 	for i := range t.data {
 		t.data[i] = float32(r.NormFloat64() * std)
 	}
@@ -87,6 +92,9 @@ func Randn(r *RNG, std float64, shape ...int) *Tensor {
 // RandUniform fills a new tensor with U(lo, hi) samples.
 func RandUniform(r *RNG, lo, hi float64, shape ...int) *Tensor {
 	t := New(shape...)
+	if r == nil {
+		return t
+	}
 	span := hi - lo
 	for i := range t.data {
 		t.data[i] = float32(lo + span*r.Float64())

@@ -160,26 +160,6 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// Fill sets every element to v in place.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
-// SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	if len(t.shape) != len(o.shape) {
-		return false
-	}
-	for i := range t.shape {
-		if t.shape[i] != o.shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders a compact description (shape plus leading values) for
 // debugging; it never prints more than eight elements.
 func (t *Tensor) String() string {
@@ -311,14 +291,6 @@ func (t *Tensor) Sum() float64 {
 	return s
 }
 
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.data))
-}
-
 // Max returns the maximum element and its flat index. It panics on an empty
 // tensor.
 func (t *Tensor) Max() (float32, int) {
@@ -347,9 +319,6 @@ func (t *Tensor) Min() (float32, int) {
 	}
 	return best, arg
 }
-
-// AbsMax returns max(|x|) over all elements, 0 for an empty tensor.
-func (t *Tensor) AbsMax() float32 { return maxAbs(t.data) }
 
 // MaxAbs returns max |x[j]|, 0 for an empty slice; a NaN is never the larger.
 func MaxAbs(x []float32) float32 { return maxAbs(x) }
