@@ -77,8 +77,8 @@ func run() int {
 			metrics.FormatSeconds(dt))
 	}
 
-	fmt.Printf("\nper-iteration gradient synchronization estimates (%s collective):\n", algo.Name())
-	tb := metrics.NewTable("", "model", "grad size", algo.Name()+" all-reduce", "PS", "PacTrain(0.5)+ternary", "compute/iter")
+	fmt.Printf("\nper-iteration gradient synchronization estimates (%s collective):\n", algo.Name)
+	tb := metrics.NewTable("", "model", "grad size", algo.Name+" all-reduce", "PS", "PacTrain(0.5)+ternary", "compute/iter")
 	for _, prof := range nn.Profiles() {
 		n := int(prof.Params)
 		// The symmetric collectives price under the selected algorithm; the

@@ -143,9 +143,6 @@ type Decision struct {
 	Switched bool
 	// Quotes holds every candidate's priced cost, in candidate order.
 	Quotes []Quote
-	// BottleneckBps is the fabric's quoted bottleneck bandwidth at decision
-	// time, for the decision log.
-	BottleneckBps float64
 }
 
 // bucketState is the per-bucket hysteresis memory.
@@ -235,10 +232,10 @@ func priceFormat(algo collective.Algorithm, pricing *netsim.Fabric, hosts []nets
 
 // PriceQuotes prices every candidate wire format for a bucket of n elements
 // with nnz retained coordinates at absolute time t, in candidate order. It
-// is the quote vector behind Controller.Decide, exported so the trace
-// replay (internal/harness) can reprice a recorded adaptive round against
-// the recorded fabric without rebuilding a controller. wireScale <= 0
-// means 1.
+// is the quote vector behind Controller.Decide, exported for audit.Quoter,
+// which reprices recorded adaptive rounds on the recorded fabric for both
+// the audit ledger and the trace without rebuilding a controller.
+// wireScale <= 0 means 1.
 func PriceQuotes(algo collective.Algorithm, pricing *netsim.Fabric, hosts []netsim.NodeID,
 	wireScale float64, candidates []string, n, nnz int, t float64) []Quote {
 	if wireScale <= 0 {
@@ -266,10 +263,7 @@ func PriceQuotes(algo collective.Algorithm, pricing *netsim.Fabric, hosts []nets
 // one switch per dwell rounds and bounds the regret of a held incumbent to
 // the margin.
 func (c *Controller) Decide(bucket, n, nnz int, t float64) Decision {
-	dec := Decision{
-		Quotes:        PriceQuotes(c.algo, c.fabric, c.hosts, c.wireScale, c.candidates, n, nnz, t),
-		BottleneckBps: c.fabric.BottleneckBandwidthAt(t),
-	}
+	dec := Decision{Quotes: PriceQuotes(c.algo, c.fabric, c.hosts, c.wireScale, c.candidates, n, nnz, t)}
 	costs := make(map[string]float64, len(c.candidates))
 	best := ""
 	for _, q := range dec.Quotes {

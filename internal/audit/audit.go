@@ -22,13 +22,13 @@
 //     late) shows up as calibration drift before it shows up as lost TTA.
 //
 // Like internal/obs, the audit is *derived*: it reads only the recorded log
-// and the run's config, prices on throwaway fabrics, and perturbs nothing —
-// reports, fingerprints, and caches are byte-identical with or without it,
-// and the audit artifact itself is byte-identical at any -parallel
-// setting. As a guard, Replay verifies the replayed clock
-// reproduces the recorded SimSeconds bit-for-bit; a mismatch means the
-// config/fabric handed in is not the one the log was recorded under
-// (DESIGN.md §8), and the audit refuses rather than reporting fiction.
+// and the run's config, prices on a fabric of its own built from that
+// config, and perturbs nothing — reports, fingerprints, and caches are
+// byte-identical with or without it, and the audit artifact itself is
+// byte-identical at any -parallel setting. As a guard, Replay verifies the
+// replayed clock reproduces the recorded SimSeconds bit-for-bit; a mismatch
+// means the config/fabric handed in is not the one the log was recorded
+// under (DESIGN.md §8), and the audit refuses rather than reporting fiction.
 package audit
 
 import (
@@ -249,15 +249,11 @@ func Replay(cfg core.Config, res *core.Result, opt Options) (*Report, error) {
 	if err := res.CommLog.Replayable(&cfg); err != nil {
 		return nil, fmt.Errorf("audit: %w", err)
 	}
-	fabric := cfg.NewFabric()
-	cands, err := adaptive.CanonicalCandidates(cfg.AdaptCandidates)
-	if err != nil {
-		cands = adaptive.Formats()
-	}
 	collName, err := collective.CanonicalAlgorithm(cfg.Collective)
 	if err != nil {
 		return nil, fmt.Errorf("audit: %w", err)
 	}
+	q := NewQuoter(&cfg, cfg.NewFabric(), res.CommLog.BucketElems)
 
 	rep := &Report{
 		Fingerprint:  cfg.Fingerprint(),
@@ -265,12 +261,12 @@ func Replay(cfg core.Config, res *core.Result, opt Options) (*Report, error) {
 		Model:        cfg.ModelName,
 		Collective:   collName,
 		World:        cfg.World,
-		Candidates:   cands,
+		Candidates:   q.candidates,
 		MarginBound:  adaptive.Regret(cfg.AdaptMargin),
 		StalenessSec: opt.StalenessSec,
 		Iters:        len(res.CommLog.Iters),
 	}
-	if err := replayLedger(rep, &cfg, res, fabric, opt); err != nil {
+	if err := replayLedger(rep, &cfg, res, q, opt); err != nil {
 		return nil, err
 	}
 	finishReport(rep, opt)
@@ -287,22 +283,9 @@ func (f opVisitor) Op(k int, op core.CommOp, _, launch, cost float64) {
 }
 
 // replayLedger rides core.Replay — the walk re-costing and tracing use —
-// with live pricing on the recorded fabric, accumulating the ledger at
+// with live pricing on the quoter's fabric, accumulating the ledger at
 // every controller-driven op.
-func replayLedger(rep *Report, cfg *core.Config, res *core.Result, fabric *netsim.Fabric, opt Options) error {
-	log := res.CommLog
-	alg := collective.MustAlgorithm(cfg.Collective)
-	hosts := fabric.Topo.Hosts()[:cfg.World]
-	nnzs := NewNNZTracker()
-	// Only the sparse formats price by mask NNZ; a candidate set without
-	// them (the dense-only static baseline) audits every round even though
-	// a dense wire never reveals the mask size.
-	needNNZ := false
-	for _, f := range rep.Candidates {
-		if f != adaptive.FormatDense {
-			needNNZ = true
-		}
-	}
+func replayLedger(rep *Report, cfg *core.Config, res *core.Result, q *Quoter, opt Options) error {
 	statics := make(map[string]float64, len(rep.Candidates))
 	cals := make(map[string]*calAccum, len(rep.Candidates))
 	prevFormat := make(map[int]string) // bucket -> last decided format
@@ -310,9 +293,9 @@ func replayLedger(rep *Report, cfg *core.Config, res *core.Result, fabric *netsi
 
 	var ledgerErr error
 	price := func(op core.CommOp, launch float64) float64 {
-		return core.CostOp(op, alg, fabric, hosts, launch)
+		return core.CostOp(op, q.algo, q.fabric, q.hosts, launch)
 	}
-	cum := core.Replay(cfg, log, price, opVisitor(func(k int, op core.CommOp, launch, actual float64) {
+	cum := core.Replay(cfg, res.CommLog, price, opVisitor(func(k int, op core.CommOp, launch, actual float64) {
 		if ledgerErr != nil {
 			return
 		}
@@ -320,27 +303,16 @@ func replayLedger(rep *Report, cfg *core.Config, res *core.Result, fabric *netsi
 			rep.ForcedOps++
 			return
 		}
-		nnz, ok := nnzs.Observe(op)
-		if !ok && !needNNZ {
-			nnz, ok = 0, true
-		}
-		n := 0
-		if op.Bucket < len(log.BucketElems) {
-			n = log.BucketElems[op.Bucket]
-		}
-		if !ok || n == 0 {
+		n, nnz, known := q.Round(op)
+		known = known || q.denseOnly // a dense-only set's quotes ignore the NNZ (Quoter.Round)
+		if !known || n == 0 {
 			rep.SkippedRounds++
 			return
 		}
-		scale := WireScaleFromOp(op)
-		truth := adaptive.PriceQuotes(alg, fabric, hosts, scale, rep.Candidates, n, nnz, launch)
+		truth := q.Quotes(n, nnz, launch)
 		stale := truth
 		if opt.StalenessSec > 0 {
-			t := launch - opt.StalenessSec
-			if t < 0 {
-				t = 0
-			}
-			stale = adaptive.PriceQuotes(alg, fabric, hosts, scale, rep.Candidates, n, nnz, t)
+			stale = q.Quotes(n, nnz, max(0, launch-opt.StalenessSec))
 		}
 		chosen, okChosen := quoteFor(truth, op.Decision)
 		predicted, okStale := quoteFor(stale, op.Decision)
@@ -469,61 +441,86 @@ func cheapest(quotes []adaptive.Quote) adaptive.Quote {
 	return best
 }
 
-// NNZTracker recovers the mask's retained-coordinate count from recorded
-// adaptive ops: the compact formats put exactly NNZ elements on the wire,
-// the index list gathers NNZ coordinates per origin, and dense rounds fall
-// back to the bucket's last known value (before a bucket's first compact
-// round the NNZ is unrecoverable and Observe reports false).
-type NNZTracker struct {
+// Quoter reads recorded controller rounds back into the quote vectors the
+// controller weighed: the one reading the audit ledger and the trace
+// (internal/harness) share. It resolves the run's candidates, collective
+// algorithm, hosts and wire scale once, on the fabric the rounds are
+// repriced on — the recorded fabric reproduces adaptive.Controller.Decide's
+// quotes exactly.
+type Quoter struct {
+	candidates  []string
+	algo        collective.Algorithm
+	fabric      *netsim.Fabric
+	hosts       []netsim.NodeID
+	scale       float64
+	bucketElems []int
+	// denseOnly marks a candidate set no quote of which reads the mask NNZ.
+	denseOnly bool
+	// last carries each bucket's most recent mask NNZ forward: dense rounds
+	// do not reveal it on the wire.
 	last map[int]int
 }
 
-// NewNNZTracker returns an empty tracker.
-func NewNNZTracker() *NNZTracker {
-	return &NNZTracker{last: make(map[int]int)}
+// NewQuoter builds the quoter of a run recorded under cfg with the given
+// bucket geometry (core.CommLog.BucketElems), pricing on fabric. The wire
+// scale is core.WireScale over the buckets' element total: the buckets tile
+// every parameter of the lite twin.
+func NewQuoter(cfg *core.Config, fabric *netsim.Fabric, bucketElems []int) *Quoter {
+	cands, err := adaptive.CanonicalCandidates(cfg.AdaptCandidates)
+	if err != nil {
+		cands = adaptive.Formats()
+	}
+	lite := 0
+	for _, n := range bucketElems {
+		lite += n
+	}
+	q := &Quoter{
+		candidates:  cands,
+		algo:        collective.MustAlgorithm(cfg.Collective),
+		fabric:      fabric,
+		hosts:       fabric.Topo.Hosts()[:cfg.World],
+		scale:       core.WireScale(cfg.Profile.Params, lite),
+		bucketElems: bucketElems,
+		denseOnly:   true,
+		last:        make(map[int]int),
+	}
+	for _, f := range cands {
+		if f != adaptive.FormatDense {
+			q.denseOnly = false
+		}
+	}
+	return q
 }
 
-// Observe recovers the op's mask NNZ and advances the per-bucket carry.
-func (t *NNZTracker) Observe(op core.CommOp) (int, bool) {
+// Round recovers a decided op's bucket size n (0 when the log has no bucket
+// geometry) and mask NNZ, and advances the bucket's NNZ carry. The compact
+// formats put exactly NNZ elements on the wire and the index list gathers
+// NNZ coordinates per origin; a dense round takes the bucket's carried NNZ,
+// so known is false before the bucket's first compact round — and always
+// under a dense-only candidate set, which the audit quotes anyway (a dense
+// quote ignores the NNZ) while the trace leaves it unquoted.
+func (q *Quoter) Round(op core.CommOp) (n, nnz int, known bool) {
+	if op.Bucket < len(q.bucketElems) {
+		n = q.bucketElems[op.Bucket]
+	}
 	switch op.Decision {
 	case adaptive.FormatCompact, adaptive.FormatCompactTernary:
-		t.last[op.Bucket] = op.Elements
-		return op.Elements, true
+		nnz, known = op.Elements, true
 	case adaptive.FormatIndexList:
 		if len(op.Sizes) > 0 {
-			t.last[op.Bucket] = op.Sizes[0]
-			return op.Sizes[0], true
+			nnz, known = op.Sizes[0], true
 		}
 	case adaptive.FormatDense:
-		if v, ok := t.last[op.Bucket]; ok {
-			return v, true
-		}
+		nnz, known = q.last[op.Bucket]
 	}
-	return 0, false
+	if known {
+		q.last[op.Bucket] = nnz
+	}
+	return n, nnz, known
 }
 
-// WireScaleFromOp recovers the lite-twin wire scale the hooks applied to a
-// recorded op's format (DESIGN.md §1): the recorded BytesPerElement over the
-// format's base width. Exact — the scale was applied by multiplication, and
-// dividing by the power-of-two base widths loses no bits.
-func WireScaleFromOp(op core.CommOp) float64 {
-	var base float64
-	switch op.Wire.Name {
-	case "fp32":
-		base = 4
-	case "fp16":
-		base = 2
-	case "int8":
-		base = 1
-	case "coo":
-		base = 8
-	case "ternary":
-		base = 0.25
-	case "bitmap":
-		base = 0.125
-	}
-	if base == 0 || op.Wire.BytesPerElement == 0 {
-		return 1
-	}
-	return op.Wire.BytesPerElement / base
+// Quotes prices every candidate for a round of n elements with nnz retained
+// coordinates at t, in candidate order (adaptive.PriceQuotes).
+func (q *Quoter) Quotes(n, nnz int, t float64) []adaptive.Quote {
+	return adaptive.PriceQuotes(q.algo, q.fabric, q.hosts, q.scale, q.candidates, n, nnz, t)
 }

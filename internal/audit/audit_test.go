@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pactrain/internal/adaptive"
+	"pactrain/internal/collective"
 	"pactrain/internal/core"
 	"pactrain/internal/data"
 	"pactrain/internal/netsim"
@@ -121,6 +122,49 @@ func TestAuditLedgerReplaysRecordedRun(t *testing.T) {
 	}
 	if txt := rep.Render(); !strings.Contains(txt, "counterfactual ledger") {
 		t.Fatalf("render missing ledger table:\n%s", txt)
+	}
+}
+
+// TestDecidedOpsCarryTheQuoterWireScale pins the one wire-scale formula:
+// every decided op's recorded per-element bytes are its format's base width
+// times core.WireScale over the recorded buckets' element total — the scale
+// the trainer derived from the model's parameter count, and the one the
+// quoter reprices with.
+func TestDecidedOpsCarryTheQuoterWireScale(t *testing.T) {
+	cfg, res := trainedRun(t)
+	base := map[string]collective.WireFormat{
+		adaptive.FormatDense:          collective.WireFP32,
+		adaptive.FormatCompact:        collective.WireFP32,
+		adaptive.FormatCompactTernary: collective.WireInt8,
+		adaptive.FormatIndexList:      collective.WireSparse,
+	}
+	lite := 0
+	for _, n := range res.CommLog.BucketElems {
+		lite += n
+	}
+	scale := core.WireScale(cfg.Profile.Params, lite)
+	if scale == 1 {
+		t.Fatalf("wire scale 1: the run does not exercise the lite-twin scaling")
+	}
+	if q := NewQuoter(&cfg, cfg.NewFabric(), res.CommLog.BucketElems); q.scale != scale {
+		t.Fatalf("quoter scale %v, want %v", q.scale, scale)
+	}
+	decided := 0
+	for k, ops := range res.CommLog.Iters {
+		for _, op := range ops {
+			if op.Decision == "" {
+				continue
+			}
+			decided++
+			w := base[op.Decision]
+			if op.Wire.Name != w.Name || op.Wire.BytesPerElement != w.BytesPerElement*scale {
+				t.Fatalf("iter %d bucket %d %s: wire %s at %v B/elem, want %s at %v",
+					k, op.Bucket, op.Decision, op.Wire.Name, op.Wire.BytesPerElement, w.Name, w.BytesPerElement*scale)
+			}
+		}
+	}
+	if decided == 0 {
+		t.Fatal("no decided ops in the recorded run")
 	}
 }
 

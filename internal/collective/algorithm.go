@@ -13,30 +13,30 @@ import (
 // sum is the sum); only the clock differs, so a run recorded under one
 // algorithm can be re-costed exactly under another (see core.CostIter).
 //
-// Every method returns a duration. Implementations must be pure functions
-// of their arguments (plus the fabric's traces, which see absolute time t):
+// Every cost function returns a duration. They must be pure functions of
+// their arguments (plus the fabric's traces, which see absolute time t):
 // training and re-costing call them with identical arguments at identical
 // times, and the bit-exact re-costing contract (DESIGN.md §5) rests on the
 // two paths agreeing to the last ulp. They must also be monotone in the
 // element count (TestAlgorithmCostMonotone).
 //
 // The parameter-server and block-sparse transports are deliberately outside
-// this interface: they are scheme-specific topologies of their own (incast
-// onto one aggregator), not interchangeable patterns for the same logical
+// this table: they are scheme-specific topologies of their own (incast onto
+// one aggregator), not interchangeable patterns for the same logical
 // operation.
-type Algorithm interface {
+type Algorithm struct {
 	// Name is the selector identifier ("ring", "tree", "hierarchical").
-	Name() string
+	Name string
 	// Description is a one-line summary for the catalog surfaces
 	// (`pactrain-bench -list-collectives`, GET /v1/collectives).
-	Description() string
+	Description string
 	// AllReduce prices summing n elements across hosts.
-	AllReduce(f *netsim.Fabric, hosts []netsim.NodeID, n int, wire WireFormat, t float64) float64
+	AllReduce func(f *netsim.Fabric, hosts []netsim.NodeID, n int, wire WireFormat, t float64) float64
 	// AllGather prices exchanging per-host payloads of sizes[i] elements so
 	// every host holds all of them.
-	AllGather(f *netsim.Fabric, hosts []netsim.NodeID, sizes []int, wire WireFormat, t float64) float64
+	AllGather func(f *netsim.Fabric, hosts []netsim.NodeID, sizes []int, wire WireFormat, t float64) float64
 	// Broadcast prices distributing msgBytes from hosts[root] to all hosts.
-	Broadcast(f *netsim.Fabric, hosts []netsim.NodeID, root int, msgBytes float64, t float64) float64
+	Broadcast func(f *netsim.Fabric, hosts []netsim.NodeID, root int, msgBytes float64, t float64) float64
 }
 
 // DefaultAlgorithm is the algorithm an empty selector resolves to — the
@@ -46,14 +46,46 @@ const DefaultAlgorithm = "ring"
 
 // algorithms is the fixed algorithm table, in catalog order (ring first,
 // the default).
-var algorithms = []Algorithm{ringAlgorithm{}, treeAlgorithm{}, hierarchicalAlgorithm{}}
+var algorithms = []Algorithm{
+	// The paper's flat ring: reduce-scatter + all-gather all-reduce, ring
+	// all-gather, binomial-tree broadcast (cost.go).
+	{
+		Name:        "ring",
+		Description: "flat ring reduce-scatter + all-gather, the paper's setup and the default",
+		AllReduce:   CostRingAllReduce,
+		AllGather:   CostRingAllGather,
+		Broadcast:   CostBinomialBroadcast,
+	},
+	// Rabenseifner's recursive halving/doubling all-reduce and a binomial
+	// gather to rank 0 followed by a binomial broadcast: on a uniform
+	// fabric it moves the ring's 2n(world-1)/world bytes per host in
+	// log₂(world) rounds instead of world-1, the small-message regime.
+	{
+		Name:        "tree",
+		Description: "recursive halving/doubling all-reduce, binomial gather+broadcast (small-message regime)",
+		AllReduce:   CostTreeAllReduce,
+		AllGather:   CostTreeAllGather,
+		Broadcast:   CostBinomialBroadcast,
+	},
+	// The two-level, topology-aware pattern: hosts grouped into racks by
+	// their attached switch (Racks), heavy intra-rack traffic on fast edge
+	// links, one rack-aggregated stream per collective across the
+	// bottleneck. On a single-rack topology it falls back to the flat ring.
+	{
+		Name:        "hierarchical",
+		Description: "two-level rack-aware aggregation: intra-rack rings, leaders-only across the bottleneck",
+		AllReduce:   CostHierarchicalAllReduce,
+		AllGather:   CostHierarchicalAllGather,
+		Broadcast:   CostHierarchicalBroadcast,
+	},
+}
 
 // AlgorithmNames lists the algorithms in catalog order (ring first, the
 // default).
 func AlgorithmNames() []string {
 	out := make([]string, len(algorithms))
 	for i, a := range algorithms {
-		out[i] = a.Name()
+		out[i] = a.Name
 	}
 	return out
 }
@@ -70,7 +102,7 @@ type AlgorithmInfo struct {
 func AlgorithmCatalog() []AlgorithmInfo {
 	out := make([]AlgorithmInfo, len(algorithms))
 	for i, a := range algorithms {
-		out[i] = AlgorithmInfo{Name: a.Name(), Description: a.Description()}
+		out[i] = AlgorithmInfo{Name: a.Name, Description: a.Description}
 	}
 	return out
 }
@@ -83,7 +115,7 @@ func CanonicalAlgorithm(name string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return a.Name(), nil
+	return a.Name, nil
 }
 
 // AlgorithmByName resolves a selector to its implementation ("" means
@@ -93,11 +125,11 @@ func AlgorithmByName(name string) (Algorithm, error) {
 		name = DefaultAlgorithm
 	}
 	for _, a := range algorithms {
-		if a.Name() == name {
+		if a.Name == name {
 			return a, nil
 		}
 	}
-	return nil, fmt.Errorf("collective: unknown algorithm %q (have %v)", name, AlgorithmNames())
+	return Algorithm{}, fmt.Errorf("collective: unknown algorithm %q (have %v)", name, AlgorithmNames())
 }
 
 // MustAlgorithm is AlgorithmByName for selectors already validated upstream
@@ -194,59 +226,7 @@ func concurrentStep(f *netsim.Fabric, xfers []xfer, t float64) float64 {
 	return step
 }
 
-// --- ring --------------------------------------------------------------------
-
-// ringAlgorithm is the paper's flat ring: reduce-scatter + all-gather
-// all-reduce, ring all-gather, binomial-tree broadcast. It delegates to the
-// original cost functions in cost.go, so the default path is bit-exact with
-// the single-algorithm behavior.
-type ringAlgorithm struct{}
-
-func (ringAlgorithm) Name() string { return "ring" }
-
-func (ringAlgorithm) Description() string {
-	return "flat ring reduce-scatter + all-gather, the paper's setup and the default"
-}
-
-func (ringAlgorithm) AllReduce(f *netsim.Fabric, hosts []netsim.NodeID, n int, wire WireFormat, t float64) float64 {
-	return CostRingAllReduce(f, hosts, n, wire, t)
-}
-
-func (ringAlgorithm) AllGather(f *netsim.Fabric, hosts []netsim.NodeID, sizes []int, wire WireFormat, t float64) float64 {
-	return CostRingAllGather(f, hosts, sizes, wire, t)
-}
-
-func (ringAlgorithm) Broadcast(f *netsim.Fabric, hosts []netsim.NodeID, root int, msgBytes float64, t float64) float64 {
-	return CostBinomialBroadcast(f, hosts, root, msgBytes, t)
-}
-
 // --- tree --------------------------------------------------------------------
-
-// treeAlgorithm prices all-reduce as Rabenseifner's recursive
-// halving/doubling and all-gather as a binomial gather to rank 0 followed by
-// a binomial broadcast of the concatenation. On a uniform fabric it moves
-// the same 2n(world-1)/world bytes per host as the ring in log₂(world)
-// rounds instead of world-1, trading bandwidth balance for latency — the
-// classic small-message regime.
-type treeAlgorithm struct{}
-
-func (treeAlgorithm) Name() string { return "tree" }
-
-func (treeAlgorithm) Description() string {
-	return "recursive halving/doubling all-reduce, binomial gather+broadcast (small-message regime)"
-}
-
-func (treeAlgorithm) AllReduce(f *netsim.Fabric, hosts []netsim.NodeID, n int, wire WireFormat, t float64) float64 {
-	return CostTreeAllReduce(f, hosts, n, wire, t)
-}
-
-func (treeAlgorithm) AllGather(f *netsim.Fabric, hosts []netsim.NodeID, sizes []int, wire WireFormat, t float64) float64 {
-	return CostTreeAllGather(f, hosts, sizes, wire, t)
-}
-
-func (treeAlgorithm) Broadcast(f *netsim.Fabric, hosts []netsim.NodeID, root int, msgBytes float64, t float64) float64 {
-	return CostBinomialBroadcast(f, hosts, root, msgBytes, t)
-}
 
 // pow2Floor returns the largest power of two ≤ w (w ≥ 1).
 func pow2Floor(w int) int {
@@ -394,20 +374,6 @@ func CostTreeAllGather(f *netsim.Fabric, hosts []netsim.NodeID, sizes []int, wir
 
 // --- hierarchical ------------------------------------------------------------
 
-// hierarchicalAlgorithm is the two-level, topology-aware pattern: hosts are
-// grouped into racks by their attached switch (netsim.Topology structure,
-// not configuration), heavy intra-rack traffic stays on fast edge links,
-// and only one rack-aggregated stream per collective crosses the bottleneck
-// inter-switch fabric. On a single-rack (flat) topology every phase
-// degenerates and the pattern falls back to the flat ring.
-type hierarchicalAlgorithm struct{}
-
-func (hierarchicalAlgorithm) Name() string { return "hierarchical" }
-
-func (hierarchicalAlgorithm) Description() string {
-	return "two-level rack-aware aggregation: intra-rack rings, leaders-only across the bottleneck"
-}
-
 // Racks groups host ranks by attached switch, in first-appearance order;
 // rank order is preserved inside each rack, and a host with no switch
 // neighbor forms a singleton rack. The first member of each rack is its
@@ -430,18 +396,6 @@ func Racks(topo *netsim.Topology, hosts []netsim.NodeID) [][]int {
 		racks[i] = byKey[key]
 	}
 	return racks
-}
-
-func (hierarchicalAlgorithm) AllReduce(f *netsim.Fabric, hosts []netsim.NodeID, n int, wire WireFormat, t float64) float64 {
-	return CostHierarchicalAllReduce(f, hosts, n, wire, t)
-}
-
-func (hierarchicalAlgorithm) AllGather(f *netsim.Fabric, hosts []netsim.NodeID, sizes []int, wire WireFormat, t float64) float64 {
-	return CostHierarchicalAllGather(f, hosts, sizes, wire, t)
-}
-
-func (hierarchicalAlgorithm) Broadcast(f *netsim.Fabric, hosts []netsim.NodeID, root int, msgBytes float64, t float64) float64 {
-	return CostHierarchicalBroadcast(f, hosts, root, msgBytes, t)
 }
 
 // rackHosts maps a rack's rank indices to its fabric hosts.

@@ -23,12 +23,12 @@ func TestAlgorithmRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("AlgorithmByName(%q): %v", name, err)
 		}
-		if name != "" && a.Name() != name {
-			t.Fatalf("AlgorithmByName(%q).Name() = %q", name, a.Name())
+		if name != "" && a.Name != name {
+			t.Fatalf("AlgorithmByName(%q).Name = %q", name, a.Name)
 		}
 	}
-	if a, _ := AlgorithmByName(""); a.Name() != DefaultAlgorithm {
-		t.Fatalf("empty selector resolved to %q, want %q", a.Name(), DefaultAlgorithm)
+	if a, _ := AlgorithmByName(""); a.Name != DefaultAlgorithm {
+		t.Fatalf("empty selector resolved to %q, want %q", a.Name, DefaultAlgorithm)
 	}
 	if canon, err := CanonicalAlgorithm(""); err != nil || canon != "ring" {
 		t.Fatalf("CanonicalAlgorithm(\"\") = %q, %v", canon, err)

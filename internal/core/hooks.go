@@ -37,6 +37,18 @@ type hookEnv struct {
 	wireScale float64
 }
 
+// WireScale is the lite twin's wire scale (DESIGN.md §1): the full-size
+// profile's parameter count over the twin's, or 1 when either is unknown.
+// The trainer calls it with the model's parameter count and the audit's
+// quoter with the recorded buckets' element total; the buckets tile every
+// parameter, so the two agree.
+func WireScale(profileParams int64, liteParams int) float64 {
+	if profileParams <= 0 || liteParams <= 0 {
+		return 1
+	}
+	return float64(profileParams) / float64(liteParams)
+}
+
 // commit launches op at t, the synchronized launch every rank's clockWalk
 // derives, prices it as every replay does and returns its end. Rank 0
 // records the op and adds it to the run's Stats.

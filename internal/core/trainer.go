@@ -172,10 +172,7 @@ func runWorker(cfg *Config, rank int, env hookEnv, shared *sharedMask,
 	// Price the lite twin's buckets as slices of the full-size model's
 	// gradient: each logical element carries Profile.Params/liteParams
 	// wire elements (DESIGN.md §1).
-	env.rank, env.wireScale = rank, 1
-	if cfg.Profile.Params > 0 && model.NumParameters() > 0 {
-		env.wireScale = float64(cfg.Profile.Params) / float64(model.NumParameters())
-	}
+	env.rank, env.wireScale = rank, WireScale(cfg.Profile.Params, model.NumParameters())
 	if rank == 0 {
 		env.log, env.stats = res.CommLog, &res.Stats
 		env.log.SetBuckets(elems)

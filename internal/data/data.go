@@ -168,7 +168,8 @@ func (s *Shard) Len() int { return len(s.indices) }
 // Batches returns an iterator over mini-batches of up to batchSize samples,
 // optionally shuffled with the given RNG (pass nil for sequential order).
 // Each call to the returned function yields the next batch; ok is false
-// after the last batch.
+// after the last batch. The iterator fills one image tensor and one label
+// slice in place, so a batch is valid only until the next call.
 func (s *Shard) Batches(batchSize int, rng *tensor.RNG) func() (x *tensor.Tensor, labels []int, ok bool) {
 	order := append([]int(nil), s.indices...)
 	if rng != nil {
@@ -182,17 +183,19 @@ func (s *Shard) Batches(batchSize int, rng *tensor.RNG) func() (x *tensor.Tensor
 	pix := s.ds.Channels * s.ds.Size * s.ds.Size
 	src := s.ds.Images.Data()
 	pos := 0
+	x := tensor.New(0)
+	var labelBuf []int
 	return func() (*tensor.Tensor, []int, bool) {
 		if pos >= len(order) {
 			return nil, nil, false
 		}
-		end := pos + batchSize
-		if end > len(order) {
-			end = len(order)
-		}
+		end := min(pos+batchSize, len(order))
 		n := end - pos
-		x := tensor.New(n, s.ds.Channels, s.ds.Size, s.ds.Size)
-		labels := make([]int, n)
+		x.Resize(n, s.ds.Channels, s.ds.Size, s.ds.Size)
+		if cap(labelBuf) < n {
+			labelBuf = make([]int, n)
+		}
+		labels := labelBuf[:n]
 		xd := x.Data()
 		for i, sample := range order[pos:end] {
 			copy(xd[i*pix:(i+1)*pix], src[sample*pix:(sample+1)*pix])

@@ -129,7 +129,7 @@ func checkReplayConsumers(t *testing.T, cfg core.Config) {
 	fabric = cfg.NewFabric()
 	sink := &edgeSink{}
 	core.Replay(&cfg, log, newOpCoster(alg, fabric, hosts, false).cost,
-		&spanVisitor{run: sink, quoter: newDecisionQuoter(&cfg, fabric, hosts, log.BucketElems)})
+		&spanVisitor{run: sink, quoter: audit.NewQuoter(&cfg, fabric, log.BucketElems)})
 	if len(sink.end) != len(log.Iters) {
 		t.Fatalf("span visitor saw %d iterations of %d", len(sink.end), len(log.Iters))
 	}

@@ -53,7 +53,7 @@ func traceRunOn(tr *obs.Tracer, label, dedupKey string, cfg core.Config, res *co
 	coster := newOpCoster(collective.MustAlgorithm(cfg.Collective), fabric, hosts, false)
 	core.Replay(&cfg, res.CommLog, coster.cost, &spanVisitor{
 		run:    run,
-		quoter: newDecisionQuoter(&cfg, fabric, hosts, res.CommLog.BucketElems),
+		quoter: audit.NewQuoter(&cfg, fabric, res.CommLog.BucketElems),
 	})
 }
 
@@ -86,9 +86,12 @@ type spanSink interface {
 // compute, its wait at each bucket barrier, the collective, and the
 // wire-format decision. Span edges are the replayed clock's own operands, so
 // they equal the re-costed clock (TestReplayMatchesTrainingEveryConsumer).
+// A static scheme's decision is its (frozen) wire format; an adaptive
+// round's carries the candidate quotes the audit ledger prices, read by the
+// same audit.Quoter (TestTraceQuotesMatchAuditLedger).
 type spanVisitor struct {
 	run    spanSink
-	quoter *decisionQuoter
+	quoter *audit.Quoter
 	scheds []simclock.IterSchedule
 }
 
@@ -102,7 +105,15 @@ func (v *spanVisitor) StartIter(k int, scheds []simclock.IterSchedule) {
 func (v *spanVisitor) Op(k int, op core.CommOp, streamFree, launch, cost float64) {
 	end := launch + cost
 	name, args := opSpan(op)
-	format, quoteArgs := v.quoter.decide(op, launch)
+	format, quoteArgs := op.Wire.Name, map[string]any(nil)
+	if op.Decision != "" {
+		format = op.Decision
+		// Unlike the audit, quote only rounds whose mask NNZ the wire
+		// revealed: a dense-only set's rounds stay unquoted (Quoter.Round).
+		if n, nnz, known := v.quoter.Round(op); known && n > 0 {
+			quoteArgs = map[string]any{"quotes": quoteMap(v.quoter.Quotes(n, nnz, launch)), "nnz": nnz}
+		}
+	}
 	for r, s := range v.scheds {
 		if from, dur := s.WaitInterval(op.Bucket, streamFree, launch); dur > 0 {
 			v.run.BarrierWait(r, op.Bucket, k, from, launch)
@@ -145,58 +156,11 @@ func opSpan(op core.CommOp) (string, map[string]any) {
 	return name, args
 }
 
-// decisionQuoter reprices a recorded adaptive round's candidate set at the
-// replayed launch time on the replay fabric — on the recorded fabric that
-// reproduces the quote vector the controller actually weighed (the formats'
-// relative costs, adaptive.PriceQuotes). For static schemes the wire format
-// itself is the (frozen) decision.
-type decisionQuoter struct {
-	algo        collective.Algorithm
-	fabric      *netsim.Fabric
-	hosts       []netsim.NodeID
-	candidates  []string
-	bucketElems []int
-	// nnzs carries each bucket's most recent retained-coordinate count
-	// forward (audit.NNZTracker): dense rounds do not encode the mask's NNZ
-	// on the wire, so a dense decision is quoted with the last compact
-	// round's NNZ (or not at all, before the first one).
-	nnzs *audit.NNZTracker
-}
-
-func newDecisionQuoter(cfg *core.Config, fabric *netsim.Fabric, hosts []netsim.NodeID, bucketElems []int) *decisionQuoter {
-	cands, err := adaptive.CanonicalCandidates(cfg.AdaptCandidates)
-	if err != nil {
-		cands = adaptive.Formats()
-	}
-	return &decisionQuoter{
-		algo:        collective.MustAlgorithm(cfg.Collective),
-		fabric:      fabric,
-		hosts:       hosts,
-		candidates:  cands,
-		bucketElems: bucketElems,
-		nnzs:        audit.NewNNZTracker(),
-	}
-}
-
-// decide returns the decision instant's format and, for adaptive rounds
-// with a known mask size, the repriced candidate quotes.
-func (q *decisionQuoter) decide(op core.CommOp, launch float64) (string, map[string]any) {
-	if op.Decision == "" {
-		return op.Wire.Name, nil
-	}
-	nnz, ok := q.nnzs.Observe(op)
-	n := 0
-	if op.Bucket < len(q.bucketElems) {
-		n = q.bucketElems[op.Bucket]
-	}
-	if !ok || n == 0 {
-		return op.Decision, nil
-	}
-	quotes := adaptive.PriceQuotes(q.algo, q.fabric, q.hosts, audit.WireScaleFromOp(op),
-		q.candidates, n, nnz, launch)
+// quoteMap keys a quote vector by format for the decision span's args.
+func quoteMap(quotes []adaptive.Quote) map[string]any {
 	m := make(map[string]any, len(quotes))
-	for _, quote := range quotes {
-		m[quote.Format] = quote.CostSeconds
+	for _, q := range quotes {
+		m[q.Format] = q.CostSeconds
 	}
-	return op.Decision, map[string]any{"quotes": m, "nnz": nnz}
+	return m
 }

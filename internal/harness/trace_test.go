@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"testing"
 
+	"pactrain/internal/adaptive"
+	"pactrain/internal/audit"
 	"pactrain/internal/core"
 	"pactrain/internal/harness/engine"
 	"pactrain/internal/obs"
@@ -184,5 +186,90 @@ func TestTraceAdaptiveDecisionsCarryQuotes(t *testing.T) {
 	}
 	if quoted == 0 {
 		t.Fatal("no decision instant carries candidate quotes")
+	}
+}
+
+// tracedQuotes returns the args of every decision instant that carries
+// candidate quotes, keyed by {iter, bucket}.
+func tracedQuotes(t *testing.T, cfg core.Config, res *core.Result) map[[2]int]map[string]any {
+	t.Helper()
+	tr := obs.NewTracer()
+	if err := TraceRun(tr, "quotes", cfg, res); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := tr.Build().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[[2]int]map[string]any{}
+	for _, ev := range decodeTrace(t, raw).TraceEvents {
+		if _, ok := ev.Args["quotes"]; ev.Cat == "decision" && ok {
+			out[[2]int{int(ev.Args["iter"].(float64)), ev.Tid - 1}] = ev.Args
+		}
+	}
+	return out
+}
+
+// TestTraceQuotesMatchAuditLedger holds the trace and the audit to one
+// reading of a recorded controller round: on a multi-candidate run every
+// quoted decision instant is an audit ledger round with the same format,
+// mask NNZ and quote vector, and every ledger round is quoted in the trace.
+// A dense-only candidate set is the one pinned difference: the audit quotes
+// its rounds at NNZ 0, the trace quotes none.
+func TestTraceQuotesMatchAuditLedger(t *testing.T) {
+	skipIfShort(t)
+	t.Parallel()
+	opt := quickOpts()
+	opt.defaults()
+	for _, tc := range []struct {
+		name       string
+		candidates []string
+	}{{"all", nil}, {"dense-only", []string{adaptive.FormatDense}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := adaptiveWANConfig(opt, 2)
+			cfg.AdaptCandidates = tc.candidates
+			res, err := core.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := audit.Replay(cfg, res, audit.Options{IncludeRounds: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			traced := tracedQuotes(t, cfg, res)
+			if len(rep.Rounds) == 0 {
+				t.Fatal("the audit ledger has no rounds")
+			}
+			if tc.candidates != nil {
+				if len(traced) != 0 {
+					t.Fatalf("dense-only run: %d quoted decision instants, want none", len(traced))
+				}
+				return
+			}
+			for _, r := range rep.Rounds {
+				args, ok := traced[[2]int{r.Iter, r.Bucket}]
+				if !ok {
+					t.Fatalf("ledger round iter %d bucket %d has no quoted decision instant", r.Iter, r.Bucket)
+				}
+				delete(traced, [2]int{r.Iter, r.Bucket})
+				if args["format"] != r.Format || args["nnz"] != float64(r.NNZ) {
+					t.Fatalf("iter %d bucket %d: trace %v/%v, audit %s/%d",
+						r.Iter, r.Bucket, args["format"], args["nnz"], r.Format, r.NNZ)
+				}
+				quotes := args["quotes"].(map[string]any)
+				if len(quotes) != len(r.Quotes) {
+					t.Fatalf("iter %d bucket %d: trace quotes %v, audit %v", r.Iter, r.Bucket, quotes, r.Quotes)
+				}
+				for _, q := range r.Quotes {
+					if quotes[q.Format] != q.CostSeconds {
+						t.Fatalf("iter %d bucket %d %s: trace quote %v, audit %v",
+							r.Iter, r.Bucket, q.Format, quotes[q.Format], q.CostSeconds)
+					}
+				}
+			}
+			for k := range traced {
+				t.Fatalf("quoted decision instant iter %d bucket %d is not a ledger round", k[0], k[1])
+			}
+		})
 	}
 }

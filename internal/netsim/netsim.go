@@ -406,28 +406,6 @@ func (f *Fabric) TransferTime(src, dst NodeID, payloadBytes float64, t float64) 
 	return f.Send(r, payloadBytes, t), nil
 }
 
-// BottleneckBandwidthAt returns the minimum effective (trace-scaled)
-// bandwidth over the topology's inter-switch links at time t — the scalar
-// "current network speed" an online controller keys its decisions on. A
-// topology without inter-switch links (flat, point-to-point) quotes the
-// minimum over all links instead.
-func (f *Fabric) BottleneckBandwidthAt(t float64) float64 {
-	links := f.Topo.InterSwitchLinks()
-	if len(links) == 0 {
-		links = make([]int, len(f.Topo.Links))
-		for i := range links {
-			links[i] = i
-		}
-	}
-	bw := math.Inf(1)
-	for _, li := range links {
-		if b := f.LinkBandwidthAt(li, t); b < bw {
-			bw = b
-		}
-	}
-	return bw
-}
-
 // --- Straggler presets ------------------------------------------------------
 //
 // The cluster scenarios the paper's related work targets (hierarchical and

@@ -63,28 +63,3 @@ func TestScaleAtEdgeCases(t *testing.T) {
 		t.Fatalf("single segment past its end: %v, want the last scale to extend", got)
 	}
 }
-
-func TestBottleneckBandwidthAt(t *testing.T) {
-	t.Parallel()
-	topo := Fig4Topology(Fig4Options{BottleneckBps: 500 * Mbps})
-	f := NewFabric(topo)
-	if got := f.BottleneckBandwidthAt(0); got != 500*Mbps {
-		t.Fatalf("untraced bottleneck %v, want 500 Mbps", got)
-	}
-	f.SetTrace(&BandwidthTrace{LinkIndex: topo.InterSwitchLinks()[0], Segments: []TraceSegment{
-		{UntilSec: 2, Scale: 1},
-		{UntilSec: math.Inf(1), Scale: 0.1},
-	}})
-	if got := f.BottleneckBandwidthAt(1); got != 500*Mbps {
-		t.Fatalf("pre-dip bottleneck %v", got)
-	}
-	if got := f.BottleneckBandwidthAt(3); got != 50*Mbps {
-		t.Fatalf("dipped bottleneck %v, want 50 Mbps", got)
-	}
-
-	// No inter-switch links: the minimum over all links stands in.
-	flat := FlatTopology(4, 2*Gbps, 1e-4)
-	if got := NewFabric(flat).BottleneckBandwidthAt(0); got != 2*Gbps {
-		t.Fatalf("flat bottleneck %v, want the edge speed", got)
-	}
-}
