@@ -77,6 +77,7 @@ func run() int {
 			metrics.FormatSeconds(dt))
 	}
 
+	pricer := collective.NewPricer(algo, fabric, hosts)
 	fmt.Printf("\nper-iteration gradient synchronization estimates (%s collective):\n", algo.Name)
 	tb := metrics.NewTable("", "model", "grad size", algo.Name+" all-reduce", "PS", "PacTrain(0.5)+ternary", "compute/iter")
 	for _, prof := range nn.Profiles() {
@@ -84,10 +85,10 @@ func run() int {
 		// The symmetric collectives price under the selected algorithm; the
 		// parameter server is a scheme topology of its own and always
 		// prices the same way (see collective.Algorithm), through the
-		// pricer a trained PS op goes through.
-		ar := algo.AllReduce(fabric, hosts, n, collective.WireFP32, 0)
-		ps := core.CostOp(core.CommOp{Kind: core.OpPS, Elements: n, Wire: collective.WireFP32}, algo, fabric, hosts, 0)
-		pac := algo.AllReduce(fabric, hosts, n/2, collective.WireInt8, 0)
+		// function a trained PS op goes through.
+		ar := pricer.AllReduce(n, collective.WireFP32, 0)
+		ps := core.CostOp(core.CommOp{Kind: core.OpPS, Elements: n, Wire: collective.WireFP32}, pricer, 0)
+		pac := pricer.AllReduce(n/2, collective.WireInt8, 0)
 		iterCompute := float64(prof.FLOPsPerSample) * float64(*batch) * 3 / (37.4e12 * 0.35)
 		tb.AddRow(prof.Name,
 			metrics.FormatBytes(float64(prof.GradBytes())),

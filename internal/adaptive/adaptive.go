@@ -5,7 +5,7 @@
 // both show that the best wire format depends on the gradient's sparsity
 // and the network regime. This package makes that choice online: each
 // communication round, per bucket, the controller prices every candidate
-// wire format with the registered collective.Algorithm cost functions —
+// wire format with a pricer of the registered collective.Algorithm —
 // against the fabric's *current* (possibly trace-varying) bandwidth — and
 // selects the cheapest, with hysteresis so formats do not thrash at
 // crossover points.
@@ -153,16 +153,15 @@ type bucketState struct {
 }
 
 // Controller picks a wire format per bucket per communication round by
-// pricing every candidate with the collective algorithm's cost functions.
+// pricing every candidate with a pricer of the collective algorithm, built
+// once in New.
 // It is deterministic: identical inputs produce identical decisions, which
 // keeps worker replicas in lockstep.
 type Controller struct {
 	margin     float64
 	dwell      int
 	candidates []string
-	algo       collective.Algorithm
-	fabric     *netsim.Fabric
-	hosts      []netsim.NodeID
+	pricer     *collective.Pricer
 	wireScale  float64
 
 	buckets  map[int]*bucketState
@@ -193,9 +192,7 @@ func New(opt Options) *Controller {
 		margin:     opt.Margin,
 		dwell:      opt.Dwell,
 		candidates: cands,
-		algo:       opt.Algorithm,
-		fabric:     opt.Fabric,
-		hosts:      opt.Hosts,
+		pricer:     collective.NewPricer(opt.Algorithm, opt.Fabric, opt.Hosts),
 		wireScale:  scale,
 		buckets:    make(map[int]*bucketState),
 		counts:     make(map[string]int),
@@ -211,33 +208,31 @@ func scaleWireFormat(w collective.WireFormat, scale float64) collective.WireForm
 
 // priceFormat quotes one candidate for a bucket of n elements with nnz
 // retained coordinates at absolute time t.
-func priceFormat(algo collective.Algorithm, pricing *netsim.Fabric, hosts []netsim.NodeID,
-	wireScale float64, format string, n, nnz int, t float64) float64 {
+func priceFormat(p *collective.Pricer, wireScale float64, format string, n, nnz int, t float64) float64 {
 	switch format {
 	case FormatDense:
-		return algo.AllReduce(pricing, hosts, n, scaleWireFormat(collective.WireFP32, wireScale), t)
+		return p.AllReduce(n, scaleWireFormat(collective.WireFP32, wireScale), t)
 	case FormatCompact:
-		return algo.AllReduce(pricing, hosts, nnz, scaleWireFormat(collective.WireFP32, wireScale), t)
+		return p.AllReduce(nnz, scaleWireFormat(collective.WireFP32, wireScale), t)
 	case FormatCompactTernary:
-		return algo.AllReduce(pricing, hosts, nnz, scaleWireFormat(collective.WireInt8, wireScale), t)
+		return p.AllReduce(nnz, scaleWireFormat(collective.WireInt8, wireScale), t)
 	case FormatIndexList:
-		sizes := make([]int, len(hosts))
+		sizes := make([]int, p.World())
 		for i := range sizes {
 			sizes[i] = nnz
 		}
-		return algo.AllGather(pricing, hosts, sizes, scaleWireFormat(collective.WireSparse, wireScale), t)
+		return p.AllGather(sizes, scaleWireFormat(collective.WireSparse, wireScale), t)
 	}
 	panic(fmt.Sprintf("adaptive: unknown format %q", format))
 }
 
 // PriceQuotes prices every candidate wire format for a bucket of n elements
-// with nnz retained coordinates at absolute time t, in candidate order. It
-// is the quote vector behind Controller.Decide, exported for audit.Quoter,
-// which reprices recorded adaptive rounds on the recorded fabric for both
-// the audit ledger and the trace without rebuilding a controller.
-// wireScale <= 0 means 1.
-func PriceQuotes(algo collective.Algorithm, pricing *netsim.Fabric, hosts []netsim.NodeID,
-	wireScale float64, candidates []string, n, nnz int, t float64) []Quote {
+// with nnz retained coordinates at absolute time t, in candidate order, with
+// p (the pricer the real ops are charged through). It is the quote vector
+// behind Controller.Decide, exported for audit.Quoter, which reprices
+// recorded adaptive rounds on the recorded fabric for both the audit ledger
+// and the trace without rebuilding a controller. wireScale <= 0 means 1.
+func PriceQuotes(p *collective.Pricer, wireScale float64, candidates []string, n, nnz int, t float64) []Quote {
 	if wireScale <= 0 {
 		wireScale = 1
 	}
@@ -245,7 +240,7 @@ func PriceQuotes(algo collective.Algorithm, pricing *netsim.Fabric, hosts []nets
 	for _, f := range candidates {
 		quotes = append(quotes, Quote{
 			Format:      f,
-			CostSeconds: priceFormat(algo, pricing, hosts, wireScale, f, n, nnz, t),
+			CostSeconds: priceFormat(p, wireScale, f, n, nnz, t),
 		})
 	}
 	return quotes
@@ -263,7 +258,7 @@ func PriceQuotes(algo collective.Algorithm, pricing *netsim.Fabric, hosts []nets
 // one switch per dwell rounds and bounds the regret of a held incumbent to
 // the margin.
 func (c *Controller) Decide(bucket, n, nnz int, t float64) Decision {
-	dec := Decision{Quotes: PriceQuotes(c.algo, c.fabric, c.hosts, c.wireScale, c.candidates, n, nnz, t)}
+	dec := Decision{Quotes: PriceQuotes(c.pricer, c.wireScale, c.candidates, n, nnz, t)}
 	costs := make(map[string]float64, len(c.candidates))
 	best := ""
 	for _, q := range dec.Quotes {

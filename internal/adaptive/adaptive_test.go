@@ -219,7 +219,7 @@ func TestDecisionQuotesRestrictedCandidates(t *testing.T) {
 		if len(d.Quotes) != len(want) {
 			t.Fatalf("round %d: %d quotes for %d candidates: %+v", round, len(d.Quotes), len(want), d.Quotes)
 		}
-		ref := PriceQuotes(collective.MustAlgorithm("ring"), fabric, hosts,
+		ref := PriceQuotes(collective.NewPricer(collective.MustAlgorithm("ring"), fabric, hosts),
 			testScale, want, testElems, testNNZ, at)
 		for i, q := range d.Quotes {
 			if q.Format != want[i] {

@@ -293,7 +293,7 @@ func replayLedger(rep *Report, cfg *core.Config, res *core.Result, q *Quoter, op
 
 	var ledgerErr error
 	price := func(op core.CommOp, launch float64) float64 {
-		return core.CostOp(op, q.algo, q.fabric, q.hosts, launch)
+		return core.CostOp(op, q.pricer, launch)
 	}
 	cum := core.Replay(cfg, res.CommLog, price, opVisitor(func(k int, op core.CommOp, launch, actual float64) {
 		if ledgerErr != nil {
@@ -443,15 +443,13 @@ func cheapest(quotes []adaptive.Quote) adaptive.Quote {
 
 // Quoter reads recorded controller rounds back into the quote vectors the
 // controller weighed: the one reading the audit ledger and the trace
-// (internal/harness) share. It resolves the run's candidates, collective
-// algorithm, hosts and wire scale once, on the fabric the rounds are
-// repriced on — the recorded fabric reproduces adaptive.Controller.Decide's
-// quotes exactly.
+// (internal/harness) share. It resolves the run's candidates, its pricer
+// (collective algorithm and hosts) and wire scale once, on the fabric the
+// rounds are repriced on — the recorded fabric reproduces
+// adaptive.Controller.Decide's quotes exactly.
 type Quoter struct {
 	candidates  []string
-	algo        collective.Algorithm
-	fabric      *netsim.Fabric
-	hosts       []netsim.NodeID
+	pricer      *collective.Pricer
 	scale       float64
 	bucketElems []int
 	// denseOnly marks a candidate set no quote of which reads the mask NNZ.
@@ -476,9 +474,7 @@ func NewQuoter(cfg *core.Config, fabric *netsim.Fabric, bucketElems []int) *Quot
 	}
 	q := &Quoter{
 		candidates:  cands,
-		algo:        collective.MustAlgorithm(cfg.Collective),
-		fabric:      fabric,
-		hosts:       fabric.Topo.Hosts()[:cfg.World],
+		pricer:      collective.NewPricer(collective.MustAlgorithm(cfg.Collective), fabric, fabric.Topo.Hosts()[:cfg.World]),
 		scale:       core.WireScale(cfg.Profile.Params, lite),
 		bucketElems: bucketElems,
 		denseOnly:   true,
@@ -522,5 +518,5 @@ func (q *Quoter) Round(op core.CommOp) (n, nnz int, known bool) {
 // Quotes prices every candidate for a round of n elements with nnz retained
 // coordinates at t, in candidate order (adaptive.PriceQuotes).
 func (q *Quoter) Quotes(n, nnz int, t float64) []adaptive.Quote {
-	return adaptive.PriceQuotes(q.algo, q.fabric, q.hosts, q.scale, q.candidates, n, nnz, t)
+	return adaptive.PriceQuotes(q.pricer, q.scale, q.candidates, n, nnz, t)
 }

@@ -53,8 +53,8 @@ func BenchmarkClusterAllReduce(b *testing.B) {
 	}
 }
 
-// BenchmarkRackDerivation measures the per-call rack grouping hierarchical
-// costing performs on every collective.
+// BenchmarkRackDerivation measures the rack grouping a hierarchical pricer
+// resolves once, on its first op.
 func BenchmarkRackDerivation(b *testing.B) {
 	for _, hostsN := range []int{8, 64} {
 		topo := netsim.TwoRackTopology(netsim.TwoRackOptions{Hosts: hostsN, BottleneckBps: netsim.Gbps})
@@ -69,15 +69,17 @@ func BenchmarkRackDerivation(b *testing.B) {
 
 // BenchmarkHierarchicalAllReduce prices one fp32 all-reduce on the racked
 // fabric at the largescale experiment's sizes — its hot loop: 2(w−1) ring
-// steps per rack over routes resolved once per call.
+// steps per rack over routes one pricer resolved before the loop.
 func BenchmarkHierarchicalAllReduce(b *testing.B) {
 	for _, racks := range []int{16, 64} {
 		topo := netsim.RackedTopology(netsim.RackedOptions{Racks: racks, HostsPerRack: 64})
 		hosts := topo.Hosts()
 		b.Run(fmt.Sprint(len(hosts)), func(b *testing.B) {
-			f := netsim.NewFabric(topo)
+			p := NewPricer(MustAlgorithm("hierarchical"), netsim.NewFabric(topo), hosts)
+			p.AllReduce(1, WireFP32, 0) // resolve the parts
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchSink += CostHierarchicalAllReduce(f, hosts, 1<<20, WireFP32, 0)
+				benchSink += p.AllReduce(1<<20, WireFP32, 0)
 			}
 		})
 	}
@@ -89,9 +91,11 @@ func BenchmarkRingAllReduce(b *testing.B) {
 	topo := netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: netsim.Gbps})
 	hosts := topo.Hosts()
 	b.Run(fmt.Sprint(len(hosts)), func(b *testing.B) {
-		f := netsim.NewFabric(topo)
+		p := NewPricer(MustAlgorithm("ring"), netsim.NewFabric(topo), hosts)
+		p.AllReduce(1, WireFP32, 0) // resolve the ring
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			benchSink += CostRingAllReduce(f, hosts, 1<<20, WireFP32, 0)
+			benchSink += p.AllReduce(1<<20, WireFP32, 0)
 		}
 	})
 }

@@ -73,8 +73,8 @@ func TestTreeMatchesRingOnUniformFabric(t *testing.T) {
 	topo := netsim.FlatTopology(8, netsim.Gbps, 0)
 	hosts := topo.Hosts()
 	n := 1 << 18 // divisible by 8: all chunk splits are exact
-	ring := CostRingAllReduce(netsim.NewFabric(topo), hosts, n, WireFP32, 0)
-	tree := CostTreeAllReduce(netsim.NewFabric(topo), hosts, n, WireFP32, 0)
+	ring := MustAlgorithm("ring").AllReduce(netsim.NewFabric(topo), hosts, n, WireFP32, 0)
+	tree := MustAlgorithm("tree").AllReduce(netsim.NewFabric(topo), hosts, n, WireFP32, 0)
 	if ring <= 0 || tree <= 0 {
 		t.Fatalf("degenerate costs: ring %v, tree %v", ring, tree)
 	}
@@ -93,8 +93,8 @@ func TestHierarchicalBeatsRingOnTwoRackBottleneck(t *testing.T) {
 	})
 	hosts := topo.Hosts()
 	n := 1 << 18
-	ring := CostRingAllReduce(netsim.NewFabric(topo), hosts, n, WireFP32, 0)
-	hier := CostHierarchicalAllReduce(netsim.NewFabric(topo), hosts, n, WireFP32, 0)
+	ring := MustAlgorithm("ring").AllReduce(netsim.NewFabric(topo), hosts, n, WireFP32, 0)
+	hier := MustAlgorithm("hierarchical").AllReduce(netsim.NewFabric(topo), hosts, n, WireFP32, 0)
 	if hier >= ring {
 		t.Fatalf("hierarchical %v not faster than flat ring %v on bottlenecked two-rack fabric", hier, ring)
 	}
@@ -219,8 +219,8 @@ func TestTreeContentionChargesSharedLinks(t *testing.T) {
 	})
 	hosts := topo.Hosts()
 	n := 1 << 18
-	ring := CostRingAllReduce(netsim.NewFabric(topo), hosts, n, WireFP32, 0)
-	tree := CostTreeAllReduce(netsim.NewFabric(topo), hosts, n, WireFP32, 0)
+	ring := MustAlgorithm("ring").AllReduce(netsim.NewFabric(topo), hosts, n, WireFP32, 0)
+	tree := MustAlgorithm("tree").AllReduce(netsim.NewFabric(topo), hosts, n, WireFP32, 0)
 	if tree <= ring {
 		t.Fatalf("tree %v should lose to ring %v on an oversubscribed inter-switch link", tree, ring)
 	}

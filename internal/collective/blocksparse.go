@@ -1,7 +1,5 @@
 package collective
 
-import "pactrain/internal/netsim"
-
 // This file implements an OmniReduce-style streaming block-sparse
 // aggregation [Fei et al., SIGCOMM'21], the sparse-collective-communication
 // baseline the paper discusses in §II. Each worker streams only its
@@ -40,33 +38,11 @@ func BlockBytes(k, blockSize int, byteScale float64) float64 {
 	return float64(k) * (float64(blockSize)*4*byteScale + BlockSparseHeaderBytes)
 }
 
-// CostBlockSparseAggregate prices the streaming aggregation: serialized
-// ingress of each worker's non-zero blocks into the aggregator (hosts[0]),
-// then the union of non-zero result blocks fanned back out to every worker.
-func CostBlockSparseAggregate(f *netsim.Fabric, hosts []netsim.NodeID, perWorkerBlocks []int, unionBlocks, blockSize int, byteScale, t float64) float64 {
-	world := len(hosts)
-	if world <= 1 {
-		return 0
-	}
-	if byteScale <= 0 {
-		byteScale = 1
-	}
-	start := t
-	for i := 1; i < world; i++ {
-		t += transferOrPanic(f, hosts[i], hosts[0], BlockBytes(perWorkerBlocks[i], blockSize, byteScale), t)
-	}
-	out := BlockBytes(unionBlocks, blockSize, byteScale)
-	for i := 1; i < world; i++ {
-		t += transferOrPanic(f, hosts[0], hosts[i], out, t)
-	}
-	return t - start
-}
-
 // AllReduceBlockSparse sums vec across workers by exchanging only non-zero
 // blocks of blockSize elements through a streaming aggregator. vec is
 // overwritten with the global sum, finished once per cluster by f like
 // AllReduce (nil takes the sum). It returns the block counts the aggregation
-// is priced on (CostBlockSparseAggregate): every rank's own non-zero blocks,
+// is priced on (Pricer.BlockSparse): every rank's own non-zero blocks,
 // in rank order (one slice shared by all ranks, read-only), and their union.
 func (c *Cluster) AllReduceBlockSparse(rank int, vec []float32, blockSize int, f Finish) (perWorker []int, unionBlocks int) {
 	type bsOut struct {

@@ -55,7 +55,7 @@ func blockSparseCost(world, n, blocks, step int) float64 {
 		}
 	})
 	f, hosts := flatFabric(world, netsim.Gbps)
-	return CostBlockSparseAggregate(f, hosts, perWorker, union, 256, 1, 0)
+	return NewPricer(Algorithm{}, f, hosts).BlockSparse(perWorker, union, 256, 1, 0)
 }
 
 func TestBlockSparseCostScalesWithDensity(t *testing.T) {
@@ -78,7 +78,7 @@ func TestBlockSparseLosesAtModerateSparsity(t *testing.T) {
 	// Half the blocks non-zero.
 	bsEnd := blockSparseCost(world, n, 64, 2)
 	f, hosts := flatFabric(world, netsim.Gbps)
-	arEnd := CostRingAllReduce(f, hosts, n, WireFP32, 0)
+	arEnd := MustAlgorithm("ring").AllReduce(f, hosts, n, WireFP32, 0)
 	if bsEnd <= arEnd {
 		t.Fatalf("block-sparse at 50%% density (%v) should lose to ring all-reduce (%v)", bsEnd, arEnd)
 	}

@@ -4,13 +4,14 @@
 // block-sparse aggregation. A Cluster is a data plane only: it sums,
 // scatter-adds and finishes the ranks' payloads and returns no time.
 //
-// Timing model. What a collective costs is priced by pure functions over the
-// netsim fabric: the symmetric collectives by one of a fixed table of
-// Algorithms (ring, tree, hierarchical — see algorithm.go; the flat ring is
-// the default and reproduces the paper's setup bit-exactly), the
-// parameter-server and block-sparse transports by CostPSAggregate and
-// CostBlockSparseAggregate. The trainer and every replay price a recorded
-// op through one function, core.CostOp. A collective is a synchronization
+// Timing model. What a collective costs is priced by a Pricer over the
+// netsim fabric (pricer.go), built once per algorithm, fabric and host list:
+// the symmetric collectives under one of a fixed table of Algorithms (ring,
+// tree, hierarchical — see algorithm.go; the flat ring is the default and
+// reproduces the paper's setup bit-exactly), the parameter-server and
+// block-sparse transports (Pricer.PS, Pricer.BlockSparse) the same under
+// every algorithm. The trainer and every replay price a recorded op through
+// one function, core.CostOp. A collective is a synchronization
 // point: it starts at the maximum of the participants' ready times. Ring
 // steps are costed as the maximum of the concurrent neighbor transfers; on a
 // full-duplex chain topology (Fig. 4) a unidirectional ring never puts two
@@ -48,6 +49,8 @@ var (
 	WireInt8 = WireFormat{Name: "int8", BytesPerElement: 1, HeaderBytes: 8}
 	// WireSparse is a COO (value,index) pair per element.
 	WireSparse = WireFormat{Name: "coo", BytesPerElement: 8, HeaderBytes: 8}
+	// BitmapWire is the wire format of a sparsity bitmap (1 bit per element).
+	BitmapWire = WireFormat{Name: "bitmap", BytesPerElement: 0.125, HeaderBytes: 8}
 )
 
 // MessageBytes returns the wire size of a message carrying n elements.

@@ -83,7 +83,7 @@ func TestAllReduceTimeMatchesRingModel(t *testing.T) {
 	bw := netsim.Gbps
 	n := 1 << 20 // 1Mi elements = 4 MiB fp32
 	f, hosts := flatFabric(world, bw)
-	end := CostRingAllReduce(f, hosts, n, WireFP32, 0)
+	end := MustAlgorithm("ring").AllReduce(f, hosts, n, WireFP32, 0)
 	s := float64(n) * 4 * 8 // bits
 	want := 2 * float64(world-1) / float64(world) * s / bw
 	if math.Abs(end-want)/want > 0.02 {
@@ -96,7 +96,7 @@ func TestWireFormatScalesTime(t *testing.T) {
 	n := 1 << 18
 	f, hosts := flatFabric(world, netsim.Gbps)
 	timeFor := func(wire WireFormat) float64 {
-		return CostRingAllReduce(f, hosts, n, wire, 0)
+		return MustAlgorithm("ring").AllReduce(f, hosts, n, wire, 0)
 	}
 	t32 := timeFor(WireFP32)
 	t16 := timeFor(WireFP16)
@@ -135,7 +135,7 @@ func TestAllGatherCostGrowsWithWorld(t *testing.T) {
 	k := 1 << 16
 	cost := func(world int) float64 {
 		f, hosts := flatFabric(world, netsim.Gbps)
-		return CostRingAllGather(f, hosts, slices.Repeat([]int{k}, world), WireSparse, 0)
+		return MustAlgorithm("ring").AllGather(f, hosts, slices.Repeat([]int{k}, world), WireSparse, 0)
 	}
 	c2, c8 := cost(2), cost(8)
 	if c8 <= c2*2 {
@@ -164,8 +164,8 @@ func TestPSAggregateCorrectAndSlowerThanAllReduce(t *testing.T) {
 		}
 	})
 	f, hosts := flatFabric(world, netsim.Gbps)
-	psEnd := CostPSAggregate(f, hosts, n, WireFP32, 0)
-	arEnd := CostRingAllReduce(f, hosts, n, WireFP32, 0)
+	psEnd := NewPricer(Algorithm{}, f, hosts).PS(n, WireFP32, 0)
+	arEnd := MustAlgorithm("ring").AllReduce(f, hosts, n, WireFP32, 0)
 	if psEnd <= arEnd {
 		t.Fatalf("PS (%v) should be slower than ring all-reduce (%v) due to incast", psEnd, arEnd)
 	}
@@ -174,7 +174,7 @@ func TestPSAggregateCorrectAndSlowerThanAllReduce(t *testing.T) {
 func TestBroadcastBitmapCost(t *testing.T) {
 	n := 8 << 20 // 8Mi elements → 1 MiB bitmap
 	f, hosts := flatFabric(2, netsim.Gbps)
-	end := CostBinomialBroadcast(f, hosts, 0, BitmapWire.MessageBytes(n), 0)
+	end := MustAlgorithm("ring").Broadcast(f, hosts, 0, BitmapWire.MessageBytes(n), 0)
 	// Path host→switch→host is costed at its bottleneck bandwidth (1 Gbps).
 	want := (float64(n)*0.125 + 8) * 8 / netsim.Gbps
 	if math.Abs(end-want)/want > 0.05 {
@@ -187,7 +187,7 @@ func TestFig4BottleneckDominatesAllReduce(t *testing.T) {
 	n := 1 << 18
 	run := func(bottleneck float64) float64 {
 		topo := netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: bottleneck})
-		return CostRingAllReduce(netsim.NewFabric(topo), topo.Hosts()[:world], n, WireFP32, 0)
+		return MustAlgorithm("ring").AllReduce(netsim.NewFabric(topo), topo.Hosts()[:world], n, WireFP32, 0)
 	}
 	slow := run(100 * netsim.Mbps)
 	fast := run(1 * netsim.Gbps)

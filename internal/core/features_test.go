@@ -205,7 +205,7 @@ func TestOmniReduceRecordsEachRanksBlocks(t *testing.T) {
 	if !slices.Equal(op.Blocks, []int{4, 3, 4}) || op.Union != 4 {
 		t.Fatalf("recorded blocks %v, union %d; want [4 3 4], 4", op.Blocks, op.Union)
 	}
-	want := CostOp(op, base.algo, base.fabric, base.hosts, 0)
+	want := CostOp(op, base.pricer, 0)
 	for rank, end := range ends {
 		if end != want {
 			t.Errorf("rank %d ended at %v, the recorded op prices to %v", rank, end, want)
@@ -220,8 +220,9 @@ func TestOmniReduceRecordsEachRanksBlocks(t *testing.T) {
 // ring; callers set the rank, and rank 0's log and stats.
 func testEnv(world int) hookEnv {
 	f := netsim.NewFabric(netsim.FlatTopology(world, netsim.Gbps, 1e-5))
+	algo := collective.MustAlgorithm(collective.DefaultAlgorithm)
 	return hookEnv{cluster: collective.NewCluster(world, f), world: world,
-		algo: collective.MustAlgorithm(collective.DefaultAlgorithm), fabric: f, hosts: f.Topo.Hosts()}
+		pricer: collective.NewPricer(algo, f, f.Topo.Hosts()), algo: algo, fabric: f, hosts: f.Topo.Hosts()}
 }
 
 // TestStatsAccumulate commits an all-reduce and a bitmap broadcast through

@@ -20,9 +20,13 @@ import (
 // the scheme registry. Decode, average and Mask Tracker observation run once
 // per cluster in a collective's Finish (DESIGN.md §4).
 type hookEnv struct {
-	cluster  *collective.Cluster
-	rank     int
-	world    int
+	cluster *collective.Cluster
+	rank    int
+	world   int
+	// pricer prices every op under the run's algorithm on the workers'
+	// hosts; Run builds one, shared by every rank. The adaptive controller
+	// quotes with the same algorithm, fabric and hosts.
+	pricer   *collective.Pricer
 	algo     collective.Algorithm
 	fabric   *netsim.Fabric
 	hosts    []netsim.NodeID // the workers' hosts in rank order, read-only
@@ -54,7 +58,7 @@ func WireScale(profileParams int64, liteParams int) float64 {
 // records the op and adds it to the run's Stats.
 func (e *hookEnv) commit(op CommOp, t float64) float64 {
 	op.LaunchAt = t
-	end := t + CostOp(op, e.algo, e.fabric, e.hosts, t)
+	end := t + CostOp(op, e.pricer, t)
 	if e.log != nil {
 		e.log.Record(op)
 		e.stats.add(op, e.world, end-t)

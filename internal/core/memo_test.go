@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"pactrain/internal/ddp"
 	"pactrain/internal/nn"
 	"pactrain/internal/tensor"
 )
@@ -56,7 +57,8 @@ func TestReplicaMatchesColdBuild(t *testing.T) {
 // TestReplicasFetchedConcurrentlyAreIndependent fetches nine replicas at once
 // (a run's eight ranks and its evaluator) of a twin no other test builds, so
 // the fetches race on the template's draw. Each must equal a cold build, and
-// none may share weight or gradient storage with another or with the template.
+// none may share weight or (once bucketed) gradient storage with another or
+// with the template.
 func TestReplicasFetchedConcurrentlyAreIndependent(t *testing.T) {
 	const model, n = "ResNet18", 9
 	lite := nn.DefaultLiteConfig(10, 4242)
@@ -74,6 +76,9 @@ func TestReplicasFetchedConcurrentlyAreIndependent(t *testing.T) {
 				return
 			}
 			digests[i] = modelDigest(m, lite)
+			// A replica's gradients get storage when its buckets bind it,
+			// as the trainer does right after fetching it.
+			ddp.BuildBuckets(m, 0)
 			for _, p := range m.Params() {
 				for j := range p.W.Data() {
 					p.W.Data()[j] = float32(i)

@@ -85,34 +85,37 @@ func (l *CommLog) Record(op CommOp) {
 // different algorithm reproduces what a training under that algorithm would
 // have recorded — the logged operations (element counts, wire formats) are
 // algorithm-independent. The PS and block-sparse transports are scheme
-// topologies of their own and always price the same way.
+// topologies of their own and always price the same way. It builds one
+// pricer for the iteration; a caller pricing many holds its own and calls
+// CostOp.
 func CostIter(ops []CommOp, alg collective.Algorithm, f *netsim.Fabric, hosts []netsim.NodeID, t float64) float64 {
+	p := collective.NewPricer(alg, f, hosts)
 	start := t
 	for _, op := range ops {
-		t += CostOp(op, alg, f, hosts, t)
+		t += CostOp(op, p, t)
 	}
 	return t - start
 }
 
 // CostOp prices one recorded operation starting at absolute time t — the
-// per-op unit CostIter serializes and Replay launches at reconstructed
-// per-rank barrier times.
-func CostOp(op CommOp, alg collective.Algorithm, f *netsim.Fabric, hosts []netsim.NodeID, t float64) float64 {
+// per-op unit CostIter serializes, Replay launches at reconstructed
+// per-rank barrier times and the trainer charges every synchronized bucket.
+func CostOp(op CommOp, p *collective.Pricer, t float64) float64 {
 	switch op.Kind {
 	case OpAllReduce:
-		return alg.AllReduce(f, hosts, op.Elements, op.Wire, t)
+		return p.AllReduce(op.Elements, op.Wire, t)
 	case OpAllGather:
-		return alg.AllGather(f, hosts, op.Sizes, op.Wire, t)
+		return p.AllGather(op.Sizes, op.Wire, t)
 	case OpPS:
-		return collective.CostPSAggregate(f, hosts, op.Elements, op.Wire, t)
+		return p.PS(op.Elements, op.Wire, t)
 	case OpBlockSparse:
-		return collective.CostBlockSparseAggregate(f, hosts, op.Blocks, op.Union, op.BlockSz, op.Scale, t)
+		return p.BlockSparse(op.Blocks, op.Union, op.BlockSz, op.Scale, t)
 	case OpBitmapBroadcast:
 		wire := op.Wire
 		if wire.BytesPerElement == 0 {
 			wire = collective.BitmapWire
 		}
-		return alg.Broadcast(f, hosts, 0, wire.MessageBytes(op.Elements), t)
+		return p.Broadcast(0, wire.MessageBytes(op.Elements), t)
 	}
 	return 0
 }

@@ -95,8 +95,10 @@ func Run(cfg Config) (*Result, error) {
 
 	errs := make([]error, cfg.World)
 	var shared sharedMask
-	env := hookEnv{cluster: collective.NewCluster(cfg.World, fabric), world: cfg.World, algo: algo,
-		fabric: fabric, hosts: fabric.Topo.Hosts()[:cfg.World], trackers: new(sync.Map)}
+	hosts := fabric.Topo.Hosts()[:cfg.World]
+	env := hookEnv{cluster: collective.NewCluster(cfg.World, fabric), world: cfg.World,
+		pricer: collective.NewPricer(algo, fabric, hosts), algo: algo, fabric: fabric, hosts: hosts,
+		trackers: new(sync.Map)}
 	eval := &evaluator{cfg: &cfg, testSet: testSet, curve: &res.Curve}
 	var wg sync.WaitGroup
 	for rank := 0; rank < cfg.World; rank++ {

@@ -274,3 +274,37 @@ func TestRankComputeCanonicalAndValidate(t *testing.T) {
 		t.Fatalf("valid heterogeneity rejected: %v", err)
 	}
 }
+
+// TestUndrawnGradsBindToBuckets: an undrawn replica's drawing layers get no
+// gradient storage of their own; BuildBuckets binds every gradient to a
+// zeroed range of its bucket.
+func TestUndrawnGradsBindToBuckets(t *testing.T) {
+	m, err := nn.NewLiteUndrawn("ResNet18", nn.DefaultLiteConfig(10, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unbound := 0
+	for _, p := range m.Params() {
+		if p.Grad.Data() == nil {
+			unbound++
+		}
+	}
+	if unbound == 0 {
+		t.Fatal("every gradient of an undrawn replica has storage")
+	}
+	for _, b := range BuildBuckets(m, 1<<14) {
+		off := 0
+		for _, p := range b.Params {
+			g := p.Grad.Data()
+			if len(g) != p.NumElements() || &g[0] != &b.Flat[off] {
+				t.Fatalf("%s is not bound to its bucket range", p.Name)
+			}
+			for _, v := range g {
+				if v != 0 {
+					t.Fatalf("%s starts at %v, want 0", p.Name, v)
+				}
+			}
+			off += len(g)
+		}
+	}
+}

@@ -29,13 +29,11 @@ import (
 // each at 4,096 ranks — into O(distinct signatures). The memo is scoped to
 // one coster for the same reason it is opt-in: shared across launch times
 // (let alone processes) it would move the last ulp of paths that pin their
-// bytes. What every path gets instead is cheap live pricing — a collective
-// resolves each pair's route once per call, and a uniform ring prices each
-// step once (DESIGN.md §4).
+// bytes. What every path gets instead is cheap live pricing — the coster's
+// one pricer resolves every route once, on first use, and a uniform ring
+// prices each step once (DESIGN.md §4).
 type opCoster struct {
-	alg    collective.Algorithm
-	fabric *netsim.Fabric
-	hosts  []netsim.NodeID
+	pricer *collective.Pricer
 	memo   map[opKey]float64 // nil => price every op live
 }
 
@@ -55,7 +53,7 @@ type opKey struct {
 // ignored (pricing stays live) when the fabric's bandwidths vary with time —
 // there a repeat of a signature legitimately costs a different duration.
 func newOpCoster(alg collective.Algorithm, fabric *netsim.Fabric, hosts []netsim.NodeID, memoize bool) *opCoster {
-	c := &opCoster{alg: alg, fabric: fabric, hosts: hosts}
+	c := &opCoster{pricer: collective.NewPricer(alg, fabric, hosts)}
 	if memoize && fabric.TimeInvariant() {
 		c.memo = make(map[opKey]float64)
 	}
@@ -85,7 +83,7 @@ func shapeKey(sizes, blocks []int) string {
 // evaluation (see the type comment for the roundoff caveat).
 func (c *opCoster) cost(op core.CommOp, t float64) float64 {
 	if c.memo == nil {
-		return core.CostOp(op, c.alg, c.fabric, c.hosts, t)
+		return core.CostOp(op, c.pricer, t)
 	}
 	key := opKey{
 		kind: op.Kind, elems: op.Elements, wire: op.Wire,
@@ -95,7 +93,7 @@ func (c *opCoster) cost(op core.CommOp, t float64) float64 {
 	if d, ok := c.memo[key]; ok {
 		return d
 	}
-	d := core.CostOp(op, c.alg, c.fabric, c.hosts, t)
+	d := core.CostOp(op, c.pricer, t)
 	c.memo[key] = d
 	return d
 }

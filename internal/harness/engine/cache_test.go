@@ -203,9 +203,9 @@ func FuzzDecodeEntry(f *testing.F) {
 			return // past the worlds a replay here builds
 		}
 		fabric := netsim.NewFabric(netsim.FlatTopology(world, netsim.Gbps, 1e-5))
-		hosts := fabric.Topo.Hosts()
+		pricer := collective.NewPricer(ring, fabric, fabric.Topo.Hosts())
 		price := func(op core.CommOp, launch float64) float64 {
-			return core.CostOp(op, ring, fabric, hosts, launch)
+			return core.CostOp(op, pricer, launch)
 		}
 		for _, overlap := range []ddp.Overlap{ddp.OverlapNone, ddp.OverlapBackward} {
 			for _, rc := range []ddp.RankCompute{{}, {Multipliers: netsim.OneSlowRank(world, 2)}} {

@@ -123,7 +123,7 @@ func TestStragglerRecostMatchesRecordedLaunches(t *testing.T) {
 	topo := netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: stragglerBandwidth})
 	fabric := netsim.NewFabric(topo)
 	hosts := topo.Hosts()[:cfg.World]
-	alg := collective.MustAlgorithm(cfg.Collective)
+	pricer := collective.NewPricer(collective.MustAlgorithm(cfg.Collective), fabric, hosts)
 	prefix := simclock.PrefixShares(res.CommLog.BucketElems)
 	fwd := cfg.Compute.ForwardSeconds(cfg.BatchSize)
 	bwd := cfg.Compute.BackwardSeconds(cfg.BatchSize)
@@ -139,7 +139,7 @@ func TestStragglerRecostMatchesRecordedLaunches(t *testing.T) {
 			if op.LaunchAt < commEnd {
 				t.Fatalf("iter %d: recorded launch %v before previous op end %v", k, op.LaunchAt, commEnd)
 			}
-			commEnd = op.LaunchAt + core.CostOp(op, alg, fabric, hosts, op.LaunchAt)
+			commEnd = op.LaunchAt + core.CostOp(op, pricer, op.LaunchAt)
 		}
 		t0 = sched.Finish(commEnd)
 	}

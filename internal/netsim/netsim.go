@@ -333,8 +333,8 @@ func (f *Fabric) LinkBandwidthAt(li int, t float64) float64 {
 	return bw
 }
 
-// Route is a resolved src→dst path: what a collective keeps per pair so the
-// graph is walked once per call rather than once per step. The zero Route
+// Route is a resolved src→dst path: what a collective pricer keeps per pair
+// so the graph is walked once per pricer rather than once per op. The zero Route
 // (no links) is a node's route to itself.
 type Route struct {
 	// Links are the traversed link indices in src→dst order.
@@ -347,6 +347,17 @@ type Route struct {
 	BottleneckBps float64
 }
 
+// CheckTopology returns the error Route returns once links were added to
+// the topology after NewFabric, and nil before: a caller that holds routes
+// across calls (collective.Pricer) repeats it on every use.
+func (f *Fabric) CheckTopology() error {
+	if f.links != len(f.Topo.Links) {
+		return fmt.Errorf("netsim: topology changed after NewFabric (%d links, fabric built over %d)",
+			len(f.Topo.Links), f.links)
+	}
+	return nil
+}
+
 // Route resolves the path from src to dst. It returns an error when the
 // nodes are disconnected, or when links were added to the topology after
 // NewFabric.
@@ -357,9 +368,8 @@ func (f *Fabric) Route(src, dst NodeID) (Route, error) {
 // route is Route with the links appended to buf, so a caller that prices one
 // transfer and drops the route can keep it on its stack.
 func (f *Fabric) route(buf []int, src, dst NodeID) (Route, error) {
-	if f.links != len(f.Topo.Links) {
-		return Route{}, fmt.Errorf("netsim: topology changed after NewFabric (%d links, fabric built over %d)",
-			len(f.Topo.Links), f.links)
+	if err := f.CheckTopology(); err != nil {
+		return Route{}, err
 	}
 	path, ok := f.Topo.appendPath(buf, src, dst)
 	if !ok {

@@ -71,10 +71,10 @@ func NewMultiHeadAttention(name string, r *tensor.RNG, d, heads int) *MultiHeadA
 		panic("nn: attention dim must be divisible by head count")
 	}
 	mk := func(suffix string) *Parameter {
-		return NewParameter(name+"."+suffix, tensor.XavierInit(r, d, d, d, d))
+		return newParameter(name+"."+suffix, tensor.XavierInit(r, d, d, d, d), r)
 	}
 	mkb := func(suffix string) *Parameter {
-		return NewParameter(name+"."+suffix, tensor.New(d))
+		return newParameter(name+"."+suffix, tensor.New(d), r)
 	}
 	return &MultiHeadAttention{
 		Wq: mk("q.weight"), Wk: mk("k.weight"), Wv: mk("v.weight"), Wo: mk("out.weight"),
@@ -339,10 +339,10 @@ func NewPatchEmbed(name string, r *tensor.RNG, c, h, w, ps, d int) *PatchEmbed {
 	t := (h / ps) * (w / ps)
 	patch := c * ps * ps
 	return &PatchEmbed{
-		Proj:   NewParameter(name+".proj.weight", tensor.XavierInit(r, patch, d, d, patch)),
-		Bias:   NewParameter(name+".proj.bias", tensor.New(d)),
-		Cls:    NewParameter(name+".cls", tensor.Randn(r, 0.02, d)),
-		PosEmb: NewParameter(name+".pos", tensor.Randn(r, 0.02, t+1, d)),
+		Proj:   newParameter(name+".proj.weight", tensor.XavierInit(r, patch, d, d, patch), r),
+		Bias:   newParameter(name+".proj.bias", tensor.New(d), r),
+		Cls:    newParameter(name+".cls", tensor.Randn(r, 0.02, d), r),
+		PosEmb: newParameter(name+".pos", tensor.Randn(r, 0.02, t+1, d), r),
 		C:      c, PS: ps, D: d, T: t,
 	}
 }

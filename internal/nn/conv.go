@@ -22,8 +22,8 @@ type Conv2D struct {
 func NewConv2D(name string, r *tensor.RNG, inC, outC, k, stride, pad int) *Conv2D {
 	fanIn := inC * k * k
 	return &Conv2D{
-		Weight: NewParameter(name+".weight", tensor.KaimingInit(r, fanIn, outC, fanIn)),
-		Bias:   NewParameter(name+".bias", tensor.New(outC)),
+		Weight: newParameter(name+".weight", tensor.KaimingInit(r, fanIn, outC, fanIn), r),
+		Bias:   newParameter(name+".bias", tensor.New(outC), r),
 		InC:    inC, OutC: outC, KH: k, KW: k, Stride: stride, Pad: pad,
 	}
 }

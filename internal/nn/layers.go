@@ -19,8 +19,8 @@ type Linear struct {
 // name prefixes the two parameters as name+".weight" / name+".bias".
 func NewLinear(name string, r *tensor.RNG, in, out int) *Linear {
 	return &Linear{
-		Weight: NewParameter(name+".weight", tensor.KaimingInit(r, in, in, out)),
-		Bias:   NewParameter(name+".bias", tensor.New(out)),
+		Weight: newParameter(name+".weight", tensor.KaimingInit(r, in, in, out), r),
+		Bias:   newParameter(name+".bias", tensor.New(out), r),
 	}
 }
 

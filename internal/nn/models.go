@@ -84,7 +84,8 @@ func DefaultLiteConfig(classes int, seed uint64) LiteConfig {
 func NewMLP(cfg LiteConfig, hidden int) *Model { return newMLP(tensor.NewRNG(cfg.Seed), cfg, hidden) }
 
 // newMLP and the other unexported builders draw every initialized weight from
-// r; a nil r leaves them zero (see NewLiteUndrawn).
+// r; a nil r leaves them zero and their gradients without storage (see
+// NewLiteUndrawn).
 func newMLP(r *tensor.RNG, cfg LiteConfig, hidden int) *Model {
 	in := cfg.InChannels * cfg.ImageSize * cfg.ImageSize
 	root := NewSequential(
@@ -221,9 +222,11 @@ func NewLiteByName(name string, cfg LiteConfig) (*Model, error) {
 }
 
 // NewLiteUndrawn builds the same layer tree as NewLiteByName without drawing
-// from any generator: every randomly initialized weight is zero. It is the
-// shell a drawn model's state is copied into (CopyStateFrom), which is
-// cheaper than drawing the same weights again.
+// from any generator: every randomly initialized weight is zero, and those
+// weights' gradients have no storage (ddp.BuildBuckets binds them to bucket
+// views; only the norms' small gradients are allocated). It is the shell a
+// drawn model's state is copied into (CopyStateFrom), which is cheaper than
+// drawing the same weights again.
 func NewLiteUndrawn(name string, cfg LiteConfig) (*Model, error) {
 	return newLite(nil, name, cfg)
 }

@@ -29,6 +29,17 @@ func NewParameter(name string, w *tensor.Tensor) *Parameter {
 	return &Parameter{Name: name, W: w, Grad: tensor.New(w.Shape()...)}
 }
 
+// newParameter is NewParameter for the layers that draw their weights from
+// r. A nil r builds an undrawn shell (NewLiteUndrawn): its state is copied
+// in, and its gradient gets no storage until ddp.BuildBuckets binds it to
+// its bucket's.
+func newParameter(name string, w *tensor.Tensor, r *tensor.RNG) *Parameter {
+	if r == nil {
+		return &Parameter{Name: name, W: w, Grad: tensor.Unbound(w.Shape()...)}
+	}
+	return NewParameter(name, w)
+}
+
 // ZeroGrad clears the accumulated gradient.
 func (p *Parameter) ZeroGrad() { p.Grad.Zero() }
 

@@ -31,6 +31,13 @@ func New(shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: make([]float32, n)}
 }
 
+// Unbound returns a tensor of the given shape with no storage: Data is nil
+// until Rebind gives it a slice of the shape's volume.
+func Unbound(shape ...int) *Tensor {
+	checkShape(shape)
+	return &Tensor{shape: append([]int(nil), shape...)}
+}
+
 // Full returns a tensor with every element set to v.
 func Full(v float32, shape ...int) *Tensor {
 	t := New(shape...)
@@ -124,9 +131,13 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 // Rebind repoints the tensor at data without copying; len(data) must equal
 // the tensor's volume. It exists so reusable view headers (e.g. per-sample
 // slices of a batch tensor) can be retargeted across train steps without
-// allocating a new header per view.
+// allocating a new header per view, and so an Unbound tensor gets storage.
 func (t *Tensor) Rebind(data []float32) {
-	if len(data) != len(t.data) {
+	want := len(t.data)
+	if t.data == nil {
+		want = checkShape(t.shape)
+	}
+	if len(data) != want {
 		panic(fmt.Sprintf("tensor: Rebind length %d does not match shape %v", len(data), t.shape))
 	}
 	t.data = data
