@@ -5,14 +5,10 @@
 // quantization, a THC-style homomorphic lattice, and PacTrain's own
 // mask-compact compressor (plain and ternary).
 //
-// Compressors are classified by the transport they require (Table 1's
-// compatibility column):
-//
-//   - TransportAllReduce: the encoded payload of different workers can be
-//     summed elementwise, so ring all-reduce applies directly.
-//   - TransportAllGather: workers select different coordinates, so payloads
-//     must be exchanged wholesale and summed locally.
-//   - TransportPS: the scheme was designed around a centralized aggregator.
+// Compressors are codecs: an encode, a decode and the wire format their
+// payloads are priced in. Which collective carries a scheme's payloads is
+// not theirs to say: the scheme table in internal/core decides it, and
+// Table 1 (internal/harness) measures it from each run's recorded ops.
 package compress
 
 import (
@@ -23,39 +19,13 @@ import (
 	"pactrain/internal/tensor"
 )
 
-// Transport describes which collective a compressor's payloads support.
-type Transport int
-
-// Transport values.
-const (
-	TransportAllReduce Transport = iota
-	TransportAllGather
-	TransportPS
-)
-
-// String implements fmt.Stringer.
-func (t Transport) String() string {
-	switch t {
-	case TransportAllReduce:
-		return "all-reduce"
-	case TransportAllGather:
-		return "all-gather"
-	case TransportPS:
-		return "parameter-server"
-	}
-	return "unknown"
-}
-
-// Compressor is the common surface of all schemes.
+// Compressor is the common surface of all codecs.
 type Compressor interface {
-	Name() string
-	Transport() Transport
 	// Wire returns the on-wire representation of payload elements.
 	Wire() collective.WireFormat
 }
 
-// DenseCompressor produces payloads that aggregate by elementwise sum
-// (all-reduce compatible, or PS for THC).
+// DenseCompressor produces payloads that aggregate by elementwise sum.
 type DenseCompressor interface {
 	Compressor
 	// Encode transforms a gradient into its dense wire payload. The payload
@@ -71,8 +41,9 @@ type DenseCompressor interface {
 	Decode(payload []float32, out []float32)
 }
 
-// SparseCompressor produces per-worker coordinate selections that must be
-// exchanged via all-gather.
+// SparseCompressor produces per-worker coordinate selections: workers pick
+// different coordinates, so payloads are exchanged wholesale and summed
+// locally.
 type SparseCompressor interface {
 	Compressor
 	Encode(grad []float32) collective.SparsePayload
@@ -97,12 +68,6 @@ type FP32 struct{}
 
 // NewFP32 returns the identity compressor.
 func NewFP32() *FP32 { return &FP32{} }
-
-// Name implements Compressor.
-func (*FP32) Name() string { return "all-reduce" }
-
-// Transport implements Compressor.
-func (*FP32) Transport() Transport { return TransportAllReduce }
 
 // Wire implements Compressor.
 func (*FP32) Wire() collective.WireFormat { return collective.WireFP32 }
@@ -129,12 +94,6 @@ type FP16 struct{}
 
 // NewFP16 returns the fp16 compressor.
 func NewFP16() *FP16 { return &FP16{} }
-
-// Name implements Compressor.
-func (*FP16) Name() string { return "fp16" }
-
-// Transport implements Compressor.
-func (*FP16) Transport() Transport { return TransportAllReduce }
 
 // Wire implements Compressor.
 func (*FP16) Wire() collective.WireFormat { return collective.WireFP16 }

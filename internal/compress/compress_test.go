@@ -29,7 +29,7 @@ func TestFP32RoundTrip(t *testing.T) {
 			t.Fatal("fp32 must be exact")
 		}
 	}
-	if c.Transport() != TransportAllReduce {
+	if c.Wire().Name != "fp32" {
 		t.Fatal("fp32 properties wrong")
 	}
 }
@@ -372,8 +372,8 @@ func TestTHCSharedLattice(t *testing.T) {
 			t.Fatalf("value %v not on lattice", v)
 		}
 	}
-	if c.Transport() != TransportPS {
-		t.Fatal("THC transport should be PS (Table 1 incompatibility)")
+	if w := c.Wire(); w.Name != "thc" || w.BytesPerElement != 0.5 {
+		t.Fatalf("THC wire %+v, want thc at 4 bits per element", w)
 	}
 }
 
@@ -487,8 +487,8 @@ func TestByNameRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", n, err)
 		}
-		if c.Name() == "" {
-			t.Fatalf("%s: empty name", n)
+		if c.Wire().Name == "" {
+			t.Fatalf("%s: empty wire name", n)
 		}
 	}
 	if _, err := ByName("bogus", 1); err == nil {

@@ -54,17 +54,6 @@ func (m *MaskCompact) SetMask(indices []int32, fullLen int) {
 // NNZ returns the retained coordinate count.
 func (m *MaskCompact) NNZ() int { return len(m.indices) }
 
-// Name implements Compressor.
-func (m *MaskCompact) Name() string {
-	if m.Ternary {
-		return "pactrain-ternary"
-	}
-	return "pactrain"
-}
-
-// Transport implements Compressor.
-func (*MaskCompact) Transport() Transport { return TransportAllReduce }
-
 // Wire implements Compressor.
 func (m *MaskCompact) Wire() collective.WireFormat {
 	if m.Ternary {

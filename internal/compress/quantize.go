@@ -23,12 +23,6 @@ func NewTernGrad(seed uint64) *TernGrad {
 	return &TernGrad{rng: tensor.NewRNG(seed)}
 }
 
-// Name implements Compressor.
-func (*TernGrad) Name() string { return "terngrad" }
-
-// Transport implements Compressor.
-func (*TernGrad) Transport() Transport { return TransportAllReduce }
-
 // Wire implements Compressor.
 func (*TernGrad) Wire() collective.WireFormat { return collective.WireInt8 }
 
@@ -91,16 +85,10 @@ func NewQSGD(levels int, seed uint64) *QSGD {
 	return &QSGD{Levels: levels, rng: tensor.NewRNG(seed)}
 }
 
-// Name implements Compressor.
-func (q *QSGD) Name() string { return fmt.Sprintf("qsgd-%d", q.Levels) }
-
-// Transport implements Compressor.
-func (*QSGD) Transport() Transport { return TransportAllReduce }
-
 // Wire implements Compressor.
 func (q *QSGD) Wire() collective.WireFormat {
 	bits := math.Ceil(math.Log2(float64(q.Levels))) + 1 // + sign bit
-	return collective.WireFormat{Name: q.Name(), BytesPerElement: bits / 8, HeaderBytes: 8}
+	return collective.WireFormat{Name: fmt.Sprintf("qsgd-%d", q.Levels), BytesPerElement: bits / 8, HeaderBytes: 8}
 }
 
 // Encode implements DenseCompressor.
@@ -142,7 +130,8 @@ func (*QSGD) Decode(payload []float32, out []float32) { copy(out, payload) }
 // workers quantize onto a shared uniform lattice so the aggregator can sum
 // quantized values without decompressing. The published system performs the
 // aggregation on a parameter server / programmable switch, which is why
-// Table 1 marks it incompatible with all-reduce; its transport here is PS.
+// Table 1 marks it incompatible with all-reduce; the "thc" scheme prices it
+// through a parameter server.
 type THC struct {
 	Levels int
 }
@@ -154,12 +143,6 @@ func NewTHC(levels int) *THC {
 	}
 	return &THC{Levels: levels}
 }
-
-// Name implements Compressor.
-func (*THC) Name() string { return "thc" }
-
-// Transport implements Compressor.
-func (*THC) Transport() Transport { return TransportPS }
 
 // Wire implements Compressor.
 func (t *THC) Wire() collective.WireFormat {

@@ -33,12 +33,6 @@ func NewTopK(ratio float64) *TopK {
 	return &TopK{Ratio: ratio}
 }
 
-// Name implements Compressor.
-func (t *TopK) Name() string { return fmt.Sprintf("topk-%g", t.Ratio) }
-
-// Transport implements Compressor.
-func (*TopK) Transport() Transport { return TransportAllGather }
-
 // Wire implements Compressor.
 func (*TopK) Wire() collective.WireFormat { return collective.WireSparse }
 
@@ -72,12 +66,6 @@ func NewRandomK(ratio float64, seed uint64) *RandomK {
 	}
 	return &RandomK{Ratio: ratio, rng: tensor.NewRNG(seed)}
 }
-
-// Name implements Compressor.
-func (r *RandomK) Name() string { return fmt.Sprintf("randomk-%g", r.Ratio) }
-
-// Transport implements Compressor.
-func (*RandomK) Transport() Transport { return TransportAllGather }
 
 // Wire implements Compressor.
 func (*RandomK) Wire() collective.WireFormat { return collective.WireSparse }
@@ -125,12 +113,6 @@ func NewDGC(ratio, momentum float64) *DGC {
 	}
 	return &DGC{Ratio: ratio, Momentum: momentum}
 }
-
-// Name implements Compressor.
-func (d *DGC) Name() string { return fmt.Sprintf("dgc-%g", d.Ratio) }
-
-// Transport implements Compressor.
-func (*DGC) Transport() Transport { return TransportAllGather }
 
 // Wire implements Compressor.
 func (*DGC) Wire() collective.WireFormat { return collective.WireSparse }
@@ -183,12 +165,6 @@ type ErrorFeedback struct {
 func WrapErrorFeedback(inner SparseCompressor) *ErrorFeedback {
 	return &ErrorFeedback{Inner: inner}
 }
-
-// Name implements Compressor.
-func (e *ErrorFeedback) Name() string { return e.Inner.Name() + "+ef" }
-
-// Transport implements Compressor.
-func (e *ErrorFeedback) Transport() Transport { return e.Inner.Transport() }
 
 // Wire implements Compressor.
 func (e *ErrorFeedback) Wire() collective.WireFormat { return e.Inner.Wire() }

@@ -111,12 +111,13 @@ func (e *hookEnv) allGather(b *ddp.Bucket, payload collective.SparsePayload, wir
 
 // --- Dense hooks (all-reduce / PS transports) --------------------------------
 
-// denseHook aggregates via a DenseCompressor: encode, sum payloads through
-// the compressor's transport, decode once.
+// denseHook aggregates via a DenseCompressor: encode, sum payloads by
+// all-reduce, or through a parameter server when its scheme row sets ps,
+// decode once.
 type denseHook struct {
-	env     *hookEnv
-	comp    compress.DenseCompressor
-	forcePS bool
+	env  *hookEnv
+	comp compress.DenseCompressor
+	ps   bool
 
 	// bufs holds one payload buffer per bucket so steady-state iterations
 	// reuse instead of allocate. Reuse is safe: every rank's payload is only
@@ -132,7 +133,7 @@ func (h *denseHook) Sync(b *ddp.Bucket, localTime float64) float64 {
 	}
 	payload := h.comp.EncodeInto(b.Flat, h.bufs[b.Index])
 	h.bufs[b.Index] = payload
-	if h.forcePS || h.comp.Transport() == compress.TransportPS {
+	if h.ps {
 		// The parameter server moves the all-reduce's bytes; only its
 		// pricing, the incast onto rank 0's host, differs.
 		h.env.cluster.AllReduce(h.env.rank, payload, b.Flat, h.env.average(h.comp.Decode))

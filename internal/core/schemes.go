@@ -19,9 +19,12 @@ type schemeDef struct {
 }
 
 // schemeTable lists every aggregation scheme Run accepts, in the canonical
-// order Schemes reports. It is the single place a new scheme is added;
-// buildHook, Schemes, SchemeCatalog, `pactrain-bench -list-schemes`, and
-// the service's GET /v1/schemes all read it.
+// order Schemes reports. It is the single place a new scheme is added and
+// the one statement of its transport: the hook a row builds picks the
+// collective (dense rows all-reduce, sparse rows all-gather), and ps on a
+// dense row sends it through a parameter server instead; compressors are
+// codecs only. buildHook, Schemes, SchemeCatalog, `pactrain-bench
+// -list-schemes`, and the service's GET /v1/schemes all read it.
 func schemeTable() []schemeDef {
 	return []schemeDef{
 		{name: "all-reduce", aliases: []string{"fp32", "none"},
@@ -47,12 +50,12 @@ func schemeTable() []schemeDef {
 		{name: "thc",
 			about: "THC homomorphic uniform quantization (all-reducible)",
 			build: func(_ *Config, env *hookEnv, _ uint64) ddp.Hook {
-				return &denseHook{env: env, comp: compress.NewTHC(256)}
+				return &denseHook{env: env, comp: compress.NewTHC(256), ps: true}
 			}},
 		{name: "ps",
 			about: "uncompressed fp32 through a parameter server (incast baseline)",
 			build: func(_ *Config, env *hookEnv, _ uint64) ddp.Hook {
-				return &denseHook{env: env, comp: compress.NewFP32(), forcePS: true}
+				return &denseHook{env: env, comp: compress.NewFP32(), ps: true}
 			}},
 		{name: "topk-0.1",
 			about: "top 10% magnitude selection with error feedback, sparse all-gather",

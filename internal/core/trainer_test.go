@@ -66,11 +66,20 @@ func TestRunIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunAllSchemesTrainAndStayConsistent trains each scheme and checks the
+// op kind its log holds: the transport its scheme row chose.
 func TestRunAllSchemesTrainAndStayConsistent(t *testing.T) {
-	schemes := []string{"fp16", "terngrad", "qsgd", "thc", "ps",
-		"topk-0.1", "dgc-0.1", "omnireduce", "zen"}
-	for _, scheme := range schemes {
-		scheme := scheme
+	schemes := []struct {
+		scheme string
+		kind   OpKind
+	}{
+		{"fp16", OpAllReduce}, {"terngrad", OpAllReduce}, {"qsgd", OpAllReduce},
+		{"thc", OpPS}, {"ps", OpPS},
+		{"topk-0.1", OpAllGather}, {"dgc-0.1", OpAllGather}, {"zen", OpAllGather},
+		{"omnireduce", OpBlockSparse},
+	}
+	for _, tc := range schemes {
+		scheme := tc.scheme
 		t.Run(scheme, func(t *testing.T) {
 			cfg := tinyConfig(scheme)
 			cfg.Epochs = 2
@@ -85,6 +94,18 @@ func TestRunAllSchemesTrainAndStayConsistent(t *testing.T) {
 			}
 			if res.Stats.SimSeconds <= 0 {
 				t.Fatalf("%s: no communication time accrued", scheme)
+			}
+			ops := 0
+			for _, iter := range res.CommLog.Iters {
+				for _, op := range iter {
+					if op.Kind != tc.kind {
+						t.Fatalf("%s: recorded op kind %d, want only %d", scheme, op.Kind, tc.kind)
+					}
+					ops++
+				}
+			}
+			if ops == 0 {
+				t.Fatalf("%s: no ops recorded", scheme)
 			}
 		})
 	}

@@ -67,21 +67,22 @@ func (c *Cache) path(fp string) string {
 	return filepath.Join(c.dir, fp+".json")
 }
 
-// entryCurrent reports whether a stored Result can be served. A recorded
-// log must carry the bucket geometry (CommLog.BucketElems) per-bucket
-// overlap replay requires (core.CommLog.Replayable, DESIGN.md §5) — logs
-// from before the per-rank timeline lack it although their fingerprints
-// still match — and its ops must fit it: every op on a bucket the geometry
-// has, every all-gather size list and block-sparse block list one entry per
-// rank (len(WeightChecksums)). Anything else would panic core.Replay or a
-// cost function in a straggler-grid or overlap re-cost downstream, inside a
-// worker nothing recovers. Such entries are misses (and swept), so they
-// retrain once and rewrite with the full schema; results recorded without a
-// comm log stay valid.
+// entryCurrent reports whether a stored Result can be served. It must carry
+// a comm log — every training records one, and every harness re-price walks
+// it — with the bucket geometry (CommLog.BucketElems) per-bucket overlap
+// replay requires (core.CommLog.Replayable, DESIGN.md §5) — logs from before
+// the per-rank timeline lack it although their fingerprints still match —
+// and its ops must fit it: every op on a bucket the geometry has, every
+// all-gather size list and block-sparse block list one entry per rank
+// (len(WeightChecksums); the engine serves an entry only to a job of that
+// World, see fits). Anything else would panic core.Replay or a cost function
+// in a re-cost downstream, inside a worker nothing recovers. Such entries
+// are misses (and swept), so they retrain once and rewrite with the full
+// schema.
 func entryCurrent(res *core.Result) bool {
 	log := res.CommLog
 	if log == nil {
-		return true
+		return false
 	}
 	if len(log.BucketElems) == 0 {
 		return false

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -182,37 +184,96 @@ func TestCacheOpsOutsideGeometryAreMisses(t *testing.T) {
 	}
 }
 
+// replayEverywhere re-prices log under world ranks the ways a re-cost of a
+// served entry does: both overlap modes, homogeneous and with one straggling
+// rank, priced by the ring on a flat fabric.
+func replayEverywhere(world int, log *core.CommLog) {
+	fabric := netsim.NewFabric(netsim.FlatTopology(world, netsim.Gbps, 1e-5))
+	pricer := collective.NewPricer(collective.MustAlgorithm("ring"), fabric, fabric.Topo.Hosts())
+	price := func(op core.CommOp, launch float64) float64 {
+		return core.CostOp(op, pricer, launch)
+	}
+	for _, overlap := range []ddp.Overlap{ddp.OverlapNone, ddp.OverlapBackward} {
+		for _, rc := range []ddp.RankCompute{{}, {Multipliers: netsim.OneSlowRank(world, 2)}} {
+			cfg := core.DefaultConfig("MLP", "all-reduce")
+			cfg.World, cfg.Overlap, cfg.RankCompute = world, overlap, rc
+			core.Replay(&cfg, log, price, nil)
+		}
+	}
+}
+
 // FuzzDecodeEntry: any bytes are either rejected, or decode to a Result
-// whose log replays without panicking under World = len(WeightChecksums),
-// in both overlap modes, with homogeneous and with straggling ranks, priced
-// by the ring — what a re-cost of a served entry does.
+// with a comm log that replays without panicking under World =
+// len(WeightChecksums), the only World the engine serves it to (fits).
 func FuzzDecodeEntry(f *testing.F) {
 	raw, err := encodeEntry(fittingResult())
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(raw)
-	ring := collective.MustAlgorithm("ring")
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		res, ok := decodeEntry(raw)
-		if !ok || res.CommLog == nil {
+		if !ok {
 			return
 		}
 		world := len(res.WeightChecksums)
 		if world > 64 {
 			return // past the worlds a replay here builds
 		}
-		fabric := netsim.NewFabric(netsim.FlatTopology(world, netsim.Gbps, 1e-5))
-		pricer := collective.NewPricer(ring, fabric, fabric.Topo.Hosts())
-		price := func(op core.CommOp, launch float64) float64 {
-			return core.CostOp(op, pricer, launch)
-		}
-		for _, overlap := range []ddp.Overlap{ddp.OverlapNone, ddp.OverlapBackward} {
-			for _, rc := range []ddp.RankCompute{{}, {Multipliers: netsim.OneSlowRank(world, 2)}} {
-				cfg := core.DefaultConfig("MLP", "all-reduce")
-				cfg.World, cfg.Overlap, cfg.RankCompute = world, overlap, rc
-				core.Replay(&cfg, res.CommLog, price, nil)
-			}
-		}
+		replayEverywhere(world, res.CommLog)
 	})
+}
+
+// TestServedMisfitEntriesRetrain: an entry without a comm log, or recorded
+// at fewer ranks than the job's World, would panic the job's first re-price.
+// Served from disk or by a peer, each is a miss: the engine trains, and the
+// Result it returns replays under the job's World.
+func TestServedMisfitEntriesRetrain(t *testing.T) {
+	t.Parallel()
+	job := Job{Label: "misfit", Config: testConfig("all-reduce")}
+	job.Config.World = 4
+	fp := job.Config.Fingerprint()
+	noLog := fittingResult()
+	noLog.WeightChecksums = make([]float64, job.Config.World)
+	noLog.CommLog = nil
+	misfits := map[string]*core.Result{
+		"no-log":      noLog,
+		"two-of-four": fittingResult(),
+	}
+	check := func(name, from string, e *Engine) {
+		t.Helper()
+		res, err := e.Run(job)
+		if err != nil {
+			t.Fatalf("%s from %s: %v", name, from, err)
+		}
+		if st := e.Stats(); st.Trained != 1 || st.CacheHits != 0 || st.PeerHits != 0 {
+			t.Fatalf("%s from %s: stats %+v, want 1 trained / 0 hits", name, from, st)
+		}
+		if len(res.WeightChecksums) != job.Config.World || res.CommLog == nil {
+			t.Fatalf("%s from %s: served a Result that does not fit the job", name, from)
+		}
+		replayEverywhere(job.Config.World, res.CommLog)
+	}
+	for name, crafted := range misfits {
+		dir := t.TempDir()
+		if err := NewCache(dir).Store(fp, crafted); err != nil {
+			t.Fatal(err)
+		}
+		disk := New(Options{CacheDir: dir})
+		check(name, "disk", disk)
+
+		raw, err := encodeEntry(crafted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Write(raw)
+		}))
+		peered := New(Options{CacheDir: t.TempDir(), PeerURLs: []string{srv.URL}})
+		check(name, "a peer", peered)
+		srv.Close()
+		if st := peered.Stats(); st.PeerErrors != 1 {
+			t.Fatalf("%s from a peer: stats %+v, want the entry counted as 1 peer error", name, st)
+		}
+	}
 }

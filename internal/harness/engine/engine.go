@@ -336,7 +336,7 @@ func (e *Engine) evictLocked() {
 // the Result is safely on disk — the precondition for memo eviction.
 func (e *Engine) execute(job Job, fp string, c *call) (*core.Result, bool, error) {
 	if e.cache != nil {
-		if res, ok := e.cache.Load(fp); ok {
+		if res, ok := e.cache.Load(fp); ok && fits(res, job.Config.World) {
 			e.bump(&e.stats.CacheHits)
 			if e.onEvent != nil {
 				ev := Event{Kind: EventCacheHit, Label: job.Label, Fingerprint: fp,
@@ -381,6 +381,14 @@ func (e *Engine) execute(job Job, fp string, c *call) (*core.Result, bool, error
 	persisted := e.persist(job, fp, res)
 	e.emit(EventTrainDone, job.Label, fp, res.SimSeconds, nil)
 	return res, persisted, nil
+}
+
+// fits reports whether a served Result was recorded at the job's World: one
+// weight checksum per rank, the count entryCurrent held every per-rank op
+// list to. A Result from disk or a peer that fails it would index past its
+// lists when re-priced for the job, so it is a miss.
+func fits(res *core.Result, world int) bool {
+	return len(res.WeightChecksums) == world
 }
 
 // persist writes res through to the local cache, so the entry is served from

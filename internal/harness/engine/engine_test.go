@@ -3,9 +3,11 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -197,12 +199,51 @@ func TestMemoLimitPinsUnpersistedEntries(t *testing.T) {
 	}
 }
 
+// fullDisk is a cache backend whose every store fails as a full disk does.
+type fullDisk struct{}
+
+func (fullDisk) Load(string) (*core.Result, bool) { return nil, false }
+func (fullDisk) Store(fp string, _ *core.Result) error {
+	return &os.PathError{Op: "write", Path: fp + ".json", Err: syscall.ENOSPC}
+}
+func (fullDisk) Age(string) float64 { return 0 }
+
+// TestFailedCacheStoreKeepsResultPinned: a store that fails (disk full)
+// costs the job nothing — Run returns the trained Result, the failure is
+// logged once — and the entry, never on disk, stays pinned in the memo under
+// MemoLimit: a second job does not evict it, and re-submitting it dedups.
+func TestFailedCacheStoreKeepsResultPinned(t *testing.T) {
+	t.Parallel()
+	var log bytes.Buffer
+	e := New(Options{Cache: fullDisk{}, MemoLimit: 1, Log: &log})
+	jobA := Job{Label: "a", Config: testConfig("all-reduce")}
+	first, err := e.Run(jobA)
+	if err != nil || first == nil {
+		t.Fatalf("Run = %v, %v; want the trained result and no error", first, err)
+	}
+	if n := strings.Count(log.String(), "cache store failed"); n != 1 {
+		t.Fatalf("logged %d store failures, want 1:\n%s", n, log.String())
+	}
+	if _, err := e.Run(Job{Label: "b", Config: testConfig("fp16")}); err != nil {
+		t.Fatal(err)
+	}
+	again, err := e.Run(jobA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Stats(); s.Trained != 2 || s.Deduped != 1 || s.CacheHits != 0 {
+		t.Fatalf("stats %+v, want 2 trained / 1 deduped / 0 cache hits", s)
+	}
+	if again != first {
+		t.Fatal("re-submission did not return the pinned in-memory result")
+	}
+}
+
 func TestCacheVersionSkewIsMiss(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	c := NewCache(dir)
-	res := &core.Result{Scheme: "all-reduce", Model: "MLP"}
-	if err := c.Store("deadbeef", res); err != nil {
+	if err := c.Store("deadbeef", fittingResult()); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Load("deadbeef"); !ok {

@@ -169,9 +169,9 @@ func (e *Engine) peerLookup(ctx context.Context, fp, from string) (*core.Result,
 func (e *Engine) consultPeers(job Job, fp string, c *call) (*core.Result, bool) {
 	for {
 		for _, peer := range e.peers {
-			res, status, err := e.peerFetch(peer, fp)
+			res, status, err := e.peerFetch(peer, fp, job.Config.World)
 			for err == nil && status == http.StatusAccepted {
-				res, status, err = e.peerFetch(peer, fp)
+				res, status, err = e.peerFetch(peer, fp, job.Config.World)
 			}
 			switch {
 			case err != nil:
@@ -203,8 +203,10 @@ func (e *Engine) consultPeers(job Job, fp string, c *call) (*core.Result, bool) 
 }
 
 // peerFetch performs one protocol request against one peer base URL and
-// returns 200 with the decoded Result, 404 or 202; anything else is an error.
-func (e *Engine) peerFetch(base, fp string) (*core.Result, int, error) {
+// returns 200 with the decoded Result, 404 or 202; anything else, an entry
+// decodeEntry refuses included, or one not recorded at world ranks (fits),
+// is an error.
+func (e *Engine) peerFetch(base, fp string, world int) (*core.Result, int, error) {
 	resp, err := e.peerHTTP.Get(strings.TrimRight(base, "/") + peerEntryPrefix + fp + "?from=" + e.id)
 	if err != nil {
 		return nil, 0, err
@@ -219,6 +221,10 @@ func (e *Engine) peerFetch(base, fp string) (*core.Result, int, error) {
 		res, ok := decodeEntry(body)
 		if !ok {
 			return nil, 0, fmt.Errorf("peer %s: undecodable entry for %s", base, fp)
+		}
+		if !fits(res, world) {
+			return nil, 0, fmt.Errorf("peer %s: entry for %s has %d ranks, job has %d",
+				base, fp, len(res.WeightChecksums), world)
 		}
 		return res, http.StatusOK, nil
 	case http.StatusNotFound, http.StatusAccepted:

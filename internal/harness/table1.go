@@ -4,15 +4,15 @@ import (
 	"fmt"
 	"strings"
 
-	"pactrain/internal/compress"
+	"pactrain/internal/core"
 	"pactrain/internal/metrics"
 	"pactrain/internal/netsim"
 )
 
 // Table1Row is one method's measured property row. The paper's Table 1
 // marks each method's effect on convergence speed, all-reduce
-// compatibility, and TTA; here every mark is derived from a measurement or
-// a structural property of the implementation rather than asserted.
+// compatibility, and TTA; here every mark is derived from a measurement
+// rather than asserted.
 type Table1Row struct {
 	Scheme string
 	// ConvOK: iterations-to-target within tolerance of the lossless
@@ -22,7 +22,8 @@ type Table1Row struct {
 	// applies (the scheme reached the target here but is known to be
 	// architecture-sensitive — reported as measured).
 	IterRatio float64
-	// AllReduceCompatible is the transport property of the implementation.
+	// AllReduceCompatible: the run's recorded log holds only all-reduces
+	// (and bitmap broadcasts).
 	AllReduceCompatible bool
 	// TTAImproved: TTA at the reference bandwidth beats the all-reduce
 	// baseline.
@@ -43,21 +44,18 @@ func Table1Schemes() []string {
 	return []string{"pactrain-ternary", "thc", "terngrad", "dgc-0.01", "omnireduce", "zen", "topk-0.1", "fp16"}
 }
 
-// allReduceCompatible reports the transport property of a scheme.
-func allReduceCompatible(scheme string) bool {
-	switch scheme {
-	case "pactrain", "pactrain-ternary":
-		return true // mask-compact payloads sum elementwise
-	case "omnireduce":
-		return false // streaming aggregator (PS-style)
-	case "zen":
-		return false // sparse all-gather
+// allReduceCompatible reports whether a run's recorded log holds only
+// all-reduces and the bitmap broadcasts that agree a mask for them: the
+// transport its scheme row chose, read off what the run did.
+func allReduceCompatible(log *core.CommLog) bool {
+	for _, ops := range log.Iters {
+		for _, op := range ops {
+			if op.Kind != core.OpAllReduce && op.Kind != core.OpBitmapBroadcast {
+				return false
+			}
+		}
 	}
-	c, err := compress.ByName(scheme, 1)
-	if err != nil {
-		return false
-	}
-	return c.Transport() == compress.TransportAllReduce
+	return true
 }
 
 // RunTable1 measures every Table 1 property on a reference workload at a
@@ -94,7 +92,7 @@ func RunTable1(opt Options) (*Table1Result, error) {
 		tta, ttaReached := recs[si+1].tta(at, w.TargetAcc)
 		row := Table1Row{
 			Scheme:              scheme,
-			AllReduceCompatible: allReduceCompatible(scheme),
+			AllReduceCompatible: allReduceCompatible(recs[si+1].res.CommLog),
 		}
 		if reached && baseIters > 0 {
 			row.IterRatio = float64(iters) / float64(baseIters)
@@ -136,7 +134,7 @@ func (r *Table1Result) Render() string {
 	return b.String()
 }
 
-// VerifyAgainstPaper checks the structural (transport) column against the
+// VerifyAgainstPaper checks the measured compatibility column against the
 // paper's claims; measured columns are workload-dependent and reported, not
 // asserted.
 func (r *Table1Result) VerifyAgainstPaper() error {

@@ -50,8 +50,8 @@ func TestFacadeCompressorRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Name() != "fp16" {
-		t.Fatalf("got %s", c.Name())
+	if w := c.Wire(); w.Name != "fp16" {
+		t.Fatalf("got wire %s", w.Name)
 	}
 	if _, err := NewCompressor("bogus", 1); err == nil {
 		t.Fatal("expected error")
