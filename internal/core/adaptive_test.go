@@ -127,11 +127,8 @@ func TestAdaptiveSingleCandidateMatchesPacTrainTernary(t *testing.T) {
 func TestFixedFormatBuildsNoController(t *testing.T) {
 	for _, scheme := range []string{"pactrain", "pactrain-ternary"} {
 		cfg := tinyConfig(scheme)
-		hook, err := buildHook(&cfg, &hookEnv{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pac := hook.(*pacTrainHook)
+		def, _ := schemeByName(scheme)
+		pac := buildHook(&cfg, def, &hookEnv{}).(*pacTrainHook)
 		if counts, switches := pac.FormatCounts(); pac.ctrl != nil || counts != nil || switches != 0 {
 			t.Fatalf("%s built a controller (counts %v, switches %d)", scheme, counts, switches)
 		}

@@ -161,7 +161,7 @@ func (c *Config) validate() error {
 	if c.BatchSize < 1 {
 		return fmt.Errorf("core: batch size %d < 1", c.BatchSize)
 	}
-	if c.PruneRatio < 0 || c.PruneRatio >= 1 {
+	if !(c.PruneRatio >= 0 && c.PruneRatio < 1) {
 		return fmt.Errorf("core: prune ratio %v outside [0,1)", c.PruneRatio)
 	}
 	if c.Scheme == "" {
@@ -173,7 +173,7 @@ func (c *Config) validate() error {
 			return fmt.Errorf("core: %w", err)
 		}
 		c.AdaptCandidates = cands
-		if c.AdaptMargin < 0 || c.AdaptMargin >= 1 {
+		if !(c.AdaptMargin >= 0 && c.AdaptMargin < 1) {
 			return fmt.Errorf("core: adaptive margin %v outside [0,1)", c.AdaptMargin)
 		}
 		if c.AdaptMargin == 0 {
@@ -205,6 +205,16 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: %w", err)
 	}
 	c.RankCompute = c.RankCompute.Canonical()
+	// Resolve every name a rank would look up, so that no rank can fail
+	// (Run resolves the model). These follow the normalization above, which
+	// is all Fingerprint reads.
+	if _, ok := schemeByName(c.Scheme); !ok {
+		return fmt.Errorf("core: unknown scheme %q (have %v)", c.Scheme, Schemes())
+	}
+	if c.IsPacTrain() && c.PruneMethod != prune.GlobalMagnitude &&
+		c.PruneMethod != prune.LayerMagnitude && c.PruneMethod != prune.GraSP {
+		return fmt.Errorf("core: unsupported prune method %d", c.PruneMethod)
+	}
 	return nil
 }
 

@@ -15,23 +15,15 @@ type evaluator struct {
 	cfg     *Config
 	testSet *data.Dataset
 	curve   *metrics.Curve
-	replica *nn.Model     // built undrawn at the first evaluation point
+	replica *nn.Model     // the undrawn shell Run builds; snapshots overwrite its state
 	done    chan struct{} // closed when the latest evaluation has finished
 }
 
 // snapshot starts evaluating model's current state for the point pt, whose
 // Acc it fills in, once the previous evaluation has finished. pac, the run's
 // PacTrain-family hook or nil, names the heartbeat's wire format as of now.
-func (e *evaluator) snapshot(model *nn.Model, pac *pacTrainHook, pt metrics.Point) error {
+func (e *evaluator) snapshot(model *nn.Model, pac *pacTrainHook, pt metrics.Point) {
 	e.wait()
-	if e.replica == nil {
-		// Every snapshot overwrites the replica's state, so nothing is drawn.
-		replica, err := nn.NewLiteUndrawn(e.cfg.ModelName, e.cfg.Lite)
-		if err != nil {
-			return err
-		}
-		e.replica = replica
-	}
 	e.replica.CopyStateFrom(model)
 	beat := Progress{Iter: pt.Iter, Epoch: pt.Epoch, SimSeconds: pt.SimTime, Loss: pt.Loss}
 	if pac != nil {
@@ -48,7 +40,6 @@ func (e *evaluator) snapshot(model *nn.Model, pac *pacTrainHook, pt metrics.Poin
 			e.cfg.OnProgress(beat)
 		}
 	}()
-	return nil
 }
 
 // wait blocks until the latest evaluation, if any, has finished.

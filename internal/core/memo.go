@@ -80,15 +80,13 @@ type templateKey struct {
 // newReplica returns a model that computes exactly what
 // nn.NewLiteByName(model, lite) builds: the layer tree built without drawing,
 // with the twin's template copied in. Only the template's first build draws.
-func newReplica(model string, lite nn.LiteConfig) (*nn.Model, error) {
-	replica, err := nn.NewLiteUndrawn(model, lite)
-	if err != nil {
-		return nil, err
-	}
+// Run resolved the name before any rank started, so neither build fails.
+func newReplica(model string, lite nn.LiteConfig) *nn.Model {
+	replica, _ := nn.NewLiteUndrawn(model, lite)
 	tmpl := memoized(templateKey{model, lite}, func() (any, int) {
-		m, _ := nn.NewLiteByName(model, lite) // the name resolved above
-		return m, 8 * m.NumParameters()       // float32 weights and gradients
+		m, _ := nn.NewLiteByName(model, lite)
+		return m, 8 * m.NumParameters() // float32 weights and gradients
 	})
 	replica.CopyStateFrom(tmpl.(*nn.Model))
-	return replica, nil
+	return replica
 }

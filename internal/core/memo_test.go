@@ -40,10 +40,7 @@ func TestReplicaMatchesColdBuild(t *testing.T) {
 		if !held {
 			t.Fatalf("%s: the run left no template in the memo", model)
 		}
-		replica, err := newReplica(model, cfg.Lite)
-		if err != nil {
-			t.Fatal(err)
-		}
+		replica := newReplica(model, cfg.Lite)
 		cold, err := nn.NewLiteByName(model, cfg.Lite)
 		if err != nil {
 			t.Fatal(err)
@@ -70,11 +67,7 @@ func TestReplicasFetchedConcurrentlyAreIndependent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			m, err := newReplica(model, lite)
-			if err != nil {
-				t.Error(err)
-				return
-			}
+			m := newReplica(model, lite)
 			digests[i] = modelDigest(m, lite)
 			// A replica's gradients get storage when its buckets bind it,
 			// as the trainer does right after fetching it.
@@ -89,9 +82,6 @@ func TestReplicasFetchedConcurrentlyAreIndependent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if t.Failed() {
-		return
-	}
 	cold, err := nn.NewLiteByName(model, lite)
 	if err != nil {
 		t.Fatal(err)
@@ -109,11 +99,7 @@ func TestReplicasFetchedConcurrentlyAreIndependent(t *testing.T) {
 			}
 		}
 	}
-	again, err := newReplica(model, lite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if modelDigest(again, lite) != want {
+	if modelDigest(newReplica(model, lite), lite) != want {
 		t.Fatal("writes to replicas reached the template")
 	}
 }

@@ -97,11 +97,3 @@ func TestSharedTrackerObservedOncePerRound(t *testing.T) {
 		}
 	}
 }
-
-// TestRunReturnsWhenEveryRankFails pins that Run returns an error, rather
-// than hanging, when every rank fails.
-func TestRunReturnsWhenEveryRankFails(t *testing.T) {
-	if _, err := Run(tinyConfig("no-such-scheme")); err == nil {
-		t.Fatal("an unknown scheme ran")
-	}
-}

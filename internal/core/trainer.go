@@ -73,16 +73,20 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	// Building the shell rank 0's evaluations copy into resolves the model
+	// name; with validate's checks, no rank can fail from here on.
+	shell, err := nn.NewLiteUndrawn(cfg.ModelName, cfg.Lite)
+	if err != nil {
+		return nil, err
+	}
+	def, _ := schemeByName(cfg.Scheme) // validate resolved it
 	// Equal shard sizes keep every worker's collective sequence in
 	// lockstep, as DistributedSampler's padding does.
 	cfg.Data.Samples = cfg.shardSamples() * cfg.World
 
 	start := time.Now()
 	fabric := cfg.NewFabric()
-	algo, err := collective.AlgorithmByName(cfg.Collective)
-	if err != nil {
-		return nil, err
-	}
+	algo := collective.MustAlgorithm(cfg.Collective) // validate canonicalized it
 
 	// Train and test splits must share class prototypes, so generate one
 	// dataset and split off the tail for evaluation.
@@ -93,28 +97,22 @@ func Run(cfg Config) (*Result, error) {
 	res := &Result{Scheme: cfg.Scheme, Model: cfg.ModelName, Collective: cfg.Collective,
 		CommLog: &CommLog{}, WeightChecksums: make([]float64, cfg.World)}
 
-	errs := make([]error, cfg.World)
 	var shared sharedMask
 	hosts := fabric.Topo.Hosts()[:cfg.World]
 	env := hookEnv{cluster: collective.NewCluster(cfg.World, fabric), world: cfg.World,
 		pricer: collective.NewPricer(algo, fabric, hosts), algo: algo, fabric: fabric, hosts: hosts,
 		trackers: new(sync.Map)}
-	eval := &evaluator{cfg: &cfg, testSet: testSet, curve: &res.Curve}
+	eval := &evaluator{cfg: &cfg, testSet: testSet, curve: &res.Curve, replica: shell}
 	var wg sync.WaitGroup
 	for rank := 0; rank < cfg.World; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			errs[rank] = runWorker(&cfg, rank, env, &shared, trainSet, eval, res)
+			runWorker(&cfg, def, rank, env, &shared, trainSet, eval, res)
 		}(rank)
 	}
 	wg.Wait()
 	eval.wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 
 	res.FinalAcc = res.Curve.FinalAcc()
 	res.BestAcc = res.Curve.BestAcc()
@@ -122,10 +120,6 @@ func Run(cfg Config) (*Result, error) {
 	res.WallSeconds = time.Since(start).Seconds()
 	return res, nil
 }
-
-// rankStartHook, when a test sets it, runs on every rank goroutine before the
-// rank builds its model.
-var rankStartHook func()
 
 // maskHook, when a test sets it, runs on every rank goroutine at the pruning
 // step, before the mask touches the rank's replica.
@@ -141,21 +135,16 @@ var syncHook func(rank int, model *nn.Model, hook ddp.Hook)
 type sharedMask struct {
 	once sync.Once
 	mask *prune.Mask
-	err  error
 }
 
 // runWorker is the per-rank training loop (Algorithm 1). env is the run's
-// hookEnv, which the worker completes with its rank and wire scale.
-func runWorker(cfg *Config, rank int, env hookEnv, shared *sharedMask,
-	trainSet *data.Dataset, eval *evaluator, res *Result) error {
+// hookEnv, which the worker completes with its rank and wire scale. It has no
+// error to return: its peers wait for it at every bucket sync, so everything
+// that could refuse the run was checked before the ranks started.
+func runWorker(cfg *Config, def schemeDef, rank int, env hookEnv, shared *sharedMask,
+	trainSet *data.Dataset, eval *evaluator, res *Result) {
 
-	if rankStartHook != nil {
-		rankStartHook()
-	}
-	model, err := newReplica(cfg.ModelName, cfg.Lite)
-	if err != nil {
-		return err
-	}
+	model := newReplica(cfg.ModelName, cfg.Lite)
 	opt := nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay)
 	shard := data.ShardDataset(trainSet, rank, cfg.World)
 	// From here on every gradient is a view of its bucket: backward
@@ -179,10 +168,7 @@ func runWorker(cfg *Config, rank int, env hookEnv, shared *sharedMask,
 		env.log, env.stats = res.CommLog, &res.Stats
 		env.log.SetBuckets(elems)
 	}
-	hook, err := buildHook(cfg, &env)
-	if err != nil {
-		return err
-	}
+	hook := buildHook(cfg, def, &env)
 	// The PacTrain-family schemes share one hook type; everything the
 	// trainer asks of a hook beyond Sync is asked of it (nil otherwise).
 	pac, _ := hook.(*pacTrainHook)
@@ -194,15 +180,14 @@ func runWorker(cfg *Config, rank int, env hookEnv, shared *sharedMask,
 
 	// evalAt hands rank 0's state to the evaluator at every evaluation point:
 	// each EvalEvery iterations, or at the end of each epoch when it is 0.
-	evalAt := func(epoch int, endOfEpoch bool) error {
+	evalAt := func(epoch int, endOfEpoch bool) {
 		due := endOfEpoch
 		if cfg.EvalEvery > 0 {
 			due = !endOfEpoch && iter%cfg.EvalEvery == 0
 		}
-		if rank != 0 || !due {
-			return nil
+		if rank == 0 && due {
+			eval.snapshot(model, pac, metrics.Point{Iter: iter, Epoch: epoch, SimTime: simTime, Loss: lastLoss})
 		}
-		return eval.snapshot(model, pac, metrics.Point{Iter: iter, Epoch: epoch, SimTime: simTime, Loss: lastLoss})
 	}
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -214,10 +199,7 @@ func runWorker(cfg *Config, rank int, env hookEnv, shared *sharedMask,
 		// communication; the Mask Tracker still pays the bitmap re-share
 		// when it sees the pattern move.
 		if cfg.IsPacTrain() && mask == nil && epoch == cfg.PretrainEpochs {
-			mask, err = buildMask(cfg, model, trainSet, shared)
-			if err != nil {
-				return err
-			}
+			mask = buildMask(cfg, model, trainSet, shared)
 			if maskHook != nil {
 				maskHook(rank, model, mask)
 			}
@@ -265,13 +247,9 @@ func runWorker(cfg *Config, rank int, env hookEnv, shared *sharedMask,
 			opt.Step(model.Params())
 			iter++
 
-			if err := evalAt(epoch, false); err != nil {
-				return err
-			}
+			evalAt(epoch, false)
 		}
-		if err := evalAt(epoch, true); err != nil {
-			return err
-		}
+		evalAt(epoch, true)
 	}
 
 	var checksum float64
@@ -289,7 +267,6 @@ func runWorker(cfg *Config, rank int, env hookEnv, shared *sharedMask,
 			res.AdaptiveDecisions, res.AdaptiveSwitches = pac.FormatCounts()
 		}
 	}
-	return nil
 }
 
 // buildMask returns the pruning mask for the configured method. Magnitude
@@ -299,28 +276,32 @@ func runWorker(cfg *Config, rank int, env hookEnv, shared *sharedMask,
 // that moves layer state (BatchNorm statistics), which must move identically
 // on every replica; the probe batch is drawn deterministically from the
 // shared dataset so that every worker still computes the same mask.
-func buildMask(cfg *Config, model *nn.Model, trainSet *data.Dataset, shared *sharedMask) (*prune.Mask, error) {
-	switch cfg.PruneMethod {
-	case prune.GlobalMagnitude, prune.LayerMagnitude:
+func buildMask(cfg *Config, model *nn.Model, trainSet *data.Dataset, shared *sharedMask) *prune.Mask {
+	if cfg.PruneMethod != prune.GraSP {
 		shared.once.Do(func() {
-			shared.mask, shared.err = prune.MagnitudePrune(model, cfg.PruneRatio, cfg.PruneMethod)
+			shared.mask = mustPrune(prune.MagnitudePrune(model, cfg.PruneRatio, cfg.PruneMethod))
 		})
-		return shared.mask, shared.err
-	case prune.GraSP:
-		probeN := 64
-		if probeN > trainSet.Len() {
-			probeN = trainSet.Len()
-		}
-		x, labels := trainSet.View(0, probeN)
-		computeGrads := func() {
-			model.ZeroGrad()
-			out := model.Forward(x, true)
-			_, g := nn.SoftmaxCrossEntropy(out, labels)
-			model.Backward(g)
-		}
-		mask, err := prune.GraSPPrune(model, cfg.PruneRatio, computeGrads)
-		model.ZeroGrad()
-		return mask, err
+		return shared.mask
 	}
-	return nil, fmt.Errorf("core: unsupported prune method %v", cfg.PruneMethod)
+	probeN := min(64, trainSet.Len())
+	x, labels := trainSet.View(0, probeN)
+	computeGrads := func() {
+		model.ZeroGrad()
+		out := model.Forward(x, true)
+		_, g := nn.SoftmaxCrossEntropy(out, labels)
+		model.Backward(g)
+	}
+	mask := mustPrune(prune.GraSPPrune(model, cfg.PruneRatio, computeGrads))
+	model.ZeroGrad()
+	return mask
+}
+
+// mustPrune unwraps a pruner's mask. A pruner refuses only a ratio outside
+// [0,1) or a method it lacks, and validate refused both before any rank
+// started, so an error here is a broken invariant, not a run to fail.
+func mustPrune(mask *prune.Mask, err error) *prune.Mask {
+	if err != nil {
+		panic(fmt.Sprintf("core: validate admitted a config the pruner refuses: %v", err))
+	}
+	return mask
 }

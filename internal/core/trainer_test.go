@@ -3,7 +3,10 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"pactrain/internal/collective"
@@ -239,6 +242,49 @@ func TestRunValidation(t *testing.T) {
 	cfg.PruneRatio = 1.5
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("invalid prune ratio must fail")
+	}
+}
+
+// TestRunRefusesBeforeRanksStart pins that everything able to refuse a run
+// is checked before a rank starts: a rank has no error to return, since its
+// peers would wait for it at the next bucket sync forever. Each refusal
+// leaves no goroutine behind, and the unknown-name messages are the ones a
+// rank used to return.
+func TestRunRefusesBeforeRanksStart(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name, want string
+		edit       func(*Config)
+	}{
+		{"unknown scheme", fmt.Sprintf("core: unknown scheme %q (have %v)", "no-such-scheme", Schemes()),
+			func(c *Config) { c.Scheme = "no-such-scheme" }},
+		{"unknown model", `nn: unknown lite model "no-such-model"`,
+			func(c *Config) { c.ModelName = "no-such-model" }},
+		{"unknown prune method", "prune method",
+			func(c *Config) { c.Scheme, c.PruneMethod = "pactrain", prune.Method(99) }},
+		{"NaN prune ratio", "prune ratio",
+			func(c *Config) { c.Scheme, c.PruneRatio = "pactrain", nan }},
+		{"NaN adaptive margin", "adaptive margin",
+			func(c *Config) { c.Scheme, c.AdaptMargin = SchemeAdaptive, nan }},
+		{"NaN straggler", "multiplier",
+			func(c *Config) { c.RankCompute.Multipliers = netsim.OneSlowRank(c.World, nan) }},
+		{"NaN jitter", "jitter",
+			func(c *Config) { c.RankCompute.JitterFrac = nan }},
+	}
+	for _, tc := range cases {
+		cfg := tinyConfig("all-reduce")
+		tc.edit(&cfg)
+		base := runtime.NumGoroutine()
+		_, err := Run(cfg)
+		if err == nil {
+			t.Fatalf("%s: the run was not refused", tc.name)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not say %q", tc.name, err, tc.want)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("%s: %d goroutines after the refusal, %d before", tc.name, n, base)
+		}
 	}
 }
 

@@ -208,18 +208,18 @@ func (rc RankCompute) Canonical() RankCompute {
 	return rc
 }
 
-// Validate rejects non-positive multipliers, more multipliers than ranks,
-// and jitter outside [0, 1).
+// Validate rejects multipliers that are not positive, more multipliers than
+// ranks, and jitter outside [0, 1); NaN is outside every range.
 func (rc RankCompute) Validate(world int) error {
 	if len(rc.Multipliers) > world {
 		return fmt.Errorf("ddp: %d rank-compute multipliers for %d ranks", len(rc.Multipliers), world)
 	}
 	for r, m := range rc.Multipliers {
-		if m <= 0 {
+		if !(m > 0) {
 			return fmt.Errorf("ddp: rank %d compute multiplier %v must be positive", r, m)
 		}
 	}
-	if rc.JitterFrac < 0 || rc.JitterFrac >= 1 {
+	if !(rc.JitterFrac >= 0 && rc.JitterFrac < 1) {
 		return fmt.Errorf("ddp: compute jitter %v outside [0,1)", rc.JitterFrac)
 	}
 	return nil

@@ -76,8 +76,8 @@ const (
 	// heartbeats (core.Progress); Progress carries the payload. Appended
 	// after the lifecycle kinds so their numeric values never move.
 	EventProgress
-	// EventPeerHit fires when a submission was satisfied by a cache peer
-	// (Event.Peer names it). Appended last; numeric values never move.
+	// EventPeerHit fires when a submission was satisfied by a cache peer.
+	// Appended last; numeric values never move.
 	EventPeerHit
 )
 
@@ -111,8 +111,8 @@ type Event struct {
 	Label       string
 	Fingerprint string
 	// SimSeconds is the simulated training time of the Result the event
-	// delivered (EventDeduped, EventCacheHit, successful EventTrainDone;
-	// zero otherwise).
+	// delivered (EventDeduped, EventCacheHit, EventPeerHit, successful
+	// EventTrainDone; zero otherwise).
 	SimSeconds float64
 	// Err carries the failure of an EventTrainDone.
 	Err string
@@ -122,11 +122,6 @@ type Event struct {
 	// CacheAgeSeconds is, on an EventCacheHit, how long ago the served
 	// entry was written (0 when unknown).
 	CacheAgeSeconds float64
-	// Peer is, on an EventPeerHit, the base URL of the peer that served
-	// the entry (empty on every other kind).
-	Peer string
-	// Stats snapshots the engine counters just after the event.
-	Stats Stats
 }
 
 // Options configures an Engine.
@@ -249,13 +244,12 @@ func New(opt Options) *Engine {
 	}}
 }
 
-// emit delivers an event to the observer with a fresh counter snapshot. It
-// must never be called with e.mu held (it takes it for the snapshot).
+// emit delivers an event to the observer, if there is one.
 func (e *Engine) emit(kind EventKind, label, fp string, sim float64, err error) {
 	if e.onEvent == nil {
 		return
 	}
-	ev := Event{Kind: kind, Label: label, Fingerprint: fp, SimSeconds: sim, Stats: e.Stats()}
+	ev := Event{Kind: kind, Label: label, Fingerprint: fp, SimSeconds: sim}
 	if err != nil {
 		ev.Err = err.Error()
 	}
@@ -339,9 +333,8 @@ func (e *Engine) execute(job Job, fp string, c *call) (*core.Result, bool, error
 		if res, ok := e.cache.Load(fp); ok && fits(res, job.Config.World) {
 			e.bump(&e.stats.CacheHits)
 			if e.onEvent != nil {
-				ev := Event{Kind: EventCacheHit, Label: job.Label, Fingerprint: fp,
-					SimSeconds: res.SimSeconds, CacheAgeSeconds: e.cache.Age(fp), Stats: e.Stats()}
-				e.onEvent(ev)
+				e.onEvent(Event{Kind: EventCacheHit, Label: job.Label, Fingerprint: fp,
+					SimSeconds: res.SimSeconds, CacheAgeSeconds: e.cache.Age(fp)})
 			}
 			e.logf("engine: %-32s %s cache hit", job.Label, fp)
 			return res, true, nil
@@ -368,7 +361,7 @@ func (e *Engine) execute(job Job, fp string, c *call) (*core.Result, bool, error
 				callerCB(p)
 			}
 			e.onEvent(Event{Kind: EventProgress, Label: job.Label, Fingerprint: fp,
-				SimSeconds: p.SimSeconds, Progress: &p, Stats: e.Stats()})
+				SimSeconds: p.SimSeconds, Progress: &p})
 		}
 	}
 	res, err := runConfig(cfg)
@@ -405,10 +398,11 @@ func (e *Engine) persist(job Job, fp string, res *core.Result) bool {
 	return true
 }
 
-// runConfig shields the scheduler from panicking training code (e.g. a
-// config whose world exceeds the topology): the panic becomes a job error,
-// so long-running callers like the serve subsystem fail one job instead of
-// crashing the process.
+// runConfig turns a panic on the calling goroutine, where core.Run validates
+// the config and builds the run, into a job error, so long-running callers
+// like the serve subsystem fail one job instead of crashing the process. It
+// guards that goroutine only: a panic on one of the run's rank goroutines is
+// still fatal.
 func runConfig(cfg core.Config) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {

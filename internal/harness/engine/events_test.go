@@ -60,7 +60,6 @@ func TestEventsCoverSubmissionLifecycle(t *testing.T) {
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	var last Stats
 	for _, ev := range rec.evs {
 		if ev.Fingerprint == "" || ev.Label == "" {
 			t.Fatalf("event missing identity: %+v", ev)
@@ -71,11 +70,6 @@ func TestEventsCoverSubmissionLifecycle(t *testing.T) {
 				t.Fatalf("%s event carries no simulated time: %+v", ev.Kind, ev)
 			}
 		}
-		last = ev.Stats
-	}
-	// The final snapshot must agree with the engine's own counters.
-	if want := e.Stats(); last != want {
-		t.Fatalf("last event stats %+v, engine stats %+v", last, want)
 	}
 }
 

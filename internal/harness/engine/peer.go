@@ -181,10 +181,7 @@ func (e *Engine) consultPeers(job Job, fp string, c *call) (*core.Result, bool) 
 				e.bump(&e.stats.PeerMisses)
 			default:
 				e.bump(&e.stats.PeerHits)
-				if e.onEvent != nil {
-					e.onEvent(Event{Kind: EventPeerHit, Label: job.Label, Fingerprint: fp,
-						SimSeconds: res.SimSeconds, Peer: peer, Stats: e.Stats()})
-				}
+				e.emit(EventPeerHit, job.Label, fp, res.SimSeconds, nil)
 				e.logf("engine: %-32s %s peer hit (%s)", job.Label, fp, peer)
 				return res, true
 			}

@@ -15,12 +15,11 @@ import (
 // rather than asserted.
 type Table1Row struct {
 	Scheme string
-	// ConvOK: iterations-to-target within tolerance of the lossless
-	// baseline (✓) or measurably slower / target missed (✗).
+	// ConvOK: iterations-to-target within 1.3× of the lossless baseline's
+	// (✓), or measurably slower / target missed (✗).
 	ConvOK bool
-	// ConvKnown is false when the workload-dependence the paper marks "?"
-	// applies (the scheme reached the target here but is known to be
-	// architecture-sensitive — reported as measured).
+	// IterRatio is the scheme's iterations-to-target over the baseline's,
+	// 0 when the scheme missed the target.
 	IterRatio float64
 	// AllReduceCompatible: the run's recorded log holds only all-reduces
 	// (and bitmap broadcasts).

@@ -59,6 +59,7 @@ type Progress struct {
 	Trained   int    `json:"trained"`
 	Deduped   int    `json:"deduped"`
 	CacheHits int    `json:"cache_hits"`
+	PeerHits  int    `json:"peer_hits"`
 	LastEvent string `json:"last_event,omitempty"`
 }
 

@@ -582,6 +582,8 @@ func (s *Server) onEngineEvent(j *job, ev engine.Event) {
 		j.progress.Deduped++
 	case engine.EventCacheHit:
 		j.progress.CacheHits++
+	case engine.EventPeerHit:
+		j.progress.PeerHits++
 	case engine.EventTrainDone:
 		if delivered {
 			j.progress.Trained++
@@ -589,7 +591,7 @@ func (s *Server) onEngineEvent(j *job, ev engine.Event) {
 	}
 	if delivered {
 		switch ev.Kind {
-		case engine.EventDeduped, engine.EventCacheHit, engine.EventTrainDone:
+		case engine.EventDeduped, engine.EventCacheHit, engine.EventPeerHit, engine.EventTrainDone:
 			s.simServed += ev.SimSeconds
 			j.simSeconds += ev.SimSeconds
 		}
@@ -672,7 +674,8 @@ type StatsView struct {
 	// RateLimited counts submissions rejected by the per-client rate limit.
 	RateLimited int `json:"rate_limited"`
 	// SimSecondsServed totals the simulated training seconds of every grid
-	// cell delivered to a client (trained, deduplicated, or cache-hit).
+	// cell delivered to a client (trained, deduplicated, cache-hit or
+	// peer-served).
 	SimSecondsServed float64 `json:"sim_seconds_served"`
 	Draining         bool    `json:"draining"`
 	UptimeSeconds    float64 `json:"uptime_seconds"`

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -683,5 +684,41 @@ func TestFailedJobSurfacesError(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("failed job result status %d, want 500", resp.StatusCode)
+	}
+}
+
+// TestPeerServedCellsAreCounted runs one job on an instance, then the same
+// job on a second instance peered with the first: every cell the first
+// trained reaches the second as a peer hit, and the second job's progress,
+// sim_seconds_served and job_sim account for each of them as delivered.
+func TestPeerServedCellsAreCounted(t *testing.T) {
+	t.Parallel()
+	owner, ownerTS := newTestServer(t, Options{})
+	asker, askerTS := newTestServer(t, Options{CachePeers: []string{ownerTS.URL}})
+	run := func(s *Server, base string) (JobView, float64) {
+		view, _, err := s.Submit(testRequest("ablation-tern"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		view = waitForState(t, base, view.ID, JobDone)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return view, s.jobs[view.ID].simSeconds
+	}
+	trained, trainedSim := run(owner, ownerTS.URL)
+	served, servedSim := run(asker, askerTS.URL)
+
+	want := trained.Progress
+	want.PeerHits, want.Trained = want.Trained, 0
+	want.LastEvent = served.Progress.LastEvent
+	if want.PeerHits == 0 || served.Progress != want {
+		t.Fatalf("peer-served job progress %+v, want %+v (the owner's was %+v)",
+			served.Progress, want, trained.Progress)
+	}
+	if math.Abs(servedSim-trainedSim) > 1e-9*trainedSim || trainedSim <= 0 {
+		t.Fatalf("peer-served job_sim %v, trained %v", servedSim, trainedSim)
+	}
+	if got := asker.Stats().SimSecondsServed; got != servedSim {
+		t.Fatalf("sim_seconds_served %v, want the job's %v", got, servedSim)
 	}
 }
