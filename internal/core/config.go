@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"pactrain/internal/adaptive"
 	"pactrain/internal/collective"
@@ -214,6 +215,19 @@ func (c *Config) validate() error {
 	if c.IsPacTrain() && c.PruneMethod != prune.GlobalMagnitude &&
 		c.PruneMethod != prune.LayerMagnitude && c.PruneMethod != prune.GraSP {
 		return fmt.Errorf("core: unsupported prune method %d", c.PruneMethod)
+	}
+	// The optimizer steps in float32, so the learning rate must be one.
+	if !(c.LR > 0 && c.LR <= math.MaxFloat32) {
+		return fmt.Errorf("core: learning rate %v outside (0,%g]", c.LR, math.MaxFloat32)
+	}
+	if !(c.Momentum >= 0 && c.Momentum < 1) {
+		return fmt.Errorf("core: momentum %v outside [0,1)", c.Momentum)
+	}
+	if !(c.WeightDecay >= 0 && c.WeightDecay < 1) {
+		return fmt.Errorf("core: weight decay %v outside [0,1)", c.WeightDecay)
+	}
+	if !(c.TargetAcc >= 0 && c.TargetAcc <= 1) {
+		return fmt.Errorf("core: target accuracy %v outside [0,1]", c.TargetAcc)
 	}
 	return nil
 }

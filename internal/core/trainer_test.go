@@ -270,6 +270,14 @@ func TestRunRefusesBeforeRanksStart(t *testing.T) {
 			func(c *Config) { c.RankCompute.Multipliers = netsim.OneSlowRank(c.World, nan) }},
 		{"NaN jitter", "jitter",
 			func(c *Config) { c.RankCompute.JitterFrac = nan }},
+		{"infinite straggler", "multiplier",
+			func(c *Config) { c.RankCompute.Multipliers = netsim.OneSlowRank(c.World, math.Inf(1)) }},
+		{"overflowing straggler", "multiplier",
+			func(c *Config) { c.RankCompute.Multipliers = netsim.OneSlowRank(c.World, 1e300) }},
+		{"NaN learning rate", "learning rate", func(c *Config) { c.LR = nan }},
+		{"NaN momentum", "momentum", func(c *Config) { c.Momentum = nan }},
+		{"NaN weight decay", "weight decay", func(c *Config) { c.WeightDecay = nan }},
+		{"NaN target", "target accuracy", func(c *Config) { c.TargetAcc = nan }},
 	}
 	for _, tc := range cases {
 		cfg := tinyConfig("all-reduce")

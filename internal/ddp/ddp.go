@@ -208,15 +208,20 @@ func (rc RankCompute) Canonical() RankCompute {
 	return rc
 }
 
-// Validate rejects multipliers that are not positive, more multipliers than
-// ranks, and jitter outside [0, 1); NaN is outside every range.
+// MaxMultiplier bounds a rank's compute multiplier: a rank a million times
+// slower keeps every scaled compute time, and the clocks that sum them,
+// finite, where +Inf or a huge multiplier turns them into NaN.
+const MaxMultiplier = 1e6
+
+// Validate rejects multipliers outside (0, MaxMultiplier], more multipliers
+// than ranks, and jitter outside [0, 1); NaN is outside every range.
 func (rc RankCompute) Validate(world int) error {
 	if len(rc.Multipliers) > world {
 		return fmt.Errorf("ddp: %d rank-compute multipliers for %d ranks", len(rc.Multipliers), world)
 	}
 	for r, m := range rc.Multipliers {
-		if !(m > 0) {
-			return fmt.Errorf("ddp: rank %d compute multiplier %v must be positive", r, m)
+		if !(m > 0 && m <= MaxMultiplier) {
+			return fmt.Errorf("ddp: rank %d compute multiplier %v outside (0,%g]", r, m, float64(MaxMultiplier))
 		}
 	}
 	if !(rc.JitterFrac >= 0 && rc.JitterFrac < 1) {

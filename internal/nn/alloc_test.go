@@ -40,6 +40,20 @@ func TestSteadyStateStepsAllocationFree(t *testing.T) {
 				c.Backward(d)
 			})
 		}},
+		{"Conv2D pruned", func() {
+			c := NewConv2D("c", r, 8, 16, 3, 1, 1)
+			for i := range c.Weight.W.Data() {
+				if i%2 == 0 {
+					c.Weight.W.Data()[i] = 0
+				}
+			}
+			x := tensor.Randn(r, 1, 4, 8, 16, 16)
+			g := tensor.Randn(r, 1, 4, 16, 16, 16)
+			stepAllocs(t, "Conv2D pruned", func() {
+				c.Forward(x, true)
+				c.Backward(g)
+			})
+		}},
 		{"TransformerBlock", func() {
 			b := NewTransformerBlock("b", r, 16, 2, 2)
 			x := tensor.Randn(r, 1, 2, 9, 16)

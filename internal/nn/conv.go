@@ -42,13 +42,13 @@ func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 	// Bias gradient: each channel's sum in ascending (image, position) order.
 	bg, gd := l.Bias.Grad.Data(), grad.Data()
-	for img := 0; img < n; img++ {
-		planes := gd[img*l.OutC*spatial : (img+1)*l.OutC*spatial]
-		for s := 0; s < spatial; s++ {
-			for f := range bg {
-				bg[f] += planes[f*spatial+s]
+	for f, sum := range bg {
+		for img := range n {
+			for _, v := range gd[(img*l.OutC+f)*spatial : (img*l.OutC+f+1)*spatial] {
+				sum += v
 			}
 		}
+		bg[f] = sum
 	}
 
 	l.dW = ensure(l.dW, l.OutC, l.Weight.W.Dim(1))

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -67,11 +68,27 @@ func sameConvBits(t *testing.T, what string, got, want []float32) {
 	}
 }
 
-// checkConv runs Conv2D forward and backward on palette values drawn from
+// checkConv runs checkConvCase on the weights drawn from data and on those
+// weights pruned, each with every input finite as drawn, with one ±Inf or NaN
+// in the input, and with one in the output gradient: the direct kernels leave
+// out zero-weight terms only while both are finite.
+func checkConv(t *testing.T, n, c, h, w, f, k, stride, pad int, data []byte) {
+	t.Helper()
+	for _, pruned := range []bool{false, true} {
+		for special := range 3 {
+			checkConvCase(t, n, c, h, w, f, k, stride, pad, data, pruned, special)
+		}
+	}
+}
+
+// checkConvCase runs Conv2D forward and backward on palette values drawn from
 // data and compares the output, dx, the weight gradient and the bias gradient
 // bit for bit with loweredConv. The layer first steps once on a larger batch
-// of other values, so every buffer it reuses is dirty.
-func checkConv(t *testing.T, n, c, h, w, f, k, stride, pad int, data []byte) {
+// of other values, so every buffer it reuses is dirty. With pruned, about half
+// the weights are ±0, and so are one whole filter (its bias −0, which only a
+// sum from +0 turns into +0) and one whole (channel, kernel position) column.
+// Special 1 puts one ±Inf or NaN in the input, special 2 one in the gradient.
+func checkConvCase(t *testing.T, n, c, h, w, f, k, stride, pad int, data []byte, pruned bool, special int) {
 	t.Helper()
 	draw := func(mul, add int, shape ...int) *tensor.Tensor {
 		v := tensor.New(shape...)
@@ -80,6 +97,7 @@ func checkConv(t *testing.T, n, c, h, w, f, k, stride, pad int, data []byte) {
 		}
 		return v
 	}
+	at := func(i int) byte { return data[i%len(data)] }
 	oh, ow := tensor.ConvOutSize(h, k, stride, pad), tensor.ConvOutSize(w, k, stride, pad)
 	l := NewConv2D("c", tensor.NewRNG(1), c, f, k, stride, pad)
 	l.Forward(draw(3, 1, n+1, c, h, w), true)
@@ -90,14 +108,41 @@ func checkConv(t *testing.T, n, c, h, w, f, k, stride, pad int, data []byte) {
 	copy(l.Bias.W.Data(), draw(13, 7, f).Data())
 	copy(l.Weight.Grad.Data(), draw(17, 11, f, c*k*k).Data())
 	copy(l.Bias.Grad.Data(), draw(19, 13, f).Data())
+	if pruned {
+		wd, p := l.Weight.W.Data(), c*k*k
+		zero := func(i int) { wd[i] = convPalette[at(i*5+3)&1] } // +0 or −0
+		for i := range wd {
+			if at(i*3+1)&2 == 0 {
+				zero(i)
+			}
+		}
+		if f > 1 {
+			fz := int(at(29)) % f
+			for q := range p {
+				zero(fz*p + q)
+			}
+			l.Bias.W.Data()[fz] = convPalette[1]
+		}
+		if p > 1 {
+			ck := int(at(31)) % p
+			for fi := range f {
+				zero(fi*p + ck)
+			}
+		}
+	}
+	if special > 0 {
+		v := []*tensor.Tensor{x, grad}[special-1].Data()
+		v[int(at(37))*31%len(v)] = convPalette[5+int(at(41))%3] // +Inf, −Inf or NaN
+	}
 	wg := append([]float32(nil), l.Weight.Grad.Data()...)
 	bg := append([]float32(nil), l.Bias.Grad.Data()...)
 	wantOut, wantDx := loweredConv(x, l.Weight.W, l.Bias.W, grad, k, stride, pad, wg, bg)
 
-	sameConvBits(t, "output", l.Forward(x, true).Data(), wantOut.Data())
-	sameConvBits(t, "dx", l.Backward(grad).Data(), wantDx.Data())
-	sameConvBits(t, "weight gradient", l.Weight.Grad.Data(), wg)
-	sameConvBits(t, "bias gradient", l.Bias.Grad.Data(), bg)
+	what := fmt.Sprintf("pruned %v, special %d:", pruned, special)
+	sameConvBits(t, what+" output", l.Forward(x, true).Data(), wantOut.Data())
+	sameConvBits(t, what+" dx", l.Backward(grad).Data(), wantDx.Data())
+	sameConvBits(t, what+" weight gradient", l.Weight.Grad.Data(), wg)
+	sameConvBits(t, what+" bias gradient", l.Bias.Grad.Data(), bg)
 }
 
 // TestConvMatchesLowered sweeps the geometries of every conv twin and the
@@ -118,6 +163,43 @@ func TestConvMatchesLowered(t *testing.T) {
 			{1, 1, 1, 1, 1, 1, 1, 0}, {2, 2, 5, 7, 3, 4, 4, 2}, {3, 2, 6, 9, 9, 3, 2, 2}, {2, 3, 3, 70, 5, 1, 1, 1},
 		} {
 			checkConv(t, g[0], g[1], g[2], g[3], g[4], g[5], g[6], g[7], data)
+		}
+	}
+}
+
+// TestConvReusedAcrossBatchSizes pins the padded buffers' clear-once rule: one
+// Conv serves the evaluator's chunks of 200 test samples, 64 then 8, and then
+// 64 again, on weights about half ±0, the first call with an Inf in the input
+// and a NaN in the gradient; every output and gradient equals a fresh Conv's
+// bit for bit.
+func TestConvReusedAcrossBatchSizes(t *testing.T) {
+	r := tensor.NewRNG(46)
+	for _, geo := range [][6]int{{10, 16, 10, 3, 1, 1}, {10, 16, 20, 3, 2, 1}, {10, 16, 20, 1, 2, 0}} { // c, size, f, k, stride, pad
+		c, hw, f, k, s, pad := geo[0], geo[1], geo[2], geo[3], geo[4], geo[5]
+		oh := tensor.ConvOutSize(hw, k, s, pad)
+		w, bias := tensor.Randn(r, 1, f, c*k*k), tensor.Randn(r, 1, f)
+		for i := range w.Data() {
+			if r.Intn(2) == 0 {
+				w.Data()[i] = 0
+			}
+		}
+		var reused *tensor.Conv
+		for step, n := range []int{64, 8, 64} {
+			x, grad := tensor.Randn(r, 1, n, c, hw, hw), tensor.Randn(r, 1, n, f, oh, oh)
+			if step == 0 {
+				x.Data()[5], grad.Data()[7] = float32(math.Inf(1)), float32(math.NaN())
+			}
+			run := func(g *tensor.Conv) []*tensor.Tensor {
+				out, dW, dx := tensor.New(n, f, oh, oh), tensor.New(f, c*k*k), tensor.New(n, c, hw, hw)
+				g.Forward(out, x, w, bias)
+				g.Backward(dW, dx, grad, w)
+				return []*tensor.Tensor{out, dW, dx}
+			}
+			reused = tensor.ConvFor(reused, x, f, k, k, s, pad)
+			got, want := run(reused), run(tensor.ConvFor(nil, x, f, k, k, s, pad))
+			for i, what := range []string{"output", "weight gradient", "dx"} {
+				sameConvBits(t, fmt.Sprintf("%v, batch %d (call %d): %s", geo, n, step, what), got[i].Data(), want[i].Data())
+			}
 		}
 	}
 }

@@ -2,7 +2,7 @@ package tensor
 
 import (
 	"fmt"
-	"slices"
+	"math"
 )
 
 // Conv is a direct 2-D convolution at one geometry: F filters of KH×KW, weights
@@ -28,7 +28,19 @@ type Conv struct {
 
 	// The padded input (kept for Backward), the padded output gradient, and
 	// its rows (img, oy, ox) of F columns with zeros up to a multiple of 8.
+	// Each is zeroed only when it grows (padded): every call overwrites the
+	// same interior positions, and the padding between them is never written.
 	xp, gp, gm []float32
+
+	// The live terms, rebuilt from the weights once per call. The forward's
+	// list f, fw and foff from fend[f] to fend[f+1], is filter f's nonzero
+	// weights and their xoff offsets in ascending term order. The input
+	// gradient's list l = (phase, kernel position, channel), gw and goff from
+	// gend[l] to gend[l+1], is the filters whose weight there is nonzero, in
+	// ascending order, with their padded-gradient offsets.
+	fw, gw     []float32
+	foff, goff []int32
+	fend, gend []int
 }
 
 // convPhase is the input-gradient pixels (a + Stride·u, b + Stride·v), u < hu,
@@ -85,39 +97,82 @@ func ConvFor(g *Conv, x *Tensor, f, kh, kw, stride, pad int) *Conv {
 		}
 		g.phases = append(g.phases, ph)
 	}
+	p, kj := c*kh*kw, 0
+	for _, ph := range g.phases {
+		kj += len(ph.kk)
+	}
+	g.fw, g.foff, g.fend = make([]float32, f*p), make([]int32, f*p), make([]int, f+1)
+	g.gw, g.goff, g.gend = make([]float32, kj*c*f), make([]int32, kj*c*f), make([]int, kj*c+1)
 	return g
+}
+
+// padded returns buf with n floats: new zeros when n is past its capacity,
+// and otherwise the storage as the last call left it.
+func padded(buf []float32, n int) []float32 {
+	if n > cap(buf) {
+		return make([]float32, n)
+	}
+	return buf[:n]
+}
+
+// live reports whether v is not ±0, as 1 or 0 and without a branch, since
+// half the weights of a pruned layer are zeros in no order.
+func live(v float32) int {
+	u := math.Float32bits(v) << 1
+	return int((u | -u) >> 31)
 }
 
 // Forward writes out (N, F, OutH, OutW) = x ⊛ w + bias and keeps the padded x
 // for Backward: element (img, f, oy, ox) sums w[f,p]·x̂ over ascending p from
 // +0, padding terms included, then adds bias[f], as cols × Wᵀ plus bias did.
+// When x is finite, the terms of ±0 weights are left out: each would add a ±0
+// product, which a sum from +0 absorbs (DESIGN.md §12).
 func (g *Conv) Forward(out, x, w, bias *Tensor) {
 	n, s, plane := x.shape[0], g.Stride, g.hq*g.wq
-	g.xp = slices.Grow(g.xp[:0], n*g.xn+convSlack)[:n*g.xn+convSlack]
-	clear(g.xp)
-	for row := 0; row < n*g.C*g.H; row++ { // row = (img·C + ch)·H + iy
-		src, y := x.data[row*g.W:(row+1)*g.W], row%g.H+g.Pad
-		base := (row/g.H*s+y%s)*s*plane + y/s*g.wq
-		if s == 1 {
-			copy(g.xp[base+g.Pad:], src)
-			continue
-		}
-		for px := range s {
-			ix := (px - g.Pad%s + s) % s // the first column in phase px
-			dst := g.xp[base+px*plane+(ix+g.Pad)/s:]
-			for j := 0; ix < g.W; ix, j = ix+s, j+1 {
-				dst[j] = src[ix]
+	g.xp = padded(g.xp, n*g.xn+convSlack)
+	for ic := range n * g.C { // input plane ic = img·C + ch
+		src := x.data[ic*g.H*g.W : (ic+1)*g.H*g.W]
+		for py := range s {
+			iy0 := (py - g.Pad%s + s) % s // the first row in phase py
+			for px := range s {
+				ix0 := (px - g.Pad%s + s) % s // the first column in phase px
+				at := ((ic*s+py)*s+px)*plane + (iy0+g.Pad)/s*g.wq + (ix0+g.Pad)/s
+				for iy := iy0; iy < g.H; iy, at = iy+s, at+g.wq {
+					row := src[iy*g.W : (iy+1)*g.W]
+					if s == 1 {
+						copy(g.xp[at:], row)
+						continue
+					}
+					dst := g.xp[at:]
+					for ix, j := ix0, 0; ix < g.W; ix, j = ix+s, j+1 {
+						dst[j] = row[ix]
+					}
+				}
 			}
 		}
 	}
-	p, spatial := g.C*g.KH*g.KW, g.OutH*g.OutW
+	// With a non-finite input a ±0 weight's term may be NaN (0·Inf), so
+	// every term is kept.
+	p, spatial, keep, k := g.C*g.KH*g.KW, g.OutH*g.OutW, 0, 0
+	if !finite(x.data) {
+		keep = 1
+	}
+	for f := range g.F {
+		for q, v := range w.data[f*p : (f+1)*p] {
+			g.fw[k], g.foff[k] = v, g.xoff[q]
+			k += live(v) | keep
+		}
+		g.fend[f+1] = k
+	}
 	row := getScratch(gridLen((g.OutH-1)*g.wq + g.OutW))
-	for i := range n * g.F { // output plane i = img·F + f
-		convRow(row, w.data[i%g.F*p:], 1, g.xp[i/g.F*g.xn:], g.xoff[:p], false, false)
-		o, bv := out.data[i*spatial:], bias.data[i%g.F]
-		for oy := range g.OutH {
-			for ox, v := range row[oy*g.wq : oy*g.wq+g.OutW] {
-				o[oy*g.OutW+ox] = v + bv
+	for img := range n {
+		xi := g.xp[img*g.xn:]
+		for f := range g.F {
+			lo, hi := g.fend[f], g.fend[f+1]
+			convRow(row, g.fw[lo:hi], xi, g.foff[lo:hi], false, false, bias.data[f])
+			o := out.data[(img*g.F+f)*spatial:]
+			for oy := range g.OutH {
+				copy(o[oy*g.OutW:(oy+1)*g.OutW], row[oy*g.wq:])
 			}
 		}
 	}
@@ -129,12 +184,13 @@ func (g *Conv) Forward(out, x, w, bias *Tensor) {
 // the last Forward with weights w.
 func (g *Conv) Backward(dW, dx, grad, w *Tensor) {
 	n, p, spatial, fs := grad.shape[0], g.C*g.KH*g.KW, g.OutH*g.OutW, (g.F+7)&^7
-	g.gm = slices.Grow(g.gm[:0], n*spatial*fs)[:n*spatial*fs]
-	clear(g.gm)
-	for row := 0; row < n*g.F; row++ { // row = img·F + f
-		rows := g.gm[row/g.F*spatial*fs+row%g.F:]
-		for r, v := range grad.data[row*spatial : (row+1)*spatial] {
-			rows[r*fs] = v
+	g.gm = padded(g.gm, n*spatial*fs)
+	for img := range n {
+		for f := range g.F {
+			rows := g.gm[img*spatial*fs+f:]
+			for r, v := range grad.data[(img*g.F+f)*spatial : (img*g.F+f+1)*spatial] {
+				rows[r*fs] = v
+			}
 		}
 	}
 	// dWᵀ, rows of F rounded up to 8, goes in blocks of 8 terms of 8 filters,
@@ -163,39 +219,70 @@ func (g *Conv) Backward(dW, dx, grad, w *Tensor) {
 // ascending (oy, ox)), the filter sum Σ_f ĝ·w[f,p] over ascending f from +0
 // with ±0 gradient terms left out (gm × W's element), each finished before it
 // joins the pixel's sum from +0. Terms Col2Im never adds read the padding's
-// zeros and add +0.
+// zeros and add +0. When the gradient is finite, the filters whose weight is
+// ±0 are left out of a filter sum, and a (ky, kx) with none left adds nothing:
+// it would add +0 to a sum from +0.
 func (g *Conv) inputGrad(dx, grad, w *Tensor) {
-	n, gimg := grad.shape[0], g.F*g.hg*g.wg
-	g.gp = slices.Grow(g.gp[:0], n*gimg+convSlack)[:n*gimg+convSlack]
-	clear(g.gp)
-	for row := 0; row < n*g.F*g.OutH; row++ { // row = (img·F + f)·OutH + oy
-		if y := row%g.OutH + g.gtop; y < g.hg {
-			copy(g.gp[(row/g.OutH*g.hg+y)*g.wg+g.gleft:][:g.wg-g.gleft], grad.data[row*g.OutW:(row+1)*g.OutW])
+	n, gimg, spatial := grad.shape[0], g.F*g.hg*g.wg, g.OutH*g.OutW
+	g.gp = padded(g.gp, n*gimg+convSlack)
+	for i := range n * g.F { // gradient plane i = img·F + f
+		src, at := grad.data[i*spatial:(i+1)*spatial], (i*g.hg+g.gtop)*g.wg+g.gleft
+		for oy := range min(g.OutH, g.hg-g.gtop) {
+			copy(g.gp[at+oy*g.wg:][:g.wg-g.gleft], src[oy*g.OutW:(oy+1)*g.OutW])
 		}
 	}
 	// Leaving a ±0 gradient term out matters only against a ±Inf or NaN
-	// weight: otherwise its product is ±0, which a sum from +0 absorbs.
-	mask := false
-	for _, v := range w.data {
-		mask = mask || v-v != 0
+	// weight: otherwise its product is ±0, which a sum from +0 absorbs. With
+	// a non-finite gradient, every filter is kept, as in the forward.
+	p, kk, s, keep := g.C*g.KH*g.KW, g.KH*g.KW, g.Stride, 0
+	mask := !finite(w.data)
+	if !finite(grad.data) {
+		keep = 1
 	}
-	p, kk, s := g.C*g.KH*g.KW, g.KH*g.KW, g.Stride
-	buf := getScratch(gridLen(((g.H+s-1)/s-1)*g.wg + (g.W+s-1)/s))
-	for i := range n * g.C { // dx plane i = img·C + c
-		for _, ph := range g.phases {
-			acc := buf[:gridLen((ph.hu-1)*g.wg+ph.wv)]
-			clear(acc)
-			for j, k := range ph.kk {
-				convRow(acc, w.data[i%g.C*kk+k:], p, g.gp[i/g.C*g.F*g.hg*g.wg:], ph.off[j*g.F:(j+1)*g.F], mask, true)
-			}
-			for u := range ph.hu {
-				dst, src := dx.data[i*g.H*g.W+(ph.a+u*s)*g.W+ph.b:], acc[u*g.wg:u*g.wg+ph.wv]
-				if s == 1 {
-					copy(dst, src)
-					continue
+	l, k := 0, 0
+	for _, ph := range g.phases {
+		for j, kp := range ph.kk {
+			for c := range g.C {
+				for f := range g.F {
+					v := w.data[f*p+c*kk+kp]
+					g.gw[k], g.goff[k] = v, ph.off[j*g.F+f]
+					k += live(v) | keep
 				}
-				for v, val := range src {
-					dst[v*s] = val
+				l++
+				g.gend[l] = k
+			}
+		}
+	}
+	buf := getScratch(gridLen(((g.H+s-1)/s-1)*g.wg + (g.W+s-1)/s))
+	for img := range n {
+		gi := g.gp[img*gimg:]
+		for c := range g.C {
+			plane, kj := dx.data[(img*g.C+c)*g.H*g.W:], 0
+			for _, ph := range g.phases {
+				acc, first := buf[:gridLen((ph.hu-1)*g.wg+ph.wv)], true
+				for range ph.kk {
+					l := kj*g.C + c
+					kj++
+					lo, hi := g.gend[l], g.gend[l+1]
+					if lo == hi {
+						continue
+					}
+					// The first sum is stored as it is, since +0 + t is t.
+					convRow(acc, g.gw[lo:hi], gi, g.goff[lo:hi], mask, !first, 0)
+					first = false
+				}
+				if first {
+					clear(acc)
+				}
+				for u := range ph.hu {
+					dst, src := plane[(ph.a+u*s)*g.W+ph.b:], acc[u*g.wg:u*g.wg+ph.wv]
+					if s == 1 {
+						copy(dst, src)
+						continue
+					}
+					for v, val := range src {
+						dst[v*s] = val
+					}
 				}
 			}
 		}

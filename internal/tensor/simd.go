@@ -12,6 +12,7 @@ var (
 	add      = addGo      // y[j] += x[j], or y[j] = +0 + x[j] with fromZero
 	maxAbs   = maxAbsGo   // max |x[j]| from +0, a NaN never the larger
 	momentum = momentumGo // g[j] += wd·w[j] unless wd is 0; v[j] = mom·v[j] + g[j]; w[j] -= lr·v[j]
+	finite   = finiteGo   // every x[j] is finite
 
 	convRow    = convRowGo    // the direct convolution's forward and input-gradient lanes
 	convWeight = convWeightGo // its weight-gradient lanes
@@ -61,6 +62,15 @@ func momentumGo(w, g, v []float32, lr, mom, wd float32) {
 	}
 }
 
+func finiteGo(x []float32) bool {
+	for _, v := range x {
+		if v-v != 0 { // NaN for ±Inf and NaN, +0 otherwise
+			return false
+		}
+	}
+	return true
+}
+
 // mulRow is the one row kernel under the three matmuls:
 // c[j] = Σ_p a[p·astride]·b[p·bstride+j] over p < k, each c[j] summed from +0
 // in ascending p, one multiply and one add per term. With skip, the terms
@@ -84,20 +94,23 @@ func mulRow(c, a []float32, astride int, b []float32, bstride, k int, skip bool)
 	}
 }
 
-// convRowGo: c[j] = Σ_p a[p·astride]·b[off[p]+j] over p < len(off) ≥ 1, from
-// +0 in ascending p, one multiply and one add per term; with mask a term whose
-// b is ±0 adds +0 (as skipping it would: a sum from +0 is never −0); with acc
-// the sum is then added to c[j]. len(c) is a multiple of 8.
-func convRowGo(c, a []float32, astride int, b []float32, off []int32, mask, acc bool) {
+// convRowGo: c[j] = Σ_p a[p]·b[off[p]+j] over p < len(off), from +0 in
+// ascending p, one multiply and one add per term; with mask a term whose b is
+// ±0 adds +0 (as skipping it would: a sum from +0 is never −0); with acc the
+// sum is then added to c[j], and otherwise bias is added to the sum. len(c)
+// is a multiple of 8.
+func convRowGo(c, a, b []float32, off []int32, mask, acc bool, bias float32) {
 	for j := range c {
 		var t float32
 		for p, o := range off {
 			if v := b[int(o)+j]; !mask || v != 0 {
-				t += float32(a[p*astride] * v)
+				t += float32(a[p] * v)
 			}
 		}
 		if acc {
 			t = c[j] + t
+		} else {
+			t = t + bias
 		}
 		c[j] = t
 	}

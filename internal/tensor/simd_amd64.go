@@ -39,6 +39,10 @@ func init() {
 		momentumAVX2(w[:n], g[:n], v[:n], lr, mom, wd)
 		momentumGo(w[n:], g[n:], v[n:], lr, mom, wd)
 	}
+	finite = func(x []float32) bool {
+		n := len(x) &^ 7
+		return finiteAVX2(x[:n]) && finiteGo(x[n:])
+	}
 	convRow, convWeight = convRowAVX2, convWeightAVX2
 
 	relu = func(y, x []float32) {
@@ -90,7 +94,10 @@ func rowAVX2(c, a []float32, astride int, b []float32, bstride, k int, skip bool
 func tile4AVX2(c []float32, cstride int, a []float32, arow int, b []float32, bstride, k int)
 
 //go:noescape
-func convRowAVX2(c, a []float32, astride int, b []float32, off []int32, mask, acc bool)
+func finiteAVX2(x []float32) bool
+
+//go:noescape
+func convRowAVX2(c, a, b []float32, off []int32, mask, acc bool, bias float32)
 
 //go:noescape
 func convWeightAVX2(c []float32, cs int, x []float32, off []int32, g []float32, gs, oh, ow, wq int)

@@ -384,6 +384,53 @@ momDone:
 	VZEROUPPER
 	RET
 
+// func finiteAVX2(x []float32) bool
+// Whether every x[j] is finite: x − x is +0 for a finite x and NaN for ±Inf or
+// NaN, so the OR of all the differences has no bit set exactly when every
+// element is finite. len(x) is a multiple of 8.
+TEXT ·finiteAVX2(SB), NOSPLIT, $0-25
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+fin32:
+	CMPQ CX, $32
+	JLT  fin8
+	VMOVUPS (SI), Y4
+	VMOVUPS 32(SI), Y5
+	VMOVUPS 64(SI), Y6
+	VMOVUPS 96(SI), Y7
+	VSUBPS  Y4, Y4, Y4
+	VSUBPS  Y5, Y5, Y5
+	VSUBPS  Y6, Y6, Y6
+	VSUBPS  Y7, Y7, Y7
+	VORPS   Y4, Y0, Y0
+	VORPS   Y5, Y1, Y1
+	VORPS   Y6, Y2, Y2
+	VORPS   Y7, Y3, Y3
+	ADDQ $128, SI
+	SUBQ $32, CX
+	JMP  fin32
+fin8:
+	CMPQ CX, $8
+	JLT  finDone
+	VMOVUPS (SI), Y4
+	VSUBPS  Y4, Y4, Y4
+	VORPS   Y4, Y0, Y0
+	ADDQ $32, SI
+	SUBQ $8, CX
+	JMP  fin8
+finDone:
+	VORPS  Y1, Y0, Y0
+	VORPS  Y3, Y2, Y2
+	VORPS  Y2, Y0, Y0
+	VPTEST Y0, Y0
+	SETEQ  ret+24(FP)
+	VZEROUPPER
+	RET
+
 // The direct convolution's kernels (conv.go; Go loops convRowGo and
 // convWeightGo in simd.go). They keep the matmuls' operand order — the weight
 // (forward, input gradient) or the input (weight gradient) is the first
@@ -399,7 +446,7 @@ momDone:
 // CNEXT steps to the next term and loops while terms are left.
 #define CNEXT(label) \
 	ADDQ $4, R15 \
-	ADDQ R12, R14 \
+	ADDQ $4, R14 \
 	DECQ R11 \
 	JNE  label
 
@@ -421,29 +468,33 @@ momDone:
 	VMOVUPS off(DI), tmp \
 	VADDPS  acc, tmp, acc
 
-// CSTART points the term walk at the first term.
-#define CSTART \
+// CBIAS adds the broadcast bias (Y8) to eight sums, the sum the first addend.
+#define CBIAS(acc) VADDPS Y8, acc, acc
+
+// CSTART points the term walk at the first term, or goes straight to the
+// store when there is none.
+#define CSTART(store) \
 	MOVQ SI, R14 \
 	MOVQ R8, R15 \
-	MOVQ R9, R11
+	MOVQ R9, R11 \
+	TESTQ R11, R11 \
+	JEQ  store
 
-// func convRowAVX2(c, a []float32, astride int, b []float32, off []int32, mask, acc bool)
-// c[j] = Σ_p a[p·astride]·b[off[p]+j] for j < len(c) and p < len(off), p
+// func convRowAVX2(c, a, b []float32, off []int32, mask, acc bool, bias float32)
+// c[j] = Σ_p a[p]·b[off[p]+j] for j < len(c) and p < len(off), p
 // ascending from +0 in every lane; with mask a lane whose b is ±0 adds +0; with
-// acc the sums are added to c. len(c) is a multiple of 8 and len(off) ≥ 1.
-// Columns go 64, 32 and then 8 at a time, each tile's sums in registers for the
-// whole term loop.
-TEXT ·convRowAVX2(SB), NOSPLIT, $0-106
+// acc the sums are added to c, and otherwise bias is added to them. len(c) is a
+// multiple of 8; off may be empty. Columns go 64, 32 and then 8 at a time, each
+// tile's sums in registers for the whole term loop.
+TEXT ·convRowAVX2(SB), NOSPLIT, $0-104
 	MOVQ c_base+0(FP), DI
 	MOVQ c_len+8(FP), CX
 	MOVQ a_base+24(FP), SI
-	MOVQ astride+48(FP), R12
-	MOVQ b_base+56(FP), BX
-	MOVQ off_base+80(FP), R8
-	MOVQ off_len+88(FP), R9
-	MOVBLZX mask+104(FP), R13
-	MOVBLZX acc+105(FP), DX
-	SHLQ $2, R12
+	MOVQ b_base+48(FP), BX
+	MOVQ off_base+72(FP), R8
+	MOVQ off_len+80(FP), R9
+	MOVBLZX mask+96(FP), R13
+	MOVBLZX acc+97(FP), DX
 	VXORPS Y14, Y14, Y14
 cr64:
 	CMPQ CX, $64
@@ -456,7 +507,7 @@ cr64:
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
-	CSTART
+	CSTART(cr64store)
 	TESTQ R13, R13
 	JNE   cr64m
 cr64p:
@@ -484,7 +535,7 @@ cr64m:
 	CNEXT(cr64m)
 cr64store:
 	TESTQ DX, DX
-	JEQ   cr64put
+	JEQ   cr64bias
 	CACC(0, Y8, Y0)
 	CACC(32, Y9, Y1)
 	CACC(64, Y10, Y2)
@@ -493,6 +544,17 @@ cr64store:
 	CACC(160, Y9, Y5)
 	CACC(192, Y10, Y6)
 	CACC(224, Y11, Y7)
+	JMP   cr64put
+cr64bias:
+	VBROADCASTSS bias+100(FP), Y8
+	CBIAS(Y0)
+	CBIAS(Y1)
+	CBIAS(Y2)
+	CBIAS(Y3)
+	CBIAS(Y4)
+	CBIAS(Y5)
+	CBIAS(Y6)
+	CBIAS(Y7)
 cr64put:
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
@@ -513,7 +575,7 @@ cr32:
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
-	CSTART
+	CSTART(cr32store)
 	TESTQ R13, R13
 	JNE   cr32m
 cr32p:
@@ -533,11 +595,18 @@ cr32m:
 	CNEXT(cr32m)
 cr32store:
 	TESTQ DX, DX
-	JEQ   cr32put
+	JEQ   cr32bias
 	CACC(0, Y8, Y0)
 	CACC(32, Y9, Y1)
 	CACC(64, Y10, Y2)
 	CACC(96, Y11, Y3)
+	JMP   cr32put
+cr32bias:
+	VBROADCASTSS bias+100(FP), Y8
+	CBIAS(Y0)
+	CBIAS(Y1)
+	CBIAS(Y2)
+	CBIAS(Y3)
 cr32put:
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
@@ -551,7 +620,7 @@ cr8:
 	CMPQ CX, $8
 	JLT  crDone
 	VXORPS Y0, Y0, Y0
-	CSTART
+	CSTART(cr8store)
 	TESTQ R13, R13
 	JNE   cr8m
 cr8p:
@@ -565,8 +634,12 @@ cr8m:
 	CNEXT(cr8m)
 cr8store:
 	TESTQ DX, DX
-	JEQ   cr8put
+	JEQ   cr8bias
 	CACC(0, Y8, Y0)
+	JMP   cr8put
+cr8bias:
+	VBROADCASTSS bias+100(FP), Y8
+	CBIAS(Y0)
 cr8put:
 	VMOVUPS Y0, (DI)
 	ADDQ $32, DI

@@ -165,6 +165,30 @@ func checkElementwise(t *testing.T, off int, x, g, v []float32, lr, mom, wd floa
 
 	sameBits(t, "maxAbs", []float32{maxAbs(at(x)[:n])}, []float32{maxAbsGo(x[:n])})
 
+	// finite on x, on x with its non-finite values made +0, and on that with
+	// one ±Inf or NaN at its first, middle or last element.
+	fx := at(x)
+	checkFinite := func() {
+		if got, want := finite(fx[:n]), finiteGo(fx[:n]); got != want {
+			t.Fatalf("finite(%v) = %v, want %v", fx[:n], got, want)
+		}
+	}
+	checkFinite()
+	for j, v := range fx[:n] {
+		if v-v != 0 {
+			fx[j] = 0
+		}
+	}
+	checkFinite()
+	for i, j := range []int{0, n / 2, n - 1} {
+		if n > 0 {
+			keep := fx[j]
+			fx[j] = palette[5+i]
+			checkFinite()
+			fx[j] = keep
+		}
+	}
+
 	ww, wg, wv := at(x), at(g), at(v)
 	gw, gg, gv := at(x), at(g), at(v)
 	sgdStepGo(ww[:n], wg[:n], wv[:n], lr, mom, wd)
@@ -353,21 +377,22 @@ func checkRow(t *testing.T, off int, ad, bd []float32, m, k, n int) {
 }
 
 // checkConvKernels compares the direct convolution's kernels with their Go
-// loops on palette values: convRow over a grid of n lanes with and without the
-// mask and the accumulate, and convWeight over a random output window.
+// loops on palette values: convRow over a grid of n lanes, with no term or
+// up to 12, with and without the mask, and accumulated or biased; and
+// convWeight over a random output window.
 func checkConvKernels(t *testing.T, r *RNG, n int) {
 	t.Helper()
-	k := 1 + r.Intn(12)
-	a, b, off := fill(r, 3*k), fill(r, n+64), make([]int32, k)
+	k := r.Intn(13)
+	a, b, off := fill(r, k), fill(r, n+64), make([]int32, k)
 	for i := range off {
 		off[i] = int32(r.Intn(65))
 	}
 	for _, mask := range []bool{false, true} {
 		for _, acc := range []bool{false, true} {
-			want := fill(r, n)
+			want, bias := fill(r, n), fill(r, 1)[0]
 			got := append([]float32(nil), want...)
-			convRowGo(want, a, 3, b, off, mask, acc)
-			convRow(got, a, 3, b, off, mask, acc)
+			convRowGo(want, a, b, off, mask, acc, bias)
+			convRow(got, a, b, off, mask, acc, bias)
 			sameBits(t, "convRow", got, want)
 		}
 	}
@@ -496,5 +521,21 @@ func FuzzElementwiseBitExact(f *testing.F) {
 		checkElementwise(t, off, draw(n+1, 1, 0), draw(n+1, 3, 1), draw(n+1, 5, 2), palette[lr], palette[mom], palette[wd])
 		m, k := 1+int(lr)%3, int(mom)%20
 		checkRow(t, off, draw(m*k, 7, 3), draw(k*n, 11, 5), m, k, n)
+
+		// The conv row kernel on whole registers: no term or up to four, the
+		// bias added to the sums or the sums added to c.
+		if lanes := n &^ 7; lanes > 0 {
+			terms := make([]int32, int(wd)%5)
+			for i := range terms {
+				terms[i] = int32(data[(i*17+1)%len(data)] % 16)
+			}
+			for _, acc := range []bool{false, true} {
+				want := draw(lanes, 13, 7)
+				got := append([]float32(nil), want...)
+				convRowGo(want, draw(len(terms), 19, 11), draw(lanes+16, 23, 13), terms, mom&1 == 1, acc, palette[lr])
+				convRow(got, draw(len(terms), 19, 11), draw(lanes+16, 23, 13), terms, mom&1 == 1, acc, palette[lr])
+				sameBits(t, "convRow", got, want)
+			}
+		}
 	})
 }
