@@ -158,16 +158,18 @@ func BenchmarkSGDStep(b *testing.B) {
 // shapes train_job's twins give them: the ViT-Base-16 twin's MLP GELU (8
 // images × 17 tokens × 96 features) and the ResNet18 twin's first stage (8 ×
 // 10 channels × 16 × 16) for ReLU, the residual block's add-ReLU and
-// BatchNorm.
+// BatchNorm, and the ViT twin's LayerNorm (8 images × 17 tokens × 48).
 func BenchmarkActivations(b *testing.B) {
 	r := tensor.NewRNG(1)
 	tokens := tensor.Randn(r, 1, 8*17, 96)
 	planes := tensor.Randn(r, 1, 8, 10, 16, 16)
 	grad := tensor.Randn(r, 1, 8, 10, 16, 16)
-	gelu, relu, bn := NewGELU(), NewReLU(), NewBatchNorm2D("bn", 10)
+	rows := tensor.Randn(r, 1, 8, 17, 48)
+	gelu, relu, bn, ln := NewGELU(), NewReLU(), NewBatchNorm2D("bn", 10), NewLayerNorm("ln", 48)
 	add := NewResidual(NewSequential(), nil) // relu(x + x)
 	relu.Forward(planes, true)
 	bn.Forward(planes, true)
+	ln.Forward(rows, true)
 	for _, c := range []struct {
 		name string
 		run  func()
@@ -178,6 +180,8 @@ func BenchmarkActivations(b *testing.B) {
 		{"add-relu", func() { add.Forward(planes, true) }},
 		{"bn-fwd", func() { bn.Forward(planes, true) }},
 		{"bn-bwd", func() { bn.Backward(grad) }},
+		{"ln-fwd", func() { ln.Forward(rows, true) }},
+		{"ln-bwd", func() { ln.Backward(rows) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -24,6 +24,10 @@ type MultiHeadAttention struct {
 	scratch []*mhaScratch // one slot per sample, reused across steps
 	out     *tensor.Tensor
 	dx      *tensor.Tensor
+
+	// Wqᵀ, Wkᵀ, Wvᵀ and Woᵀ, written once per Backward for every sample's
+	// products by the transposed weights (tensor.MatMulTransBHeldInto).
+	wT [4]*tensor.Tensor
 }
 
 // mhaScratch holds every per-sample temporary of one attention
@@ -203,6 +207,10 @@ func (l *MultiHeadAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, t, d := grad.Dim(0), grad.Dim(1), grad.Dim(2)
 	l.dx = ensure(l.dx, n, t, d)
 	scale := float32(1 / math.Sqrt(float64(l.Dh)))
+	for i, w := range [...]*Parameter{l.Wq, l.Wk, l.Wv, l.Wo} {
+		l.wT[i] = ensure(l.wT[i], d, d)
+		tensor.TransposeInto(l.wT[i], w.W)
+	}
 
 	// Phase 1: per-sample dx slices and per-sample weight-gradient partials.
 	for s := 0; s < n; s++ {
@@ -236,7 +244,7 @@ func (l *MultiHeadAttention) backwardSample(grad *tensor.Tensor, scale float32, 
 
 	// Output projection: y = o·Wo + bo.
 	tensor.MatMulTransAInto(sc.dWo, sc.o, sc.gs)
-	tensor.MatMulTransBInto(sc.do, sc.gs, l.Wo.W)
+	tensor.MatMulTransBHeldInto(sc.do, sc.gs, l.Wo.W, l.wT[3])
 
 	sc.dq.Zero()
 	sc.dk.Zero()
@@ -280,13 +288,13 @@ func (l *MultiHeadAttention) backwardSample(grad *tensor.Tensor, scale float32, 
 	// scalar order).
 	sc.dxs.Zero()
 	tensor.MatMulTransAInto(sc.dWq, sc.xs, sc.dq)
-	tensor.MatMulTransBInto(sc.dxPart, sc.dq, l.Wq.W)
+	tensor.MatMulTransBHeldInto(sc.dxPart, sc.dq, l.Wq.W, l.wT[0])
 	tensor.AxpyInto(sc.dxs, 1, sc.dxPart)
 	tensor.MatMulTransAInto(sc.dWk, sc.xs, sc.dk)
-	tensor.MatMulTransBInto(sc.dxPart, sc.dk, l.Wk.W)
+	tensor.MatMulTransBHeldInto(sc.dxPart, sc.dk, l.Wk.W, l.wT[1])
 	tensor.AxpyInto(sc.dxs, 1, sc.dxPart)
 	tensor.MatMulTransAInto(sc.dWv, sc.xs, sc.dv)
-	tensor.MatMulTransBInto(sc.dxPart, sc.dv, l.Wv.W)
+	tensor.MatMulTransBHeldInto(sc.dxPart, sc.dv, l.Wv.W, l.wT[2])
 	tensor.AxpyInto(sc.dxs, 1, sc.dxPart)
 }
 

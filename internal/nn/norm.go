@@ -97,6 +97,10 @@ func (l *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer. Uses the standard batch-norm gradient:
 //
 //	dx = (γ·invStd/m) · (m·dy − Σdy − x̂·Σ(dy·x̂))
+//
+// Each channel's two sums are float64 chains in ascending (image, position)
+// order. Four channels' sums run in one pass, eight chains in flight where one
+// channel alone would keep each add waiting on the one before it.
 func (l *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c := l.lastShape[0], l.lastShape[1]
 	area := l.lastShape[2] * l.lastShape[3]
@@ -108,22 +112,37 @@ func (l *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dd := l.dx.Data()
 	gg, gb := l.Gamma.Grad.Data(), l.Beta.Grad.Data()
 	gw := l.Gamma.W.Data()
-	for ch := 0; ch < c; ch++ {
-		var sumDy, sumDyXhat float64
-		for img := 0; img < n; img++ {
-			off := (img*c + ch) * area
-			for i := 0; i < area; i++ {
-				dy := float64(gd[off+i])
-				sumDy += dy
-				sumDyXhat += dy * float64(hd[off+i])
-			}
-		}
+	finish := func(ch int, sumDy, sumDyXhat float64) {
 		gg[ch] += float32(sumDyXhat)
 		gb[ch] += float32(sumDy)
 		scale := float64(gw[ch]) * l.lastInvStd[ch] / m
 		for img := 0; img < n; img++ {
 			off := (img*c + ch) * area
 			tensor.BatchNormGrad(dd[off:off+area], gd[off:off+area], hd[off:off+area], m, sumDy, sumDyXhat, scale)
+		}
+	}
+	for ch := 0; ch < c; ch += 4 {
+		// A last group of fewer than four channels repeats its last one.
+		c1, c2, c3 := min(ch+1, c-1), min(ch+2, c-1), min(ch+3, c-1)
+		var d0, d1, d2, d3, x0, x1, x2, x3 float64
+		for img := 0; img < n; img++ {
+			g0, g1, g2, g3 := gd[(img*c+ch)*area:][:area], gd[(img*c+c1)*area:][:area], gd[(img*c+c2)*area:][:area], gd[(img*c+c3)*area:][:area]
+			h0, h1, h2, h3 := hd[(img*c+ch)*area:][:area], hd[(img*c+c1)*area:][:area], hd[(img*c+c2)*area:][:area], hd[(img*c+c3)*area:][:area]
+			for i := range g0 {
+				dy0, dy1, dy2, dy3 := float64(g0[i]), float64(g1[i]), float64(g2[i]), float64(g3[i])
+				d0 += dy0
+				x0 += dy0 * float64(h0[i])
+				d1 += dy1
+				x1 += dy1 * float64(h1[i])
+				d2 += dy2
+				x2 += dy2 * float64(h2[i])
+				d3 += dy3
+				x3 += dy3 * float64(h3[i])
+			}
+		}
+		sums := [...][2]float64{{d0, x0}, {d1, x1}, {d2, x2}, {d3, x3}}
+		for j, s := range sums[:min(4, c-ch)] {
+			finish(ch+j, s[0], s[1])
 		}
 	}
 	return l.dx

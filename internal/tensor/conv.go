@@ -41,6 +41,10 @@ type Conv struct {
 	fw, gw     []float32
 	foff, goff []int32
 	fend, gend []int
+
+	// xFinite records that the last Forward's input was finite, so Backward's
+	// weight gradient can add its ±0 gradient terms unmasked.
+	xFinite bool
 }
 
 // convPhase is the input-gradient pixels (a + Stride·u, b + Stride·v), u < hu,
@@ -154,7 +158,7 @@ func (g *Conv) Forward(out, x, w, bias *Tensor) {
 	// With a non-finite input a ±0 weight's term may be NaN (0·Inf), so
 	// every term is kept.
 	p, spatial, keep, k := g.C*g.KH*g.KW, g.OutH*g.OutW, 0, 0
-	if !finite(x.data) {
+	if g.xFinite = finite(x.data); !g.xFinite {
 		keep = 1
 	}
 	for f := range g.F {
@@ -195,13 +199,15 @@ func (g *Conv) Backward(dW, dx, grad, w *Tensor) {
 	}
 	// dWᵀ, rows of F rounded up to 8, goes in blocks of 8 terms of 8 filters,
 	// each element summed over ascending (img, oy, ox) from +0 with ±0
-	// gradient terms left out, as gmᵀ × cols summed it.
+	// gradient terms left out, as gmᵀ × cols summed it. Leaving one out
+	// matters only against a ±Inf or NaN input: otherwise its product is ±0,
+	// which the sum absorbs, so the lanes mask only a non-finite input.
 	dwt := getScratch(len(g.xoff) * fs)
 	clear(dwt)
 	for i := range fs / 8 * len(g.xoff) / 8 {
 		f0, p0 := i%(fs/8)*8, i/(fs/8)*8
 		for img := range n {
-			convWeight(dwt[p0*fs+f0:], fs, g.xp[img*g.xn:], g.xoff[p0:p0+8], g.gm[img*spatial*fs+f0:], fs, g.OutH, g.OutW, g.wq)
+			convWeight(dwt[p0*fs+f0:], fs, g.xp[img*g.xn:], g.xoff[p0:p0+8], g.gm[img*spatial*fs+f0:], fs, g.OutH, g.OutW, g.wq, !g.xFinite)
 		}
 	}
 	for f := range g.F {

@@ -60,6 +60,7 @@ func TestMatMulIntoReusesDirtyBuffer(t *testing.T) {
 		{"MatMulInto", 9, 6, func(dst *Tensor) { MatMulInto(dst, a, b) }},
 		{"MatMulTransAInto", 9, 6, func(dst *Tensor) { MatMulTransAInto(dst, at, b) }},
 		{"MatMulTransBInto", 9, 9, func(dst *Tensor) { MatMulTransBInto(dst, a, a) }},
+		{"MatMulTransBHeldInto", 9, 9, func(dst *Tensor) { MatMulTransBHeldInto(dst, a, a, at) }},
 	}
 	for _, c := range cases {
 		fresh := New(c.m, c.n)
@@ -154,6 +155,9 @@ func TestMatMulIntoShapePanicsIncludeShapes(t *testing.T) {
 		{"MatMulInto", func() { MatMulInto(New(2, 2), New(2, 3), New(4, 2)) }},
 		{"MatMulTransAInto", func() { MatMulTransAInto(New(2, 2), New(3, 2), New(4, 2)) }},
 		{"MatMulTransBInto", func() { MatMulTransBInto(New(2, 2), New(2, 3), New(2, 4)) }},
+		{"MatMulTransBHeldInto", func() { MatMulTransBHeldInto(New(2, 2), New(2, 3), New(2, 4), New(4, 2)) }},
+		{"MatMulTransBHeldInto", func() { MatMulTransBHeldInto(New(2, 2), New(2, 3), New(2, 3), New(2, 3)) }},
+		{"TransposeInto", func() { TransposeInto(New(2, 3), New(2, 3)) }},
 	}
 	for _, c := range cases {
 		func() {
@@ -197,7 +201,8 @@ func BenchmarkMatMulTransB256(b *testing.B) {
 }
 
 // BenchmarkMatMulShapes times the three matmuls at product shapes: the MLP
-// twin's first layer and its weight gradient, a ViT projection, and the
+// twin's first layer and its weight gradient, a ViT projection, one sample's
+// ViT projection and attention-times-values (model width 48, head width 12), the
 // ResNet18 twin's conv lowering (dcols, dW, and the forward cols × Wᵀ at two
 // widths). Shapes are (m,k,n) of the product; GMAC/s = m·k·n per ns.
 func BenchmarkMatMulShapes(b *testing.B) {
@@ -206,6 +211,7 @@ func BenchmarkMatMulShapes(b *testing.B) {
 		m, k, n int
 	}{
 		{"AB", 64, 768, 64}, {"AB", 136, 48, 96}, {"AB", 2048, 10, 90},
+		{"AB", 17, 48, 48}, {"AB", 17, 17, 12},
 		{"AtB", 768, 8, 64}, {"AtB", 10, 2048, 90},
 		{"ABt", 2048, 90, 10}, {"ABt", 512, 180, 20},
 	} {
@@ -226,6 +232,25 @@ func BenchmarkMatMulShapes(b *testing.B) {
 				run()
 			}
 			b.ReportMetric(float64(c.m*c.k*c.n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GMAC/s")
+		})
+	}
+}
+
+// BenchmarkRowWidth times MatMulInto at 17 rows and k = 48 (one ViT-twin
+// sample's tokens and model width) for output widths 8 to 96: a width's cost
+// per multiply-add shows how many add chains its row pass keeps in flight.
+func BenchmarkRowWidth(b *testing.B) {
+	const m, k = 17, 48
+	rng := NewRNG(1)
+	x := Randn(rng, 1, m, k)
+	for n := 8; n <= 96; n += 4 {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			y, dst := Randn(rng, 1, k, n), New(m, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatMulInto(dst, x, y)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())*1e3/(float64(m*k*n)*float64(b.N)), "ps/MAC")
 		})
 	}
 }

@@ -117,15 +117,15 @@ func convRowGo(c, a, b []float32, off []int32, mask, acc bool, bias float32) {
 }
 
 // convWeightGo: c[i·cs+j] += Σ x[off[i]+oy·wq+ox]·g[(oy·ow+ox)·gs+j] for i, j
-// < 8, over ascending oy < oh, ox < ow; a term whose g is ±0 adds +0 to these
-// sums from +0. The lanes feed eight sums from one load of g.
-func convWeightGo(c []float32, cs int, x []float32, off []int32, g []float32, gs, oh, ow, wq int) {
+// < 8, over ascending oy < oh, ox < ow; with mask a term whose g is ±0 adds +0
+// to these sums from +0. The lanes feed eight sums from one load of g.
+func convWeightGo(c []float32, cs int, x []float32, off []int32, g []float32, gs, oh, ow, wq int, mask bool) {
 	for i, o := range off[:8] {
 		for j := range 8 {
 			s := c[i*cs+j]
 			for oy := range oh {
 				for ox := range ow {
-					if gv := g[(oy*ow+ox)*gs+j]; gv != 0 {
+					if gv := g[(oy*ow+ox)*gs+j]; !mask || gv != 0 {
 						s += float32(x[int(o)+oy*wq+ox] * gv)
 					}
 				}
@@ -169,10 +169,6 @@ func putScratch(b []float32) {
 // The caller returns the buffer with putScratch.
 func transposed(b []float32, n, k int) []float32 {
 	bt := getScratch(k * n)
-	for j := 0; j < n; j++ {
-		for p, v := range b[j*k : (j+1)*k] {
-			bt[p*n+j] = v
-		}
-	}
+	transposeTo(bt, b, n, k)
 	return bt
 }

@@ -100,7 +100,7 @@ func finiteAVX2(x []float32) bool
 func convRowAVX2(c, a, b []float32, off []int32, mask, acc bool, bias float32)
 
 //go:noescape
-func convWeightAVX2(c []float32, cs int, x []float32, off []int32, g []float32, gs, oh, ow, wq int)
+func convWeightAVX2(c []float32, cs int, x []float32, off []int32, g []float32, gs, oh, ow, wq int, mask bool)
 
 //go:noescape
 func axpyAVX2(a float32, x, y []float32)

@@ -60,12 +60,41 @@ axpyDone:
 	VMULPS  Y15, tmp, tmp \
 	VADDPS  tmp, acc, acc
 
+// TAILMAC is MAC over the remainder's last 8 columns, DX bytes into the pass.
+#define TAILMAC \
+	VMOVUPS (R10)(DX*1), Y11 \
+	VMULPS  Y15, Y11, Y11 \
+	VADDPS  Y11, Y7, Y7
+
+// RSTART goes straight to the store when there is no term.
+#define RSTART(store) \
+	TESTQ R11, R11 \
+	JEQ   store
+
+// RTERM loads term p's a, goes to next when the skip leaves it out, and
+// otherwise broadcasts it.
+#define RTERM(next) \
+	MOVL (R14), AX \
+	LEAL (R13)(AX*2), AX \
+	TESTL AX, AX \
+	JEQ  next \
+	VBROADCASTSS (R14), Y15
+
+// RNEXT steps to term p+1 and loops while terms are left.
+#define RNEXT(label) \
+	ADDQ R12, R14 \
+	ADDQ R9, R10 \
+	DECQ R11 \
+	JNE  label
+
 // func rowAVX2(c, a []float32, astride int, b []float32, bstride, k int, skip bool)
 // c[j] = Σ_p a[p·astride]·b[p·bstride+j] for j < len(c) and p < k, p ascending
 // from +0 in every lane; with skip, the terms whose a is ±0 are left out.
-// len(c) ≥ 8. Columns go 64, 32 and then 8 at a time, each tile's sums in
-// registers for the whole p loop; a ragged end is the 8-column tile over the
-// last 8 columns, which stores again what the tile before it stored there.
+// len(c) ≥ 8. Columns go 64 at a time, and then the r < 64 left in one pass of
+// ⌈r/8⌉ tiles of 8, each tile's sums in registers for the whole p loop: one
+// pass holds as many add chains as it has tiles. The pass's last tile (Y7)
+// covers the row's last 8 columns; when r is not a multiple of 8 it overlaps
+// the tile before it and stores again what that tile stores there.
 TEXT ·rowAVX2(SB), NOSPLIT, $0-97
 	MOVQ c_base+0(FP), DI
 	MOVQ c_len+8(FP), CX
@@ -80,7 +109,7 @@ TEXT ·rowAVX2(SB), NOSPLIT, $0-97
 	SHLQ $2, R9
 row64:
 	CMPQ CX, $64
-	JLT  row32
+	JLT  rowRest
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -92,14 +121,9 @@ row64:
 	MOVQ SI, R14
 	MOVQ BX, R10
 	MOVQ R8, R11
-	TESTQ R8, R8
-	JEQ  row64store
+	RSTART(row64store)
 row64p:
-	MOVL (R14), AX
-	LEAL (R13)(AX*2), AX
-	TESTL AX, AX
-	JEQ  row64next
-	VBROADCASTSS (R14), Y15
+	RTERM(row64next)
 	MAC(0, Y8, Y0)
 	MAC(32, Y9, Y1)
 	MAC(64, Y10, Y2)
@@ -109,10 +133,7 @@ row64p:
 	MAC(192, Y10, Y6)
 	MAC(224, Y11, Y7)
 row64next:
-	ADDQ R12, R14
-	ADDQ R9, R10
-	DECQ R11
-	JNE  row64p
+	RNEXT(row64p)
 row64store:
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
@@ -126,76 +147,146 @@ row64store:
 	ADDQ $256, BX
 	SUBQ $64, CX
 	JMP  row64
-row32:
-	CMPQ CX, $32
-	JLT  row8
+rowRest:
+	TESTQ CX, CX
+	JEQ   rowDone
+	MOVQ  CX, DX
+	SHLQ  $2, DX
+	SUBQ  $32, DX // the last tile's offset: r−8 columns, negative for r < 8
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
 	MOVQ SI, R14
 	MOVQ BX, R10
 	MOVQ R8, R11
-	TESTQ R8, R8
-	JEQ  row32store
-row32p:
-	MOVL (R14), AX
-	LEAL (R13)(AX*2), AX
-	TESTL AX, AX
-	JEQ  row32next
-	VBROADCASTSS (R14), Y15
+	DECQ CX
+	SHRQ $3, CX // tiles − 1
+	CMPQ CX, $1
+	JLT  rest1
+	JEQ  rest2
+	CMPQ CX, $3
+	JLT  rest3
+	JEQ  rest4
+	CMPQ CX, $5
+	JLT  rest5
+	JEQ  rest6
+	CMPQ CX, $7
+	JLT  rest7
+rest8:
+	RSTART(rest8store)
+rest8p:
+	RTERM(rest8next)
 	MAC(0, Y8, Y0)
 	MAC(32, Y9, Y1)
 	MAC(64, Y10, Y2)
-	MAC(96, Y11, Y3)
-row32next:
-	ADDQ R12, R14
-	ADDQ R9, R10
-	DECQ R11
-	JNE  row32p
-row32store:
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	ADDQ $128, DI
-	ADDQ $128, BX
-	SUBQ $32, CX
-	JMP  row32
-row8:
-	CMPQ CX, $8
-	JLT  rowTail
-	VXORPS Y0, Y0, Y0
-	MOVQ SI, R14
-	MOVQ BX, R10
-	MOVQ R8, R11
-	TESTQ R8, R8
-	JEQ  row8store
-row8p:
-	MOVL (R14), AX
-	LEAL (R13)(AX*2), AX
-	TESTL AX, AX
-	JEQ  row8next
-	VBROADCASTSS (R14), Y15
+	MAC(96, Y8, Y3)
+	MAC(128, Y9, Y4)
+	MAC(160, Y10, Y5)
+	MAC(192, Y8, Y6)
+	TAILMAC
+rest8next:
+	RNEXT(rest8p)
+	JMP rest8store
+rest7:
+	RSTART(rest7store)
+rest7p:
+	RTERM(rest7next)
 	MAC(0, Y8, Y0)
-row8next:
-	ADDQ R12, R14
-	ADDQ R9, R10
-	DECQ R11
-	JNE  row8p
-row8store:
+	MAC(32, Y9, Y1)
+	MAC(64, Y10, Y2)
+	MAC(96, Y8, Y3)
+	MAC(128, Y9, Y4)
+	MAC(160, Y10, Y5)
+	TAILMAC
+rest7next:
+	RNEXT(rest7p)
+	JMP rest7store
+rest6:
+	RSTART(rest6store)
+rest6p:
+	RTERM(rest6next)
+	MAC(0, Y8, Y0)
+	MAC(32, Y9, Y1)
+	MAC(64, Y10, Y2)
+	MAC(96, Y8, Y3)
+	MAC(128, Y9, Y4)
+	TAILMAC
+rest6next:
+	RNEXT(rest6p)
+	JMP rest6store
+rest5:
+	RSTART(rest5store)
+rest5p:
+	RTERM(rest5next)
+	MAC(0, Y8, Y0)
+	MAC(32, Y9, Y1)
+	MAC(64, Y10, Y2)
+	MAC(96, Y8, Y3)
+	TAILMAC
+rest5next:
+	RNEXT(rest5p)
+	JMP rest5store
+rest4:
+	RSTART(rest4store)
+rest4p:
+	RTERM(rest4next)
+	MAC(0, Y8, Y0)
+	MAC(32, Y9, Y1)
+	MAC(64, Y10, Y2)
+	TAILMAC
+rest4next:
+	RNEXT(rest4p)
+	JMP rest4store
+rest3:
+	RSTART(rest3store)
+rest3p:
+	RTERM(rest3next)
+	MAC(0, Y8, Y0)
+	MAC(32, Y9, Y1)
+	TAILMAC
+rest3next:
+	RNEXT(rest3p)
+	JMP rest3store
+rest2:
+	RSTART(rest2store)
+rest2p:
+	RTERM(rest2next)
+	MAC(0, Y8, Y0)
+	TAILMAC
+rest2next:
+	RNEXT(rest2p)
+	JMP rest2store
+rest1:
+	RSTART(rest1store)
+rest1p:
+	RTERM(rest1next)
+	TAILMAC
+rest1next:
+	RNEXT(rest1p)
+	JMP rest1store
+// A pass of t tiles enters the stores at rest<t>store, each storing its
+// tile and falling through to the tiles below it.
+rest8store:
+	VMOVUPS Y6, 192(DI)
+rest7store:
+	VMOVUPS Y5, 160(DI)
+rest6store:
+	VMOVUPS Y4, 128(DI)
+rest5store:
+	VMOVUPS Y3, 96(DI)
+rest4store:
+	VMOVUPS Y2, 64(DI)
+rest3store:
+	VMOVUPS Y1, 32(DI)
+rest2store:
 	VMOVUPS Y0, (DI)
-	ADDQ $32, DI
-	ADDQ $32, BX
-	SUBQ $8, CX
-	JMP  row8
-rowTail:
-	TESTQ CX, CX
-	JEQ   rowDone
-	LEAQ  -32(DI)(CX*4), DI
-	LEAQ  -32(BX)(CX*4), BX
-	MOVQ  $8, CX
-	JMP   row8
+rest1store:
+	VMOVUPS Y7, (DI)(DX*1)
 rowDone:
 	VZEROUPPER
 	RET
@@ -657,11 +748,17 @@ crDone:
 	VANDPS  Y9, tmp, tmp \
 	VADDPS  tmp, acc, acc
 
-// func convWeightAVX2(c []float32, cs int, x []float32, off []int32, g []float32, gs, oh, ow, wq int)
+// CWUMAC is CWMAC without the mask.
+#define CWUMAC(off, tmp, acc) \
+	VBROADCASTSS (SI)(off*4), tmp \
+	VMULPS  Y8, tmp, tmp \
+	VADDPS  tmp, acc, acc
+
+// func convWeightAVX2(c []float32, cs int, x []float32, off []int32, g []float32, gs, oh, ow, wq int, mask bool)
 // For i < 8 and j < 8: c[i·cs+j] += x[off[i]+oy·wq+ox]·g[(oy·ow+ox)·gs+j] over
-// oy < oh and ox < ow ascending, a lane whose g is ±0 adding +0. The 64 sums
-// stay in registers; each g load feeds eight of them.
-TEXT ·convWeightAVX2(SB), NOSPLIT, $0-136
+// oy < oh and ox < ow ascending; with mask a lane whose g is ±0 adds +0. The
+// 64 sums stay in registers; each g load feeds eight of them.
+TEXT ·convWeightAVX2(SB), NOSPLIT, $0-137
 	MOVQ off_base+56(FP), AX
 	MOVLQSX 0(AX), R8
 	MOVLQSX 4(AX), R9
@@ -698,11 +795,12 @@ TEXT ·convWeightAVX2(SB), NOSPLIT, $0-136
 	SHLQ $2, DI
 	VXORPS Y10, Y10, Y10
 	MOVQ oh+112(FP), AX
+	MOVQ ow+120(FP), CX
 	TESTQ AX, AX
 	JEQ   cwStore
-cwRow:
-	MOVQ ow+120(FP), CX
-cwCol:
+	CMPB  mask+136(FP), $0
+	JEQ   cwUnmasked
+cwMasked:
 	VMOVUPS (DX), Y8
 	VCMPPS  $4, Y10, Y8, Y9
 	CWMAC(R8, Y11, Y0)
@@ -716,10 +814,30 @@ cwCol:
 	ADDQ $4, SI
 	ADDQ BX, DX
 	DECQ CX
-	JNE  cwCol
+	JNE  cwMasked
 	ADDQ DI, SI
+	MOVQ ow+120(FP), CX
 	DECQ AX
-	JNE  cwRow
+	JNE  cwMasked
+	JMP cwStore
+cwUnmasked:
+	VMOVUPS (DX), Y8
+	CWUMAC(R8, Y11, Y0)
+	CWUMAC(R9, Y12, Y1)
+	CWUMAC(R10, Y13, Y2)
+	CWUMAC(R11, Y14, Y3)
+	CWUMAC(R12, Y11, Y4)
+	CWUMAC(R13, Y12, Y5)
+	CWUMAC(R14, Y13, Y6)
+	CWUMAC(R15, Y14, Y7)
+	ADDQ $4, SI
+	ADDQ BX, DX
+	DECQ CX
+	JNE  cwUnmasked
+	ADDQ DI, SI
+	MOVQ ow+120(FP), CX
+	DECQ AX
+	JNE  cwUnmasked
 cwStore:
 	MOVQ c_base+0(FP), DI
 	MOVQ cs+24(FP), CX

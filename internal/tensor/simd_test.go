@@ -74,8 +74,9 @@ func naiveMatMul(a, b func(i, j int) float32, m, k, n int, skipZero bool) []floa
 	return c
 }
 
-// checkMatMuls compares the three public kernels against naiveMatMul on one
-// (m,k,n) problem. ad is A (m,k) and bd is B (k,n), both row-major.
+// checkMatMuls compares the public kernels, MatMulTransBHeldInto included,
+// against naiveMatMul on one (m,k,n) problem. ad is A (m,k) and bd is B (k,n),
+// both row-major.
 func checkMatMuls(t *testing.T, ad, bd []float32, m, k, n int) {
 	t.Helper()
 	a := FromSlice(ad, m, k)
@@ -92,7 +93,15 @@ func checkMatMuls(t *testing.T, ad, bd []float32, m, k, n int) {
 	sameBits(t, "MatMulTransAInto", dst.data, naiveMatMul(aAt, bAt, m, k, n, true))
 	dst = Full(float32(math.Inf(1)), m, n)
 	MatMulTransBInto(dst, a, bt)
-	sameBits(t, "MatMulTransBInto", dst.data, naiveMatMul(aAt, bAt, m, k, n, false))
+	want := naiveMatMul(aAt, bAt, m, k, n, false)
+	sameBits(t, "MatMulTransBInto", dst.data, want)
+	// The held transpose of bt is b, written over a dirty buffer.
+	held := Full(float32(math.NaN()), k, n)
+	TransposeInto(held, bt)
+	sameBits(t, "TransposeInto", held.data, bd)
+	dst = Full(float32(math.Inf(1)), m, n)
+	MatMulTransBHeldInto(dst, a, bt, held)
+	sameBits(t, "MatMulTransBHeldInto", dst.data, want)
 }
 
 // misaligned copies s to off floats past the start of a fresh allocation:
@@ -379,7 +388,7 @@ func checkRow(t *testing.T, off int, ad, bd []float32, m, k, n int) {
 // checkConvKernels compares the direct convolution's kernels with their Go
 // loops on palette values: convRow over a grid of n lanes, with no term or
 // up to 12, with and without the mask, and accumulated or biased; and
-// convWeight over a random output window.
+// convWeight over a random output window, with and without the mask.
 func checkConvKernels(t *testing.T, r *RNG, n int) {
 	t.Helper()
 	k := r.Intn(13)
@@ -402,14 +411,16 @@ func checkConvKernels(t *testing.T, r *RNG, n int) {
 	for i := range off8 {
 		off8[i] = int32(r.Intn(65))
 	}
-	want := fill(r, 8*cs)
-	for i, v := range want {
-		want[i] = v + 0 // partial sums from +0: never −0
+	for _, mask := range []bool{false, true} {
+		want := fill(r, 8*cs)
+		for i, v := range want {
+			want[i] = v + 0 // partial sums from +0: never −0
+		}
+		got := append([]float32(nil), want...)
+		convWeightGo(want, cs, x, off8, g, gs, oh, ow, wq, mask)
+		convWeight(got, cs, x, off8, g, gs, oh, ow, wq, mask)
+		sameBits(t, "convWeight", got, want)
 	}
-	got := append([]float32(nil), want...)
-	convWeightGo(want, cs, x, off8, g, gs, oh, ow, wq)
-	convWeight(got, cs, x, off8, g, gs, oh, ow, wq)
-	sameBits(t, "convWeight", got, want)
 }
 
 // TestSIMDKernelsMatchScalar is the property behind "fast without moving one
@@ -422,8 +433,10 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 		if !useAVX2 {
 			t.Skip("no AVX2: the Go loops are the only path")
 		}
+		// n runs past 128 so the row kernel's one remainder pass meets
+		// every width of 1 to 63 lanes after a 64-lane tile too.
 		negZero, nan, inf := palette[1], palette[7], palette[5]
-		for n := 0; n <= 70; n++ {
+		for n := 0; n <= 130; n++ {
 			for off := 0; off < 4; off++ {
 				x, g, v := fill(r, n+1), fill(r, n+1), fill(r, n+1)
 				special, finite := palette[r.Intn(10)], palette[10+r.Intn(246)]
@@ -477,7 +490,7 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 	})
 }
 
-// FuzzMatMulBitExact feeds the three kernels shapes and palette values chosen
+// FuzzMatMulBitExact feeds the matmul kernels shapes and palette values chosen
 // by the fuzzer. Bytes index the palette rather than being float bits so
 // that the comparison can stay exact (see palette).
 func FuzzMatMulBitExact(f *testing.F) {

@@ -474,7 +474,7 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[0]
 	checkMatMulShapes("MatMulTransBInto", dst, a, b, m, k, b.shape[1], n)
-	if useAVX2 && n >= 8 && k > 0 {
+	if transBLanes(n, k) {
 		bt := transposed(b.data, n, k)
 		matMulTransBRowsAVX2(dst.data, a.data, bt, k, n, m)
 		putScratch(bt)
@@ -483,10 +483,32 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	matMulTransBRows(dst.data, a.data, b.data, k, n, m)
 }
 
-// matMulTransBRowsAVX2 is matMulTransBRows over bt = transposed(B). An output
-// narrower than 32 columns is nothing but 8-column tiles, each one add chain
-// that waits on itself, so there four rows go to a tile (tile4AVX2): four
-// chains, each still its own row's ascending-p sum.
+// MatMulTransBHeldInto is MatMulTransBInto for a caller that already holds
+// bt = Bᵀ, shape (k,n), as one that multiplies by the same B many times
+// does: where MatMulTransBInto would transpose B, it reads bt instead, and
+// elsewhere it reads B. Every element is the same as MatMulTransBInto's.
+func MatMulTransBHeldInto(dst, a, b, bt *Tensor) {
+	m, k := a.shape[0], a.shape[1]
+	n := b.shape[0]
+	checkMatMulShapes("MatMulTransBHeldInto", dst, a, b, m, k, b.shape[1], n)
+	if bt.Rank() != 2 || bt.shape[0] != k || bt.shape[1] != n {
+		panic(fmt.Sprintf("tensor: MatMulTransBHeldInto shape mismatch: b%v, bt%v", b.shape, bt.shape))
+	}
+	if transBLanes(n, k) {
+		matMulTransBRowsAVX2(dst.data, a.data, bt.data, k, n, m)
+		return
+	}
+	matMulTransBRows(dst.data, a.data, b.data, k, n, m)
+}
+
+// transBLanes reports whether A × Bᵀ with n output columns and inner
+// dimension k runs the AVX2 lanes over Bᵀ.
+func transBLanes(n, k int) bool { return useAVX2 && n >= 8 && k > 0 }
+
+// matMulTransBRowsAVX2 is matMulTransBRows over bt = transposed(B). A row
+// narrower than 32 columns is at most three 8-column tiles, each one add
+// chain that waits on itself, so there four rows go to a tile (tile4AVX2):
+// four chains per tile, each still its own row's ascending-p sum.
 func matMulTransBRowsAVX2(cd, ad, bt []float32, k, n, m int) {
 	i := 0
 	if n < 32 {
@@ -542,12 +564,24 @@ func Transpose(a *Tensor) *Tensor {
 	if a.Rank() != 2 {
 		panic("tensor: Transpose requires rank-2 tensor")
 	}
-	m, n := a.shape[0], a.shape[1]
-	out := New(n, m)
+	out := New(a.shape[1], a.shape[0])
+	transposeTo(out.data, a.data, a.shape[0], a.shape[1])
+	return out
+}
+
+// TransposeInto writes aᵀ into dst; a is (m,n) and dst must be (n,m).
+func TransposeInto(dst, a *Tensor) {
+	if a.Rank() != 2 || dst.Rank() != 2 || dst.shape[0] != a.shape[1] || dst.shape[1] != a.shape[0] {
+		panic(fmt.Sprintf("tensor: TransposeInto shape mismatch: dst%v, a%v", dst.shape, a.shape))
+	}
+	transposeTo(dst.data, a.data, a.shape[0], a.shape[1])
+}
+
+// transposeTo writes the (n,m) transpose of the (m,n) matrix a into dst.
+func transposeTo(dst, a []float32, m, n int) {
 	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.data[j*m+i] = a.data[i*n+j]
+		for j, v := range a[i*n : (i+1)*n] {
+			dst[j*m+i] = v
 		}
 	}
-	return out
 }
