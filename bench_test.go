@@ -161,8 +161,9 @@ func BenchmarkRingAllReduce8MiB(b *testing.B) {
 	}
 }
 
-// BenchmarkCompressors measures Encode throughput of every dense scheme on
-// a 1Mi-element gradient.
+// BenchmarkCompressors measures Encode throughput of every dense scheme's
+// codec, and of top-1% as training runs it (with error feedback), on a
+// 1Mi-element gradient.
 func BenchmarkCompressors(b *testing.B) {
 	n := 1 << 20
 	r := tensor.NewRNG(1)
@@ -170,29 +171,23 @@ func BenchmarkCompressors(b *testing.B) {
 	for i := range grad {
 		grad[i] = float32(r.NormFloat64())
 	}
-	dense := map[string]compress.DenseCompressor{
-		"fp32":     compress.NewFP32(),
-		"fp16":     compress.NewFP16(),
-		"terngrad": compress.NewTernGrad(1),
-		"qsgd":     compress.NewQSGD(256, 1),
-		"thc":      compress.NewTHC(256),
-	}
-	for name, c := range dense {
-		c := c
+	for _, name := range []string{"fp32", "fp16", "terngrad", "qsgd", "thc", "topk-0.01"} {
+		c, err := NewCompressor(name, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(n * 4))
 			for i := 0; i < b.N; i++ {
-				c.Encode(grad)
+				switch c := c.(type) {
+				case compress.DenseCompressor:
+					c.Encode(grad)
+				case compress.SparseCompressor:
+					c.Encode(grad)
+				}
 			}
 		})
 	}
-	b.Run("topk-0.01", func(b *testing.B) {
-		c := compress.NewTopK(0.01)
-		b.SetBytes(int64(n * 4))
-		for i := 0; i < b.N; i++ {
-			c.Encode(grad)
-		}
-	})
 }
 
 // BenchmarkMaskCompact measures PacTrain's gather/scatter compaction at 50%

@@ -283,9 +283,10 @@ func ratioCount(n int, ratio float64) int {
 	return k
 }
 
-// ByName constructs a compressor from its evaluation-figure name, e.g.
-// "all-reduce", "fp16", "topk-0.1", "topk-0.01", "randomk-0.1", "terngrad",
-// "qsgd", "thc", "dgc-0.01".
+// ByName constructs a compressor by scheme name: the vocabulary the
+// benchmark's compression probes time. Each name must build the codec its
+// row in the scheme table (internal/core) states, error feedback aside;
+// TestByNameAgreesWithSchemeTable holds the two together.
 func ByName(name string, seed uint64) (Compressor, error) {
 	switch {
 	case name == "all-reduce" || name == "fp32" || name == "none":
@@ -304,8 +305,6 @@ func ByName(name string, seed uint64) (Compressor, error) {
 		return NewTopK(0.01), nil
 	case name == "randomk-0.1":
 		return NewRandomK(0.1, seed), nil
-	case name == "randomk-0.01":
-		return NewRandomK(0.01, seed), nil
 	case name == "dgc-0.1":
 		return NewDGC(0.1, 0.9), nil
 	case name == "dgc-0.01":

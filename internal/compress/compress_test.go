@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -201,6 +202,34 @@ func TestDGCLengthChangePanics(t *testing.T) {
 		}
 	}()
 	c.Encode([]float32{1, 2, 3})
+}
+
+// TestNonZeroRoundTripsExactly pins Zen's codec: the payload holds every
+// non-zero in ascending index order, −0 is dropped like +0, an all-zero
+// bucket sends nothing, and DecodeSum rebuilds the gradient bit for bit.
+func TestNonZeroRoundTripsExactly(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	nan := float32(math.NaN())
+	c := NewNonZero()
+	g := []float32{0, 3, negZero, -1e-45, 0, nan, 2, negZero}
+	p := c.Encode(g)
+	if want := []int32{1, 3, 5, 6}; !slices.Equal(p.Indices, want) || len(p.Values) != len(want) {
+		t.Fatalf("indices %v (%d values), want %v", p.Indices, len(p.Values), want)
+	}
+	out := make([]float32, len(g))
+	c.DecodeSum(p, out)
+	for i := range g {
+		want := g[i]
+		if want == 0 {
+			want = 0 // a dropped ±0 decodes to the +0 out started with
+		}
+		if math.Float32bits(out[i]) != math.Float32bits(want) {
+			t.Fatalf("coordinate %d: decoded %v, want %v", i, out[i], want)
+		}
+	}
+	if p := c.Encode([]float32{0, negZero, 0}); len(p.Values) != 0 || len(p.Indices) != 0 {
+		t.Fatalf("all-zero bucket sent %+v", p)
+	}
 }
 
 func TestErrorFeedbackPreservesMass(t *testing.T) {

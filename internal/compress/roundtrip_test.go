@@ -22,8 +22,9 @@ func roundTripValue(b byte) float32 {
 func sameFloat(a, b float32) bool { return a == b || a != a && b != b }
 
 // FuzzCompressorRoundTrip drives encode → decode for fp16, mask-compact (plain
-// and ternary), its index list, and DGC and error-feedback top-k across two
-// rounds, on gradients, masks, densities and momenta chosen by the fuzzer.
+// and ternary), its index list, Zen's non-zero coordinates, and DGC and
+// error-feedback top-k across two rounds, on gradients, masks, densities and
+// momenta chosen by the fuzzer.
 // The seeds hold an empty survivor set and a density whose n·ratio rounds to
 // zero, where a selection must still keep one coordinate.
 func FuzzCompressorRoundTrip(f *testing.F) {
@@ -114,6 +115,29 @@ func FuzzCompressorRoundTrip(f *testing.F) {
 			for i := range list {
 				if !sameFloat(list[i], out[i]) {
 					t.Fatalf("index list coordinate %d: %v, mask-compact %v", i, list[i], out[i])
+				}
+			}
+		}
+
+		// NonZero is exact: its ascending non-zeros decode to the gradient
+		// bit for bit, a dropped ±0 to +0. The second round reuses the
+		// payload buffer.
+		nz := NewNonZero()
+		for _, g := range [][]float32{grad, grad2} {
+			p := nz.Encode(g)
+			out := make([]float32, n)
+			nz.DecodeSum(p, out)
+			for at, j := range p.Indices {
+				if at > 0 && j <= p.Indices[at-1] || g[j] == 0 {
+					t.Fatalf("non-zero: index %d out of order or zero", j)
+				}
+			}
+			for i, v := range g {
+				if v == 0 {
+					v = 0
+				}
+				if math.Float32bits(out[i]) != math.Float32bits(v) {
+					t.Fatalf("non-zero coordinate %d: %v decodes to %v", i, g[i], out[i])
 				}
 			}
 		}

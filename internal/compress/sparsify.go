@@ -92,6 +92,40 @@ func (*RandomK) DecodeSum(p collective.SparsePayload, out []float32) {
 	DecodeSumSparse(p, out)
 }
 
+// NonZero transmits a gradient's exact non-zero coordinates as
+// (value,index) pairs in ascending index order (Zen-style, §II): lossless,
+// and at 8 B per non-zero it beats dense only below 50% density. The test
+// is v != 0, so ±0 is dropped and NaN is sent.
+type NonZero struct {
+	buf collective.SparsePayload // the payload, reused by every Encode
+}
+
+// NewNonZero returns a NonZero compressor.
+func NewNonZero() *NonZero { return &NonZero{} }
+
+// Wire implements Compressor.
+func (*NonZero) Wire() collective.WireFormat { return collective.WireSparse }
+
+// Encode implements SparseCompressor. The payload is valid until the next
+// Encode: an all-gather reads it only inside its rendezvous.
+func (z *NonZero) Encode(grad []float32) collective.SparsePayload {
+	p := z.buf
+	p.Values, p.Indices = p.Values[:0], p.Indices[:0]
+	for i, v := range grad {
+		if v != 0 {
+			p.Values = append(p.Values, v)
+			p.Indices = append(p.Indices, int32(i))
+		}
+	}
+	z.buf = p
+	return p
+}
+
+// DecodeSum implements SparseCompressor.
+func (*NonZero) DecodeSum(p collective.SparsePayload, out []float32) {
+	DecodeSumSparse(p, out)
+}
+
 // DGC is Deep Gradient Compression [Lin et al. 2018]: TopK sparsification
 // with momentum correction and gradient accumulation. Unselected
 // coordinates accumulate locally (in velocity u and accumulator v) until
@@ -150,9 +184,6 @@ func (*DGC) DecodeSum(p collective.SparsePayload, out []float32) {
 	DecodeSumSparse(p, out)
 }
 
-// Reset clears accumulated state (used between experiments).
-func (d *DGC) Reset() { d.u, d.v = nil, nil }
-
 // ErrorFeedback wraps a sparse compressor with residual accumulation
 // (error feedback): coordinates not transmitted this round are added back
 // into the next gradient, turning one-shot truncation error into delay.
@@ -188,8 +219,6 @@ func (e *ErrorFeedback) Encode(grad []float32) collective.SparsePayload {
 	for _, j := range p.Indices {
 		e.residual[j] = 0
 	}
-	// DGC manages its own accumulation; its Encode already consumed the
-	// corrected gradient, so sent coordinates are simply cleared above.
 	return p
 }
 
@@ -197,6 +226,3 @@ func (e *ErrorFeedback) Encode(grad []float32) collective.SparsePayload {
 func (e *ErrorFeedback) DecodeSum(p collective.SparsePayload, out []float32) {
 	e.Inner.DecodeSum(p, out)
 }
-
-// Reset clears the residual.
-func (e *ErrorFeedback) Reset() { e.residual = nil }

@@ -143,11 +143,12 @@ func (h *denseHook) Sync(b *ddp.Bucket, localTime float64) float64 {
 	return h.env.allReduce(b, payload, h.comp.Wire(), "", localTime, h.comp.Decode)
 }
 
-// --- Sparse hooks (all-gather transport) -------------------------------------
+// --- Sparse hook (all-gather transport) --------------------------------------
 
 // sparseHook aggregates via a SparseCompressor: each worker's selection is
 // exchanged wholesale with all-gather and summed locally — the transport
-// TopK and DGC require (Table 1).
+// TopK, DGC and Zen's non-zero coordinates require (Table 1). mk makes a
+// bucket's codec on its first Sync.
 type sparseHook struct {
 	env    *hookEnv
 	mk     func() compress.SparseCompressor
@@ -184,32 +185,6 @@ func (h *omniReduceHook) Sync(b *ddp.Bucket, localTime float64) float64 {
 	blocks, union := h.env.cluster.AllReduceBlockSparse(h.env.rank, b.Flat, h.blockSize, h.env.average(nil))
 	return h.env.commit(CommOp{Kind: OpBlockSparse, Blocks: blocks, Union: union, BlockSz: h.blockSize,
 		Scale: scale, Bucket: b.Index}, localTime)
-}
-
-// zenHook exchanges each worker's exact non-zero coordinates via a balanced
-// sparse all-gather (Zen-style, §II). Wire cost is COO (8 B/non-zero), so
-// it beats dense only below 50% density.
-type zenHook struct {
-	env *hookEnv
-	// bufs holds one payload per bucket, reused every round (see allGather).
-	bufs map[int]collective.SparsePayload
-}
-
-// Sync implements ddp.Hook.
-func (h *zenHook) Sync(b *ddp.Bucket, localTime float64) float64 {
-	if h.bufs == nil {
-		h.bufs = make(map[int]collective.SparsePayload)
-	}
-	p := h.bufs[b.Index]
-	p.Values, p.Indices = p.Values[:0], p.Indices[:0]
-	for i, v := range b.Flat {
-		if v != 0 {
-			p.Values = append(p.Values, v)
-			p.Indices = append(p.Indices, int32(i))
-		}
-	}
-	h.bufs[b.Index] = p
-	return h.env.allGather(b, p, collective.WireSparse, "", localTime)
 }
 
 // --- The PacTrain hook --------------------------------------------------------

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"pactrain/internal/adaptive"
@@ -10,77 +11,59 @@ import (
 
 // schemeDef is one row of the scheme registry: the canonical name the
 // Config.Scheme vocabulary exposes, accepted aliases, a one-line
-// description for the catalog endpoints, and the hook constructor.
+// description for the catalog endpoints, and either the compressor its
+// transport carries (codec; ps sends a dense one through a parameter
+// server) or, for a hook that encodes for itself, the hook's constructor.
 type schemeDef struct {
 	name    string
 	aliases []string
 	about   string
+	codec   func(seed uint64) compress.Compressor
+	ps      bool
 	build   func(cfg *Config, env *hookEnv, seed uint64) ddp.Hook
 }
 
 // schemeTable lists every aggregation scheme Run accepts, in the canonical
 // order Schemes reports. It is the single place a new scheme is added and
-// the one statement of its transport: the hook a row builds picks the
-// collective (dense rows all-reduce, sparse rows all-gather), and ps on a
-// dense row sends it through a parameter server instead; compressors are
-// codecs only. validate, Run, Schemes, SchemeCatalog, `pactrain-bench
-// -list-schemes`, and the service's GET /v1/schemes all read it.
+// the one statement of its codec and transport: a dense codec all-reduces,
+// a sparse one all-gathers. validate, Run, Codec, Schemes, SchemeCatalog,
+// `pactrain-bench -list-schemes` and the service's GET /v1/schemes read it.
 var schemeTable = []schemeDef{
 	{name: "all-reduce", aliases: []string{"fp32", "none"},
 		about: "uncompressed fp32 ring all-reduce (the baseline)",
-		build: func(_ *Config, env *hookEnv, _ uint64) ddp.Hook {
-			return &denseHook{env: env, comp: compress.NewFP32()}
-		}},
+		codec: func(uint64) compress.Compressor { return compress.NewFP32() }},
 	{name: "fp16",
 		about: "half-precision dense all-reduce",
-		build: func(_ *Config, env *hookEnv, _ uint64) ddp.Hook {
-			return &denseHook{env: env, comp: compress.NewFP16()}
-		}},
+		codec: func(uint64) compress.Compressor { return compress.NewFP16() }},
 	{name: "terngrad",
 		about: "TernGrad stochastic ternary quantization over all-reduce",
-		build: func(_ *Config, env *hookEnv, seed uint64) ddp.Hook {
-			return &denseHook{env: env, comp: compress.NewTernGrad(seed)}
-		}},
+		codec: func(seed uint64) compress.Compressor { return compress.NewTernGrad(seed) }},
 	{name: "qsgd",
 		about: "QSGD stochastic uniform quantization (256 levels)",
-		build: func(_ *Config, env *hookEnv, seed uint64) ddp.Hook {
-			return &denseHook{env: env, comp: compress.NewQSGD(256, seed)}
-		}},
-	{name: "thc",
+		codec: func(seed uint64) compress.Compressor { return compress.NewQSGD(256, seed) }},
+	{name: "thc", ps: true,
 		about: "THC homomorphic uniform quantization through a parameter server",
-		build: func(_ *Config, env *hookEnv, _ uint64) ddp.Hook {
-			return &denseHook{env: env, comp: compress.NewTHC(256), ps: true}
-		}},
-	{name: "ps",
+		codec: func(uint64) compress.Compressor { return compress.NewTHC(256) }},
+	{name: "ps", ps: true,
 		about: "uncompressed fp32 through a parameter server (incast baseline)",
-		build: func(_ *Config, env *hookEnv, _ uint64) ddp.Hook {
-			return &denseHook{env: env, comp: compress.NewFP32(), ps: true}
-		}},
+		codec: func(uint64) compress.Compressor { return compress.NewFP32() }},
 	{name: "topk-0.1",
 		about: "top 10% magnitude selection with error feedback, sparse all-gather",
-		build: sparseBuilder(func(_ uint64) compress.SparseCompressor {
-			return compress.WrapErrorFeedback(compress.NewTopK(0.1))
-		})},
+		codec: func(uint64) compress.Compressor { return compress.WrapErrorFeedback(compress.NewTopK(0.1)) }},
 	{name: "topk-0.01",
 		about: "top 1% magnitude selection with error feedback, sparse all-gather",
-		build: sparseBuilder(func(_ uint64) compress.SparseCompressor {
-			return compress.WrapErrorFeedback(compress.NewTopK(0.01))
-		})},
+		codec: func(uint64) compress.Compressor { return compress.WrapErrorFeedback(compress.NewTopK(0.01)) }},
 	{name: "randomk-0.1",
 		about: "random 10% selection with error feedback, sparse all-gather",
-		build: sparseBuilder(func(seed uint64) compress.SparseCompressor {
+		codec: func(seed uint64) compress.Compressor {
 			return compress.WrapErrorFeedback(compress.NewRandomK(0.1, seed))
-		})},
+		}},
 	{name: "dgc-0.1",
 		about: "Deep Gradient Compression at 10% density (momentum correction)",
-		build: sparseBuilder(func(_ uint64) compress.SparseCompressor {
-			return compress.NewDGC(0.1, 0.9)
-		})},
+		codec: func(uint64) compress.Compressor { return compress.NewDGC(0.1, 0.9) }},
 	{name: "dgc-0.01",
 		about: "Deep Gradient Compression at 1% density (momentum correction)",
-		build: sparseBuilder(func(_ uint64) compress.SparseCompressor {
-			return compress.NewDGC(0.01, 0.9)
-		})},
+		codec: func(uint64) compress.Compressor { return compress.NewDGC(0.01, 0.9) }},
 	{name: "omnireduce",
 		about: "OmniReduce-style streaming non-zero-block aggregation",
 		build: func(_ *Config, env *hookEnv, _ uint64) ddp.Hook {
@@ -88,9 +71,7 @@ var schemeTable = []schemeDef{
 		}},
 	{name: "zen",
 		about: "Zen-style exact non-zero coordinate all-gather",
-		build: func(_ *Config, env *hookEnv, _ uint64) ddp.Hook {
-			return &zenHook{env: env}
-		}},
+		codec: func(uint64) compress.Compressor { return compress.NewNonZero() }},
 	{name: "pactrain",
 		about: "PacTrain pruning + GSE + Mask Tracker mask-compact all-reduce",
 		build: func(cfg *Config, env *hookEnv, seed uint64) ddp.Hook {
@@ -106,15 +87,6 @@ var schemeTable = []schemeDef{
 		build: func(cfg *Config, env *hookEnv, seed uint64) ddp.Hook {
 			return newPacTrainHook(env, cfg, "", newController(cfg, env), seed)
 		}},
-}
-
-// sparseBuilder adapts a per-bucket SparseCompressor factory into a scheme
-// constructor (TopK, RandomK, DGC all ride the sparse all-gather hook).
-func sparseBuilder(mk func(seed uint64) compress.SparseCompressor) func(*Config, *hookEnv, uint64) ddp.Hook {
-	return func(_ *Config, env *hookEnv, seed uint64) ddp.Hook {
-		return &sparseHook{env: env, mk: func() compress.SparseCompressor { return mk(seed) },
-			perBkt: make(map[int]compress.SparseCompressor)}
-	}
 }
 
 // schemeByName resolves a canonical name or alias to its registry row.
@@ -160,8 +132,31 @@ func SchemeCatalog() []SchemeInfo {
 	return out
 }
 
+// Codec returns the compressor scheme name trains with, built at seed. It
+// errors for an unknown name and for a row whose hook encodes for itself.
+func Codec(name string, seed uint64) (compress.Compressor, error) {
+	def, ok := schemeByName(name)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown scheme %q (have %v)", name, Schemes())
+	}
+	if def.codec == nil {
+		return nil, fmt.Errorf("core: scheme %q encodes in its own hook and has no codec", name)
+	}
+	return def.codec(seed), nil
+}
+
 // buildHook constructs rank env.rank's communication hook from its scheme's
-// row, which Run resolved before any rank started.
+// row, which Run resolved before any rank started. A dense codec rides the
+// all-reduce (or the parameter server), one instance for every bucket; a
+// sparse codec rides the all-gather, one instance per bucket.
 func buildHook(cfg *Config, def schemeDef, env *hookEnv) ddp.Hook {
-	return def.build(cfg, env, cfg.Seed*1009+uint64(env.rank)*31+7)
+	seed := cfg.Seed*1009 + uint64(env.rank)*31 + 7
+	if def.build != nil {
+		return def.build(cfg, env, seed)
+	}
+	if comp, ok := def.codec(seed).(compress.DenseCompressor); ok {
+		return &denseHook{env: env, comp: comp, ps: def.ps}
+	}
+	return &sparseHook{env: env, mk: func() compress.SparseCompressor { return def.codec(seed).(compress.SparseCompressor) },
+		perBkt: make(map[int]compress.SparseCompressor)}
 }

@@ -235,11 +235,13 @@ func (l *LayerNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			sumDy += dy
 			sumDyXhat += dy * float64(hd[r*d+i])
 		}
+		// invStd/df·(…) multiplies left to right: the quotient is hoistable.
+		scale := l.lastInvStd[r] / df
 		for i := 0; i < d; i++ {
 			dy := float64(gd[r*d+i])
 			dyg := dy * float64(gw[i])
 			xh := float64(hd[r*d+i])
-			dd[r*d+i] = float32(l.lastInvStd[r] / df * (df*dyg - sumDy - xh*sumDyXhat))
+			dd[r*d+i] = float32(scale * (df*dyg - sumDy - xh*sumDyXhat))
 		}
 	}
 

@@ -12,8 +12,8 @@
 //     schemes (all-reduce, fp16, topk, DGC, TernGrad, QSGD, THC, parameter
 //     server, OmniReduce-style, Zen-style, pactrain, pactrain-ternary).
 //   - Experiment regenerates any table or figure of the paper's evaluation.
-//   - NewCompressor, topology constructors, and the workload presets expose
-//     the building blocks for custom studies.
+//   - NewCompressor (the codec a scheme trains with), topology constructors,
+//     and the workload presets expose the building blocks for custom studies.
 //
 // See README.md for a tour and DESIGN.md for the system inventory.
 package pactrain
@@ -116,10 +116,12 @@ func CanonicalCollective(name string) (string, error) {
 	return collective.CanonicalAlgorithm(name)
 }
 
-// NewCompressor constructs a gradient compressor by figure name (e.g.
-// "fp16", "topk-0.01", "terngrad"); see internal/compress for the suite.
+// NewCompressor constructs the codec scheme name trains with (e.g. "fp16",
+// "topk-0.01", "zen"), error feedback included. It errors for an unknown name
+// and for omnireduce, pactrain, pactrain-ternary and adaptive, whose hooks
+// encode for themselves.
 func NewCompressor(name string, seed uint64) (compress.Compressor, error) {
-	return compress.ByName(name, seed)
+	return core.Codec(name, seed)
 }
 
 // Fig4Topology builds the paper's evaluation network (Fig. 4): eight GPU

@@ -45,16 +45,30 @@ func TestFacadeSchemesAllRunnable(t *testing.T) {
 	}
 }
 
+// TestFacadeCompressorRegistry walks the scheme catalog: NewCompressor
+// resolves exactly the rows that state a codec, and errors on the schemes
+// whose hook encodes for itself and on an unknown name.
 func TestFacadeCompressorRegistry(t *testing.T) {
-	c, err := NewCompressor("fp16", 1)
-	if err != nil {
-		t.Fatal(err)
+	ownHook := map[string]bool{"omnireduce": true, "pactrain": true, "pactrain-ternary": true, "adaptive": true}
+	for _, info := range SchemeCatalog() {
+		c, err := NewCompressor(info.Name, 1)
+		if ownHook[info.Name] {
+			if err == nil {
+				t.Errorf("%s: NewCompressor returned %T, want an error", info.Name, c)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", info.Name, err)
+		} else if c.Wire().Name == "" {
+			t.Errorf("%s: wire format has no name", info.Name)
+		}
 	}
-	if w := c.Wire(); w.Name != "fp16" {
-		t.Fatalf("got wire %s", w.Name)
+	if c, err := NewCompressor("fp16", 1); err != nil || c.Wire().Name != "fp16" {
+		t.Fatalf("fp16: %v, %v", c, err)
 	}
 	if _, err := NewCompressor("bogus", 1); err == nil {
-		t.Fatal("expected error")
+		t.Fatal("bogus: expected error")
 	}
 }
 
