@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"pactrain/internal/tensor"
@@ -10,62 +11,45 @@ import (
 // self-attention over (N, T, D) token tensors, the core of the ViT workload
 // in the paper's evaluation. D must be divisible by the head count.
 //
-// Both passes loop over samples. Every per-sample temporary lives in that
-// sample's mhaScratch slot, and backward computes per-sample weight-gradient
-// partials and then folds them into the shared parameter gradients in an
-// ascending-sample pass.
+// Both passes loop over samples. A sample's slot keeps what backward reads of
+// its forward; every other temporary is one shared set, and backward adds
+// each weight and bias partial into its parameter's gradient as soon as it is
+// computed, so every gradient sums the samples in ascending order.
 type MultiHeadAttention struct {
 	Wq, Wk, Wv, Wo *Parameter
 	Bq, Bk, Bv, Bo *Parameter
 
 	D, Heads, Dh int
 
-	lastX   *tensor.Tensor
-	scratch []*mhaScratch // one slot per sample, reused across steps
-	out     *tensor.Tensor
-	dx      *tensor.Tensor
+	lastX *tensor.Tensor
+	slots []*mhaSlot // one per sample, reused across steps
+	tmp   *mhaTemps
+	out   *tensor.Tensor
+	dx    *tensor.Tensor
 
 	// Wqᵀ, Wkᵀ, Wvᵀ and Woᵀ, written once per Backward for every sample's
 	// products by the transposed weights (tensor.MatMulTransBHeldInto).
 	wT [4]*tensor.Tensor
 }
 
-// mhaScratch holds every per-sample temporary of one attention
-// forward+backward, so steady-state steps allocate nothing. The xs/gs/dxs
-// view headers are retargeted with Rebind each step.
-type mhaScratch struct {
-	xs, gs, dxs *tensor.Tensor // (T, D) views into batch tensors
+// mhaSlot is what one sample's forward leaves for its backward.
+type mhaSlot struct {
+	q, k, v, o *tensor.Tensor   // (T, D)
+	attn       []*tensor.Tensor // per head (T, T)
+}
 
-	q, k, v, o, y  *tensor.Tensor   // (T, D)
-	attn           []*tensor.Tensor // per head (T, T)
-	qh, kh, vh, oh *tensor.Tensor   // (T, Dh)
+// mhaTemps holds the temporaries one sample's pass uses and the next one
+// overwrites, so steady-state steps allocate nothing. The xs/ys/gs/dxs view
+// headers are retargeted with Rebind each sample.
+type mhaTemps struct {
+	xs, ys, gs, dxs *tensor.Tensor // (T, D) views into batch tensors
 
+	qh, kh, vh, oh     *tensor.Tensor // (T, Dh)
 	do, dq, dk, dv     *tensor.Tensor // (T, D)
 	doh, dVh, dQh, dKh *tensor.Tensor // (T, Dh)
 	dAttn              *tensor.Tensor // (T, T)
 	dxPart             *tensor.Tensor // (T, D)
-
-	// Per-sample weight-gradient partials, folded serially into the shared
-	// parameter gradients.
-	dWq, dWk, dWv, dWo *tensor.Tensor // (D, D)
-}
-
-func newMHAScratch(t, d, heads, dh int) *mhaScratch {
-	sc := &mhaScratch{
-		xs: tensor.New(t, d), gs: tensor.New(t, d), dxs: tensor.New(t, d),
-		q: tensor.New(t, d), k: tensor.New(t, d), v: tensor.New(t, d),
-		o: tensor.New(t, d), y: tensor.New(t, d),
-		qh: tensor.New(t, dh), kh: tensor.New(t, dh), vh: tensor.New(t, dh), oh: tensor.New(t, dh),
-		do: tensor.New(t, d), dq: tensor.New(t, d), dk: tensor.New(t, d), dv: tensor.New(t, d),
-		doh: tensor.New(t, dh), dVh: tensor.New(t, dh), dQh: tensor.New(t, dh), dKh: tensor.New(t, dh),
-		dAttn: tensor.New(t, t), dxPart: tensor.New(t, d),
-		dWq: tensor.New(d, d), dWk: tensor.New(d, d), dWv: tensor.New(d, d), dWo: tensor.New(d, d),
-	}
-	sc.attn = make([]*tensor.Tensor, heads)
-	for h := range sc.attn {
-		sc.attn[h] = tensor.New(t, t)
-	}
-	return sc
+	dW                 *tensor.Tensor // (D, D)
 }
 
 // NewMultiHeadAttention constructs an attention layer with Xavier-initialized
@@ -87,15 +71,28 @@ func NewMultiHeadAttention(name string, r *tensor.RNG, d, heads int) *MultiHeadA
 	}
 }
 
-// ensureScratch sizes the per-sample scratch pool for batch size n and
-// sequence length t.
+// ensureScratch sizes the slots for batch size n and the temporaries for
+// sequence length t: slots are appended as the batch grows, and a new t
+// rebuilds both.
 func (l *MultiHeadAttention) ensureScratch(n, t int) {
-	if len(l.scratch) >= n && l.scratch[0].q.Dim(0) == t {
-		return
+	d, dh := l.D, l.Dh
+	if l.tmp == nil || l.tmp.dAttn.Dim(0) != t {
+		l.tmp = &mhaTemps{
+			xs: tensor.New(t, d), ys: tensor.New(t, d), gs: tensor.New(t, d), dxs: tensor.New(t, d),
+			qh: tensor.New(t, dh), kh: tensor.New(t, dh), vh: tensor.New(t, dh), oh: tensor.New(t, dh),
+			do: tensor.New(t, d), dq: tensor.New(t, d), dk: tensor.New(t, d), dv: tensor.New(t, d),
+			doh: tensor.New(t, dh), dVh: tensor.New(t, dh), dQh: tensor.New(t, dh), dKh: tensor.New(t, dh),
+			dAttn: tensor.New(t, t), dxPart: tensor.New(t, d), dW: tensor.New(d, d),
+		}
+		l.slots = l.slots[:0]
 	}
-	l.scratch = make([]*mhaScratch, n)
-	for s := range l.scratch {
-		l.scratch[s] = newMHAScratch(t, l.D, l.Heads, l.Dh)
+	for len(l.slots) < n {
+		sl := &mhaSlot{q: tensor.New(t, d), k: tensor.New(t, d), v: tensor.New(t, d), o: tensor.New(t, d),
+			attn: make([]*tensor.Tensor, l.Heads)}
+		for h := range sl.attn {
+			sl.attn[h] = tensor.New(t, t)
+		}
+		l.slots = append(l.slots, sl)
 	}
 }
 
@@ -151,30 +148,30 @@ func (l *MultiHeadAttention) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return l.out
 }
 
-// forwardSample runs attention for one sample into its scratch slot and the
+// forwardSample runs attention for one sample into its slot and the
 // sample's slice of the output tensor.
 func (l *MultiHeadAttention) forwardSample(x *tensor.Tensor, scale float32, s int) {
 	t, d := x.Dim(1), x.Dim(2)
-	sc := l.scratch[s]
-	sc.xs.Rebind(x.Data()[s*t*d : (s+1)*t*d])
-	projectInto(sc.q, sc.xs, l.Wq, l.Bq)
-	projectInto(sc.k, sc.xs, l.Wk, l.Bk)
-	projectInto(sc.v, sc.xs, l.Wv, l.Bv)
-	sc.o.Zero()
+	sl, tm := l.slots[s], l.tmp
+	tm.xs.Rebind(x.Data()[s*t*d : (s+1)*t*d])
+	tm.ys.Rebind(l.out.Data()[s*t*d : (s+1)*t*d])
+	projectInto(sl.q, tm.xs, l.Wq, l.Bq)
+	projectInto(sl.k, tm.xs, l.Wk, l.Bk)
+	projectInto(sl.v, tm.xs, l.Wv, l.Bv)
+	sl.o.Zero()
 	for h := 0; h < l.Heads; h++ {
 		from := h * l.Dh
-		colBlockInto(sc.qh, sc.q, from)
-		colBlockInto(sc.kh, sc.k, from)
-		colBlockInto(sc.vh, sc.v, from)
-		scores := sc.attn[h]
-		tensor.MatMulTransBInto(scores, sc.qh, sc.kh)
+		colBlockInto(tm.qh, sl.q, from)
+		colBlockInto(tm.kh, sl.k, from)
+		colBlockInto(tm.vh, sl.v, from)
+		scores := sl.attn[h]
+		tensor.MatMulTransBInto(scores, tm.qh, tm.kh)
 		scores.ScaleInPlace(scale)
 		softmaxRows(scores)
-		tensor.MatMulInto(sc.oh, scores, sc.vh)
-		addColBlock(sc.o, sc.oh, from)
+		tensor.MatMulInto(tm.oh, scores, tm.vh)
+		addColBlock(sl.o, tm.oh, from)
 	}
-	projectInto(sc.y, sc.o, l.Wo, l.Bo)
-	copy(l.out.Data()[s*t*d:(s+1)*t*d], sc.y.Data())
+	projectInto(tm.ys, sl.o, l.Wo, l.Bo)
 }
 
 // softmaxRows applies softmax to each row of a rank-2 tensor in place.
@@ -211,58 +208,44 @@ func (l *MultiHeadAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		l.wT[i] = ensure(l.wT[i], d, d)
 		tensor.TransposeInto(l.wT[i], w.W)
 	}
-
-	// Phase 1: per-sample dx slices and per-sample weight-gradient partials.
 	for s := 0; s < n; s++ {
 		l.backwardSample(grad, scale, s)
-	}
-
-	// Phase 2 (ascending samples): fold the partials into the shared
-	// parameter gradients.
-	for s := 0; s < n; s++ {
-		sc := l.scratch[s]
-		tensor.AxpyInto(l.Wo.Grad, 1, sc.dWo)
-		accumBias(l.Bo.Grad, sc.gs)
-		tensor.AxpyInto(l.Wq.Grad, 1, sc.dWq)
-		accumBias(l.Bq.Grad, sc.dq)
-		tensor.AxpyInto(l.Wk.Grad, 1, sc.dWk)
-		accumBias(l.Bk.Grad, sc.dk)
-		tensor.AxpyInto(l.Wv.Grad, 1, sc.dWv)
-		accumBias(l.Bv.Grad, sc.dv)
 	}
 	return l.dx
 }
 
-// backwardSample computes one sample's gradients: dx slice plus the
-// per-sample dW partials left in scratch for the serial fold.
+// backwardSample computes one sample's dx slice and adds its weight and bias
+// partials into the parameter gradients.
 func (l *MultiHeadAttention) backwardSample(grad *tensor.Tensor, scale float32, s int) {
 	t, d := grad.Dim(1), grad.Dim(2)
-	sc := l.scratch[s]
-	sc.gs.Rebind(grad.Data()[s*t*d : (s+1)*t*d])
-	sc.dxs.Rebind(l.dx.Data()[s*t*d : (s+1)*t*d])
-	sc.xs.Rebind(l.lastX.Data()[s*t*d : (s+1)*t*d])
+	sl, tm := l.slots[s], l.tmp
+	tm.gs.Rebind(grad.Data()[s*t*d : (s+1)*t*d])
+	tm.dxs.Rebind(l.dx.Data()[s*t*d : (s+1)*t*d])
+	tm.xs.Rebind(l.lastX.Data()[s*t*d : (s+1)*t*d])
 
 	// Output projection: y = o·Wo + bo.
-	tensor.MatMulTransAInto(sc.dWo, sc.o, sc.gs)
-	tensor.MatMulTransBHeldInto(sc.do, sc.gs, l.Wo.W, l.wT[3])
+	tensor.MatMulTransAInto(tm.dW, sl.o, tm.gs)
+	tensor.AxpyInto(l.Wo.Grad, 1, tm.dW)
+	accumBias(l.Bo.Grad, tm.gs)
+	tensor.MatMulTransBHeldInto(tm.do, tm.gs, l.Wo.W, l.wT[3])
 
-	sc.dq.Zero()
-	sc.dk.Zero()
-	sc.dv.Zero()
+	tm.dq.Zero()
+	tm.dk.Zero()
+	tm.dv.Zero()
 	for h := 0; h < l.Heads; h++ {
 		from := h * l.Dh
-		colBlockInto(sc.doh, sc.do, from)
-		attn := sc.attn[h]
-		colBlockInto(sc.vh, sc.v, from)
-		colBlockInto(sc.qh, sc.q, from)
-		colBlockInto(sc.kh, sc.k, from)
+		colBlockInto(tm.doh, tm.do, from)
+		attn := sl.attn[h]
+		colBlockInto(tm.vh, sl.v, from)
+		colBlockInto(tm.qh, sl.q, from)
+		colBlockInto(tm.kh, sl.k, from)
 
 		// oh = attn · vh.
-		tensor.MatMulTransBInto(sc.dAttn, sc.doh, sc.vh)
-		tensor.MatMulTransAInto(sc.dVh, attn, sc.doh)
+		tensor.MatMulTransBInto(tm.dAttn, tm.doh, tm.vh)
+		tensor.MatMulTransAInto(tm.dVh, attn, tm.doh)
 
 		// Softmax backward per row: ds = A ⊙ (dA − Σ(dA⊙A)).
-		ad, dad := attn.Data(), sc.dAttn.Data()
+		ad, dad := attn.Data(), tm.dAttn.Data()
 		for i := 0; i < t; i++ {
 			var dot float64
 			for j := 0; j < t; j++ {
@@ -272,30 +255,30 @@ func (l *MultiHeadAttention) backwardSample(grad *tensor.Tensor, scale float32, 
 				dad[i*t+j] = ad[i*t+j] * (dad[i*t+j] - float32(dot))
 			}
 		}
-		sc.dAttn.ScaleInPlace(scale)
+		tm.dAttn.ScaleInPlace(scale)
 
 		// scores = qh·khᵀ.
-		tensor.MatMulInto(sc.dQh, sc.dAttn, sc.kh)
-		tensor.MatMulTransAInto(sc.dKh, sc.dAttn, sc.qh)
+		tensor.MatMulInto(tm.dQh, tm.dAttn, tm.kh)
+		tensor.MatMulTransAInto(tm.dKh, tm.dAttn, tm.qh)
 
-		addColBlock(sc.dq, sc.dQh, from)
-		addColBlock(sc.dk, sc.dKh, from)
-		addColBlock(sc.dv, sc.dVh, from)
+		addColBlock(tm.dq, tm.dQh, from)
+		addColBlock(tm.dk, tm.dKh, from)
+		addColBlock(tm.dv, tm.dVh, from)
 	}
 
-	// Input projections: q = x·Wq + bq etc. Weight partials stay in scratch;
-	// the dx slice accumulates its three parts here (zero + q + k + v, the
-	// scalar order).
-	sc.dxs.Zero()
-	tensor.MatMulTransAInto(sc.dWq, sc.xs, sc.dq)
-	tensor.MatMulTransBHeldInto(sc.dxPart, sc.dq, l.Wq.W, l.wT[0])
-	tensor.AxpyInto(sc.dxs, 1, sc.dxPart)
-	tensor.MatMulTransAInto(sc.dWk, sc.xs, sc.dk)
-	tensor.MatMulTransBHeldInto(sc.dxPart, sc.dk, l.Wk.W, l.wT[1])
-	tensor.AxpyInto(sc.dxs, 1, sc.dxPart)
-	tensor.MatMulTransAInto(sc.dWv, sc.xs, sc.dv)
-	tensor.MatMulTransBHeldInto(sc.dxPart, sc.dv, l.Wv.W, l.wT[2])
-	tensor.AxpyInto(sc.dxs, 1, sc.dxPart)
+	// Input projections: q = x·Wq + bq etc. The dx slice accumulates its
+	// three parts here (zero + q + k + v, the scalar order).
+	tm.dxs.Zero()
+	for i, p := range [...]struct {
+		w, b *Parameter
+		dy   *tensor.Tensor
+	}{{l.Wq, l.Bq, tm.dq}, {l.Wk, l.Bk, tm.dk}, {l.Wv, l.Bv, tm.dv}} {
+		tensor.MatMulTransAInto(tm.dW, tm.xs, p.dy)
+		tensor.AxpyInto(p.w.Grad, 1, tm.dW)
+		accumBias(p.b.Grad, p.dy)
+		tensor.MatMulTransBHeldInto(tm.dxPart, p.dy, p.w.W, l.wT[i])
+		tensor.AxpyInto(tm.dxs, 1, tm.dxPart)
+	}
 }
 
 // accumBias adds the column sums of a (T, D) gradient into a (D) bias grad.
@@ -317,7 +300,9 @@ func (l *MultiHeadAttention) Params() []*Parameter {
 
 // PatchEmbed splits an image into non-overlapping patches, projects each to
 // an embedding, prepends a learnable class token, and adds positional
-// embeddings: (N, C, H, W) → (N, T+1, D) with T = (H/ps)·(W/ps).
+// embeddings: (N, C, H, W) → (N, T+1, D) with T = (H/ps)·(W/ps). The
+// projection is a ps×ps convolution of stride ps (tensor.Conv), whose output
+// and gradient are (N, D, T).
 type PatchEmbed struct {
 	Proj   *Parameter // (D, C*ps*ps)
 	Bias   *Parameter // (D)
@@ -325,17 +310,14 @@ type PatchEmbed struct {
 	PosEmb *Parameter // (T+1, D)
 
 	C, PS, D, T int
+	conv        *tensor.Conv // the last input's geometry and padded copy
 
-	lastCols  *tensor.Tensor
-	lastShape []int
-
-	proj  *tensor.Tensor
+	proj  *tensor.Tensor // (N, D, T)
 	out   *tensor.Tensor
-	dProj *tensor.Tensor
+	dProj *tensor.Tensor // (N, D, T)
 	dW    *tensor.Tensor
-	dcols *tensor.Tensor
 	dx    *tensor.Tensor
-	noDx  bool // Backward skips dcols and col2im (see inputGradDropper)
+	noDx  bool // Backward skips the input gradient (see inputGradDropper)
 }
 
 // NewPatchEmbed constructs the embedding for images of (c, h, w) with square
@@ -355,30 +337,33 @@ func NewPatchEmbed(name string, r *tensor.RNG, c, h, w, ps, d int) *PatchEmbed {
 	}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. It panics, naming the shapes, unless x is
+// (N, C, H, W) with the layer's C channels and T patches: the convolution
+// would otherwise read the weights at the wrong stride.
 func (l *PatchEmbed) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	n := x.Dim(0)
-	l.lastShape = append(l.lastShape[:0], x.Shape()...)
-	patch := l.Proj.W.Dim(1)
-	l.lastCols = ensure(l.lastCols, n*l.T, patch)
-	tensor.Im2ColInto(l.lastCols, x, l.PS, l.PS, l.PS, 0) // (N*T, patch)
-	l.proj = ensure(l.proj, n*l.T, l.D)
-	tensor.MatMulTransBInto(l.proj, l.lastCols, l.Proj.W)
+	if x.Rank() != 4 || x.Dim(1) != l.C || (x.Dim(2)/l.PS)*(x.Dim(3)/l.PS) != l.T {
+		panic(fmt.Sprintf("nn: PatchEmbed input %v, want (N, %d, H, W) with (H/%d)·(W/%d) = %d patches",
+			x.Shape(), l.C, l.PS, l.PS, l.T))
+	}
+	n, d, t := x.Dim(0), l.D, l.T
+	l.conv = tensor.ConvFor(l.conv, x, d, l.PS, l.PS, l.PS, 0)
+	l.proj = ensure(l.proj, n, d, t)
+	l.conv.Forward(l.proj, x, l.Proj.W, l.Bias.W) // patch projection plus bias
 
-	l.out = ensure(l.out, n, l.T+1, l.D)
+	l.out = ensure(l.out, n, t+1, d)
 	od, pd := l.out.Data(), l.proj.Data()
-	bd, cd, ed := l.Bias.W.Data(), l.Cls.W.Data(), l.PosEmb.W.Data()
+	cd, ed := l.Cls.W.Data(), l.PosEmb.W.Data()
 	for s := 0; s < n; s++ {
-		base := s * (l.T + 1) * l.D
-		for j := 0; j < l.D; j++ {
+		base := s * (t + 1) * d
+		for j := 0; j < d; j++ {
 			od[base+j] = cd[j] + ed[j]
 		}
-		for tk := 0; tk < l.T; tk++ {
-			src := pd[(s*l.T+tk)*l.D : (s*l.T+tk+1)*l.D]
-			dst := od[base+(tk+1)*l.D : base+(tk+2)*l.D]
-			pos := ed[(tk+1)*l.D : (tk+2)*l.D]
+		for tk := 0; tk < t; tk++ {
+			src := pd[s*d*t+tk:] // token tk's embedding, stride t
+			dst := od[base+(tk+1)*d : base+(tk+2)*d]
+			pos := ed[(tk+1)*d : (tk+2)*d]
 			for j := range dst {
-				dst[j] = src[j] + bd[j] + pos[j]
+				dst[j] = src[j*t] + pos[j]
 			}
 		}
 	}
@@ -387,42 +372,37 @@ func (l *PatchEmbed) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (l *PatchEmbed) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n := grad.Dim(0)
+	n, d, t := grad.Dim(0), l.D, l.T
 	gd := grad.Data()
 	cg, eg, bg := l.Cls.Grad.Data(), l.PosEmb.Grad.Data(), l.Bias.Grad.Data()
-	l.dProj = ensure(l.dProj, n*l.T, l.D)
+	l.dProj = ensure(l.dProj, n, d, t)
 	dpd := l.dProj.Data()
 	for s := 0; s < n; s++ {
-		base := s * (l.T + 1) * l.D
-		for j := 0; j < l.D; j++ {
+		base := s * (t + 1) * d
+		for j := 0; j < d; j++ {
 			cg[j] += gd[base+j]
 			eg[j] += gd[base+j]
 		}
-		for tk := 0; tk < l.T; tk++ {
-			row := gd[base+(tk+1)*l.D : base+(tk+2)*l.D]
-			pos := eg[(tk+1)*l.D : (tk+2)*l.D]
-			dst := dpd[(s*l.T+tk)*l.D : (s*l.T+tk+1)*l.D]
+		for tk := 0; tk < t; tk++ {
+			row := gd[base+(tk+1)*d : base+(tk+2)*d]
+			pos := eg[(tk+1)*d : (tk+2)*d]
+			dst := dpd[s*d*t+tk:] // token tk's gradient, stride t
 			for j, v := range row {
 				pos[j] += v
 				bg[j] += v
-				dst[j] = v
+				dst[j*t] = v
 			}
 		}
 	}
-	// dW = dProjᵀ × cols → (D, patch).
-	l.dW = ensure(l.dW, l.D, l.Proj.W.Dim(1))
-	tensor.MatMulTransAInto(l.dW, l.dProj, l.lastCols)
-	tensor.AxpyInto(l.Proj.Grad, 1, l.dW)
-	if l.noDx {
-		return nil
+	l.dW = ensure(l.dW, d, l.Proj.W.Dim(1))
+	var dx *tensor.Tensor
+	if !l.noDx {
+		l.dx = ensure(l.dx, n, l.C, l.conv.H, l.conv.W)
+		dx = l.dx
 	}
-	// dcols = dProj × W.
-	l.dcols = ensure(l.dcols, n*l.T, l.Proj.W.Dim(1))
-	tensor.MatMulInto(l.dcols, l.dProj, l.Proj.W)
-	h, w := l.lastShape[2], l.lastShape[3]
-	l.dx = ensure(l.dx, n, l.C, h, w)
-	tensor.Col2ImInto(l.dx, l.dcols, l.PS, l.PS, l.PS, 0)
-	return l.dx
+	l.conv.Backward(l.dW, dx, l.dProj, l.Proj.W)
+	tensor.AxpyInto(l.Proj.Grad, 1, l.dW)
+	return dx
 }
 
 func (l *PatchEmbed) dropInputGrad() bool { l.noDx = true; return false }

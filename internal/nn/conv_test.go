@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"pactrain/internal/tensor"
@@ -221,4 +222,117 @@ func FuzzConvMatchesLowered(f *testing.F) {
 		}
 		checkConv(t, 2, c, h, w, nf, k, stride, pad, data)
 	})
+}
+
+// TestPatchEmbedConvMatchesLowered holds PatchEmbed, whose projection runs on
+// tensor.Conv, to loweredConv bit for bit: the output, the input gradient
+// with and without dropInputGrad, and all four parameter gradients, with the
+// tokens permuted between the layer's (N, T+1, D) and the convolution's
+// (N, D, T) in the test. D = 13 is not a multiple of 8 and N = 3; about half
+// the weights are ±0, one whole row among them (its bias −0); the image is
+// finite or holds one NaN, +Inf or −Inf pixel. The layer first steps on a
+// larger batch, so every buffer it reuses is dirty.
+func TestPatchEmbedConvMatchesLowered(t *testing.T) {
+	const n, c, h, w, ps, d = 3, 3, 8, 12, 4, 13
+	const tokens = (h / ps) * (w / ps)
+	for _, special := range []float32{0, convPalette[7], convPalette[5], convPalette[6]} { // none, NaN, +Inf, −Inf
+		for _, dropDx := range []bool{false, true} {
+			r := tensor.NewRNG(49)
+			draw := func(shape ...int) *tensor.Tensor {
+				v := tensor.New(shape...)
+				for i := range v.Data() {
+					v.Data()[i] = convPalette[10+r.Intn(246)] // an exact zero or a finite value
+				}
+				return v
+			}
+			l := NewPatchEmbed("pe", r, c, h, w, ps, d)
+			if dropDx {
+				l.dropInputGrad()
+			}
+			l.Forward(draw(n+1, c, h, w), true)
+			l.Backward(draw(n+1, tokens+1, d))
+
+			x, grad := draw(n, c, h, w), draw(n, tokens+1, d)
+			if special != 0 {
+				x.Data()[r.Intn(x.Len())] = special
+			}
+			for _, p := range l.Params() {
+				copy(p.W.Data(), draw(p.W.Shape()...).Data())
+				copy(p.Grad.Data(), draw(p.Grad.Shape()...).Data())
+			}
+			wd, row := l.Proj.W.Data(), c*ps*ps
+			for i := range wd {
+				if r.Intn(2) == 0 || i/row == 5 {
+					wd[i] = convPalette[r.Intn(2)] // +0 or −0
+				}
+			}
+			l.Bias.W.Data()[5] = convPalette[1]
+
+			// The oracle's gradient is (N, D, T); its output comes back (N, D, T).
+			gradConv := tensor.New(n, d, h/ps, w/ps)
+			for s := range n {
+				for tk := range tokens {
+					for j := range d {
+						gradConv.Data()[(s*d+j)*tokens+tk] = grad.Data()[(s*(tokens+1)+tk+1)*d+j]
+					}
+				}
+			}
+			wg := append([]float32(nil), l.Proj.Grad.Data()...)
+			bg := append([]float32(nil), l.Bias.Grad.Data()...)
+			cg := append([]float32(nil), l.Cls.Grad.Data()...)
+			eg := append([]float32(nil), l.PosEmb.Grad.Data()...)
+			outConv, wantDx := loweredConv(x, l.Proj.W, l.Bias.W, gradConv, ps, ps, 0, wg, bg)
+			want := make([]float32, n*(tokens+1)*d)
+			cls, pos := l.Cls.W.Data(), l.PosEmb.W.Data()
+			for s := range n {
+				for tk := range tokens + 1 {
+					for j := range d {
+						i := (s*(tokens+1)+tk)*d + j
+						if tk == 0 {
+							want[i] = cls[j] + pos[j]
+							cg[j] += grad.Data()[i]
+						} else {
+							want[i] = outConv.Data()[(s*d+j)*tokens+tk-1] + pos[tk*d+j]
+						}
+						eg[tk*d+j] += grad.Data()[i]
+					}
+				}
+			}
+
+			what := fmt.Sprintf("special %v, dropInputGrad %v:", special, dropDx)
+			sameConvBits(t, what+" output", l.Forward(x, true).Data(), want)
+			dx := l.Backward(grad)
+			if dropDx {
+				if dx != nil {
+					t.Fatalf("%s Backward returned an input gradient", what)
+				}
+			} else {
+				sameConvBits(t, what+" dx", dx.Data(), wantDx.Data())
+			}
+			sameConvBits(t, what+" projection gradient", l.Proj.Grad.Data(), wg)
+			sameConvBits(t, what+" bias gradient", l.Bias.Grad.Data(), bg)
+			sameConvBits(t, what+" class-token gradient", l.Cls.Grad.Data(), cg)
+			sameConvBits(t, what+" position gradient", l.PosEmb.Grad.Data(), eg)
+		}
+	}
+}
+
+// TestPatchEmbedRejectsWrongInput pins PatchEmbed's input check: an input
+// that is not (N, C, H, W) with the layer's C channels and T patches panics
+// with a message naming its shape, before the convolution could read the
+// weights at the wrong stride.
+func TestPatchEmbedRejectsWrongInput(t *testing.T) {
+	l := NewPatchEmbed("pe", tensor.NewRNG(1), 3, 8, 8, 4, 6) // T = 4
+	l.Forward(tensor.New(2, 3, 8, 8), true)
+	for _, shape := range [][]int{{2, 3, 64}, {2, 1, 8, 8}, {2, 4, 8, 8}, {2, 3, 8, 12}, {2, 3, 4, 4}, {2, 3, 8, 8, 1}} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "PatchEmbed") || !strings.Contains(msg, fmt.Sprint(shape)) {
+					t.Errorf("input %v: panic %q, want one naming PatchEmbed and the shape", shape, msg)
+				}
+			}()
+			l.Forward(tensor.New(shape...), true)
+		}()
+	}
 }

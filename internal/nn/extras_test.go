@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"pactrain/internal/tensor"
@@ -79,7 +81,7 @@ func TestAttentionRowsSumToOne(t *testing.T) {
 	attn.Forward(x, true)
 	for s := 0; s < 2; s++ {
 		for h := 0; h < 2; h++ {
-			a := attn.scratch[s].attn[h]
+			a := attn.slots[s].attn[h]
 			for row := 0; row < 5; row++ {
 				var sum float64
 				for col := 0; col < 5; col++ {
@@ -93,6 +95,33 @@ func TestAttentionRowsSumToOne(t *testing.T) {
 					t.Fatalf("attention row sums to %v", sum)
 				}
 			}
+		}
+	}
+}
+
+// TestAttentionSlotsReusedAcrossBatchesAndLengths pins the scratch rules:
+// slots grow by appending and are reused by smaller batches, and the shared
+// temporaries are rebuilt when T changes. One layer runs batches 2, 5 and 2
+// at T = 5, then 3 at T = 9 and 2 at T = 5 again; every output, input
+// gradient and parameter gradient equals a fresh layer's bit for bit.
+func TestAttentionSlotsReusedAcrossBatchesAndLengths(t *testing.T) {
+	reused := NewMultiHeadAttention("a", tensor.NewRNG(4), 12, 3)
+	r := tensor.NewRNG(5)
+	for step, nt := range [][2]int{{2, 5}, {5, 5}, {2, 5}, {3, 9}, {2, 5}} {
+		x, grad := tensor.Randn(r, 1, nt[0], nt[1], 12), tensor.Randn(r, 1, nt[0], nt[1], 12)
+		run := func(l *MultiHeadAttention) [][]float32 {
+			for _, p := range l.Params() {
+				p.ZeroGrad()
+			}
+			got := [][]float32{slices.Clone(l.Forward(x, true).Data()), slices.Clone(l.Backward(grad).Data())}
+			for _, p := range l.Params() {
+				got = append(got, p.Grad.Data())
+			}
+			return got
+		}
+		got, want := run(reused), run(NewMultiHeadAttention("a", tensor.NewRNG(4), 12, 3))
+		for i := range want {
+			sameConvBits(t, fmt.Sprintf("step %d (batch %d, T %d), result %d", step, nt[0], nt[1], i), got[i], want[i])
 		}
 	}
 }

@@ -213,8 +213,8 @@ func (l *LayerNorm) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return l.out
 }
 
-// Backward implements Layer. The dx rows come first; the gamma/beta
-// gradients accumulate across rows in a second pass, in ascending row order.
+// Backward implements Layer. The gamma/beta gradients accumulate inside the
+// dx loop, each element over ascending rows.
 func (l *LayerNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	d := l.lastShape[len(l.lastShape)-1]
 	rows := 1
@@ -227,6 +227,7 @@ func (l *LayerNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	hd := l.lastXHat.Data()
 	dd := l.dx.Data()
 	gw := l.Gamma.W.Data()
+	gg, gb := l.Gamma.Grad.Data(), l.Beta.Grad.Data()
 	df := float64(d)
 	for r := 0; r < rows; r++ {
 		var sumDy, sumDyXhat float64
@@ -242,14 +243,7 @@ func (l *LayerNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			dyg := dy * float64(gw[i])
 			xh := float64(hd[r*d+i])
 			dd[r*d+i] = float32(scale * (df*dyg - sumDy - xh*sumDyXhat))
-		}
-	}
-
-	gg, gb := l.Gamma.Grad.Data(), l.Beta.Grad.Data()
-	for r := 0; r < rows; r++ {
-		for i := 0; i < d; i++ {
-			dy := float64(gd[r*d+i])
-			gg[i] += float32(dy * float64(hd[r*d+i]))
+			gg[i] += float32(dy * xh)
 			gb[i] += float32(dy)
 		}
 	}

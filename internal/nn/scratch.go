@@ -14,9 +14,8 @@ import "pactrain/internal/tensor"
 // the lastInput caches: a layer's output buffer is consumed by the next
 // layer within the same forward/backward pass, and no layer touches its own
 // buffers again until its next Forward/Backward call. Buffers are fully
-// overwritten on reuse (the *Into kernels zero or assign every element, and
-// im2col zeroes the rows that touch padding), so stale values can never leak
-// between steps or shapes.
+// overwritten on reuse (the *Into kernels and tensor.Conv assign every
+// element), so stale values can never leak between steps or shapes.
 func ensure(buf *tensor.Tensor, shape ...int) *tensor.Tensor {
 	if buf == nil {
 		buf = tensor.New()

@@ -73,31 +73,11 @@ func TestMatMulIntoReusesDirtyBuffer(t *testing.T) {
 	}
 }
 
-// TestIm2ColIntoBitExactAndDirtySafe pins that the lowering kernels fully
-// overwrite a reused buffer, bit for bit (padding rows must read zero again).
-func TestIm2ColIntoBitExactAndDirtySafe(t *testing.T) {
-	rng := NewRNG(3)
-	x := Randn(rng, 1, 4, 3, 14, 14) // 4*12*12=576 rows × 27 cols, with pad
-	const kh, kw, stride, pad = 3, 3, 1, 1
-	want := Im2Col(x, kh, kw, stride, pad)
-	got := Full(float32(math.NaN()), want.shape[0], want.shape[1])
-	Im2ColInto(got, x, kh, kw, stride, pad)
-	if !bitsEqual(want, got) {
-		t.Fatal("Im2ColInto: dirty buffer differs from fresh")
-	}
-
-	wantImg := Col2Im(want, 4, 3, 14, 14, kh, kw, stride, pad)
-	gotImg := Full(float32(math.NaN()), 4, 3, 14, 14)
-	Col2ImInto(gotImg, got, kh, kw, stride, pad)
-	if !bitsEqual(wantImg, gotImg) {
-		t.Fatal("Col2ImInto: dirty buffer differs from fresh")
-	}
-}
-
-// TestConvLoweringMatchesNaive compares both lowering kernels, bit for bit,
-// with the definition: im2col tests every element against the padding, col2im
-// scatters into a zeroed image in ascending (oy, ox, ky, kx) order. Kernels
-// larger than the image and strides that skip pixels are in the sweep.
+// TestConvLoweringMatchesNaive compares Im2Col and Col2Im, bit for bit, with
+// nested loops over (row, channel, ky, kx): im2col tests every element against
+// the padding, col2im scatters into a zeroed image in ascending (oy, ox, ky,
+// kx) order. Kernels larger than the image and strides that skip pixels are in
+// the sweep.
 func TestConvLoweringMatchesNaive(t *testing.T) {
 	rng := NewRNG(11)
 	const n, c = 2, 3
@@ -133,12 +113,8 @@ func TestConvLoweringMatchesNaive(t *testing.T) {
 						}
 					}
 					name := fmt.Sprintf("k%d s%d p%d %dx%d", k, stride, pad, h, w)
-					gotCols := Full(float32(math.NaN()), rows, rowLen)
-					Im2ColInto(gotCols, x, k, k, stride, pad)
-					sameBits(t, name+" im2col", gotCols.data, wantCols.data)
-					gotImg := Full(float32(math.NaN()), n, c, h, w)
-					Col2ImInto(gotImg, cols, k, k, stride, pad)
-					sameBits(t, name+" col2im", gotImg.data, wantImg.data)
+					sameBits(t, name+" im2col", Im2Col(x, k, k, stride, pad).data, wantCols.data)
+					sameBits(t, name+" col2im", Col2Im(cols, n, c, h, w, k, k, stride, pad).data, wantImg.data)
 				}
 			}
 		}
