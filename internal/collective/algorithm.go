@@ -13,13 +13,12 @@ import (
 // re-costed exactly under another (see core.CostIter).
 //
 // A Pricer prices an algorithm's collectives over one fabric and host list
-// (NewPricer); the AllReduce, AllGather and Broadcast methods are one-shot
-// wrappers that build one per call. Prices are pure functions of their
-// arguments (plus the fabric's traces, which see absolute time t): training
-// and re-costing price identical ops at identical times, and the bit-exact
-// re-costing contract (DESIGN.md §5) rests on the two paths agreeing to the
-// last ulp. They are also monotone in the element count
-// (TestAlgorithmCostMonotone).
+// (NewPricer); Algorithm.AllReduce is a one-shot wrapper that builds one.
+// Prices are pure functions of their arguments (plus the fabric's traces,
+// which see absolute time t): training and re-costing price identical ops at
+// identical times, and the bit-exact re-costing contract (DESIGN.md §5) rests
+// on the two paths agreeing to the last ulp. They are also monotone in the
+// element count (TestAlgorithmCostMonotone).
 //
 // The parameter-server and block-sparse transports are deliberately outside
 // this table (Pricer.PS, Pricer.BlockSparse): they are scheme-specific
@@ -47,17 +46,6 @@ const (
 // AllReduce prices summing n elements across hosts, launched at t.
 func (a Algorithm) AllReduce(f *netsim.Fabric, hosts []netsim.NodeID, n int, wire WireFormat, t float64) float64 {
 	return NewPricer(a, f, hosts).AllReduce(n, wire, t)
-}
-
-// AllGather prices exchanging per-host payloads of sizes[i] elements so
-// every host holds all of them.
-func (a Algorithm) AllGather(f *netsim.Fabric, hosts []netsim.NodeID, sizes []int, wire WireFormat, t float64) float64 {
-	return NewPricer(a, f, hosts).AllGather(sizes, wire, t)
-}
-
-// Broadcast prices distributing msgBytes from hosts[root] to all hosts.
-func (a Algorithm) Broadcast(f *netsim.Fabric, hosts []netsim.NodeID, root int, msgBytes float64, t float64) float64 {
-	return NewPricer(a, f, hosts).Broadcast(root, msgBytes, t)
 }
 
 // DefaultAlgorithm is the algorithm an empty selector resolves to — the

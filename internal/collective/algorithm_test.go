@@ -54,11 +54,11 @@ func TestRingAlgorithmBitExact(t *testing.T) {
 		}
 	}
 	sizes := []int{3, 0, 99, 1 << 12, 5, 1, 2, 64}
-	if a, b := ring.AllGather(netsim.NewFabric(topo), hosts, sizes, WireSparse, 0),
+	if a, b := NewPricer(ring, netsim.NewFabric(topo), hosts).AllGather(sizes, WireSparse, 0),
 		CostRingAllGather(netsim.NewFabric(topo), hosts, sizes, WireSparse, 0); a != b {
 		t.Fatalf("ring AllGather = %v, legacy %v", a, b)
 	}
-	if a, b := ring.Broadcast(netsim.NewFabric(topo), hosts, 0, 1<<20, 2),
+	if a, b := NewPricer(ring, netsim.NewFabric(topo), hosts).Broadcast(0, 1<<20, 2),
 		CostBinomialBroadcast(netsim.NewFabric(topo), hosts, 0, 1<<20, 2); a != b {
 		t.Fatalf("ring Broadcast = %v, legacy %v", a, b)
 	}
@@ -122,8 +122,8 @@ func TestAlgorithmCostMonotone(t *testing.T) {
 				for i := range sizes {
 					sizes[i] = n
 				}
-				ag := alg.AllGather(netsim.NewFabric(topo), hosts, sizes, WireSparse, 0)
-				bc := alg.Broadcast(netsim.NewFabric(topo), hosts, 0, float64(n)*4, 0)
+				ag := NewPricer(alg, netsim.NewFabric(topo), hosts).AllGather(sizes, WireSparse, 0)
+				bc := NewPricer(alg, netsim.NewFabric(topo), hosts).Broadcast(0, float64(n)*4, 0)
 				if ar < prevAR || ag < prevAG || bc < prevBC {
 					t.Fatalf("%s on %s not monotone at n=%d: allreduce %v<%v, allgather %v<%v, broadcast %v<%v",
 						name, tn, n, ar, prevAR, ag, prevAG, bc, prevBC)
@@ -198,8 +198,8 @@ func TestClusterCorrectUnderEveryAlgorithm(t *testing.T) {
 			alg := MustAlgorithm(name)
 			for op, d := range map[string]float64{
 				"all-reduce": alg.AllReduce(f, hosts, 2, WireFP32, 0),
-				"all-gather": alg.AllGather(f, hosts, sizes, WireSparse, 0),
-				"broadcast":  alg.Broadcast(f, hosts, 1, BitmapWire.MessageBytes(3), 0),
+				"all-gather": NewPricer(alg, f, hosts).AllGather(sizes, WireSparse, 0),
+				"broadcast":  NewPricer(alg, f, hosts).Broadcast(1, BitmapWire.MessageBytes(3), 0),
 			} {
 				if d <= 0 {
 					t.Fatalf("%s world %d: %s costs %v, want > 0", name, world, op, d)

@@ -35,7 +35,7 @@ func nonZeroBlocks(vec []float32, blockSize int) []int {
 // BlockBytes returns the wire size of k blocks of blockSize fp32 values,
 // scaled by byteScale (the lite-twin→profile wire scale; 1 for raw use).
 func BlockBytes(k, blockSize int, byteScale float64) float64 {
-	return float64(k) * (float64(blockSize)*4*byteScale + BlockSparseHeaderBytes)
+	return float64(float64(k) * (float64(float64(blockSize)*4*byteScale) + BlockSparseHeaderBytes))
 }
 
 // AllReduceBlockSparse sums vec across workers by exchanging only non-zero

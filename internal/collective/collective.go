@@ -55,7 +55,7 @@ var (
 
 // MessageBytes returns the wire size of a message carrying n elements.
 func (w WireFormat) MessageBytes(n int) float64 {
-	return float64(n)*w.BytesPerElement + w.HeaderBytes
+	return float64(float64(n)*w.BytesPerElement) + w.HeaderBytes
 }
 
 // Cluster coordinates a fixed set of worker goroutines. All workers must

@@ -135,7 +135,7 @@ func TestAllGatherCostGrowsWithWorld(t *testing.T) {
 	k := 1 << 16
 	cost := func(world int) float64 {
 		f, hosts := flatFabric(world, netsim.Gbps)
-		return MustAlgorithm("ring").AllGather(f, hosts, slices.Repeat([]int{k}, world), WireSparse, 0)
+		return NewPricer(MustAlgorithm("ring"), f, hosts).AllGather(slices.Repeat([]int{k}, world), WireSparse, 0)
 	}
 	c2, c8 := cost(2), cost(8)
 	if c8 <= c2*2 {
@@ -174,7 +174,7 @@ func TestPSAggregateCorrectAndSlowerThanAllReduce(t *testing.T) {
 func TestBroadcastBitmapCost(t *testing.T) {
 	n := 8 << 20 // 8Mi elements → 1 MiB bitmap
 	f, hosts := flatFabric(2, netsim.Gbps)
-	end := MustAlgorithm("ring").Broadcast(f, hosts, 0, BitmapWire.MessageBytes(n), 0)
+	end := NewPricer(MustAlgorithm("ring"), f, hosts).Broadcast(0, BitmapWire.MessageBytes(n), 0)
 	// Path host→switch→host is costed at its bottleneck bandwidth (1 Gbps).
 	want := (float64(n)*0.125 + 8) * 8 / netsim.Gbps
 	if math.Abs(end-want)/want > 0.05 {

@@ -16,8 +16,8 @@ func primitiveCosts(alg Algorithm, topo *netsim.Topology, n int) (allReduce, all
 		sizes[i] = n
 	}
 	return alg.AllReduce(netsim.NewFabric(topo), hosts, n, WireFP32, 0),
-		alg.AllGather(netsim.NewFabric(topo), hosts, sizes, WireFP32, 0),
-		alg.Broadcast(netsim.NewFabric(topo), hosts, 0, WireFP32.MessageBytes(n), 0)
+		NewPricer(alg, netsim.NewFabric(topo), hosts).AllGather(sizes, WireFP32, 0),
+		NewPricer(alg, netsim.NewFabric(topo), hosts).Broadcast(0, WireFP32.MessageBytes(n), 0)
 }
 
 // TestAlgorithmCostMonotoneInBandwidth: raising a link speed — the

@@ -84,10 +84,10 @@ func pinnedCostTable() string {
 					return alg.AllReduce(f, h, n, WireFP32, t)
 				}},
 				pinnedOp{name + "/allgather", func(f *netsim.Fabric, h []netsim.NodeID, t float64) float64 {
-					return alg.AllGather(f, h, sizes, WireSparse, t)
+					return NewPricer(alg, f, h).AllGather(sizes, WireSparse, t)
 				}},
 				pinnedOp{name + "/broadcast", func(f *netsim.Fabric, h []netsim.NodeID, t float64) float64 {
-					return alg.Broadcast(f, h, world-2, 1<<20+7, t)
+					return NewPricer(alg, f, h).Broadcast(world-2, 1<<20+7, t)
 				}})
 		}
 		for _, at := range pf.times {

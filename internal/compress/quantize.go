@@ -107,7 +107,7 @@ func (q *QSGD) EncodeInto(grad, buf []float32) []float32 {
 	}
 	L := float64(q.Levels)
 	for i, v := range grad {
-		x := float64(abs32(v)) / float64(s) * L
+		x := float64(float64(abs32(v)) / float64(s) * L)
 		lo := math.Floor(x)
 		frac := x - lo
 		level := lo
@@ -168,7 +168,7 @@ func (t *THC) EncodeInto(grad, buf []float32) []float32 {
 	step := 2 * float64(s) / L
 	for i := range grad {
 		q := math.Round((float64(grad[i]) + float64(s)) / step)
-		out[i] = float32(q*step - float64(s))
+		out[i] = float32(float64(q*step) - float64(s))
 	}
 	return out
 }

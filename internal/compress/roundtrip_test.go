@@ -154,7 +154,7 @@ func FuzzCompressorRoundTrip(f *testing.F) {
 		u, v, res := make([]float32, n), make([]float32, n), make([]float32, n)
 		for _, g := range [][]float32{grad, grad2} {
 			for i := range g {
-				u[i] = mom*u[i] + g[i]
+				u[i] = float32(mom*u[i]) + g[i]
 				v[i] += u[i]
 				res[i] = g[i] + res[i]
 			}

@@ -165,7 +165,7 @@ func (d *DGC) Encode(grad []float32) collective.SparsePayload {
 	}
 	m := float32(d.Momentum)
 	for i := range n {
-		d.u[i] = m*d.u[i] + grad[i]
+		d.u[i] = float32(m*d.u[i]) + grad[i]
 		d.v[i] += d.u[i]
 	}
 	k := ratioCount(n, d.Ratio)

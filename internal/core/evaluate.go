@@ -58,7 +58,7 @@ func evaluate(model *nn.Model, testSet *data.Dataset) float64 {
 	for from := 0; from < testSet.Len(); from += chunk {
 		x, labels := testSet.View(from, chunk)
 		out := model.Forward(x, false)
-		correct += nn.Accuracy(out, labels) * float64(len(labels))
+		correct += float64(nn.Accuracy(out, labels) * float64(len(labels)))
 		total += len(labels)
 	}
 	if total == 0 {

@@ -146,14 +146,14 @@ func (s *Stats) add(op CommOp, world int, dur float64) {
 	switch op.Kind {
 	case OpAllReduce:
 		if world > 1 && op.Elements > 0 {
-			s.PerWorkerSent += op.Wire.MessageBytes(op.Elements) / w * 2 * peers
-			s.PayloadBytes += op.Wire.MessageBytes(op.Elements) / w * 2 * peers * w
+			s.PerWorkerSent += float64(op.Wire.MessageBytes(op.Elements) / w * 2 * peers)
+			s.PayloadBytes += float64(op.Wire.MessageBytes(op.Elements) / w * 2 * peers * w)
 		}
 		s.AllReduceOps++
 	case OpAllGather:
 		var total float64
 		for _, n := range op.Sizes {
-			total += op.Wire.MessageBytes(n) * peers
+			total += float64(op.Wire.MessageBytes(n) * peers)
 		}
 		if world > 1 {
 			s.PayloadBytes += total
@@ -161,7 +161,7 @@ func (s *Stats) add(op CommOp, world int, dur float64) {
 		}
 		s.AllGatherOps++
 	case OpPS:
-		s.PayloadBytes += op.Wire.MessageBytes(op.Elements) * 2 * peers
+		s.PayloadBytes += float64(op.Wire.MessageBytes(op.Elements) * 2 * peers)
 		s.PSOps++
 	case OpBlockSparse:
 		var total float64
@@ -173,7 +173,7 @@ func (s *Stats) add(op CommOp, world int, dur float64) {
 		s.PSOps++
 	case OpBitmapBroadcast:
 		if world > 1 && op.Elements > 0 {
-			s.PayloadBytes += op.Wire.MessageBytes(op.Elements) * peers
+			s.PayloadBytes += float64(op.Wire.MessageBytes(op.Elements) * peers)
 		}
 		s.BroadcastOps++
 	}
@@ -201,7 +201,7 @@ func WireBytesPerWorker(ops []CommOp, world int) float64 {
 				scale = 1
 			}
 			for _, b := range op.Blocks {
-				total += (float64(b*op.BlockSz)*4*scale + float64(b)*collective.BlockSparseHeaderBytes) / float64(world)
+				total += (float64(float64(b*op.BlockSz)*4*scale) + float64(float64(b)*collective.BlockSparseHeaderBytes)) / float64(world)
 			}
 		case OpBitmapBroadcast:
 			wire := op.Wire

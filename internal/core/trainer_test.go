@@ -343,7 +343,7 @@ func TestEvaluateOnViewsLeavesTheDatasetUntouched(t *testing.T) {
 		correct := 0.0
 		for from := 0; from < set.Len(); from += 64 {
 			x, labels := set.Batch(from, 64)
-			correct += nn.Accuracy(model.Forward(x, false), labels) * float64(len(labels))
+			correct += float64(nn.Accuracy(model.Forward(x, false), labels) * float64(len(labels)))
 		}
 		if got, want := evaluate(model, set), correct/float64(set.Len()); got != want {
 			t.Errorf("%s: accuracy %v on views, %v on copies", name, got, want)

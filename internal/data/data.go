@@ -80,10 +80,10 @@ func Generate(cfg Config) *Dataset {
 		cls := i % cfg.Classes // balanced classes
 		labels[i] = cls
 		proto := protos[cls][r.Intn(cfg.Prototypes)]
-		brightness := float32(1 + 0.2*(r.Float64()-0.5))
+		brightness := float32(1 + float64(0.2*(r.Float64()-0.5)))
 		dst := id[i*pix : (i+1)*pix]
 		for j := 0; j < pix; j++ {
-			dst[j] = proto[j]*brightness + float32(r.NormFloat64()*cfg.Noise)
+			dst[j] = float32(proto[j]*brightness) + float32(r.NormFloat64()*cfg.Noise)
 		}
 	}
 	return &Dataset{Name: cfg.Name, Images: images, Labels: labels,

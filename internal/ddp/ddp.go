@@ -153,7 +153,7 @@ func (c ComputeModel) ForwardSeconds(batch int) float64 {
 
 // BackwardSeconds returns the simulated backward time for a batch.
 func (c ComputeModel) BackwardSeconds(batch int) float64 {
-	return c.ForwardSeconds(batch) * c.BackwardFactor
+	return float64(c.ForwardSeconds(batch) * c.BackwardFactor)
 }
 
 // IterSeconds returns the total compute time of one iteration.
@@ -246,8 +246,8 @@ func (rc RankCompute) Scale(rank, iter int) float64 {
 		// keep distinct (rank, iter) pairs from colliding.
 		r := tensor.NewRNG(rc.JitterSeed*0x9E3779B97F4A7C15 +
 			uint64(rank)*0xBF58476D1CE4E5B9 + uint64(iter)*0x94D049BB133111EB + 1)
-		u := 2*r.Float64() - 1
-		s *= 1 + rc.JitterFrac*u
+		u := float64(2*r.Float64()) - 1
+		s *= 1 + float64(rc.JitterFrac*u)
 	}
 	return s
 }

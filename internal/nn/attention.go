@@ -28,7 +28,7 @@ type MultiHeadAttention struct {
 	dx    *tensor.Tensor
 
 	// Wqᵀ, Wkᵀ, Wvᵀ and Woᵀ, written once per Backward for every sample's
-	// products by the transposed weights (tensor.MatMulTransBHeldInto).
+	// products by the transposed weights (tensor.MatMulTransBInto).
 	wT [4]*tensor.Tensor
 }
 
@@ -45,6 +45,7 @@ type mhaTemps struct {
 	xs, ys, gs, dxs *tensor.Tensor // (T, D) views into batch tensors
 
 	qh, kh, vh, oh     *tensor.Tensor // (T, Dh)
+	ht                 *tensor.Tensor // (Dh, T): a head's Kᵀ (forward) or Vᵀ (backward)
 	do, dq, dk, dv     *tensor.Tensor // (T, D)
 	doh, dVh, dQh, dKh *tensor.Tensor // (T, Dh)
 	dAttn              *tensor.Tensor // (T, T)
@@ -80,6 +81,7 @@ func (l *MultiHeadAttention) ensureScratch(n, t int) {
 		l.tmp = &mhaTemps{
 			xs: tensor.New(t, d), ys: tensor.New(t, d), gs: tensor.New(t, d), dxs: tensor.New(t, d),
 			qh: tensor.New(t, dh), kh: tensor.New(t, dh), vh: tensor.New(t, dh), oh: tensor.New(t, dh),
+			ht: tensor.New(dh, t),
 			do: tensor.New(t, d), dq: tensor.New(t, d), dk: tensor.New(t, d), dv: tensor.New(t, d),
 			doh: tensor.New(t, dh), dVh: tensor.New(t, dh), dQh: tensor.New(t, dh), dKh: tensor.New(t, dh),
 			dAttn: tensor.New(t, t), dxPart: tensor.New(t, d), dW: tensor.New(d, d),
@@ -117,6 +119,19 @@ func colBlockInto(dst, x *tensor.Tensor, from int) {
 	xd, od := x.Data(), dst.Data()
 	for i := 0; i < t; i++ {
 		copy(od[i*w:(i+1)*w], xd[i*d+from:i*d+from+w])
+	}
+}
+
+// colBlockTInto writes the transpose of columns [from,from+w) of a (T, D)
+// matrix into a (w, T) matrix.
+func colBlockTInto(dst, x *tensor.Tensor, from int) {
+	t, d := x.Dim(0), x.Dim(1)
+	w := dst.Dim(0)
+	xd, od := x.Data(), dst.Data()
+	for i := 0; i < t; i++ {
+		for p, v := range xd[i*d+from : i*d+from+w] {
+			od[p*t+i] = v
+		}
 	}
 }
 
@@ -162,10 +177,10 @@ func (l *MultiHeadAttention) forwardSample(x *tensor.Tensor, scale float32, s in
 	for h := 0; h < l.Heads; h++ {
 		from := h * l.Dh
 		colBlockInto(tm.qh, sl.q, from)
-		colBlockInto(tm.kh, sl.k, from)
+		colBlockTInto(tm.ht, sl.k, from)
 		colBlockInto(tm.vh, sl.v, from)
 		scores := sl.attn[h]
-		tensor.MatMulTransBInto(scores, tm.qh, tm.kh)
+		tensor.MatMulTransBInto(scores, tm.qh, tm.ht)
 		scores.ScaleInPlace(scale)
 		softmaxRows(scores)
 		tensor.MatMulInto(tm.oh, scores, tm.vh)
@@ -227,7 +242,7 @@ func (l *MultiHeadAttention) backwardSample(grad *tensor.Tensor, scale float32, 
 	tensor.MatMulTransAInto(tm.dW, sl.o, tm.gs)
 	tensor.AxpyInto(l.Wo.Grad, 1, tm.dW)
 	accumBias(l.Bo.Grad, tm.gs)
-	tensor.MatMulTransBHeldInto(tm.do, tm.gs, l.Wo.W, l.wT[3])
+	tensor.MatMulTransBInto(tm.do, tm.gs, l.wT[3])
 
 	tm.dq.Zero()
 	tm.dk.Zero()
@@ -236,12 +251,12 @@ func (l *MultiHeadAttention) backwardSample(grad *tensor.Tensor, scale float32, 
 		from := h * l.Dh
 		colBlockInto(tm.doh, tm.do, from)
 		attn := sl.attn[h]
-		colBlockInto(tm.vh, sl.v, from)
+		colBlockTInto(tm.ht, sl.v, from)
 		colBlockInto(tm.qh, sl.q, from)
 		colBlockInto(tm.kh, sl.k, from)
 
 		// oh = attn · vh.
-		tensor.MatMulTransBInto(tm.dAttn, tm.doh, tm.vh)
+		tensor.MatMulTransBInto(tm.dAttn, tm.doh, tm.ht)
 		tensor.MatMulTransAInto(tm.dVh, attn, tm.doh)
 
 		// Softmax backward per row: ds = A ⊙ (dA − Σ(dA⊙A)).
@@ -249,7 +264,7 @@ func (l *MultiHeadAttention) backwardSample(grad *tensor.Tensor, scale float32, 
 		for i := 0; i < t; i++ {
 			var dot float64
 			for j := 0; j < t; j++ {
-				dot += float64(dad[i*t+j]) * float64(ad[i*t+j])
+				dot += float64(float64(dad[i*t+j]) * float64(ad[i*t+j]))
 			}
 			for j := 0; j < t; j++ {
 				dad[i*t+j] = ad[i*t+j] * (dad[i*t+j] - float32(dot))
@@ -276,7 +291,7 @@ func (l *MultiHeadAttention) backwardSample(grad *tensor.Tensor, scale float32, 
 		tensor.MatMulTransAInto(tm.dW, tm.xs, p.dy)
 		tensor.AxpyInto(p.w.Grad, 1, tm.dW)
 		accumBias(p.b.Grad, p.dy)
-		tensor.MatMulTransBHeldInto(tm.dxPart, p.dy, p.w.W, l.wT[i])
+		tensor.MatMulTransBInto(tm.dxPart, p.dy, l.wT[i])
 		tensor.AxpyInto(tm.dxs, 1, tm.dxPart)
 	}
 }

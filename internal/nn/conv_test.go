@@ -34,7 +34,7 @@ func loweredConv(x, w, b, grad *tensor.Tensor, k, stride, pad int, wg, bg []floa
 	cols := tensor.Im2Col(x, k, k, stride, pad)
 	rows := cols.Dim(0)
 	outMat := tensor.New(rows, f)
-	tensor.MatMulTransBInto(outMat, cols, w)
+	tensor.MatMulTransBInto(outMat, cols, tensor.Transpose(w))
 	out = tensor.New(grad.Shape()...)
 	gm := tensor.New(rows, f)
 	for r := 0; r < rows; r++ {

@@ -190,8 +190,8 @@ func TestGELUBackwardReadsTheForwardTanh(t *testing.T) {
 	want := make([]float32, len(xs))
 	for i, g := range grad.Data() {
 		x := float64(xs[i])
-		th := math.Tanh(geluC * (x + 0.044715*x*x*x))
-		want[i] = g * float32(0.5*(1+th)+0.5*x*(1-th*th)*(geluC*(1+3*0.044715*x*x)))
+		th := math.Tanh(geluC * (x + float64(0.044715*x*x*x)))
+		want[i] = g * float32(float64(0.5*(1+th))+float64(0.5*x*(1-float64(th*th))*(geluC*(1+float64(3*0.044715*x*x)))))
 	}
 	l := NewGELU()
 	l.Forward(x, true)

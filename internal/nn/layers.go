@@ -12,6 +12,7 @@ type Linear struct {
 	out       *tensor.Tensor // forward output, reused across steps
 	dW        *tensor.Tensor // per-step weight-gradient scratch
 	dx        *tensor.Tensor // backward output, reused across steps
+	wT        *tensor.Tensor // Wᵀ, written once per Backward for dx = grad·Wᵀ
 	noDx      bool           // Backward skips dx (see inputGradDropper)
 }
 
@@ -66,7 +67,9 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		return nil
 	}
 	l.dx = ensure(l.dx, n, in)
-	tensor.MatMulTransBInto(l.dx, grad, l.Weight.W)
+	l.wT = ensure(l.wT, out, in)
+	tensor.TransposeInto(l.wT, l.Weight.W)
+	tensor.MatMulTransBInto(l.dx, grad, l.wT)
 	return l.dx
 }
 
@@ -144,8 +147,8 @@ func (l *GELU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	for i := range gd {
 		x, t := float64(xd[i]), td[i]
-		dInner := geluC * (1 + 3*0.044715*x*x)
-		dgelu := 0.5*(1+t) + 0.5*x*(1-t*t)*dInner
+		dInner := geluC * (1 + float64(3*0.044715*x*x))
+		dgelu := float64(0.5*(1+t)) + float64(0.5*x*(1-float64(t*t))*dInner)
 		gd[i] = gin[i] * float32(dgelu)
 	}
 	return l.dx

@@ -69,16 +69,16 @@ func (l *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				for _, v := range plane {
 					fv := float64(v)
 					s += fv
-					sq += fv * fv
+					sq += float64(fv * fv)
 				}
 			}
 			mean = s / cnt
-			variance = sq/cnt - mean*mean
+			variance = sq/cnt - float64(mean*mean)
 			if variance < 0 {
 				variance = 0
 			}
-			l.runningMean[ch] = (1-l.Momentum)*l.runningMean[ch] + l.Momentum*mean
-			l.runningVar[ch] = (1-l.Momentum)*l.runningVar[ch] + l.Momentum*variance
+			l.runningMean[ch] = float64((1-l.Momentum)*l.runningMean[ch]) + float64(l.Momentum*mean)
+			l.runningVar[ch] = float64((1-l.Momentum)*l.runningVar[ch]) + float64(l.Momentum*variance)
 		} else {
 			mean = l.runningMean[ch]
 			variance = l.runningVar[ch]
@@ -131,13 +131,13 @@ func (l *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			for i := range g0 {
 				dy0, dy1, dy2, dy3 := float64(g0[i]), float64(g1[i]), float64(g2[i]), float64(g3[i])
 				d0 += dy0
-				x0 += dy0 * float64(h0[i])
+				x0 += float64(dy0 * float64(h0[i]))
 				d1 += dy1
-				x1 += dy1 * float64(h1[i])
+				x1 += float64(dy1 * float64(h1[i]))
 				d2 += dy2
-				x2 += dy2 * float64(h2[i])
+				x2 += float64(dy2 * float64(h2[i]))
 				d3 += dy3
-				x3 += dy3 * float64(h3[i])
+				x3 += float64(dy3 * float64(h3[i]))
 			}
 		}
 		sums := [...][2]float64{{d0, x0}, {d1, x1}, {d2, x2}, {d3, x3}}
@@ -195,10 +195,10 @@ func (l *LayerNorm) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 		for _, v := range row {
 			fv := float64(v)
 			s += fv
-			sq += fv * fv
+			sq += float64(fv * fv)
 		}
 		mean := s / float64(d)
-		variance := sq/float64(d) - mean*mean
+		variance := sq/float64(d) - float64(mean*mean)
 		if variance < 0 {
 			variance = 0
 		}
@@ -207,7 +207,7 @@ func (l *LayerNorm) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 		for i, v := range row {
 			xh := float32((float64(v) - mean) * invStd)
 			hd[r*d+i] = xh
-			od[r*d+i] = gd[i]*xh + bd[i]
+			od[r*d+i] = float32(gd[i]*xh) + bd[i]
 		}
 	}
 	return l.out
@@ -232,9 +232,9 @@ func (l *LayerNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	for r := 0; r < rows; r++ {
 		var sumDy, sumDyXhat float64
 		for i := 0; i < d; i++ {
-			dy := float64(gd[r*d+i]) * float64(gw[i])
+			dy := float64(float64(gd[r*d+i]) * float64(gw[i]))
 			sumDy += dy
-			sumDyXhat += dy * float64(hd[r*d+i])
+			sumDyXhat += float64(dy * float64(hd[r*d+i]))
 		}
 		// invStd/df·(…) multiplies left to right: the quotient is hoistable.
 		scale := l.lastInvStd[r] / df
@@ -242,7 +242,7 @@ func (l *LayerNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			dy := float64(gd[r*d+i])
 			dyg := dy * float64(gw[i])
 			xh := float64(hd[r*d+i])
-			dd[r*d+i] = float32(scale * (df*dyg - sumDy - xh*sumDyXhat))
+			dd[r*d+i] = float32(scale * (float64(df*dyg) - sumDy - float64(xh*sumDyXhat)))
 			gg[i] += float32(dy * xh)
 			gb[i] += float32(dy)
 		}

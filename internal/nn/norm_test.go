@@ -27,7 +27,7 @@ func bnBackwardSingleChain(l *BatchNorm2D, grad *tensor.Tensor) (dx, gg, gb []fl
 			for i := 0; i < area; i++ {
 				dy := float64(gd[off+i])
 				sumDy += dy
-				sumDyXhat += dy * float64(hd[off+i])
+				sumDyXhat += float64(dy * float64(hd[off+i]))
 			}
 		}
 		gg[ch] += float32(sumDyXhat)

@@ -57,5 +57,5 @@ func CosineLR(base, floor float64, epoch, total int) float64 {
 	if t > 1 {
 		t = 1
 	}
-	return floor + 0.5*(base-floor)*(1+math.Cos(math.Pi*t))
+	return floor + float64(0.5*(base-floor)*(1+math.Cos(math.Pi*t)))
 }

@@ -219,7 +219,7 @@ func GraSPScores(m *nn.Model, computeGrads func()) map[string][]float64 {
 		g := append([]float32(nil), p.Grad.Data()...)
 		g0[p.Name] = g
 		for _, v := range g {
-			gnorm += float64(v) * float64(v)
+			gnorm += float64(float64(v) * float64(v))
 		}
 	}
 	gnorm = math.Sqrt(gnorm)
@@ -236,7 +236,7 @@ func GraSPScores(m *nn.Model, computeGrads func()) map[string][]float64 {
 		w := p.W.Data()
 		g := g0[p.Name]
 		for i := range w {
-			w[i] += float32(eps) * g[i]
+			w[i] += float32(float32(eps) * g[i])
 		}
 	}
 	computeGrads()
@@ -249,13 +249,13 @@ func GraSPScores(m *nn.Model, computeGrads func()) map[string][]float64 {
 		s := make([]float64, len(w))
 		for i := range w {
 			hv := (float64(g1[i]) - float64(g[i])) / eps
-			theta := float64(w[i]) - eps*float64(g[i]) // original weight
+			theta := float64(w[i]) - float64(eps*float64(g[i])) // original weight
 			s[i] = -theta * hv
 		}
 		scores[p.Name] = s
 		// Restore θ.
 		for i := range w {
-			w[i] -= float32(eps) * g[i]
+			w[i] -= float32(float32(eps) * g[i])
 		}
 	}
 	return scores
@@ -335,7 +335,7 @@ func FilterPrune(m *nn.Model, ratio float64, norm FilterNorm) (*Mask, error) {
 				if norm == L1 {
 					s += math.Abs(float64(v))
 				} else {
-					s += float64(v) * float64(v)
+					s += float64(float64(v) * float64(v))
 				}
 			}
 			norms[f] = s

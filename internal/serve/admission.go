@@ -150,7 +150,7 @@ func (d *drainEstimator) observe(now time.Time) {
 			if d.rate == 0 {
 				d.rate = r
 			} else {
-				d.rate = drainAlpha*r + (1-drainAlpha)*d.rate
+				d.rate = float64(drainAlpha*r) + float64((1-drainAlpha)*d.rate)
 			}
 		}
 	}
@@ -225,7 +225,7 @@ func (rl *rateLimiter) allow(client string, now time.Time) (bool, int) {
 		rl.clients[client] = b
 		rl.order = append(rl.order, client)
 	}
-	b.tokens = math.Min(rl.burst, b.tokens+now.Sub(b.last).Seconds()*rl.rate)
+	b.tokens = math.Min(rl.burst, b.tokens+float64(now.Sub(b.last).Seconds()*rl.rate))
 	b.last = now
 	if b.tokens >= 1 {
 		b.tokens--

@@ -124,7 +124,7 @@ func (s IterSchedule) ReadyAt(i int) float64 {
 	if s.prefix == nil {
 		return s.ComputeDone()
 	}
-	return s.Start + s.Fwd + s.Bwd*s.prefix[i]
+	return s.Start + s.Fwd + float64(s.Bwd*s.prefix[i])
 }
 
 // WaitInterval returns the interval this rank spends blocked before a

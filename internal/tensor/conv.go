@@ -32,6 +32,10 @@ type Conv struct {
 	// same interior positions, and the padding between them is never written.
 	xp, gp, gm []float32
 
+	// The work buffers each call overwrites before it reads them: a forward
+	// output row on its grid, dWᵀ, and an input-gradient phase's sums.
+	row, dwt, acc []float32
+
 	// The live terms, rebuilt from the weights once per call. The forward's
 	// list f, fw and foff from fend[f] to fend[f+1], is filter f's nonzero
 	// weights and their xoff offsets in ascending term order. The input
@@ -168,19 +172,18 @@ func (g *Conv) Forward(out, x, w, bias *Tensor) {
 		}
 		g.fend[f+1] = k
 	}
-	row := getScratch(gridLen((g.OutH-1)*g.wq + g.OutW))
+	g.row = padded(g.row, gridLen((g.OutH-1)*g.wq+g.OutW))
 	for img := range n {
 		xi := g.xp[img*g.xn:]
 		for f := range g.F {
 			lo, hi := g.fend[f], g.fend[f+1]
-			convRow(row, g.fw[lo:hi], xi, g.foff[lo:hi], false, false, bias.data[f])
+			convRow(g.row, g.fw[lo:hi], xi, g.foff[lo:hi], false, false, bias.data[f])
 			o := out.data[(img*g.F+f)*spatial:]
 			for oy := range g.OutH {
-				copy(o[oy*g.OutW:(oy+1)*g.OutW], row[oy*g.wq:])
+				copy(o[oy*g.OutW:(oy+1)*g.OutW], g.row[oy*g.wq:])
 			}
 		}
 	}
-	putScratch(row)
 }
 
 // Backward writes the weight gradient dW (F, P), summed from +0, and unless dx
@@ -202,20 +205,19 @@ func (g *Conv) Backward(dW, dx, grad, w *Tensor) {
 	// gradient terms left out, as gmᵀ × cols summed it. Leaving one out
 	// matters only against a ±Inf or NaN input: otherwise its product is ±0,
 	// which the sum absorbs, so the lanes mask only a non-finite input.
-	dwt := getScratch(len(g.xoff) * fs)
-	clear(dwt)
+	g.dwt = padded(g.dwt, len(g.xoff)*fs)
+	clear(g.dwt)
 	for i := range fs / 8 * len(g.xoff) / 8 {
 		f0, p0 := i%(fs/8)*8, i/(fs/8)*8
 		for img := range n {
-			convWeight(dwt[p0*fs+f0:], fs, g.xp[img*g.xn:], g.xoff[p0:p0+8], g.gm[img*spatial*fs+f0:], fs, g.OutH, g.OutW, g.wq, !g.xFinite)
+			convWeight(g.dwt[p0*fs+f0:], fs, g.xp[img*g.xn:], g.xoff[p0:p0+8], g.gm[img*spatial*fs+f0:], fs, g.OutH, g.OutW, g.wq, !g.xFinite)
 		}
 	}
 	for f := range g.F {
 		for q := range p {
-			dW.data[f*p+q] = dwt[q*fs+f]
+			dW.data[f*p+q] = g.dwt[q*fs+f]
 		}
 	}
-	putScratch(dwt)
 	if dx != nil {
 		g.inputGrad(dx, grad, w)
 	}
@@ -259,13 +261,13 @@ func (g *Conv) inputGrad(dx, grad, w *Tensor) {
 			}
 		}
 	}
-	buf := getScratch(gridLen(((g.H+s-1)/s-1)*g.wg + (g.W+s-1)/s))
+	g.acc = padded(g.acc, gridLen(((g.H+s-1)/s-1)*g.wg+(g.W+s-1)/s))
 	for img := range n {
 		gi := g.gp[img*gimg:]
 		for c := range g.C {
 			plane, kj := dx.data[(img*g.C+c)*g.H*g.W:], 0
 			for _, ph := range g.phases {
-				acc, first := buf[:gridLen((ph.hu-1)*g.wg+ph.wv)], true
+				acc, first := g.acc[:gridLen((ph.hu-1)*g.wg+ph.wv)], true
 				for range ph.kk {
 					l := kj*g.C + c
 					kj++
@@ -293,5 +295,4 @@ func (g *Conv) inputGrad(dx, grad, w *Tensor) {
 			}
 		}
 	}
-	putScratch(buf)
 }

@@ -59,8 +59,7 @@ func TestMatMulIntoReusesDirtyBuffer(t *testing.T) {
 	}{
 		{"MatMulInto", 9, 6, func(dst *Tensor) { MatMulInto(dst, a, b) }},
 		{"MatMulTransAInto", 9, 6, func(dst *Tensor) { MatMulTransAInto(dst, at, b) }},
-		{"MatMulTransBInto", 9, 9, func(dst *Tensor) { MatMulTransBInto(dst, a, a) }},
-		{"MatMulTransBHeldInto", 9, 9, func(dst *Tensor) { MatMulTransBHeldInto(dst, a, a, at) }},
+		{"MatMulTransBInto", 9, 9, func(dst *Tensor) { MatMulTransBInto(dst, a, at) }},
 	}
 	for _, c := range cases {
 		fresh := New(c.m, c.n)
@@ -130,9 +129,8 @@ func TestMatMulIntoShapePanicsIncludeShapes(t *testing.T) {
 	}{
 		{"MatMulInto", func() { MatMulInto(New(2, 2), New(2, 3), New(4, 2)) }},
 		{"MatMulTransAInto", func() { MatMulTransAInto(New(2, 2), New(3, 2), New(4, 2)) }},
-		{"MatMulTransBInto", func() { MatMulTransBInto(New(2, 2), New(2, 3), New(2, 4)) }},
-		{"MatMulTransBHeldInto", func() { MatMulTransBHeldInto(New(2, 2), New(2, 3), New(2, 4), New(4, 2)) }},
-		{"MatMulTransBHeldInto", func() { MatMulTransBHeldInto(New(2, 2), New(2, 3), New(2, 3), New(2, 3)) }},
+		{"MatMulTransBInto", func() { MatMulTransBInto(New(2, 2), New(2, 3), New(4, 2)) }},
+		{"MatMulTransBInto", func() { MatMulTransBInto(New(2, 2), New(2, 3), New(3, 4)) }},
 		{"TransposeInto", func() { TransposeInto(New(2, 3), New(2, 3)) }},
 	}
 	for _, c := range cases {
@@ -199,8 +197,7 @@ func BenchmarkMatMulShapes(b *testing.B) {
 			case "AtB":
 				x = Transpose(x)
 				run = func() { MatMulTransAInto(dst, x, y) }
-			case "ABt":
-				y = Transpose(y)
+			case "ABt": // y is the held Bᵀ
 				run = func() { MatMulTransBInto(dst, x, y) }
 			}
 			b.ResetTimer()

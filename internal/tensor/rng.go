@@ -28,9 +28,10 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Float64 returns a uniform value in [0,1).
+// Float64 returns a uniform value in [0,1). The division is a product by
+// 2⁻⁵³, so its caller's sums could fuse it; the conversion rounds it first.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform value in [0,n). It panics if n <= 0.
@@ -49,9 +50,9 @@ func (r *RNG) NormFloat64() float64 {
 	}
 	var u, v, s float64
 	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
+		u = float64(2*r.Float64()) - 1
+		v = float64(2*r.Float64()) - 1
+		s = float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			break
 		}
@@ -97,7 +98,7 @@ func RandUniform(r *RNG, lo, hi float64, shape ...int) *Tensor {
 	}
 	span := hi - lo
 	for i := range t.data {
-		t.data[i] = float32(lo + span*r.Float64())
+		t.data[i] = float32(lo + float64(span*r.Float64()))
 	}
 	return t
 }

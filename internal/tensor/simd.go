@@ -1,7 +1,5 @@
 package tensor
 
-import "sync"
-
 // The elementwise kernels: each is its Go loop below and, on amd64 with AVX2,
 // the assembly whose lanes round like that loop (simd_amd64.s). The loops
 // write every product as a conversion, which no compiler may fuse into the
@@ -133,42 +131,4 @@ func convWeightGo(c []float32, cs int, x []float32, off []int32, g []float32, gs
 			c[i*cs+j] = s
 		}
 	}
-}
-
-// scratch holds the transposes MatMulTransBInto reads, reused across calls so
-// a steady-state step allocates nothing. It is a plain free list, not a
-// sync.Pool: a Pool may drop what it is given (and under the race detector
-// does), and every drop is an allocation the step is pinned not to make.
-var scratch struct {
-	sync.Mutex
-	free [][]float32
-}
-
-// getScratch takes an n-float buffer with arbitrary contents from scratch;
-// the caller puts it back.
-func getScratch(n int) []float32 {
-	var b []float32
-	scratch.Lock()
-	if last := len(scratch.free) - 1; last >= 0 {
-		b, scratch.free = scratch.free[last], scratch.free[:last]
-	}
-	scratch.Unlock()
-	if cap(b) < n {
-		b = make([]float32, n)
-	}
-	return b[:n]
-}
-
-func putScratch(b []float32) {
-	scratch.Lock()
-	scratch.free = append(scratch.free, b)
-	scratch.Unlock()
-}
-
-// transposed writes bᵀ for b of shape (n,k) into scratch, as k rows of n.
-// The caller returns the buffer with putScratch.
-func transposed(b []float32, n, k int) []float32 {
-	bt := getScratch(k * n)
-	transposeTo(bt, b, n, k)
-	return bt
 }

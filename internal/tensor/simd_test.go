@@ -65,7 +65,7 @@ func naiveMatMul(a, b func(i, j int) float32, m, k, n int, skipZero bool) []floa
 			var s float32
 			for p := 0; p < k; p++ {
 				if av := a(i, p); !skipZero || av != 0 {
-					s += av * b(p, j)
+					s += float32(av * b(p, j))
 				}
 			}
 			c[i*n+j] = s
@@ -74,14 +74,14 @@ func naiveMatMul(a, b func(i, j int) float32, m, k, n int, skipZero bool) []floa
 	return c
 }
 
-// checkMatMuls compares the public kernels, MatMulTransBHeldInto included,
-// against naiveMatMul on one (m,k,n) problem. ad is A (m,k) and bd is B (k,n),
-// both row-major.
+// checkMatMuls compares the public kernels against naiveMatMul on one (m,k,n)
+// problem. ad is A (m,k) and bd is B (k,n), both row-major; A × B is also
+// A × Bᵀ for the (n,k) matrix Bᵀ, whose transpose a caller holds for
+// MatMulTransBInto.
 func checkMatMuls(t *testing.T, ad, bd []float32, m, k, n int) {
 	t.Helper()
 	a := FromSlice(ad, m, k)
 	b := FromSlice(bd, k, n)
-	at, bt := Transpose(a), Transpose(b)
 	aAt := func(i, p int) float32 { return ad[i*k+p] }
 	bAt := func(p, j int) float32 { return bd[p*n+j] }
 	// Dirty destinations: every kernel must overwrite, not accumulate.
@@ -89,19 +89,15 @@ func checkMatMuls(t *testing.T, ad, bd []float32, m, k, n int) {
 	MatMulInto(dst, a, b)
 	sameBits(t, "MatMulInto", dst.data, naiveMatMul(aAt, bAt, m, k, n, true))
 	dst = Full(float32(math.Inf(1)), m, n)
-	MatMulTransAInto(dst, at, b)
+	MatMulTransAInto(dst, Transpose(a), b)
 	sameBits(t, "MatMulTransAInto", dst.data, naiveMatMul(aAt, bAt, m, k, n, true))
-	dst = Full(float32(math.Inf(1)), m, n)
-	MatMulTransBInto(dst, a, bt)
-	want := naiveMatMul(aAt, bAt, m, k, n, false)
-	sameBits(t, "MatMulTransBInto", dst.data, want)
-	// The held transpose of bt is b, written over a dirty buffer.
+	// B is bᵀ; the caller's transpose of it, written over a dirty buffer, is b.
 	held := Full(float32(math.NaN()), k, n)
-	TransposeInto(held, bt)
+	TransposeInto(held, Transpose(b))
 	sameBits(t, "TransposeInto", held.data, bd)
 	dst = Full(float32(math.Inf(1)), m, n)
-	MatMulTransBHeldInto(dst, a, bt, held)
-	sameBits(t, "MatMulTransBHeldInto", dst.data, want)
+	MatMulTransBInto(dst, a, held)
+	sameBits(t, "MatMulTransBInto", dst.data, naiveMatMul(aAt, bAt, m, k, n, false))
 }
 
 // misaligned copies s to off floats past the start of a fresh allocation:
@@ -483,9 +479,11 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 					}
 				}
 			}
-			// A larger problem, and an empty inner dimension.
+			// A larger problem, and an empty inner dimension at each width.
 			checkMatMuls(t, fill(r, 70*90), fill(r, 90*33), 70, 90, 33)
-			checkMatMuls(t, nil, nil, 9, 0, 10)
+			for _, n := range []int{3, 10, 40} {
+				checkMatMuls(t, nil, nil, 9, 0, n)
+			}
 		}
 	})
 }

@@ -398,7 +398,7 @@ func Dot(a, b *Tensor) float64 {
 	}
 	var s float64
 	for i := range a.data {
-		s += float64(a.data[i]) * float64(b.data[i])
+		s += float64(float64(a.data[i]) * float64(b.data[i]))
 	}
 	return s
 }
@@ -461,101 +461,32 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 	}
 }
 
-// MatMulTransBInto computes dst = A × Bᵀ for A of shape (m,k) and B of shape
-// (n,k); dst must be (m,n). Used by Linear backward for input gradients.
+// MatMulTransBInto computes dst = A × Bᵀ for A of shape (m,k), given
+// bt = Bᵀ of shape (k,n); dst must be (m,n). The caller holds the transpose
+// (Linear.Backward writes Wᵀ once per call; attention keeps its weights'
+// transposes and gathers each head's block transposed). Every element is the
+// ascending-p sum of a[i,p]·bt[p,j] from +0, the terms of a ±0 a kept.
 //
-// The scalar kernel register-blocks four B rows (output columns) per pass:
-// each of the four accumulators is still a plain ascending-p dot product, so
-// the blocking does not change any element's float evaluation order. With
-// AVX2 and at least one register of columns the same dot products are mulRow
-// over a transpose of B in reused scratch (simd.go), unless the inner
-// dimension is empty and there is nothing to transpose.
-func MatMulTransBInto(dst, a, b *Tensor) {
+// A row narrower than 32 columns is at most three 8-column tiles, each one
+// add chain that waits on itself, so with AVX2 four rows go to a tile
+// (tile4AVX2): four chains per tile, each still its own row's ascending-p
+// sum. An empty inner dimension writes +0.
+func MatMulTransBInto(dst, a, bt *Tensor) {
 	m, k := a.shape[0], a.shape[1]
-	n := b.shape[0]
-	checkMatMulShapes("MatMulTransBInto", dst, a, b, m, k, b.shape[1], n)
-	if transBLanes(n, k) {
-		bt := transposed(b.data, n, k)
-		matMulTransBRowsAVX2(dst.data, a.data, bt, k, n, m)
-		putScratch(bt)
-		return
-	}
-	matMulTransBRows(dst.data, a.data, b.data, k, n, m)
-}
-
-// MatMulTransBHeldInto is MatMulTransBInto for a caller that already holds
-// bt = Bᵀ, shape (k,n), as one that multiplies by the same B many times
-// does: where MatMulTransBInto would transpose B, it reads bt instead, and
-// elsewhere it reads B. Every element is the same as MatMulTransBInto's.
-func MatMulTransBHeldInto(dst, a, b, bt *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[0]
-	checkMatMulShapes("MatMulTransBHeldInto", dst, a, b, m, k, b.shape[1], n)
-	if bt.Rank() != 2 || bt.shape[0] != k || bt.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransBHeldInto shape mismatch: b%v, bt%v", b.shape, bt.shape))
-	}
-	if transBLanes(n, k) {
-		matMulTransBRowsAVX2(dst.data, a.data, bt.data, k, n, m)
-		return
-	}
-	matMulTransBRows(dst.data, a.data, b.data, k, n, m)
-}
-
-// transBLanes reports whether A × Bᵀ with n output columns and inner
-// dimension k runs the AVX2 lanes over Bᵀ.
-func transBLanes(n, k int) bool { return useAVX2 && n >= 8 && k > 0 }
-
-// matMulTransBRowsAVX2 is matMulTransBRows over bt = transposed(B). A row
-// narrower than 32 columns is at most three 8-column tiles, each one add
-// chain that waits on itself, so there four rows go to a tile (tile4AVX2):
-// four chains per tile, each still its own row's ascending-p sum.
-func matMulTransBRowsAVX2(cd, ad, bt []float32, k, n, m int) {
+	n := bt.shape[1]
+	checkMatMulShapes("MatMulTransBInto", dst, a, bt, m, k, bt.shape[0], n)
+	cd, ad, bd := dst.data, a.data, bt.data
 	i := 0
-	if n < 32 {
+	if useAVX2 && 8 <= n && n < 32 && k > 0 {
 		for ; i+4 <= m; i += 4 {
 			for j := 0; j < n; j += 8 {
 				t := min(j, n-8) // a ragged last tile is the last 8 columns
-				tile4AVX2(cd[i*n+t:], n, ad[i*k:], k, bt[t:], n, k)
+				tile4AVX2(cd[i*n+t:], n, ad[i*k:], k, bd[t:], n, k)
 			}
 		}
 	}
 	for ; i < m; i++ {
-		mulRow(cd[i*n:(i+1)*n], ad[i*k:], 1, bt, n, k, false)
-	}
-}
-
-// matMulTransBRows computes the m output rows of C = A × Bᵀ. Each output
-// element is an independent dot product, so rows need no zeroing.
-func matMulTransBRows(cd, ad, bd []float32, k, n, m int) {
-	for i := 0; i < m; i++ {
-		ai := ad[i*k : (i+1)*k]
-		ci := cd[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0 := bd[j*k : (j+1)*k]
-			b1 := bd[(j+1)*k : (j+2)*k]
-			b2 := bd[(j+2)*k : (j+3)*k]
-			b3 := bd[(j+3)*k : (j+4)*k]
-			var s0, s1, s2, s3 float32
-			for p, av := range ai {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-			}
-			ci[j] = s0
-			ci[j+1] = s1
-			ci[j+2] = s2
-			ci[j+3] = s3
-		}
-		for ; j < n; j++ {
-			bj := bd[j*k : (j+1)*k]
-			var s float32
-			for p, av := range ai {
-				s += av * bj[p]
-			}
-			ci[j] = s
-		}
+		mulRow(cd[i*n:(i+1)*n], ad[i*k:], 1, bd, n, k, false)
 	}
 }
 

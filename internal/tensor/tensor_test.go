@@ -209,7 +209,7 @@ func TestMatMulTransposedVariants(t *testing.T) {
 	a2 := Randn(r, 1, 3, 4) // (m=3, k=4) for ABᵀ
 	b2 := Randn(r, 1, 5, 4) // (n=5, k=4)
 	got2 := New(3, 5)
-	MatMulTransBInto(got2, a2, b2)
+	MatMulTransBInto(got2, a2, Transpose(b2))
 	want2 := MatMul(a2, Transpose(b2))
 	for i := range want2.Data() {
 		if !almostEqual(float64(got2.Data()[i]), float64(want2.Data()[i]), 1e-4) {
