@@ -223,10 +223,17 @@ func newRing(f *netsim.Fabric, hosts []netsim.NodeID) (ring, error) {
 // step costs its slowest transfer. Every step sends each chunk once, so when
 // the fabric has no traces and the ring is uniform, every step costs the
 // largest chunk's transfer (a transfer's cost is monotone in its bytes) and
-// the walk is that step added steps times, in order.
+// the walk is that step added steps times, in order. On a fabric without
+// traces whose ring is not uniform, step s costs the same as step s mod
+// world (route i sends chunk (i-s) mod world either way), so the walk
+// prices the first min(steps, world) steps and replays their costs for the
+// rest, in the same order. The costs live on the caller's stack, since the
+// ranks share the pricer; a ring of more than len(rotation) hosts prices
+// every step.
 func (r ring) walk(f *netsim.Fabric, msg func(c int) float64, steps int, t float64) float64 {
 	world := len(r.routes)
-	if r.uniform && f.TimeInvariant() {
+	invariant := f.TimeInvariant()
+	if r.uniform && invariant {
 		largest := math.Inf(-1) // the strict > skips NaN chunks, as the loop below does
 		for c := range world {
 			if m := msg(c); m > largest {
@@ -242,7 +249,13 @@ func (r ring) walk(f *netsim.Fabric, msg func(c int) float64, steps int, t float
 		}
 		return t
 	}
+	var rotation [32]float64
+	reuse := invariant && world <= len(rotation)
 	for s := 0; s < steps; s++ {
+		if reuse && s >= world {
+			t += rotation[s%world]
+			continue
+		}
 		var step float64
 		c := (world - s%world) % world
 		for _, route := range r.routes {
@@ -252,6 +265,9 @@ func (r ring) walk(f *netsim.Fabric, msg func(c int) float64, steps int, t float
 			if c++; c == world {
 				c = 0
 			}
+		}
+		if reuse {
+			rotation[s] = step
 		}
 		t += step
 	}

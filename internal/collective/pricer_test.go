@@ -55,6 +55,13 @@ func FuzzPricerMatchesPerCall(f *testing.F) {
 	f.Add(uint8(3), uint8(22), uint8(1), uint64(8), []byte{5, 0, 0, 250})
 	f.Add(uint8(4), uint8(30), uint8(0), uint64(9), []byte{77, 1, 0})
 	f.Add(uint8(4), uint8(9), uint8(1), uint64(10), []byte{2, 40})
+	// Rings that are not uniform: Fig. 4's eight hosts, whose all-reduce
+	// replays its first rotation untraced (and prices every step traced),
+	// and 40 and 64 hosts, more than the walk keeps step costs for.
+	f.Add(uint8(1), uint8(6), uint8(0), uint64(11), []byte{255, 3, 0, 17})
+	f.Add(uint8(1), uint8(6), uint8(1), uint64(12), []byte{255, 3, 0, 17})
+	f.Add(uint8(2), uint8(38), uint8(0), uint64(13), []byte{6, 1})
+	f.Add(uint8(0), uint8(62), uint8(0), uint64(15), []byte{9, 0, 4})
 	f.Fuzz(func(t *testing.T, kind, worldB, flags uint8, seed uint64, data []byte) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		world := 2 + int(worldB)%63

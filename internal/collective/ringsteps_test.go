@@ -33,13 +33,15 @@ func ringStepsPerTransfer(f *netsim.Fabric, hosts []netsim.NodeID, msg []float64
 	return t
 }
 
-// FuzzRingStepsMatchPerTransfer prices random rings both ways, bit for bit:
-// uniform rings (a flat switch, one rack of a racked fabric, the leaders of
-// every rack) that take the once-per-step path, non-uniform ones (Fig. 4, a
-// two-rack fabric, a racked fabric across racks, a flat switch with one slow
-// link) that keep the loop, and — with flags bit 0 — any of them under a
-// bandwidth trace that flips scale faster than a step, where only the
-// per-transfer loop is exact. world is 2–64 (at most 8 on Fig. 4); chunk
+// FuzzRingStepsMatchPerTransfer prices random rings through the per-call
+// ringSteps and the pricer's ring.walk, each against the per-transfer loop
+// bit for bit: uniform rings (a flat switch, one rack of a racked fabric,
+// the leaders of every rack) that take the once-per-step path, non-uniform
+// ones (Fig. 4, a two-rack fabric, a racked fabric across racks, a flat
+// switch with one slow link) that keep the loop (the walk prices one
+// rotation of it and replays that on rings of up to 32 hosts), and — with
+// flags bit 0 — any of them under a bandwidth trace that flips scale faster
+// than a step, where only the per-transfer loop is exact. world is 2–64 (at most 8 on Fig. 4); chunk
 // sizes come from chunks, zeros included; flags' high bits pick the step
 // count.
 func FuzzRingStepsMatchPerTransfer(f *testing.F) {
@@ -49,6 +51,13 @@ func FuzzRingStepsMatchPerTransfer(f *testing.F) {
 	f.Add(uint8(3), uint8(5), uint8(0x40), uint64(4), []byte{200, 0, 1, 17, 90})
 	f.Add(uint8(4), uint8(13), uint8(0x33), uint64(5), []byte{})
 	f.Add(uint8(5), uint8(20), uint8(0x0c), uint64(6), []byte{1})
+	// Rings that are not uniform and carry more steps than hosts: Fig. 4's
+	// all-reduce (8 hosts, 14 steps) untraced, which replays its first
+	// rotation, and traced, which must price every step; and 40 hosts
+	// across racks, more than the walk keeps costs for.
+	f.Add(uint8(4), uint8(6), uint8(14<<1), uint64(7), []byte{3, 1, 4, 1, 5, 9, 2, 6})
+	f.Add(uint8(4), uint8(6), uint8(14<<1|1), uint64(8), []byte{3, 1, 4, 1, 5, 9, 2, 6})
+	f.Add(uint8(3), uint8(38), uint8(47<<1), uint64(9), []byte{8, 0, 2, 200})
 	f.Fuzz(func(t *testing.T, kind, worldB, flags uint8, seed uint64, chunks []byte) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		world := 2 + int(worldB)%63
@@ -112,10 +121,17 @@ func FuzzRingStepsMatchPerTransfer(f *testing.F) {
 		}
 		steps := int(flags>>1) % (2 * len(hosts))
 		at := rng.Float64() * 1e-3
-		got := ringSteps(fab, hosts, msg, steps, at)
-		if want := ringStepsPerTransfer(fab, hosts, msg, steps, at); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("kind %d, %d hosts, %d steps, traced %v: ringSteps %x, per transfer %x",
-				kind%6, len(hosts), steps, flags&1 != 0, got, want)
+		want := ringStepsPerTransfer(fab, hosts, msg, steps, at)
+		r, err := newRing(fab, hosts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walked := r.walk(fab, func(c int) float64 { return msg[c] }, steps, at)
+		for name, got := range map[string]float64{"ringSteps": ringSteps(fab, hosts, msg, steps, at), "the pricer's walk": walked} {
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("kind %d, %d hosts, %d steps, traced %v: %s %x, per transfer %x",
+					kind%6, len(hosts), steps, flags&1 != 0, name, got, want)
+			}
 		}
 	})
 }

@@ -25,13 +25,17 @@ import (
 // live, and only the cluster-scale pricing path (the largescale experiment,
 // whose model is *defined* as memoized pricing) enables it. There, recorded
 // logs repeat a handful of signatures hundreds of times, and memoization
-// turns O(iterations) collective simulations — some 12k route resolutions
-// each at 4,096 ranks — into O(distinct signatures). The memo is scoped to
-// one coster for the same reason it is opt-in: shared across launch times
+// turns O(iterations) hierarchical pricings — at 4,096 ranks on a 2-core
+// x86-64 host, about 57 µs each once the pricer holds its routes, and
+// 0.95 ms for the first, which resolves them — into O(distinct
+// signatures). The memo is scoped to one
+// priced log for the same reason it is opt-in: shared across launch times
 // (let alone processes) it would move the last ulp of paths that pin their
-// bytes. What every path gets instead is cheap live pricing — the coster's
-// one pricer resolves every route once, on first use, and a uniform ring
-// prices each step once (DESIGN.md §4).
+// bytes, so largescale clears it between cells while its one coster keeps
+// the pricer. What every path gets instead is cheap live pricing — the
+// coster's one pricer resolves every route once, on first use, a uniform
+// ring prices each step once, and any other untraced ring one rotation of
+// steps (DESIGN.md §4).
 type opCoster struct {
 	pricer *collective.Pricer
 	memo   map[opKey]float64 // nil => price every op live

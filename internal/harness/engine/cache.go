@@ -72,22 +72,23 @@ func (c *Cache) path(fp string) string {
 // it — with the bucket geometry (CommLog.BucketElems) per-bucket overlap
 // replay requires (core.CommLog.Replayable, DESIGN.md §5) — logs from before
 // the per-rank timeline lack it although their fingerprints still match —
-// and its ops must fit it: every op on a bucket the geometry has, every
-// all-gather size list and block-sparse block list one entry per rank
-// (len(WeightChecksums); the engine serves an entry only to a job of that
-// World, see fits). Anything else would panic core.Replay or a cost function
-// in a re-cost downstream, inside a worker nothing recovers. Such entries
-// are misses (and swept), so they retrain once and rewrite with the full
-// schema.
+// and at least one rank's checksum: the engine serves an entry only to a job
+// of World len(WeightChecksums) (fits), and World 0, which no valid job has,
+// is one core.Replay cannot walk. Its ops must fit it: every op on a bucket
+// the geometry has, every all-gather size list and block-sparse block list
+// one entry per rank. Anything else would panic core.Replay or a cost
+// function in a re-cost downstream, inside a worker nothing recovers. Such
+// entries are misses (and swept), so they retrain once and rewrite with the
+// full schema.
 func entryCurrent(res *core.Result) bool {
 	log := res.CommLog
 	if log == nil {
 		return false
 	}
-	if len(log.BucketElems) == 0 {
+	world := len(res.WeightChecksums)
+	if world == 0 || len(log.BucketElems) == 0 {
 		return false
 	}
-	world := len(res.WeightChecksums)
 	for _, ops := range log.Iters {
 		for _, op := range ops {
 			if op.Bucket < 0 || op.Bucket >= len(log.BucketElems) ||
@@ -112,11 +113,17 @@ func encodeEntry(res *core.Result) ([]byte, error) {
 
 // decodeEntry unmarshals an envelope; ok is false on corrupt bytes, version
 // skew, or an entry entryCurrent refuses. It is the one decision Load, Sweep
-// and the peer client take.
+// and the peer client take. What encodeEntry wrote decodes in one pass
+// (decodeFast); any other bytes go through json.Unmarshal.
 func decodeEntry(raw []byte) (*core.Result, bool) {
-	var entry cacheEntry
-	if err := json.Unmarshal(raw, &entry); err != nil || entry.Version != cacheVersion ||
-		entry.Result == nil || !entryCurrent(entry.Result) {
+	entry, ok := decodeFast(raw)
+	if !ok {
+		entry = cacheEntry{}
+		if json.Unmarshal(raw, &entry) != nil {
+			return nil, false
+		}
+	}
+	if entry.Version != cacheVersion || entry.Result == nil || !entryCurrent(entry.Result) {
 		return nil, false
 	}
 	entry.Result.WallSeconds = 0

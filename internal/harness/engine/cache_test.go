@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -202,16 +203,63 @@ func replayEverywhere(world int, log *core.CommLog) {
 	}
 }
 
-// FuzzDecodeEntry: any bytes are either rejected, or decode to a Result
-// with a comm log that replays without panicking under World =
-// len(WeightChecksums), the only World the engine serves it to (fits).
+// FuzzDecodeEntry: any bytes get decodeEntry's verdict and Result equal to
+// encoding/json's (checkAgainstReference), and are either rejected, or
+// decode to a Result with a comm log that replays without panicking under
+// World = len(WeightChecksums), the only World the engine serves it to
+// (fits). The seeds hold an entry per op kind, an adaptive one, and the
+// edits that leave the one-pass decoder's grammar or JSON's.
 func FuzzDecodeEntry(f *testing.F) {
-	raw, err := encodeEntry(fittingResult())
-	if err != nil {
-		f.Fatal(err)
+	encode := func(res *core.Result) string {
+		raw, err := encodeEntry(res)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(raw)
 	}
-	f.Add(raw)
+	fitting := encode(fittingResult())
+	for i := range fittingResult().CommLog.Iters[0] {
+		one := fittingResult()
+		one.CommLog.Iters[0] = one.CommLog.Iters[0][i : i+1]
+		f.Add([]byte(encode(one)))
+	}
+	adaptive := fittingResult()
+	adaptive.AdaptiveDecisions, adaptive.AdaptiveSwitches = map[string]int{"index-list": 1, "dense-fp32": 0}, 1
+	adaptive.CommLog.Iters[0][1].Decision = "dense-fp32"
+	adaptive.CommLog.Iters = append(adaptive.CommLog.Iters, nil, []core.CommOp{})
+	f.Add([]byte(encode(adaptive)))
+	noLog := fittingResult()
+	noLog.CommLog = nil
+	f.Add([]byte(encode(noLog)))
+	for _, edit := range [][2]string{
+		{"", ""},                          // the whole fitting entry
+		{`"Sizes":[2,3]`, `"Sizes":null`}, // a nil list, short of the world
+		{`"BucketElems":[3,5]`, `"BucketElems":[]`},                     // an empty list refused
+		{`"Scheme":"crafted",`, `"Scheme":"crafted","Scheme":"again",`}, // a duplicated key
+		{`"Scheme"`, `"scheme"`},                                        // a case-folded key
+		{`"crafted"`, `"cr\u0061fted"`},                                 // an escaped string
+		{`"crafted"`, `"cräfted"`},                                      // non-ASCII
+		{`"Elements":8`, `"Elements" : 8 `},                             // whitespace
+		{`"Elements":8`, `"Elements":8.0`},
+		{`"Elements":8`, `"Elements":1e2`},
+		{`"Elements":8`, `"Elements":+8`},
+		{`"Elements":8`, `"Elements":08`},
+		{`"Elements":8`, `"Elements":-0`},
+		{`"Elements":8`, `"Elements":99999999999999999999`},
+		{`"Scale":1`, `"Scale":1e400`},
+		{`"Scale":1`, `"Scale":1E-3`},
+		{`"Scale":1`, `"Scale":null`},
+		{`"BestAcc":0`, `"BestAcc":0,"Unknown":[1]`},
+	} {
+		if !strings.Contains(fitting, edit[0]) {
+			f.Fatalf("the fitting entry has no %s", edit[0])
+		}
+		f.Add([]byte(strings.Replace(fitting, edit[0], edit[1], 1)))
+	}
+	f.Add([]byte(fitting + "x"))   // trailing bytes
+	f.Add([]byte(fitting + " \n")) // trailing whitespace
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		checkAgainstReference(t, raw)
 		res, ok := decodeEntry(raw)
 		if !ok {
 			return

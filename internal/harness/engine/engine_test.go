@@ -263,7 +263,7 @@ func TestCachePreTimelineLogIsMiss(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	c := NewCache(dir)
-	legacy := &core.Result{Scheme: "all-reduce", Model: "MLP",
+	legacy := &core.Result{Scheme: "all-reduce", Model: "MLP", WeightChecksums: []float64{1},
 		CommLog: &core.CommLog{Iters: [][]core.CommOp{{{Kind: core.OpAllReduce, Elements: 4}}}}}
 	if err := c.Store("cafe01", legacy); err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestCachePreTimelineLogIsMiss(t *testing.T) {
 	}
 
 	// The same log with geometry is current and must round-trip.
-	current := &core.Result{Scheme: "all-reduce", Model: "MLP",
+	current := &core.Result{Scheme: "all-reduce", Model: "MLP", WeightChecksums: []float64{1},
 		CommLog: &core.CommLog{BucketElems: []int{4},
 			Iters: [][]core.CommOp{{{Kind: core.OpAllReduce, Elements: 4}}}}}
 	if err := c.Store("cafe02", current); err != nil {

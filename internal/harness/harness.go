@@ -330,16 +330,13 @@ func (o *Options) train(exp string, jobs []engine.Job) ([]recording, error) {
 // zero keeps the recording's own: topo and traces replace its fabric, algo
 // its collective algorithm (the recorded ops are algorithm-independent),
 // and adjust edits a copy of its config's compute plane (compute model,
-// straggler profile, overlap mode). memoize engages per-signature cost
-// memoization (opCoster), which the replay contract forbids for recorded
-// runs and the cluster-scale pricing path requires. The zero point is the
-// recording's own fabric, core.Config.NewFabric.
+// straggler profile, overlap mode). The zero point is the recording's own
+// fabric, core.Config.NewFabric.
 type point struct {
-	topo    *netsim.Topology
-	traces  []*netsim.BandwidthTrace
-	algo    string
-	adjust  func(*core.Config)
-	memoize bool
+	topo   *netsim.Topology
+	traces []*netsim.BandwidthTrace
+	algo   string
+	adjust func(*core.Config)
 }
 
 // fig4At is the paper's Fig. 4 fabric at a bottleneck bandwidth.
@@ -386,7 +383,7 @@ func (r recording) at(p point) (core.Config, *netsim.Fabric) {
 // model, straggler profile and overlap mode.
 func (r recording) price(p point) []float64 {
 	cfg, fabric := r.at(p)
-	coster := newOpCoster(collective.MustAlgorithm(cfg.Collective), fabric, fabric.Topo.Hosts()[:cfg.World], p.memoize)
+	coster := newOpCoster(collective.MustAlgorithm(cfg.Collective), fabric, fabric.Topo.Hosts()[:cfg.World], false)
 	return core.Replay(&cfg, r.res.CommLog, coster.cost, nil)
 }
 

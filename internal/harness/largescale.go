@@ -158,7 +158,11 @@ func RunLargeScale(opt Options) (*LargeScaleResult, error) {
 	// viewable per-rank picture of the same straggler mechanics.
 	opt.traceRecost("largescale", map[string]any{"world": out.World})
 
-	topo := netsim.RackedTopology(netsim.RackedOptions{Racks: racks, HostsPerRack: hosts})
+	// One fabric and one pricer serve all nine cells, so the hierarchy's
+	// racks, leaders and routes are resolved once. The memo is cleared per
+	// cell: no memoized duration crosses cells.
+	fabric := netsim.NewFabric(netsim.RackedTopology(netsim.RackedOptions{Racks: racks, HostsPerRack: hosts}))
+	coster := newOpCoster(collective.MustAlgorithm(out.Collective), fabric, fabric.Topo.Hosts(), true)
 	for _, scheme := range out.Schemes {
 		res := &core.Result{Scheme: scheme, CommLog: largeScaleLog(scheme, buckets, largeScaleIters)}
 		uniformIter := 0.0
@@ -175,7 +179,8 @@ func RunLargeScale(opt Options) (*LargeScaleResult, error) {
 					Multipliers: netsim.OneSlowRack(racks, hosts, sev),
 				}
 			}
-			cum := recording{cfg, res}.price(point{topo: topo, memoize: true})
+			clear(coster.memo)
+			cum := core.Replay(&cfg, res.CommLog, coster.cost, nil)
 			// Steady state excludes the warm-up iteration (PacTrain's full
 			// sync + bitmap re-share).
 			iter := (cum[len(cum)-1] - cum[1]) / float64(largeScaleIters-1)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"pactrain/internal/collective"
 	"pactrain/internal/core"
 	"pactrain/internal/ddp"
 	"pactrain/internal/netsim"
@@ -33,7 +34,9 @@ func TestMemoizedReplayMatchesLive(t *testing.T) {
 			},
 		}
 		live := recording{cfg, res}.price(point{topo: topo})
-		memo := recording{cfg, res}.price(point{topo: topo, memoize: true})
+		fabric := netsim.NewFabric(topo)
+		coster := newOpCoster(collective.MustAlgorithm(cfg.Collective), fabric, fabric.Topo.Hosts(), true)
+		memo := core.Replay(&cfg, res.CommLog, coster.cost, nil)
 		if len(live) != len(memo) {
 			t.Fatalf("%s: cum lengths differ: %d vs %d", scheme, len(live), len(memo))
 		}

@@ -300,18 +300,28 @@ func (b *BandwidthTrace) scaleAt(t float64) float64 {
 type Fabric struct {
 	Topo *Topology
 
-	traces map[int]*BandwidthTrace
+	// traces holds each link's trace, nil where none is installed; the
+	// slice itself is nil until the first SetTrace, out-of-range ones
+	// included, and non-nil (even for no links) after it.
+	traces []*BandwidthTrace
 	links  int // len(Topo.Links) at NewFabric
 }
 
 // NewFabric wraps a topology.
 func NewFabric(t *Topology) *Fabric {
-	return &Fabric{Topo: t, traces: make(map[int]*BandwidthTrace), links: len(t.Links)}
+	return &Fabric{Topo: t, links: len(t.Links)}
 }
 
-// SetTrace installs a bandwidth trace on a link.
+// SetTrace installs a bandwidth trace on a link. A trace on a link index
+// the fabric was not built over scales no link, but the fabric still stops
+// being time-invariant.
 func (f *Fabric) SetTrace(tr *BandwidthTrace) {
-	f.traces[tr.LinkIndex] = tr
+	if f.traces == nil {
+		f.traces = make([]*BandwidthTrace, f.links)
+	}
+	if li := tr.LinkIndex; li >= 0 && li < f.links {
+		f.traces[li] = tr
+	}
 }
 
 // TimeInvariant reports whether link bandwidths are independent of the
@@ -319,13 +329,13 @@ func (f *Fabric) SetTrace(tr *BandwidthTrace) {
 // time-invariant fabric a collective's cost depends only on the payload and
 // algorithm, never on when it launches, which licenses the re-costing
 // layer's per-op-signature memoization (internal/harness).
-func (f *Fabric) TimeInvariant() bool { return len(f.traces) == 0 }
+func (f *Fabric) TimeInvariant() bool { return f.traces == nil }
 
 // LinkBandwidthAt returns the effective (trace-scaled) bandwidth of link li
 // at time t — the per-link view contention-aware collective costers need.
 func (f *Fabric) LinkBandwidthAt(li int, t float64) float64 {
 	bw := f.Topo.Links[li].BandwidthBps
-	if len(f.traces) != 0 {
+	if li < len(f.traces) {
 		if tr := f.traces[li]; tr != nil {
 			bw *= tr.scaleAt(t)
 		}
@@ -394,7 +404,7 @@ func (f *Fabric) Send(r Route, payloadBytes float64, t float64) float64 {
 		return 0
 	}
 	bottleneck := r.BottleneckBps
-	if len(f.traces) != 0 {
+	if f.traces != nil {
 		bottleneck = math.Inf(1)
 		for _, li := range r.Links {
 			if bw := f.LinkBandwidthAt(li, t); bw < bottleneck {

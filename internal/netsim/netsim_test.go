@@ -113,6 +113,46 @@ func TestBandwidthTrace(t *testing.T) {
 	}
 }
 
+// TestTraceOutsideTheTopology: a trace on a link index the topology lacks
+// scales no link, yet the fabric is no longer time-invariant, as with any
+// installed trace; a later trace on a link replaces the earlier one.
+func TestTraceOutsideTheTopology(t *testing.T) {
+	topo := FlatTopology(2, 1*Gbps, 0)
+	hosts := topo.Hosts()
+	half := []TraceSegment{{UntilSec: math.Inf(1), Scale: 0.5}}
+	for _, li := range []int{-1, len(topo.Links), 1 << 20} {
+		f := NewFabric(topo)
+		f.SetTrace(&BandwidthTrace{LinkIndex: li, Segments: half})
+		if f.TimeInvariant() {
+			t.Errorf("link %d: a fabric with a trace installed reports time-invariant", li)
+		}
+		for l := range topo.Links {
+			if bw := f.LinkBandwidthAt(l, 0); bw != topo.Links[l].BandwidthBps {
+				t.Errorf("a trace on link %d scales link %d to %v", li, l, bw)
+			}
+		}
+		if dt, _ := f.TransferTime(hosts[0], hosts[1], 1e9/8, 0); dt != 1 {
+			t.Errorf("link %d: transfer %v, want 1s at full bandwidth", li, dt)
+		}
+	}
+	bare := NewTopology()
+	bare.AddNode("a", Host)
+	f := NewFabric(bare)
+	f.SetTrace(&BandwidthTrace{LinkIndex: 0, Segments: half})
+	if f.TimeInvariant() {
+		t.Error("a fabric without links but with a trace reports time-invariant")
+	}
+	f = NewFabric(topo)
+	if !f.TimeInvariant() {
+		t.Fatal("a fabric without traces reports time-varying")
+	}
+	f.SetTrace(&BandwidthTrace{LinkIndex: 1, Segments: half})
+	f.SetTrace(&BandwidthTrace{LinkIndex: 1, Segments: []TraceSegment{{UntilSec: math.Inf(1), Scale: 0.25}}})
+	if bw := f.LinkBandwidthAt(1, 0); bw != 0.25*Gbps || f.LinkBandwidthAt(0, 0) != Gbps {
+		t.Fatalf("link 1 at %v after its second trace, want %v", bw, 0.25*Gbps)
+	}
+}
+
 func TestAddLinkValidation(t *testing.T) {
 	topo := NewTopology()
 	a := topo.AddNode("a", Host)
