@@ -1,7 +1,7 @@
 package pactrain
 
 // This file carries one benchmark per table/figure of the paper's
-// evaluation (DESIGN.md §3) plus micro-benchmarks of the primitives on the
+// evaluation (DESIGN.md §8) plus micro-benchmarks of the primitives on the
 // critical path. The figure benchmarks run the same harness code as
 // cmd/pactrain-bench at reduced scale (the full-fidelity settings take
 // minutes; `go run ./cmd/pactrain-bench` regenerates the paper-scale

@@ -28,7 +28,7 @@
 // the same property PacTrain's Mask Tracker relies on.
 //
 // Because decisions consult the fabric, a recorded adaptive run re-costs
-// exactly only under the fabric it was recorded on (see DESIGN.md §8); the
+// exactly only under the fabric it was recorded on (see DESIGN.md §6); the
 // experiment harness therefore retrains adaptive cells per operating point
 // instead of re-costing them across bandwidths. A controller restricted to
 // a single candidate makes fabric-independent decisions and re-costs

@@ -28,7 +28,7 @@
 // byte-identical at any -parallel setting. As a guard, Replay verifies the
 // replayed clock reproduces the recorded SimSeconds bit-for-bit; a mismatch
 // means the config/fabric handed in is not the one the log was recorded
-// under (DESIGN.md §8), and the audit refuses rather than reporting fiction.
+// under (DESIGN.md §6), and the audit refuses rather than reporting fiction.
 package audit
 
 import (
@@ -239,7 +239,7 @@ func (a *calAccum) observe(err float64) {
 // Replay audits one recorded run on the fabric its config describes
 // (core.Config.NewFabric) — the fabric the controller priced on, which is
 // the only fabric where the recorded decisions replay exactly (DESIGN.md
-// §8). Runs recorded without controller decisions (static schemes) produce
+// §6). Runs recorded without controller decisions (static schemes) produce
 // a report with zero DecidedRounds. A log that cannot be replayed under the
 // config (core.CommLog.Replayable) is an error.
 func Replay(cfg core.Config, res *core.Result, opt Options) (*Report, error) {
@@ -376,7 +376,7 @@ func replayLedger(rep *Report, cfg *core.Config, res *core.Result, q *Quoter, op
 
 	rep.ReplayEndSec = cum[len(cum)-1]
 	if rep.ReplayEndSec != res.SimSeconds {
-		return fmt.Errorf("audit: replayed clock %v != recorded SimSeconds %v (Δ %g) — the config/fabric is not the one the log was recorded under (DESIGN.md §8)",
+		return fmt.Errorf("audit: replayed clock %v != recorded SimSeconds %v (Δ %g) — the config/fabric is not the one the log was recorded under (DESIGN.md §6)",
 			rep.ReplayEndSec, res.SimSeconds, rep.ReplayEndSec-res.SimSeconds)
 	}
 

@@ -342,7 +342,7 @@ func TestAuditRejectsUnrecordedRun(t *testing.T) {
 	wrong.Traces = nil
 	if _, err := Replay(wrong, res, Options{}); err == nil {
 		t.Fatal("wrong-fabric audit did not detect clock divergence")
-	} else if !strings.Contains(err.Error(), "DESIGN.md §8") {
+	} else if !strings.Contains(err.Error(), "DESIGN.md §6") {
 		t.Fatalf("divergence error should cite the replay contract: %v", err)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // (NewPricer); Algorithm.AllReduce is a one-shot wrapper that builds one.
 // Prices are pure functions of their arguments (plus the fabric's traces,
 // which see absolute time t): training and re-costing price identical ops at
-// identical times, and the bit-exact re-costing contract (DESIGN.md §5) rests
+// identical times, and the bit-exact re-costing contract (DESIGN.md §7) rests
 // on the two paths agreeing to the last ulp. They are also monotone in the
 // element count (TestAlgorithmCostMonotone).
 //

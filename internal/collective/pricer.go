@@ -13,7 +13,7 @@ import (
 // tree's partner routes as directed hops, the broadcast and star routes — is
 // a function of (algorithm, fabric, hosts) only, so a pricer resolves it
 // once, on the first op that needs it, and every later op prices over it
-// with no route walk and no allocation (DESIGN.md §4).
+// with no route walk and no allocation (DESIGN.md §5).
 //
 // Each price is the float arithmetic of the per-call cost models it
 // replaced, in the same order (every step's duration is added to the clock

@@ -95,7 +95,7 @@ type Config struct {
 	// Overlap selects how bucket communication interleaves with backward
 	// compute: OverlapNone serializes them (the historical scalar clock);
 	// OverlapBackward launches each bucket's collective as its gradient
-	// becomes ready, the exact per-bucket timeline model (DESIGN.md §9).
+	// becomes ready, the exact per-bucket timeline model (DESIGN.md §5).
 	Overlap ddp.Overlap
 	// RankCompute introduces per-rank compute heterogeneity — straggler
 	// multipliers and deterministically seeded per-iteration jitter. The
@@ -250,7 +250,7 @@ func (c *Config) defaultCostPlane() {
 
 // NewFabric defaults the config's cost plane and builds the fabric it
 // describes, bandwidth traces applied: the fabric Run prices on, and so the
-// only one an adaptive log replays exactly on (DESIGN.md §8).
+// only one an adaptive log replays exactly on (DESIGN.md §6).
 func (c *Config) NewFabric() *netsim.Fabric {
 	c.defaultCostPlane()
 	fabric := netsim.NewFabric(c.Topology)
@@ -297,7 +297,7 @@ func (c *Config) IsPacTrain() bool {
 // on the fabric itself: the adaptive controller prices candidates against
 // live bandwidth, so its decision sequence — and therefore the recorded op
 // log — can change with the network. Re-costing such a log is exact only
-// under the fabric it was recorded on (DESIGN.md §8); the harness retrains
+// under the fabric it was recorded on (DESIGN.md §6); the harness retrains
 // fabric-sensitive configs per operating point instead. A controller
 // restricted to a single candidate always picks it, making the log
 // fabric-independent again.
@@ -309,7 +309,7 @@ func (c *Config) IsPacTrain() bool {
 // Static schemes and single-candidate controllers record op sequences that
 // depend on gradient values alone, which is what lets the stragglers
 // experiment re-cost one recording across every straggler profile and
-// overlap mode (DESIGN.md §9).
+// overlap mode (DESIGN.md §7).
 func (c *Config) FabricSensitive() bool {
 	if c.Scheme != SchemeAdaptive {
 		return false

@@ -18,7 +18,7 @@ import (
 // the config's collective algorithm (Config.Collective); the hook code
 // itself is algorithm-agnostic. buildHook (schemes.go) constructs hooks from
 // the scheme registry. Decode, average and Mask Tracker observation run once
-// per cluster in a collective's Finish (DESIGN.md §4).
+// per cluster in a collective's Finish (DESIGN.md §5).
 type hookEnv struct {
 	cluster *collective.Cluster
 	rank    int

@@ -30,7 +30,7 @@ type ReplayVisitor interface {
 // Replay walks a recorded log over per-rank timelines and returns rank 0's
 // cumulative clock: cum[i] is the simulated time after i iterations. It is
 // the one statement of the walk every derived number in this repo comes from
-// (DESIGN.md §5):
+// (DESIGN.md §7):
 //
 //	launch = max(bucket barrier over the ranks' ready times, previous op's end)
 //	end    = launch + price(op, launch)

@@ -155,7 +155,7 @@ func runWorker(cfg *Config, def schemeDef, rank int, env hookEnv, shared *shared
 	for i, b := range buckets {
 		elems[i] = b.Elements()
 	}
-	// The per-rank timeline (DESIGN.md §9): walking every rank's compute
+	// The per-rank timeline (DESIGN.md §5): walking every rank's compute
 	// from the config gives each bucket's synchronized launch — the instant
 	// lockstep decisions and the recorded log see — with no rendezvous.
 	walk := newClockWalk(cfg, elems, true)

@@ -266,7 +266,7 @@ const (
 	// bucket's collective launches once its gradient is ready (forward plus
 	// the bucket's prefix share of backward, reverse-registration order) and
 	// the iteration cannot finish before backward does — the exact
-	// per-bucket timeline model (simclock, DESIGN.md §9).
+	// per-bucket timeline model (simclock, DESIGN.md §5).
 	OverlapBackward
 )
 

@@ -19,7 +19,7 @@ type AblationMTRow struct {
 }
 
 // AblationMTResult sweeps the Mask Tracker stability window (§III-C leaves
-// it unspecified; DESIGN.md calls out the choice).
+// it unspecified; DESIGN.md §4 states the default).
 type AblationMTResult struct {
 	Rows  []AblationMTRow
 	Model string

@@ -110,7 +110,7 @@ func oscillatingTraces(topo *netsim.Topology, period, dip float64) []*netsim.Ban
 // cells are the opposite — the controller's decisions consult the live
 // fabric, so each operating point trains its own run with the fabric (and
 // trace) in the config; re-costing an adaptive log across bandwidths would
-// replay decisions the controller would not have made there (DESIGN.md §8).
+// replay decisions the controller would not have made there (DESIGN.md §6).
 func RunAdaptive(opt Options) (*AdaptiveExpResult, error) {
 	opt.defaults()
 	w := opt.workloads()[0]
@@ -188,7 +188,7 @@ func RunAdaptive(opt Options) (*AdaptiveExpResult, error) {
 	// fabric in the config (Topology + Traces), so the train step traces and
 	// audits each on its recorded fabric — the only fabric an adaptive log
 	// replays exactly, and where its counterfactual quotes are truthful
-	// (DESIGN.md §8).
+	// (DESIGN.md §6).
 	opt.traceRecost("adaptive", map[string]any{"points": len(points), "formats": len(out.Formats)})
 	cells, err := opt.train("adaptive cells", adaptiveJobs)
 	if err != nil {

@@ -131,7 +131,7 @@ func TestAdaptiveRecostExactOnRecordedFabric(t *testing.T) {
 }
 
 // TestAdaptiveRecostRequiresRecordedFabric documents the caveat DESIGN.md
-// §8 states: a multi-candidate adaptive run is fabric-sensitive — its
+// §6 states: a multi-candidate adaptive run is fabric-sensitive — its
 // decision sequence changes with the network — so re-costing its log onto
 // a *different* fabric replays decisions the controller would not have made
 // there and diverges from training there directly. A single-candidate
@@ -215,7 +215,7 @@ func TestAdaptiveRecostRequiresRecordedFabric(t *testing.T) {
 }
 
 // TestRepriceGuardsFabricSensitiveRecordings pins the re-price function's
-// guard (DESIGN.md §8): a multi-candidate adaptive recording re-prices bit
+// guard (DESIGN.md §6): a multi-candidate adaptive recording re-prices bit
 // for bit at the zero point, its own fabric, and is refused at every other
 // operating point — a foreign fabric, a foreign collective algorithm and a
 // foreign overlap mode, each of which would have changed the controller's

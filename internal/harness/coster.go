@@ -35,7 +35,7 @@ import (
 // the pricer. What every path gets instead is cheap live pricing — the
 // coster's one pricer resolves every route once, on first use, a uniform
 // ring prices each step once, and any other untraced ring one rotation of
-// steps (DESIGN.md §4).
+// steps (DESIGN.md §5).
 type opCoster struct {
 	pricer *collective.Pricer
 	memo   map[opKey]float64 // nil => price every op live

@@ -70,7 +70,7 @@ func (c *Cache) path(fp string) string {
 // entryCurrent reports whether a stored Result can be served. It must carry
 // a comm log — every training records one, and every harness re-price walks
 // it — with the bucket geometry (CommLog.BucketElems) per-bucket overlap
-// replay requires (core.CommLog.Replayable, DESIGN.md §5) — logs from before
+// replay requires (core.CommLog.Replayable, DESIGN.md §7) — logs from before
 // the per-rank timeline lack it although their fingerprints still match —
 // and at least one rank's checksum: the engine serves an entry only to a job
 // of World len(WeightChecksums) (fits), and World 0, which no valid job has,

@@ -141,7 +141,7 @@ type Options struct {
 	// MemoLimit bounds the in-memory singleflight Result memo (0 =
 	// unlimited, the historical behavior). The memo is the cross-experiment
 	// dedup economy, but a long-lived process serving many distinct configs
-	// (the serve subsystem, DESIGN.md §6) would otherwise retain one Result
+	// (the serve subsystem, DESIGN.md §10) would otherwise retain one Result
 	// per config forever. With a limit set, an entry becomes evictable once
 	// its Result is safely on disk — stored to, or loaded from, the cache —
 	// and the oldest evictable entries drop first; a re-query then

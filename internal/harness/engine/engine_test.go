@@ -132,9 +132,9 @@ func TestCacheRoundTripExact(t *testing.T) {
 }
 
 // TestMemoLimitEvictsThroughDiskCache covers the bounded singleflight memo
-// (DESIGN.md §6 named this as future work): once an entry's Result is on
-// disk, MemoLimit may evict it from memory, and a re-query round-trips
-// through the disk cache byte-identically instead of retraining.
+// (DESIGN.md §9): once an entry's Result is on disk, MemoLimit may evict it
+// from memory, and a re-query round-trips through the disk cache
+// byte-identically instead of retraining.
 func TestMemoLimitEvictsThroughDiskCache(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()

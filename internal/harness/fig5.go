@@ -30,7 +30,7 @@ type Fig5Result struct {
 // 1 Gbps "due to its representative slow convergence"; quick mode uses the
 // MLP twin. The accuracy target is the calibrated ResNet152 workload
 // target (the paper's 84% threshold re-based to the synthetic task, see
-// DESIGN.md §3).
+// DESIGN.md §8).
 func RunFig5(opt Options) (*Fig5Result, error) {
 	opt.defaults()
 	w := PaperWorkloads()[2] // ResNet152

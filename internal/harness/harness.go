@@ -2,7 +2,7 @@
 // figure of the PacTrain paper's evaluation (§IV): the method-property
 // matrix (Table 1), end-to-end relative TTA across bandwidths (Fig. 3),
 // accuracy-vs-time curves for ResNet152 (Fig. 5), the pruning-ratio sweep
-// (Fig. 6), and the design-choice ablations listed in DESIGN.md §3.
+// (Fig. 6), and the design-choice ablations listed in DESIGN.md §8.
 //
 // Each experiment trains lite-twin models for real and costs communication
 // through the simulated Fig. 4 fabric. Because the convergence trajectory
@@ -93,7 +93,7 @@ type Options struct {
 	// serialized clock). "none" normalizes to empty so both spellings share
 	// cache keys and coalesce in the service. "backward" prices each DDP
 	// bucket's collective at its per-rank gradient-ready barrier (DESIGN.md
-	// §9).
+	// §5).
 	Overlap string
 	// Log receives progress lines; nil discards them.
 	Log io.Writer
@@ -349,13 +349,13 @@ func fig4At(bw float64) point {
 // point refuses a fabric-sensitive recording (core.Config.FabricSensitive,
 // a multi-candidate adaptive log): its decisions answered the recorded
 // fabric, algorithm and clock, so replaying them under any other yields a
-// clock no training there would have (DESIGN.md §8). Experiments retrain
+// clock no training there would have (DESIGN.md §6). Experiments retrain
 // such cells per operating point, as RunAdaptive does.
 func (r recording) at(p point) (core.Config, *netsim.Fabric) {
 	cfg := r.cfg
 	if p.topo != nil || p.algo != "" || p.adjust != nil {
 		if cfg.FabricSensitive() {
-			panic(fmt.Sprintf("harness: %q run is fabric-sensitive; retrain per operating point instead of re-pricing it elsewhere (DESIGN.md §8)", cfg.Scheme))
+			panic(fmt.Sprintf("harness: %q run is fabric-sensitive; retrain per operating point instead of re-pricing it elsewhere (DESIGN.md §6)", cfg.Scheme))
 		}
 		if p.algo != "" {
 			cfg.Collective = p.algo

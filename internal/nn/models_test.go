@@ -32,7 +32,7 @@ func TestModelZooBuilds(t *testing.T) {
 		m.Backward(grad)
 		nonZero := 0
 		for _, p := range m.Params() {
-			if p.Grad.CountNonZero() > 0 {
+			if slices.ContainsFunc(p.Grad.Data(), func(v float32) bool { return v != 0 }) {
 				nonZero++
 			}
 		}

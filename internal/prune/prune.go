@@ -1,9 +1,8 @@
 // Package prune implements the neural-network pruning algorithms PacTrain
 // builds on (§II-B, §III): global and layerwise unstructured magnitude
-// pruning, GraSP gradient-flow scores (Eq. 4), L1/L2 filter-norm structured
-// pruning, and lottery-ticket rewinding. A pruning pass produces a Mask —
-// per-parameter boolean keep sets — which the GSE layer then enforces on
-// gradients every iteration so the sparsity pattern stays global knowledge
+// pruning and GraSP gradient-flow scores (Eq. 4). A pruning pass produces a
+// Mask — per-parameter boolean keep sets — which the GSE layer then enforces
+// on gradients every iteration so the sparsity pattern stays global knowledge
 // across distributed workers.
 package prune
 
@@ -298,59 +297,6 @@ func GraSPPrune(m *nn.Model, ratio float64, computeGrads func()) (*Mask, error) 
 		s := scores[p.Name]
 		for i := range keep {
 			keep[i] = s[i] > th
-		}
-	}
-	return mask, nil
-}
-
-// FilterNorm selects the norm used by structured filter pruning.
-type FilterNorm int
-
-// Norm choices for FilterPrune.
-const (
-	L1 FilterNorm = iota
-	L2
-)
-
-// FilterPrune builds a structured mask that removes whole convolution
-// filters (rows of the (outC, inC·kh·kw) weight matrix) with the smallest
-// L1/L2 norms [Li et al. 2017]. Non-convolutional parameters are left
-// intact.
-func FilterPrune(m *nn.Model, ratio float64, norm FilterNorm) (*Mask, error) {
-	if ratio < 0 || ratio >= 1 {
-		return nil, fmt.Errorf("prune: ratio %v out of [0,1)", ratio)
-	}
-	mask := NewMask(m)
-	for _, p := range m.Params() {
-		if p.W.Rank() != 2 || p.W.Dim(0) < 2 {
-			continue
-		}
-		out, in := p.W.Dim(0), p.W.Dim(1)
-		w := p.W.Data()
-		norms := make([]float64, out)
-		for f := 0; f < out; f++ {
-			row := w[f*in : (f+1)*in]
-			var s float64
-			for _, v := range row {
-				if norm == L1 {
-					s += math.Abs(float64(v))
-				} else {
-					s += float64(float64(v) * float64(v))
-				}
-			}
-			norms[f] = s
-		}
-		order := make([]int, out)
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return norms[order[a]] < norms[order[b]] })
-		drop := int(float64(out) * ratio)
-		keep := mask.Keep[p.Name]
-		for _, f := range order[:drop] {
-			for i := f * in; i < (f+1)*in; i++ {
-				keep[i] = false
-			}
 		}
 	}
 	return mask, nil

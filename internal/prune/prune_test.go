@@ -265,38 +265,6 @@ func TestGraSPQuadratic(t *testing.T) {
 	}
 }
 
-func TestFilterPruneRemovesWholeRows(t *testing.T) {
-	cfg := nn.DefaultLiteConfig(10, 3)
-	m := nn.NewVGGLite(cfg)
-	mk, err := FilterPrune(m, 0.25, L2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// For each rank-2 weight, every row must be fully kept or fully pruned.
-	anyPruned := false
-	for _, p := range m.Params() {
-		if p.W.Rank() != 2 || p.W.Dim(0) < 2 {
-			continue
-		}
-		out, in := p.W.Dim(0), p.W.Dim(1)
-		keep := mk.Keep[p.Name]
-		for f := 0; f < out; f++ {
-			first := keep[f*in]
-			for i := f*in + 1; i < (f+1)*in; i++ {
-				if keep[i] != first {
-					t.Fatalf("param %s filter %d partially pruned", p.Name, f)
-				}
-			}
-			if !first {
-				anyPruned = true
-			}
-		}
-	}
-	if !anyPruned {
-		t.Fatal("FilterPrune(0.25) pruned nothing")
-	}
-}
-
 // Property: higher pruning ratios produce monotonically sparser masks.
 func TestPropertyRatioMonotone(t *testing.T) {
 	m := testModel(11)

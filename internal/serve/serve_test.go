@@ -406,10 +406,12 @@ func FuzzSubmit(f *testing.F) {
 // "backward" gets its own.
 func TestOverlapSubmissionCoalescing(t *testing.T) {
 	t.Parallel()
-	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 8})
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 8})
+	release := holdWorker(t, s)
 
-	// Saturate the single worker so subsequent submissions stay queued and
-	// coalescible while we compare their job ids.
+	// Hold the blocker on the single worker so subsequent submissions stay
+	// queued and coalescible while we compare their job ids, however fast
+	// the blocker would train.
 	blocker, _ := postJSON(t, ts.URL+"/v1/experiments", testRequest("ablation-tern"))
 	if blocker.StatusCode != http.StatusAccepted {
 		t.Fatalf("blocker submit status %d", blocker.StatusCode)
@@ -439,6 +441,7 @@ func TestOverlapSubmissionCoalescing(t *testing.T) {
 	if backward.Job.Options.Overlap != "backward" {
 		t.Fatalf("job view lost the overlap mode: %+v", backward.Job.Options)
 	}
+	release()
 	waitForState(t, ts.URL, backward.JobID, JobDone)
 	waitForState(t, ts.URL, def.JobID, JobDone)
 }
@@ -448,7 +451,8 @@ func TestOverlapSubmissionCoalescing(t *testing.T) {
 // default coalesce onto one job, while a distinct algorithm gets its own.
 func TestSchemesEndpointAndCollectiveCoalescing(t *testing.T) {
 	t.Parallel()
-	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 8})
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 8})
+	release := holdWorker(t, s)
 
 	code, schemes := getJSON[[]core.SchemeInfo](t, ts.URL+"/v1/schemes")
 	if code != http.StatusOK || len(schemes) != len(core.Schemes()) {
@@ -471,10 +475,11 @@ func TestSchemesEndpointAndCollectiveCoalescing(t *testing.T) {
 		}
 	}
 
-	// Saturate the single worker so subsequent submissions stay queued and
-	// coalescible while we compare their job ids. ablation-tern and
-	// ablation-topo are the registry's lightest grids (two tiny trainings
-	// each, one shared through the engine), keeping the race lane fast.
+	// Hold the blocker on the single worker so subsequent submissions stay
+	// queued and coalescible while we compare their job ids, however fast
+	// the blocker would train. ablation-tern and ablation-topo are the
+	// registry's lightest grids (two tiny trainings each, one shared through
+	// the engine), keeping the race lane fast.
 	blocker, _ := postJSON(t, ts.URL+"/v1/experiments", testRequest("ablation-tern"))
 	if blocker.StatusCode != http.StatusAccepted {
 		t.Fatalf("blocker submit status %d", blocker.StatusCode)
@@ -504,6 +509,7 @@ func TestSchemesEndpointAndCollectiveCoalescing(t *testing.T) {
 	if hier.Job.Options.Collective != "hierarchical" {
 		t.Fatalf("job view lost the collective: %+v", hier.Job.Options)
 	}
+	release()
 	waitForState(t, ts.URL, hier.JobID, JobDone)
 	waitForState(t, ts.URL, def.JobID, JobDone)
 }

@@ -21,7 +21,7 @@
 // over a recorded log, and the trainer live. Compute is a pure function of
 // the config, the rank and the iteration, so each trainer rank walks every
 // rank's schedule itself and the barrier needs no communication. One walk
-// for both is what makes replay bit-exact (DESIGN.md §5, §9).
+// for both is what makes replay bit-exact (DESIGN.md §5, §7).
 package simclock
 
 import "math"

@@ -9,7 +9,7 @@ import (
 // (F, P) with P = C·KH·KW, over (N, C, H, W) inputs. Forward and both
 // gradients read a zero-padded copy of the input or of the output gradient at
 // per-term offsets, with no column matrix, and round every element as the
-// lowering (Im2Col, the matmuls, Col2Im) rounds it (DESIGN.md §12).
+// lowering (Im2Col, the matmuls, Col2Im) rounds it (DESIGN.md §2).
 type Conv struct {
 	C, H, W, F, KH, KW, Stride, Pad, OutH, OutW int
 
@@ -134,7 +134,7 @@ func live(v float32) int {
 // for Backward: element (img, f, oy, ox) sums w[f,p]·x̂ over ascending p from
 // +0, padding terms included, then adds bias[f], as cols × Wᵀ plus bias did.
 // When x is finite, the terms of ±0 weights are left out: each would add a ±0
-// product, which a sum from +0 absorbs (DESIGN.md §12).
+// product, which a sum from +0 absorbs (DESIGN.md §2).
 func (g *Conv) Forward(out, x, w, bias *Tensor) {
 	n, s, plane := x.shape[0], g.Stride, g.hq*g.wq
 	g.xp = padded(g.xp, n*g.xn+convSlack)

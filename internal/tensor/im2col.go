@@ -3,7 +3,7 @@ package tensor
 // Im2Col and Col2Im are the lowering of a convolution to one matrix
 // multiplication, written as the plain definition. No layer trains through
 // them: every convolution, PatchEmbed's included, runs on Conv, and the
-// lowering (Im2Col, the matmuls, Col2Im) is its test oracle (DESIGN.md §12).
+// lowering (Im2Col, the matmuls, Col2Im) is its test oracle (DESIGN.md §2).
 
 // Im2Col lowers x (N, C, H, W) into a (N*outH*outW, C*kh*kw) matrix whose row
 // (img, oy, ox) is that output position's receptive field, term (c, ky, kx),

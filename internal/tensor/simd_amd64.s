@@ -3,7 +3,7 @@
 // AVX2 lanes for the three matmuls. Every lane multiplies (VMULPS) and then
 // adds (VADDPS) — never VFMADD — with the operand order the compiler's scalar
 // MULSS/ADDSS use, so each output element rounds exactly as the Go loops in
-// tensor.go do (DESIGN.md §12).
+// tensor.go do (DESIGN.md §2).
 
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1

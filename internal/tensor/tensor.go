@@ -205,26 +205,10 @@ func AddInto(dst, a, b *Tensor) {
 	}
 }
 
-// SubInto computes dst = a - b elementwise.
-func SubInto(dst, a, b *Tensor) {
-	checkSameLen3(dst, a, b)
-	d, x, y := dst.data, a.data, b.data
-	for i := range d {
-		d[i] = x[i] - y[i]
-	}
-}
-
 // Add returns a + b as a new tensor shaped like a.
 func Add(a, b *Tensor) *Tensor {
 	out := New(a.shape...)
 	AddInto(out, a, b)
-	return out
-}
-
-// Sub returns a - b as a new tensor shaped like a.
-func Sub(a, b *Tensor) *Tensor {
-	out := New(a.shape...)
-	SubInto(out, a, b)
 	return out
 }
 
@@ -278,13 +262,6 @@ func SGDStep(w, g, v []float32, lr, mom, wd float32) {
 	}
 }
 
-// Apply replaces each element x with f(x) in place.
-func (t *Tensor) Apply(f func(float32) float32) {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
-}
-
 func checkSameLen3(a, b, c *Tensor) {
 	if len(a.data) != len(b.data) || len(b.data) != len(c.data) {
 		panic(fmt.Sprintf("tensor: elementwise volume mismatch %d/%d/%d", len(a.data), len(b.data), len(c.data)))
@@ -300,35 +277,6 @@ func (t *Tensor) Sum() float64 {
 		s += float64(v)
 	}
 	return s
-}
-
-// Max returns the maximum element and its flat index. It panics on an empty
-// tensor.
-func (t *Tensor) Max() (float32, int) {
-	if len(t.data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	best, arg := t.data[0], 0
-	for i, v := range t.data {
-		if v > best {
-			best, arg = v, i
-		}
-	}
-	return best, arg
-}
-
-// Min returns the minimum element and its flat index.
-func (t *Tensor) Min() (float32, int) {
-	if len(t.data) == 0 {
-		panic("tensor: Min of empty tensor")
-	}
-	best, arg := t.data[0], 0
-	for i, v := range t.data {
-		if v < best {
-			best, arg = v, i
-		}
-	}
-	return best, arg
 }
 
 // MaxAbs returns max |x[j]|, 0 for an empty slice; a NaN is never the larger.
@@ -370,25 +318,6 @@ func KthKey(keys []uint32, k int) uint32 {
 		keys = keys[:n]
 	}
 	return key
-}
-
-// CountNonZero returns the number of elements that are exactly non-zero.
-func (t *Tensor) CountNonZero() int {
-	n := 0
-	for _, v := range t.data {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Sparsity returns the fraction of elements that are exactly zero, in [0,1].
-func (t *Tensor) Sparsity() float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return 1 - float64(t.CountNonZero())/float64(len(t.data))
 }
 
 // Dot returns the inner product of the flattened tensors.

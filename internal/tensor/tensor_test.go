@@ -105,10 +105,6 @@ func TestElementwiseOps(t *testing.T) {
 	if sum.Data()[0] != 5 || sum.Data()[2] != 9 {
 		t.Fatalf("Add wrong: %v", sum.Data())
 	}
-	diff := Sub(b, a)
-	if diff.Data()[1] != 3 {
-		t.Fatalf("Sub wrong: %v", diff.Data())
-	}
 	AxpyInto(a, 2, b)
 	if a.Data()[0] != 9 {
 		t.Fatalf("Axpy wrong: %v", a.Data())
@@ -121,15 +117,6 @@ func TestScaleApplyFillZero(t *testing.T) {
 	if x.Data()[1] != -4 {
 		t.Fatal("ScaleInPlace wrong")
 	}
-	x.Apply(func(v float32) float32 {
-		if v < 0 {
-			return 0
-		}
-		return v
-	})
-	if x.Data()[1] != 0 || x.Data()[2] != 6 {
-		t.Fatal("Apply wrong")
-	}
 	x.Zero()
 	if x.Sum() != 0 {
 		t.Fatal("Zero wrong")
@@ -141,24 +128,8 @@ func TestReductions(t *testing.T) {
 	if x.Sum() != 10 {
 		t.Fatalf("Sum = %v", x.Sum())
 	}
-	if v, i := x.Max(); v != 5 || i != 4 {
-		t.Fatalf("Max = %v@%d", v, i)
-	}
-	if v, i := x.Min(); v != -1 || i != 1 {
-		t.Fatalf("Min = %v@%d", v, i)
-	}
 	if MaxAbs(x.Data()) != 5 {
 		t.Fatalf("MaxAbs = %v", MaxAbs(x.Data()))
-	}
-}
-
-func TestSparsityAndNonZero(t *testing.T) {
-	x := FromSlice([]float32{0, 1, 0, 2, 0}, 5)
-	if x.CountNonZero() != 2 {
-		t.Fatalf("CountNonZero = %d", x.CountNonZero())
-	}
-	if !almostEqual(x.Sparsity(), 0.6, 1e-12) {
-		t.Fatalf("Sparsity = %v", x.Sparsity())
 	}
 }
 
@@ -385,7 +356,7 @@ func TestKaimingXavierScale(t *testing.T) {
 	}
 }
 
-// Property: Add is commutative and Sub(Add(a,b), b) == a.
+// Property: Add is commutative.
 func TestPropertyAddSubRoundTrip(t *testing.T) {
 	f := func(vals []float32) bool {
 		if len(vals) == 0 {
@@ -410,12 +381,6 @@ func TestPropertyAddSubRoundTrip(t *testing.T) {
 		ba := Add(b, a)
 		for i := range ab.Data() {
 			if ab.Data()[i] != ba.Data()[i] {
-				return false
-			}
-		}
-		round := Sub(ab, b)
-		for i := range round.Data() {
-			if math.Abs(float64(round.Data()[i]-a.Data()[i])) > 1e-1 {
 				return false
 			}
 		}

@@ -161,7 +161,7 @@ func A40ComputeModel(flopsPerSample int64) ddp.ComputeModel {
 // compute (Config.Overlap): OverlapNone serializes compute then
 // communication, OverlapBackward launches each DDP bucket's collective at
 // its per-rank gradient-ready barrier (the event-timeline model, DESIGN.md
-// §9).
+// §5).
 type Overlap = ddp.Overlap
 
 // Overlap modes.
@@ -215,7 +215,7 @@ type Report = harness.Report
 type ExperimentDef = harness.Definition
 
 // ExperimentDefs lists the experiment registry in canonical order — one
-// entry per paper artifact plus the ablations (see DESIGN.md §3). The same
+// entry per paper artifact plus the ablations (see DESIGN.md §8). The same
 // table backs the pactrain-bench CLI and the pactrain-serve service.
 func ExperimentDefs() []ExperimentDef { return harness.Experiments() }
 
@@ -297,7 +297,7 @@ func ValidateTraceFile(path string) error { return obs.ValidateFile(path) }
 // Auditor accumulates counterfactual audit reports across experiment runs,
 // deduplicated by config fingerprint. Hang one on Options.Auditor; auditing
 // is derived purely from recorded logs and never perturbs reports,
-// fingerprints, or caches (DESIGN.md §13).
+// fingerprints, or caches (DESIGN.md §12).
 type Auditor = audit.Collector
 
 // AuditReport is one run's counterfactual ledger: per-round candidate
@@ -315,7 +315,7 @@ func NewAuditor() *Auditor { return audit.NewCollector() }
 
 // AuditRun replays one recorded run's controller decisions through the
 // pricing arithmetic the controller used and returns its ledger. The config
-// must be the one the run was recorded under (DESIGN.md §8).
+// must be the one the run was recorded under (DESIGN.md §6).
 func AuditRun(label string, cfg Config, res *Result, opt AuditOptions) (*AuditReport, error) {
 	return harness.AuditRun(label, cfg, res, opt)
 }
