@@ -28,8 +28,8 @@
 //
 // -rate-limit puts a per-client token bucket in front of the queue; both
 // rate-limit and queue-full rejections are 429s carrying a Retry-After
-// derived from the observed drain rate. pactrain-loadgen drives a group of
-// instances and reports the throughput and latency clients experienced.
+// derived from the observed drain rate. The service's latency under load is
+// the repository benchmark's serve_mixed workload (benchmark/README.md).
 //
 // -log-format json switches the process log to one JSON object per
 // observable event (job transitions, engine activity, trainer heartbeats) —

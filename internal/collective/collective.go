@@ -166,8 +166,8 @@ func (c *Cluster) AllReduce(rank int, payload, out []float32, f Finish) {
 
 // AllReduceSum is AllReduce overwriting vec with the global sum. It prices
 // nothing and returns localTime unchanged. The benchmark's probes are its
-// only callers; it is deleted with the benchmark change of ROADMAP
-// direction 2.
+// only callers; it is deleted by the next change allowed to edit
+// benchmark/ (ROADMAP's list of work blocked on a benchmark change).
 func (c *Cluster) AllReduceSum(rank int, vec []float32, wire WireFormat, localTime float64) float64 {
 	c.AllReduce(rank, vec, vec, nil)
 	return localTime
@@ -195,8 +195,8 @@ func (c *Cluster) gather(rank int, payload SparsePayload, f func(all []SparsePay
 // worker holds all contributions. Peers read a payload after its owner
 // returns, so each round needs a fresh one. It prices nothing and returns
 // localTime unchanged. The benchmark's probes are its only callers outside
-// this package's tests; it is deleted with the benchmark change of ROADMAP
-// direction 2.
+// this package's tests; it is deleted by the next change allowed to edit
+// benchmark/ (ROADMAP's list of work blocked on a benchmark change).
 func (c *Cluster) AllGatherSparse(rank int, payload SparsePayload, wire WireFormat, localTime float64) ([]SparsePayload, float64) {
 	return c.gather(rank, payload, func(all []SparsePayload) any { return all }).([]SparsePayload), localTime
 }

@@ -115,8 +115,9 @@ func (*FP16) Decode(payload []float32, out []float32) { copy(out, payload) }
 
 // --- IEEE-754 binary16 conversion -------------------------------------------
 
-// Float32ToHalf converts a float32 to IEEE-754 binary16 bits with
-// round-to-nearest.
+// Float32ToHalf converts a float32 to IEEE-754 binary16 bits, rounding to
+// nearest, ties away from zero (IEEE binary16 rounds ties to even; ROADMAP
+// direction 7).
 func Float32ToHalf(f float32) uint16 {
 	bits := math.Float32bits(f)
 	sign := uint16(bits>>16) & 0x8000

@@ -55,6 +55,23 @@ func TestHalfConversionKnownValues(t *testing.T) {
 			t.Fatalf("HalfToFloat32(%#x) = %v, want %v", c.h, got, c.f)
 		}
 	}
+	// Exact ties round away from zero in the normal and the subnormal
+	// branch alike; IEEE binary16 rounds them to even (0x3c00, 0xbc00,
+	// 0x0000). ROADMAP direction 7 flips these together with the fp16
+	// digests.
+	ties := []struct {
+		f float32
+		h uint16
+	}{
+		{1 + 1.0/(1<<11), 0x3c01},
+		{-(1 + 1.0/(1<<11)), 0xbc01},
+		{1.0 / (1 << 25), 0x0001},
+	}
+	for _, c := range ties {
+		if got := Float32ToHalf(c.f); got != c.h {
+			t.Fatalf("Float32ToHalf(%v) = %#x, want %#x", c.f, got, c.h)
+		}
+	}
 }
 
 func TestHalfSpecials(t *testing.T) {

@@ -34,7 +34,7 @@ type CommOp struct {
 	// already encode the decision's *consequences*, so CostIter replays an
 	// adaptive log without interpreting this field — but only on the fabric
 	// the log was recorded under, because a different fabric would have
-	// produced different decisions (Config.FabricSensitive, DESIGN.md §8).
+	// produced different decisions (Config.FabricSensitive, DESIGN.md §6).
 	Decision string `json:",omitempty"`
 	// Bucket is the DDP bucket index the op synchronized. Together with the
 	// log's BucketElems it lets Replay rebuild the op's per-rank ready times

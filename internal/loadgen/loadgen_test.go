@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pactrain/internal/harness/engine"
 	"pactrain/internal/serve"
 )
 
@@ -184,84 +185,94 @@ func TestPairSameFingerprintTrainsOnce(t *testing.T) {
 	}
 }
 
-// TestLoadgenQuickProfile is the serve-load smoke lane: the quick profile
-// against an in-process pair must complete every arrival, produce sane
-// quantiles, and show cross-instance dedup absorbing duplicate work.
-func TestLoadgenQuickProfile(t *testing.T) {
+// TestPairMixTrainsEachUniqueOnce replays a scripted mix against the pair:
+// each unique submission goes to one instance and its duplicates to the
+// other right after the twin's 202, while it is queued or training; once
+// every twin is done, re-costs of each key go round-robin to both
+// instances. Each unique grid must train exactly once cluster-wide, the
+// instance that did not train it must get every cell over the peer
+// protocol, and every arrival of a key must serve the bytes of its first.
+func TestPairMixTrainsEachUniqueOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains real grids; run in the full or serve-load-smoke lane")
 	}
 	pair := newPair(t)
 
-	// Calibrate how many grid cells one submission of the profile's
-	// experiment trains (seed 5 is disjoint from the profile's seed range,
-	// so this warms nothing the load run uses).
+	// Calibrate how many grid cells one submission trains (seed 5 is
+	// disjoint from the scripted seeds, so this warms nothing they use).
 	calID := submit(t, pair.URLs[0], sameRequest())
 	waitDone(t, pair.URLs[0], calID)
+	var before [2]engine.Stats
 	cellsPerGrid := 0
-	for _, s := range pair.Servers {
-		cellsPerGrid += s.EngineStats().Trained
+	for i, s := range pair.Servers {
+		before[i] = s.EngineStats()
+		cellsPerGrid += before[i].Trained
 	}
 	if cellsPerGrid == 0 {
 		t.Fatal("calibration submission trained nothing")
 	}
 
-	// Smoke-sized: 12 arrivals at 40/s, duplicate-heavy with a recost
-	// tail — ~3 unique grids.
-	profile := Profile{Count: 12, Rate: 40, DupFrac: 0.5, RecostFrac: 0.25,
-		Experiment: "ablation-tern", Quick: true, World: 2, Samples: 64,
-		BaseSeed: 100, RNGSeed: 1, Timeout: 2 * time.Minute, Log: testWriter{t}}
-	res, err := Run(pair.URLs, profile)
-	if err != nil {
-		t.Fatal(err)
+	// 12 arrivals: 2 unique, 6 duplicate, 4 re-cost.
+	seeds := []uint64{100, 101}
+	const dups = 3
+	type arrival struct {
+		seed     uint64
+		base, id string
 	}
-	if res.Failed != 0 {
-		t.Fatalf("%d of %d arrivals failed", res.Failed, res.Arrivals)
+	var arrivals []arrival
+	send := func(seed uint64, base string) {
+		req := sameRequest()
+		req.Seed = seed
+		arrivals = append(arrivals, arrival{seed, base, submit(t, base, req)})
 	}
-	if res.Accepted != res.Arrivals {
-		t.Fatalf("accepted %d of %d arrivals", res.Accepted, res.Arrivals)
+	for k, seed := range seeds {
+		send(seed, pair.URLs[k%2])
+		for range dups {
+			send(seed, pair.URLs[1-k%2])
+		}
 	}
-	if got := res.Unique + res.Duplicate + res.Recost; got != res.Arrivals {
-		t.Fatalf("mix %d unique + %d dup + %d recost != %d arrivals", res.Unique, res.Duplicate, res.Recost, got)
+	for _, a := range arrivals {
+		waitDone(t, a.base, a.id)
 	}
-	if res.P50DoneSeconds <= 0 || res.P99DoneSeconds < res.P50DoneSeconds {
-		t.Fatalf("quantiles p50 %.3fs p99 %.3fs are not sane", res.P50DoneSeconds, res.P99DoneSeconds)
+	for r := range 2 {
+		for k, seed := range seeds {
+			send(seed, pair.URLs[(k+r)%2])
+		}
 	}
-	if res.JobsPerSec <= 0 {
-		t.Fatalf("jobs/sec %.3f", res.JobsPerSec)
+	for _, a := range arrivals {
+		waitDone(t, a.base, a.id)
 	}
-	if res.TrainedDelta == 0 {
-		t.Fatal("the run trained nothing; unique arrivals must train")
-	}
-	// The acceptance contract: under a duplicate-heavy mix spread across
-	// both instances, each unique fingerprint trains exactly once
-	// cluster-wide — duplicates and recosts resolve via coalescing, the
-	// engine memo, the disk cache, or the peer protocol, never by
-	// retraining.
-	if want := res.Unique * cellsPerGrid; res.TrainedDelta != want {
-		t.Fatalf("trained %d cells for %d unique arrivals (%d cells/grid), want exactly %d",
-			res.TrainedDelta, res.Unique, cellsPerGrid, want)
-	}
-	// Duplicates round-robin onto both instances, so the cross-instance
-	// paths must have fired: either a peer served a result, or a duplicate
-	// coalesced/deduped locally while its twin trained on the sibling.
-	peerActivity := 0
-	for _, s := range pair.Servers {
+
+	trained, peerHits := 0, 0
+	for i, s := range pair.Servers {
 		st := s.EngineStats()
-		peerActivity += st.PeerHits + st.PeerMisses + st.PeerErrors
+		trained += st.Trained - before[i].Trained
+		peerHits += st.PeerHits - before[i].PeerHits
 	}
-	if peerActivity == 0 {
-		t.Fatal("no peer-protocol activity; the pair is not wired as peers")
+	// Duplicates and re-costs resolve by coalescing, the engine memo or
+	// the peer protocol, never by retraining.
+	want := len(seeds) * cellsPerGrid
+	if trained != want {
+		t.Fatalf("trained %d cells for %d unique grids (%d cells/grid), want exactly %d",
+			trained, len(seeds), cellsPerGrid, want)
 	}
-	if res.TrainFraction <= 0 {
-		t.Fatalf("train fraction %.3f", res.TrainFraction)
+	// Both instances served every key, and only one trained it, so the
+	// other fetched each of its cells from its peer.
+	if peerHits != want {
+		t.Fatalf("%d peer hits, want one per cell the other instance trained (%d)", peerHits, want)
 	}
-}
 
-// testWriter adapts t.Logf so loadgen progress lands in the test log.
-type testWriter struct{ t *testing.T }
-
-func (w testWriter) Write(p []byte) (int, error) {
-	w.t.Logf("%s", bytes.TrimRight(p, "\n"))
-	return len(p), nil
+	first := map[uint64][]byte{}
+	for i, a := range arrivals {
+		got := resultBytes(t, a.base, a.id)
+		ref, ok := first[a.seed]
+		if !ok {
+			first[a.seed] = got
+			continue
+		}
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("arrival %d (seed %d, %s) served %d bytes unlike the key's first arrival's %d",
+				i, a.seed, a.base, len(got), len(ref))
+		}
+	}
 }

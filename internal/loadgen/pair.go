@@ -1,9 +1,14 @@
+// Package loadgen holds only the in-process peer pair: two serve instances
+// on loopback listeners, each configured as the other's cache peer. The
+// service's latency and throughput under load are measured in one place,
+// the benchmark's serve_mixed workload (benchmark/README.md), which boots
+// this Pair; the package's tests drive it with scripted arrivals and
+// assert the cross-instance invariants.
 package loadgen
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 
@@ -29,16 +34,10 @@ type PairOptions struct {
 	// CacheDirs are the per-instance cache directories; empty strings run
 	// both instances memo-only (peer serving still works from the memo).
 	CacheDirs [2]string
-	// Workers and QueueDepth apply to each instance (serve defaults when 0).
-	Workers, QueueDepth int
+	// Workers applies to each instance (serve default when 0).
+	Workers int
 	// Parallelism bounds each instance's engine (serve default when 0).
 	Parallelism int
-	// RateLimit and RateBurst configure each instance's per-client token
-	// bucket (0 disables, as in serve.Options).
-	RateLimit float64
-	RateBurst int
-	// Log receives both instances' progress lines; nil discards them.
-	Log io.Writer
 }
 
 // NewPair boots both instances. Each instance needs the other's base URL
@@ -61,11 +60,7 @@ func NewPair(opt PairOptions) (*Pair, error) {
 			Parallelism: opt.Parallelism,
 			CacheDir:    opt.CacheDirs[i],
 			Workers:     opt.Workers,
-			QueueDepth:  opt.QueueDepth,
-			RateLimit:   opt.RateLimit,
-			RateBurst:   opt.RateBurst,
 			CachePeers:  []string{p.URLs[1-i]},
-			Log:         opt.Log,
 		})
 		if err != nil {
 			p.close()
@@ -75,7 +70,7 @@ func NewPair(opt PairOptions) (*Pair, error) {
 		p.https[i] = &http.Server{Handler: s.Handler()}
 		go func(hs *http.Server, ln net.Listener) {
 			// ErrServerClosed is the normal shutdown path; anything else
-			// surfaces as request failures in the run's Result.
+			// surfaces as failures of the requests sent to this instance.
 			_ = hs.Serve(ln)
 		}(p.https[i], p.listeners[i])
 	}
